@@ -3,7 +3,8 @@
 //! The output mirrors the paper's Figures 4/7/8: one node per partition
 //! labelled with its row and block range (`G8[2,3]`), `sync` nodes drawn
 //! as diamonds, MxV partitions as ellipses and multi-task linear
-//! partitions as boxes (they execute as subflows, like `G6` in Figure 12).
+//! partitions as boxes (they execute as joined chunk fans, like the `G6`
+//! subflow in Figure 12).
 
 use crate::engine::Ckt;
 use crate::row::RowKind;

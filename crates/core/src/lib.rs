@@ -32,8 +32,11 @@
 //!   partitions form the task graph, linked by nearest-overlap coverage
 //!   scans ([`pgraph`]).
 //! * `update_state` performs a DFS from the frontier over successor edges
-//!   and executes the dirty partitions as a [`qtask_taskflow::Taskflow`],
-//!   with intra-partition tasks as subflow children ([`exec`]).
+//!   and executes the dirty partitions of the engine's persistent
+//!   [`qtask_taskflow::RetainedGraph`] with one
+//!   [`run_dirty`](qtask_taskflow::Executor::run_dirty) call; a
+//!   partition's intra-partition tasks are its node's parallel chunks
+//!   ([`exec`]).
 
 pub mod config;
 pub(crate) mod coverage;

@@ -91,7 +91,7 @@ fn figure2_partition_structure() {
     let dot = ckt.dump_graph_string();
     assert!(dot.contains("sync"));
     assert!(dot.contains("MxV"));
-    // G6's single partition spans blocks 4..7 and is a subflow (box).
+    // G6's single partition spans blocks 4..7 and is a chunk fan (box).
     assert!(dot.contains("G6[4,7]\" shape=box"), "{dot}");
     assert!(dot.contains("G7[4,5]"));
     assert!(dot.contains("G7[6,7]"));

@@ -2,7 +2,8 @@
 //!
 //! This test lives in its own binary on purpose: it installs the counting
 //! global allocator and asserts an *exact* zero over a code region, which
-//! only holds when no other test thread allocates concurrently.
+//! only holds when no other test thread allocates concurrently — the
+//! tests serialize on `ALLOC_LOCK`.
 //!
 //! All engines here disable snapshot publication: a snapshot held by the
 //! engine pins every resolved block, so re-executing partitions would
@@ -16,9 +17,19 @@ use qtask_core::test_support;
 use qtask_core::{Ckt, KernelPolicy, SimConfig, SnapshotPolicy};
 use qtask_gates::GateKind;
 use qtask_util::alloc_counter::CountingAlloc;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The allocation counter is process-global and libtest runs the tests of
+/// a binary on parallel threads; every test holds this lock so no other
+/// test allocates inside its measurement window.
+static ALLOC_LOCK: Mutex<()> = Mutex::new(());
+
+fn alloc_guard() -> MutexGuard<'static, ()> {
+    ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn alloc_test_config() -> SimConfig {
     let mut cfg = SimConfig::with_block_size(8).with_snapshots(SnapshotPolicy::Disabled);
@@ -31,6 +42,7 @@ fn alloc_test_config() -> SimConfig {
 /// incremental update — performs zero heap allocations.
 #[test]
 fn warm_mxv_reexecution_allocates_nothing() {
+    let _serial = alloc_guard();
     let cfg = alloc_test_config();
     assert_eq!(cfg.kernels, KernelPolicy::Batched);
     let mut ckt = Ckt::with_config(6, cfg);
@@ -68,6 +80,7 @@ fn warm_mxv_reexecution_allocates_nothing() {
 /// anti-diagonal, and controlled kinds alike.
 #[test]
 fn warm_linear_reexecution_allocates_nothing() {
+    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     // One gate per net, covering each linear kernel shape: Diag (T),
     // AntiDiag crossing blocks (X on a high qubit), controlled AntiDiag
@@ -112,6 +125,7 @@ fn warm_linear_reexecution_allocates_nothing() {
 /// too: the fused cache rebuilds only when the factor group changes.
 #[test]
 fn fused_cache_survives_unrelated_updates() {
+    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
@@ -141,6 +155,7 @@ fn fused_cache_survives_unrelated_updates() {
 /// history — and arena free-list reuse makes it hold for the modifiers.
 #[test]
 fn warm_retained_update_is_allocation_stable() {
+    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
@@ -178,6 +193,7 @@ fn warm_retained_update_is_allocation_stable() {
 /// must fork instead (strictly more allocations).
 #[test]
 fn publish_policy_forks_only_for_live_readers() {
+    let _serial = alloc_guard();
     let mut cfg = SimConfig::with_block_size(8);
     cfg.num_threads = 1;
     assert_eq!(cfg.snapshots, SnapshotPolicy::Publish);
@@ -220,6 +236,7 @@ fn publish_policy_forks_only_for_live_readers() {
 /// the unpinned warm allocation profile exactly, version after version.
 #[test]
 fn long_lived_reader_does_not_perturb_warm_profile() {
+    let _serial = alloc_guard();
     let mut cfg = SimConfig::with_block_size(8);
     cfg.num_threads = 1;
     let mut ckt = Ckt::with_config(6, cfg);

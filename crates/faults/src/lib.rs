@@ -361,8 +361,17 @@ mod tests {
     // exercise the runtime API directly (the macros are covered by the
     // chaos suite at the workspace root).
 
+    /// The registry is process-global and libtest runs these tests on
+    /// parallel threads; every test holds this lock.
+    static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn disarmed_probes_do_nothing() {
+        let _serial = registry_guard();
         assert!(!active());
         hit("nowhere");
         assert!(!hit_err("nowhere"));
@@ -371,6 +380,7 @@ mod tests {
 
     #[test]
     fn fires_exactly_once_at_nth_hit() {
+        let _serial = registry_guard();
         arm(FaultPlan::at_hit("site/a", FaultKind::Error, 3));
         assert!(!hit_err("site/a"));
         assert!(!hit_err("site/b"));
@@ -384,6 +394,7 @@ mod tests {
 
     #[test]
     fn repeated_plan_fires_for_a_window_of_hits() {
+        let _serial = registry_guard();
         arm(FaultPlan::repeated("site/r", FaultKind::Error, 2, 3));
         assert!(!hit_err("site/r")); // hit 1: before window
         assert!(hit_err("site/r")); // hits 2..=4: fire
@@ -398,6 +409,7 @@ mod tests {
 
     #[test]
     fn panic_kind_unwinds_with_site_name() {
+        let _serial = registry_guard();
         arm(FaultPlan::first("site/p", FaultKind::Panic));
         let err = std::panic::catch_unwind(|| hit("site/p")).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -407,6 +419,7 @@ mod tests {
 
     #[test]
     fn corrupt_kinds_yield_non_finite() {
+        let _serial = registry_guard();
         arm(FaultPlan::first("site/c", FaultKind::CorruptNan));
         assert!(hit_corrupt("site/c").unwrap().is_nan());
         disarm();
@@ -417,6 +430,7 @@ mod tests {
 
     #[test]
     fn tracing_enumerates_sites() {
+        let _serial = registry_guard();
         let sites = site_hits(|| {
             hit("z/later");
             hit("a/early");
@@ -431,6 +445,7 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic_and_in_range() {
+        let _serial = registry_guard();
         let sites = vec![("a".to_string(), 5), ("b".to_string(), 2)];
         let p1 = FaultPlan::seeded(42, &sites).unwrap();
         let p2 = FaultPlan::seeded(42, &sites).unwrap();

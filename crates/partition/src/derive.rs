@@ -4,8 +4,8 @@
 //! G6–G10 examples are unit tests below): items are chunked into tasks of
 //! `block_size` consecutive items; a task's memory region is
 //! `[low(first), high(last)]`; consecutive tasks whose regions share a
-//! block merge into one partition, whose tasks later run as the intra-gate
-//! parallel subflow.
+//! block merge into one partition, whose tasks later run as the parallel
+//! chunks of one retained-graph node (the paper's intra-gate subflow).
 
 use crate::geometry::BlockGeometry;
 use crate::pattern::ItemPattern;

@@ -1,42 +1,53 @@
 //! The work-stealing executor.
 //!
-//! A persistent pool of workers executes [`Taskflow`] graphs. Each run
-//! builds a private `RunCtx` of run nodes (join counters, successor
-//! pointers); workers pop jobs from their local LIFO deque, then steal
-//! from the global injector and from each other (crossbeam-deque), and
-//! park on a condition variable when idle. Subflow tasks append child run
-//! nodes dynamically; a parent completes — firing its successors and its
-//! own pending slot — only after its last child completes.
+//! A persistent pool of workers executes runs. A run is a set of run
+//! nodes (join counters, successor pointers) plus one `RunCtx` carrying
+//! the caller's `invoke(payload, chunk)` closure; workers pop jobs from
+//! their local LIFO deque, then steal from the global injector and from
+//! each other (crossbeam-deque), and park on a condition variable when
+//! idle. Both entry points — [`Executor::run`]/[`Executor::try_run`] for
+//! a [`Taskflow`] and [`Executor::run_dirty`] for a [`RetainedGraph`] —
+//! materialize their graph into a `RunPool` and hand it to the single
+//! `Executor::drain`, the only code that publishes jobs from caller
+//! context and waits for the run.
 //!
 //! # Safety model
 //!
-//! Jobs are raw pointers into the run's node storage. Three invariants
+//! Jobs are raw pointers into the run's node storage. Four invariants
 //! make this sound:
 //!
-//! 1. **Stability** — run nodes are individually boxed; child nodes are
-//!    appended under a mutex into the context's keep-alive vector *before*
-//!    any job pointing at them is published.
-//! 2. **Liveness** — `run()` keeps the `RunCtx` alive until the done-gate
+//! 1. **Stability** — run nodes and the run context are individually
+//!    boxed, so their addresses survive growth and moves of the pool
+//!    that owns them.
+//! 2. **Collect, then publish** — `drain` first collects every root of
+//!    the fully wired run into `RunPool::roots` and only then publishes
+//!    that list. From the first published job on, workers own every run
+//!    node: a worker that is already awake (it serves other callers of a
+//!    shared pool) may complete a root and release its successors while
+//!    the caller is still pushing, so a caller that looked at a join
+//!    counter at that point could see a released successor as a root and
+//!    publish it a second time. The caller therefore neither reads nor
+//!    writes a run node after the first push.
+//! 3. **Liveness** — the caller keeps the pool alive until the done-gate
 //!    flag is set, and the flag is set only after the final `pending`
-//!    decrement; every job is consumed before that decrement, so no worker
-//!    dereferences a node after the context is freed. The done gate itself
-//!    is a separate `Arc` cloned *before* the final decrement's signal.
-//! 3. **Borrow validity** — task closures may borrow the caller's
-//!    environment (`'env`); `run()` blocks the caller until every task
+//!    decrement; every job is consumed exactly once before that
+//!    decrement, so no worker dereferences a node after the run is over.
+//!    The done gate itself is a separate `Arc` cloned *before* the final
+//!    decrement's signal.
+//! 4. **Borrow validity** — the `invoke` closure may borrow the caller's
+//!    environment; `drain` blocks the caller until every task
 //!    completed, so those borrows outlive all uses (the same argument
 //!    `std::thread::scope` and rayon's `scope` make).
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::graph::{Subflow, Taskflow, Work};
-use crate::observer::{ExecEvent, Observer};
+use crate::graph::Taskflow;
 use crate::retained::{DirtyRunStats, RetainedGraph};
 
 /// Structured description of a task panic, returned by
@@ -59,48 +70,39 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// Renders a panic payload as text for [`TaskPanic::message`].
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// First panic observed in a run: the task's name plus its payload.
+type FirstPanic = (Arc<str>, Box<dyn Any + Send + 'static>);
+
+impl TaskPanic {
+    fn new((task, payload): FirstPanic) -> TaskPanic {
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        TaskPanic { task, message }
     }
 }
 
-/// Fault-injection probe on the per-task execution path (inside the
-/// per-task `catch_unwind`, so an injected panic is contained exactly
-/// like a real task panic). Compiles to nothing without the `faults`
-/// feature.
-#[inline]
-fn task_probe() {
-    qtask_faults::fault_point!("taskflow/task");
-}
+/// The run-level task body: `invoke(payload, chunk)`.
+type Invoke<'a> = dyn Fn(u64, u32) + Send + Sync + 'a;
 
-/// A unit of scheduled work: a pointer to a live run node.
+/// A unit of scheduled work: a live run node and its run's context.
 #[derive(Clone, Copy)]
-struct Job(*const RunNode);
+struct Job(*const RunNode, *const RunCtx);
 
-// SAFETY: the pointee is kept alive by the RunCtx for the whole run and
-// all mutation goes through atomics or the once-only Child cell.
+// SAFETY: the pointees are kept alive by the RunPool for the whole run
+// and all mutation goes through atomics.
 unsafe impl Send for Job {}
 
 enum RunWork {
+    /// A pure synchronization point: completes without invoking.
     Empty,
-    /// Borrowed from the Taskflow graph; lifetime erased (see module docs).
-    Static(*const (dyn Fn() + Send + Sync)),
-    /// Borrowed from the Taskflow graph; lifetime erased.
-    Dynamic(*const (dyn Fn(&mut Subflow<'static>) + Send + Sync)),
-    /// A subflow child, created at runtime and executed exactly once.
-    Child(UnsafeCell<Option<Box<dyn FnOnce() + Send>>>),
-    /// A retained-graph node body: calls the run-level `invoke` closure
-    /// (stored on the [`RunCtx`]) with this node's payload and chunk.
-    Invoke {
-        payload: u64,
-        chunk: u32,
-    },
+    /// Calls the run-level `invoke` closure (stored on the [`RunCtx`])
+    /// with this node's payload and chunk.
+    Invoke { payload: u64, chunk: u32 },
 }
 
 struct RunNode {
@@ -108,10 +110,6 @@ struct RunNode {
     work: RunWork,
     succs: Vec<*const RunNode>,
     join: AtomicUsize,
-    /// Remaining children before this (subflow) node completes.
-    children: AtomicUsize,
-    parent: *const RunNode,
-    ctx: *const RunCtx,
 }
 
 struct DoneGate {
@@ -119,74 +117,141 @@ struct DoneGate {
     cv: Condvar,
 }
 
-/// First panic observed in a run: the task's name plus its payload.
-type FirstPanic = Mutex<Option<(Arc<str>, Box<dyn Any + Send + 'static>)>>;
-
 struct RunCtx {
-    // The boxes are load-bearing: `succs`/`parent` hold raw pointers into
-    // the nodes, so their addresses must survive vector growth.
-    /// Keep-alive storage for the static run nodes.
-    #[allow(clippy::vec_box)]
-    _static_nodes: Vec<Box<RunNode>>,
-    /// Keep-alive storage for dynamically spawned children.
-    #[allow(clippy::vec_box)]
-    dynamic_nodes: Mutex<Vec<Box<RunNode>>>,
-    /// Tasks not yet completed (grows when subflows spawn children).
+    /// Run nodes not yet completed.
     pending: AtomicUsize,
     /// Set when a task panicked; remaining closures are skipped.
     cancelled: AtomicBool,
-    /// First panic: the task's name plus its payload.
-    panic: FirstPanic,
+    panic: Mutex<Option<FirstPanic>>,
     done: Arc<DoneGate>,
-    /// Retained-run invoke closure; lifetime erased (`run_dirty` blocks,
-    /// so the borrow outlives every dereference). `None` for `Taskflow`
-    /// runs, which carry their closures in the nodes instead.
-    invoke: Option<*const (dyn Fn(u64, u32) + Send + Sync)>,
+    /// The caller's closure; lifetime erased (see [`RunPool::begin`]).
+    /// Dangles between runs and is never dereferenced there.
+    invoke: *const Invoke<'static>,
 }
 
-/// Reusable storage for retained-graph runs
-/// ([`Executor::run_dirty`]): the materialized run nodes, their address
-/// table, and the run context all survive between runs, growing to the
-/// dirty set's high-water mark so warm re-executions materialize without
-/// allocating.
+/// Storage of one materialized run: the run nodes, the roots to publish
+/// and the run context. A [`RetainedGraph`] keeps its pool between runs,
+/// growing to the dirty set's high-water mark so warm re-executions
+/// materialize without allocating; a [`Taskflow`] run uses a fresh one.
 #[derive(Default)]
 pub(crate) struct RunPool {
+    // The boxes are load-bearing: `succs`, `roots` and jobs hold raw
+    // pointers into the nodes, so their addresses must survive vector
+    // growth.
     #[allow(clippy::vec_box)]
     nodes: Vec<Box<RunNode>>,
-    ptrs: Vec<*const RunNode>,
+    /// Run nodes in use by the current run (a prefix of `nodes`).
+    len: usize,
+    /// Nodes of the current run without a predecessor in it.
+    roots: Vec<*const RunNode>,
     ctx: Option<Box<RunCtx>>,
 }
 
 // SAFETY: the raw pointers point into the individually boxed run nodes
-// owned by this pool (box contents do not move when the pool moves), and
-// they are only dereferenced during a blocking `run_dirty` call that
-// holds `&mut` access. Shared references expose no field at all.
+// and context owned by this pool (box contents do not move when the pool
+// moves) or, for `RunCtx::invoke`, at a closure that is only dereferenced
+// while its borrow is live. They are only dereferenced during a blocking
+// run that holds `&mut` access. Shared references expose no field at all.
 unsafe impl Send for RunPool {}
 unsafe impl Sync for RunPool {}
 
-/// Creates an inert pooled run node (overwritten before every use).
-fn blank_node() -> Box<RunNode> {
-    Box::new(RunNode {
-        name: Arc::from(""),
-        work: RunWork::Empty,
-        succs: Vec::new(),
-        join: AtomicUsize::new(0),
-        children: AtomicUsize::new(0),
-        parent: std::ptr::null(),
-        ctx: std::ptr::null(),
-    })
-}
+impl RunPool {
+    /// Starts materializing a run of `len` nodes executing `invoke`:
+    /// grows the node storage, forgets the previous roots and re-arms
+    /// the context.
+    fn begin(&mut self, len: usize, invoke: &Invoke<'_>) {
+        // SAFETY: erases the closure's lifetime. Only workers executing
+        // this run's jobs dereference the pointer, and `drain` does not
+        // return before the last of them completed, so the borrow
+        // outlives every dereference.
+        let invoke = unsafe { std::mem::transmute::<&Invoke<'_>, *const Invoke<'static>>(invoke) };
+        while self.nodes.len() < len {
+            self.nodes.push(Box::new(RunNode {
+                name: Arc::from(""),
+                work: RunWork::Empty,
+                succs: Vec::new(),
+                join: AtomicUsize::new(0),
+            }));
+        }
+        self.len = len;
+        self.roots.clear();
+        let ctx = self.ctx.get_or_insert_with(|| {
+            Box::new(RunCtx {
+                pending: AtomicUsize::new(0),
+                cancelled: AtomicBool::new(false),
+                panic: Mutex::new(None),
+                done: Arc::new(DoneGate {
+                    lock: Mutex::new(false),
+                    cv: Condvar::new(),
+                }),
+                invoke,
+            })
+        });
+        *ctx.pending.get_mut() = len;
+        *ctx.cancelled.get_mut() = false;
+        *ctx.panic.get_mut() = None;
+        *ctx.done.lock.lock() = false;
+        ctx.invoke = invoke;
+    }
 
-/// Rewrites a pooled run node for the next run, keeping the successor
-/// vector's capacity.
-fn reset_node(node: &mut RunNode, name: &Arc<str>, work: RunWork, join: usize, ctx: *const RunCtx) {
-    node.name = Arc::clone(name);
-    node.work = work;
-    node.succs.clear();
-    *node.join.get_mut() = join;
-    *node.children.get_mut() = 0;
-    node.parent = std::ptr::null();
-    node.ctx = ctx;
+    /// Rewrites run node `i` for the current run, keeping its successor
+    /// vector's capacity. The node has no predecessor until
+    /// [`RunPool::add_edge`] gives it one.
+    fn set_node(&mut self, i: usize, name: &Arc<str>, work: RunWork) {
+        let node = &mut *self.nodes[i];
+        node.name = Arc::clone(name);
+        node.work = work;
+        node.succs.clear();
+        *node.join.get_mut() = 0;
+    }
+
+    /// Makes run node `to` wait for run node `from`.
+    fn add_edge(&mut self, from: usize, to: usize) {
+        let to = &mut *self.nodes[to];
+        *to.join.get_mut() += 1;
+        let to: *const RunNode = to;
+        self.nodes[from].succs.push(to);
+    }
+
+    /// Records the nodes no edge leads to. Called once the run is fully
+    /// wired and before any job is published — the last time the caller
+    /// looks at a join counter.
+    fn collect_roots(&mut self) {
+        for node in &self.nodes[..self.len] {
+            if node.join.load(Ordering::Relaxed) == 0 {
+                self.roots.push(&**node);
+            }
+        }
+    }
+
+    /// Kahn's algorithm over the materialized run: a cycle would strand
+    /// the pending counter and hang the run.
+    #[cfg(debug_assertions)]
+    fn is_acyclic(&self) -> bool {
+        let nodes = &self.nodes[..self.len];
+        let idx_of: std::collections::HashMap<*const RunNode, usize> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (&**n as *const RunNode, i))
+            .collect();
+        let mut indeg: Vec<usize> = nodes
+            .iter()
+            .map(|n| n.join.load(Ordering::Relaxed))
+            .collect();
+        let mut stack: Vec<usize> = (0..nodes.len()).filter(|&i| indeg[i] == 0).collect();
+        let mut seen = 0usize;
+        while let Some(i) = stack.pop() {
+            seen += 1;
+            for s in &nodes[i].succs {
+                let j = idx_of[s];
+                indeg[j] -= 1;
+                if indeg[j] == 0 {
+                    stack.push(j);
+                }
+            }
+        }
+        seen == nodes.len()
+    }
 }
 
 struct SleepCtl {
@@ -202,14 +267,13 @@ struct Inner {
     stealers: Vec<Stealer<Job>>,
     sleep: SleepCtl,
     shutdown: AtomicBool,
-    observer: RwLock<Option<Arc<dyn Observer>>>,
-    has_observer: AtomicBool,
     /// Lifetime count of tasks executed (cancelled nodes included —
     /// they're still drained through a worker).
     tasks_run: AtomicU64,
 }
 
-/// A persistent work-stealing thread pool executing [`Taskflow`] graphs.
+/// A persistent work-stealing thread pool executing [`Taskflow`] and
+/// [`RetainedGraph`] runs.
 pub struct Executor {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
@@ -233,8 +297,6 @@ impl Executor {
                 sleepers: AtomicUsize::new(0),
             },
             shutdown: AtomicBool::new(false),
-            observer: RwLock::new(None),
-            has_observer: AtomicBool::new(false),
             tasks_run: AtomicU64::new(0),
         });
         let handles = deques
@@ -273,14 +335,6 @@ impl Executor {
         self.inner.tasks_run.load(Ordering::Relaxed)
     }
 
-    /// Installs (or clears) an execution observer.
-    pub fn set_observer(&self, obs: Option<Arc<dyn Observer>>) {
-        self.inner
-            .has_observer
-            .store(obs.is_some(), Ordering::Release);
-        *self.inner.observer.write() = obs;
-    }
-
     /// Executes `tf` to completion, blocking the caller.
     ///
     /// Re-raises the first panic that occurred in any task (remaining
@@ -290,7 +344,7 @@ impl Executor {
     /// Panics if the graph contains a dependency cycle, or to re-raise a
     /// task panic. Use [`Executor::try_run`] for a non-panicking report.
     pub fn run<'env>(&self, tf: &Taskflow<'env>) {
-        if let Some((_, payload)) = self.run_inner(tf) {
+        if let Some((_, payload)) = self.run_taskflow(tf) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -305,13 +359,37 @@ impl Executor {
     /// Panics if the graph contains a static dependency cycle (a
     /// caller-side construction bug, detected before execution starts).
     pub fn try_run<'env>(&self, tf: &Taskflow<'env>) -> Result<(), TaskPanic> {
-        match self.run_inner(tf) {
-            None => Ok(()),
-            Some((task, payload)) => Err(TaskPanic {
-                task,
-                message: panic_message(payload.as_ref()),
-            }),
+        self.run_taskflow(tf)
+            .map_or(Ok(()), |p| Err(TaskPanic::new(p)))
+    }
+
+    /// Shared body of [`run`](Executor::run)/[`try_run`](Executor::try_run):
+    /// materializes one run node per task — task `i` invokes payload `i`
+    /// — and drains the run.
+    fn run_taskflow<'env>(&self, tf: &Taskflow<'env>) -> Option<FirstPanic> {
+        let invoke = |i: u64, _chunk: u32| {
+            if let Some(f) = &tf.nodes[i as usize].work {
+                f()
+            }
+        };
+        let mut pool = RunPool::default();
+        pool.begin(tf.len(), &invoke);
+        for (i, node) in tf.nodes.iter().enumerate() {
+            let work = match node.work {
+                None => RunWork::Empty,
+                Some(_) => RunWork::Invoke {
+                    payload: i as u64,
+                    chunk: 0,
+                },
+            };
+            pool.set_node(i, &node.name, work);
         }
+        for (i, node) in tf.nodes.iter().enumerate() {
+            for &s in &node.succs {
+                pool.add_edge(i, s);
+            }
+        }
+        self.drain(&mut pool)
     }
 
     /// Executes the dirty subset of a [`RetainedGraph`], blocking the
@@ -341,16 +419,13 @@ impl Executor {
         graph: &mut RetainedGraph,
         invoke: &(dyn Fn(u64, u32) + Send + Sync),
     ) -> Result<DirtyRunStats, TaskPanic> {
-        if graph.dirty.is_empty() {
-            return Ok(DirtyRunStats::default());
-        }
         // Split borrows: the dirty list and the pool leave the graph for
         // the duration of the run (their capacity is restored at the end).
         let dirty = std::mem::take(&mut graph.dirty);
         let mut pool = std::mem::take(&mut graph.pool);
 
-        // Pass 1: assign each dirty node its run-node range and size the
-        // pool. A fan of c chunks expands to entry + c leaves + exit.
+        // Pass 1: assign each dirty node its run-node range. A fan of c
+        // chunks expands to entry + c leaves + exit.
         let mut total = 0usize;
         let mut stats = DirtyRunStats {
             nodes_run: dirty.len(),
@@ -372,168 +447,48 @@ impl Executor {
             node.run_exit = (total + size - 1) as u32;
             total += size;
         }
-        while pool.nodes.len() < total {
-            pool.nodes.push(blank_node());
-        }
-        let ctx = pool.ctx.get_or_insert_with(|| {
-            Box::new(RunCtx {
-                _static_nodes: Vec::new(),
-                dynamic_nodes: Mutex::new(Vec::new()),
-                pending: AtomicUsize::new(0),
-                cancelled: AtomicBool::new(false),
-                panic: Mutex::new(None),
-                done: Arc::new(DoneGate {
-                    lock: Mutex::new(false),
-                    cv: Condvar::new(),
-                }),
-                invoke: None,
-            })
-        });
-        ctx.pending.store(total, Ordering::SeqCst);
-        ctx.cancelled.store(false, Ordering::SeqCst);
-        *ctx.panic.lock() = None;
-        *ctx.done.lock.lock() = false;
-        // SAFETY: erases the closure's lifetime; run_dirty blocks until
-        // every task completed, so the borrow outlives all dereferences
-        // (the same argument `run` makes for Taskflow closures).
-        ctx.invoke = Some(unsafe {
-            std::mem::transmute::<
-                &(dyn Fn(u64, u32) + Send + Sync),
-                *const (dyn Fn(u64, u32) + Send + Sync),
-            >(invoke)
-        });
-        let ctx_ptr: *const RunCtx = &**ctx;
-        let done = Arc::clone(&ctx.done);
+        pool.begin(total, invoke);
 
-        // Pass 2: rewrite the pooled run nodes and their internal fan
-        // wiring; cross edges (join counts) are patched in afterwards.
-        for &d in &dirty {
-            let (payload, chunks, name, entry) = {
-                let node = &graph.nodes[d.key()];
-                (
-                    node.payload,
-                    node.chunks,
-                    Arc::clone(&node.name),
-                    node.run_entry as usize,
-                )
-            };
-            if chunks > 1 {
-                reset_node(&mut pool.nodes[entry], &name, RunWork::Empty, 0, ctx_ptr);
-                for k in 0..chunks {
-                    reset_node(
-                        &mut pool.nodes[entry + 1 + k as usize],
-                        &name,
-                        RunWork::Invoke { payload, chunk: k },
-                        1,
-                        ctx_ptr,
-                    );
-                }
-                reset_node(
-                    &mut pool.nodes[entry + 1 + chunks as usize],
-                    &name,
-                    RunWork::Empty,
-                    chunks as usize,
-                    ctx_ptr,
-                );
-            } else {
-                let work = if chunks == 0 {
-                    RunWork::Empty
-                } else {
-                    RunWork::Invoke { payload, chunk: 0 }
-                };
-                reset_node(&mut pool.nodes[entry], &name, work, 0, ctx_ptr);
-            }
-        }
-        pool.ptrs.clear();
-        pool.ptrs
-            .extend(pool.nodes[..total].iter().map(|b| &**b as *const RunNode));
+        // Pass 2: rewrite the pooled run nodes.
         for &d in &dirty {
             let node = &graph.nodes[d.key()];
-            if node.chunks > 1 {
-                let entry = node.run_entry as usize;
-                let exit = node.run_exit as usize;
-                for leaf in entry + 1..exit {
-                    let leaf_ptr = pool.ptrs[leaf];
-                    pool.nodes[entry].succs.push(leaf_ptr);
-                    pool.nodes[leaf].succs.push(pool.ptrs[exit]);
+            let (payload, chunks, name) = (node.payload, node.chunks, &node.name);
+            let (entry, exit) = (node.run_entry as usize, node.run_exit as usize);
+            if chunks > 1 {
+                pool.set_node(entry, name, RunWork::Empty);
+                for chunk in 0..chunks {
+                    let work = RunWork::Invoke { payload, chunk };
+                    pool.set_node(entry + 1 + chunk as usize, name, work);
                 }
+                pool.set_node(exit, name, RunWork::Empty);
+            } else {
+                let work = match chunks {
+                    0 => RunWork::Empty,
+                    _ => RunWork::Invoke { payload, chunk: 0 },
+                };
+                pool.set_node(entry, name, work);
             }
         }
 
-        // Pass 3: cross edges between dirty nodes — exit(pred) gates
-        // entry(succ). Clean neighbours are skipped entirely.
+        // Pass 3: wire the edges — a fan's entry → leaves → exit, and
+        // exit(pred) → entry(succ) between dirty nodes. Clean neighbours
+        // are skipped entirely.
         for &d in &dirty {
-            let (exit, nsuccs) = {
-                let node = &graph.nodes[d.key()];
-                (node.run_exit as usize, node.succs.len())
-            };
-            for i in 0..nsuccs {
-                let s = graph.nodes[d.key()].succs[i];
+            let node = &graph.nodes[d.key()];
+            let (entry, exit) = (node.run_entry as usize, node.run_exit as usize);
+            for leaf in entry + 1..exit {
+                pool.add_edge(entry, leaf);
+                pool.add_edge(leaf, exit);
+            }
+            for s in &node.succs {
                 let succ = &graph.nodes[s.key()];
-                if !succ.dirty {
-                    continue;
+                if succ.dirty {
+                    pool.add_edge(exit, succ.run_entry as usize);
                 }
-                let sentry = succ.run_entry as usize;
-                let sptr = pool.ptrs[sentry];
-                pool.nodes[exit].succs.push(sptr);
-                *pool.nodes[sentry].join.get_mut() += 1;
             }
         }
 
-        #[cfg(debug_assertions)]
-        {
-            // Kahn's algorithm over the materialized subset: a cycle here
-            // would strand the pending counter and hang the run.
-            let idx_of: std::collections::HashMap<*const RunNode, usize> = pool.ptrs[..total]
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, p)| (p, i))
-                .collect();
-            let mut indeg: Vec<usize> = pool.nodes[..total]
-                .iter()
-                .map(|n| n.join.load(Ordering::Relaxed))
-                .collect();
-            let mut stack: Vec<usize> = indeg
-                .iter()
-                .enumerate()
-                .filter(|&(_, &deg)| deg == 0)
-                .map(|(i, _)| i)
-                .collect();
-            let mut seen = 0usize;
-            while let Some(i) = stack.pop() {
-                seen += 1;
-                for s in &pool.nodes[i].succs {
-                    let j = idx_of[s];
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        stack.push(j);
-                    }
-                }
-            }
-            debug_assert_eq!(seen, total, "retained dirty subset has a dependency cycle");
-        }
-
-        // Publish the roots and wait for the drain.
-        let mut any_root = false;
-        for &d in &dirty {
-            let entry = graph.nodes[d.key()].run_entry as usize;
-            if *pool.nodes[entry].join.get_mut() == 0 {
-                any_root = true;
-                self.inner.injector.push(Job(pool.ptrs[entry]));
-            }
-        }
-        assert!(
-            any_root,
-            "retained dirty subset has no root: dependency cycle"
-        );
-        wake_workers(&self.inner);
-        {
-            let mut flag = done.lock.lock();
-            while !*flag {
-                done.cv.wait(&mut flag);
-            }
-        }
+        let panic = self.drain(&mut pool);
 
         // The run is drained: clear the dirty window and return the pool.
         for &d in &dirty {
@@ -543,113 +498,43 @@ impl Executor {
         }
         graph.dirty = dirty;
         graph.dirty.clear();
-        let payload = pool.ctx.as_ref().and_then(|ctx| ctx.panic.lock().take());
         graph.pool = pool;
-        match payload {
-            None => Ok(stats),
-            Some((task, payload)) => Err(TaskPanic {
-                task,
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        panic.map_or(Ok(stats), |p| Err(TaskPanic::new(p)))
     }
 
-    /// Shared body of [`run`](Executor::run)/[`try_run`](Executor::try_run):
-    /// executes the graph and returns the first task panic, if any.
-    fn run_inner<'env>(
-        &self,
-        tf: &Taskflow<'env>,
-    ) -> Option<(Arc<str>, Box<dyn Any + Send + 'static>)> {
-        if tf.is_empty() {
+    /// The one run path: publishes the roots of the run materialized in
+    /// `pool`, wakes the workers, blocks until the run is drained and
+    /// takes its first panic. Nothing else pushes jobs from caller
+    /// context, and nothing here looks at a run node after the first
+    /// push (module safety model, "collect, then publish").
+    ///
+    /// # Panics
+    /// Panics, before anything is published, if a non-empty run has no
+    /// root (in debug builds: any dependency cycle).
+    fn drain(&self, pool: &mut RunPool) -> Option<FirstPanic> {
+        if pool.len == 0 {
             return None;
         }
-        let n = tf.nodes.len();
-        // Build run nodes.
-        let mut nodes: Vec<Box<RunNode>> = Vec::with_capacity(n);
-        for node in &tf.nodes {
-            let work = match &node.work {
-                Work::Empty => RunWork::Empty,
-                Work::Static(f) => {
-                    let ptr: *const (dyn Fn() + Send + Sync) = &**f;
-                    // SAFETY: erases 'env; run() blocks until all tasks
-                    // finished, so the borrow outlives every dereference.
-                    RunWork::Static(unsafe {
-                        std::mem::transmute::<
-                            *const (dyn Fn() + Send + Sync),
-                            *const (dyn Fn() + Send + Sync),
-                        >(ptr)
-                    })
-                }
-                Work::Subflow(f) => {
-                    let ptr: *const (dyn Fn(&mut Subflow<'env>) + Send + Sync) = &**f;
-                    // SAFETY: same lifetime-erasure argument; Subflow<'x>
-                    // is layout-invariant in its lifetime parameter.
-                    RunWork::Dynamic(unsafe {
-                        std::mem::transmute::<
-                            *const (dyn Fn(&mut Subflow<'env>) + Send + Sync),
-                            *const (dyn Fn(&mut Subflow<'static>) + Send + Sync),
-                        >(ptr)
-                    })
-                }
-            };
-            nodes.push(Box::new(RunNode {
-                name: Arc::clone(&node.name),
-                work,
-                succs: Vec::with_capacity(node.succs.len()),
-                join: AtomicUsize::new(node.num_preds),
-                children: AtomicUsize::new(0),
-                parent: std::ptr::null(),
-                ctx: std::ptr::null(),
-            }));
-        }
-        let ptrs: Vec<*const RunNode> = nodes.iter().map(|b| &**b as *const RunNode).collect();
-        for (i, node) in tf.nodes.iter().enumerate() {
-            for &s in &node.succs {
-                nodes[i].succs.push(ptrs[s]);
-            }
-        }
-        let ctx = Box::new(RunCtx {
-            _static_nodes: nodes,
-            dynamic_nodes: Mutex::new(Vec::new()),
-            pending: AtomicUsize::new(n),
-            cancelled: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            done: Arc::new(DoneGate {
-                lock: Mutex::new(false),
-                cv: Condvar::new(),
-            }),
-            invoke: None,
-        });
-        let ctx_ptr: *const RunCtx = &*ctx;
-        for b in &ctx._static_nodes {
-            // SAFETY: exclusive setup phase; nothing is shared yet.
-            unsafe {
-                let node = &**b as *const RunNode as *mut RunNode;
-                (*node).ctx = ctx_ptr;
-            }
-        }
-        // Enqueue roots.
-        let mut any_root = false;
-        for (i, node) in tf.nodes.iter().enumerate() {
-            if node.num_preds == 0 {
-                any_root = true;
-                self.inner.injector.push(Job(ptrs[i]));
-            }
-        }
-        assert!(any_root, "task graph has no root: dependency cycle");
-        debug_assert!(tf.is_acyclic(), "task graph has a dependency cycle");
-        wake_workers(&self.inner);
-        // Wait for completion.
+        pool.collect_roots();
+        assert!(
+            !pool.roots.is_empty(),
+            "task graph has no root: dependency cycle"
+        );
+        #[cfg(debug_assertions)]
+        assert!(pool.is_acyclic(), "task graph has a dependency cycle");
+        let ctx = pool.ctx.as_ref().expect("RunPool::begin precedes drain");
         let done = Arc::clone(&ctx.done);
+        for &root in &pool.roots {
+            self.inner.injector.push(Job(root, &**ctx));
+        }
+        wake_workers(&self.inner);
         {
             let mut flag = done.lock.lock();
             while !*flag {
                 done.cv.wait(&mut flag);
             }
         }
-        let payload = ctx.panic.lock().take();
-        drop(ctx);
-        payload
+        ctx.panic.lock().take()
     }
 }
 
@@ -715,13 +600,13 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
         if let Some(job) = find_work(&inner, &local, idx) {
             // SAFETY: job pointers stay valid until their run completes
             // (module safety model).
-            unsafe { execute(job, &inner, &local, idx) };
+            unsafe { execute(job, &inner, &local) };
             continue;
         }
         // Slow path: re-scan once against the publication epoch, then park.
         let observed = inner.sleep.epoch.load(Ordering::SeqCst);
         if let Some(job) = find_work(&inner, &local, idx) {
-            unsafe { execute(job, &inner, &local, idx) };
+            unsafe { execute(job, &inner, &local) };
             continue;
         }
         let mut guard = inner.sleep.lock.lock();
@@ -743,194 +628,38 @@ fn enqueue_local(inner: &Inner, local: &WorkerDeque<Job>, job: Job) {
 }
 
 /// Runs one job. See the module safety model for pointer validity.
-unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize) {
+unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>) {
     let node = unsafe { &*job.0 };
-    let ctx = unsafe { &*node.ctx };
+    let ctx = unsafe { &*job.1 };
     inner.tasks_run.fetch_add(1, Ordering::Relaxed);
     qtask_obs::counter!("taskflow.tasks_run").inc();
     let task_span = qtask_obs::span!(Arc::clone(&node.name));
-    let observer = if inner.has_observer.load(Ordering::Acquire) {
-        inner.observer.read().clone()
-    } else {
-        None
-    };
-    if let Some(o) = &observer {
-        notify(
-            o,
-            ExecEvent::Begin {
-                name: Arc::clone(&node.name),
-                worker: widx,
-            },
-        );
-    }
-    let cancelled = ctx.cancelled.load(Ordering::Relaxed);
-    let mut deferred = false;
-    match &node.work {
-        RunWork::Empty => {}
-        RunWork::Static(f) => {
-            if !cancelled {
-                let f = unsafe { &**f };
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f()
-                })) {
-                    record_panic(ctx, &node.name, p);
-                }
-            }
-        }
-        RunWork::Dynamic(f) => {
-            if !cancelled {
-                let f = unsafe { &**f };
-                let mut sf = Subflow::new();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f(&mut sf)
-                })) {
-                    Ok(()) => {
-                        if !sf.is_empty() {
-                            deferred = unsafe { spawn_children(ctx, node, sf, inner, local) };
-                        }
-                    }
-                    Err(p) => record_panic(ctx, &node.name, p),
-                }
-            }
-        }
-        RunWork::Child(cell) => {
-            // SAFETY: each child job is popped by exactly one worker, so
-            // this cell is accessed exclusively.
-            let work = unsafe { (*cell.get()).take() };
-            if let Some(work) = work {
-                if !cancelled {
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                        task_probe();
-                        work()
-                    })) {
-                        record_panic(ctx, &node.name, p);
-                    }
-                }
-            }
-        }
-        RunWork::Invoke { payload, chunk } => {
-            if !cancelled {
-                let f = ctx.invoke.expect("Invoke node outside a retained run");
-                // SAFETY: run_dirty blocks until this run completes, so
-                // the caller's closure outlives every dereference.
-                let f = unsafe { &*f };
-                let (payload, chunk) = (*payload, *chunk);
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f(payload, chunk)
-                })) {
-                    record_panic(ctx, &node.name, p);
+    if let RunWork::Invoke { payload, chunk } = node.work {
+        if !ctx.cancelled.load(Ordering::Relaxed) {
+            // SAFETY: `drain` blocks until this run completes, so the
+            // caller's closure outlives every dereference.
+            let f = unsafe { &*ctx.invoke };
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+                // Inside the catch_unwind, so an injected panic is
+                // contained exactly like a real task panic.
+                qtask_faults::fault_point!("taskflow/task");
+                f(payload, chunk)
+            })) {
+                ctx.cancelled.store(true, Ordering::Relaxed);
+                let mut slot = ctx.panic.lock();
+                if slot.is_none() {
+                    *slot = Some((Arc::clone(&node.name), p));
                 }
             }
         }
     }
     drop(task_span);
-    if let Some(o) = &observer {
-        notify(
-            o,
-            ExecEvent::End {
-                name: Arc::clone(&node.name),
-                worker: widx,
-            },
-        );
-    }
-    if !deferred {
-        unsafe { finish(node, ctx, inner, local) };
-    }
-}
-
-/// Invokes an observer callback with panic containment: a throwing
-/// observer must never kill a worker thread (that would strand the run's
-/// pending counter and hang `run()` forever), so its panics are swallowed.
-fn notify(o: &Arc<dyn Observer>, ev: ExecEvent) {
-    let _ = catch_unwind(AssertUnwindSafe(|| o.on_event(&ev)));
-}
-
-fn record_panic(ctx: &RunCtx, task: &Arc<str>, payload: Box<dyn Any + Send + 'static>) {
-    ctx.cancelled.store(true, Ordering::Relaxed);
-    let mut slot = ctx.panic.lock();
-    if slot.is_none() {
-        *slot = Some((Arc::clone(task), payload));
-    }
-}
-
-/// Materializes subflow children and schedules their roots, returning
-/// true. The parent's completion is then deferred to the last child
-/// (`finish` on the parent). Returns false without spawning anything if
-/// the subflow is cyclic — recorded as a panic of the parent task, so the
-/// caller finishes the parent normally. (A cyclic subflow used to
-/// `assert!` right here on the worker thread, outside any `catch_unwind`:
-/// the worker died, `pending` never drained, and `run()` hung forever.)
-unsafe fn spawn_children(
-    ctx: &RunCtx,
-    parent: &RunNode,
-    mut sf: Subflow<'static>,
-    inner: &Inner,
-    local: &WorkerDeque<Job>,
-) -> bool {
-    let n = sf.tasks.len();
-    let succ_lists: Vec<Vec<usize>> = sf.tasks.iter().map(|t| t.succs.clone()).collect();
-    let roots: Vec<usize> = sf
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.num_preds == 0)
-        .map(|(i, _)| i)
-        .collect();
-    if roots.is_empty() {
-        record_panic(
-            ctx,
-            &parent.name,
-            Box::new(format!(
-                "subflow '{}' has no root: dependency cycle",
-                parent.name
-            )),
-        );
-        return false;
-    }
-    ctx.pending.fetch_add(n, Ordering::SeqCst);
-    parent.children.store(n, Ordering::Release);
-    let mut boxes: Vec<Box<RunNode>> = Vec::with_capacity(n);
-    for (i, t) in sf.tasks.iter_mut().enumerate() {
-        boxes.push(Box::new(RunNode {
-            name: Arc::clone(&t.name),
-            work: RunWork::Child(UnsafeCell::new(t.work.take())),
-            succs: Vec::with_capacity(succ_lists[i].len()),
-            join: AtomicUsize::new(t.num_preds),
-            children: AtomicUsize::new(0),
-            parent: parent as *const RunNode,
-            ctx: ctx as *const RunCtx,
-        }));
-    }
-    let ptrs: Vec<*const RunNode> = boxes.iter().map(|b| &**b as *const RunNode).collect();
-    for (i, succs) in succ_lists.iter().enumerate() {
-        for &s in succs {
-            boxes[i].succs.push(ptrs[s]);
-        }
-    }
-    // Keep children alive for the rest of the run *before* publishing jobs.
-    ctx.dynamic_nodes.lock().extend(boxes);
-    for r in roots {
-        enqueue_local(inner, local, Job(ptrs[r]));
-    }
-    true
-}
-
-/// Completes a node: fires successors, joins its parent subflow, and
-/// performs the final pending decrement (the last context access).
-unsafe fn finish(node: &RunNode, ctx: &RunCtx, inner: &Inner, local: &WorkerDeque<Job>) {
+    // Complete the node: fire its successors, then perform the final
+    // pending decrement (the last context access).
     for &s in &node.succs {
         let succ = unsafe { &*s };
         if succ.join.fetch_sub(1, Ordering::AcqRel) == 1 {
-            enqueue_local(inner, local, Job(s));
-        }
-    }
-    if !node.parent.is_null() {
-        let parent = unsafe { &*node.parent };
-        if parent.children.fetch_sub(1, Ordering::AcqRel) == 1 {
-            unsafe { finish(parent, ctx, inner, local) };
+            enqueue_local(inner, local, Job(s, job.1));
         }
     }
     // Clone the gate *before* the final decrement so the signal never
@@ -1036,91 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn subflow_children_run_and_join() {
-        let ex = Executor::new(4);
-        let count = Arc::new(AtomicUsize::new(0));
-        let after = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let c1 = Arc::clone(&count);
-        let sub = tf.emplace_subflow("fan", move |sf| {
-            for _ in 0..16 {
-                let c = Arc::clone(&c1);
-                sf.task("child", move || {
-                    c.fetch_add(1, O::SeqCst);
-                });
-            }
-        });
-        let c2 = Arc::clone(&count);
-        let a2 = Arc::clone(&after);
-        let post = tf.emplace("post", move || {
-            // Joined subflow: all 16 children must be done.
-            assert_eq!(c2.load(O::SeqCst), 16);
-            a2.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(sub, post);
-        ex.run(&tf);
-        assert_eq!(count.load(O::SeqCst), 16);
-        assert_eq!(after.load(O::SeqCst), 1);
-    }
-
-    #[test]
-    fn subflow_internal_edges() {
-        let ex = Executor::new(4);
-        let log = Arc::new(StdMutex::new(Vec::new()));
-        let mut tf = Taskflow::new("t");
-        let l = Arc::clone(&log);
-        tf.emplace_subflow("sub", move |sf| {
-            let l1 = Arc::clone(&l);
-            let l2 = Arc::clone(&l);
-            let l3 = Arc::clone(&l);
-            let a = sf.task("a", move || l1.lock().unwrap().push(1));
-            let b = sf.task("b", move || l2.lock().unwrap().push(2));
-            let c = sf.task("c", move || l3.lock().unwrap().push(3));
-            sf.precede(a, b);
-            sf.precede(b, c);
-        });
-        ex.run(&tf);
-        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn nested_subflows() {
-        let ex = Executor::new(4);
-        let count = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let c0 = Arc::clone(&count);
-        tf.emplace_subflow("outer", move |sf| {
-            for _ in 0..4 {
-                let c = Arc::clone(&c0);
-                sf.task("leaf", move || {
-                    c.fetch_add(1, O::SeqCst);
-                });
-            }
-        });
-        let c1 = Arc::clone(&count);
-        let check = tf.emplace("check", move || {
-            assert_eq!(c1.load(O::SeqCst), 4);
-        });
-        // The subflow node is index 0.
-        tf.precede(crate::graph::TaskRef(0), check);
-        ex.run(&tf);
-    }
-
-    #[test]
-    fn empty_subflow_completes() {
-        let ex = Executor::new(2);
-        let done = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("empty", |_| {});
-        let p = tf.emplace("post", || {
-            done.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, p);
-        ex.run(&tf);
-        assert_eq!(done.load(O::SeqCst), 1);
-    }
-
-    #[test]
     fn borrows_environment() {
         // Closures borrow a local vector mutably disjointly via atomics.
         let ex = Executor::new(4);
@@ -1164,17 +808,23 @@ mod tests {
 
     #[test]
     fn single_thread_executor_works() {
+        // One worker drains a whole fan and its gated successor alone.
         let ex = Executor::new(1);
+        let chunks = AtomicUsize::new(0);
         let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("fan", |sf| {
-            sf.parallel_for(0..100, 7, |_| {});
-        });
-        let c = tf.emplace("count", || {
-            count.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, c);
-        ex.run(&tf);
+        let mut g = RetainedGraph::new();
+        let fan = g.insert(0, 15, Arc::from("fan"));
+        let post = g.insert(1, 1, Arc::from("count"));
+        g.add_edge(fan, post);
+        ex.run_dirty(&mut g, &|payload, _chunk| {
+            if payload == 0 {
+                chunks.fetch_add(1, O::SeqCst);
+            } else {
+                assert_eq!(chunks.load(O::SeqCst), 15);
+                count.fetch_add(1, O::SeqCst);
+            }
+        })
+        .unwrap();
         assert_eq!(count.load(O::SeqCst), 1);
     }
 
@@ -1208,30 +858,6 @@ mod tests {
         tf.precede(a, b);
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| ex.run(&tf)));
         assert_eq!(ran_after.load(O::SeqCst), 0);
-    }
-
-    #[test]
-    fn observer_sees_events() {
-        let ex = Executor::new(2);
-        let begins = Arc::new(AtomicUsize::new(0));
-        let ends = Arc::new(AtomicUsize::new(0));
-        let (b, e) = (Arc::clone(&begins), Arc::clone(&ends));
-        ex.set_observer(Some(Arc::new(move |ev: &ExecEvent| match ev {
-            ExecEvent::Begin { .. } => {
-                b.fetch_add(1, O::SeqCst);
-            }
-            ExecEvent::End { .. } => {
-                e.fetch_add(1, O::SeqCst);
-            }
-        })));
-        let mut tf = Taskflow::new("t");
-        for i in 0..10 {
-            tf.emplace(format!("t{i}"), || {});
-        }
-        ex.run(&tf);
-        ex.set_observer(None);
-        assert_eq!(begins.load(O::SeqCst), 10);
-        assert_eq!(ends.load(O::SeqCst), 10);
     }
 
     #[test]
@@ -1298,91 +924,5 @@ mod tests {
         let mut tf2 = Taskflow::new("t2");
         tf2.emplace("fine", || {});
         assert!(ex.try_run(&tf2).is_ok());
-    }
-
-    #[test]
-    fn cyclic_subflow_does_not_deadlock() {
-        // A subflow whose children form a cycle has no root to schedule.
-        // This used to assert on the worker thread outside catch_unwind,
-        // killing the worker and hanging run() forever. It must now drain
-        // and surface as a task panic.
-        let ex = Executor::new(2);
-        let downstream = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("cyclic", |sf| {
-            let a = sf.task("a", || {});
-            let b = sf.task("b", || {});
-            sf.precede(a, b);
-            sf.precede(b, a);
-        });
-        let d = Arc::clone(&downstream);
-        let post = tf.emplace("post", move || {
-            d.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, post);
-        let err = ex.try_run(&tf).unwrap_err();
-        assert_eq!(&*err.task, "cyclic");
-        assert!(err.message.contains("dependency cycle"), "{err}");
-        // The failure cancelled the downstream task but drained the graph.
-        assert_eq!(downstream.load(O::SeqCst), 0);
-        // Workers all survived.
-        let ok = AtomicUsize::new(0);
-        let mut tf2 = Taskflow::new("t2");
-        for i in 0..8 {
-            tf2.emplace(format!("t{i}"), || {
-                ok.fetch_add(1, O::SeqCst);
-            });
-        }
-        ex.run(&tf2);
-        assert_eq!(ok.load(O::SeqCst), 8);
-    }
-
-    #[test]
-    fn panicking_observer_is_contained() {
-        let ex = Executor::new(2);
-        ex.set_observer(Some(Arc::new(|ev: &ExecEvent| {
-            if let ExecEvent::Begin { .. } = ev {
-                panic!("observer bug");
-            }
-        })));
-        let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        for i in 0..10 {
-            tf.emplace(format!("t{i}"), || {
-                count.fetch_add(1, O::SeqCst);
-            });
-        }
-        // Must neither hang nor propagate the observer's panic.
-        assert!(ex.try_run(&tf).is_ok());
-        ex.set_observer(None);
-        assert_eq!(count.load(O::SeqCst), 10);
-    }
-
-    #[test]
-    fn child_task_panic_is_attributed() {
-        let ex = Executor::new(4);
-        let mut tf = Taskflow::new("t");
-        tf.emplace_subflow("fan", |sf| {
-            sf.task("good", || {});
-            sf.task("bad-child", || panic!("child died"));
-        });
-        let err = ex.try_run(&tf).unwrap_err();
-        assert_eq!(&*err.task, "bad-child");
-        assert!(err.message.contains("child died"));
-    }
-
-    #[test]
-    fn parallel_for_covers_range() {
-        let ex = Executor::new(4);
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        let hits_ref = &hits;
-        let mut tf = Taskflow::new("pf");
-        tf.emplace_subflow("fan", move |sf| {
-            sf.parallel_for(0..1000, 64, move |i| {
-                hits_ref[i].fetch_add(1, O::SeqCst);
-            });
-        });
-        ex.run(&tf);
-        assert!(hits.iter().all(|h| h.load(O::SeqCst) == 1));
     }
 }

@@ -1,22 +1,14 @@
-//! Task graph description: static tasks, precedence edges, subflows.
+//! Task graph description: static tasks and precedence edges.
 
 use std::sync::Arc;
 
-/// Work carried by a graph node.
-pub(crate) enum Work<'env> {
-    /// No computation — a pure synchronization point (the paper's `sync`
-    /// task before matrix–vector partitions).
-    Empty,
-    /// A static task.
-    Static(Box<dyn Fn() + Send + Sync + 'env>),
-    /// A dynamic task: spawns children into the provided [`Subflow`];
-    /// the node's successors run only after every child finished.
-    Subflow(Box<dyn Fn(&mut Subflow<'env>) + Send + Sync + 'env>),
-}
+type TaskFn<'env> = Box<dyn Fn() + Send + Sync + 'env>;
 
 pub(crate) struct Node<'env> {
     pub(crate) name: Arc<str>,
-    pub(crate) work: Work<'env>,
+    /// The task body; `None` is a pure synchronization point (the
+    /// paper's `sync` task before matrix–vector partitions).
+    pub(crate) work: Option<TaskFn<'env>>,
     pub(crate) succs: Vec<usize>,
     pub(crate) num_preds: usize,
 }
@@ -52,7 +44,7 @@ impl<'env> Taskflow<'env> {
         }
     }
 
-    /// Graph name (shown in DOT dumps).
+    /// Graph name.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -67,7 +59,7 @@ impl<'env> Taskflow<'env> {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, name: impl Into<Arc<str>>, work: Work<'env>) -> TaskRef {
+    fn push(&mut self, name: impl Into<Arc<str>>, work: Option<TaskFn<'env>>) -> TaskRef {
         let idx = self.nodes.len();
         self.nodes.push(Node {
             name: name.into(),
@@ -80,7 +72,7 @@ impl<'env> Taskflow<'env> {
 
     /// Adds an empty task — a pure synchronization point.
     pub fn emplace_empty(&mut self, name: impl Into<Arc<str>>) -> TaskRef {
-        self.push(name, Work::Empty)
+        self.push(name, None)
     }
 
     /// Adds a static task.
@@ -89,18 +81,7 @@ impl<'env> Taskflow<'env> {
         name: impl Into<Arc<str>>,
         f: impl Fn() + Send + Sync + 'env,
     ) -> TaskRef {
-        self.push(name, Work::Static(Box::new(f)))
-    }
-
-    /// Adds a dynamic (subflow) task. The closure runs when the task is
-    /// scheduled and populates the subflow with children; the task joins —
-    /// its successors wait for every child.
-    pub fn emplace_subflow(
-        &mut self,
-        name: impl Into<Arc<str>>,
-        f: impl Fn(&mut Subflow<'env>) + Send + Sync + 'env,
-    ) -> TaskRef {
-        self.push(name, Work::Subflow(Box::new(f)))
+        self.push(name, Some(Box::new(f)))
     }
 
     /// Declares that `before` must complete before `after` starts.
@@ -112,39 +93,6 @@ impl<'env> Taskflow<'env> {
         assert!(before.0 < self.nodes.len() && after.0 < self.nodes.len());
         self.nodes[before.0].succs.push(after.0);
         self.nodes[after.0].num_preds += 1;
-    }
-
-    /// Name of a task.
-    pub fn task_name(&self, t: TaskRef) -> &str {
-        &self.nodes[t.0].name
-    }
-
-    /// Writes the static structure in DOT format. Subflow tasks are drawn
-    /// as boxes (children exist only at runtime), mirroring how the paper's
-    /// Figure 12 shows `G6` as a subflow node.
-    pub fn dump_dot<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        writeln!(out, "digraph \"{}\" {{", self.name)?;
-        for (i, n) in self.nodes.iter().enumerate() {
-            let shape = match n.work {
-                Work::Subflow(_) => "box",
-                Work::Empty => "diamond",
-                Work::Static(_) => "ellipse",
-            };
-            writeln!(out, "  n{i} [label=\"{}\" shape={shape}];", n.name)?;
-        }
-        for (i, n) in self.nodes.iter().enumerate() {
-            for &s in &n.succs {
-                writeln!(out, "  n{i} -> n{s};")?;
-            }
-        }
-        writeln!(out, "}}")
-    }
-
-    /// Renders the DOT dump to a string.
-    pub fn dot_string(&self) -> String {
-        let mut buf = Vec::new();
-        self.dump_dot(&mut buf).expect("write to Vec cannot fail");
-        String::from_utf8(buf).expect("DOT output is UTF-8")
     }
 
     /// Checks the graph for cycles (diagnostic; execution assumes a DAG).
@@ -166,87 +114,6 @@ impl<'env> Taskflow<'env> {
     }
 }
 
-/// Handle to a child task inside a [`Subflow`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SubTaskRef(pub(crate) usize);
-
-pub(crate) struct SubTask<'env> {
-    pub(crate) name: Arc<str>,
-    pub(crate) work: Option<Box<dyn FnOnce() + Send + 'env>>,
-    pub(crate) succs: Vec<usize>,
-    pub(crate) num_preds: usize,
-}
-
-/// Collects dynamically spawned child tasks during a subflow task's
-/// execution. Children may have precedence edges among themselves; all of
-/// them complete before the parent's successors run (a joined subflow).
-pub struct Subflow<'env> {
-    pub(crate) tasks: Vec<SubTask<'env>>,
-}
-
-impl<'env> Subflow<'env> {
-    pub(crate) fn new() -> Self {
-        Subflow { tasks: Vec::new() }
-    }
-
-    /// Number of children spawned so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True if no child has been spawned.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Spawns a child task.
-    pub fn task(
-        &mut self,
-        name: impl Into<Arc<str>>,
-        f: impl FnOnce() + Send + 'env,
-    ) -> SubTaskRef {
-        let idx = self.tasks.len();
-        self.tasks.push(SubTask {
-            name: name.into(),
-            work: Some(Box::new(f)),
-            succs: Vec::new(),
-            num_preds: 0,
-        });
-        SubTaskRef(idx)
-    }
-
-    /// Declares order between two children.
-    pub fn precede(&mut self, before: SubTaskRef, after: SubTaskRef) {
-        assert_ne!(before, after, "self-edge in subflow");
-        self.tasks[before.0].succs.push(after.0);
-        self.tasks[after.0].num_preds += 1;
-    }
-
-    /// Spawns one child per chunk of `range`, each invoking `f` on every
-    /// index of its chunk — the paper's "parallel-for with chunk size
-    /// equal to our block size" intra-gate pattern.
-    pub fn parallel_for(
-        &mut self,
-        range: std::ops::Range<usize>,
-        chunk: usize,
-        f: impl Fn(usize) + Send + Sync + Clone + 'env,
-    ) {
-        assert!(chunk > 0, "chunk must be positive");
-        let name: Arc<str> = Arc::from("for-chunk");
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + chunk).min(range.end);
-            let f = f.clone();
-            self.task(Arc::clone(&name), move || {
-                for i in start..end {
-                    f(i);
-                }
-            });
-            start = end;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,16 +123,15 @@ mod tests {
         let mut tf = Taskflow::new("t");
         let a = tf.emplace("a", || {});
         let b = tf.emplace_empty("sync");
-        let c = tf.emplace_subflow("sub", |_| {});
+        let c = tf.emplace("c", || {});
         tf.precede(a, b);
         tf.precede(b, c);
+        assert_eq!(tf.name(), "t");
         assert_eq!(tf.len(), 3);
-        assert_eq!(tf.task_name(a), "a");
+        assert!(tf.nodes[1].work.is_none());
+        assert_eq!(tf.nodes[0].succs, vec![1]);
+        assert_eq!(tf.nodes[2].num_preds, 1);
         assert!(tf.is_acyclic());
-        let dot = tf.dot_string();
-        assert!(dot.contains("shape=diamond"));
-        assert!(dot.contains("shape=box"));
-        assert!(dot.contains("n0 -> n1"));
     }
 
     #[test]
@@ -284,12 +150,5 @@ mod tests {
         let mut tf = Taskflow::new("t");
         let a = tf.emplace("a", || {});
         tf.precede(a, a);
-    }
-
-    #[test]
-    fn subflow_parallel_for_chunks() {
-        let mut sf = Subflow::new();
-        sf.parallel_for(0..10, 4, |_| {});
-        assert_eq!(sf.len(), 3); // [0,4) [4,8) [8,10)
     }
 }

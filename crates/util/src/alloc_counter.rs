@@ -113,8 +113,13 @@ mod tests {
     // pure accounting helpers.
     use super::*;
 
+    /// The counters are process-global and libtest runs these tests on
+    /// parallel threads; the tests that move them hold this lock.
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_move() {
+        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = CountingAlloc::live_bytes();
         let calls_before = CountingAlloc::alloc_calls();
         on_alloc(1024);
@@ -127,6 +132,7 @@ mod tests {
 
     #[test]
     fn reset_peak_tracks_live() {
+        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         on_alloc(4096);
         CountingAlloc::reset_peak();
         let p = CountingAlloc::peak_bytes();

@@ -22,6 +22,7 @@ use qtask::prelude::*;
 use qtask_baselines::{NaiveSim, Simulator};
 use qtask_num::vecops;
 use rand::prelude::*;
+use std::sync::{Arc, Barrier};
 
 const NUM_QUBITS: u8 = 5;
 
@@ -214,4 +215,63 @@ fn deep_interleaved_storm_stays_edit_bounded() {
     ckt.update_state().unwrap();
     ckt.validate_graph().unwrap();
     assert_agreement(&ckt, &mut oracle, "storm final");
+}
+
+/// Two engines on one shared two-worker pool, each edited from its own
+/// thread — the service layer's arrangement. With two callers the
+/// workers stay awake, so a worker can complete a run's first root (an
+/// MxV row's `sync` barrier) while `run_dirty` is still publishing;
+/// every update must still run each dirty partition exactly once and
+/// return only when all of them are done, which the oracle sees as the
+/// right amplitudes after every toggle.
+#[test]
+fn two_engines_on_one_shared_executor_match_the_oracle() {
+    let pool = Arc::new(Executor::new(2));
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for engine in 0..2u8 {
+            let (pool, start) = (Arc::clone(&pool), &start);
+            s.spawn(move || {
+                let mut ckt = Ckt::with_executor(NUM_QUBITS, SimConfig::with_block_size(4), pool);
+                let mut oracle = NaiveSim::new(NUM_QUBITS);
+                // A toggle net between an entangling prefix and a linear
+                // suffix: toggling dirties the H row and everything after.
+                let mut toggle = None;
+                for i in 0..12 {
+                    let (net, onet) = (ckt.push_net(), oracle.push_net());
+                    if i == 4 {
+                        toggle = Some((net, onet));
+                        continue;
+                    }
+                    let (kind, qubits) = match i {
+                        0 => (GateKind::H, vec![engine % NUM_QUBITS]),
+                        1 => (GateKind::Cx, vec![0, 1]),
+                        _ => cycle_gate(i),
+                    };
+                    ckt.insert_gate(kind, net, &qubits).unwrap();
+                    oracle.insert_gate(kind, onet, &qubits).unwrap();
+                }
+                let (net, onet) = toggle.expect("toggle net");
+                ckt.update_state().unwrap();
+                assert_agreement(&ckt, &mut oracle, "shared pool: initial");
+                start.wait();
+                for round in 0..1500 {
+                    let gid = ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
+                    ckt.update_state().unwrap();
+                    if round % 100 == 0 {
+                        let ogid = oracle.insert_gate(GateKind::H, onet, &[3]).unwrap();
+                        assert_agreement(&ckt, &mut oracle, "shared pool: H in");
+                        oracle.remove_gate(ogid).unwrap();
+                    }
+                    ckt.remove_gate(gid).unwrap();
+                    ckt.update_state().unwrap();
+                    if round % 100 == 0 {
+                        assert_agreement(&ckt, &mut oracle, "shared pool: H out");
+                    }
+                }
+                ckt.validate_graph().unwrap();
+                assert_agreement(&ckt, &mut oracle, "shared pool: final");
+            });
+        }
+    });
 }
