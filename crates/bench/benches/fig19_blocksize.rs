@@ -1,6 +1,14 @@
 //! Figure 19: impact of the block size on full and incremental
 //! simulation runtime for qft. The paper's U-shape: tiny blocks drown in
 //! partitioning/scheduling overhead; huge blocks degenerate to one core.
+//!
+//! In the paper one block size sets both the copy-on-write unit and the
+//! dispatch unit. Here dispatch follows the derived grain
+//! (`BlockGeometry::grain`: `max(B, min(4096, 2^n / 8))` amplitudes), so
+//! while `B` stays below the grain this sweep moves only the COW
+//! granularity — block count, owner lists, per-block copies — at a fixed
+//! task shape; only for `B` above the grain does the block size set the
+//! dispatch unit again.
 
 use qtask_bench::*;
 use qtask_core::SimConfig;

@@ -77,6 +77,8 @@ pub enum NumericalPolicy {
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Block size in amplitudes; a power of two. The paper's default is 256.
+    /// This is the copy-on-write unit; tasks are dispatched by the larger
+    /// derived grain ([`qtask_partition::BlockGeometry::grain`]).
     pub block_size: usize,
     /// Worker threads for the executor (ignored when an executor is shared
     /// via [`crate::Ckt::with_executor`]).

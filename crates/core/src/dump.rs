@@ -16,7 +16,7 @@ impl Ckt {
         writeln!(out, "digraph partitions {{")?;
         writeln!(out, "  rankdir=LR;")?;
         writeln!(out, "  node [fontsize=10];")?;
-        let chunk = self.geom.block_size() as u64;
+        let chunk = self.geom.grain() as u64;
         for (key, part) in self.parts.iter() {
             let row = &self.rows[part.row.key()];
             let shape = match row.kind {

@@ -865,8 +865,11 @@ impl Ckt {
             None,
             format!("MxV{group_idx}(net{net_label})"),
         );
+        // MxV: one partition per grain of blocks (the grain is a whole
+        // number of blocks and divides the state).
+        let span = (self.geom.grain() / self.geom.block_size()) as u32;
         mxv_row.dense.push(factor);
-        mxv_row.max_part_blocks = 1;
+        mxv_row.max_part_blocks = span;
         let mxv_row_id = RowId(self.rows.insert_after(sync_row_id.key(), mxv_row));
         self.net_sim
             .get_mut(&net)
@@ -885,11 +888,11 @@ impl Ckt {
             }],
         );
         self.link_partition(sync_pids[0]);
-        // MxV: one partition per block.
         let mxv_specs: Vec<PartitionSpec> = (0..nb)
+            .step_by(span as usize)
             .map(|b| PartitionSpec {
                 block_lo: b,
-                block_hi: b,
+                block_hi: b + span - 1,
                 item_start: 0,
                 item_end: 0,
             })
@@ -911,10 +914,11 @@ impl Ckt {
         // Mirror the new partitions into the retained task graph: the
         // payload is the packed `PartId` (decoded by `update_state`'s
         // invoke closure), the chunk count fixes the execution shape —
-        // sync rows are pure barriers, MxV partitions one call each,
-        // linear partitions fan out one chunk per `block_size` items.
+        // sync rows are pure barriers, MxV partitions one call each (a
+        // grain of blocks), linear partitions fan out one chunk per
+        // grain of items.
         qtask_faults::fault_point!("engine/graph_patch");
-        let chunk = self.geom.block_size() as u64;
+        let chunk = self.geom.grain() as u64;
         let label = std::sync::Arc::clone(&self.rows[row_id.key()].label);
         for &pid in &pids {
             let chunks = match self.rows[row_id.key()].kind {
@@ -1051,7 +1055,7 @@ impl Ckt {
         // no edges re-wired, nothing proportional to the circuit.
         let build_span = qtask_obs::span!("update/build");
         self.resolve_stats.reset();
-        let chunk = self.geom.block_size() as u64;
+        let chunk = self.geom.grain() as u64;
         for &pid in &dirty {
             let node = self.parts[pid.key()].node;
             self.graph.mark_dirty(node);

@@ -4,14 +4,17 @@
 //! items touch (reading through the COW chain of the *previous* row),
 //! applies the swap/scale items, and publishes the blocks into its row's
 //! vector. Distinct tasks of one partition touch disjoint blocks — the
-//! chunk size equals the power-of-two block size and task boundaries align
-//! with the scattered-bit structure of the item pattern — so tasks
-//! publish independently with no synchronization beyond the slot locks.
+//! chunk size is the power-of-two dispatch grain
+//! ([`BlockGeometry::grain`], a whole number of blocks), so task
+//! boundaries align with the scattered-bit structure of the item pattern
+//! at or above the block width — and tasks publish independently with no
+//! synchronization beyond the slot locks.
 //!
-//! An MxV partition computes one output block of the net's grouped
-//! superposition operator: each output amplitude accumulates its fused
-//! sparse row ([`crate::fused::FusedOp`], precomputed once per group
-//! change) against sources read through the COW chain.
+//! An MxV partition computes a grain of output blocks of the net's
+//! grouped superposition operator, one block at a time: each output
+//! amplitude accumulates its fused sparse row
+//! ([`crate::fused::FusedOp`], precomputed once per group change) against
+//! sources read through the COW chain.
 //!
 //! Under [`KernelPolicy::Batched`] (the default) linear items are applied
 //! a whole *run* at a time: the item pattern decomposes into maximal
@@ -397,31 +400,30 @@ impl SourceCache {
     }
 }
 
-/// Executes one MxV partition: computes its single output block of the
-/// net's grouped superposition operator.
+/// Executes one MxV partition: computes each output block of its span
+/// of the net's grouped superposition operator.
 pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
     qtask_faults::fault_point!("exec/mxv_task");
     let part = &view.parts[pid.key()];
     let row_id = part.row;
     let row = &view.rows[row_id.key()];
     debug_assert!(matches!(row.kind, RowKind::MxV));
-    debug_assert_eq!(part.spec.block_lo, part.spec.block_hi);
-    let block = part.spec.block_lo as usize;
-    let geom = &view.geom;
-    let bs = geom.block_size();
-    let base = block * bs;
-    let mut out_arc = row.vector.take_reusable_arc(block).unwrap_or_else(|| {
-        qtask_faults::fault_point!("exec/alloc_block");
-        Arc::new(vec![Complex64::ZERO; bs])
-    });
-    let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
-    match row.fused {
-        Some(ref fused) if view.kernels == KernelPolicy::Batched => {
-            mxv_fused(&view, row_id, fused, base, out);
+    let bs = view.geom.block_size();
+    for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
+        let mut out_arc = row.vector.take_reusable_arc(block).unwrap_or_else(|| {
+            qtask_faults::fault_point!("exec/alloc_block");
+            Arc::new(vec![Complex64::ZERO; bs])
+        });
+        let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
+        let base = block * bs;
+        match row.fused {
+            Some(ref fused) if view.kernels == KernelPolicy::Batched => {
+                mxv_fused(&view, row_id, fused, base, out);
+            }
+            _ => mxv_scalar(&view, row_id, row, base, out),
         }
-        _ => mxv_scalar(&view, row_id, row, base, out),
+        view.publish(row_id, row, block, out_arc);
     }
-    view.publish(row_id, row, block, out_arc);
 }
 
 /// The fused path: per amplitude, gather the signature bits, look up the

@@ -35,7 +35,9 @@ pub enum RowKind {
     /// Pure synchronization before a matrix–vector row; owns no blocks.
     Sync,
     /// The net's grouped superposition gates: a sparse matrix–vector
-    /// product, one partition per block, rows derived on the fly.
+    /// product, one partition per grain of blocks
+    /// ([`qtask_partition::BlockGeometry::grain`]), rows derived on the
+    /// fly.
     MxV,
     /// A single non-superposition gate applied by pair swapping/scaling.
     Linear(LinearOp),

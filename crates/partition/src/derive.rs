@@ -1,11 +1,20 @@
-//! Partition derivation: tasks of `B` items, merged by block overlap.
+//! Partition derivation: tasks of one grain of items, merged by block
+//! overlap.
 //!
 //! Paper §III-C, reverse-engineered from Figures 4, 5 and 9 (the worked
 //! G6–G10 examples are unit tests below): items are chunked into tasks of
-//! `block_size` consecutive items; a task's memory region is
+//! [`BlockGeometry::grain`] consecutive items (the paper chunks by the
+//! block size; the two agree in the Figure 4 setup, and the grain only
+//! grows past the block on larger states); a task's memory region is
 //! `[low(first), high(last)]`; consecutive tasks whose regions share a
 //! block merge into one partition, whose tasks later run as the parallel
 //! chunks of one retained-graph node (the paper's intra-gate subflow).
+//!
+//! A region may include blocks none of its items touch. Distinct tasks
+//! of one partition still touch disjoint block sets: a task is an aligned
+//! power-of-two run of item ranks no smaller than a block, so two items
+//! of different tasks differ in a free index bit at or above the block
+//! width, which the partner transform never changes.
 
 use crate::geometry::BlockGeometry;
 use crate::pattern::ItemPattern;
@@ -62,11 +71,11 @@ impl PartitionSpec {
 
 /// Derives the partitions of a linear op's touched-item pattern.
 ///
-/// Tasks are chunks of `geom.block_size()` consecutive items; consecutive
+/// Tasks are chunks of `geom.grain()` consecutive items; consecutive
 /// tasks merge when their regions overlap in block space. The result is
 /// ordered and block-disjoint.
 pub fn derive_partitions(pattern: &ItemPattern, geom: &BlockGeometry) -> Vec<PartitionSpec> {
-    let chunk = geom.block_size() as u64;
+    let chunk = geom.grain() as u64;
     let total = pattern.num_items();
     let num_tasks = total.div_ceil(chunk);
     let mut out: Vec<PartitionSpec> = Vec::new();
@@ -177,8 +186,9 @@ mod tests {
     fn high_target_bit_merges_everything() {
         // X on the MSB: pairs span half the vector; the first task's
         // region covers blocks [0, mid] and the next starts inside it, so
-        // everything merges into one partition.
+        // everything merges into one partition of grain-sized tasks.
         let geom = BlockGeometry::new(6, 4);
+        assert_eq!(geom.grain(), 8);
         let op = LinearOp::AntiDiag {
             controls: 0,
             target: 5,
@@ -189,82 +199,129 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!((parts[0].block_lo, parts[0].block_hi), (0, 15));
         assert_eq!(parts[0].num_items(), 32);
-        assert_eq!(parts[0].num_tasks(4), 8);
+        assert_eq!(parts[0].num_tasks(8), 4);
     }
 
     #[test]
     fn low_target_bit_gives_max_parallelism() {
-        // X on qubit 0: pairs are block-local; each task of B=4 pairs
-        // covers 8 amplitudes = 2 blocks, and tasks don't overlap, so the
-        // vector splits into 8 independent 2-block partitions.
-        let geom = BlockGeometry::new(6, 4);
+        // X on qubit 0: pairs are block-local and tasks don't overlap, so
+        // every task is its own partition. At grain == block (5 qubits,
+        // B=4) a task of 4 pairs covers 8 amplitudes = 2 blocks; at
+        // 6 qubits the grain is 8 pairs = 16 amplitudes = 4 blocks, and
+        // the vector splits into 4 independent single-task partitions.
         let op = LinearOp::AntiDiag {
             controls: 0,
             target: 0,
             a01: Complex64::ONE,
             a10: Complex64::ONE,
         };
-        let parts = derive_partitions(&op.pattern(6), &geom);
-        assert_eq!(parts.len(), 8);
-        assert!(parts
-            .iter()
-            .all(|p| p.num_blocks() == 2 && p.num_items() == 4));
+        for (n, parts_len, span, items) in [(5u8, 4usize, 2u32, 4u64), (6, 4, 4, 8)] {
+            let geom = BlockGeometry::new(n, 4);
+            let parts = derive_partitions(&op.pattern(n), &geom);
+            assert_eq!(parts.len(), parts_len, "{n} qubits");
+            assert!(parts.iter().all(|p| p.num_blocks() == span
+                && p.num_items() == items
+                && p.num_tasks(geom.grain() as u64) == 1));
+        }
     }
 
-    #[test]
-    fn properties_on_random_ops() {
+    /// A random linear op on `n >= 2` qubits: diagonal, anti-diagonal or
+    /// swap, with random controls.
+    fn random_op(rng: &mut rand::rngs::StdRng, n: u8) -> LinearOp {
         use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..300 {
-            let n = rng.random_range(2..=10u8);
-            let block: usize = 1 << rng.random_range(0..=6u32);
-            let geom = BlockGeometry::new(n, block);
-            let target = rng.random_range(0..n);
-            let mut controls = 0u64;
-            for q in 0..n {
-                if q != target && rng.random_bool(0.2) {
-                    controls |= 1 << q;
-                }
+        let target = rng.random_range(0..n);
+        let other = (target + rng.random_range(1..n)) % n;
+        let mut controls = 0u64;
+        for q in 0..n {
+            if q != target && q != other && rng.random_bool(0.2) {
+                controls |= 1 << q;
             }
-            let op = if rng.random_bool(0.5) {
-                LinearOp::AntiDiag {
-                    controls,
-                    target,
-                    a01: Complex64::ONE,
-                    a10: Complex64::ONE,
-                }
-            } else {
-                LinearOp::Diag {
-                    controls,
-                    target,
-                    d0: Complex64::ONE,
-                    d1: -Complex64::ONE,
-                }
-            };
-            let pattern = op.pattern(n);
-            let parts = derive_partitions(&pattern, &geom);
-            // 1. Item ranges tile 0..num_items exactly.
-            let mut next = 0u64;
-            for p in &parts {
-                assert_eq!(p.item_start, next);
-                assert!(p.item_end > p.item_start);
-                next = p.item_end;
-            }
-            assert_eq!(next, pattern.num_items());
-            // 2. Block ranges are ordered and disjoint.
-            for w in parts.windows(2) {
-                assert!(w[0].block_hi < w[1].block_lo, "{:?}", blocks(&parts));
-            }
-            // 3. Every touched index lies inside its partition's blocks.
-            for p in &parts {
-                for low in pattern.iter_lows(p.item_start..p.item_end) {
-                    let hi = pattern.partner(low);
-                    for idx in [low, hi] {
+        }
+        match rng.random_range(0..4u32) {
+            0 => LinearOp::Swap {
+                controls,
+                t_lo: target.min(other),
+                t_hi: target.max(other),
+            },
+            1 => LinearOp::Diag {
+                controls,
+                target,
+                d0: Complex64::exp_i(0.3),
+                d1: -Complex64::ONE,
+            },
+            2 => LinearOp::Diag {
+                controls,
+                target,
+                d0: Complex64::ONE,
+                d1: -Complex64::ONE,
+            },
+            _ => LinearOp::AntiDiag {
+                controls,
+                target,
+                a01: Complex64::ONE,
+                a10: Complex64::ONE,
+            },
+        }
+    }
+
+    /// The partition invariants the engine relies on: item ranges tile,
+    /// spans are ordered and disjoint, every touched index lies in its
+    /// span, and the grain-sized tasks of one partition touch pairwise
+    /// disjoint block sets (the lock-free per-block publish in the
+    /// engine's executor depends on it).
+    fn assert_partition_invariants(pattern: &ItemPattern, geom: &BlockGeometry) {
+        let parts = derive_partitions(pattern, geom);
+        // 1. Item ranges tile 0..num_items exactly.
+        let mut next = 0u64;
+        for p in &parts {
+            assert_eq!(p.item_start, next);
+            assert!(p.item_end > p.item_start);
+            next = p.item_end;
+        }
+        assert_eq!(next, pattern.num_items());
+        // 2. Block ranges are ordered and disjoint.
+        for w in parts.windows(2) {
+            assert!(w[0].block_hi < w[1].block_lo, "{:?}", blocks(&parts));
+        }
+        for p in &parts {
+            let mut claimed = std::collections::HashMap::new();
+            for (task, ranks) in p.task_ranges(geom.grain() as u64).enumerate() {
+                for low in pattern.iter_lows(ranks) {
+                    for idx in [low, pattern.partner(low)] {
                         let b = geom.block_of(idx as usize) as u32;
+                        // 3. Every touched index lies inside its span.
                         assert!(p.block_lo <= b && b <= p.block_hi);
+                        // 4. No block is touched by two tasks.
+                        let owner = *claimed.entry(b).or_insert(task);
+                        assert_eq!(owner, task, "block {b} shared by tasks {owner} and {task}");
                     }
                 }
             }
         }
+    }
+
+    /// Random ops over geometries at and above grain == block. The
+    /// grain > block cases must include real multi-task fans, or the
+    /// disjointness check would test nothing.
+    #[test]
+    fn properties_on_random_ops() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut multi_task = 0;
+        for _ in 0..2000 {
+            let n = rng.random_range(2..=12u8);
+            let block: usize = 1 << rng.random_range(0..=6u32);
+            let geom = BlockGeometry::new(n, block);
+            let pattern = random_op(&mut rng, n).pattern(n);
+            assert_partition_invariants(&pattern, &geom);
+            let chunk = geom.grain() as u64;
+            if geom.grain() > geom.block_size() {
+                multi_task += derive_partitions(&pattern, &geom)
+                    .iter()
+                    .filter(|p| p.num_tasks(chunk) > 1)
+                    .count();
+            }
+        }
+        assert!(multi_task >= 30, "{multi_task}");
     }
 }

@@ -1,7 +1,20 @@
-//! Block geometry: how a `2^n` state vector divides into blocks.
+//! Block geometry: how a `2^n` state vector divides into blocks, and how
+//! many amplitudes one dispatched task covers.
+
+/// Amplitudes one dispatched task covers at most: 4096 × 16 B = 64 KiB,
+/// enough work to amortize a task's creation, linking and scheduling.
+const GRAIN_MAX: usize = 4096;
+
+/// Fewest grains a full-width row splits into, so a small state still
+/// offers the pool parallel work.
+const MIN_GRAINS: usize = 8;
 
 /// The division of a state vector into equal, power-of-two-sized blocks
 /// (the paper's data blocks; default size 256 amplitudes).
+///
+/// The block is the copy-on-write unit; the [grain](Self::grain) is the
+/// dispatch unit. Both are powers of two and the grain is a whole number
+/// of blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockGeometry {
     num_qubits: u8,
@@ -41,6 +54,19 @@ impl BlockGeometry {
     #[inline]
     pub fn block_size(&self) -> usize {
         1usize << self.log2_block
+    }
+
+    /// Dispatch grain in amplitudes (items for a linear op):
+    /// `max(block_size, min(4096, state_len / 8))`. Linear partitions
+    /// chunk their items by it and MxV partitions span it, so one task
+    /// does 64 KiB of work while a full-width row still splits into at
+    /// least 8 tasks. It depends on the geometry alone — never on the
+    /// thread count — so graph shape and results are machine-independent.
+    #[inline]
+    pub fn grain(&self) -> usize {
+        (self.state_len() / MIN_GRAINS)
+            .min(GRAIN_MAX)
+            .max(self.block_size())
     }
 
     /// Number of blocks.
@@ -97,6 +123,28 @@ mod tests {
         assert_eq!(g.num_blocks(), 1);
         let g = BlockGeometry::new(10, 256);
         assert_eq!(g.num_blocks(), 4);
+    }
+
+    #[test]
+    fn grain_is_64k_but_at_least_a_block_and_an_eighth_row() {
+        // Figure 4 setup: 32 / 8 = 4 = block, grain == block.
+        assert_eq!(BlockGeometry::new(5, 4).grain(), 4);
+        // An eighth of the state, above the block.
+        assert_eq!(BlockGeometry::new(10, 4).grain(), 128);
+        assert_eq!(BlockGeometry::new(15, 256).grain(), 4096);
+        // Capped at 64 KiB of amplitudes.
+        assert_eq!(BlockGeometry::new(20, 256).grain(), 4096);
+        // Never below one block, never a fraction of one.
+        assert_eq!(BlockGeometry::new(20, 1 << 14).grain(), 1 << 14);
+        assert_eq!(BlockGeometry::new(2, 1).grain(), 1);
+        for n in 1..=20u8 {
+            for log_b in 0..=n {
+                let g = BlockGeometry::new(n, 1 << log_b);
+                assert!(g.grain().is_power_of_two());
+                assert_eq!(g.grain() % g.block_size(), 0);
+                assert!(g.grain() <= g.state_len());
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   iteration uses the ascending-submask trick, O(1) per item.
 //! * [`ops`] — lowering of a concrete gate (class + control/target bits)
 //!   to a [`ops::LinearOp`] or a dense fallback.
-//! * [`mod@derive`] — tasks are chunks of `B` consecutive items; consecutive
-//!   tasks whose memory regions overlap in block space merge into a
+//! * [`mod@derive`] — tasks are chunks of one dispatch grain
+//!   ([`BlockGeometry::grain`]) of consecutive items; consecutive tasks
+//!   whose memory regions overlap in block space merge into a
 //!   [`derive::PartitionSpec`]. This reproduces the paper's Figures 4–5
-//!   exactly (see the tests).
+//!   exactly (see the tests), where the grain equals the block size.
 //! * [`kernels`] — serial/sliced application of linear and dense ops to a
 //!   flat amplitude vector (shared with the baseline simulators).
 

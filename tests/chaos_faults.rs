@@ -37,8 +37,16 @@ fn scenario_config() -> SimConfig {
     cfg
 }
 
-fn fresh_engine() -> Ckt {
-    let mut ckt = Ckt::with_config(5, scenario_config());
+/// The scenario's default width: 5 qubits at B=4, where the dispatch
+/// grain equals the block (the paper's Figure 4 shape).
+const NARROW: u8 = 5;
+
+/// 7 qubits at B=4: the grain is 16 amplitudes, so every MxV partition
+/// spans 4 blocks and `exec/mxv_task` fires once per multi-block span.
+const WIDE: u8 = 7;
+
+fn fresh_engine(n_qubits: u8) -> Ckt {
+    let mut ckt = Ckt::with_config(n_qubits, scenario_config());
     // A live incremental view puts view maintenance inside the chaos
     // blast radius: every publication now crosses the `views/patch`
     // probe. The handle is dropped on purpose — the slot stays
@@ -129,9 +137,9 @@ const EXPECTED_SITES: &[&str] = &[
     "views/patch",
 ];
 
-fn traced_sites() -> Vec<(String, u64)> {
+fn traced_sites(n_qubits: u8) -> Vec<(String, u64)> {
     faults::site_hits(|| {
-        let mut ckt = fresh_engine();
+        let mut ckt = fresh_engine(n_qubits);
         run_scenario(&mut ckt).expect("untampered scenario");
     })
 }
@@ -214,16 +222,23 @@ fn assert_usable_and_consistent(ckt: &mut Ckt, ctx: &str) {
 
 /// The heart of the suite: for every reached probe site, every fault
 /// kind, at both the first and the last dynamic hit, the scenario must
-/// end in one of the contract's outcomes.
+/// end in one of the contract's outcomes — at grain == block and at a
+/// grain of several blocks.
 #[test]
 fn every_probe_site_fails_safe() {
     let _guard = chaos_guard();
-    let sites = traced_sites();
+    for n_qubits in [NARROW, WIDE] {
+        sweep_probe_sites(n_qubits);
+    }
+}
+
+fn sweep_probe_sites(n_qubits: u8) {
+    let sites = traced_sites(n_qubits);
     for expected in EXPECTED_SITES {
         assert!(
             sites.iter().any(|(name, _)| name == expected),
             "probe site '{expected}' was never reached by the chaos scenario \
-             (trace: {sites:?})"
+             at {n_qubits} qubits (trace: {sites:?})"
         );
     }
 
@@ -242,9 +257,9 @@ fn every_probe_site_fails_safe() {
         }
         for nth in nths {
             for kind in KINDS {
-                let ctx = format!("{site}@{nth}/{kind:?}");
+                let ctx = format!("{n_qubits}q {site}@{nth}/{kind:?}");
                 faults::arm(FaultPlan::at_hit(site, kind, nth));
-                let mut ckt = fresh_engine();
+                let mut ckt = fresh_engine(n_qubits);
                 let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(&mut ckt)));
                 let summary = faults::disarm();
                 assert!(
@@ -300,14 +315,14 @@ fn every_probe_site_fails_safe() {
 #[test]
 fn seeded_poisoning_recovers_to_oracle() {
     let _guard = chaos_guard();
-    let sites = traced_sites();
+    let sites = traced_sites(NARROW);
     let mut poisonings = 0usize;
     for seed in 0..48u64 {
         let plan = FaultPlan::seeded(seed, &sites).expect("non-empty trace");
         let ctx = format!("seed {seed} -> {plan:?}");
         let site = plan.site.clone();
         faults::arm(plan);
-        let mut ckt = fresh_engine();
+        let mut ckt = fresh_engine(NARROW);
         let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(&mut ckt)));
         faults::disarm();
         match outcome {
@@ -335,12 +350,47 @@ fn seeded_poisoning_recovers_to_oracle() {
     );
 }
 
+/// A fault inside a multi-block MxV partition — after part of its span
+/// (or of its row) is already published — still ends in a typed error,
+/// and recovery is bit-identical to a fresh simulation. One pool thread
+/// makes the hit order deterministic: the first partition to run
+/// allocates and publishes its 4 blocks as hits 1–4, so hit 2 of the
+/// per-block probes lands mid-span, and hit 2 of `exec/mxv_task` starts
+/// the second partition after the first published its whole span.
+#[test]
+fn mxv_fault_mid_span_recovers_bit_identical() {
+    let _guard = chaos_guard();
+    let mut cfg = scenario_config();
+    cfg.num_threads = 1;
+    for site in ["exec/mxv_task", "exec/alloc_block", "exec/publish_row"] {
+        let ctx = format!("{site}@2");
+        let mut ckt = Ckt::with_config(WIDE, cfg.clone());
+        let a = ckt.push_net();
+        ckt.insert_gate(GateKind::H, a, &[0]).unwrap();
+        ckt.insert_gate(GateKind::Ry(0.4), a, &[5]).unwrap();
+        let spans: Vec<u32> = ckt
+            .debug_partitions()
+            .iter()
+            .filter(|p| p.0.starts_with("MxV"))
+            .map(|p| p.2 - p.1 + 1)
+            .collect();
+        assert_eq!(spans, vec![4; 8], "{ctx}: MxV partitions span a grain");
+        faults::arm(FaultPlan::at_hit(site, FaultKind::Panic, 2));
+        let err = ckt.update_state().unwrap_err();
+        let summary = faults::disarm();
+        assert!(summary.fired, "{ctx}: the armed hit was never reached");
+        assert!(err.is_poisoned(), "{ctx}: wanted Poisoned, got {err:?}");
+        assert_fully_poisoned(&mut ckt, &ctx);
+        assert_recovered_matches_oracles(&mut ckt, &ctx);
+    }
+}
+
 /// No torn reads: a snapshot published before the fault keeps serving
 /// the old, consistent version even while the engine is poisoned.
 #[test]
 fn published_snapshots_survive_poisoning() {
     let _guard = chaos_guard();
-    let mut ckt = fresh_engine();
+    let mut ckt = fresh_engine(NARROW);
     let a = ckt.push_net();
     ckt.insert_gate(GateKind::H, a, &[0]).unwrap();
     ckt.insert_gate(GateKind::Cx, a, &[1, 2]).unwrap();
@@ -374,7 +424,7 @@ fn corruption_is_detected_at_publish() {
     for kind in [FaultKind::CorruptNan, FaultKind::CorruptInf] {
         let ctx = format!("{kind:?}");
         faults::arm(FaultPlan::first("exec/corrupt_row", kind));
-        let mut ckt = fresh_engine();
+        let mut ckt = fresh_engine(NARROW);
         let a = ckt.push_net();
         ckt.insert_gate(GateKind::H, a, &[0]).unwrap();
         let err = ckt.update_state().unwrap_err();
@@ -493,7 +543,7 @@ fn numerical_policy_strict_vs_renormalize() {
 #[test]
 fn disarmed_probes_change_nothing() {
     let _guard = chaos_guard();
-    let mut ckt = fresh_engine();
+    let mut ckt = fresh_engine(NARROW);
     run_scenario(&mut ckt).unwrap();
     assert_eq!(ckt.audit(), vec![]);
     assert_close(&ckt.state(), &oracle_state(&ckt), "disarmed");

@@ -17,8 +17,8 @@ use rand::prelude::*;
 
 const NUM_QUBITS: u8 = 5;
 
-fn random_gate(rng: &mut StdRng) -> (GateKind, Vec<u8>) {
-    let mut qubits: Vec<u8> = (0..NUM_QUBITS).collect();
+fn random_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
+    let mut qubits: Vec<u8> = (0..n).collect();
     qubits.shuffle(rng);
     match rng.random_range(0..14u32) {
         0 => (GateKind::H, vec![qubits[0]]),
@@ -77,7 +77,7 @@ fn run_storm(resolve: ResolvePolicy, seed: u64) {
             nets.push(ckt.push_net());
             oracle_nets.push(oracle.push_net());
         }
-        let (kind, qubits) = random_gate(&mut rng);
+        let (kind, qubits) = random_gate(&mut rng, NUM_QUBITS);
         let slot = rng.random_range(0..nets.len().clamp(1, 8));
         let slot = nets.len() - 1 - slot; // bias toward recent nets
         match (
@@ -104,7 +104,7 @@ fn run_storm(resolve: ResolvePolicy, seed: u64) {
             ckt.remove_gate(g_ckt).unwrap();
             oracle.remove_gate(g_oracle).unwrap();
         } else {
-            let (kind, qubits) = random_gate(&mut rng);
+            let (kind, qubits) = random_gate(&mut rng, NUM_QUBITS);
             let slot = rng.random_range(0..nets.len());
             match (
                 ckt.insert_gate(kind, nets[slot], &qubits),
@@ -149,4 +149,109 @@ fn deep_storm_chain_walk_oracle_parity() {
     // The legacy path must stay correct too — it is the ablation baseline
     // and the differential oracle for the index.
     run_storm(ResolvePolicy::ChainWalk, 0xDEE9);
+}
+
+/// A gate of the same arity as `qubits`, on the same qubits: the
+/// replacement half of a remove-then-insert edit.
+fn replacement_gate(rng: &mut StdRng, qubits: &[u8]) -> GateKind {
+    let angle = rng.random_range(-3.0..3.0);
+    match (qubits.len(), rng.random_range(0..4u32)) {
+        (1, 0) => GateKind::H,
+        (1, 1) => GateKind::Ry(angle),
+        (1, 2) => GateKind::T,
+        (1, _) => GateKind::X,
+        (2, 0) => GateKind::Ch,
+        (2, 1) => GateKind::Cp(angle),
+        (2, 2) => GateKind::Swap,
+        (2, _) => GateKind::Cx,
+        (_, 0 | 1) => GateKind::Ccz,
+        _ => GateKind::Ccx,
+    }
+}
+
+/// Differential storm at grain > block. At 9–10 qubits and B=4 the
+/// dispatch grain is 16–32 blocks, so superposition gates form MxV
+/// partitions of many blocks, linear partitions fan out grain-sized
+/// chunks, and controlled/phase rows span blocks their items never
+/// touch — which removals must reconnect across. Inserts, removals and
+/// replacements (remove + insert on the same qubits, no update between)
+/// interleave with updates; after every update the engine must agree
+/// with [`NaiveSim`] and `audit()` must be clean.
+fn run_grain_storm(n: u8, seed: u64) {
+    use qtask_baselines::Simulator;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(n, cfg);
+    assert!(ckt.geometry().grain() >= 16 * ckt.geometry().block_size());
+    let mut oracle = NaiveSim::new(n);
+    let mut nets: Vec<(NetId, NetId)> = vec![(ckt.push_net(), oracle.push_net())];
+    // (engine gate, oracle gate, index into `nets`)
+    let mut live: Vec<(GateId, GateId, usize)> = Vec::new();
+    let mut multi_block_mxv = false;
+    let mut sparse_span = false;
+    let mut updates = 0;
+    for step in 0..360 {
+        let roll = rng.random_range(0..10u32);
+        if roll == 0 {
+            nets.push((ckt.push_net(), oracle.push_net()));
+        } else if roll <= 2 && !live.is_empty() {
+            let (g_ckt, g_oracle, _) = live.swap_remove(rng.random_range(0..live.len()));
+            ckt.remove_gate(g_ckt).unwrap();
+            oracle.remove_gate(g_oracle).unwrap();
+        } else if roll <= 4 && !live.is_empty() {
+            let (g_ckt, g_oracle, slot) = live.swap_remove(rng.random_range(0..live.len()));
+            let qubits = ckt.circuit().gate(g_ckt).unwrap().qubits().to_vec();
+            ckt.remove_gate(g_ckt).unwrap();
+            oracle.remove_gate(g_oracle).unwrap();
+            let kind = replacement_gate(&mut rng, &qubits);
+            let a = ckt.insert_gate(kind, nets[slot].0, &qubits).unwrap();
+            let b = oracle.insert_gate(kind, nets[slot].1, &qubits).unwrap();
+            live.push((a, b, slot));
+        } else {
+            let (kind, qubits) = random_gate(&mut rng, n);
+            let slot = nets.len() - 1 - rng.random_range(0..nets.len().min(6));
+            match (
+                ckt.insert_gate(kind, nets[slot].0, &qubits),
+                oracle.insert_gate(kind, nets[slot].1, &qubits),
+            ) {
+                (Ok(a), Ok(b)) => live.push((a, b, slot)),
+                (Err(_), Err(_)) => {} // same qubit conflict in both
+                (a, b) => panic!("engine/oracle disagree on insert: {a:?} vs {b:?}"),
+            }
+        }
+        if rng.random_bool(0.3) {
+            ckt.update_state().unwrap();
+            updates += 1;
+            let what = format!("{n} qubits, seed {seed:#x}, step {step}");
+            assert_eq!(ckt.audit(), vec![], "{what}: audit");
+            assert_agreement(&ckt, &mut oracle, &what);
+            let parts = ckt.debug_partitions();
+            multi_block_mxv |= parts.iter().any(|p| p.0.starts_with("MxV") && p.2 > p.1);
+            for (label, owned) in ckt.debug_rows() {
+                if !label.starts_with('G') {
+                    continue; // linear rows are labelled G<seq>
+                }
+                let spanned: usize = parts
+                    .iter()
+                    .filter(|p| p.0 == label)
+                    .map(|p| (p.2 - p.1 + 1) as usize)
+                    .sum();
+                sparse_span |= spanned > owned.len();
+            }
+        }
+    }
+    ckt.update_state().unwrap();
+    assert_eq!(ckt.audit(), vec![]);
+    ckt.validate_reachability().unwrap();
+    assert_agreement(&ckt, &mut oracle, "final state");
+    assert!(updates > 50, "only {updates} updates");
+    assert!(multi_block_mxv, "no MxV partition spanned several blocks");
+    assert!(sparse_span, "no linear span held a block its items skip");
+}
+
+#[test]
+fn grain_storm_matches_oracle_at_9_and_10_qubits() {
+    run_grain_storm(9, 0x6A19);
+    run_grain_storm(10, 0x6A1A);
 }
