@@ -6,14 +6,11 @@
 //! * **MxV group cap** — how many superposition gates share one
 //!   matrix–vector row (group 1 = gate-at-a-time; larger groups halve
 //!   full-vector passes but square the per-amplitude source terms).
-//! * **COW resolve policy** — per-block owner index (binary search,
-//!   depth-independent) vs the legacy backward row walk (O(live rows)).
-//! * **Kernel policy** — batched run kernels + fused MxV rows vs the
-//!   scalar one-amplitude-at-a-time loops (see `kernel_throughput` for
-//!   the isolated kernel-layer numbers).
+//!
+//! Block size, the paper's third knob, is swept by `fig19_blocksize`.
 
 use qtask_bench::*;
-use qtask_core::{KernelPolicy, ResolvePolicy, RowOrderPolicy, SimConfig, SnapshotPolicy};
+use qtask_core::{RowOrderPolicy, SimConfig};
 use qtask_taskflow::Executor;
 use std::sync::Arc;
 
@@ -69,54 +66,6 @@ fn main() {
             };
             let (full, inc) = measure(&opts, &ex, name, &config);
             println!("{name:<12} {cap:>6} {full:>12.2} {inc:>12.2}");
-        }
-    }
-
-    println!("\nKernel policy (batched run kernels + fused MxV vs scalar loops):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "ising"] {
-        for kernels in [KernelPolicy::Batched, KernelPolicy::Scalar] {
-            let config = SimConfig::default().with_kernels(kernels);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{kernels:?}")
-            );
-        }
-    }
-
-    println!("\nCOW resolve policy (owner index vs legacy chain walk):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "vqe_uccsd"] {
-        for resolve in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-            let config = SimConfig::default().with_resolve(resolve);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{resolve:?}")
-            );
-        }
-    }
-
-    println!("\nSnapshot policy (MVCC publication at every update vs none):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "vqe_uccsd"] {
-        for snapshots in [SnapshotPolicy::Publish, SnapshotPolicy::Disabled] {
-            let config = SimConfig::default().with_snapshots(snapshots);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{snapshots:?}")
-            );
         }
     }
 }

@@ -1,24 +1,18 @@
 //! Kernel-layer throughput: scalar item loops vs batched run kernels.
 //!
-//! Two levels:
 //! 1. **Flat kernels** at 22 qubits — the per-gate-class inner loops
 //!    (`apply_*_ranks` vs `apply_*_runs`), isolating pure arithmetic
 //!    throughput from engine bookkeeping.
-//! 2. **Engine MxV updates** at 20 qubits — repeated warm incremental
-//!    updates of a superposition group under `KernelPolicy::Scalar`
-//!    (on-the-fly row expansion) vs `Batched` (fused `FusedOp` rows,
-//!    zero per-amplitude allocation).
+//! 2. **Probe overhead** at 20 qubits — an A/A guard on the engine's warm
+//!    update path (see [`probe_overhead`]).
 //!
 //! The acceptance bar for this layer: ≥2x batched-over-scalar on Diag and
 //! Swap at ≥20 qubits. Record results in EXPERIMENTS.md.
 //!
-//! Emits `BENCH_kernels.json` at the workspace root. Engine rows carry
-//! `updates`/`tasks_executed` counts read from the qtask-obs metrics
-//! registry, so the trajectory file doubles as a check that the engine
-//! counters move when the engine does.
+//! Emits `BENCH_kernels.json` at the workspace root.
 
 use qtask_bench::{harness_init, median_of, write_bench_json, Opts};
-use qtask_core::{Ckt, KernelPolicy, SimConfig};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::{kernels, LinearOp};
@@ -53,35 +47,13 @@ fn report(label: &str, scalar_ms: f64, batched_ms: f64) {
     );
 }
 
-/// JSON row for a scalar-vs-batched pair, with optional registry-sourced
-/// engine counters (`updates`, `tasks_executed`) for engine sections.
-fn row_json(
-    section: &str,
-    op: &str,
-    scalar_ms: f64,
-    batched_ms: f64,
-    engine: Option<(u64, u64)>,
-) -> String {
-    let extra = match engine {
-        Some((updates, tasks)) => {
-            format!(", \"updates\": {updates}, \"tasks_executed\": {tasks}")
-        }
-        None => String::new(),
-    };
+/// JSON row for a scalar-vs-batched pair.
+fn row_json(section: &str, op: &str, scalar_ms: f64, batched_ms: f64) -> String {
     format!(
         "{{\"section\": \"{section}\", \"op\": \"{op}\", \"scalar_ms\": {scalar_ms:.4}, \
-         \"batched_ms\": {batched_ms:.4}, \"speedup\": {:.3}{extra}}}",
+         \"batched_ms\": {batched_ms:.4}, \"speedup\": {:.3}}}",
         scalar_ms / batched_ms
     )
-}
-
-/// Registry deltas (`core.updates`, `core.tasks_executed`) across `f`.
-fn with_engine_counters<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = qtask_obs::snapshot();
-    let value = f();
-    let after = qtask_obs::snapshot();
-    let delta = |name: &str| after.counter_total(name) - before.counter_total(name);
-    (value, delta("core.updates"), delta("core.tasks_executed"))
 }
 
 fn flat_kernels(opts: &Opts, rows: &mut Vec<String>) {
@@ -130,7 +102,7 @@ fn flat_kernels(opts: &Opts, rows: &mut Vec<String>) {
             kernels::apply_linear_runs(&op, N, black_box(&mut state), 0..total)
         });
         report(label, scalar, batched);
-        rows.push(row_json("flat", label, scalar, batched, None));
+        rows.push(row_json("flat", label, scalar, batched));
     }
 
     let h = GateKind::H.base_matrix().unwrap();
@@ -142,97 +114,7 @@ fn flat_kernels(opts: &Opts, rows: &mut Vec<String>) {
         kernels::apply_dense_runs(0, 9, &h, N, black_box(&mut state), 0..total)
     });
     report("dense H(q9)", scalar, batched);
-    rows.push(row_json("flat", "dense H(q9)", scalar, batched, None));
-}
-
-/// Warm incremental MxV update cost under each kernel policy: toggle a
-/// second dense factor into a trailing group and re-update, so every MxV
-/// partition re-executes against warm buffers.
-fn engine_mxv(opts: &Opts, rows: &mut Vec<String>) {
-    let n = 20u8;
-    println!("\nEngine MxV incremental update, {n} qubits, group cap 2:");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "policy pair", "scalar (ms)", "batched (ms)", "speedup"
-    );
-    let reps = opts.reps.max(3);
-    let measure_policy = |kernels: KernelPolicy| {
-        let mut cfg = SimConfig::default().with_kernels(kernels);
-        cfg.num_threads = opts.threads;
-        let mut ckt = Ckt::with_config(n, cfg);
-        let net = ckt.push_net();
-        ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-        ckt.update_state().unwrap();
-        // Warm the buffers and the fused cache.
-        let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-        ckt.update_state().unwrap();
-        ckt.remove_gate(gid).unwrap();
-        ckt.update_state().unwrap();
-        median_of(reps, || {
-            let t0 = Instant::now();
-            let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-            ckt.update_state().unwrap();
-            ckt.remove_gate(gid).unwrap();
-            ckt.update_state().unwrap();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-    };
-    let scalar = measure_policy(KernelPolicy::Scalar);
-    let (batched, updates, tasks) = with_engine_counters(|| measure_policy(KernelPolicy::Batched));
-    report("mxv toggle H(q1)", scalar, batched);
-    rows.push(row_json(
-        "engine_mxv",
-        "mxv toggle H(q1)",
-        scalar,
-        batched,
-        Some((updates, tasks)),
-    ));
-}
-
-/// Warm incremental linear-row update cost under each kernel policy.
-fn engine_linear(opts: &Opts, rows: &mut Vec<String>) {
-    let n = 20u8;
-    println!("\nEngine linear incremental update, {n} qubits:");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "gate toggled", "scalar (ms)", "batched (ms)", "speedup"
-    );
-    let reps = opts.reps.max(3);
-    for (label, kind, qubits) in [
-        ("Z(q10)", GateKind::Z, vec![10u8]),
-        ("Swap(q6,q14)", GateKind::Swap, vec![6, 14]),
-        ("X(q12)", GateKind::X, vec![12u8]),
-    ] {
-        let measure_policy = |kernels: KernelPolicy| {
-            let mut cfg = SimConfig::default().with_kernels(kernels);
-            cfg.num_threads = opts.threads;
-            let mut ckt = Ckt::with_config(n, cfg);
-            let net = ckt.push_net();
-            ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-            let tail = ckt.push_net();
-            ckt.update_state().unwrap();
-            let qubits = qubits.clone();
-            median_of(reps, || {
-                let t0 = Instant::now();
-                let gid = ckt.insert_gate(kind, tail, &qubits).unwrap();
-                ckt.update_state().unwrap();
-                ckt.remove_gate(gid).unwrap();
-                ckt.update_state().unwrap();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-        };
-        let scalar = measure_policy(KernelPolicy::Scalar);
-        let (batched, updates, tasks) =
-            with_engine_counters(|| measure_policy(KernelPolicy::Batched));
-        report(label, scalar, batched);
-        rows.push(row_json(
-            "engine_linear",
-            label,
-            scalar,
-            batched,
-            Some((updates, tasks)),
-        ));
-    }
+    rows.push(row_json("flat", "dense H(q9)", scalar, batched));
 }
 
 /// Probe overhead guard: the fault-injection probes *and* the obs trace
@@ -310,8 +192,6 @@ fn main() {
     );
     let mut rows = Vec::new();
     flat_kernels(&opts, &mut rows);
-    engine_mxv(&opts, &mut rows);
-    engine_linear(&opts, &mut rows);
     probe_overhead(&opts, &mut rows);
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"qubits\": {N},\n  \"engine_qubits\": 20,\n  \

@@ -1,6 +1,6 @@
 //! The [`Ckt`] engine: modifiers, frontier bookkeeping, incremental update.
 
-use crate::config::{KernelPolicy, NumericalPolicy, RowOrderPolicy, SimConfig, SnapshotPolicy};
+use crate::config::{NumericalPolicy, RowOrderPolicy, SimConfig};
 use crate::cow::{BlockData, RowVector};
 use crate::delta::{BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
@@ -74,15 +74,14 @@ pub struct UpdateReport {
     pub run_elapsed: Duration,
     /// COW block resolutions performed by the executed tasks.
     pub blocks_resolved: u64,
-    /// Owner probes those resolutions cost: rows visited (chain walk) or
-    /// binary-search steps (owner index). `owner_probes /
-    /// blocks_resolved` is the per-lookup cost the owner index flattens.
+    /// Owner probes those resolutions cost: binary-search steps over the
+    /// owner index. `owner_probes / blocks_resolved` is the per-lookup
+    /// cost, flat in circuit depth.
     pub owner_probes: u64,
-    /// Blocks re-resolved to publish the [`StateSnapshot`] (0 under
-    /// [`SnapshotPolicy::Disabled`], or when nothing changed). Capture is
-    /// incremental, so this tracks the update's write set, not the state
-    /// size; its resolution work is *not* included in the two counters
-    /// above.
+    /// Blocks re-resolved to publish the [`StateSnapshot`] (0 when
+    /// nothing changed). Capture is incremental, so this tracks the
+    /// update's write set, not the state size; its resolution work is
+    /// *not* included in the two counters above.
     pub snapshot_blocks_resolved: u64,
     /// `|norm² − 1|` measured at this update's publication (0 when
     /// nothing was published).
@@ -209,12 +208,11 @@ pub struct Ckt {
     pub(crate) resolve_stats: ResolveStats,
     /// Reusable `update_state` allocations (dirty-set DFS + task map).
     scratch: UpdateScratch,
-    /// Last published snapshot (None before the first capture, always
-    /// None under [`SnapshotPolicy::Disabled`]).
-    latest: Option<StateSnapshot>,
+    /// Last published snapshot (None before the first publication).
+    pub(crate) latest: Option<StateSnapshot>,
     /// Blocks whose final resolution changed since `latest` was captured
     /// by means other than partition execution — i.e. blocks a removed
-    /// row owned. Maintained only under [`SnapshotPolicy::Publish`].
+    /// row owned.
     pub(crate) snap_dirty: HashSet<usize>,
     /// Snapshot publication counter ([`StateSnapshot::version`]).
     snapshot_seq: u64,
@@ -955,12 +953,11 @@ impl Ckt {
     /// §III-E). With a freshly built circuit every partition is frontier,
     /// so the first call is a full simulation.
     ///
-    /// Unless [`SnapshotPolicy::Disabled`], the update also publishes a
-    /// fresh [`StateSnapshot`] ([`Ckt::latest_snapshot`]) of the resolved
-    /// state, so readers on other threads keep querying the previous
-    /// version while this one replaces it. Publication is where the
-    /// [`NumericalPolicy`] engages: non-finite amplitudes and
-    /// out-of-tolerance norm drift surface here.
+    /// The update also publishes a fresh [`StateSnapshot`]
+    /// ([`Ckt::latest_snapshot`]) of the resolved state, so readers on
+    /// other threads keep querying the previous version while this one
+    /// replaces it. Publication is where the [`NumericalPolicy`] engages:
+    /// non-finite amplitudes and out-of-tolerance norm drift surface here.
     ///
     /// A panicking task (or a panic in the serial build phase) is
     /// contained: the engine poisons itself and the call returns
@@ -973,13 +970,12 @@ impl Ckt {
     fn update_state_inner(&mut self) -> Result<UpdateReport, EngineError> {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
-        let publish = self.config.snapshots == SnapshotPolicy::Publish;
         if self.frontier.is_empty() {
             // Nothing to execute, but removals may still have changed the
             // resolved view (a removal needs no simulation): refresh the
             // snapshot if so, or publish the very first one.
             let mut report = UpdateReport::default();
-            if publish && (self.latest.is_none() || !self.snap_dirty.is_empty()) {
+            if self.latest.is_none() || !self.snap_dirty.is_empty() {
                 qtask_faults::fault_point!("engine/update_publish");
                 let (spine, resolve_all) = self.detach_spine();
                 report.snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
@@ -1019,32 +1015,25 @@ impl Ckt {
         // re-executing tasks can reclaim their buffers and the warm
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
-        let spine = if publish {
-            for &pid in &dirty {
-                let part = &self.parts[pid.key()];
-                if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
-                    continue; // barriers span everything but own nothing
-                }
-                for b in part.spec.block_lo..=part.spec.block_hi {
-                    self.snap_dirty.insert(b as usize);
-                }
+        for &pid in &dirty {
+            let part = &self.parts[pid.key()];
+            if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
+                continue; // barriers span everything but own nothing
             }
-            Some(self.detach_spine())
-        } else {
-            None
-        };
+            for b in part.spec.block_lo..=part.spec.block_hi {
+                self.snap_dirty.insert(b as usize);
+            }
+        }
+        let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
         // that read them are spawned (serial: the cache is engine state).
         let fuse_span = qtask_obs::span!("update/fuse");
-        if self.config.kernels == KernelPolicy::Batched {
-            for &pid in &dirty {
-                let rid = self.parts[pid.key()].row;
-                let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
-                if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty()
-                {
-                    row.fused = self.fused_cache.get_or_build(&row.dense);
-                }
+        for &pid in &dirty {
+            let rid = self.parts[pid.key()].row;
+            let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
+            if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty() {
+                row.fused = self.fused_cache.get_or_build(&row.dense);
             }
         }
         drop(fuse_span);
@@ -1070,8 +1059,6 @@ impl Ckt {
             stats: &self.resolve_stats,
             geom: self.geom,
             n_qubits: self.circuit.num_qubits(),
-            resolve: self.config.resolve,
-            kernels: self.config.kernels,
         };
         // Retained nodes store only packed `PartId`s; this per-run
         // closure decodes them and dispatches on the row kind. Chunked
@@ -1111,10 +1098,7 @@ impl Ckt {
         };
         self.frontier.clear();
         qtask_faults::fault_point!("engine/update_publish");
-        let snapshot_blocks_resolved = match spine {
-            Some((spine, resolve_all)) => self.publish_spine(spine, resolve_all)?,
-            None => 0,
-        };
+        let snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
         let report = UpdateReport {
             partitions_executed,
             tasks_executed: stats.tasks_run,
@@ -1151,13 +1135,9 @@ impl Ckt {
     }
 
     /// A snapshot of the current resolved state — the same view the live
-    /// queries answer from.
-    ///
-    /// Under [`SnapshotPolicy::Publish`] this returns the latest
-    /// published snapshot, refreshing it first if removals changed the
-    /// resolved view since (or none was ever captured). Under
-    /// [`SnapshotPolicy::Disabled`] it performs a one-off full capture
-    /// that the engine does not retain (no block stays pinned).
+    /// queries answer from: the latest published snapshot, refreshed
+    /// first if removals changed the resolved view since (or none was
+    /// ever published).
     ///
     /// Pending *insertions* that have not been simulated yet do not
     /// appear — like every query, a snapshot reflects the state as of the
@@ -1177,24 +1157,11 @@ impl Ckt {
     }
 
     fn snapshot_inner(&mut self) -> Result<StateSnapshot, EngineError> {
-        match self.config.snapshots {
-            SnapshotPolicy::Publish => {
-                if self.latest.is_none() || !self.snap_dirty.is_empty() {
-                    let (spine, resolve_all) = self.detach_spine();
-                    self.publish_spine(spine, resolve_all)?;
-                }
-                Ok(self.latest.clone().expect("snapshot just published"))
-            }
-            SnapshotPolicy::Disabled => {
-                let stats = ResolveStats::default();
-                let mut blocks = Spine::new(self.geom.num_blocks());
-                for b in 0..blocks.len() {
-                    let data = self.resolve_final_data(b, &stats);
-                    blocks.set(b, data);
-                }
-                Ok(self.assemble_snapshot(blocks, &stats))
-            }
+        if self.latest.is_none() || !self.snap_dirty.is_empty() {
+            let (spine, resolve_all) = self.detach_spine();
+            self.publish_spine(spine, resolve_all)?;
         }
+        Ok(self.latest.clone().expect("snapshot just published"))
     }
 
     /// Takes the previous snapshot's block spine for reuse, dropping the
@@ -1295,8 +1262,20 @@ impl Ckt {
         } else {
             self.renorm_scale = 1.0;
         }
-        let resolved = stats.snapshot().0;
-        self.latest = Some(self.assemble_snapshot(blocks, &stats));
+        let (blocks_resolved, owner_probes) = stats.snapshot();
+        self.snapshot_seq += 1;
+        self.latest = Some(StateSnapshot {
+            inner: Arc::new(SnapInner::new(
+                self.snapshot_seq,
+                self.geom,
+                blocks,
+                QueryReport {
+                    blocks_resolved,
+                    owner_probes,
+                },
+                self.renorm_scale,
+            )),
+        });
         if !self.observers.is_empty() {
             let snap = self.latest.clone().expect("snapshot just published");
             let delta = BlockDelta {
@@ -1311,7 +1290,7 @@ impl Ckt {
                 obs.on_publish(&snap, &delta);
             }
         }
-        Ok(resolved)
+        Ok(blocks_resolved)
     }
 
     /// Registers a publication observer (e.g. a view registry). The hook
@@ -1320,26 +1299,6 @@ impl Ckt {
     /// [`Ckt::recover`].
     pub fn attach_observer(&mut self, observer: Arc<dyn SnapshotObserver>) {
         self.observers.push(observer);
-    }
-
-    /// Wraps a resolved block spine into the next snapshot version,
-    /// recording the capture work `stats` accumulated. Shared by
-    /// published and one-off captures.
-    fn assemble_snapshot(&mut self, blocks: Spine, stats: &ResolveStats) -> StateSnapshot {
-        let (blocks_resolved, owner_probes) = stats.snapshot();
-        self.snapshot_seq += 1;
-        StateSnapshot {
-            inner: Arc::new(SnapInner::new(
-                self.snapshot_seq,
-                self.geom,
-                blocks,
-                QueryReport {
-                    blocks_resolved,
-                    owner_probes,
-                },
-                self.renorm_scale,
-            )),
-        }
     }
 
     /// Debug snapshot of the owner index for block `b` (row labels in

@@ -16,21 +16,22 @@
 //! ([`crate::fused::FusedOp`], precomputed once per group change) against
 //! sources read through the COW chain.
 //!
-//! Under [`KernelPolicy::Batched`] (the default) linear items are applied
-//! a whole *run* at a time: the item pattern decomposes into maximal
+//! Linear items are applied a whole *run* at a time when the item pattern
+//! has runs longer than one amplitude: the pattern decomposes into maximal
 //! contiguous low-index stretches ([`qtask_partition::ItemPattern::iter_runs`]),
 //! so Diag becomes strided slice scaling and AntiDiag/Swap become
 //! two-slice butterflies over the block buffers — the autovectorized
-//! primitives in [`qtask_num::slices`]. [`KernelPolicy::Scalar`] keeps the
-//! one-amplitude-at-a-time loops as the ablation baseline and differential
-//! oracle.
+//! primitives in [`qtask_num::slices`]. Run-less patterns (target qubit 0)
+//! take the one-amplitude-at-a-time loop, and MxV groups too wide to fuse
+//! re-expand their factor product per amplitude. Each batched kernel is
+//! bit-identical to its scalar counterpart (checked by this module's
+//! tests).
 //!
 //! Steady-state incremental updates are allocation-free: re-executing
 //! partitions reclaim their previously published buffers *with* their
 //! `Arc` wrapper ([`crate::cow::RowVector::take_reusable_arc`]), mutate in
 //! place, and republish the same allocation.
 
-use crate::config::{KernelPolicy, ResolvePolicy};
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
@@ -38,7 +39,6 @@ use crate::row::{PartId, Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
 use qtask_util::{Arena, LinkedArena};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Shared read-only view of the engine internals used by executing tasks.
@@ -50,8 +50,7 @@ pub struct ExecView<'a> {
     pub rows: &'a LinkedArena<Row>,
     /// All partitions.
     pub parts: &'a Arena<Partition>,
-    /// Per-block owner lists (kept current even under `ChainWalk`, so the
-    /// policy can be flipped between updates).
+    /// Per-block owner lists.
     pub owners: &'a OwnerIndex,
     /// Resolution counters for the current update.
     pub stats: &'a ResolveStats,
@@ -59,10 +58,6 @@ pub struct ExecView<'a> {
     pub geom: BlockGeometry,
     /// Qubit count.
     pub n_qubits: u8,
-    /// Active resolution policy.
-    pub resolve: ResolvePolicy,
-    /// Active kernel policy.
-    pub kernels: KernelPolicy,
 }
 
 impl<'a> ExecView<'a> {
@@ -76,30 +71,15 @@ impl<'a> ExecView<'a> {
     /// Resolves block `b` as seen *before* `row` (i.e. the previous row's
     /// logical content).
     pub fn resolve_before(&self, row: RowId, b: usize) -> Resolved {
-        match self.resolve {
-            ResolvePolicy::OwnerIndex => self
-                .owners
-                .resolve_before(
-                    b,
-                    self.label_of(row),
-                    |r| self.label_of(r),
-                    |r| self.rows[r.key()].vector.owned(b),
-                    self.stats,
-                )
-                .map_or(Resolved::Initial, Resolved::Data),
-            ResolvePolicy::ChainWalk => {
-                self.stats.blocks_resolved.fetch_add(1, Ordering::Relaxed);
-                let mut cur = self.rows.prev(row.key());
-                while let Some(k) = cur {
-                    self.stats.owner_probes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(data) = self.rows[k].vector.owned(b) {
-                        return Resolved::Data(data);
-                    }
-                    cur = self.rows.prev(k);
-                }
-                Resolved::Initial
-            }
-        }
+        self.owners
+            .resolve_before(
+                b,
+                self.label_of(row),
+                |r| self.label_of(r),
+                |r| self.rows[r.key()].vector.owned(b),
+                self.stats,
+            )
+            .map_or(Resolved::Initial, Resolved::Data)
     }
 
     /// Publishes `data` as block `b` of `row`, registering the row in the
@@ -213,7 +193,7 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
     let pattern = op.pattern(view.n_qubits);
     let mut blocks = BlockSet::from_pool(part);
     // Run decomposition only pays when runs are real (length > 1).
-    if view.kernels == KernelPolicy::Batched && pattern.run_len_log2() > 0 {
+    if pattern.run_len_log2() > 0 {
         linear_batched(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
     } else {
         linear_scalar(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
@@ -221,7 +201,8 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
     blocks.publish(&view, row_id, row, part);
 }
 
-/// The scalar item loop: one amplitude (pair) per step.
+/// The scalar item loop: one amplitude (pair) per step — the path of
+/// run-less patterns and the reference [`linear_batched`] must match.
 fn linear_scalar(
     view: &ExecView<'_>,
     row_id: RowId,
@@ -417,10 +398,8 @@ pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
         let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
         let base = block * bs;
         match row.fused {
-            Some(ref fused) if view.kernels == KernelPolicy::Batched => {
-                mxv_fused(&view, row_id, fused, base, out);
-            }
-            _ => mxv_scalar(&view, row_id, row, base, out),
+            Some(ref fused) => mxv_fused(&view, row_id, fused, base, out),
+            None => mxv_scalar(&view, row_id, row, base, out),
         }
         view.publish(row_id, row, block, out_arc);
     }
@@ -476,8 +455,8 @@ fn mxv_fused(
 
 /// The scalar path: re-expand the factor product for every output
 /// amplitude ("recursive tensor products… stop at zero and identity
-/// patterns"). Ablation baseline and fallback for groups whose signature
-/// exceeds [`FusedOp::MAX_SIG_BITS`].
+/// patterns"). The path of groups whose signature exceeds
+/// [`FusedOp::MAX_SIG_BITS`], and the reference [`mxv_fused`] must match.
 fn mxv_scalar(view: &ExecView<'_>, row_id: RowId, row: &Row, base: usize, out: &mut [Complex64]) {
     let geom = &view.geom;
     // Resolved source-block cache (sources cluster into few blocks).
@@ -532,9 +511,111 @@ mod tests {
     use crate::config::SimConfig;
     use crate::engine::Ckt;
     use qtask_gates::GateKind;
+    use rand::prelude::*;
 
-    /// The scalar MxV path (ablation baseline) stays available and agrees
-    /// with the fused path bit-for-bit.
+    /// One random net: gates on disjoint qubits, covering every linear
+    /// class plus controlled and uncontrolled superposition gates.
+    fn random_net(rng: &mut StdRng, n: u8) -> Vec<(GateKind, Vec<u8>)> {
+        const KINDS: [GateKind; 14] = [
+            GateKind::X,
+            GateKind::Y,
+            GateKind::Z,
+            GateKind::H,
+            GateKind::S,
+            GateKind::T,
+            GateKind::Rz(0.9),
+            GateKind::Ry(1.3),
+            GateKind::U3(0.3, 0.8, 1.1),
+            GateKind::Cx,
+            GateKind::Cz,
+            GateKind::Ch,
+            GateKind::Swap,
+            GateKind::Ccx,
+        ];
+        let mut free: Vec<u8> = (0..n).collect();
+        let mut net = Vec::new();
+        for _ in 0..rng.random_range(1..=4) {
+            let kind = KINDS[rng.random_range(0..KINDS.len())];
+            if free.len() < kind.arity() {
+                continue;
+            }
+            let qubits = (0..kind.arity())
+                .map(|_| free.swap_remove(rng.random_range(0..free.len())))
+                .collect();
+            net.push((kind, qubits));
+        }
+        net
+    }
+
+    /// A task's materialized blocks in block order, for comparison.
+    fn sorted_blocks(set: &BlockSet) -> Vec<(usize, &[Complex64])> {
+        let mut blocks: Vec<_> = set.entries.iter().map(|(b, d)| (*b, &d[..])).collect();
+        blocks.sort_by_key(|(b, _)| *b);
+        blocks
+    }
+
+    /// Runs a linear partition through `linear_batched` and `linear_scalar`
+    /// and compares the blocks they materialize.
+    fn check_linear(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, part: &Partition) {
+        let row = &view.rows[row_id.key()];
+        let pattern = op.pattern(view.n_qubits);
+        let ranks = part.spec.item_start..part.spec.item_end;
+        let mut batched = BlockSet::from_pool(part);
+        let mut scalar = BlockSet {
+            entries: Vec::new(),
+        };
+        linear_batched(view, row_id, row, op, &pattern, &mut batched, ranks.clone());
+        linear_scalar(view, row_id, row, op, &pattern, &mut scalar, ranks);
+        assert_eq!(
+            sorted_blocks(&batched),
+            sorted_blocks(&scalar),
+            "{}",
+            row.label
+        );
+        // The batched run reclaimed the row's buffers: hand them back.
+        batched.publish(view, row_id, row, part);
+    }
+
+    /// Runs every output block of an MxV partition through `mxv_fused`
+    /// and `mxv_scalar`. Returns whether the whole-block shortcut ran.
+    fn check_mxv(view: &ExecView<'_>, row_id: RowId, part: &Partition) -> bool {
+        let row = &view.rows[row_id.key()];
+        let fused = row.fused.as_ref().expect("groups of ≤3 gates fuse");
+        let bs = view.geom.block_size();
+        for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
+            let (mut got, mut want) = (vec![Complex64::ZERO; bs], vec![Complex64::ZERO; bs]);
+            mxv_fused(view, row_id, fused, block * bs, &mut got);
+            mxv_scalar(view, row_id, row, block * bs, &mut want);
+            assert_eq!(got, want, "{} block {block}", row.label);
+        }
+        fused.sig_mask() & (bs as u64 - 1) == 0
+    }
+
+    /// Runs [`check_mxv`] on every MxV partition of an updated circuit and
+    /// returns, per partition, whether the whole-block shortcut ran.
+    fn check_all_mxv(ckt: &Ckt) -> Vec<bool> {
+        let view = ExecView {
+            rows: &ckt.rows,
+            parts: &ckt.parts,
+            owners: &ckt.owners,
+            stats: &ckt.resolve_stats,
+            geom: ckt.geom,
+            n_qubits: ckt.num_qubits(),
+        };
+        let mut paths = Vec::new();
+        for k in ckt.rows.keys() {
+            if matches!(ckt.rows[k].kind, RowKind::MxV) {
+                for pid in &ckt.rows[k].parts {
+                    paths.push(check_mxv(&view, RowId(k), &ckt.parts[pid.key()]));
+                }
+            }
+        }
+        paths
+    }
+
+    /// The scalar MxV path stays available and agrees with the fused
+    /// path bit-for-bit. Qubit 0 lies inside the 4-amplitude block, so
+    /// the fused path runs per amplitude.
     #[test]
     fn scalar_and_fused_mxv_agree_exactly() {
         let mut cfg = SimConfig::with_block_size(4);
@@ -545,17 +626,9 @@ mod tests {
         ckt.insert_gate(GateKind::U3(0.3, 0.8, 1.1), net, &[3])
             .unwrap();
         ckt.update_state().unwrap();
-        let fused_state = ckt.state();
-
-        let mut cfg = SimConfig::with_block_size(4).with_kernels(KernelPolicy::Scalar);
-        cfg.num_threads = 1;
-        let mut ckt2 = Ckt::with_config(5, cfg);
-        let net = ckt2.push_net();
-        ckt2.insert_gate(GateKind::H, net, &[0]).unwrap();
-        ckt2.insert_gate(GateKind::U3(0.3, 0.8, 1.1), net, &[3])
-            .unwrap();
-        ckt2.update_state().unwrap();
-        assert_eq!(fused_state, ckt2.state());
+        let paths = check_all_mxv(&ckt);
+        assert!(!paths.is_empty(), "no MxV partition ran");
+        assert!(paths.iter().all(|&whole| !whole));
     }
 
     /// When every signature bit sits at or above the block width, the
@@ -563,25 +636,78 @@ mod tests {
     /// and must still agree exactly with the scalar expansion.
     #[test]
     fn whole_block_fused_path_agrees_exactly() {
-        let build = |kernels: KernelPolicy| {
-            let mut cfg = SimConfig::with_block_size(4).with_kernels(kernels);
-            cfg.num_threads = 1;
-            let mut ckt = Ckt::with_config(6, cfg);
-            let net = ckt.push_net();
-            // Targets 3 and 5 and control 4 are all ≥ log2(block) = 2:
-            // sig_mask & (block-1) == 0 → block-uniform fused rows.
-            ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
-            ckt.insert_gate(GateKind::Ch, net, &[4, 5]).unwrap();
-            let tail = ckt.push_net();
-            ckt.insert_gate(GateKind::U3(0.7, 0.2, 1.9), tail, &[5])
-                .unwrap();
-            ckt.update_state().unwrap();
-            ckt.state()
-        };
-        let batched = build(KernelPolicy::Batched);
-        let scalar = build(KernelPolicy::Scalar);
-        assert_eq!(batched, scalar);
-        let norm: f64 = batched.iter().map(|z| z.norm_sqr()).sum();
+        let mut cfg = SimConfig::with_block_size(4);
+        cfg.num_threads = 1;
+        let mut ckt = Ckt::with_config(6, cfg);
+        let net = ckt.push_net();
+        // Targets 3 and 5 and control 4 are all ≥ log2(block) = 2:
+        // sig_mask & (block-1) == 0 → block-uniform fused rows.
+        ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
+        ckt.insert_gate(GateKind::Ch, net, &[4, 5]).unwrap();
+        let tail = ckt.push_net();
+        ckt.insert_gate(GateKind::U3(0.7, 0.2, 1.9), tail, &[5])
+            .unwrap();
+        ckt.update_state().unwrap();
+        let paths = check_all_mxv(&ckt);
+        assert!(!paths.is_empty(), "no MxV partition ran");
+        assert!(paths.iter().all(|&whole| whole));
+        let norm: f64 = ckt.state().iter().map(|z| z.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-12);
+    }
+
+    /// Every batched kernel agrees bit-for-bit with its scalar reference.
+    /// On random circuits and geometries, each linear partition runs
+    /// through both `linear_batched` and `linear_scalar`, and each MxV
+    /// output block through both `mxv_fused` and `mxv_scalar`, from the
+    /// same resolved inputs.
+    #[test]
+    fn batched_kernels_match_scalar_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(20260729);
+        let (mut whole_block, mut per_amplitude, mut multi_block) = (0, 0, 0);
+        for _ in 0..60 {
+            let n = rng.random_range(3..=8u8);
+            let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=5u32));
+            cfg.num_threads = 1;
+            cfg.mxv_group_max = rng.random_range(1..=3);
+            let mut ckt = Ckt::with_config(n, cfg);
+            for _ in 0..rng.random_range(2..=5) {
+                let net = ckt.push_net();
+                for (kind, qubits) in random_net(&mut rng, n) {
+                    ckt.insert_gate(kind, net, &qubits).unwrap();
+                }
+            }
+            ckt.update_state().unwrap();
+            let view = ExecView {
+                rows: &ckt.rows,
+                parts: &ckt.parts,
+                owners: &ckt.owners,
+                stats: &ckt.resolve_stats,
+                geom: ckt.geom,
+                n_qubits: n,
+            };
+            for k in ckt.rows.keys() {
+                for pid in &ckt.rows[k].parts {
+                    let part = &ckt.parts[pid.key()];
+                    match ckt.rows[k].kind {
+                        RowKind::Sync => {}
+                        RowKind::Linear(op) => check_linear(&view, RowId(k), &op, part),
+                        RowKind::MxV => {
+                            if check_mxv(&view, RowId(k), part) {
+                                whole_block += 1;
+                            } else {
+                                per_amplitude += 1;
+                            }
+                            if part.spec.block_hi > part.spec.block_lo {
+                                multi_block += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(ckt.audit(), vec![], "republished rows stay coherent");
+        }
+        assert!(whole_block > 0, "whole-block fused shortcut never ran");
+        assert!(per_amplitude > 0, "per-amplitude fused path never ran");
+        assert!(multi_block > 0, "no MxV partition spanned several blocks");
     }
 }

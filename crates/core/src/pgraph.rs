@@ -122,7 +122,6 @@ impl Ckt {
         // those, not the whole state. The same blocks change their final
         // resolution without any simulation, so they are also exactly
         // what the next snapshot capture must re-resolve.
-        let track_snapshot = self.config.snapshots == crate::config::SnapshotPolicy::Publish;
         for pid in &self.rows[row_id.key()].parts {
             let spec = &self.parts[pid.key()].spec;
             for b in spec.block_lo as usize..=spec.block_hi as usize {
@@ -132,9 +131,7 @@ impl Ckt {
                             .order_label(r.key())
                             .expect("owner index holds only live rows")
                     });
-                    if track_snapshot {
-                        self.snap_dirty.insert(b);
-                    }
+                    self.snap_dirty.insert(b);
                 }
             }
         }

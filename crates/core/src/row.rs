@@ -56,9 +56,9 @@ pub struct Row {
     /// deterministic output).
     pub dense: Vec<DenseFactor>,
     /// Fused sparse-row cache over `dense` ([`crate::fused::FusedOp`]).
-    /// Built lazily in `update_state` under
-    /// [`crate::KernelPolicy::Batched`]; invalidated by every modifier
-    /// that changes the factor group. Shared (`Arc`) between rows whose
+    /// Built lazily in `update_state` (`None` after that only for groups
+    /// too wide to fuse); invalidated by every modifier that changes the
+    /// factor group. Shared (`Arc`) between rows whose
     /// factor groups have identical content, via
     /// [`crate::fused::FusedCache`].
     pub fused: Option<std::sync::Arc<crate::fused::FusedOp>>,

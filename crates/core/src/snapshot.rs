@@ -1,8 +1,8 @@
 //! Immutable, versioned state snapshots: the reader half of the engine's
 //! MVCC-style reader/writer split.
 //!
-//! [`crate::Ckt::update_state`] publishes a [`StateSnapshot`] of the
-//! freshly resolved state (unless [`crate::SnapshotPolicy::Disabled`]).
+//! Every [`crate::Ckt::update_state`] publishes a [`StateSnapshot`] of
+//! the freshly resolved state.
 //! A snapshot is a cheap handle (`Arc` clone) over the per-block
 //! [`crate::cow::BlockData`] buffers that were current at capture time;
 //! it is
@@ -250,46 +250,6 @@ impl StateSnapshot {
             }
         }
         self.state_len() - 1 // numeric slack: return the last state
-    }
-
-    /// [`StateSnapshot::amplitude`] plus a [`QueryReport`]. Snapshot
-    /// queries perform no copy-on-write resolution — the work was paid
-    /// once at capture ([`StateSnapshot::capture_report`]) — so the
-    /// per-query report is always zero; the variant exists so code
-    /// generic over the live and snapshot query surfaces can keep one
-    /// shape.
-    pub fn amplitude_reported(&self, idx: usize) -> (Complex64, QueryReport) {
-        (self.amplitude(idx), QueryReport::default())
-    }
-
-    /// [`StateSnapshot::state`] plus a (zero) [`QueryReport`]; see
-    /// [`StateSnapshot::amplitude_reported`].
-    pub fn state_reported(&self) -> (Vec<Complex64>, QueryReport) {
-        (self.state(), QueryReport::default())
-    }
-
-    /// [`StateSnapshot::probability`] plus a (zero) [`QueryReport`]; see
-    /// [`StateSnapshot::amplitude_reported`].
-    pub fn probability_reported(&self, idx: usize) -> (f64, QueryReport) {
-        (self.probability(idx), QueryReport::default())
-    }
-
-    /// [`StateSnapshot::probabilities`] plus a (zero) [`QueryReport`];
-    /// see [`StateSnapshot::amplitude_reported`].
-    pub fn probabilities_reported(&self) -> (Vec<f64>, QueryReport) {
-        (self.probabilities(), QueryReport::default())
-    }
-
-    /// [`StateSnapshot::norm_sqr`] plus a (zero) [`QueryReport`]; see
-    /// [`StateSnapshot::amplitude_reported`].
-    pub fn norm_sqr_reported(&self) -> (f64, QueryReport) {
-        (self.norm_sqr(), QueryReport::default())
-    }
-
-    /// [`StateSnapshot::sample`] plus a (zero) [`QueryReport`]; see
-    /// [`StateSnapshot::amplitude_reported`].
-    pub fn sample_reported<R: rand::Rng>(&self, rng: &mut R) -> (usize, QueryReport) {
-        (self.sample(rng), QueryReport::default())
     }
 }
 

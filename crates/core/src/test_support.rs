@@ -1,12 +1,12 @@
 //! Hidden hooks for the workspace's own integration tests.
 //!
 //! The allocation-profile test (`tests/mxv_alloc.rs`) must re-run the MxV
-//! execution path *in isolation* — outside `update_state`, whose graph
-//! construction legitimately allocates — inside a binary whose global
-//! allocator counts every heap call. The engine internals it needs are
-//! `pub(crate)`, so this module re-exposes exactly the two operations the
-//! test performs. Not a public API; hidden from docs and subject to
-//! change.
+//! and linear execution paths *in isolation* — outside `update_state`,
+//! whose graph construction legitimately allocates — inside a binary
+//! whose global allocator counts every heap call. The engine internals it
+//! needs are `pub(crate)`, so this module re-exposes exactly the
+//! operations the test performs. Not a public API; hidden from docs and
+//! subject to change.
 
 use crate::engine::Ckt;
 use crate::exec::{self, ExecView};
@@ -38,9 +38,15 @@ fn exec_view(ckt: &Ckt) -> ExecView<'_> {
         stats: &ckt.resolve_stats,
         geom: ckt.geom,
         n_qubits: ckt.num_qubits(),
-        resolve: ckt.config.resolve,
-        kernels: ckt.config.kernels,
     }
+}
+
+/// Drops the engine's own reference to its latest snapshot. That snapshot
+/// pins every block of the final state, so without this re-executed
+/// partitions copy-on-write fork their output blocks instead of
+/// reclaiming them. The next publication resolves every block afresh.
+pub fn unpin_snapshot(ckt: &mut Ckt) {
+    ckt.latest = None;
 }
 
 /// Re-executes the given MxV partitions once, serially, on the calling

@@ -1,19 +1,16 @@
-//! Randomized differential test of the kernel policies.
+//! Randomized differential test of the engine's kernels.
 //!
 //! Drives random circuits — every `LinearOp` class plus dense gates —
-//! through the engine under both `KernelPolicy` variants, on random block
-//! geometries and group caps, and checks the final state against the flat
-//! scalar kernels applied gate-at-a-time in the engine's row order.
-//!
-//! Two claims are verified per case:
-//! 1. `Batched` and `Scalar` agree **bit-for-bit** — the batched slice
-//!    kernels and the fused MxV rows perform the same floating-point
-//!    operations as the scalar loops, just over whole runs.
-//! 2. Both match the flat-kernel oracle to tight tolerance (exact
-//!    equality is not guaranteed here: the engine may reorder commuting
-//!    gates within a net, which reassociates products in the last ulp).
+//! through the engine on random block geometries and group caps, and
+//! checks the state against the flat scalar kernels applied
+//! gate-at-a-time, both for build-once circuits and across incremental
+//! toggles. Exact equality is not guaranteed here: the engine may
+//! reorder commuting gates within a net and sums MxV source terms in
+//! fused-row order, which reassociates products in the last ulp. The
+//! bit-exact batched-vs-scalar check lives next to the kernels
+//! (`exec.rs`).
 
-use qtask_core::{Ckt, KernelPolicy, ResolvePolicy, SimConfig};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::kernels;
@@ -75,12 +72,8 @@ fn run_engine(
     n: u8,
     block_size: usize,
     mxv_cap: usize,
-    kernels: KernelPolicy,
-    resolve: ResolvePolicy,
 ) -> Vec<Complex64> {
-    let mut cfg = SimConfig::with_block_size(block_size)
-        .with_kernels(kernels)
-        .with_resolve(resolve);
+    let mut cfg = SimConfig::with_block_size(block_size);
     cfg.num_threads = 2;
     cfg.mxv_group_max = mxv_cap;
     let mut ckt = Ckt::with_config(n, cfg);
@@ -119,73 +112,43 @@ fn random_circuits_agree_across_kernel_policies() {
         let block_size = 1usize << rng.random_range(0..=5u32);
         let mxv_cap = rng.random_range(1..=3);
         let nets = random_circuit(&mut rng, n);
-        let batched = run_engine(
-            &nets,
-            n,
-            block_size,
-            mxv_cap,
-            KernelPolicy::Batched,
-            ResolvePolicy::OwnerIndex,
-        );
-        let scalar = run_engine(
-            &nets,
-            n,
-            block_size,
-            mxv_cap,
-            KernelPolicy::Scalar,
-            ResolvePolicy::OwnerIndex,
-        );
-        // Bit-exact agreement between the policies.
-        assert_eq!(
-            batched, scalar,
-            "case {case}: batched vs scalar diverged (n={n}, B={block_size}, cap={mxv_cap})"
-        );
-        // vs the flat oracle: tight tolerance, not exactness — the engine
-        // reorders commuting gates within a net and the MxV sums source
-        // terms in fused-row order, which reassociates the last ulp.
+        let got = run_engine(&nets, n, block_size, mxv_cap);
         let want = oracle_state(&nets, n);
         assert!(
-            vecops::approx_eq(&batched, &want, 1e-12),
+            vecops::approx_eq(&got, &want, 1e-12),
             "case {case}: engine vs flat oracle, max diff {} (n={n}, B={block_size}, cap={mxv_cap})",
-            vecops::max_abs_diff(&batched, &want)
+            vecops::max_abs_diff(&got, &want)
         );
         // Physicality: unitary circuits preserve the norm.
-        assert!((vecops::norm_sqr(&batched) - 1.0).abs() < 1e-10);
+        assert!((vecops::norm_sqr(&got) - 1.0).abs() < 1e-10);
     }
 }
 
 #[test]
 fn incremental_toggles_agree_across_kernel_policies() {
-    // Policy agreement must survive incremental restructuring, not just
-    // build-once circuits: toggle gates in and out between updates.
+    // The kernels must stay right across incremental restructuring, not
+    // just on build-once circuits: toggle gates in and out between
+    // updates and compare each round with the oracle of the circuit as
+    // it then stands.
     let mut rng = StdRng::seed_from_u64(777);
     for _ in 0..10 {
         let n = rng.random_range(4..=7u8);
         let block_size = 1usize << rng.random_range(1..=4u32);
-        let nets = random_circuit(&mut rng, n);
-        let mut sims: Vec<Ckt> = [KernelPolicy::Batched, KernelPolicy::Scalar]
-            .into_iter()
-            .map(|k| {
-                let mut cfg = SimConfig::with_block_size(block_size).with_kernels(k);
-                cfg.num_threads = 1;
-                Ckt::with_config(n, cfg)
+        let mut nets = random_circuit(&mut rng, n);
+        let mut cfg = SimConfig::with_block_size(block_size);
+        cfg.num_threads = 1;
+        let mut ckt = Ckt::with_config(n, cfg);
+        let ids: Vec<_> = nets
+            .iter()
+            .map(|net_gates| {
+                let net = ckt.push_net();
+                for (kind, qubits) in net_gates {
+                    ckt.insert_gate(*kind, net, qubits).unwrap();
+                }
+                net
             })
             .collect();
-        let mut net_ids = Vec::new();
-        for ckt in &mut sims {
-            let ids: Vec<_> = nets
-                .iter()
-                .map(|net_gates| {
-                    let net = ckt.push_net();
-                    for (kind, qubits) in net_gates {
-                        ckt.insert_gate(*kind, net, qubits).unwrap();
-                    }
-                    net
-                })
-                .collect();
-            ckt.update_state().unwrap();
-            net_ids.push(ids);
-        }
+        ckt.update_state().unwrap();
         for round in 0..4 {
             let target = rng.random_range(0..n);
             let kind = if round % 2 == 0 {
@@ -194,17 +157,24 @@ fn incremental_toggles_agree_across_kernel_policies() {
                 GateKind::S
             };
             let pick = rng.random_range(0..nets.len());
-            let mut states = Vec::new();
-            for (ckt, ids) in sims.iter_mut().zip(&net_ids) {
-                let gid = ckt.insert_gate(kind, ids[pick], &[target]);
+            if let Ok(gid) = ckt.insert_gate(kind, ids[pick], &[target]) {
+                nets[pick].push((kind, vec![target]));
                 ckt.update_state().unwrap();
-                if let Ok(gid) = gid {
-                    ckt.remove_gate(gid).unwrap();
-                    ckt.update_state().unwrap();
-                }
-                states.push(ckt.state());
+                assert_matches_oracle(&ckt, &nets, n, &format!("round {round}, inserted"));
+                ckt.remove_gate(gid).unwrap();
+                nets[pick].pop();
             }
-            assert_eq!(states[0], states[1], "policies diverged after toggles");
+            ckt.update_state().unwrap();
+            assert_matches_oracle(&ckt, &nets, n, &format!("round {round}, removed"));
         }
     }
+}
+
+fn assert_matches_oracle(ckt: &Ckt, nets: &[Vec<(GateKind, Vec<u8>)>], n: u8, what: &str) {
+    let (got, want) = (ckt.state(), oracle_state(nets, n));
+    assert!(
+        vecops::approx_eq(&got, &want, 1e-12),
+        "{what}: engine vs flat oracle, max diff {}",
+        vecops::max_abs_diff(&got, &want)
+    );
 }

@@ -1,38 +1,32 @@
 //! Allocation profile of the warm execution paths (MxV and linear).
 //!
 //! This test lives in its own binary on purpose: it installs the counting
-//! global allocator and asserts an *exact* zero over a code region, which
-//! only holds when no other test thread allocates concurrently — the
-//! tests serialize on `ALLOC_LOCK`.
+//! global allocator and asserts exact counts over code regions, which only
+//! hold when nothing else in the process allocates concurrently. The
+//! counter is process-wide, so the binary has no test harness (whose
+//! threads and result reports would land inside a window): `main` runs
+//! the cases one after another and reports them in the harness's format.
 //!
-//! All engines here disable snapshot publication: a snapshot held by the
-//! engine pins every resolved block, so re-executing partitions would
-//! copy-on-write fork (allocate) *by design* — MVCC isolation. What these
-//! tests pin down is the pin-free fast path, which `update_state` also
-//! reaches under the default `Publish` policy by detaching the previous
-//! snapshot's dirty blocks before execution when no external reader
-//! shares it.
+//! Every engine runs the default configuration, which publishes a
+//! snapshot at each update. The engine's own snapshot pins every resolved
+//! block, and a warm `update_state` detaches the dirty blocks from it
+//! before execution, so re-executing partitions reclaim their buffers
+//! unless an external reader shares the snapshot. The isolated re-exec
+//! cases run outside `update_state`, so they drop that pin first
+//! ([`test_support::unpin_snapshot`]).
 
 use qtask_core::test_support;
-use qtask_core::{Ckt, KernelPolicy, SimConfig, SnapshotPolicy};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_util::alloc_counter::CountingAlloc;
-use std::sync::{Mutex, MutexGuard};
+use std::panic::{catch_unwind, UnwindSafe};
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global and libtest runs the tests of
-/// a binary on parallel threads; every test holds this lock so no other
-/// test allocates inside its measurement window.
-static ALLOC_LOCK: Mutex<()> = Mutex::new(());
-
-fn alloc_guard() -> MutexGuard<'static, ()> {
-    ALLOC_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn alloc_test_config() -> SimConfig {
-    let mut cfg = SimConfig::with_block_size(8).with_snapshots(SnapshotPolicy::Disabled);
+    let mut cfg = SimConfig::with_block_size(8);
     cfg.num_threads = 1;
     cfg
 }
@@ -40,12 +34,8 @@ fn alloc_test_config() -> SimConfig {
 /// Once the `FusedOp` cache is warm and the output buffers are
 /// materialized, re-executing MxV partitions — the body of a repeated
 /// incremental update — performs zero heap allocations.
-#[test]
 fn warm_mxv_reexecution_allocates_nothing() {
-    let _serial = alloc_guard();
-    let cfg = alloc_test_config();
-    assert_eq!(cfg.kernels, KernelPolicy::Batched);
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     // A two-factor group (the default cap), one gate controlled: the
     // fused signature spans controls and targets.
@@ -53,6 +43,7 @@ fn warm_mxv_reexecution_allocates_nothing() {
     ckt.insert_gate(GateKind::Ch, net, &[4, 2]).unwrap();
     // First update builds the fused cache and materializes the buffers.
     ckt.update_state().unwrap();
+    test_support::unpin_snapshot(&mut ckt);
     let pids = test_support::mxv_partitions(&ckt);
     assert!(!pids.is_empty());
     // One more warm pass outside the measurement window (owner-index
@@ -78,9 +69,7 @@ fn warm_mxv_reexecution_allocates_nothing() {
 /// scratch pools and output buffers are warm, re-executing linear
 /// partitions performs zero heap allocations too — diagonal, cross-block
 /// anti-diagonal, and controlled kinds alike.
-#[test]
 fn warm_linear_reexecution_allocates_nothing() {
-    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     // One gate per net, covering each linear kernel shape: Diag (T),
     // AntiDiag crossing blocks (X on a high qubit), controlled AntiDiag
@@ -95,6 +84,7 @@ fn warm_linear_reexecution_allocates_nothing() {
         ckt.insert_gate(kind, net, qubits).unwrap();
     }
     ckt.update_state().unwrap();
+    test_support::unpin_snapshot(&mut ckt);
     let pids = test_support::linear_partitions(&ckt);
     assert!(!pids.is_empty());
     // Warm pass: grows each partition's scratch pool and the entry-vector
@@ -123,9 +113,7 @@ fn warm_linear_reexecution_allocates_nothing() {
 
 /// The full `update_state` of a repeated incremental toggle stays cheap
 /// too: the fused cache rebuilds only when the factor group changes.
-#[test]
 fn fused_cache_survives_unrelated_updates() {
-    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
@@ -153,9 +141,7 @@ fn fused_cache_survives_unrelated_updates() {
 /// is what makes this hold for `update_state` itself — no per-update
 /// closure boxing or graph rebuild whose footprint could creep with
 /// history — and arena free-list reuse makes it hold for the modifiers.
-#[test]
 fn warm_retained_update_is_allocation_stable() {
-    let _serial = alloc_guard();
     let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
@@ -187,17 +173,12 @@ fn warm_retained_update_is_allocation_stable() {
 
 /// The end-to-end guarantee behind the two micro-tests above: a whole
 /// warm `update_state` — graph build aside, nothing else — reclaims its
-/// buffers through the default `Publish` policy too, because the writer
-/// detaches the previous snapshot's dirty blocks when no reader shares
-/// it. With an external reader holding the snapshot, the same update
-/// must fork instead (strictly more allocations).
-#[test]
+/// buffers while publishing, because the writer detaches the previous
+/// snapshot's dirty blocks when no reader shares it. With an external
+/// reader holding the snapshot, the same update must fork instead
+/// (strictly more allocations).
 fn publish_policy_forks_only_for_live_readers() {
-    let _serial = alloc_guard();
-    let mut cfg = SimConfig::with_block_size(8);
-    cfg.num_threads = 1;
-    assert_eq!(cfg.snapshots, SnapshotPolicy::Publish);
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();
@@ -217,7 +198,7 @@ fn publish_policy_forks_only_for_live_readers() {
     let unpinned = CountingAlloc::alloc_calls() - before;
     // Same toggle while a reader holds the previous version: the write
     // set must fork, so strictly more allocations happen.
-    let reader = ckt.latest_snapshot().expect("publish policy");
+    let reader = ckt.latest_snapshot().expect("every update publishes");
     let before = CountingAlloc::alloc_calls();
     toggle(&mut ckt);
     let pinned = CountingAlloc::alloc_calls() - before;
@@ -234,12 +215,8 @@ fn publish_policy_forks_only_for_live_readers() {
 /// (the write set and its spine chunks detach from the pinned version);
 /// every toggle after that runs the ordinary detach path and must match
 /// the unpinned warm allocation profile exactly, version after version.
-#[test]
 fn long_lived_reader_does_not_perturb_warm_profile() {
-    let _serial = alloc_guard();
-    let mut cfg = SimConfig::with_block_size(8);
-    cfg.num_threads = 1;
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();
@@ -257,7 +234,7 @@ fn long_lived_reader_does_not_perturb_warm_profile() {
     toggle(&mut ckt);
     let unpinned = CountingAlloc::alloc_calls() - before;
 
-    let reader = ckt.latest_snapshot().expect("publish policy");
+    let reader = ckt.latest_snapshot().expect("every update publishes");
     let pinned_version = reader.version();
     let pinned_state = reader.state();
     // The toggle right after pinning is the only one allowed to fork.
@@ -278,4 +255,96 @@ fn long_lived_reader_does_not_perturb_warm_profile() {
     assert_eq!(reader.version(), pinned_version);
     assert_eq!(reader.state(), pinned_state);
     drop(reader);
+}
+
+/// Runs `case` and prints its outcome line; true when it passed.
+fn run(name: &str, case: impl FnOnce() + UnwindSafe) -> bool {
+    let ok = catch_unwind(case).is_ok();
+    println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+    ok
+}
+
+fn main() {
+    let cases: [(&str, fn()); 6] = [
+        (
+            "warm_mxv_reexecution_allocates_nothing",
+            warm_mxv_reexecution_allocates_nothing,
+        ),
+        (
+            "warm_linear_reexecution_allocates_nothing",
+            warm_linear_reexecution_allocates_nothing,
+        ),
+        (
+            "fused_cache_survives_unrelated_updates",
+            fused_cache_survives_unrelated_updates,
+        ),
+        (
+            "warm_retained_update_is_allocation_stable",
+            warm_retained_update_is_allocation_stable,
+        ),
+        (
+            "publish_policy_forks_only_for_live_readers",
+            publish_policy_forks_only_for_live_readers,
+        ),
+        (
+            "long_lived_reader_does_not_perturb_warm_profile",
+            long_lived_reader_does_not_perturb_warm_profile,
+        ),
+    ];
+    // The harness's command line, as far as selecting cases goes.
+    let (mut filters, mut skips, mut exact, mut list, mut ignored) =
+        (Vec::new(), Vec::new(), false, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--list" => list = true,
+            "--ignored" => ignored = true, // no case here is ignored
+            "--skip" => skips.extend(args.next()),
+            // Harness options whose value is not a filter.
+            "--test-threads" | "--color" | "--format" | "--logfile" | "-Z" => {
+                args.next();
+            }
+            _ if arg.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let hit = |name: &str, pat: &String| {
+        if exact {
+            name == pat
+        } else {
+            name.contains(pat.as_str())
+        }
+    };
+    let selected: Vec<_> = cases
+        .iter()
+        .filter(|(name, _)| {
+            !ignored
+                && (filters.is_empty() || filters.iter().any(|f| hit(name, f)))
+                && !skips.iter().any(|s| hit(name, s))
+        })
+        .collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    println!("\nrunning {} tests", selected.len());
+    let t0 = Instant::now();
+    let failed = selected
+        .iter()
+        .filter(|(name, case)| !run(name, *case))
+        .count();
+    println!(
+        "\ntest result: {}. {} passed; {failed} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed == 0 { "ok" } else { "FAILED" },
+        selected.len() - failed,
+        cases.len() - selected.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    if failed > 0 {
+        std::process::exit(101);
+    }
 }

@@ -315,25 +315,3 @@ fn snapshot_versions_track_published_changes() {
         "v2 keeps the X gate forever"
     );
 }
-
-/// `Ckt::snapshot` under `SnapshotPolicy::Disabled`: one-off captures
-/// answer correctly and the engine retains nothing (no pinned blocks).
-#[test]
-fn disabled_policy_still_captures_on_demand() {
-    let mut cfg = SimConfig::with_block_size(4).with_snapshots(SnapshotPolicy::Disabled);
-    cfg.num_threads = 1;
-    let mut ckt = Ckt::with_config(4, cfg);
-    let net = ckt.push_net();
-    ckt.insert_gate(GateKind::H, net, &[2]).unwrap();
-    let report = ckt.update_state().unwrap();
-    assert_eq!(report.snapshot_blocks_resolved, 0, "no auto-publication");
-    assert!(ckt.latest_snapshot().is_none());
-    let snap = ckt.snapshot();
-    assert!(qtask::num::vecops::approx_eq(
-        &snap.state(),
-        &oracle_state(&ckt),
-        1e-12
-    ));
-    assert!(snap.capture_report().blocks_resolved > 0);
-    assert!(ckt.latest_snapshot().is_none(), "one-off, not retained");
-}
