@@ -1009,19 +1009,27 @@ impl Ckt {
         }
         qtask_faults::fault_point!("engine/update_build");
         // Detach the previous snapshot spine *before* execution: blocks
-        // this update will rewrite (spans of dirty non-sync partitions,
+        // this update will rewrite (the blocks dirty partitions write,
         // plus blocks of removed rows) are dropped from the engine's own
         // copy, so when no external reader shares the snapshot, the
         // re-executing tasks can reclaim their buffers and the warm
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
+        let log2_block = self.geom.block_size().trailing_zeros();
         for &pid in &dirty {
             let part = &self.parts[pid.key()];
-            if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
-                continue; // barriers span everything but own nothing
-            }
-            for b in part.spec.block_lo..=part.spec.block_hi {
-                self.snap_dirty.insert(b as usize);
+            let span = part.spec.block_lo..=part.spec.block_hi;
+            match self.rows[part.row.key()].kind {
+                RowKind::Sync => {} // barriers span everything but own nothing
+                RowKind::MxV => self.snap_dirty.extend(span.map(|b| b as usize)),
+                // A linear span can hold blocks its items never touch.
+                RowKind::Linear(op) => {
+                    let pattern = op.pattern(self.circuit.num_qubits());
+                    self.snap_dirty.extend(
+                        span.filter(|&b| pattern.touches_block(u64::from(b), log2_block))
+                            .map(|b| b as usize),
+                    );
+                }
             }
         }
         let (spine, resolve_all) = self.detach_spine();

@@ -64,6 +64,19 @@ impl ItemPattern {
         (low & !self.partner_clear) | self.partner_set
     }
 
+    /// True if some item touches block `b` of `2^log2_block` amplitudes,
+    /// through its low index or its partner. O(1): a block is touched
+    /// when its index bits at or above the block width match the fixed
+    /// (non-free) bits of the low index or of the partner there — every
+    /// bit below the block width can be chosen freely inside the block.
+    #[inline]
+    pub fn touches_block(&self, b: u64, log2_block: u32) -> bool {
+        let fixed_above = !self.free_mask & (u64::MAX << log2_block);
+        let start = b << log2_block;
+        (start ^ self.base) & fixed_above == 0
+            || (start ^ self.partner(self.base)) & fixed_above == 0
+    }
+
     /// Largest state index the item of rank `k` touches.
     #[inline]
     pub fn nth_max_index(&self, k: u64) -> u64 {
@@ -347,6 +360,40 @@ mod tests {
                 .collect();
             let from_iter: Vec<u64> = p.iter_lows(start..end).collect();
             assert_eq!(from_runs, from_iter, "base={base:b} free={free:b}");
+        }
+    }
+
+    #[test]
+    fn touches_block_matches_enumeration() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..300 {
+            let n = rng.random_range(2..=10u8);
+            let universe = (1u64 << n) - 1;
+            let hi_bit = 1u64 << rng.random_range(0..n);
+            let lo_bit = 1u64 << rng.random_range(0..n);
+            let free = rng.random::<u64>() & universe & !hi_bit & !lo_bit;
+            let base = rng.random::<u64>() & universe & !free & !hi_bit;
+            // Diagonal, anti-diagonal or swap: the partner flips fixed bits.
+            let p = match rng.random_range(0..3u32) {
+                0 => pattern(base, free, 0, 0),
+                2 if lo_bit != hi_bit => pattern(base | lo_bit, free, lo_bit, hi_bit),
+                _ => pattern(base, free, 0, hi_bit),
+            };
+            for log2_block in 0..=u32::from(n) {
+                let mut touched = std::collections::BTreeSet::new();
+                for low in p.iter_lows(0..p.num_items()) {
+                    touched.insert(low >> log2_block);
+                    touched.insert(p.partner(low) >> log2_block);
+                }
+                for b in 0..1u64 << (u32::from(n) - log2_block) {
+                    assert_eq!(
+                        p.touches_block(b, log2_block),
+                        touched.contains(&b),
+                        "{p:?}, block {b} of 2^{log2_block}"
+                    );
+                }
+            }
         }
     }
 

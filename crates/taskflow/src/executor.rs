@@ -11,6 +11,17 @@
 //! `Executor::drain`, the only code that publishes jobs from caller
 //! context and waits for the run.
 //!
+//! The calling thread takes part in its own run (work-first, like
+//! Taskflow's `corun`): it keeps one ready job and publishes only the
+//! surplus, and when it completes a node it keeps the first successor
+//! that node released. Once its chain runs dry it takes jobs from the
+//! injector — its own run's or another caller's — and it parks on the
+//! run's done gate only when the injector is empty. A run whose ready set
+//! is never wider than one job therefore executes entirely on the caller:
+//! it touches no queue, wakes no worker and never parks. Workers and
+//! callers share one `execute` body; they differ only in where released
+//! successors go.
+//!
 //! # Safety model
 //!
 //! Jobs are raw pointers into the run's node storage. Four invariants
@@ -19,21 +30,25 @@
 //! 1. **Stability** — run nodes and the run context are individually
 //!    boxed, so their addresses survive growth and moves of the pool
 //!    that owns them.
-//! 2. **Collect, then publish** — `drain` first collects every root of
-//!    the fully wired run into `RunPool::roots` and only then publishes
-//!    that list. From the first published job on, workers own every run
-//!    node: a worker that is already awake (it serves other callers of a
-//!    shared pool) may complete a root and release its successors while
-//!    the caller is still pushing, so a caller that looked at a join
-//!    counter at that point could see a released successor as a root and
-//!    publish it a second time. The caller therefore neither reads nor
-//!    writes a run node after the first push.
+//! 2. **The caller touches a run node only through a job it holds** —
+//!    `drain` first collects every root of the fully wired run into
+//!    `RunPool::roots`, the last time it looks at a join counter, and
+//!    only then starts executing or publishing. From then on a node
+//!    belongs to whichever thread holds a job for it: a worker that is
+//!    already awake (it serves other callers of a shared pool) may
+//!    complete a published root and release its successors at any
+//!    moment, so a caller that looked at a join counter could see a
+//!    released successor as a root and run or publish it a second time.
+//!    Every job is created exactly once — as a collected root, or by the
+//!    `join` decrement that releases it — and consumed exactly once.
 //! 3. **Liveness** — the caller keeps the pool alive until the done-gate
 //!    flag is set, and the flag is set only after the final `pending`
 //!    decrement; every job is consumed exactly once before that
-//!    decrement, so no worker dereferences a node after the run is over.
+//!    decrement, so no thread dereferences a node after the run is over.
 //!    The done gate itself is a separate `Arc` cloned *before* the final
-//!    decrement's signal.
+//!    decrement's signal. The same holds for a job of *another* caller's
+//!    run that a caller picks up from the injector: that run's caller is
+//!    blocked in its own `drain` until the job completed.
 //! 4. **Borrow validity** — the `invoke` closure may borrow the caller's
 //!    environment; `drain` blocks the caller until every task
 //!    completed, so those borrows outlive all uses (the same argument
@@ -268,7 +283,7 @@ struct Inner {
     sleep: SleepCtl,
     shutdown: AtomicBool,
     /// Lifetime count of tasks executed (cancelled nodes included —
-    /// they're still drained through a worker).
+    /// they're still drained through `execute`).
     tasks_run: AtomicU64,
 }
 
@@ -282,6 +297,9 @@ pub struct Executor {
 
 impl Executor {
     /// Creates an executor with `num_threads` workers (at least one).
+    ///
+    /// The thread that calls a run executes its jobs too, so a run on
+    /// `Executor::new(1)` uses two threads: the caller and the worker.
     pub fn new(num_threads: usize) -> Executor {
         let num_threads = num_threads.max(1);
         let deques: Vec<WorkerDeque<Job>> =
@@ -322,7 +340,8 @@ impl Executor {
         Executor::new(crate::default_threads())
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads. A run also executes on the thread that
+    /// called it, so it can use one thread more than this.
     pub fn num_threads(&self) -> usize {
         self.num_threads
     }
@@ -502,32 +521,48 @@ impl Executor {
         panic.map_or(Ok(stats), |p| Err(TaskPanic::new(p)))
     }
 
-    /// The one run path: publishes the roots of the run materialized in
-    /// `pool`, wakes the workers, blocks until the run is drained and
-    /// takes its first panic. Nothing else pushes jobs from caller
-    /// context, and nothing here looks at a run node after the first
-    /// push (module safety model, "collect, then publish").
+    /// The one run path: executes the run materialized in `pool` on the
+    /// calling thread and the workers, returns once it is drained, and
+    /// takes its first panic. The caller keeps one root and publishes
+    /// the rest, follows its chain of released successors, then helps
+    /// with injected work and parks only when there is none (module
+    /// docs). Nothing else pushes jobs from caller context, and nothing
+    /// here looks at a run node except through a job it holds (module
+    /// safety model, rule 2).
     ///
     /// # Panics
-    /// Panics, before anything is published, if a non-empty run has no
+    /// Panics, before anything is executed, if a non-empty run has no
     /// root (in debug builds: any dependency cycle).
     fn drain(&self, pool: &mut RunPool) -> Option<FirstPanic> {
         if pool.len == 0 {
             return None;
         }
         pool.collect_roots();
-        assert!(
-            !pool.roots.is_empty(),
-            "task graph has no root: dependency cycle"
-        );
+        let (&first, rest) = pool
+            .roots
+            .split_first()
+            .expect("task graph has no root: dependency cycle");
         #[cfg(debug_assertions)]
         assert!(pool.is_acyclic(), "task graph has a dependency cycle");
+        let inner = &*self.inner;
         let ctx = pool.ctx.as_ref().expect("RunPool::begin precedes drain");
         let done = Arc::clone(&ctx.done);
-        for &root in &pool.roots {
-            self.inner.injector.push(Job(root, &**ctx));
+        for &root in rest {
+            inner.injector.push(Job(root, &**ctx));
         }
-        wake_workers(&self.inner);
+        if !rest.is_empty() {
+            wake_workers(inner);
+        }
+        let mut held = Some(Job(first, &**ctx));
+        while let Some(job) = held.take() {
+            // SAFETY: a job of this run or, once taken from the injector,
+            // of another caller's run that is still blocked in its own
+            // `drain` (module safety model).
+            unsafe { execute(job, inner, |next| keep_first(inner, &mut held, next)) };
+            if held.is_none() && !*done.lock.lock() {
+                held = steal_injected(inner);
+            }
+        }
         {
             let mut flag = done.lock.lock();
             while !*flag {
@@ -600,13 +635,13 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
         if let Some(job) = find_work(&inner, &local, idx) {
             // SAFETY: job pointers stay valid until their run completes
             // (module safety model).
-            unsafe { execute(job, &inner, &local) };
+            unsafe { execute(job, &inner, |next| enqueue_local(&inner, &local, next)) };
             continue;
         }
         // Slow path: re-scan once against the publication epoch, then park.
         let observed = inner.sleep.epoch.load(Ordering::SeqCst);
         if let Some(job) = find_work(&inner, &local, idx) {
-            unsafe { execute(job, &inner, &local) };
+            unsafe { execute(job, &inner, |next| enqueue_local(&inner, &local, next)) };
             continue;
         }
         let mut guard = inner.sleep.lock.lock();
@@ -621,14 +656,44 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
     }
 }
 
-/// Publishes a job from worker context (local LIFO for cache locality).
+/// A worker's release policy: every released successor goes onto its
+/// local deque (LIFO for cache locality).
 fn enqueue_local(inner: &Inner, local: &WorkerDeque<Job>, job: Job) {
     local.push(job);
     wake_workers(inner);
 }
 
-/// Runs one job. See the module safety model for pointer validity.
-unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>) {
+/// A caller's release policy: it keeps the first released successor in
+/// `held` to run next and publishes the rest through the injector.
+fn keep_first(inner: &Inner, held: &mut Option<Job>, job: Job) {
+    if held.is_none() {
+        *held = Some(job);
+    } else {
+        inner.injector.push(job);
+        wake_workers(inner);
+    }
+}
+
+/// Takes one job from the injector, if it holds any.
+fn steal_injected(inner: &Inner) -> Option<Job> {
+    loop {
+        match inner.injector.steal() {
+            Steal::Success(job) => return Some(job),
+            Steal::Retry => continue,
+            Steal::Empty => return None,
+        }
+    }
+}
+
+/// Runs one job and hands every successor it releases to `release` —
+/// the one body workers and callers share.
+///
+/// # Safety
+/// `job` must have been created exactly once, as a collected root or by
+/// the `join` decrement that released it, and not executed before; its
+/// run's pool must still be alive, which holds while that run's caller
+/// waits in `drain` (module safety model).
+unsafe fn execute(job: Job, inner: &Inner, mut release: impl FnMut(Job)) {
     let node = unsafe { &*job.0 };
     let ctx = unsafe { &*job.1 };
     inner.tasks_run.fetch_add(1, Ordering::Relaxed);
@@ -659,7 +724,7 @@ unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>) {
     for &s in &node.succs {
         let succ = unsafe { &*s };
         if succ.join.fetch_sub(1, Ordering::AcqRel) == 1 {
-            enqueue_local(inner, local, Job(s, job.1));
+            release(Job(s, job.1));
         }
     }
     // Clone the gate *before* the final decrement so the signal never
@@ -808,7 +873,8 @@ mod tests {
 
     #[test]
     fn single_thread_executor_works() {
-        // One worker drains a whole fan and its gated successor alone.
+        // One worker and the caller drain a whole fan and its gated
+        // successor.
         let ex = Executor::new(1);
         let chunks = AtomicUsize::new(0);
         let count = AtomicUsize::new(0);

@@ -18,7 +18,10 @@
 //! closures ([`Executor::run`]) goes through the same run path with one
 //! node per closure. Runs are executed by a persistent pool of workers
 //! with crossbeam-deque work stealing and condition-variable parking —
-//! the "work-stealing runtime" of the paper's reference 47.
+//! the "work-stealing runtime" of the paper's reference 47 — and by the
+//! thread that called the run, which executes ready work of its own run
+//! until it is done (Taskflow's `corun`). A run that is never more than
+//! one job wide runs on the caller alone, without waking a worker.
 //!
 //! # Example
 //! ```

@@ -9,8 +9,8 @@
 //!   bit-identical to a from-scratch re-simulation of the surviving
 //!   circuit (and ≈ the gate-at-a-time naive oracle).
 //!
-//! No hangs, no torn reads: worker-task panics are contained by the
-//! executor, and snapshots published before the fault keep reading the
+//! No hangs, no torn reads: task panics, on a worker or on the calling
+//! thread, are contained by the executor, and snapshots published before the fault keep reading the
 //! old consistent version.
 
 #![cfg(feature = "faults")]
@@ -20,7 +20,7 @@ use qtask_faults::{self as faults, FaultKind, FaultPlan};
 use qtask_partition::kernels;
 use rand::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The fault registry is process-global; chaos tests must not overlap.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -352,11 +352,12 @@ fn seeded_poisoning_recovers_to_oracle() {
 
 /// A fault inside a multi-block MxV partition — after part of its span
 /// (or of its row) is already published — still ends in a typed error,
-/// and recovery is bit-identical to a fresh simulation. One pool thread
-/// makes the hit order deterministic: the first partition to run
-/// allocates and publishes its 4 blocks as hits 1–4, so hit 2 of the
-/// per-block probes lands mid-span, and hit 2 of `exec/mxv_task` starts
-/// the second partition after the first published its whole span.
+/// and recovery is bit-identical to a fresh simulation. With one pool
+/// worker the run executes on two threads, the caller and the worker,
+/// so hit 2 of the per-block probes lands mid-span of the first
+/// partition or at the start of a second one running beside it, and hit
+/// 2 of `exec/mxv_task` starts a second partition while the first is
+/// publishing its span — either way part of the row is already out.
 #[test]
 fn mxv_fault_mid_span_recovers_bit_identical() {
     let _guard = chaos_guard();
@@ -383,6 +384,56 @@ fn mxv_fault_mid_span_recovers_bit_identical() {
         assert_fully_poisoned(&mut ckt, &ctx);
         assert_recovered_matches_oracles(&mut ckt, &ctx);
     }
+}
+
+/// A tail edit whose dirty set is one single-chunk partition runs on the
+/// thread that called `update_state`, so a task panic there is raised on
+/// the caller, not on a worker. It is contained all the same: the update
+/// returns Poisoned, and recovery is bit-identical to a fresh simulation
+/// and ≈ the naive oracle.
+#[test]
+fn caller_thread_task_panic_recovers_bit_identical() {
+    let _guard = chaos_guard();
+    let mut ckt = fresh_engine(NARROW);
+    let a = ckt.push_net();
+    for q in 0..NARROW {
+        ckt.insert_gate(GateKind::H, a, &[q]).unwrap();
+    }
+    ckt.update_state().unwrap();
+    // The tail Ccz touches only indices with bits 2-4 set: one block.
+    let tail = ckt.push_net();
+    let ccz = ckt.insert_gate(GateKind::Ccz, tail, &[3, 4, 2]).unwrap();
+    let report = ckt.update_state().unwrap();
+    assert_eq!(report.tasks_executed, 1, "the tail edit must be one task");
+    ckt.remove_gate(ccz).unwrap();
+    ckt.update_state().unwrap();
+    ckt.insert_gate(GateKind::Ccz, tail, &[3, 4, 2]).unwrap();
+
+    // Record which thread raises the injected panic.
+    let raised_on = Arc::new(Mutex::new(Vec::new()));
+    let record = Arc::clone(&raised_on);
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.to_string().contains("fault point 'taskflow/task'") {
+            record.lock().unwrap().push(std::thread::current().id());
+        }
+        default_hook(info);
+    }));
+    faults::arm(FaultPlan::first("taskflow/task", FaultKind::Panic));
+    let result = ckt.update_state();
+    let summary = faults::disarm();
+    drop(std::panic::take_hook());
+
+    assert!(summary.fired, "taskflow/task was never reached");
+    let err = result.unwrap_err();
+    assert!(err.is_poisoned(), "wanted Poisoned, got {err:?}");
+    assert_eq!(
+        *raised_on.lock().unwrap(),
+        vec![std::thread::current().id()],
+        "the panic must be raised once, on the calling thread"
+    );
+    assert_fully_poisoned(&mut ckt, "caller-thread task panic");
+    assert_recovered_matches_oracles(&mut ckt, "caller-thread task panic");
 }
 
 /// No torn reads: a snapshot published before the fault keeps serving

@@ -7,8 +7,10 @@
 //! tolerance, so every publication also exercises the drift/scale path
 //! the views must re-weight by.
 
+use qtask::core::{BlockDelta, SnapshotObserver};
 use qtask::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
 
 const EPS: f64 = 1e-9;
 
@@ -252,4 +254,99 @@ fn views_match_oracle_at_every_version_through_edit_storm() {
             report.full_refreshes
         );
     }
+}
+
+/// Records every delta the engine publishes.
+#[derive(Default)]
+struct DeltaLog(Mutex<Vec<BlockDelta>>);
+
+impl SnapshotObserver for DeltaLog {
+    fn on_publish(&self, _snap: &StateSnapshot, delta: &BlockDelta) {
+        self.0.lock().unwrap().push(delta.clone());
+    }
+}
+
+/// A sparse linear row's delta names exactly the blocks the row writes,
+/// not its partitions' whole spans. At 12 qubits and 16-amplitude blocks
+/// the grain is 512 items, so the two partitions of a CX whose control
+/// (qubit 5) is bit 1 of the block index span 252 blocks, of which the
+/// row writes only the 128 with that bit set. The views patched from that
+/// delta still match the oracle.
+#[test]
+fn sparse_linear_row_delta_names_only_written_blocks() {
+    const N: u8 = 12;
+    let mut cfg = SimConfig::with_block_size(16);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(N, cfg);
+    assert!(ckt.geometry().grain() > ckt.geometry().block_size());
+    let log = Arc::new(DeltaLog::default());
+    ckt.attach_observer(log.clone());
+    let registry = ViewRegistry::new();
+    registry.attach(&mut ckt);
+    let norm = registry.register(Box::new(NormView::new()));
+    let marginal = registry.register(Box::new(ProbabilityView::marginal(vec![0, 5])));
+    let pauli = registry.register(Box::new(ExpectationView::pauli(0b1, 0b10_0000)));
+
+    // A state with no symmetry the CX could hide behind.
+    let first = ckt.push_net();
+    for q in 0..N {
+        ckt.insert_gate(GateKind::Ry(0.3 + 0.17 * f64::from(q)), first, &[q])
+            .unwrap();
+    }
+    ckt.update_state().unwrap();
+    let rows_before: Vec<String> = ckt.debug_rows().into_iter().map(|(l, _)| l).collect();
+
+    let tail = ckt.push_net();
+    ckt.insert_gate(GateKind::Cx, tail, &[5, 0]).unwrap();
+    ckt.update_state().unwrap();
+
+    let (label, owned) = ckt
+        .debug_rows()
+        .into_iter()
+        .find(|(l, _)| !rows_before.contains(l))
+        .expect("the CX row");
+    let want: Vec<usize> = (0..ckt.geometry().num_blocks())
+        .filter(|b| b & 0b10 != 0)
+        .collect();
+    assert_eq!(
+        owned, want,
+        "the CX writes the blocks with its control bit set"
+    );
+    let spanned: u32 = ckt
+        .debug_partitions()
+        .iter()
+        .filter(|p| p.0 == label)
+        .map(|p| p.2 - p.1 + 1)
+        .sum();
+    assert_eq!(
+        spanned, 252,
+        "the spans must cover blocks the row never writes"
+    );
+    let delta = log.0.lock().unwrap().last().cloned().expect("a delta");
+    assert!(!delta.full);
+    assert_eq!(delta.dirty, owned, "delta names exactly the written blocks");
+
+    let snap = ckt.latest_snapshot().unwrap();
+    let probs = snap.probabilities();
+    let mut dist = vec![0.0; 4];
+    for (m, p) in probs.iter().enumerate() {
+        dist[(m & 1) | ((m >> 5) & 1) << 1] += p;
+    }
+    for (handle, want, label) in [
+        (&norm, ViewValue::Scalar(snap.norm_sqr()), "norm"),
+        (&marginal, ViewValue::Vector(dist), "marginal[0,5]"),
+        (
+            &pauli,
+            ViewValue::Scalar(oracle_pauli(&snap, 0b1, 0b10_0000)),
+            "pauli[x=1,z=32]",
+        ),
+    ] {
+        let reading = handle.reading().expect("a reading");
+        assert_eq!(reading.version, snap.version(), "{label} is stale");
+        assert_values_close(&reading.value, &want, label);
+    }
+    assert!(
+        registry.report().patches > 0,
+        "the views were patched, not rebuilt"
+    );
 }
