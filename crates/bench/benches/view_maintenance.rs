@@ -12,7 +12,8 @@
 //! *independent of depth*. A recording observer captures the published
 //! `(snapshot, delta)` pair once; the measurement then times
 //! [`View::patch`] against that pair (idempotent: partials are
-//! recomputed from the snapshot) vs a from-scratch [`View::refresh`].
+//! recomputed from the snapshot and the delta's block norms) vs a
+//! from-scratch [`View::refresh`].
 //!
 //! Emits `BENCH_views.json` at the workspace root: per depth, the
 //! median patch and re-query microseconds plus their ratio. The

@@ -19,6 +19,27 @@
 //! any block.
 
 use crate::snapshot::StateSnapshot;
+use qtask_num::Complex64;
+
+/// Squared norm of one block's raw amplitudes, summed in index order
+/// (`None` = the implicit |0…0⟩ block: 1.0 for block 0, else 0.0).
+///
+/// The one block-norm pass: the engine computes it for its norm check
+/// and ships it in [`BlockDelta::norms`], and views that need a block's
+/// whole-block mass recompute it with this same function on refresh, so
+/// patched and refreshed partials are `==`, not merely close.
+pub fn block_norm_sqr(b: usize, raw: Option<&[Complex64]>) -> f64 {
+    match raw {
+        Some(d) => d.iter().fold(0.0, |acc, z| acc + z.norm_sqr()),
+        None => {
+            if b == 0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
 
 /// The write set of one snapshot publication, in block granularity.
 #[derive(Clone, Debug)]
@@ -32,6 +53,11 @@ pub struct BlockDelta {
     /// blocks surrendered by removed rows. Empty when `full` is set, and
     /// also for a publication that only changed the scale.
     pub dirty: Vec<usize>,
+    /// `norms[i]` is the unscaled squared norm ([`block_norm_sqr`]) of
+    /// block `dirty[i]` in the new version — the value the engine's norm
+    /// check already computed, so consumers need not rescan a block for
+    /// its total mass. Parallel to `dirty`; empty when `full` is set.
+    pub norms: Vec<f64>,
     /// True when no previous spine existed and every block was resolved
     /// from scratch (first publication, or one following a recovery):
     /// consumers must rebuild, not patch.
@@ -43,6 +69,18 @@ pub struct BlockDelta {
 }
 
 impl BlockDelta {
+    /// `(block, norm)` for every dirty block, ascending. Panics when
+    /// `norms` is not parallel to `dirty` (a hand-built delta missing
+    /// them) rather than patching with a stale block mass.
+    pub fn dirty_norms(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        assert_eq!(
+            self.norms.len(),
+            self.dirty.len(),
+            "BlockDelta::norms must parallel dirty"
+        );
+        self.dirty.iter().copied().zip(self.norms.iter().copied())
+    }
+
     /// The delta announcing a from-scratch rebuild of `snap` (used after
     /// [`crate::Ckt::recover`], whose publication supersedes every prior
     /// version).
@@ -51,6 +89,7 @@ impl BlockDelta {
             version: snap.version(),
             prev_version: 0,
             dirty: Vec::new(),
+            norms: Vec::new(),
             full: true,
             scale: snap.scale(),
             prev_scale: 1.0,

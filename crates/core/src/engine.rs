@@ -2,7 +2,7 @@
 
 use crate::config::{NumericalPolicy, RowOrderPolicy, SimConfig};
 use crate::cow::{BlockData, RowVector};
-use crate::delta::{BlockDelta, SnapshotObserver};
+use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
 use crate::exec::{self, ExecView};
 use crate::owners::{OwnerIndex, ResolveStats};
@@ -1230,13 +1230,15 @@ impl Ckt {
         drop(resolve_span);
         // The write set becomes this publication's delta — captured
         // before the dirty set is cleared, skipped (no allocation) when
-        // nobody listens.
-        let delta_dirty = if self.observers.is_empty() || resolve_all {
-            Vec::new()
+        // nobody listens — together with the block norms just computed,
+        // so observers read no amplitude for a block's total mass.
+        let (delta_dirty, delta_norms) = if self.observers.is_empty() || resolve_all {
+            (Vec::new(), Vec::new())
         } else {
             let mut d: Vec<usize> = self.snap_dirty.iter().copied().collect();
             d.sort_unstable();
-            d
+            let norms = d.iter().map(|&b| self.block_norms[b]).collect();
+            (d, norms)
         };
         self.snap_dirty.clear();
         let total: f64 = self.block_norms.iter().sum();
@@ -1290,6 +1292,7 @@ impl Ckt {
                 version: snap.version(),
                 prev_version,
                 dirty: delta_dirty,
+                norms: delta_norms,
                 full: resolve_all,
                 scale: self.renorm_scale,
                 prev_scale,
@@ -1356,16 +1359,7 @@ impl Ckt {
 /// Squared norm of one resolved block (`None` = the implicit |0…0⟩
 /// initial block).
 fn block_norm(b: usize, slot: &Option<BlockData>) -> f64 {
-    match slot {
-        Some(d) => d.iter().map(|z| z.norm_sqr()).sum(),
-        None => {
-            if b == 0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
+    block_norm_sqr(b, slot.as_deref().map(Vec::as_slice))
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod test_support;
 pub mod txn;
 
 pub use config::{NumericalPolicy, RowOrderPolicy, SimConfig};
-pub use delta::{BlockDelta, SnapshotObserver};
+pub use delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 pub use engine::{Ckt, RecoveryReport, UpdateReport};
 pub use error::{EngineError, InvariantViolation};
 pub use owners::OwnerIndex;

@@ -115,6 +115,9 @@ impl OwnerIndex {
     /// The owner of block `b` with the greatest label strictly below
     /// `limit`, or `None` when no earlier owner exists. Probe counts
     /// (binary-search steps + the candidate fetch) are added to `stats`.
+    /// `limit == u64::MAX` ("after every row", the final-state reader)
+    /// is answered by the list's last entry in one probe: labels are
+    /// below `u64::MAX`, so the search would land there anyway.
     pub fn last_before(
         &self,
         b: usize,
@@ -123,6 +126,10 @@ impl OwnerIndex {
         stats: &ResolveStats,
     ) -> Option<RowId> {
         let list = self.blocks[b].lock();
+        if limit == u64::MAX {
+            stats.owner_probes.fetch_add(1, Ordering::Relaxed);
+            return list.last().copied();
+        }
         let pos = list.partition_point(|&r| label_of(r) < limit);
         stats.owner_probes.fetch_add(
             (usize::BITS - list.len().leading_zeros()) as u64 + 1,
@@ -178,5 +185,70 @@ impl OwnerIndex {
     /// True if no block has any owner.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qtask_util::arena::Key;
+    use rand::prelude::*;
+
+    fn row(i: u64) -> RowId {
+        RowId(Key::from_bits(i))
+    }
+
+    #[test]
+    fn final_reader_takes_last_owner_and_matches_binary_search() {
+        let mut rng = StdRng::seed_from_u64(0x0_7e25);
+        let mut reclaimed_last = 0;
+        for case in 0..500 {
+            // Row i has a random, strictly increasing label.
+            let rows = rng.random_range(1..64u64);
+            let mut labels = Vec::with_capacity(rows as usize);
+            let mut label = 0u64;
+            for _ in 0..rows {
+                label += rng.random_range(1..1u64 << 20);
+                labels.push(label);
+            }
+            let label_of = |r: RowId| labels[r.key().to_bits() as usize];
+            let index = OwnerIndex::new(1);
+            // Insert a random subset of the rows, in random order.
+            let mut owners: Vec<u64> = (0..rows).filter(|_| rng.random_bool(0.6)).collect();
+            owners.shuffle(&mut rng);
+            for &i in &owners {
+                index.add(0, row(i), label_of);
+            }
+            // Reclaim a random subset of buffers; every few cases the
+            // last owner's, so the retry must fall back to an earlier one.
+            let last = owners.iter().copied().max();
+            let reclaimed: Vec<u64> = owners
+                .iter()
+                .copied()
+                .filter(|&i| (case % 4 == 0 && Some(i) == last) || rng.random_bool(0.2))
+                .collect();
+            if last.is_some_and(|l| reclaimed.contains(&l)) {
+                reclaimed_last += 1;
+            }
+            let fetch = |r: RowId| {
+                let i = r.key().to_bits();
+                (!reclaimed.contains(&i))
+                    .then(|| BlockData::new(vec![qtask_num::c64(i as f64, 0.0)]))
+            };
+            let fast = ResolveStats::default();
+            let got = index.resolve_before(0, u64::MAX, label_of, fetch, &fast);
+            // Every label is below `u64::MAX - 1`, so this limit takes the
+            // binary search and must find the same owner.
+            let slow = ResolveStats::default();
+            let want = index.resolve_before(0, u64::MAX - 1, label_of, fetch, &slow);
+            assert_eq!(got, want, "case {case}");
+            if last.is_some_and(|l| !reclaimed.contains(&l)) {
+                assert_eq!(fast.snapshot(), (1, 1), "case {case}: one probe");
+            }
+        }
+        assert!(
+            reclaimed_last > 100,
+            "stale last owner exercised {reclaimed_last}x"
+        );
     }
 }

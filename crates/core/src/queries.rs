@@ -29,8 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub struct QueryReport {
     /// COW block resolutions the query performed.
     pub blocks_resolved: u64,
-    /// Owner probes those resolutions cost: binary-search steps over the
-    /// owner index.
+    /// Owner probes those resolutions cost: one per final-state lookup,
+    /// plus binary-search steps when a stale last owner forces a retry.
     pub owner_probes: u64,
 }
 
@@ -54,10 +54,10 @@ pub struct MemStats {
 impl Ckt {
     /// Resolves block `b` of the final state against `stats` counters:
     /// the last owner of `b` in row order, or `None` for the implicit
-    /// initial state — O(log owners) through the owner index (a reader
-    /// "after every row"). Shared by the live queries (which count into
-    /// the engine's stats) and snapshot capture (which counts into its
-    /// own).
+    /// initial state — the last entry of the owner index's list, one
+    /// probe (a reader "after every row"). Shared by the live queries
+    /// (which count into the engine's stats) and snapshot capture (which
+    /// counts into its own).
     pub(crate) fn resolve_final_data(&self, b: usize, stats: &ResolveStats) -> Option<BlockData> {
         let label_of = |r: crate::row::RowId| {
             self.rows

@@ -19,7 +19,7 @@
 //!   cynos's Min/Max re-scan rule.
 
 use crate::value::{PatchStats, ViewValue};
-use qtask_core::{BlockDelta, StateSnapshot};
+use qtask_core::{block_norm_sqr, BlockDelta, StateSnapshot};
 use qtask_num::{c64, Complex64};
 use std::sync::Arc;
 
@@ -62,20 +62,6 @@ fn raw_amp(snap: &StateSnapshot, idx: usize) -> Complex64 {
     }
 }
 
-/// Unscaled squared norm of block `b` (`None` = implicit |0…0⟩ block).
-fn block_norm_partial(snap: &StateSnapshot, b: usize) -> f64 {
-    match snap.raw_block(b) {
-        Some(d) => d.iter().map(|z| z.norm_sqr()).sum(),
-        None => {
-            if b == 0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
 // ---- NormView -----------------------------------------------------------
 
 /// Maintains Σ|ψ|² — the snapshot's [`StateSnapshot::norm_sqr`] as a
@@ -93,6 +79,11 @@ impl NormView {
             total: 0.0,
             scale: 1.0,
         }
+    }
+
+    /// The unscaled per-block partials, one per block.
+    pub fn partials(&self) -> &[f64] {
+        &self.partials
     }
 }
 
@@ -113,17 +104,17 @@ impl View for NormView {
         self.partials.resize(nb, 0.0);
         self.total = 0.0;
         for b in 0..nb {
-            let p = block_norm_partial(snap, b);
+            let p = block_norm_sqr(b, snap.raw_block(b));
             self.partials[b] = p;
             self.total += p;
         }
         self.scale = snap.scale();
     }
 
-    fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
-        for &b in &delta.dirty {
+    fn patch(&mut self, _snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
+        // The engine already normed every dirty block: no amplitude read.
+        for (b, p) in delta.dirty_norms() {
             self.total -= self.partials[b];
-            let p = block_norm_partial(snap, b);
             self.partials[b] = p;
             self.total += p;
         }
@@ -143,14 +134,99 @@ impl View for NormView {
 enum ProbKind {
     /// One basis state's probability.
     Basis(usize),
-    /// Marginal distribution over a qubit subset (output bit k of the
-    /// distribution index is qubit `qubits[k]` of the basis state).
-    Marginal(Vec<u8>),
+    /// Marginal distribution over a qubit subset.
+    Marginal(Marginal),
+}
+
+/// A marginal over `qubits` (output bit k of the distribution index is
+/// qubit `qubits[k]` of the basis state), with its bin index split at
+/// the block width: qubits above it select one bin per block, qubits
+/// inside it spread a block's amplitudes over bins through `lo_bin`.
+struct Marginal {
+    qubits: Vec<u8>,
+    /// Block size the split was made for (0 = not split yet).
+    block_size: usize,
+    /// `(block-index bit, output bit)` of every above-block qubit.
+    hi: Vec<(u32, u32)>,
+    /// `lo_bin[off]` = in-block part of the bin index of offset `off`;
+    /// empty when no marginal qubit lies inside the block, i.e. every
+    /// block lands in one bin.
+    lo_bin: Vec<usize>,
+}
+
+impl Marginal {
+    /// Splits the qubits at `block_size` (a power of two); a no-op when
+    /// already split for it.
+    fn split(&mut self, block_size: usize) {
+        if self.block_size == block_size {
+            return;
+        }
+        let log2_block = block_size.trailing_zeros();
+        let (hi, lo): (Vec<_>, Vec<_>) = (0u32..)
+            .zip(&self.qubits)
+            .map(|(k, &q)| (u32::from(q), k))
+            .partition(|&(q, _)| q >= log2_block);
+        self.hi = hi.into_iter().map(|(q, k)| (q - log2_block, k)).collect();
+        self.lo_bin = if lo.is_empty() {
+            Vec::new()
+        } else {
+            (0..block_size)
+                .map(|off| lo.iter().map(|&(q, k)| ((off >> q) & 1) << k).sum())
+                .collect()
+        };
+        self.block_size = block_size;
+    }
+
+    /// The above-block part of block `b`'s bin indices.
+    fn hi_bin(&self, b: usize) -> usize {
+        self.hi.iter().map(|&(bit, k)| ((b >> bit) & 1) << k).sum()
+    }
+
+    /// Block `b`'s histogram into the zeroed `out`. `norm` yields the
+    /// block's squared norm and is only called when the whole block
+    /// lands in one bin.
+    fn partial(&self, snap: &StateSnapshot, b: usize, norm: impl FnOnce() -> f64, out: &mut [f64]) {
+        let hi = self.hi_bin(b);
+        if self.lo_bin.is_empty() {
+            out[hi] = norm();
+            return;
+        }
+        match snap.raw_block(b) {
+            Some(d) => {
+                for (z, &lo) in d.iter().zip(&self.lo_bin) {
+                    out[hi | lo] += z.norm_sqr();
+                }
+            }
+            None => {
+                // Implicit |0…0⟩: basis state 0 lands in bin 0.
+                if b == 0 {
+                    out[0] += 1.0;
+                }
+            }
+        }
+    }
+}
+
+impl ProbKind {
+    /// Block `b`'s partial into `out`; `norm` as in [`Marginal::partial`].
+    fn partial(&self, snap: &StateSnapshot, b: usize, norm: impl FnOnce() -> f64, out: &mut [f64]) {
+        out.fill(0.0);
+        match self {
+            ProbKind::Basis(idx) => {
+                if snap.geometry().block_of(*idx) == b {
+                    out[0] = raw_amp(snap, *idx).norm_sqr();
+                }
+            }
+            ProbKind::Marginal(m) => m.partial(snap, b, norm, out),
+        }
+    }
 }
 
 /// Maintains basis-state or marginal probabilities. Per-block partials
 /// are a `dims`-long histogram (dims = 1 for basis, 2^k for a k-qubit
-/// marginal), so a patch costs O(|Δ∩B| · block) regardless of depth.
+/// marginal). A patch costs O(|Δ∩B| · block) when a marginal qubit lies
+/// inside the block and O(|Δ∩B| · dims) otherwise (the block's mass
+/// comes from [`BlockDelta::norms`]), regardless of depth.
 pub struct ProbabilityView {
     kind: ProbKind,
     dims: usize,
@@ -161,42 +237,13 @@ pub struct ProbabilityView {
     label: String,
 }
 
-fn marginal_index(j: usize, qubits: &[u8]) -> usize {
-    qubits
-        .iter()
-        .enumerate()
-        .map(|(k, &q)| ((j >> q) & 1) << k)
-        .sum()
-}
-
-fn prob_partial(kind: &ProbKind, snap: &StateSnapshot, b: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    let geom = snap.geometry();
-    match kind {
-        ProbKind::Basis(idx) => {
-            if geom.block_of(*idx) == b {
-                out[0] = raw_amp(snap, *idx).norm_sqr();
-            }
-        }
-        ProbKind::Marginal(qubits) => {
-            let bs = geom.block_size();
-            match snap.raw_block(b) {
-                Some(d) => {
-                    for (off, z) in d.iter().enumerate() {
-                        out[marginal_index(b * bs + off, qubits)] += z.norm_sqr();
-                    }
-                }
-                None => {
-                    if b == 0 {
-                        out[marginal_index(0, qubits)] += 1.0;
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl ProbabilityView {
+    /// The unscaled per-block partial histograms, `num_blocks × dims`
+    /// row-major by block.
+    pub fn partials(&self) -> &[f64] {
+        &self.partials
+    }
+
     /// The probability of one basis state (a scalar view).
     pub fn basis(idx: usize) -> ProbabilityView {
         ProbabilityView {
@@ -215,7 +262,12 @@ impl ProbabilityView {
         ProbabilityView {
             label: format!("marginal{qubits:?}"),
             dims: 1 << qubits.len(),
-            kind: ProbKind::Marginal(qubits),
+            kind: ProbKind::Marginal(Marginal {
+                qubits,
+                block_size: 0,
+                hi: Vec::new(),
+                lo_bin: Vec::new(),
+            }),
             partials: Vec::new(),
             totals: Vec::new(),
             scale: 1.0,
@@ -229,14 +281,19 @@ impl View for ProbabilityView {
     }
 
     fn refresh(&mut self, snap: &StateSnapshot) {
-        let nb = snap.geometry().num_blocks();
+        let geom = snap.geometry();
+        if let ProbKind::Marginal(m) = &mut self.kind {
+            m.split(geom.block_size());
+        }
+        let nb = geom.num_blocks();
         self.partials.clear();
         self.partials.resize(nb * self.dims, 0.0);
         self.totals.clear();
         self.totals.resize(self.dims, 0.0);
         for b in 0..nb {
             let row = &mut self.partials[b * self.dims..(b + 1) * self.dims];
-            prob_partial(&self.kind, snap, b, row);
+            self.kind
+                .partial(snap, b, || block_norm_sqr(b, snap.raw_block(b)), row);
             for (t, v) in self.totals.iter_mut().zip(row.iter()) {
                 *t += v;
             }
@@ -245,12 +302,12 @@ impl View for ProbabilityView {
     }
 
     fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
-        for &b in &delta.dirty {
+        for (b, norm) in delta.dirty_norms() {
             let row = &mut self.partials[b * self.dims..(b + 1) * self.dims];
             for (t, v) in self.totals.iter_mut().zip(row.iter()) {
                 *t -= v;
             }
-            prob_partial(&self.kind, snap, b, row);
+            self.kind.partial(snap, b, || norm, row);
             for (t, v) in self.totals.iter_mut().zip(row.iter()) {
                 *t += v;
             }
@@ -295,6 +352,8 @@ enum ObsKind {
 pub struct ExpectationView {
     kind: ObsKind,
     partials: Vec<Complex64>,
+    /// Reused buffer for a Pauli patch's widened, deduplicated block set.
+    rescan: Vec<usize>,
     total: Complex64,
     scale: f64,
     label: String,
@@ -361,6 +420,7 @@ impl ExpectationView {
         ExpectationView {
             kind: ObsKind::Diagonal(Arc::new(weight)),
             partials: Vec::new(),
+            rescan: Vec::new(),
             total: Complex64::ZERO,
             scale: 1.0,
             label: label.into(),
@@ -386,6 +446,7 @@ impl ExpectationView {
                 phase,
             },
             partials: Vec::new(),
+            rescan: Vec::new(),
             total: Complex64::ZERO,
             scale: 1.0,
         }
@@ -413,26 +474,29 @@ impl View for ExpectationView {
     fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
         // Support closure: block b's partial reads block b ^ xhi (the
         // Pauli pairing partner), so a dirty partner invalidates b too.
-        let mut rescan: Vec<usize> = match &self.kind {
-            ObsKind::Diagonal(_) => delta.dirty.clone(),
+        let mut rescan = std::mem::take(&mut self.rescan);
+        let blocks: &[usize] = match &self.kind {
+            ObsKind::Diagonal(_) => &delta.dirty,
             ObsKind::Pauli { xmask, .. } => {
                 let bs = snap.geometry().block_size();
                 let xhi = xmask >> bs.trailing_zeros();
-                delta.dirty.iter().flat_map(|&b| [b, b ^ xhi]).collect()
+                rescan.clear();
+                rescan.extend(delta.dirty.iter().flat_map(|&b| [b, b ^ xhi]));
+                rescan.sort_unstable();
+                rescan.dedup();
+                &rescan
             }
         };
-        rescan.sort_unstable();
-        rescan.dedup();
-        for &b in &rescan {
+        for &b in blocks {
             self.total -= self.partials[b];
             let p = expectation_partial(&self.kind, snap, b);
             self.partials[b] = p;
             self.total += p;
         }
+        let blocks_scanned = blocks.len();
+        self.rescan = rescan;
         self.scale = delta.scale;
-        PatchStats {
-            blocks_scanned: rescan.len(),
-        }
+        PatchStats { blocks_scanned }
     }
 
     fn value(&self) -> ViewValue {

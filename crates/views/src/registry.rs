@@ -151,17 +151,7 @@ impl ViewRegistry {
     /// (which full-refreshes it — version 0 never matches a delta); use
     /// [`ViewRegistry::register_on`] to prime it immediately.
     pub fn register(&self, view: Box<dyn View>) -> ViewHandle {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.slots.lock().push(Slot {
-            id,
-            view,
-            last_version: 0,
-        });
-        qtask_obs::gauge!("views.registered").set(self.inner.slots.lock().len() as i64);
-        ViewHandle {
-            inner: Arc::clone(&self.inner),
-            id,
-        }
+        self.push_slot(view, 0)
     }
 
     /// Registers a view and primes it from `ckt`'s latest snapshot, so
@@ -180,6 +170,13 @@ impl ViewRegistry {
             qtask_obs::counter!("views.full_refreshes").inc();
             qtask_obs::counter!("views.blocks_rescanned").add(scanned);
         }
+        self.push_slot(view, last_version)
+    }
+
+    /// Appends a slot and sets the `views.registered` gauge under the
+    /// same lock, so concurrent registrations cannot publish a stale
+    /// count.
+    fn push_slot(&self, view: Box<dyn View>, last_version: u64) -> ViewHandle {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.inner.slots.lock();
         slots.push(Slot {
@@ -187,9 +184,7 @@ impl ViewRegistry {
             view,
             last_version,
         });
-        let registered = slots.len() as i64;
-        drop(slots);
-        qtask_obs::gauge!("views.registered").set(registered);
+        qtask_obs::gauge!("views.registered").set(slots.len() as i64);
         ViewHandle {
             inner: Arc::clone(&self.inner),
             id,

@@ -7,7 +7,7 @@
 //! tolerance, so every publication also exercises the drift/scale path
 //! the views must re-weight by.
 
-use qtask::core::{BlockDelta, SnapshotObserver};
+use qtask::core::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use qtask::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -256,13 +256,13 @@ fn views_match_oracle_at_every_version_through_edit_storm() {
     }
 }
 
-/// Records every delta the engine publishes.
+/// Records every `(snapshot, delta)` pair the engine publishes.
 #[derive(Default)]
-struct DeltaLog(Mutex<Vec<BlockDelta>>);
+struct Publications(Mutex<Vec<(StateSnapshot, BlockDelta)>>);
 
-impl SnapshotObserver for DeltaLog {
-    fn on_publish(&self, _snap: &StateSnapshot, delta: &BlockDelta) {
-        self.0.lock().unwrap().push(delta.clone());
+impl SnapshotObserver for Publications {
+    fn on_publish(&self, snap: &StateSnapshot, delta: &BlockDelta) {
+        self.0.lock().unwrap().push((snap.clone(), delta.clone()));
     }
 }
 
@@ -279,7 +279,7 @@ fn sparse_linear_row_delta_names_only_written_blocks() {
     cfg.num_threads = 2;
     let mut ckt = Ckt::with_config(N, cfg);
     assert!(ckt.geometry().grain() > ckt.geometry().block_size());
-    let log = Arc::new(DeltaLog::default());
+    let log = Arc::new(Publications::default());
     ckt.attach_observer(log.clone());
     let registry = ViewRegistry::new();
     registry.attach(&mut ckt);
@@ -322,7 +322,7 @@ fn sparse_linear_row_delta_names_only_written_blocks() {
         spanned, 252,
         "the spans must cover blocks the row never writes"
     );
-    let delta = log.0.lock().unwrap().last().cloned().expect("a delta");
+    let (_, delta) = log.0.lock().unwrap().pop().expect("a delta");
     assert!(!delta.full);
     assert_eq!(delta.dirty, owned, "delta names exactly the written blocks");
 
@@ -349,4 +349,127 @@ fn sparse_linear_row_delta_names_only_written_blocks() {
         registry.report().patches > 0,
         "the views were patched, not rebuilt"
     );
+}
+
+/// Where a marginal's qubits sit relative to the block width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Shape {
+    AboveBlock,
+    InBlock,
+    Straddling,
+}
+
+fn shape(qubits: &[u8], block_size: usize) -> Shape {
+    let log2_block = block_size.trailing_zeros();
+    let inside = qubits
+        .iter()
+        .filter(|&&q| u32::from(q) < log2_block)
+        .count();
+    match inside {
+        0 => Shape::AboveBlock,
+        n if n == qubits.len() => Shape::InBlock,
+        _ => Shape::Straddling,
+    }
+}
+
+/// A marginal's per-block partials computed the direct way: every
+/// amplitude's bin from its full basis index, added in index order.
+fn reference_marginal_partials(snap: &StateSnapshot, qubits: &[u8]) -> Vec<f64> {
+    let geom = snap.geometry();
+    let (bs, dims) = (geom.block_size(), 1usize << qubits.len());
+    let bin = |j: usize| -> usize { (0..).zip(qubits).map(|(k, &q)| ((j >> q) & 1) << k).sum() };
+    let mut out = vec![0.0; geom.num_blocks() * dims];
+    for b in 0..geom.num_blocks() {
+        let row = &mut out[b * dims..(b + 1) * dims];
+        match snap.raw_block(b) {
+            Some(d) => {
+                for (off, z) in d.iter().enumerate() {
+                    row[bin(b * bs + off)] += z.norm_sqr();
+                }
+            }
+            None if b == 0 => row[0] = 1.0,
+            None => {}
+        }
+    }
+    out
+}
+
+/// Patching is bit-exact: at every published version of an edit storm,
+/// each patched view's per-block partials are `==` to those of a view
+/// refreshed from scratch on the same snapshot, and a marginal's are `==`
+/// to the per-amplitude reference — for every marginal
+/// shape (above, inside and straddling the block width) and for block
+/// sizes 1 to 64. The engine's `BlockDelta::norms` must also equal the
+/// block norms recomputed from the snapshot.
+#[test]
+fn patched_partials_equal_refresh_bit_exactly() {
+    const N: u8 = 8;
+    const MARGINALS: [&[u8]; 6] = [&[7, 6], &[5, 7], &[0, 1], &[1, 3], &[2, 6, 4], &[0, 5, 3]];
+    let mut shapes = std::collections::HashSet::new();
+    let mut patches = 0usize;
+    for block_size in [1usize, 4, 16, 64] {
+        let mut cfg = SimConfig::with_block_size(block_size);
+        cfg.num_threads = 2;
+        let mut ckt = Ckt::with_config(N, cfg);
+        let log = Arc::new(Publications::default());
+        ckt.attach_observer(log.clone());
+        let mut norm = NormView::new();
+        let mut marginals: Vec<ProbabilityView> = MARGINALS
+            .iter()
+            .map(|q| ProbabilityView::marginal(q.to_vec()))
+            .collect();
+        for q in MARGINALS {
+            shapes.insert(shape(q, block_size));
+        }
+
+        let mut rng = rand::StdRng::seed_from_u64(0xB17E ^ block_size as u64);
+        let mut gates: Vec<GateId> = Vec::new();
+        for round in 0..40 {
+            if !gates.is_empty() && rng.random_range(0..4u32) == 0 {
+                let g = gates.swap_remove(rng.random_range(0..gates.len()));
+                ckt.remove_gate(g).unwrap();
+            } else {
+                let net = ckt.push_net();
+                let a = rng.random_range(0..N);
+                let g = if rng.random_range(0..3u32) == 0 {
+                    let b = (a + rng.random_range(1..N)) % N;
+                    ckt.insert_gate(two_qubit_kind(&mut rng), net, &[a, b])
+                } else {
+                    ckt.insert_gate(random_kind(&mut rng), net, &[a])
+                };
+                gates.push(g.unwrap());
+            }
+            ckt.update_state().unwrap();
+            for (snap, delta) in log.0.lock().unwrap().drain(..) {
+                let ctx = format!("B={block_size} round {round} v{}", snap.version());
+                if delta.full {
+                    norm.refresh(&snap);
+                    marginals.iter_mut().for_each(|m| m.refresh(&snap));
+                    continue;
+                }
+                for (b, n) in delta.dirty_norms() {
+                    assert_eq!(n, block_norm_sqr(b, snap.raw_block(b)), "{ctx}: norms[{b}]");
+                }
+                patches += 1;
+                norm.patch(&snap, &delta);
+                let mut fresh = NormView::new();
+                fresh.refresh(&snap);
+                assert!(norm.partials() == fresh.partials(), "{ctx}: norm");
+                for (m, q) in marginals.iter_mut().zip(MARGINALS) {
+                    m.patch(&snap, &delta);
+                    let mut fresh = ProbabilityView::marginal(q.to_vec());
+                    fresh.refresh(&snap);
+                    assert!(m.partials() == fresh.partials(), "{ctx}: marginal{q:?}");
+                    assert!(
+                        m.partials() == reference_marginal_partials(&snap, q),
+                        "{ctx}: marginal{q:?} vs reference"
+                    );
+                }
+            }
+        }
+    }
+    assert!(patches > 100, "only {patches} incremental publications");
+    for s in [Shape::AboveBlock, Shape::InBlock, Shape::Straddling] {
+        assert!(shapes.contains(&s), "no {s:?} marginal was exercised");
+    }
 }
