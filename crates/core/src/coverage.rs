@@ -2,7 +2,9 @@
 //! partition-graph linking.
 //!
 //! Linking a partition asks, per block it spans, "which is the nearest
-//! earlier (or later) partition covering this block?". The legacy
+//! earlier (or later) partition covering this block?" — and registering
+//! it answers that question for free: its neighbours in the block's
+//! sorted list ([`CoverageIndex::insert`]). The legacy
 //! implementation answered by walking the row list outward from the new
 //! partition's row — O(live rows) per link, which makes a depth-`d`
 //! circuit pay O(d) per structural edit and defeats the incrementality
@@ -47,18 +49,39 @@ impl CoverageIndex {
         }
     }
 
-    /// Records `pid` as covering block `b`. `label_of` must return the
-    /// *current* order label of a live partition's row.
-    pub(crate) fn add(&mut self, b: usize, pid: PartId, label_of: impl Fn(PartId) -> u64) {
+    /// Records `pid`, whose row has order label `label`, as covering
+    /// block `b`, and returns its neighbours in the list: the nearest
+    /// earlier and later covers. `label_of` must return the *current*
+    /// order label of a live partition's row.
+    ///
+    /// Appending is O(1): when the list is empty or ends before `label`,
+    /// the old last cover is the predecessor and there is no successor.
+    /// Otherwise one binary search places `pid`; its neighbours are then
+    /// what [`Self::last_before`] and a search for the first later cover
+    /// would return.
+    pub(crate) fn insert(
+        &mut self,
+        b: usize,
+        pid: PartId,
+        label: u64,
+        label_of: impl Fn(PartId) -> u64,
+    ) -> (Option<PartId>, Option<PartId>) {
         let list = &mut self.blocks[b];
-        let label = label_of(pid);
-        let pos = list.partition_point(|&p| label_of(p) < label);
-        if list.get(pos) != Some(&pid) {
-            debug_assert!(
-                list.get(pos).is_none_or(|&p| label_of(p) > label),
-                "two partitions of one row cover the same block"
-            );
-            list.insert(pos, pid);
+        match list.last() {
+            Some(&last) if label_of(last) >= label => {
+                let pos = list.partition_point(|&p| label_of(p) < label);
+                debug_assert!(
+                    label_of(list[pos]) > label,
+                    "two partitions of one row cover the same block"
+                );
+                list.insert(pos, pid);
+                (pos.checked_sub(1).map(|i| list[i]), Some(list[pos + 1]))
+            }
+            last => {
+                let pred = last.copied();
+                list.push(pid);
+                (pred, None)
+            }
         }
     }
 
@@ -83,19 +106,6 @@ impl CoverageIndex {
         let list = &self.blocks[b];
         let pos = list.partition_point(|&p| label_of(p) < limit);
         pos.checked_sub(1).map(|i| list[i])
-    }
-
-    /// The cover of block `b` with the least label strictly above
-    /// `limit`, or `None` when no later cover exists.
-    pub(crate) fn first_after(
-        &self,
-        b: usize,
-        limit: u64,
-        label_of: impl Fn(PartId) -> u64,
-    ) -> Option<PartId> {
-        let list = &self.blocks[b];
-        let pos = list.partition_point(|&p| label_of(p) <= limit);
-        list.get(pos).copied()
     }
 
     /// Debug snapshot of block `b`'s cover list, in order.

@@ -190,6 +190,10 @@ pub struct Ckt {
     pub(crate) owners: OwnerIndex,
     /// Per-block sorted cover lists for O(log) partition linking.
     pub(crate) coverage: crate::coverage::CoverageIndex,
+    /// Partitions created but not yet linked: modifiers queue them, and
+    /// [`Ckt::link_pending`] registers their covers and adds their edges
+    /// in one pass.
+    pub(crate) pending_links: Vec<PartId>,
     /// Persistent task graph mirroring the partition graph: one retained
     /// node per partition, patched in place by every modifier and
     /// executed (dirty subset only) by [`Ckt::update_state`]. The graph
@@ -281,6 +285,7 @@ impl Ckt {
             frontier: HashSet::new(),
             owners: OwnerIndex::new(geom.num_blocks()),
             coverage: crate::coverage::CoverageIndex::new(geom.num_blocks()),
+            pending_links: Vec::new(),
             graph: RetainedGraph::new(),
             staged_ops_pending: 0,
             fused_cache: crate::fused::FusedCache::default(),
@@ -299,7 +304,12 @@ impl Ckt {
         }
     }
 
-    /// Builds an engine by replaying an existing circuit net-by-net.
+    /// Builds an engine for an existing circuit: its gates are lowered
+    /// into rows and partitions in circuit order, and the whole partition
+    /// graph is then linked in one pass (each block's covers arrive in
+    /// row order, so linking appends and never searches). Every partition
+    /// starts on the frontier, so the first [`Ckt::update_state`] is a
+    /// full simulation.
     pub fn from_circuit(circuit: &Circuit, config: SimConfig) -> Ckt {
         let executor = Arc::new(Executor::new(config.num_threads));
         Ckt::from_circuit_with_executor(circuit, config, executor)
@@ -315,10 +325,11 @@ impl Ckt {
         for src_net in circuit.net_ids() {
             let net = ckt.push_net();
             for (_, gate) in circuit.net_gates(src_net) {
-                ckt.insert_gate(gate.kind(), net, gate.qubits())
+                ckt.insert_gate_inner(gate.kind(), net, gate.qubits())
                     .expect("replaying a valid circuit cannot fail");
             }
         }
+        ckt.link_pending();
         ckt
     }
 
@@ -603,7 +614,7 @@ impl Ckt {
         self.contain(|ckt| ckt.remove_net_inner(net))
     }
 
-    fn remove_net_inner(&mut self, net: NetId) -> Result<(), EngineError> {
+    pub(crate) fn remove_net_inner(&mut self, net: NetId) -> Result<(), EngineError> {
         if self.circuit.net(net).is_none() {
             return Err(CircuitError::StaleNet.into());
         }
@@ -629,10 +640,16 @@ impl Ckt {
         qubits: &[u8],
     ) -> Result<GateId, EngineError> {
         self.ensure_healthy()?;
-        self.contain(|ckt| ckt.insert_gate_inner(kind, net, qubits))
+        self.contain(|ckt| {
+            let gid = ckt.insert_gate_inner(kind, net, qubits)?;
+            ckt.link_pending();
+            Ok(gid)
+        })
     }
 
-    fn insert_gate_inner(
+    /// Lowers a gate into rows and partitions, queueing the new
+    /// partitions for [`Ckt::link_pending`]; the caller links them.
+    pub(crate) fn insert_gate_inner(
         &mut self,
         kind: GateKind,
         net: NetId,
@@ -683,7 +700,7 @@ impl Ckt {
         self.contain(|ckt| ckt.remove_gate_inner(gate))
     }
 
-    fn remove_gate_inner(&mut self, gate: GateId) -> Result<Gate, EngineError> {
+    pub(crate) fn remove_gate_inner(&mut self, gate: GateId) -> Result<Gate, EngineError> {
         let net = self.circuit.gate_net(gate).ok_or(CircuitError::StaleGate)?;
         let removed = self.circuit.remove_gate(gate)?;
         qtask_faults::fault_point!("engine/remove_gate");
@@ -791,11 +808,7 @@ impl Ckt {
             .expect("net is live")
             .linear
             .insert(insert_idx, row_id);
-        // Create + link partitions.
         let pids = self.create_partitions(row_id, specs);
-        for pid in &pids {
-            self.link_partition(*pid);
-        }
         self.frontier.extend(pids);
         row_id
     }
@@ -876,7 +889,7 @@ impl Ckt {
             .push((sync_row_id, mxv_row_id));
         // Sync: one full-range partition (a pure barrier, owns no data).
         let nb = self.geom.num_blocks() as u32;
-        let sync_pids = self.create_partitions(
+        self.create_partitions(
             sync_row_id,
             vec![PartitionSpec {
                 block_lo: 0,
@@ -885,7 +898,6 @@ impl Ckt {
                 item_end: 0,
             }],
         );
-        self.link_partition(sync_pids[0]);
         let mxv_specs: Vec<PartitionSpec> = (0..nb)
             .step_by(span as usize)
             .map(|b| PartitionSpec {
@@ -896,13 +908,12 @@ impl Ckt {
             })
             .collect();
         let mxv_pids = self.create_partitions(mxv_row_id, mxv_specs);
-        for pid in &mxv_pids {
-            self.link_partition(*pid);
-        }
         self.frontier.extend(mxv_pids);
         (mxv_row_id, sync_row_id)
     }
 
+    /// Creates a row's partitions and their retained nodes, and queues
+    /// them for [`Ckt::link_pending`].
     fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) -> Vec<PartId> {
         let pids: Vec<PartId> = specs
             .into_iter()
@@ -915,7 +926,6 @@ impl Ckt {
         // sync rows are pure barriers, MxV partitions one call each (a
         // grain of blocks), linear partitions fan out one chunk per
         // grain of items.
-        qtask_faults::fault_point!("engine/graph_patch");
         let chunk = self.geom.grain() as u64;
         let label = std::sync::Arc::clone(&self.rows[row_id.key()].label);
         for &pid in &pids {
@@ -929,21 +939,7 @@ impl Ckt {
                     .insert(pid.key().to_bits(), chunks, std::sync::Arc::clone(&label));
             self.parts[pid.key()].node = node;
         }
-        // Register the new partitions' spans in the coverage index, so
-        // linking them (and every later link) resolves nearest covers by
-        // binary search instead of walking the row list.
-        let rows = &self.rows;
-        let parts = &self.parts;
-        let label_of = |pid: PartId| {
-            rows.order_label(parts[pid.key()].row.key())
-                .expect("cover rows are live")
-        };
-        for &pid in &pids {
-            let spec = &parts[pid.key()].spec;
-            for b in spec.block_lo..=spec.block_hi {
-                self.coverage.add(b as usize, pid, label_of);
-            }
-        }
+        self.pending_links.extend_from_slice(&pids);
         pids
     }
 

@@ -16,15 +16,15 @@
 //! ([`crate::fused::FusedOp`], precomputed once per group change) against
 //! sources read through the COW chain.
 //!
-//! Linear items are applied a whole *run* at a time when the item pattern
-//! has runs longer than one amplitude: the pattern decomposes into maximal
-//! contiguous low-index stretches ([`qtask_partition::ItemPattern::iter_runs`]),
-//! so Diag becomes strided slice scaling and AntiDiag/Swap become
-//! two-slice butterflies over the block buffers — the autovectorized
-//! primitives in [`qtask_num::slices`]. Run-less patterns (target qubit 0)
-//! take the one-amplitude-at-a-time loop, and MxV groups too wide to fuse
-//! re-expand their factor product per amplitude. Each batched kernel is
-//! bit-identical to its scalar counterpart (checked by this module's
+//! Linear items are applied one low-side block at a time: a task's ranks
+//! split into aligned groups that each fill one block, and each group's
+//! share of the pattern is replayed as contiguous runs, so Diag becomes
+//! strided slice scaling and AntiDiag/Swap become two-slice butterflies
+//! over the block buffers — the autovectorized primitives in
+//! [`qtask_num::slices`]. Block lookup, materialization and buffer
+//! borrowing happen once per block, never per run. MxV groups too wide
+//! to fuse re-expand their factor product per amplitude. Each kernel is
+//! bit-identical to its scalar reference (checked by this module's
 //! tests).
 //!
 //! Steady-state incremental updates are allocation-free: re-executing
@@ -192,18 +192,28 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
     };
     let pattern = op.pattern(view.n_qubits);
     let mut blocks = BlockSet::from_pool(part);
-    // Run decomposition only pays when runs are real (length > 1).
-    if pattern.run_len_log2() > 0 {
-        linear_batched(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
-    } else {
-        linear_scalar(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
-    }
+    linear_blocks(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
     blocks.publish(&view, row_id, row, part);
 }
 
-/// The scalar item loop: one amplitude (pair) per step — the path of
-/// run-less patterns and the reference [`linear_batched`] must match.
-fn linear_scalar(
+/// The linear kernel: the rank range is walked one low-side block at a
+/// time, and each block's share of the pattern is replayed as runs.
+///
+/// The rank bits scatter into the free index bits lowest first, so the
+/// `2^popcount(free ∩ in-block bits)` ranks of an aligned group fill
+/// exactly one low block (the paper's "replacing the x's with the binary
+/// string of a multiple of B"). Per block the loop costs one `nth_low`,
+/// one [`BlockSet::ensure`] of the low block — plus its partner block
+/// when the partner bits reach the block width — and one buffer borrow.
+/// Inside the block, a run is `2^trailing_ones(in-block free bits)`
+/// consecutive amplitudes, and run starts enumerate the submasks of the
+/// remaining in-block free bits. Partner bits are never free, so a pair
+/// op's partner run sits at a constant offset: inside the block, or at
+/// the same offsets of the partner block.
+///
+/// Task ranges are multiples of the power-of-two dispatch grain, which is
+/// at least a block, so they always cover whole groups (asserted).
+fn linear_blocks(
     view: &ExecView<'_>,
     row_id: RowId,
     row: &Row,
@@ -213,132 +223,74 @@ fn linear_scalar(
     ranks: std::ops::Range<u64>,
 ) {
     let geom = &view.geom;
-    for low in pattern.iter_lows(ranks) {
-        let low = low as usize;
+    let in_block = geom.block_size() as u64 - 1;
+    let free_in = pattern.free_mask & in_block;
+    let per_block = 1u64 << free_in.count_ones();
+    assert!(
+        ranks.start.is_multiple_of(per_block) && ranks.end.is_multiple_of(per_block),
+        "task ranks {ranks:?} split a block of {per_block} items"
+    );
+    let run = 1usize << free_in.trailing_ones();
+    let starts = free_in & !(run as u64 - 1);
+    let mut first = ranks.start;
+    while first < ranks.end {
+        let low = pattern.nth_low(first);
+        first += per_block;
+        let (bl, ol) = (geom.block_of(low as usize), low & in_block);
+        let pl = blocks.ensure(view, row_id, row, bl);
         match *op {
             LinearOp::Diag { target, d0, d1, .. } => {
-                let pos = blocks.ensure(view, row_id, row, geom.block_of(low));
-                let off = geom.offset_in_block(low);
-                let d = if low & (1usize << target) != 0 {
-                    d1
-                } else {
-                    d0
-                };
-                blocks.buf_mut(pos)[off] *= d;
+                let buf = blocks.buf_mut(pl);
+                let block_start = (low & !in_block) as usize;
+                for_each_submask(starts, |s| {
+                    let o = (ol | s) as usize;
+                    kernels::scale_diag_run(&mut buf[o..o + run], block_start + o, target, d0, d1);
+                });
             }
-            LinearOp::AntiDiag { a01, a10, .. } => {
-                let high = pattern.partner(low as u64) as usize;
-                let (bl, bh) = (geom.block_of(low), geom.block_of(high));
-                let (ol, oh) = (geom.offset_in_block(low), geom.offset_in_block(high));
-                if bl == bh {
-                    let pos = blocks.ensure(view, row_id, row, bl);
-                    let buf = blocks.buf_mut(pos);
-                    let (x, y) = (buf[ol], buf[oh]);
-                    buf[ol] = a01 * y;
-                    buf[oh] = a10 * x;
+            LinearOp::AntiDiag { .. } | LinearOp::Swap { .. } => {
+                let high = pattern.partner(low);
+                let (bh, oh) = (geom.block_of(high as usize), high & in_block);
+                if bh == bl {
+                    let buf = blocks.buf_mut(pl);
+                    for_each_submask(starts, |s| {
+                        let (o, p) = ((ol | s) as usize, (oh | s) as usize);
+                        debug_assert!(o + run <= p, "pair runs overlap");
+                        let (a, b) = buf.split_at_mut(p);
+                        pair_run(op, &mut a[o..o + run], &mut b[..run]);
+                    });
                 } else {
-                    let pl = blocks.ensure(view, row_id, row, bl);
                     let ph = blocks.ensure(view, row_id, row, bh);
                     let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                    let (x, y) = (bufl[ol], bufh[oh]);
-                    bufl[ol] = a01 * y;
-                    bufh[oh] = a10 * x;
-                }
-            }
-            LinearOp::Swap { .. } => {
-                let high = pattern.partner(low as u64) as usize;
-                let (bl, bh) = (geom.block_of(low), geom.block_of(high));
-                let (ol, oh) = (geom.offset_in_block(low), geom.offset_in_block(high));
-                if bl == bh {
-                    let pos = blocks.ensure(view, row_id, row, bl);
-                    blocks.buf_mut(pos).swap(ol, oh);
-                } else {
-                    let pl = blocks.ensure(view, row_id, row, bl);
-                    let ph = blocks.ensure(view, row_id, row, bh);
-                    let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                    std::mem::swap(&mut bufl[ol], &mut bufh[oh]);
+                    for_each_submask(starts, |s| {
+                        let (o, p) = ((ol | s) as usize, (oh | s) as usize);
+                        pair_run(op, &mut bufl[o..o + run], &mut bufh[p..p + run]);
+                    });
                 }
             }
         }
     }
 }
 
-/// The batched path: whole runs of consecutive items applied as slice
-/// operations, split at block boundaries.
-///
-/// Geometry invariants (checked by debug asserts): a run's low indices are
-/// consecutive and start aligned to the run span, so with power-of-two
-/// blocks a segment clipped at a low-side block boundary never straddles a
-/// boundary on the partner side — the partner offset is the low offset
-/// shifted by a constant that is either block-local or a whole multiple of
-/// the block size.
-fn linear_batched(
-    view: &ExecView<'_>,
-    row_id: RowId,
-    row: &Row,
-    op: &LinearOp,
-    pattern: &qtask_partition::ItemPattern,
-    blocks: &mut BlockSet,
-    ranks: std::ops::Range<u64>,
-) {
-    let geom = &view.geom;
-    let bs = geom.block_size();
-    for run in pattern.iter_runs(ranks) {
-        let len = run.len as usize;
-        let mut done = 0usize;
-        while done < len {
-            let low = run.low_start as usize + done;
-            let bl = geom.block_of(low);
-            let ol = geom.offset_in_block(low);
-            let seg = (bs - ol).min(len - done);
-            match *op {
-                LinearOp::Diag { target, d0, d1, .. } => {
-                    let pos = blocks.ensure(view, row_id, row, bl);
-                    let buf = blocks.buf_mut(pos);
-                    kernels::scale_diag_run(&mut buf[ol..ol + seg], low, target, d0, d1);
-                }
-                LinearOp::AntiDiag { a01, a10, .. } => {
-                    let high = pattern.partner(low as u64) as usize;
-                    let (bh, oh) = (geom.block_of(high), geom.offset_in_block(high));
-                    debug_assert!(oh + seg <= bs, "partner run straddles a block");
-                    if bl == bh {
-                        let pos = blocks.ensure(view, row_id, row, bl);
-                        let buf = blocks.buf_mut(pos);
-                        debug_assert!(ol + seg <= oh, "pair slices overlap");
-                        let (a, b) = buf.split_at_mut(oh);
-                        slices::butterfly_slices(&mut a[ol..ol + seg], &mut b[..seg], a01, a10);
-                    } else {
-                        let pl = blocks.ensure(view, row_id, row, bl);
-                        let ph = blocks.ensure(view, row_id, row, bh);
-                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                        slices::butterfly_slices(
-                            &mut bufl[ol..ol + seg],
-                            &mut bufh[oh..oh + seg],
-                            a01,
-                            a10,
-                        );
-                    }
-                }
-                LinearOp::Swap { .. } => {
-                    let high = pattern.partner(low as u64) as usize;
-                    let (bh, oh) = (geom.block_of(high), geom.offset_in_block(high));
-                    debug_assert!(oh + seg <= bs, "partner run straddles a block");
-                    if bl == bh {
-                        let pos = blocks.ensure(view, row_id, row, bl);
-                        let buf = blocks.buf_mut(pos);
-                        debug_assert!(ol + seg <= oh, "pair slices overlap");
-                        let (a, b) = buf.split_at_mut(oh);
-                        a[ol..ol + seg].swap_with_slice(&mut b[..seg]);
-                    } else {
-                        let pl = blocks.ensure(view, row_id, row, bl);
-                        let ph = blocks.ensure(view, row_id, row, bh);
-                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                        bufl[ol..ol + seg].swap_with_slice(&mut bufh[oh..oh + seg]);
-                    }
-                }
-            }
-            done += seg;
+/// Calls `f` on every submask of `mask` in ascending order, zero first.
+#[inline]
+fn for_each_submask(mask: u64, mut f: impl FnMut(u64)) {
+    let mut s = 0u64;
+    loop {
+        f(s);
+        s = s.wrapping_sub(mask) & mask;
+        if s == 0 {
+            return;
         }
+    }
+}
+
+/// Applies a pair op to a low run and its partner run.
+#[inline]
+fn pair_run(op: &LinearOp, lows: &mut [Complex64], highs: &mut [Complex64]) {
+    match *op {
+        LinearOp::AntiDiag { a01, a10, .. } => slices::butterfly_slices(lows, highs, a01, a10),
+        LinearOp::Swap { .. } => lows.swap_with_slice(highs),
+        LinearOp::Diag { .. } => unreachable!("diagonal ops have no partner"),
     }
 }
 
@@ -554,26 +506,130 @@ mod tests {
         blocks
     }
 
-    /// Runs a linear partition through `linear_batched` and `linear_scalar`
+    /// The scalar item loop, one amplitude (pair) per step: the reference
+    /// the block loop must match.
+    fn linear_scalar(
+        view: &ExecView<'_>,
+        row_id: RowId,
+        row: &Row,
+        op: &LinearOp,
+        pattern: &qtask_partition::ItemPattern,
+        blocks: &mut BlockSet,
+        ranks: std::ops::Range<u64>,
+    ) {
+        let geom = &view.geom;
+        for low in pattern.iter_lows(ranks) {
+            let low = low as usize;
+            let high = pattern.partner(low as u64) as usize;
+            let (bl, bh) = (geom.block_of(low), geom.block_of(high));
+            let (ol, oh) = (geom.offset_in_block(low), geom.offset_in_block(high));
+            let pl = blocks.ensure(view, row_id, row, bl);
+            match *op {
+                LinearOp::Diag { target, d0, d1, .. } => {
+                    let d = if low & (1usize << target) != 0 {
+                        d1
+                    } else {
+                        d0
+                    };
+                    blocks.buf_mut(pl)[ol] *= d;
+                }
+                LinearOp::AntiDiag { a01, a10, .. } => {
+                    if bl == bh {
+                        let buf = blocks.buf_mut(pl);
+                        let (x, y) = (buf[ol], buf[oh]);
+                        buf[ol] = a01 * y;
+                        buf[oh] = a10 * x;
+                    } else {
+                        let ph = blocks.ensure(view, row_id, row, bh);
+                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
+                        let (x, y) = (bufl[ol], bufh[oh]);
+                        bufl[ol] = a01 * y;
+                        bufh[oh] = a10 * x;
+                    }
+                }
+                LinearOp::Swap { .. } => {
+                    if bl == bh {
+                        blocks.buf_mut(pl).swap(ol, oh);
+                    } else {
+                        let ph = blocks.ensure(view, row_id, row, bh);
+                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
+                        std::mem::swap(&mut bufl[ol], &mut bufh[oh]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which pattern shapes the block loop met, so the bit-exactness test
+    /// can insist that every branch of it ran.
+    #[derive(Debug, Default)]
+    struct Shapes {
+        /// Pair ops whose partner lies in the same block.
+        in_block_partner: usize,
+        /// Pair ops whose partner bits all lie at or above the block width.
+        above_block_partner: usize,
+        /// Swaps with `t_lo` inside the block and `t_hi` above it.
+        straddling_swap: usize,
+        /// Controls below and at or above the block width at once.
+        split_controls: usize,
+        /// Runs of one amplitude inside blocks of several.
+        unit_runs: usize,
+    }
+
+    impl Shapes {
+        fn record(&mut self, op: &LinearOp, pattern: &qtask_partition::ItemPattern, bs: usize) {
+            let in_block = bs as u64 - 1;
+            let partner_bits = pattern.partner_clear | pattern.partner_set;
+            if pattern.is_pair() && partner_bits & !in_block == 0 {
+                self.in_block_partner += 1;
+            }
+            if pattern.is_pair() && partner_bits & in_block == 0 {
+                self.above_block_partner += 1;
+            }
+            let (LinearOp::Diag { controls, .. }
+            | LinearOp::AntiDiag { controls, .. }
+            | LinearOp::Swap { controls, .. }) = *op;
+            if let LinearOp::Swap { t_lo, t_hi, .. } = *op {
+                if 1u64 << t_lo <= in_block && 1u64 << t_hi > in_block {
+                    self.straddling_swap += 1;
+                }
+            }
+            if controls & in_block != 0 && controls & !in_block != 0 {
+                self.split_controls += 1;
+            }
+            if bs > 1 && (pattern.free_mask & in_block).trailing_ones() == 0 {
+                self.unit_runs += 1;
+            }
+        }
+    }
+
+    /// Runs a linear partition through `linear_blocks` and `linear_scalar`
     /// and compares the blocks they materialize.
-    fn check_linear(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, part: &Partition) {
+    fn check_linear(
+        view: &ExecView<'_>,
+        row_id: RowId,
+        op: &LinearOp,
+        part: &Partition,
+        shapes: &mut Shapes,
+    ) {
         let row = &view.rows[row_id.key()];
         let pattern = op.pattern(view.n_qubits);
+        shapes.record(op, &pattern, view.geom.block_size());
         let ranks = part.spec.item_start..part.spec.item_end;
-        let mut batched = BlockSet::from_pool(part);
+        let mut blocked = BlockSet::from_pool(part);
         let mut scalar = BlockSet {
             entries: Vec::new(),
         };
-        linear_batched(view, row_id, row, op, &pattern, &mut batched, ranks.clone());
+        linear_blocks(view, row_id, row, op, &pattern, &mut blocked, ranks.clone());
         linear_scalar(view, row_id, row, op, &pattern, &mut scalar, ranks);
         assert_eq!(
-            sorted_blocks(&batched),
+            sorted_blocks(&blocked),
             sorted_blocks(&scalar),
             "{}",
             row.label
         );
-        // The batched run reclaimed the row's buffers: hand them back.
-        batched.publish(view, row_id, row, part);
+        // The block loop reclaimed the row's buffers: hand them back.
+        blocked.publish(view, row_id, row, part);
     }
 
     /// Runs every output block of an MxV partition through `mxv_fused`
@@ -655,18 +711,19 @@ mod tests {
         assert!((norm - 1.0).abs() < 1e-12);
     }
 
-    /// Every batched kernel agrees bit-for-bit with its scalar reference.
-    /// On random circuits and geometries, each linear partition runs
-    /// through both `linear_batched` and `linear_scalar`, and each MxV
-    /// output block through both `mxv_fused` and `mxv_scalar`, from the
-    /// same resolved inputs.
+    /// Every kernel agrees bit-for-bit with its scalar reference. On
+    /// random circuits and geometries (3–8 qubits, blocks of 1–64), each
+    /// linear partition runs through both `linear_blocks` and
+    /// `linear_scalar`, and each MxV output block through both
+    /// `mxv_fused` and `mxv_scalar`, from the same resolved inputs.
     #[test]
     fn batched_kernels_match_scalar_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(20260729);
         let (mut whole_block, mut per_amplitude, mut multi_block) = (0, 0, 0);
-        for _ in 0..60 {
+        let mut shapes = Shapes::default();
+        for _ in 0..80 {
             let n = rng.random_range(3..=8u8);
-            let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=5u32));
+            let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=6u32));
             cfg.num_threads = 1;
             cfg.mxv_group_max = rng.random_range(1..=3);
             let mut ckt = Ckt::with_config(n, cfg);
@@ -690,7 +747,9 @@ mod tests {
                     let part = &ckt.parts[pid.key()];
                     match ckt.rows[k].kind {
                         RowKind::Sync => {}
-                        RowKind::Linear(op) => check_linear(&view, RowId(k), &op, part),
+                        RowKind::Linear(op) => {
+                            check_linear(&view, RowId(k), &op, part, &mut shapes);
+                        }
                         RowKind::MxV => {
                             if check_mxv(&view, RowId(k), part) {
                                 whole_block += 1;
@@ -706,6 +765,11 @@ mod tests {
             }
             assert_eq!(ckt.audit(), vec![], "republished rows stay coherent");
         }
+        assert!(shapes.in_block_partner > 0, "{shapes:?}");
+        assert!(shapes.above_block_partner > 0, "{shapes:?}");
+        assert!(shapes.straddling_swap > 0, "{shapes:?}");
+        assert!(shapes.split_controls > 0, "{shapes:?}");
+        assert!(shapes.unit_runs > 0, "{shapes:?}");
         assert!(whole_block > 0, "whole-block fused shortcut never ran");
         assert!(per_amplitude > 0, "per-amplitude fused path never ran");
         assert!(multi_block > 0, "no MxV partition spanned several blocks");

@@ -1,15 +1,18 @@
 //! Partition-graph maintenance: the paper's §III-D algorithms.
 //!
-//! * **Linking** a new partition: find, per block it spans, the *nearest*
-//!   earlier partition covering that block (its predecessors) and the
-//!   nearest later one (its successors). The paper walks the row list
-//!   outward until every block is covered (Figure 9's walk) — O(depth)
-//!   per link; we answer the same query from the per-block
-//!   `CoverageIndex` (`crate::coverage`) by binary search, O(span · log
-//!   covers), which keeps a constant-size edit's cost independent of
-//!   circuit depth. The two formulations return the same set: a
-//!   partition contributes a block in the row walk exactly when it is
-//!   that block's nearest cover.
+//! * **Linking** new partitions: find, per block each spans, the
+//!   *nearest* earlier partition covering that block (its predecessors)
+//!   and the nearest later one (its successors). The paper walks the row
+//!   list outward until every block is covered (Figure 9's walk) —
+//!   O(depth) per link; we answer the same query from the per-block
+//!   `CoverageIndex` (`crate::coverage`): registering a partition in a
+//!   block's sorted cover list yields its two neighbours, O(1) when it
+//!   appends and one binary search otherwise, which keeps a
+//!   constant-size edit's cost independent of circuit depth. The two
+//!   formulations return the same set: a partition contributes a block
+//!   in the row walk exactly when it is that block's nearest cover.
+//!   Modifiers only queue the partitions they create; one batch pass,
+//!   `Ckt::link_pending`, links the queue in row order.
 //! * **Removing** a row: detach every partition, reconnect each removed
 //!   partition's predecessors to its successors where their block ranges
 //!   overlap inside the removed range (Figure 7), and push the successors
@@ -32,8 +35,25 @@ impl Ckt {
         }
     }
 
-    /// Links a freshly created partition into the graph: backward
-    /// coverage scan for predecessors, forward for successors.
+    /// Links every partition created since the last pass: registers each
+    /// in the coverage index and adds its edges, the queue taken in row
+    /// order. Called once at the end of [`Ckt::from_circuit`], at the end
+    /// of every public modifier (a batch of one row or one sync + MxV
+    /// pair) and inside [`Ckt::edit`] commits, before any removal — whose
+    /// orphan re-scan needs a complete index — and at the end.
+    ///
+    /// Per (partition, block), registration returns the block's nearest
+    /// registered covers before and after the partition, and the pass
+    /// adds an edge from the one and to the other. In row order every
+    /// earlier cover is already registered, so the predecessor is the
+    /// final nearest one; a successor is the nearest that existed before
+    /// the batch, and a later queued partition landing in between links
+    /// itself to both. So every edge joins the nearest covers of some
+    /// block at the time it is added, and every pair of nearest covers is
+    /// joined. A whole-circuit build appends to every list: no search,
+    /// and none of the redundant `pred → succ` edges that replaying it
+    /// gate at a time leaves behind whenever a later-inserted row (a
+    /// net's sync + MxV pair, say) lands between two linked ones.
     ///
     /// ## Deviation from the paper: no transitive-edge pruning
     ///
@@ -54,26 +74,60 @@ impl Ckt {
     /// invariant that every partition's predecessors cover its whole
     /// block span, which makes both the removal re-scan and frontier DFS
     /// sound. The cost is a modestly denser graph; correctness first.
-    pub(crate) fn link_partition(&mut self, pid: PartId) {
-        let (row_id, lo, hi) = {
-            let p = &self.parts[pid.key()];
-            (p.row, p.spec.block_lo, p.spec.block_hi)
+    pub(crate) fn link_pending(&mut self) {
+        if self.pending_links.is_empty() {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.pending_links);
+        let label_of_row = |rows: &qtask_util::LinkedArena<crate::row::Row>, row: RowId| {
+            rows.order_label(row.key())
+                .expect("queued partitions have live rows")
         };
-        let preds = self.coverage_scan(row_id, lo, hi, Direction::Backward);
-        let succs = self.coverage_scan(row_id, lo, hi, Direction::Forward);
-        for &p in &preds {
-            self.add_edge(p, pid);
+        queue.sort_by_cached_key(|pid| label_of_row(&self.rows, self.parts[pid.key()].row));
+        let (mut preds, mut succs) = (Vec::new(), Vec::new());
+        for &pid in &queue {
+            qtask_faults::fault_point!("engine/graph_patch");
+            let (row, lo, hi) = {
+                let p = &self.parts[pid.key()];
+                (p.row, p.spec.block_lo, p.spec.block_hi)
+            };
+            let label = label_of_row(&self.rows, row);
+            let (rows, parts) = (&self.rows, &self.parts);
+            // Neighbouring blocks mostly share their last cover: remember
+            // the last label looked up.
+            let seen = std::cell::Cell::new(None::<(PartId, u64)>);
+            let label_of = |p: PartId| match seen.get() {
+                Some((q, l)) if q == p => l,
+                _ => {
+                    let l = label_of_row(rows, parts[p.key()].row);
+                    seen.set(Some((p, l)));
+                    l
+                }
+            };
+            for b in lo..=hi {
+                let (pred, succ) = self.coverage.insert(b as usize, pid, label, label_of);
+                for (hit, found) in [(pred, &mut preds), (succ, &mut succs)] {
+                    if let Some(q) = hit.filter(|q| !found.contains(q)) {
+                        found.push(q);
+                    }
+                }
+            }
+            for p in preds.drain(..) {
+                self.add_edge(p, pid);
+            }
+            for s in succs.drain(..) {
+                self.add_edge(pid, s);
+            }
         }
-        for &s in &succs {
-            self.add_edge(pid, s);
-        }
+        queue.clear();
+        self.pending_links = queue;
     }
 
-    /// Nearest partitions covering blocks `[lo, hi]` in direction `dir`
-    /// from (exclusive) `from_row`: per block, a binary search in the
-    /// coverage index for the closest cover strictly before/after
-    /// `from_row`'s order label, deduplicated across blocks.
-    fn coverage_scan(&self, from_row: RowId, lo: u32, hi: u32, dir: Direction) -> Vec<PartId> {
+    /// Nearest earlier partitions covering blocks `[lo, hi]` from
+    /// (exclusive) `from_row`: per block, a binary search in the coverage
+    /// index for the closest cover strictly before `from_row`'s order
+    /// label, deduplicated across blocks.
+    fn coverage_scan(&self, from_row: RowId, lo: u32, hi: u32) -> Vec<PartId> {
         let limit = self
             .rows
             .order_label(from_row.key())
@@ -85,11 +139,7 @@ impl Ckt {
         };
         let mut found = Vec::new();
         for b in lo..=hi {
-            let hit = match dir {
-                Direction::Backward => self.coverage.last_before(b as usize, limit, label_of),
-                Direction::Forward => self.coverage.first_after(b as usize, limit, label_of),
-            };
-            if let Some(q) = hit {
+            if let Some(q) = self.coverage.last_before(b as usize, limit, label_of) {
                 if !found.contains(&q) {
                     found.push(q);
                 }
@@ -116,6 +166,10 @@ impl Ckt {
     /// scan for every successor, which restores the nearest-writer
     /// invariant exactly.
     pub(crate) fn remove_row(&mut self, row_id: RowId) {
+        debug_assert!(
+            self.pending_links.is_empty(),
+            "removal before the link pass"
+        );
         // Strip the row's blocks from the owner index while its order
         // label is still readable (the index is sorted by label). A row
         // can only own blocks inside its partitions' spans, so scan
@@ -186,7 +240,7 @@ impl Ckt {
                 let p = &self.parts[s.key()];
                 (p.row, p.spec.block_lo, p.spec.block_hi)
             };
-            let preds = self.coverage_scan(s_row, lo, hi, Direction::Backward);
+            let preds = self.coverage_scan(s_row, lo, hi);
             for p in preds {
                 self.add_edge(p, s);
             }
@@ -313,12 +367,6 @@ impl Ckt {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Direction {
-    Backward,
-    Forward,
-}
-
 impl Ckt {
     /// Expensive debug validation of the operational soundness invariant:
     /// for every partition `s` and every block `b` it spans, the nearest
@@ -334,7 +382,7 @@ impl Ckt {
                 let part = &self.parts[pid.key()];
                 let (lo, hi) = (part.spec.block_lo, part.spec.block_hi);
                 // Nearest covers of s.
-                let covers = self.coverage_scan(part.row, lo, hi, Direction::Backward);
+                let covers = self.coverage_scan(part.row, lo, hi);
                 for c in covers {
                     // BFS forward from c, looking for pid.
                     let mut seen: HashSet<PartId> = HashSet::new();

@@ -93,8 +93,9 @@ pub struct Partition {
     /// to the high-water concurrency and stays there.
     pub scratch: Mutex<Vec<Vec<(usize, BlockData)>>>,
     /// This partition's node in the engine's retained task graph
-    /// ([`qtask_taskflow::RetainedGraph`]). Assigned when the partition is
-    /// linked; [`qtask_taskflow::NodeId::DANGLING`] until then.
+    /// ([`qtask_taskflow::RetainedGraph`]). Assigned right after the
+    /// partition is created; [`qtask_taskflow::NodeId::DANGLING`] until
+    /// then.
     pub node: qtask_taskflow::NodeId,
 }
 

@@ -186,7 +186,10 @@ impl Ckt {
     }
 
     /// Replays a validated op list through the real modifiers. Runs under
-    /// panic containment ([`Ckt::edit`]).
+    /// panic containment ([`Ckt::edit`]). Inserted gates queue their
+    /// partitions, which are linked in one batch before any removal —
+    /// whose orphan re-scan needs a complete coverage index — and at the
+    /// end.
     fn commit_ops(
         &mut self,
         ops: Vec<EditOp>,
@@ -223,19 +226,22 @@ impl Ckt {
                     receipt.nets_inserted += 1;
                 }
                 EditOp::RemoveNet(net) => {
-                    self.remove_net(net).expect(COMMIT);
+                    self.link_pending();
+                    self.remove_net_inner(net).expect(COMMIT);
                     receipt.nets_removed += 1;
                 }
                 EditOp::InsertGate { net, gate } => {
-                    self.insert_gate(gate.kind(), net, gate.qubits())
+                    self.insert_gate_inner(gate.kind(), net, gate.qubits())
                         .expect(COMMIT);
                     receipt.gates_inserted += 1;
                 }
                 EditOp::RemoveGate(gate) => {
-                    self.remove_gate(gate).expect(COMMIT);
+                    self.link_pending();
+                    self.remove_gate_inner(gate).expect(COMMIT);
                 }
             }
         }
+        self.link_pending();
         receipt.frontier_len = self.frontier_len();
         Ok(receipt)
     }

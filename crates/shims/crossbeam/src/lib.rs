@@ -11,6 +11,12 @@ pub mod deque {
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
 
+    /// Initial queue capacity, as in crossbeam-deque, whose deques also
+    /// start with a buffer: the first pushes allocate nothing, so a
+    /// warm executor's allocation profile does not depend on which
+    /// thread happens to push first.
+    const MIN_CAP: usize = 64;
+
     /// Result of a steal attempt.
     #[derive(Debug, PartialEq, Eq)]
     pub enum Steal<T> {
@@ -44,7 +50,7 @@ pub mod deque {
         /// Creates a deque whose owner pops its most recent push.
         pub fn new_lifo() -> Worker<T> {
             Worker {
-                inner: Arc::new(Mutex::new(VecDeque::new())),
+                inner: Arc::new(Mutex::new(VecDeque::with_capacity(MIN_CAP))),
             }
         }
 
@@ -96,7 +102,7 @@ pub mod deque {
         /// Creates an empty injector.
         pub fn new() -> Injector<T> {
             Injector {
-                inner: Mutex::new(VecDeque::new()),
+                inner: Mutex::new(VecDeque::with_capacity(MIN_CAP)),
             }
         }
 

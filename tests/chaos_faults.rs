@@ -436,6 +436,115 @@ fn caller_thread_task_panic_recovers_bit_identical() {
     assert_recovered_matches_oracles(&mut ckt, "caller-thread task panic");
 }
 
+/// A circuit whose nets mix linear rows with sync + MxV pairs, updated
+/// once.
+fn linked_engine() -> Ckt {
+    let mut ckt = fresh_engine(WIDE);
+    let a = ckt.push_net();
+    ckt.insert_gate(GateKind::H, a, &[0]).unwrap();
+    ckt.insert_gate(GateKind::Cx, a, &[1, 2]).unwrap();
+    ckt.insert_gate(GateKind::Ry(0.4), a, &[5]).unwrap();
+    let b = ckt.push_net();
+    ckt.insert_gate(GateKind::Swap, b, &[0, 6]).unwrap();
+    ckt.insert_gate(GateKind::T, b, &[3]).unwrap();
+    ckt.update_state().unwrap();
+    ckt
+}
+
+/// The multi-gate edit of [`link_pass_faults_fail_safe`]: a net holding
+/// a linear gate, a superposition gate and a swap, committed at once.
+fn three_gate_edit(ckt: &mut Ckt) -> Result<(), EngineError> {
+    let first = ckt.circuit().first_net().expect("engine has nets");
+    ckt.edit(|tx| {
+        let net = tx.insert_net_after(first)?;
+        tx.insert_gate(GateKind::Cx, net, &[4, 1])?;
+        tx.insert_gate(GateKind::H, net, &[2])?;
+        tx.insert_gate(GateKind::Swap, net, &[3, 6])?;
+        Ok(())
+    })
+    .map(drop)
+}
+
+/// Traces `engine/graph_patch` while `f` runs against `ckt` and returns
+/// the hit count with the partitions `f` created (partitions after minus
+/// before). Building removes nothing and `create_partitions` carries no
+/// probe, so when the two are equal every hit was the link pass's
+/// one-per-partition probe inside `link_pending`.
+fn link_pass_hits(ckt: &mut Ckt, f: impl FnOnce(&mut Ckt)) -> (u64, u64) {
+    let before = ckt.num_partitions();
+    let mut created = 0;
+    let sites = faults::site_hits(|| {
+        f(ckt);
+        created = ckt.num_partitions() - before;
+    });
+    let hits = sites
+        .iter()
+        .find(|(site, _)| site == "engine/graph_patch")
+        .map_or(0, |(_, hits)| *hits);
+    (hits, created as u64)
+}
+
+/// The link pass fails safe at its first and last probe hit, in both
+/// places it runs as a batch: rebuilding through `from_circuit` inside
+/// `recover()` (a typed `RecoveryFailed` that leaves the engine as it
+/// was), and committing a multi-gate `edit` (Poisoned). Either way a
+/// disarmed `recover()` is then bit-identical to a fresh simulation.
+#[test]
+fn link_pass_faults_fail_safe() {
+    let _guard = chaos_guard();
+
+    let mut ckt = linked_engine();
+    let (hits, _) = link_pass_hits(&mut ckt, |ckt| {
+        ckt.recover().expect("untampered rebuild");
+    });
+    // A rebuild starts from an empty engine: it links every partition.
+    assert_eq!(
+        hits,
+        ckt.num_partitions() as u64,
+        "every rebuild hit lies in the link pass"
+    );
+    for nth in [1, hits] {
+        let ctx = format!("recover: engine/graph_patch@{nth}/{hits}");
+        let mut ckt = linked_engine();
+        faults::arm(FaultPlan::at_hit(
+            "engine/graph_patch",
+            FaultKind::Panic,
+            nth,
+        ));
+        let err = ckt.recover().unwrap_err();
+        let summary = faults::disarm();
+        assert!(summary.fired, "{ctx}: the armed hit was never reached");
+        assert!(
+            matches!(err, EngineError::RecoveryFailed { .. }),
+            "{ctx}: wanted RecoveryFailed, got {err:?}"
+        );
+        assert!(!ckt.is_poisoned(), "{ctx}: a failed rebuild is discarded");
+        assert_recovered_matches_oracles(&mut ckt, &ctx);
+    }
+
+    let mut probe = linked_engine();
+    let (hits, created) = link_pass_hits(&mut probe, |ckt| {
+        three_gate_edit(ckt).expect("untampered edit");
+    });
+    assert!(created >= 3, "the edit links several partitions");
+    assert_eq!(hits, created, "every commit hit lies in the link pass");
+    for nth in [1, hits] {
+        let ctx = format!("edit: engine/graph_patch@{nth}/{hits}");
+        let mut ckt = linked_engine();
+        faults::arm(FaultPlan::at_hit(
+            "engine/graph_patch",
+            FaultKind::Panic,
+            nth,
+        ));
+        let err = three_gate_edit(&mut ckt).unwrap_err();
+        let summary = faults::disarm();
+        assert!(summary.fired, "{ctx}: the armed hit was never reached");
+        assert!(err.is_poisoned(), "{ctx}: wanted Poisoned, got {err:?}");
+        assert_fully_poisoned(&mut ckt, &ctx);
+        assert_recovered_matches_oracles(&mut ckt, &ctx);
+    }
+}
+
 /// No torn reads: a snapshot published before the fault keeps serving
 /// the old, consistent version even while the engine is poisoned.
 #[test]

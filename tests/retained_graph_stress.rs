@@ -16,12 +16,15 @@
 //! Every state is checked amplitude-for-amplitude against the serial
 //! [`qtask_baselines::NaiveSim`] oracle, and a randomized interleaved
 //! storm (edits + removals + updates) guards the patching rules under
-//! adversarial orderings.
+//! adversarial orderings. A batch-link equivalence check builds random
+//! circuits once in one link pass and once gate at a time, and holds the
+//! two engines together through an edit storm.
 
 use qtask::prelude::*;
 use qtask_baselines::{NaiveSim, Simulator};
 use qtask_num::vecops;
 use rand::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Barrier};
 
 const NUM_QUBITS: u8 = 5;
@@ -274,4 +277,220 @@ fn two_engines_on_one_shared_executor_match_the_oracle() {
             });
         }
     });
+}
+
+/// Gate kinds of the batch-link circuits: every linear class plus
+/// controlled and uncontrolled superposition gates, so nets mix linear
+/// rows with sync + MxV pairs.
+const BATCH_KINDS: [GateKind; 12] = [
+    GateKind::X,
+    GateKind::Z,
+    GateKind::T,
+    GateKind::H,
+    GateKind::Ry(0.7),
+    GateKind::U3(0.3, 0.8, 1.1),
+    GateKind::Cx,
+    GateKind::Cz,
+    GateKind::Ch,
+    GateKind::Cp(0.4),
+    GateKind::Swap,
+    GateKind::Ccx,
+];
+
+/// A random gate on qubits of `n` outside `occupied`, if enough are free.
+fn random_gate(rng: &mut StdRng, n: u8, occupied: u64) -> Option<(GateKind, Vec<u8>)> {
+    let kind = BATCH_KINDS[rng.random_range(0..BATCH_KINDS.len())];
+    let mut free: Vec<u8> = (0..n).filter(|q| occupied & (1 << q) == 0).collect();
+    (free.len() >= kind.arity()).then(|| {
+        let qubits = (0..kind.arity())
+            .map(|_| free.swap_remove(rng.random_range(0..free.len())))
+            .collect();
+        (kind, qubits)
+    })
+}
+
+fn random_circuit(rng: &mut StdRng, n: u8) -> Circuit {
+    let mut circuit = Circuit::new(n);
+    for _ in 0..rng.random_range(3..=14) {
+        let net = circuit.push_net();
+        for _ in 0..rng.random_range(1..=4) {
+            let occupied = circuit.net(net).unwrap().occupied_mask();
+            if let Some((kind, qubits)) = random_gate(rng, n, occupied) {
+                circuit.insert_gate(kind, net, &qubits).unwrap();
+            }
+        }
+    }
+    circuit
+}
+
+/// The partition graph's edges, each endpoint named by its row label and
+/// block span (engine-independent), read off the DOT dump.
+fn edge_set(ckt: &Ckt) -> BTreeSet<(String, String)> {
+    let dot = ckt.dump_graph_string();
+    let mut names = HashMap::new();
+    let mut edges = Vec::new();
+    for line in dot.lines().map(str::trim) {
+        if let Some((from, to)) = line.split_once(" -> ") {
+            edges.push((from.to_string(), to.trim_end_matches(';').to_string()));
+        } else if let Some((node, rest)) = line.split_once(" [label=\"") {
+            let label = rest.split('"').next().unwrap();
+            names.insert(node.to_string(), label.to_string());
+        }
+    }
+    edges
+        .into_iter()
+        .map(|(a, b)| (names[&a].clone(), names[&b].clone()))
+        .collect()
+}
+
+/// The state a gate-at-a-time naive simulator reaches on `circuit`.
+fn naive_state(circuit: &Circuit) -> Vec<Complex64> {
+    let mut sim = NaiveSim::new(circuit.num_qubits());
+    for net in circuit.net_ids() {
+        let on = sim.push_net();
+        for (_, gate) in circuit.net_gates(net) {
+            sim.insert_gate(gate.kind(), on, gate.qubits()).unwrap();
+        }
+    }
+    sim.update_state();
+    sim.state_vec()
+}
+
+/// Updates both engines and checks they agree bit for bit, match the
+/// naive oracle and audit clean.
+fn update_pair(batch: &mut Ckt, replay: &mut Ckt, ctx: &str) {
+    batch.update_state().unwrap();
+    replay.update_state().unwrap();
+    assert_eq!(batch.audit(), vec![], "{ctx}: batch audit");
+    assert_eq!(replay.audit(), vec![], "{ctx}: replay audit");
+    let state = batch.state();
+    assert_eq!(state, replay.state(), "{ctx}: batch and replay diverged");
+    let want = naive_state(batch.circuit());
+    assert!(
+        vecops::approx_eq(&state, &want, 1e-8),
+        "{ctx}: diverged from naive oracle by {}",
+        vecops::max_abs_diff(&state, &want)
+    );
+}
+
+/// One seeded storm step, applied identically to both engines: a gate
+/// inserted mid-circuit, a gate or net removed, or a multi-op `edit`
+/// that inserts into a fresh net and removes a gate in the same commit.
+fn storm_step(rng: &mut StdRng, batch: &mut Ckt, replay: &mut Ckt) {
+    let n = batch.num_qubits();
+    let nets: Vec<NetId> = batch.circuit().net_ids().collect();
+    let gates: Vec<GateId> = batch.circuit().ordered_gates().map(|(id, _)| id).collect();
+    match rng.random_range(0..4u32) {
+        0 => {
+            let net = nets[rng.random_range(0..nets.len())];
+            let occupied = batch.circuit().net(net).unwrap().occupied_mask();
+            if let Some((kind, qubits)) = random_gate(rng, n, occupied) {
+                let id = batch.insert_gate(kind, net, &qubits).unwrap();
+                assert_eq!(replay.insert_gate(kind, net, &qubits).unwrap(), id);
+            }
+        }
+        1 if !gates.is_empty() => {
+            let gate = gates[rng.random_range(0..gates.len())];
+            batch.remove_gate(gate).unwrap();
+            replay.remove_gate(gate).unwrap();
+        }
+        2 if nets.len() > 2 => {
+            let net = nets[rng.random_range(0..nets.len())];
+            batch.remove_net(net).unwrap();
+            replay.remove_net(net).unwrap();
+        }
+        _ => {
+            let after = nets[rng.random_range(0..nets.len())];
+            let victim = (!gates.is_empty()).then(|| gates[rng.random_range(0..gates.len())]);
+            let new_gates: Vec<_> = (0..rng.random_range(2..=4))
+                .map(|_| random_gate(rng, n, 0).unwrap())
+                .collect();
+            let edit = |tx: &mut EditTxn<'_>| {
+                let net = tx.insert_net_after(after)?;
+                let mut occupied = 0u64;
+                for (kind, qubits) in &new_gates {
+                    let mask = qubits.iter().fold(0u64, |m, q| m | 1 << q);
+                    if mask & occupied == 0 {
+                        tx.insert_gate(*kind, net, qubits)?;
+                        occupied |= mask;
+                    }
+                }
+                if let Some(gate) = victim {
+                    tx.remove_gate(gate)?;
+                }
+                Ok(())
+            };
+            let (_, a) = batch.edit(edit).unwrap();
+            let (_, b) = replay.edit(edit).unwrap();
+            // The frontiers may differ: a removal seeds it with the
+            // removed partitions' successors, and the replay keeps
+            // redundant edges the batch never made.
+            let frontier_blind = |r: EditReceipt| EditReceipt {
+                frontier_len: 0,
+                ..r
+            };
+            assert_eq!(
+                frontier_blind(a),
+                frontier_blind(b),
+                "both commits did the same"
+            );
+        }
+    }
+}
+
+/// One link pass over a whole circuit builds the same simulation as
+/// linking it gate at a time: on seeded random circuits (3–10 qubits,
+/// blocks of 1–32, MxV cap 1–3) the states are `==`, both graphs
+/// validate (coherence and nearest-cover reachability), and the batch's
+/// edges are a subset of the replay's — strictly fewer on some circuits,
+/// where a net's sync + MxV pair landed between linked rows. A seeded
+/// edit storm then keeps both engines `==` to each other and ≈ the naive
+/// oracle, with a clean audit after every update.
+#[test]
+fn batch_link_matches_gate_at_a_time_replay() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C_41C5);
+    let mut fewer_edges = 0;
+    for case in 0..40 {
+        let n = rng.random_range(3..=10u8);
+        let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=5u32));
+        cfg.num_threads = 2;
+        cfg.mxv_group_max = rng.random_range(1..=3);
+        let circuit = random_circuit(&mut rng, n);
+        let mut batch = Ckt::from_circuit(&circuit, cfg.clone());
+        let mut replay = Ckt::with_config(n, cfg);
+        for net in circuit.net_ids() {
+            let rn = replay.push_net();
+            for (_, gate) in circuit.net_gates(net) {
+                replay.insert_gate(gate.kind(), rn, gate.qubits()).unwrap();
+            }
+        }
+        let ctx = format!("case {case} ({n} qubits)");
+        for ckt in [&batch, &replay] {
+            ckt.validate_graph()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            ckt.validate_reachability()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+        let (batch_edges, replay_edges) = (edge_set(&batch), edge_set(&replay));
+        assert!(
+            batch_edges.is_subset(&replay_edges),
+            "{ctx}: batch edges {:?} missing from the replay",
+            batch_edges.difference(&replay_edges).collect::<Vec<_>>()
+        );
+        if batch_edges.len() < replay_edges.len() {
+            fewer_edges += 1;
+        }
+        update_pair(&mut batch, &mut replay, &ctx);
+        if case % 4 == 0 {
+            for step in 0..30 {
+                storm_step(&mut rng, &mut batch, &mut replay);
+                if rng.random_bool(0.5) {
+                    update_pair(&mut batch, &mut replay, &format!("{ctx} step {step}"));
+                }
+            }
+            update_pair(&mut batch, &mut replay, &format!("{ctx} storm end"));
+            batch.validate_reachability().unwrap();
+        }
+    }
+    assert!(fewer_edges > 0, "no circuit dropped a redundant edge");
 }
