@@ -119,13 +119,6 @@ fn bench_query(c: &mut Criterion) {
     let snap = ckt.latest_snapshot().expect("update publishes");
     let mut g = c.benchmark_group("query");
     g.sample_size(20);
-    g.bench_function("amplitude_resolve_qft14", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 4097) & ((1 << 14) - 1);
-            black_box(ckt.amplitude(i))
-        })
-    });
     g.bench_function("amplitude_snapshot_qft14", |b| {
         let mut i = 0usize;
         b.iter(|| {

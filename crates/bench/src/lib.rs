@@ -180,23 +180,21 @@ impl Simulator for CktSim {
         self.ckt.update_state().unwrap();
     }
 
-    // Queries go through the published snapshot when one exists — the
-    // concurrent-read surface the MVCC redesign added — so the measured
-    // protocol prices snapshot capture *and* snapshot reads; the live
-    // lazy path stays as the pre-update fallback.
+    // Queries read the snapshot the last update published, so the
+    // measured protocol prices snapshot capture *and* snapshot reads.
 
     fn amplitude(&self, idx: usize) -> Complex64 {
-        match self.ckt.latest_snapshot() {
-            Some(snap) => snap.amplitude(idx),
-            None => self.ckt.amplitude(idx),
-        }
+        self.ckt
+            .latest_snapshot()
+            .expect("query after update_state")
+            .amplitude(idx)
     }
 
     fn state_vec(&self) -> Vec<Complex64> {
-        match self.ckt.latest_snapshot() {
-            Some(snap) => snap.state(),
-            None => self.ckt.state(),
-        }
+        self.ckt
+            .latest_snapshot()
+            .expect("query after update_state")
+            .state()
     }
 
     fn num_gates(&self) -> usize {

@@ -23,7 +23,7 @@ pub enum NumericalPolicy {
     /// rebuild). The default.
     Strict,
     /// Drift is absorbed: the engine records a renormalization scale
-    /// `1/√(norm²)` applied by every query, and counts the event in
+    /// `1/√(norm²)` applied by every snapshot read, and counts the event in
     /// [`crate::UpdateReport::drift_events`]. Non-finite amplitudes are
     /// still an error — NaN cannot be scaled away.
     Renormalize,

@@ -6,9 +6,8 @@ use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
 use crate::exec::{self, ExecView};
 use crate::owners::{OwnerIndex, ResolveStats};
-use crate::queries::QueryReport;
 use crate::row::{DenseFactor, PartId, Partition, Row, RowId, RowKind};
-use crate::snapshot::{SnapInner, StateSnapshot};
+use crate::snapshot::{QueryReport, SnapInner, StateSnapshot};
 use crate::spine::Spine;
 use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
@@ -124,9 +123,6 @@ fn touch_core_metrics() {
     let _ = qtask_obs::counter!("core.staged_ops");
     let _ = qtask_obs::counter!("core.recoveries");
     let _ = qtask_obs::counter!("core.recovery_failures");
-    let _ = qtask_obs::counter!("core.query.calls");
-    let _ = qtask_obs::counter!("core.query.blocks_resolved");
-    let _ = qtask_obs::counter!("core.query.owner_probes");
     let _ = qtask_obs::histogram!("core.update_us");
     let _ = qtask_obs::histogram!("core.update_build_us");
     let _ = qtask_obs::histogram!("core.update_run_us");
@@ -174,8 +170,11 @@ pub struct RecoveryReport {
 /// per-row copy-on-write state vectors, the partition task graph, and the
 /// frontier list that seeds [`Ckt::update_state`].
 ///
-/// Queries reflect the state as of the last `update_state`; call it after
-/// a batch of modifiers before querying (the paper's usage model).
+/// State is read only through the [`StateSnapshot`]s it publishes:
+/// [`Ckt::latest_snapshot`] is what the last `update_state` published,
+/// and [`Ckt::snapshot`] also folds in removals made since. Call
+/// `update_state` after a batch of modifiers before reading (the paper's
+/// usage model).
 pub struct Ckt {
     pub(crate) circuit: Circuit,
     pub(crate) geom: BlockGeometry,
@@ -207,8 +206,8 @@ pub struct Ckt {
     /// identical factor groups share one `Arc<FusedOp>` instead of each
     /// expanding their own pattern table.
     pub(crate) fused_cache: crate::fused::FusedCache,
-    /// Resolution counters of the most recent update (also fed by lazy
-    /// query resolution; reset at each `update_state`).
+    /// Resolution counters of the most recent update's partition tasks
+    /// (reset at each `update_state`).
     pub(crate) resolve_stats: ResolveStats,
     /// Reusable `update_state` allocations (dirty-set DFS + task map).
     scratch: UpdateScratch,
@@ -232,7 +231,7 @@ pub struct Ckt {
     /// only for the blocks a publication re-resolves, so norm
     /// conservation is checked incrementally.
     block_norms: Vec<f64>,
-    /// Scale every query applies: 1.0 unless
+    /// Scale the published snapshot applies: 1.0 unless
     /// [`NumericalPolicy::Renormalize`] absorbed drift at the last
     /// publication. Stored, never baked into the shared COW buffers.
     renorm_scale: f64,
@@ -354,15 +353,6 @@ impl Ckt {
                 reason: reason.clone(),
             }),
             None => Ok(()),
-        }
-    }
-
-    /// Panics with the poison reason when the engine is poisoned — the
-    /// guard of the infallible query surface, which must never serve a
-    /// torn read.
-    pub(crate) fn assert_healthy(&self) {
-        if let Some(reason) = &self.poison {
-            panic!("engine is poisoned: {reason} (call Ckt::recover, or use the try_ queries)");
         }
     }
 
@@ -970,17 +960,20 @@ impl Ckt {
             // Nothing to execute, but removals may still have changed the
             // resolved view (a removal needs no simulation): refresh the
             // snapshot if so, or publish the very first one.
-            let mut report = UpdateReport::default();
-            if self.latest.is_none() || !self.snap_dirty.is_empty() {
-                qtask_faults::fault_point!("engine/update_publish");
-                let (spine, resolve_all) = self.detach_spine();
-                report.snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
-            }
-            report.norm_error = self.last_norm_error;
-            report.drift_events = self.drift_events;
-            report.graph_nodes_patched = self.graph.take_patches();
-            report.staged_ops = std::mem::take(&mut self.staged_ops_pending);
-            report.elapsed = t0.elapsed();
+            let snapshot_blocks_resolved = self
+                .republish_if_stale(|| {
+                    qtask_faults::fault_point!("engine/update_publish");
+                })?
+                .unwrap_or(0);
+            let report = UpdateReport {
+                snapshot_blocks_resolved,
+                norm_error: self.last_norm_error,
+                drift_events: self.drift_events,
+                graph_nodes_patched: self.graph.take_patches(),
+                staged_ops: std::mem::take(&mut self.staged_ops_pending),
+                elapsed: t0.elapsed(),
+                ..UpdateReport::default()
+            };
             record_update_metrics(&report);
             return Ok(report);
         }
@@ -1138,14 +1131,14 @@ impl Ckt {
         self.snapshot_seq
     }
 
-    /// A snapshot of the current resolved state — the same view the live
-    /// queries answer from: the latest published snapshot, refreshed
-    /// first if removals changed the resolved view since (or none was
-    /// ever published).
+    /// A snapshot of the current resolved state: the latest published
+    /// snapshot, republished first if removals changed the resolved view
+    /// since (or none was ever published). A removal needs no
+    /// simulation, so reading after one costs only the re-resolution of
+    /// the blocks the removed rows owned.
     ///
     /// Pending *insertions* that have not been simulated yet do not
-    /// appear — like every query, a snapshot reflects the state as of the
-    /// last [`Ckt::update_state`].
+    /// appear: they take effect at the next [`Ckt::update_state`].
     ///
     /// Panics when the engine is poisoned (or publication violates the
     /// numerical policy); [`Ckt::try_snapshot`] is the non-panicking
@@ -1161,11 +1154,21 @@ impl Ckt {
     }
 
     fn snapshot_inner(&mut self) -> Result<StateSnapshot, EngineError> {
-        if self.latest.is_none() || !self.snap_dirty.is_empty() {
-            let (spine, resolve_all) = self.detach_spine();
-            self.publish_spine(spine, resolve_all)?;
-        }
+        self.republish_if_stale(|| {})?;
         Ok(self.latest.clone().expect("snapshot just published"))
+    }
+
+    /// Publishes the next snapshot when removals changed the resolved
+    /// view since the last publication, or when none was ever made,
+    /// running `before` first; returns the blocks resolved, or `None`
+    /// when the latest snapshot is current.
+    fn republish_if_stale(&mut self, before: impl FnOnce()) -> Result<Option<u64>, EngineError> {
+        if self.latest.is_some() && self.snap_dirty.is_empty() {
+            return Ok(None);
+        }
+        before();
+        let (spine, resolve_all) = self.detach_spine();
+        self.publish_spine(spine, resolve_all).map(Some)
     }
 
     /// Takes the previous snapshot's block spine for reuse, dropping the
@@ -1343,13 +1346,6 @@ impl Ckt {
         }
         Ok(())
     }
-
-    /// The scale the live queries currently apply (1.0 unless
-    /// [`NumericalPolicy::Renormalize`] absorbed drift at the last
-    /// publication).
-    pub fn renorm_scale(&self) -> f64 {
-        self.renorm_scale
-    }
 }
 
 /// Squared norm of one resolved block (`None` = the implicit |0…0⟩
@@ -1398,7 +1394,11 @@ mod tests {
         ckt.update_state().unwrap();
         let mut want = qtask_num::vecops::ket_zero(4);
         qtask_partition::kernels::apply_dense(0, 1, &u, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(&ckt.state(), &want, 1e-12));
+        assert!(qtask_num::vecops::approx_eq(
+            &ckt.latest_snapshot().unwrap().state(),
+            &want,
+            1e-12
+        ));
     }
 
     /// The replace scan covers every chained pair of the net, not just
@@ -1441,7 +1441,11 @@ mod tests {
         let mut want = qtask_num::vecops::ket_zero(4);
         qtask_partition::kernels::apply_dense(0, 1, &u, 4, &mut want);
         qtask_partition::kernels::apply_dense(0, 3, &h, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(&ckt.state(), &want, 1e-12));
+        assert!(qtask_num::vecops::approx_eq(
+            &ckt.latest_snapshot().unwrap().state(),
+            &want,
+            1e-12
+        ));
     }
 
     /// Distinct (controls, target) factors still stack into the group up
@@ -1477,7 +1481,11 @@ mod tests {
         for t in [0u8, 2, 3] {
             qtask_partition::kernels::apply_dense(0, t, &h, 4, &mut want);
         }
-        assert!(qtask_num::vecops::approx_eq(&ckt.state(), &want, 1e-12));
+        assert!(qtask_num::vecops::approx_eq(
+            &ckt.latest_snapshot().unwrap().state(),
+            &want,
+            1e-12
+        ));
     }
 
     /// Dense gate removal invalidates the fused cache; the next update
@@ -1502,7 +1510,11 @@ mod tests {
         let h = GateKind::H.base_matrix().unwrap();
         let mut want = qtask_num::vecops::ket_zero(4);
         qtask_partition::kernels::apply_dense(0, 0, &h, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(&ckt.state(), &want, 1e-12));
+        assert!(qtask_num::vecops::approx_eq(
+            &ckt.latest_snapshot().unwrap().state(),
+            &want,
+            1e-12
+        ));
     }
 
     /// MxV rows whose factor groups have identical content share one

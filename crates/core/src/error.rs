@@ -5,10 +5,11 @@
 //! panic mid-mutation can leave rows, the owner index, and the dirty sets
 //! *torn*. Mutating entry points therefore contain panics with
 //! `catch_unwind` and flip the engine into a **poisoned** state — every
-//! fallible API returns [`EngineError::Poisoned`] from then on (and the
-//! infallible live queries panic with the poison reason instead of
-//! serving torn reads) until [`crate::Ckt::recover`] rebuilds the
-//! simulation state from the retained circuit.
+//! fallible API returns [`EngineError::Poisoned`] from then on, and no
+//! new [`crate::StateSnapshot`] is published, until
+//! [`crate::Ckt::recover`] rebuilds the simulation state from the
+//! retained circuit. Snapshots published before the poisoning stay
+//! readable: they never share a torn buffer.
 
 use qtask_circuit::CircuitError;
 
@@ -25,14 +26,6 @@ pub enum EngineError {
     /// A circuit-level validation failure (stale id, net conflict, …) —
     /// the engine state is untouched.
     Circuit(CircuitError),
-    /// A query addressed a basis state outside the simulated range — the
-    /// engine state is untouched.
-    IndexOutOfRange {
-        /// The offending basis index.
-        idx: usize,
-        /// The state-vector length (`2^n`).
-        len: usize,
-    },
     /// A published block contained a non-finite amplitude (NaN/Inf). The
     /// engine poisons itself under either [`crate::NumericalPolicy`] —
     /// a non-finite state cannot be renormalized.
@@ -47,14 +40,6 @@ pub enum EngineError {
         norm_sqr: f64,
         /// The configured tolerance it exceeded.
         tolerance: f64,
-    },
-    /// A read-path coherence failure surfaced as a typed error instead of
-    /// a panic (e.g. the owner index referenced a dead row). The engine
-    /// state was not modified by the failing call; run
-    /// [`crate::Ckt::audit`] to locate the broken invariant.
-    Inconsistent {
-        /// Human-readable description of the failure.
-        detail: String,
     },
     /// An error injected by an armed `qtask_faults` plan (test builds
     /// with the `faults` feature only). Observable state is unchanged.
@@ -97,9 +82,6 @@ impl std::fmt::Display for EngineError {
                 write!(f, "engine is poisoned: {reason} (call Ckt::recover)")
             }
             EngineError::Circuit(e) => write!(f, "circuit error: {e}"),
-            EngineError::IndexOutOfRange { idx, len } => {
-                write!(f, "basis index {idx} out of range for state length {len}")
-            }
             EngineError::NonFinite { block } => {
                 write!(f, "non-finite amplitude in block {block}")
             }
@@ -110,9 +92,6 @@ impl std::fmt::Display for EngineError {
                 f,
                 "state norm² drifted to {norm_sqr} (tolerance {tolerance})"
             ),
-            EngineError::Inconsistent { detail } => {
-                write!(f, "engine invariant violated on read path: {detail}")
-            }
             EngineError::Injected { site } => {
                 write!(f, "injected error at fault point '{site}'")
             }

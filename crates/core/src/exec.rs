@@ -707,7 +707,7 @@ mod tests {
         let paths = check_all_mxv(&ckt);
         assert!(!paths.is_empty(), "no MxV partition ran");
         assert!(paths.iter().all(|&whole| whole));
-        let norm: f64 = ckt.state().iter().map(|z| z.norm_sqr()).sum();
+        let norm = ckt.latest_snapshot().unwrap().norm_sqr();
         assert!((norm - 1.0).abs() < 1e-12);
     }
 

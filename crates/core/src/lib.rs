@@ -14,14 +14,16 @@
 //!   work-stealing executor, then publishes an immutable versioned
 //!   [`StateSnapshot`]. Building a circuit from scratch and calling
 //!   `update_state` once is the full-simulation special case.
-//! * **Query** — [`StateSnapshot::amplitude`], [`StateSnapshot::state`],
-//!   [`StateSnapshot::probabilities`], [`StateSnapshot::sample`] on the
-//!   published snapshot (`Send + Sync`: readers on any thread keep
-//!   querying version *v* while the writer builds *v+1*), plus the same
-//!   set as live-view methods on [`Ckt`] itself ([`Ckt::amplitude`], …,
-//!   counted by [`QueryReport`]) and [`Ckt::dump_graph`]. Live queries
-//!   resolve the copy-on-write block chain lazily, so a removal followed
-//!   by a query needs no simulation at all.
+//! * **Query** — every state read goes through an immutable
+//!   [`StateSnapshot`] ([`StateSnapshot::amplitude`],
+//!   [`StateSnapshot::state`], [`StateSnapshot::probabilities`],
+//!   [`StateSnapshot::sample`]): `Send + Sync`, so readers on any thread
+//!   keep querying version *v* while the writer builds *v+1*.
+//!   [`Ckt::latest_snapshot`] is what the last update published;
+//!   [`Ckt::snapshot`] also republishes the blocks removals changed, so
+//!   a removal followed by a read needs no simulation at all. Capture
+//!   work is counted by [`QueryReport`]; [`Ckt::dump_graph`] renders the
+//!   partition graph.
 //!
 //! Internally (paper §III-C–F):
 //!
@@ -62,8 +64,7 @@ pub use delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 pub use engine::{Ckt, RecoveryReport, UpdateReport};
 pub use error::{EngineError, InvariantViolation};
 pub use owners::OwnerIndex;
-pub use queries::QueryReport;
 pub use row::{PartId, RowId};
-pub use snapshot::StateSnapshot;
+pub use snapshot::{QueryReport, StateSnapshot};
 pub use spine::Spine;
 pub use txn::{EditReceipt, EditTxn};

@@ -143,8 +143,8 @@ impl OwnerIndex {
     /// owner's data, skipping stale candidates whose buffer `fetch`
     /// cannot produce. Returns `None` when the block bottoms out at the
     /// implicit initial state. This is the one shared walk behind both
-    /// the executor's `resolve_before` and the query-side
-    /// `resolve_final`.
+    /// the executor's `resolve_before` and snapshot capture's
+    /// `resolve_final_data`.
     pub fn resolve_before(
         &self,
         b: usize,

@@ -29,11 +29,25 @@
 //! surfaced in [`crate::UpdateReport::snapshot_blocks_resolved`] and
 //! [`StateSnapshot::capture_report`].
 
-use crate::queries::QueryReport;
 use crate::spine::Spine;
 use qtask_num::Complex64;
 use qtask_partition::BlockGeometry;
 use std::sync::Arc;
+
+/// Resolution work one snapshot capture performed
+/// ([`StateSnapshot::capture_report`]). A capture re-resolves only the
+/// blocks whose final owner may have changed since the previous
+/// publication, so `blocks_resolved` prices the write set, and
+/// `owner_probes / blocks_resolved` is the per-lookup cost the owner
+/// index keeps flat in circuit depth.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryReport {
+    /// Final-state block resolutions the capture performed.
+    pub blocks_resolved: u64,
+    /// Owner probes those resolutions cost: one per final-state lookup,
+    /// plus binary-search steps when a stale last owner forces a retry.
+    pub owner_probes: u64,
+}
 
 pub(crate) struct SnapInner {
     pub(crate) version: u64,

@@ -5,12 +5,14 @@
 //! whose graph construction legitimately allocates — inside a binary
 //! whose global allocator counts every heap call. The engine internals it
 //! needs are `pub(crate)`, so this module re-exposes exactly the
-//! operations the test performs. Not a public API; hidden from docs and
-//! subject to change.
+//! operations the test performs. The oracle checks of the transaction and
+//! chaos suites read [`full_state`], which resolves every block from the
+//! rows. Not a public API; hidden from docs and subject to change.
 
 use crate::engine::Ckt;
 use crate::exec::{self, ExecView};
 use crate::row::{PartId, RowKind};
+use qtask_num::Complex64;
 
 /// All partitions of MxV rows, in row order.
 pub fn mxv_partitions(ckt: &Ckt) -> Vec<PartId> {
@@ -47,6 +49,16 @@ fn exec_view(ckt: &Ckt) -> ExecView<'_> {
 /// reclaiming them. The next publication resolves every block afresh.
 pub fn unpin_snapshot(ckt: &mut Ckt) {
     ckt.latest = None;
+}
+
+/// The state resolved afresh from the engine's rows and owner index:
+/// unpins the latest snapshot, so the publication this triggers resolves
+/// every block instead of reusing the clean entries of the previous
+/// spine. Tests compare it against oracles to check the rows themselves,
+/// not a cached capture. Publishes a new snapshot version.
+pub fn full_state(ckt: &mut Ckt) -> Vec<Complex64> {
+    unpin_snapshot(ckt);
+    ckt.snapshot().state()
 }
 
 /// Re-executes the given MxV partitions once, serially, on the calling

@@ -157,7 +157,7 @@ impl Ckt {
     /// validated first; the engine (circuit, rows, partitions, frontier,
     /// owner index) is mutated only if `f` returns `Ok`. On `Err` the
     /// engine is untouched — `debug_partitions`, `validate_owner_index`,
-    /// and every query answer exactly as before the call.
+    /// and every snapshot read answer exactly as before the call.
     ///
     /// Returns the closure's value alongside an [`EditReceipt`]. As with
     /// the direct modifiers, call [`Ckt::update_state`] after committing
@@ -284,7 +284,7 @@ mod tests {
         ckt.remove_gate(cx).unwrap();
         ckt.remove_gate(h).unwrap();
         ckt.update_state().unwrap();
-        assert!(ckt.amplitude(0).is_one(1e-12));
+        assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-12));
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
         ckt.update_state().unwrap();
         let parts_before = ckt.debug_partitions();
         let rows_before = ckt.debug_rows();
-        let state_before = ckt.state();
+        let state_before = crate::test_support::full_state(&mut ckt);
 
         let err = ckt
             .edit(|tx| {
@@ -318,7 +318,7 @@ mod tests {
         assert_eq!(ckt.frontier_len(), 0);
         ckt.validate_owner_index().unwrap();
         ckt.validate_graph().unwrap();
-        assert_eq!(ckt.state(), state_before);
+        assert_eq!(crate::test_support::full_state(&mut ckt), state_before);
     }
 
     #[test]

@@ -23,14 +23,15 @@ fn oracle_state(ckt: &Ckt) -> Vec<Complex64> {
 }
 
 fn assert_matches_oracle(ckt: &Ckt, what: &str) {
-    let got = ckt.state();
+    let snap = ckt.latest_snapshot().expect("read after update_state");
+    let got = snap.state();
     let want = oracle_state(ckt);
     assert!(
         vecops::approx_eq(&got, &want, 1e-9),
         "{what}: max diff {}",
         vecops::max_abs_diff(&got, &want)
     );
-    let norm = ckt.norm_sqr();
+    let norm = snap.norm_sqr();
     assert!((norm - 1.0).abs() < 1e-9, "{what}: norm {norm}");
 }
 
@@ -61,10 +62,12 @@ fn figure2_ckt(block_size: usize) -> (Ckt, Vec<qtask_circuit::NetId>, Vec<qtask_
 
 #[test]
 fn initial_state_before_any_update() {
-    let ckt = Ckt::new(4);
-    assert!(ckt.amplitude(0).is_one(1e-12));
-    assert!(ckt.amplitude(7).is_zero(1e-12));
-    assert!((ckt.norm_sqr() - 1.0).abs() < 1e-12);
+    let mut ckt = Ckt::new(4);
+    assert!(ckt.latest_snapshot().is_none(), "nothing published yet");
+    let snap = ckt.snapshot();
+    assert!(snap.amplitude(0).is_one(1e-12));
+    assert!(snap.amplitude(7).is_zero(1e-12));
+    assert!((snap.norm_sqr() - 1.0).abs() < 1e-12);
 }
 
 #[test]
@@ -75,7 +78,7 @@ fn figure2_full_simulation() {
     assert!(report.partitions_executed > 0);
     assert_matches_oracle(&ckt, "figure2 full");
     // All 32 amplitudes of H^{⊗5} then CNOTs have magnitude 1/√32.
-    let probs = ckt.probabilities();
+    let probs = ckt.latest_snapshot().unwrap().probabilities();
     for p in probs {
         assert!((p - 1.0 / 32.0).abs() < 1e-9);
     }
@@ -162,7 +165,7 @@ fn identity_gates_create_no_rows() {
     assert_eq!(ckt.num_rows(), 0);
     assert_eq!(ckt.num_partitions(), 0);
     ckt.update_state().unwrap();
-    assert!(ckt.amplitude(0).is_one(1e-12));
+    assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-12));
 }
 
 #[test]
@@ -179,8 +182,9 @@ fn dense_gates_group_into_one_mxv_row() {
     ckt.update_state().unwrap();
     assert_matches_oracle(&ckt, "H⊗4 net");
     let amp = 1.0 / 4.0;
+    let snap = ckt.latest_snapshot().unwrap();
     for i in 0..16 {
-        assert!((ckt.amplitude(i).re - amp).abs() < 1e-9);
+        assert!((snap.amplitude(i).re - amp).abs() < 1e-9);
     }
 }
 
@@ -224,7 +228,7 @@ fn removing_last_dense_gate_drops_mxv_and_sync() {
     ckt.remove_gate(x).unwrap();
     assert_eq!(ckt.num_rows(), 0);
     ckt.update_state().unwrap();
-    assert!(ckt.amplitude(0).is_one(1e-9));
+    assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-9));
 }
 
 #[test]
@@ -252,7 +256,7 @@ fn remove_net_removes_all_rows() {
     ckt.update_state().unwrap();
     assert_matches_oracle(&ckt, "net removed");
     // Only CNOT rows remain; on |00000> CNOTs do nothing.
-    assert!(ckt.amplitude(0).is_one(1e-9));
+    assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-9));
 }
 
 #[test]
@@ -496,8 +500,7 @@ fn owner_index_consistent_after_removal_storm_on_deep_chain() {
 }
 
 #[test]
-fn query_reports_surface_resolution_work() {
-    use qtask_core::QueryReport;
+fn snapshot_capture_reports_resolution_work() {
     let mut cfg = SimConfig::with_block_size(4);
     cfg.num_threads = 1;
     let mut ckt = Ckt::with_config(6, cfg);
@@ -505,24 +508,22 @@ fn query_reports_surface_resolution_work() {
         let net = ckt.push_net();
         ckt.insert_gate(GateKind::H, net, &[target]).unwrap();
     }
+    // The first publish resolves every block once.
     ckt.update_state().unwrap();
-    // A single amplitude resolves exactly one block.
-    let (amp, report) = ckt.amplitude_reported(0);
-    assert_eq!(report.blocks_resolved, 1);
-    assert!(report.owner_probes >= 1, "{report:?}");
-    assert!((amp.norm_sqr() - 1.0 / 8.0).abs() < 1e-12);
-    // Materializing the state resolves every block once.
-    let (state, report) = ckt.state_reported();
-    assert_eq!(state.len(), 1 << 6);
+    let report = ckt.latest_snapshot().unwrap().capture_report();
     assert_eq!(report.blocks_resolved, ckt.geometry().num_blocks() as u64);
-    assert!(report.owner_probes >= report.blocks_resolved);
-    // Reports are deltas, not running totals.
-    let (_, again) = ckt.amplitude_reported(0);
-    assert_eq!(again.blocks_resolved, 1);
-    assert_eq!(QueryReport::default().blocks_resolved, 0);
+    assert!(report.owner_probes >= report.blocks_resolved, "{report:?}");
+    // An incremental publish re-resolves only its write set, and its
+    // capture report is the update's own count.
+    let net = ckt.push_net();
+    ckt.insert_gate(GateKind::X, net, &[1]).unwrap();
+    let update = ckt.update_state().unwrap();
+    let report = ckt.latest_snapshot().unwrap().capture_report();
+    assert_eq!(report.blocks_resolved, update.snapshot_blocks_resolved);
+    assert!(report.blocks_resolved > 0, "{report:?}");
 
-    // On a deep chain the index answers in O(log owners): block 0 is
-    // owned only by early rows, and its lookup must cost a small
+    // On a deep chain the owner index answers in O(1) per block: every
+    // upper-half block has `deep` owners, and a lookup must cost a small
     // fraction of the rows a backward walk would visit.
     let deep = 64usize;
     let mut cfg = SimConfig::with_block_size(4);
@@ -533,9 +534,9 @@ fn query_reports_surface_resolution_work() {
         ckt.insert_gate(GateKind::T, net, &[7]).unwrap();
     }
     ckt.update_state().unwrap();
-    let (_, report) = ckt.amplitude_reported(0);
+    let report = ckt.latest_snapshot().unwrap().capture_report();
     assert!(
-        report.owner_probes * 4 < deep as u64,
-        "owner index should probe far fewer than {deep} rows: {report:?}"
+        report.owner_probes * 4 < deep as u64 * report.blocks_resolved,
+        "owner index should probe far fewer than {deep} rows per block: {report:?}"
     );
 }

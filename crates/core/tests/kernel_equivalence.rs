@@ -84,7 +84,7 @@ fn run_engine(
         }
     }
     ckt.update_state().unwrap();
-    ckt.state()
+    ckt.latest_snapshot().unwrap().state()
 }
 
 /// Flat-kernel oracle: apply the nets gate-at-a-time with the shared flat
@@ -171,7 +171,10 @@ fn incremental_toggles_agree_across_kernel_policies() {
 }
 
 fn assert_matches_oracle(ckt: &Ckt, nets: &[Vec<(GateKind, Vec<u8>)>], n: u8, what: &str) {
-    let (got, want) = (ckt.state(), oracle_state(nets, n));
+    let (got, want) = (
+        ckt.latest_snapshot().unwrap().state(),
+        oracle_state(nets, n),
+    );
     assert!(
         vecops::approx_eq(&got, &want, 1e-12),
         "{what}: engine vs flat oracle, max diff {}",

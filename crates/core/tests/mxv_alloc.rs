@@ -60,9 +60,9 @@ fn warm_mxv_reexecution_allocates_nothing() {
     // And the state is still right: H(1) · CH(4,2) on |0…0⟩ puts equal
     // weight on |000000⟩ and |000010⟩.
     let inv = 1.0 / 2.0f64.sqrt();
-    assert!((ckt.amplitude(0).re - inv).abs() < 1e-12);
-    assert!((ckt.amplitude(2).re - inv).abs() < 1e-12);
-    assert!(ckt.probability(1 << 2) < 1e-20);
+    assert!((ckt.snapshot().amplitude(0).re - inv).abs() < 1e-12);
+    assert!((ckt.snapshot().amplitude(2).re - inv).abs() < 1e-12);
+    assert!(ckt.snapshot().probability(1 << 2) < 1e-20);
 }
 
 /// Linear-row parity (ROADMAP, PR 2 follow-up): once the partition
@@ -108,7 +108,11 @@ fn warm_linear_reexecution_allocates_nothing() {
     qtask_partition::kernels::apply_dense(0, 5, &x, 6, &mut want);
     qtask_partition::kernels::apply_dense(1 << 2, 4, &x, 6, &mut want);
     qtask_partition::kernels::apply_gate(GateKind::Swap, 0, &[0, 5], &mut want);
-    assert!(qtask_num::vecops::approx_eq(&ckt.state(), &want, 1e-12));
+    assert!(qtask_num::vecops::approx_eq(
+        &ckt.snapshot().state(),
+        &want,
+        1e-12
+    ));
 }
 
 /// The full `update_state` of a repeated incremental toggle stays cheap
@@ -131,8 +135,8 @@ fn fused_cache_survives_unrelated_updates() {
         ckt.update_state().unwrap();
     }
     let inv = 1.0 / 2.0f64.sqrt();
-    assert!((ckt.amplitude(0).re - inv).abs() < 1e-12);
-    assert!((ckt.amplitude(1).re - inv).abs() < 1e-12);
+    assert!((ckt.snapshot().amplitude(0).re - inv).abs() < 1e-12);
+    assert!((ckt.snapshot().amplitude(1).re - inv).abs() < 1e-12);
 }
 
 /// Retained-graph parity for the whole write path: once scratch, pools,

@@ -85,7 +85,7 @@ fn main() {
             break;
         }
     }
-    println!("final norm = {:.9}", ckt.norm_sqr());
+    println!("final norm = {:.9}", ckt.snapshot().norm_sqr());
 
     // The history is immutable: diff the biggest single-level jump
     // without any re-simulation.

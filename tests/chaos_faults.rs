@@ -15,10 +15,10 @@
 
 #![cfg(feature = "faults")]
 
+use qtask::core::test_support::full_state;
 use qtask::prelude::*;
 use qtask_faults::{self as faults, FaultKind, FaultPlan};
 use qtask_partition::kernels;
-use rand::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
@@ -106,11 +106,9 @@ fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
     ckt.remove_net(b)?;
     ckt.update_state()?;
 
-    let norm = ckt.try_norm_sqr()?;
+    let snap = ckt.try_snapshot()?;
+    let norm = snap.norm_sqr();
     assert!((norm - 1.0).abs() < EPS, "scenario norm² = {norm}");
-    ckt.try_amplitude(1)?;
-    ckt.try_state()?;
-    ckt.try_snapshot()?;
     Ok(())
 }
 
@@ -128,7 +126,6 @@ const EXPECTED_SITES: &[&str] = &[
     "exec/linear_task",
     "exec/mxv_task",
     "exec/publish_row",
-    "query/read",
     "snapshot/publish",
     "taskflow/task",
     "txn/commit_op",
@@ -155,19 +152,12 @@ fn assert_fully_poisoned(ckt: &mut Ckt, ctx: &str) {
             .any(|v| matches!(v, InvariantViolation::EnginePoisoned { .. })),
         "{ctx}: audit must report the poisoning"
     );
-    let mut rng = StdRng::seed_from_u64(7);
     let gate = ckt.circuit().ordered_gates().next().map(|(id, _)| id);
     let net = ckt.circuit().nets().next().map(|(id, _)| id);
     let poisoned = |r: Result<(), EngineError>, what: &str| match r {
         Err(e) if e.is_poisoned() => {}
         other => panic!("{ctx}: {what} should return Poisoned, got {other:?}"),
     };
-    poisoned(ckt.try_amplitude(0).map(drop), "try_amplitude");
-    poisoned(ckt.try_probability(0).map(drop), "try_probability");
-    poisoned(ckt.try_state().map(drop), "try_state");
-    poisoned(ckt.try_probabilities().map(drop), "try_probabilities");
-    poisoned(ckt.try_norm_sqr().map(drop), "try_norm_sqr");
-    poisoned(ckt.try_sample(&mut rng).map(drop), "try_sample");
     poisoned(ckt.try_snapshot().map(drop), "try_snapshot");
     poisoned(ckt.update_state().map(drop), "update_state");
     poisoned(ckt.edit(|_tx| Ok(())).map(drop), "edit");
@@ -199,12 +189,12 @@ fn assert_recovered_matches_oracles(ckt: &mut Ckt, ctx: &str) {
         "{ctx}: recovery report row count"
     );
 
-    let recovered = ckt.state();
+    let recovered = full_state(ckt);
     let mut resim = Ckt::from_circuit(ckt.circuit(), scenario_config());
     resim.update_state().unwrap();
     assert_eq!(
         recovered,
-        resim.state(),
+        full_state(&mut resim),
         "{ctx}: recovered state is not bit-identical to a fresh re-simulation"
     );
     assert_close(&recovered, &oracle_state(ckt), ctx);
@@ -217,7 +207,7 @@ fn assert_usable_and_consistent(ckt: &mut Ckt, ctx: &str) {
     assert_eq!(ckt.audit(), vec![], "{ctx}: audit");
     ckt.update_state()
         .unwrap_or_else(|e| panic!("{ctx}: engine unusable after typed error: {e}"));
-    assert_close(&ckt.state(), &oracle_state(ckt), ctx);
+    assert_close(&full_state(ckt), &oracle_state(ckt), ctx);
 }
 
 /// The heart of the suite: for every reached probe site, every fault
@@ -275,7 +265,7 @@ fn sweep_probe_sites(n_qubits: u8) {
                         // run must be indistinguishable from fault-free.
                         assert!(!ckt.is_poisoned(), "{ctx}: poisoned on no-op fault");
                         assert_eq!(ckt.audit(), vec![], "{ctx}: audit");
-                        assert_close(&ckt.state(), &oracle_state(&ckt), &ctx);
+                        assert_close(&full_state(&mut ckt), &oracle_state(&ckt), &ctx);
                     }
                     Ok(Err(err)) if ckt.is_poisoned() => {
                         assert_fully_poisoned(&mut ckt, &ctx);
@@ -294,7 +284,7 @@ fn sweep_probe_sites(n_qubits: u8) {
                     Err(_payload) => {
                         // A panic escaped to the caller: legal only for
                         // probes placed before any engine mutation
-                        // (transaction begin, read path), so the engine
+                        // (transaction begin), so the engine
                         // must still be healthy and consistent.
                         assert!(
                             !ckt.is_poisoned(),
@@ -332,7 +322,7 @@ fn seeded_poisoning_recovers_to_oracle() {
             Ok(Ok(())) if site == "views/patch" => {
                 assert!(!ckt.is_poisoned(), "{ctx}: contained view fault poisoned");
                 assert_eq!(ckt.audit(), vec![], "{ctx}: audit");
-                assert_close(&ckt.state(), &oracle_state(&ckt), &ctx);
+                assert_close(&full_state(&mut ckt), &oracle_state(&ckt), &ctx);
             }
             Ok(Ok(())) => unreachable!("{ctx}: unwind faults cannot succeed"),
             Ok(Err(_)) if ckt.is_poisoned() => {
@@ -595,7 +585,7 @@ fn corruption_is_detected_at_publish() {
         );
         assert_fully_poisoned(&mut ckt, &ctx);
         assert_recovered_matches_oracles(&mut ckt, &ctx);
-        let norm = ckt.try_norm_sqr().unwrap();
+        let norm = ckt.try_snapshot().unwrap().norm_sqr();
         assert!((norm - 1.0).abs() < EPS, "{ctx}: norm² {norm}");
     }
 }
@@ -653,7 +643,7 @@ fn poisoned_view_degrades_to_full_refresh_never_stale() {
 
 /// The two numerical policies at the drift boundary: a tolerance every
 /// honest update exceeds makes Strict poison the engine at the first
-/// publish, while Renormalize absorbs the drift into a query-side scale
+/// publish, while Renormalize absorbs the drift into the snapshot's scale
 /// and keeps every answer oracle-exact.
 #[test]
 fn numerical_policy_strict_vs_renormalize() {
@@ -681,11 +671,10 @@ fn numerical_policy_strict_vs_renormalize() {
     let report = renorm.update_state().unwrap();
     assert!(report.drift_events >= 1, "report: {report:?}");
     assert!(!renorm.is_poisoned());
-    assert_close(&renorm.state(), &oracle_state(&renorm), "renormalize");
-    let norm = renorm.try_norm_sqr().unwrap();
-    assert!((norm - 1.0).abs() < EPS, "renormalized norm² {norm}");
     let snap = renorm.try_snapshot().unwrap();
-    assert!((snap.norm_sqr() - 1.0).abs() < EPS);
+    assert_close(&snap.state(), &oracle_state(&renorm), "renormalize");
+    let norm = snap.norm_sqr();
+    assert!((norm - 1.0).abs() < EPS, "renormalized norm² {norm}");
     // Under the impossible tolerance the audit keeps reporting drift —
     // and nothing else: renormalization left every other invariant
     // intact.
@@ -706,5 +695,5 @@ fn disarmed_probes_change_nothing() {
     let mut ckt = fresh_engine(NARROW);
     run_scenario(&mut ckt).unwrap();
     assert_eq!(ckt.audit(), vec![]);
-    assert_close(&ckt.state(), &oracle_state(&ckt), "disarmed");
+    assert_close(&full_state(&mut ckt), &oracle_state(&ckt), "disarmed");
 }

@@ -171,7 +171,7 @@ fn assert_victim_consistent(victim: &SessionHandle, ctx: &str) {
     resim.update_state().unwrap();
     assert_eq!(
         snap.state(),
-        resim.state(),
+        resim.latest_snapshot().unwrap().state(),
         "{ctx}: served state is not bit-identical to a fresh re-simulation"
     );
     assert!((snap.norm_sqr() - 1.0).abs() < 1e-9, "{ctx}: norm drifted");

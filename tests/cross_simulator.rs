@@ -22,7 +22,7 @@ fn qtask_state(circuit: &Circuit, block_size: usize) -> Vec<Complex64> {
         qtask::core::SimConfig::with_block_size(block_size),
     );
     ckt.update_state().unwrap();
-    ckt.state()
+    ckt.latest_snapshot().unwrap().state()
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn incremental_protocol_agrees_with_full_rebuild() {
     }
     let all_at_once = qtask_state(&circuit, 16);
     assert!(vecops::approx_eq(
-        &level_by_level.state(),
+        &level_by_level.latest_snapshot().unwrap().state(),
         &all_at_once,
         1e-9
     ));
@@ -117,7 +117,7 @@ fn removal_storm_converges_to_empty_circuit() {
         ckt.remove_net(net).unwrap();
         ckt.update_state().unwrap();
     }
-    assert!(ckt.amplitude(0).is_one(1e-9));
+    assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-9));
     assert_eq!(ckt.num_rows(), 0);
     assert_eq!(ckt.num_partitions(), 0);
 }
@@ -135,7 +135,7 @@ fn thread_count_does_not_change_results() {
             },
         );
         ckt.update_state().unwrap();
-        ckt.state()
+        ckt.latest_snapshot().unwrap().state()
     };
     for threads in [2, 4, 8] {
         let mut ckt = Ckt::from_circuit(
@@ -148,7 +148,7 @@ fn thread_count_does_not_change_results() {
         );
         ckt.update_state().unwrap();
         assert!(
-            vecops::approx_eq(&ckt.state(), &reference, 1e-9),
+            vecops::approx_eq(&ckt.latest_snapshot().unwrap().state(), &reference, 1e-9),
             "{threads} threads diverged"
         );
     }
@@ -175,10 +175,11 @@ fn sampling_follows_probabilities() {
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::Ry(1.0), net, &[0]).unwrap();
     ckt.update_state().unwrap();
-    let p1 = ckt.probability(1);
+    let snap = ckt.latest_snapshot().unwrap();
+    let p1 = snap.probability(1);
     let mut rng = StdRng::seed_from_u64(5);
     let shots = 20_000;
-    let ones = (0..shots).filter(|_| ckt.sample(&mut rng) == 1).count();
+    let ones = (0..shots).filter(|_| snap.sample(&mut rng) == 1).count();
     let freq = ones as f64 / shots as f64;
     assert!(
         (freq - p1).abs() < 0.02,

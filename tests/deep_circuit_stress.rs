@@ -44,7 +44,7 @@ fn random_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
 fn assert_agreement(ckt: &Ckt, oracle: &mut NaiveSim, what: &str) {
     use qtask_baselines::Simulator;
     oracle.update_state();
-    let got = ckt.state();
+    let got = ckt.latest_snapshot().unwrap().state();
     let want = oracle.state_vec();
     assert!(
         vecops::approx_eq(&got, &want, 1e-8),
@@ -129,7 +129,7 @@ fn run_storm(seed: u64) {
     ckt.validate_graph().unwrap();
     ckt.validate_owner_index().unwrap();
     assert_agreement(&ckt, &mut oracle, "final state");
-    assert!((ckt.norm_sqr() - 1.0).abs() < 1e-8);
+    assert!((ckt.latest_snapshot().unwrap().norm_sqr() - 1.0).abs() < 1e-8);
 }
 
 #[test]

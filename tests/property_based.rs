@@ -124,16 +124,17 @@ fn incremental_equals_full_rebuild() {
                 &mut want,
             );
         }
-        let got = ckt.state();
+        let snap = ckt.latest_snapshot().unwrap();
+        let got = snap.state();
         assert!(
             vecops::approx_eq(&got, &want, 1e-8),
             "case {case} diverged by {}",
             vecops::max_abs_diff(&got, &want)
         );
+        let norm = snap.norm_sqr();
         assert!(
-            (ckt.norm_sqr() - 1.0).abs() < 1e-8,
-            "case {case}: norm {} drifted",
-            ckt.norm_sqr()
+            (norm - 1.0).abs() < 1e-8,
+            "case {case}: norm {norm} drifted"
         );
     }
 }
@@ -200,10 +201,7 @@ fn random_circuits_preserve_norm() {
         let circuit = qtask::bench_circuits::random::random_circuit(&mut rng, n, gates);
         let mut ckt = Ckt::from_circuit(&circuit, SimConfig::with_block_size(16));
         ckt.update_state().unwrap();
-        assert!(
-            (ckt.norm_sqr() - 1.0).abs() < 1e-8,
-            "case {case}: norm {}",
-            ckt.norm_sqr()
-        );
+        let norm = ckt.latest_snapshot().unwrap().norm_sqr();
+        assert!((norm - 1.0).abs() < 1e-8, "case {case}: norm {norm}");
     }
 }

@@ -31,7 +31,11 @@ fn check(ckt: &Ckt, what: &str) {
     ckt.validate_graph().unwrap();
     ckt.validate_reachability().unwrap();
     assert!(
-        vecops::approx_eq(&ckt.state(), &oracle_state(ckt), 1e-9),
+        vecops::approx_eq(
+            &ckt.latest_snapshot().unwrap().state(),
+            &oracle_state(ckt),
+            1e-9
+        ),
         "{what} diverged from oracle"
     );
 }

@@ -69,7 +69,7 @@ fn chain(depth: usize) -> (Ckt, NaiveSim, NetId, NetId) {
 
 fn assert_agreement(ckt: &Ckt, oracle: &mut NaiveSim, what: &str) {
     oracle.update_state();
-    let (got, want) = (ckt.state(), oracle.state_vec());
+    let (got, want) = (ckt.latest_snapshot().unwrap().state(), oracle.state_vec());
     assert!(
         vecops::approx_eq(&got, &want, 1e-8),
         "{what}: diverged from naive oracle by {}",
@@ -363,8 +363,12 @@ fn update_pair(batch: &mut Ckt, replay: &mut Ckt, ctx: &str) {
     replay.update_state().unwrap();
     assert_eq!(batch.audit(), vec![], "{ctx}: batch audit");
     assert_eq!(replay.audit(), vec![], "{ctx}: replay audit");
-    let state = batch.state();
-    assert_eq!(state, replay.state(), "{ctx}: batch and replay diverged");
+    let state = batch.latest_snapshot().unwrap().state();
+    assert_eq!(
+        state,
+        replay.latest_snapshot().unwrap().state(),
+        "{ctx}: batch and replay diverged"
+    );
     let want = naive_state(batch.circuit());
     assert!(
         vecops::approx_eq(&state, &want, 1e-8),

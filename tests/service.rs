@@ -151,7 +151,11 @@ fn degraded_reads_serve_last_published_version_through_recovery() {
         assert_eq!(cv, out.version);
         let mut resim = Ckt::from_circuit(&circuit, SimConfig::default());
         resim.update_state().unwrap();
-        assert_close(&snap.state(), &resim.state(), "oracle cross-check");
+        assert_close(
+            &snap.state(),
+            &resim.latest_snapshot().unwrap().state(),
+            "oracle cross-check",
+        );
         oracle.insert(out.version, snap.state());
     }
     let v_last = h.version();

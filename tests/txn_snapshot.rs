@@ -2,6 +2,7 @@
 //! back atomically, and published snapshots stay correct across threads
 //! while newer versions replace them.
 
+use qtask::core::test_support::full_state;
 use qtask::prelude::*;
 use qtask_partition::kernels;
 use rand::prelude::*;
@@ -33,12 +34,13 @@ fn random_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
 }
 
 /// A full structural fingerprint of the engine: everything a failed
-/// transaction must leave untouched.
-fn fingerprint(ckt: &Ckt) -> impl PartialEq + std::fmt::Debug {
+/// transaction must leave untouched. The amplitudes are resolved afresh
+/// from the rows, not read from the cached snapshot.
+fn fingerprint(ckt: &mut Ckt) -> impl PartialEq + std::fmt::Debug {
     (
         ckt.debug_partitions(),
         ckt.debug_rows(),
-        ckt.state(),
+        full_state(ckt),
         ckt.frontier_len(),
         ckt.circuit().num_gates(),
         ckt.circuit().num_nets(),
@@ -71,7 +73,7 @@ fn failed_random_edit_batches_roll_back_bit_identically() {
             }
         }
         ckt.update_state().unwrap();
-        let before = fingerprint(&ckt);
+        let before = fingerprint(&mut ckt);
 
         // A random batch of valid staged ops, then one that must fail.
         let batch_len = rng.random_range(0..6);
@@ -110,7 +112,7 @@ fn failed_random_edit_batches_roll_back_bit_identically() {
             ),
             "trial {trial}: unexpected error {err:?}"
         );
-        let after = fingerprint(&ckt);
+        let after = fingerprint(&mut ckt);
         assert_eq!(before, after, "trial {trial}: rollback not identical");
         ckt.validate_owner_index()
             .unwrap_or_else(|e| panic!("trial {trial}: owner index: {e}"));
@@ -176,7 +178,7 @@ fn committed_random_edit_batches_match_oracle() {
             ckt.update_state().unwrap();
             ckt.validate_owner_index().unwrap();
         }
-        let got = ckt.state();
+        let got = ckt.latest_snapshot().unwrap().state();
         let want = oracle_state(&ckt);
         assert!(
             qtask::num::vecops::approx_eq(&got, &want, 1e-9),
@@ -262,9 +264,9 @@ fn snapshot_readers_survive_concurrent_republication() {
         }
     });
 
-    // Live queries agree with the newest snapshot.
+    // The rows, resolved afresh, hold exactly the newest publication.
     let latest = ckt.latest_snapshot().unwrap();
-    assert_eq!(latest.state(), ckt.state());
+    assert_eq!(full_state(&mut ckt), latest.state());
 }
 
 /// Version bookkeeping: updates publish strictly increasing versions, a
@@ -314,4 +316,81 @@ fn snapshot_versions_track_published_changes() {
         ),
         "v2 keeps the X gate forever"
     );
+}
+
+/// A removal followed by a read needs no simulation: `snapshot()`
+/// republishes by re-resolving exactly the blocks the removed row owned,
+/// an attached view is patched from that write set, and the next update
+/// finds nothing left to do.
+#[test]
+fn snapshot_after_removal_needs_no_simulation() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 1;
+    let mut ckt = Ckt::with_config(6, cfg);
+    let registry = ViewRegistry::new();
+    registry.attach(&mut ckt);
+    let marginal = registry.register(Box::new(ProbabilityView::marginal(vec![0, 4])));
+    let head = ckt.push_net();
+    for q in [0u8, 1, 2, 5] {
+        ckt.insert_gate(GateKind::H, head, &[q]).unwrap();
+    }
+    // The tail CNOT flips q4 wherever q5 is set: its row owns the
+    // upper half of the blocks and moves half the q4 marginal.
+    let tail = ckt.push_net();
+    let cx = ckt.insert_gate(GateKind::Cx, tail, &[5, 4]).unwrap();
+    ckt.update_state().unwrap();
+    let owned_before = ckt.memory_stats().owned_blocks;
+    let version_before = ckt.snapshot_version();
+    let views_before = registry.report();
+
+    ckt.remove_gate(cx).unwrap();
+    let owned_by_cx = owned_before - ckt.memory_stats().owned_blocks;
+    assert!(owned_by_cx > 0, "the tail row owned blocks");
+    let snap = ckt.snapshot();
+    assert_eq!(snap.version(), version_before + 1, "one republication");
+    assert_eq!(
+        snap.capture_report().blocks_resolved,
+        owned_by_cx as u64,
+        "capture re-resolves only the removed row's blocks"
+    );
+    let want = oracle_state(&ckt);
+    assert!(
+        qtask::num::vecops::approx_eq(&snap.state(), &want, 1e-12),
+        "post-removal snapshot sees through the cleared layer"
+    );
+
+    let views_after = registry.report();
+    assert_eq!(
+        views_after.patches,
+        views_before.patches + 1,
+        "view patched"
+    );
+    assert_eq!(
+        views_after.full_refreshes, views_before.full_refreshes,
+        "not refreshed"
+    );
+    let reading = marginal.reading().expect("view has a reading");
+    assert_eq!(reading.version, snap.version());
+    let mut dist = vec![0.0; 4];
+    for (m, amp) in want.iter().enumerate() {
+        dist[(m & 1) | ((m >> 4) & 1) << 1] += amp.norm_sqr();
+    }
+    for (i, (got, w)) in reading
+        .value
+        .as_vector()
+        .unwrap()
+        .iter()
+        .zip(&dist)
+        .enumerate()
+    {
+        assert!(
+            (got - w).abs() < 1e-12,
+            "marginal[{i}]: got {got}, want {w}"
+        );
+    }
+
+    let report = ckt.update_state().unwrap();
+    assert_eq!(report.partitions_executed, 0, "removal needs no simulation");
+    assert_eq!(report.snapshot_blocks_resolved, 0, "already republished");
+    assert_eq!(ckt.snapshot_version(), snap.version(), "no new version");
 }
