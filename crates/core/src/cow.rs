@@ -1,19 +1,14 @@
-//! Copy-on-write row vectors (paper §III-F3).
+//! Copy-on-write blocks (paper §III-F3).
 //!
 //! Every row keeps a logical full state vector, but physically stores only
-//! the blocks its gate touched; every other block is an [`Slot::Inherit`]
-//! link to "the same block one row earlier". Reading resolves the chain
-//! backward to the nearest owning row, bottoming out at the implicit
+//! the blocks its gate touched; every other block is logically the same
+//! block one row earlier. The stored blocks live in the owner index
+//! ([`crate::owners::OwnerIndex`]), which resolves a read to the nearest
+//! earlier owner in one binary search, bottoming out at the implicit
 //! |0…0⟩ initial state — which is never materialized, so an untouched
-//! 26-qubit block costs nothing.
-//!
-//! Slots use a tiny mutex for interior mutability: partitions of different
-//! rows execute concurrently and publish/read blocks through the slots.
-//! The dependency edges of the partition graph guarantee a reader's
-//! sources are fully published before it runs, so the locks only protect
-//! the `Arc` swap itself.
+//! 26-qubit block costs nothing. This module holds the block buffer type
+//! and the resolution result.
 
-use parking_lot::Mutex;
 use qtask_num::Complex64;
 use std::sync::Arc;
 
@@ -21,107 +16,10 @@ use std::sync::Arc;
 ///
 /// `Arc<Vec<…>>` rather than `Arc<[…]>`: publishing a freshly computed
 /// buffer is then a pointer move instead of a second 4 KiB copy, and a
-/// uniquely owned block can be reclaimed
-/// ([`RowVector::take_reusable_arc`]) when its partition re-executes,
-/// making steady-state incremental updates allocation-free.
+/// uniquely held block can be taken back ([`crate::OwnerIndex::take`])
+/// when its partition re-executes, making steady-state incremental
+/// updates allocation-free.
 pub type BlockData = Arc<Vec<Complex64>>;
-
-/// One block slot of a row vector.
-pub enum Slot {
-    /// The row did not touch this block: logically equal to the previous
-    /// row's block.
-    Inherit,
-    /// The row owns (rewrote) this block.
-    Owned(BlockData),
-}
-
-/// A row's copy-on-write state vector.
-pub struct RowVector {
-    slots: Vec<Mutex<Slot>>,
-    block_size: usize,
-}
-
-impl RowVector {
-    /// Creates an all-inheriting vector over `num_blocks` blocks.
-    pub fn new(num_blocks: usize, block_size: usize) -> RowVector {
-        RowVector {
-            slots: (0..num_blocks).map(|_| Mutex::new(Slot::Inherit)).collect(),
-            block_size,
-        }
-    }
-
-    /// Number of blocks.
-    #[inline]
-    pub fn num_blocks(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Amplitudes per block.
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// The owned data of block `b`, if this row owns it.
-    pub fn owned(&self, b: usize) -> Option<BlockData> {
-        match &*self.slots[b].lock() {
-            Slot::Owned(data) => Some(Arc::clone(data)),
-            Slot::Inherit => None,
-        }
-    }
-
-    /// Publishes `data` as block `b` of this row.
-    pub fn publish(&self, b: usize, data: BlockData) {
-        debug_assert_eq!(data.len(), self.block_size);
-        *self.slots[b].lock() = Slot::Owned(data);
-    }
-
-    /// Reclaims block `b`'s buffer — `Arc` wrapper included — for
-    /// re-execution, if this row owns it and no other holder shares it.
-    /// The slot reverts to `Inherit`; the caller mutates the buffer in
-    /// place (via [`Arc::get_mut`]) and republishes the *same* allocation,
-    /// which is the zero-allocation steady state of incremental updates.
-    /// Returns `None` when the block is not owned or still shared. Only
-    /// sound while the owning partition has exclusive execution rights to
-    /// the block (the task-graph dependencies guarantee no concurrent
-    /// reader).
-    pub fn take_reusable_arc(&self, b: usize) -> Option<BlockData> {
-        let mut slot = self.slots[b].lock();
-        if let Slot::Owned(data) = std::mem::replace(&mut *slot, Slot::Inherit) {
-            if Arc::strong_count(&data) == 1 {
-                return Some(data);
-            }
-            *slot = Slot::Owned(data);
-        }
-        None
-    }
-
-    /// Reverts block `b` to inheriting (used when the owning gate is
-    /// removed — queries then see through to the previous row).
-    pub fn clear(&self, b: usize) {
-        *self.slots[b].lock() = Slot::Inherit;
-    }
-
-    /// Reverts every block to inheriting.
-    pub fn clear_all(&self) {
-        for s in &self.slots {
-            *s.lock() = Slot::Inherit;
-        }
-    }
-
-    /// True if this row owns block `b`.
-    pub fn owns(&self, b: usize) -> bool {
-        matches!(&*self.slots[b].lock(), Slot::Owned(_))
-    }
-
-    /// Number of owned blocks (for memory accounting).
-    pub fn owned_blocks(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(&*s.lock(), Slot::Owned(_)))
-            .count()
-    }
-}
 
 /// The resolution result for one block.
 pub enum Resolved {
@@ -179,21 +77,6 @@ impl Resolved {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtask_num::c64;
-
-    #[test]
-    fn publish_and_clear() {
-        let v = RowVector::new(4, 8);
-        assert_eq!(v.owned_blocks(), 0);
-        assert!(v.owned(2).is_none());
-        let data: BlockData = Arc::new(vec![c64(1.0, 0.0); 8]);
-        v.publish(2, Arc::clone(&data));
-        assert!(v.owns(2));
-        assert_eq!(v.owned_blocks(), 1);
-        assert!(Arc::ptr_eq(&v.owned(2).unwrap(), &data));
-        v.clear(2);
-        assert!(!v.owns(2));
-    }
 
     #[test]
     fn resolved_initial_reads() {
@@ -206,35 +89,5 @@ mod tests {
         assert!(v[1..].iter().all(|z| z.is_zero(0.0)));
         let v = r.to_vec(3, 4);
         assert!(v.iter().all(|z| z.is_zero(0.0)));
-    }
-
-    #[test]
-    fn take_reusable_arc_keeps_allocation() {
-        let v = RowVector::new(2, 4);
-        v.publish(0, Arc::new(vec![c64(1.0, 0.0); 4]));
-        let mut arc = v.take_reusable_arc(0).expect("uniquely owned");
-        assert!(!v.owns(0));
-        let ptr = Arc::as_ptr(&arc);
-        Arc::get_mut(&mut arc).unwrap()[0] = c64(2.0, 0.0);
-        v.publish(0, arc);
-        let back = v.owned(0).unwrap();
-        assert_eq!(Arc::as_ptr(&back), ptr);
-        // A shared block is not reclaimable: the slot keeps ownership.
-        let _hold = v.owned(0).unwrap();
-        assert!(v.take_reusable_arc(0).is_none());
-        assert!(v.owns(0));
-    }
-
-    #[test]
-    fn sharing_is_by_pointer() {
-        let v1 = RowVector::new(2, 4);
-        let v2 = RowVector::new(2, 4);
-        let data: BlockData = Arc::new(vec![c64(0.5, 0.0); 4]);
-        v1.publish(0, Arc::clone(&data));
-        v2.publish(0, v1.owned(0).unwrap());
-        // Three holders: data, v1, v2.
-        assert_eq!(Arc::strong_count(&data), 3);
-        v1.clear(0);
-        assert_eq!(Arc::strong_count(&data), 2);
     }
 }

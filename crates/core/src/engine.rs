@@ -1,7 +1,7 @@
 //! The [`Ckt`] engine: modifiers, frontier bookkeeping, incremental update.
 
 use crate::config::{NumericalPolicy, RowOrderPolicy, SimConfig};
-use crate::cow::{BlockData, RowVector};
+use crate::cow::BlockData;
 use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
 use crate::exec::{self, ExecView};
@@ -461,7 +461,7 @@ impl Ckt {
     /// is safe to run on a poisoned engine — that is its purpose: after a
     /// contained panic, `audit` says *what* tore.
     ///
-    /// Checks: poisoning, owner-index ↔ row-vector agreement, partition
+    /// Checks: poisoning, owner-index structure, partition
     /// graph coherence, per-block resolvability, amplitude finiteness,
     /// norm conservation (after any renormalization scale), and snapshot
     /// version monotonicity.
@@ -755,7 +755,6 @@ impl Ckt {
             dense: Vec::new(),
             fused: None,
             parts: Vec::new(),
-            vector: RowVector::new(self.geom.num_blocks(), self.geom.block_size()),
             max_part_blocks: 0,
             label: std::sync::Arc::from(label),
         }
@@ -1311,37 +1310,39 @@ impl Ckt {
         self.observers.push(observer);
     }
 
-    /// Debug snapshot of the owner index for block `b` (row labels in
-    /// order). For tests and diagnostics.
-    pub fn debug_block_owners(&self, b: usize) -> Vec<String> {
-        self.owners
-            .owners_of(b)
-            .into_iter()
-            .map(|r| self.rows[r.key()].label.to_string())
-            .collect()
-    }
-
-    /// Validates the owner index against the ground truth of every live
-    /// row's vector: exactly the owning rows are listed, in row order.
+    /// Validates the owner index's structure: every list is in row order,
+    /// names only live rows and holds every entry's buffer; a row with no
+    /// partition on the frontier owns exactly the blocks it writes (its
+    /// MxV partition spans, or the span blocks its linear pattern
+    /// touches), any other row a subset of them.
     /// O(rows × blocks); tests only.
     pub fn validate_owner_index(&self) -> Result<(), String> {
         for b in 0..self.geom.num_blocks() {
-            let listed = self.owners.owners_of(b);
-            let truth: Vec<RowId> = self
-                .rows
-                .keys()
-                .filter(|k| self.rows[*k].vector.owns(b))
-                .map(RowId)
-                .collect();
-            if listed != truth {
-                return Err(format!(
-                    "block {b}: index lists {listed:?}, vectors say {truth:?}"
-                ));
-            }
-            for w in listed.windows(2) {
-                if !self.rows.is_before(w[0].key(), w[1].key()) {
-                    return Err(format!("block {b}: owner list out of row order"));
+            let mut prev = None;
+            for (r, data) in self.owners.entries(b) {
+                let label = self.rows.order_label(r.key());
+                if label.is_none() || label <= prev || data.is_none() {
+                    return Err(format!(
+                        "block {b}: {r:?} is dead, out of order or unfilled"
+                    ));
                 }
+                prev = label;
+            }
+        }
+        let mut owned = self.owned_blocks_by_row();
+        for k in self.rows.keys() {
+            let row = &self.rows[k];
+            let writes: Vec<usize> = row
+                .written_blocks(&self.parts, &self.geom, self.num_qubits())
+                .collect();
+            let have = owned.remove(&RowId(k)).unwrap_or_default();
+            let subset = have.iter().all(|b| writes.binary_search(b).is_ok());
+            let settled = !row.parts.iter().any(|p| self.frontier.contains(p));
+            if !subset || (settled && have != writes) {
+                return Err(format!(
+                    "row {}: owns blocks {have:?}, writes {writes:?}",
+                    row.label
+                ));
             }
         }
         Ok(())

@@ -120,8 +120,9 @@ pub enum InvariantViolation {
         /// The recorded poison reason.
         reason: String,
     },
-    /// The per-block owner index disagrees with the ground truth of the
-    /// live rows' vectors (wrong set or wrong order).
+    /// The per-block owner index is malformed: a list out of row order,
+    /// naming a dead row or missing a buffer, or a row owning other
+    /// blocks than the ones it writes.
     OwnerIndexMismatch {
         /// What the comparison found.
         detail: String,

@@ -1,36 +1,28 @@
 //! Partition execution kernels over copy-on-write blocks.
 //!
-//! A linear partition task materializes fresh copies of the blocks its
-//! items touch (reading through the COW chain of the *previous* row),
-//! applies the swap/scale items, and publishes the blocks into its row's
-//! vector. Distinct tasks of one partition touch disjoint blocks — the
-//! chunk size is the power-of-two dispatch grain
-//! ([`BlockGeometry::grain`], a whole number of blocks), so task
-//! boundaries align with the scattered-bit structure of the item pattern
-//! at or above the block width — and tasks publish independently with no
-//! synchronization beyond the slot locks.
+//! A linear partition task walks its items one low-side block at a time:
+//! it acquires the block (and the partner block, when a pair op's partner
+//! lies in another) as a fresh copy of the *previous* row's content,
+//! applies the swap/scale items, and publishes at once. Tasks of one partition touch disjoint
+//! blocks (each is whole dispatch grains, [`BlockGeometry::grain`]) and a
+//! task acquires no block twice, so tasks synchronize only on the
+//! per-block owner-list locks.
 //!
 //! An MxV partition computes a grain of output blocks of the net's
 //! grouped superposition operator, one block at a time: each output
 //! amplitude accumulates its fused sparse row
 //! ([`crate::fused::FusedOp`], precomputed once per group change) against
-//! sources read through the COW chain.
+//! sources resolved through the owner index.
 //!
-//! Linear items are applied one low-side block at a time: a task's ranks
-//! split into aligned groups that each fill one block, and each group's
-//! share of the pattern is replayed as contiguous runs, so Diag becomes
-//! strided slice scaling and AntiDiag/Swap become two-slice butterflies
-//! over the block buffers — the autovectorized primitives in
-//! [`qtask_num::slices`]. Block lookup, materialization and buffer
-//! borrowing happen once per block, never per run. MxV groups too wide
-//! to fuse re-expand their factor product per amplitude. Each kernel is
-//! bit-identical to its scalar reference (checked by this module's
-//! tests).
+//! Linear items run as contiguous slices ([`qtask_num::slices`]); MxV
+//! groups too wide to fuse re-expand their factor product per amplitude.
+//! Each kernel is bit-identical to its scalar reference (checked by this
+//! module's tests).
 //!
 //! Steady-state incremental updates are allocation-free: re-executing
-//! partitions reclaim their previously published buffers *with* their
-//! `Arc` wrapper ([`crate::cow::RowVector::take_reusable_arc`]), mutate in
-//! place, and republish the same allocation.
+//! partitions take their previously published buffers back *with* their
+//! `Arc` wrapper ([`OwnerIndex::take`]), mutate in place, and republish
+//! the same allocation.
 
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
@@ -42,8 +34,7 @@ use qtask_util::{Arena, LinkedArena};
 use std::sync::Arc;
 
 /// Shared read-only view of the engine internals used by executing tasks.
-/// Mutation happens only through the row vectors' slot locks and the
-/// owner index's per-block locks.
+/// Mutation happens only through the owner index's per-block locks.
 #[derive(Clone, Copy)]
 pub struct ExecView<'a> {
     /// All rows in order.
@@ -72,23 +63,40 @@ impl<'a> ExecView<'a> {
     /// logical content).
     pub fn resolve_before(&self, row: RowId, b: usize) -> Resolved {
         self.owners
-            .resolve_before(
-                b,
-                self.label_of(row),
-                |r| self.label_of(r),
-                |r| self.rows[r.key()].vector.owned(b),
-                self.stats,
-            )
+            .resolve_before(b, self.label_of(row), |r| self.label_of(r), self.stats)
             .map_or(Resolved::Initial, Resolved::Data)
     }
 
-    /// Publishes `data` as block `b` of `row`, registering the row in the
-    /// owner index. All executor-side publications go through here so the
-    /// index never misses an ownership change — and so one probe covers
-    /// every publication (`exec/publish_row` panics mid-publish;
-    /// `exec/corrupt_row` poisons an amplitude with NaN/Inf to exercise
-    /// the numerical policy).
-    pub fn publish(&self, row_id: RowId, row: &Row, b: usize, data: BlockData) {
+    /// Acquires block `b` of `row` for rewriting, filled with the
+    /// previous row's content: the row's own buffer when it can be taken
+    /// back, a fresh one otherwise. Returns it with its owner-list
+    /// position for [`Self::publish`].
+    fn acquire(&self, row: RowId, b: usize) -> (BlockData, usize) {
+        let (own, before, pos) = self
+            .owners
+            .take(b, row, |r| self.label_of(r), Some(self.stats));
+        let resolved = before.map_or(Resolved::Initial, Resolved::Data);
+        let data = match own {
+            Some(mut arc) => {
+                resolved.fill_into(b, unique(&mut arc));
+                arc
+            }
+            None => {
+                // Simulated allocation failure lands here: the cold path
+                // that materializes a fresh working buffer.
+                qtask_faults::fault_point!("exec/alloc_block");
+                Arc::new(resolved.to_vec(b, self.geom.block_size()))
+            }
+        };
+        (data, pos)
+    }
+
+    /// Publishes `data` as block `b` of `row` into the owner index at
+    /// `pos` (from the acquisition). All executor-side publications go
+    /// through here, so one probe covers every publication
+    /// (`exec/publish_row` panics mid-publish; `exec/corrupt_row` poisons
+    /// an amplitude with NaN/Inf to exercise the numerical policy).
+    pub fn publish(&self, row: RowId, b: usize, data: BlockData, pos: usize) {
         qtask_faults::fault_point!("exec/publish_row");
         #[cfg(feature = "faults")]
         let mut data = data;
@@ -99,101 +107,25 @@ impl<'a> ExecView<'a> {
                 }
             }
         });
-        row.vector.publish(b, data);
-        self.owners.add(b, row_id, |r| self.label_of(r));
+        self.owners.publish(b, row, data, pos, |r| self.label_of(r));
     }
 }
 
-/// A small ordered working set of materialized blocks for one task. Each
-/// entry keeps its `Arc` wrapper (uniquely owned by construction), so
-/// publication moves the allocation instead of re-wrapping it. The entry
-/// vector itself is borrowed from the partition's scratch pool
-/// ([`Partition::scratch`]) and returned after publication, so warm
-/// re-executions allocate nothing.
-struct BlockSet {
-    entries: Vec<(usize, BlockData)>,
-}
-
-impl BlockSet {
-    /// Pops an entry vector from the partition's pool (or starts an
-    /// empty one the pool will absorb afterwards).
-    fn from_pool(part: &Partition) -> BlockSet {
-        let entries = part.scratch.lock().pop().unwrap_or_default();
-        debug_assert!(entries.is_empty(), "pooled scratch returned drained");
-        BlockSet { entries }
-    }
-
-    /// Index of block `b`, materializing it from `view` if needed. The
-    /// row's stale output buffer for `b` is reclaimed when uniquely owned,
-    /// so repeated incremental updates allocate nothing.
-    fn ensure(&mut self, view: &ExecView<'_>, row_id: RowId, row: &Row, b: usize) -> usize {
-        // Blocks arrive in short runs; scan from the back.
-        if let Some(pos) = self.entries.iter().rposition(|(blk, _)| *blk == b) {
-            return pos;
-        }
-        let resolved = view.resolve_before(row_id, b);
-        let data = match row.vector.take_reusable_arc(b) {
-            Some(mut arc) => {
-                let buf = Arc::get_mut(&mut arc).expect("reclaimed buffer is unique");
-                resolved.fill_into(b, buf);
-                arc
-            }
-            None => {
-                // Simulated allocation failure lands here: the cold path
-                // that materializes a fresh working buffer.
-                qtask_faults::fault_point!("exec/alloc_block");
-                Arc::new(resolved.to_vec(b, view.geom.block_size()))
-            }
-        };
-        self.entries.push((b, data));
-        self.entries.len() - 1
-    }
-
-    /// Mutable buffer of entry `i`.
-    #[inline]
-    fn buf_mut(&mut self, i: usize) -> &mut [Complex64] {
-        Arc::get_mut(&mut self.entries[i].1).expect("working blocks are unique")
-    }
-
-    /// Two distinct mutable buffers.
-    fn pair_mut(&mut self, i: usize, j: usize) -> (&mut [Complex64], &mut [Complex64]) {
-        debug_assert_ne!(i, j);
-        let (lo, hi, swap) = if i < j { (i, j, false) } else { (j, i, true) };
-        let (a, b) = self.entries.split_at_mut(hi);
-        let first = Arc::get_mut(&mut a[lo].1).expect("working blocks are unique");
-        let second = Arc::get_mut(&mut b[0].1).expect("working blocks are unique");
-        if swap {
-            (second, first)
-        } else {
-            (first, second)
-        }
-    }
-
-    /// Publishes every materialized block and returns the drained entry
-    /// vector to the partition's pool. Tasks of one partition touch
-    /// disjoint blocks, so these publications never collide.
-    fn publish(mut self, view: &ExecView<'_>, row_id: RowId, row: &Row, part: &Partition) {
-        for (b, data) in self.entries.drain(..) {
-            view.publish(row_id, row, b, data);
-        }
-        part.scratch.lock().push(self.entries);
-    }
+/// The mutable amplitudes of an acquired block.
+#[inline]
+fn unique(data: &mut BlockData) -> &mut [Complex64] {
+    Arc::get_mut(data).expect("acquired blocks are unique")
 }
 
 /// Executes the item-rank range `ranks` of a linear partition: the body of
 /// one intra-partition task.
 pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::Range<u64>) {
     qtask_faults::fault_point!("exec/linear_task");
-    let part = &view.parts[pid.key()];
-    let row_id = part.row;
-    let row = &view.rows[row_id.key()];
-    let RowKind::Linear(op) = row.kind else {
+    let row_id = view.parts[pid.key()].row;
+    let RowKind::Linear(op) = view.rows[row_id.key()].kind else {
         unreachable!("linear execution on non-linear row");
     };
-    let pattern = op.pattern(view.n_qubits);
-    let mut blocks = BlockSet::from_pool(part);
-    linear_blocks(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
-    blocks.publish(&view, row_id, row, part);
+    linear_blocks(&view, row_id, &op, ranks);
 }
 
 /// The linear kernel: the rank range is walked one low-side block at a
@@ -202,27 +134,22 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
 /// The rank bits scatter into the free index bits lowest first, so the
 /// `2^popcount(free ∩ in-block bits)` ranks of an aligned group fill
 /// exactly one low block (the paper's "replacing the x's with the binary
-/// string of a multiple of B"). Per block the loop costs one `nth_low`,
-/// one [`BlockSet::ensure`] of the low block — plus its partner block
-/// when the partner bits reach the block width — and one buffer borrow.
-/// Inside the block, a run is `2^trailing_ones(in-block free bits)`
-/// consecutive amplitudes, and run starts enumerate the submasks of the
-/// remaining in-block free bits. Partner bits are never free, so a pair
-/// op's partner run sits at a constant offset: inside the block, or at
-/// the same offsets of the partner block.
+/// string of a multiple of B"). Per group the loop acquires the low block
+/// — plus its partner block when the partner bits reach the block width —
+/// applies the group, and publishes. Low blocks of distinct groups differ
+/// above the block width and a partner block is never a low block, so no
+/// block is acquired twice. Inside the block, a run is
+/// `2^trailing_ones(in-block free bits)` consecutive amplitudes, and run
+/// starts enumerate the submasks of the remaining in-block free bits.
+/// Partner bits are never free, so a pair op's partner run sits at a
+/// constant offset: inside the block, or at the same offsets of the
+/// partner block.
 ///
 /// Task ranges are multiples of the power-of-two dispatch grain, which is
 /// at least a block, so they always cover whole groups (asserted).
-fn linear_blocks(
-    view: &ExecView<'_>,
-    row_id: RowId,
-    row: &Row,
-    op: &LinearOp,
-    pattern: &qtask_partition::ItemPattern,
-    blocks: &mut BlockSet,
-    ranks: std::ops::Range<u64>,
-) {
+fn linear_blocks(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, ranks: std::ops::Range<u64>) {
     let geom = &view.geom;
+    let pattern = op.pattern(view.n_qubits);
     let in_block = geom.block_size() as u64 - 1;
     let free_in = pattern.free_mask & in_block;
     let per_block = 1u64 << free_in.count_ones();
@@ -237,10 +164,10 @@ fn linear_blocks(
         let low = pattern.nth_low(first);
         first += per_block;
         let (bl, ol) = (geom.block_of(low as usize), low & in_block);
-        let pl = blocks.ensure(view, row_id, row, bl);
+        let (mut lo, lo_pos) = view.acquire(row_id, bl);
+        let buf = unique(&mut lo);
         match *op {
             LinearOp::Diag { target, d0, d1, .. } => {
-                let buf = blocks.buf_mut(pl);
                 let block_start = (low & !in_block) as usize;
                 for_each_submask(starts, |s| {
                     let o = (ol | s) as usize;
@@ -251,7 +178,6 @@ fn linear_blocks(
                 let high = pattern.partner(low);
                 let (bh, oh) = (geom.block_of(high as usize), high & in_block);
                 if bh == bl {
-                    let buf = blocks.buf_mut(pl);
                     for_each_submask(starts, |s| {
                         let (o, p) = ((ol | s) as usize, (oh | s) as usize);
                         debug_assert!(o + run <= p, "pair runs overlap");
@@ -259,15 +185,17 @@ fn linear_blocks(
                         pair_run(op, &mut a[o..o + run], &mut b[..run]);
                     });
                 } else {
-                    let ph = blocks.ensure(view, row_id, row, bh);
-                    let (bufl, bufh) = blocks.pair_mut(pl, ph);
+                    let (mut hi, hi_pos) = view.acquire(row_id, bh);
+                    let bufh = unique(&mut hi);
                     for_each_submask(starts, |s| {
                         let (o, p) = ((ol | s) as usize, (oh | s) as usize);
-                        pair_run(op, &mut bufl[o..o + run], &mut bufh[p..p + run]);
+                        pair_run(op, &mut buf[o..o + run], &mut bufh[p..p + run]);
                     });
+                    view.publish(row_id, bh, hi, hi_pos);
                 }
             }
         }
+        view.publish(row_id, bl, lo, lo_pos);
     }
 }
 
@@ -343,17 +271,18 @@ pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
     debug_assert!(matches!(row.kind, RowKind::MxV));
     let bs = view.geom.block_size();
     for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
-        let mut out_arc = row.vector.take_reusable_arc(block).unwrap_or_else(|| {
+        let (own, _, pos) = view.owners.take(block, row_id, |r| view.label_of(r), None);
+        let mut out_arc = own.unwrap_or_else(|| {
             qtask_faults::fault_point!("exec/alloc_block");
             Arc::new(vec![Complex64::ZERO; bs])
         });
-        let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
+        let out = unique(&mut out_arc);
         let base = block * bs;
         match row.fused {
             Some(ref fused) => mxv_fused(&view, row_id, fused, base, out),
             None => mxv_scalar(&view, row_id, row, base, out),
         }
-        view.publish(row_id, row, block, out_arc);
+        view.publish(row_id, block, out_arc, pos);
     }
 }
 
@@ -464,6 +393,7 @@ mod tests {
     use crate::engine::Ckt;
     use qtask_gates::GateKind;
     use rand::prelude::*;
+    use std::collections::BTreeMap;
 
     /// One random net: gates on disjoint qubits, covering every linear
     /// class plus controlled and uncontrolled superposition gates.
@@ -499,65 +429,45 @@ mod tests {
         net
     }
 
-    /// A task's materialized blocks in block order, for comparison.
-    fn sorted_blocks(set: &BlockSet) -> Vec<(usize, &[Complex64])> {
-        let mut blocks: Vec<_> = set.entries.iter().map(|(b, d)| (*b, &d[..])).collect();
-        blocks.sort_by_key(|(b, _)| *b);
-        blocks
-    }
-
     /// The scalar item loop, one amplitude (pair) per step: the reference
-    /// the block loop must match.
+    /// the block loop must match. Materializes the blocks it touches into
+    /// a map of its own, resolved from the rows before `row_id`.
     fn linear_scalar(
         view: &ExecView<'_>,
         row_id: RowId,
-        row: &Row,
         op: &LinearOp,
         pattern: &qtask_partition::ItemPattern,
-        blocks: &mut BlockSet,
         ranks: std::ops::Range<u64>,
-    ) {
+    ) -> BTreeMap<usize, Vec<Complex64>> {
         let geom = &view.geom;
+        let mut blocks = BTreeMap::new();
         for low in pattern.iter_lows(ranks) {
             let low = low as usize;
             let high = pattern.partner(low as u64) as usize;
             let (bl, bh) = (geom.block_of(low), geom.block_of(high));
             let (ol, oh) = (geom.offset_in_block(low), geom.offset_in_block(high));
-            let pl = blocks.ensure(view, row_id, row, bl);
-            match *op {
+            for b in [bl, bh] {
+                blocks
+                    .entry(b)
+                    .or_insert_with(|| view.resolve_before(row_id, b).to_vec(b, geom.block_size()));
+            }
+            let (x, y) = (blocks[&bl][ol], blocks[&bh][oh]);
+            let (new_x, new_y) = match *op {
                 LinearOp::Diag { target, d0, d1, .. } => {
                     let d = if low & (1usize << target) != 0 {
                         d1
                     } else {
                         d0
                     };
-                    blocks.buf_mut(pl)[ol] *= d;
+                    (x * d, y * d)
                 }
-                LinearOp::AntiDiag { a01, a10, .. } => {
-                    if bl == bh {
-                        let buf = blocks.buf_mut(pl);
-                        let (x, y) = (buf[ol], buf[oh]);
-                        buf[ol] = a01 * y;
-                        buf[oh] = a10 * x;
-                    } else {
-                        let ph = blocks.ensure(view, row_id, row, bh);
-                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                        let (x, y) = (bufl[ol], bufh[oh]);
-                        bufl[ol] = a01 * y;
-                        bufh[oh] = a10 * x;
-                    }
-                }
-                LinearOp::Swap { .. } => {
-                    if bl == bh {
-                        blocks.buf_mut(pl).swap(ol, oh);
-                    } else {
-                        let ph = blocks.ensure(view, row_id, row, bh);
-                        let (bufl, bufh) = blocks.pair_mut(pl, ph);
-                        std::mem::swap(&mut bufl[ol], &mut bufh[oh]);
-                    }
-                }
-            }
+                LinearOp::AntiDiag { a01, a10, .. } => (a01 * y, a10 * x),
+                LinearOp::Swap { .. } => (y, x),
+            };
+            blocks.get_mut(&bh).unwrap()[oh] = new_y;
+            blocks.get_mut(&bl).unwrap()[ol] = new_x;
         }
+        blocks
     }
 
     /// Which pattern shapes the block loop met, so the bit-exactness test
@@ -603,33 +513,42 @@ mod tests {
         }
     }
 
-    /// Runs a linear partition through `linear_blocks` and `linear_scalar`
-    /// and compares the blocks they materialize.
+    /// Runs a linear partition through `exec_linear_partition` and
+    /// `linear_scalar` and compares the blocks they materialize: the
+    /// scalar map against the row's owner-index entries the kernel
+    /// published.
     fn check_linear(
         view: &ExecView<'_>,
         row_id: RowId,
         op: &LinearOp,
-        part: &Partition,
+        pid: PartId,
         shapes: &mut Shapes,
     ) {
-        let row = &view.rows[row_id.key()];
+        let part = &view.parts[pid.key()];
         let pattern = op.pattern(view.n_qubits);
         shapes.record(op, &pattern, view.geom.block_size());
         let ranks = part.spec.item_start..part.spec.item_end;
-        let mut blocked = BlockSet::from_pool(part);
-        let mut scalar = BlockSet {
-            entries: Vec::new(),
-        };
-        linear_blocks(view, row_id, row, op, &pattern, &mut blocked, ranks.clone());
-        linear_scalar(view, row_id, row, op, &pattern, &mut scalar, ranks);
-        assert_eq!(
-            sorted_blocks(&blocked),
-            sorted_blocks(&scalar),
-            "{}",
-            row.label
-        );
-        // The block loop reclaimed the row's buffers: hand them back.
-        blocked.publish(view, row_id, row, part);
+        let want = linear_scalar(view, row_id, op, &pattern, ranks.clone());
+        // Poison the row's published blocks, so a block the kernel does
+        // not rewrite and publish fails the comparison.
+        for &b in want.keys() {
+            let nan = Complex64 {
+                re: f64::NAN,
+                im: f64::NAN,
+            };
+            let poisoned = Arc::new(vec![nan; view.geom.block_size()]);
+            view.owners
+                .publish(b, row_id, poisoned, 0, |r| view.label_of(r));
+        }
+        exec_linear_partition(*view, pid, ranks);
+        let got: BTreeMap<usize, Vec<Complex64>> = (part.spec.block_lo as usize
+            ..=part.spec.block_hi as usize)
+            .filter_map(|b| {
+                let (_, data) = view.owners.entries(b).into_iter().find(|e| e.0 == row_id)?;
+                Some((b, data.expect("published").to_vec()))
+            })
+            .collect();
+        assert_eq!(got, want, "{}", view.rows[row_id.key()].label);
     }
 
     /// Runs every output block of an MxV partition through `mxv_fused`
@@ -713,7 +632,7 @@ mod tests {
 
     /// Every kernel agrees bit-for-bit with its scalar reference. On
     /// random circuits and geometries (3–8 qubits, blocks of 1–64), each
-    /// linear partition runs through both `linear_blocks` and
+    /// linear partition runs through both `exec_linear_partition` and
     /// `linear_scalar`, and each MxV output block through both
     /// `mxv_fused` and `mxv_scalar`, from the same resolved inputs.
     #[test]
@@ -743,12 +662,12 @@ mod tests {
                 n_qubits: n,
             };
             for k in ckt.rows.keys() {
-                for pid in &ckt.rows[k].parts {
+                for &pid in &ckt.rows[k].parts {
                     let part = &ckt.parts[pid.key()];
                     match ckt.rows[k].kind {
                         RowKind::Sync => {}
                         RowKind::Linear(op) => {
-                            check_linear(&view, RowId(k), &op, part, &mut shapes);
+                            check_linear(&view, RowId(k), &op, pid, &mut shapes);
                         }
                         RowKind::MxV => {
                             if check_mxv(&view, RowId(k), part) {

@@ -28,8 +28,9 @@
 //! Internally (paper §III-C–F):
 //!
 //! * Each gate contributes a **row** — its private logical state vector,
-//!   stored copy-on-write per block ([`cow`]). A net's superposition gates
-//!   share one matrix–vector row preceded by a `sync` row.
+//!   stored copy-on-write per block ([`cow`]) in the owner index
+//!   ([`owners`]). A net's superposition gates share one matrix–vector
+//!   row preceded by a `sync` row.
 //! * Rows split into **partitions** of consecutive blocks ([`qtask_partition`]);
 //!   partitions form the task graph, linked by nearest-overlap coverage
 //!   scans ([`pgraph`]).

@@ -172,21 +172,19 @@ impl Ckt {
         );
         // Strip the row's blocks from the owner index while its order
         // label is still readable (the index is sorted by label). A row
-        // can only own blocks inside its partitions' spans, so scan
-        // those, not the whole state. The same blocks change their final
-        // resolution without any simulation, so they are also exactly
-        // what the next snapshot capture must re-resolve.
-        for pid in &self.rows[row_id.key()].parts {
-            let spec = &self.parts[pid.key()].spec;
-            for b in spec.block_lo as usize..=spec.block_hi as usize {
-                if self.rows[row_id.key()].vector.owns(b) {
-                    self.owners.remove(b, row_id, |r| {
-                        self.rows
-                            .order_label(r.key())
-                            .expect("owner index holds only live rows")
-                    });
-                    self.snap_dirty.insert(b);
-                }
+        // can only own blocks it writes, so scan those, not the whole
+        // state. The blocks it did own change their final resolution
+        // without any simulation, so they are also exactly what the next
+        // snapshot capture must re-resolve.
+        let rows = &self.rows;
+        let label_of = |r: RowId| {
+            rows.order_label(r.key())
+                .expect("owner index holds only live rows")
+        };
+        let n = self.circuit.num_qubits();
+        for b in rows[row_id.key()].written_blocks(&self.parts, &self.geom, n) {
+            if self.owners.remove(b, row_id, label_of) {
+                self.snap_dirty.insert(b);
             }
         }
         // Strip the row's partitions from the coverage index while the

@@ -9,7 +9,9 @@
 use crate::cow::BlockData;
 use crate::engine::Ckt;
 use crate::owners::ResolveStats;
+use crate::row::RowId;
 use qtask_num::Complex64;
+use std::collections::HashMap;
 
 /// One [`Ckt::debug_partitions`] entry:
 /// `(label, block_lo, block_hi, preds, succs, in_frontier)`.
@@ -35,18 +37,12 @@ impl Ckt {
     /// probe (a reader "after every row"). Used by snapshot capture and
     /// [`Ckt::audit`].
     pub(crate) fn resolve_final_data(&self, b: usize, stats: &ResolveStats) -> Option<BlockData> {
-        let label_of = |r: crate::row::RowId| {
+        let label_of = |r: RowId| {
             self.rows
                 .order_label(r.key())
                 .expect("owner index holds only live rows")
         };
-        self.owners.resolve_before(
-            b,
-            u64::MAX,
-            label_of,
-            |r| self.rows[r.key()].vector.owned(b),
-            stats,
-        )
+        self.owners.resolve_before(b, u64::MAX, label_of, stats)
     }
 
     /// Debug introspection: every partition as
@@ -74,16 +70,25 @@ impl Ckt {
     /// Debug introspection: per-row `(label, owned block ids)`, in row
     /// order, with each row's gate kind when it has one.
     pub fn debug_rows(&self) -> Vec<(String, Vec<usize>)> {
+        let mut owned = self.owned_blocks_by_row();
         self.rows
             .keys()
             .map(|k| {
-                let row = &self.rows[k];
-                let owned = (0..row.vector.num_blocks())
-                    .filter(|b| row.vector.owns(*b))
-                    .collect();
-                (row.label.to_string(), owned)
+                let blocks = owned.remove(&RowId(k)).unwrap_or_default();
+                (self.rows[k].label.to_string(), blocks)
             })
             .collect()
+    }
+
+    /// Every row's owned blocks, ascending, read off the owner index.
+    pub(crate) fn owned_blocks_by_row(&self) -> HashMap<RowId, Vec<usize>> {
+        let mut owned: HashMap<RowId, Vec<usize>> = HashMap::new();
+        for b in 0..self.geom.num_blocks() {
+            for (row, _) in self.owners.entries(b) {
+                owned.entry(row).or_default().push(b);
+            }
+        }
+        owned
     }
 
     /// Debug: the gates of rows in row order (row label, gate info).
@@ -98,13 +103,11 @@ impl Ckt {
             .collect()
     }
 
-    /// Memory accounting across all rows.
+    /// Memory accounting across all rows: owned blocks are owner-index
+    /// entries.
     pub fn memory_stats(&self) -> MemStats {
         let bs = self.geom.block_size();
-        let mut owned_blocks = 0;
-        for (_, row) in self.rows.iter() {
-            owned_blocks += row.vector.owned_blocks();
-        }
+        let owned_blocks = self.owners.num_entries();
         MemStats {
             rows: self.rows.len(),
             partitions: self.parts.len(),

@@ -1,11 +1,13 @@
 //! Rows and partitions: the simulator's internal graph node types.
+//!
+//! A row holds what it computes and its partitions; the blocks it writes
+//! live in the owner index ([`crate::owners::OwnerIndex`]), keyed by
+//! [`RowId`].
 
-use crate::cow::{BlockData, RowVector};
-use parking_lot::Mutex;
 use qtask_circuit::{GateId, NetId};
 use qtask_num::Mat2;
-use qtask_partition::{LinearOp, PartitionSpec};
-use qtask_util::define_key;
+use qtask_partition::{BlockGeometry, LinearOp, PartitionSpec};
+use qtask_util::{define_key, Arena};
 
 define_key! {
     /// Stable handle to a row (one layer of the COW vector chain).
@@ -43,8 +45,8 @@ pub enum RowKind {
     Linear(LinearOp),
 }
 
-/// One layer of the state chain: a gate (or gate group) plus its
-/// copy-on-write output vector and its partitions.
+/// One layer of the state chain: a gate (or gate group) and its
+/// partitions.
 pub struct Row {
     /// The net this row belongs to.
     pub net: NetId,
@@ -64,12 +66,40 @@ pub struct Row {
     pub fused: Option<std::sync::Arc<crate::fused::FusedOp>>,
     /// Partitions of this row, ordered by `block_lo` (block-disjoint).
     pub parts: Vec<PartId>,
-    /// The row's COW output vector.
-    pub vector: RowVector,
     /// Largest partition block span — the row-ordering sort key.
     pub max_part_blocks: u32,
     /// Display label for DOT dumps (e.g. "G8" or "MxV(net3)").
     pub label: std::sync::Arc<str>,
+}
+
+impl Row {
+    /// The blocks this row's tasks write, ascending: its partition spans
+    /// for an MxV row, the span blocks its pattern touches for a linear
+    /// row, none for a sync row. A row that has run owns exactly these.
+    pub(crate) fn written_blocks<'a>(
+        &'a self,
+        parts: &'a Arena<Partition>,
+        geom: &BlockGeometry,
+        n_qubits: u8,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let log2_block = geom.block_size().trailing_zeros();
+        let (spans, pattern) = match self.kind {
+            RowKind::Sync => (&[][..], None),
+            RowKind::MxV => (&self.parts[..], None),
+            RowKind::Linear(op) => (&self.parts[..], Some(op.pattern(n_qubits))),
+        };
+        spans
+            .iter()
+            .flat_map(move |pid| {
+                let spec = &parts[pid.key()].spec;
+                spec.block_lo as usize..=spec.block_hi as usize
+            })
+            .filter(move |&b| {
+                pattern
+                    .as_ref()
+                    .is_none_or(|p| p.touches_block(b as u64, log2_block))
+            })
+    }
 }
 
 /// A node of the task graph: a group of consecutive blocks of one row.
@@ -83,15 +113,6 @@ pub struct Partition {
     pub preds: Vec<PartId>,
     /// Partitions whose coverage includes this one, looking forward.
     pub succs: Vec<PartId>,
-    /// Pool of working-set entry vectors for this partition's linear
-    /// tasks ([`crate::exec`]'s `BlockSet`). A task pops a vector on
-    /// entry and pushes it back (drained, capacity intact) after
-    /// publishing, so warm re-executions of linear rows allocate nothing
-    /// — the linear-row counterpart of the MxV path's
-    /// [`crate::cow::RowVector::take_reusable_arc`] reuse. Concurrent
-    /// tasks of one partition each pop their own vector; the pool grows
-    /// to the high-water concurrency and stays there.
-    pub scratch: Mutex<Vec<Vec<(usize, BlockData)>>>,
     /// This partition's node in the engine's retained task graph
     /// ([`qtask_taskflow::RetainedGraph`]). Assigned right after the
     /// partition is created; [`qtask_taskflow::NodeId::DANGLING`] until
@@ -107,7 +128,6 @@ impl Partition {
             spec,
             preds: Vec::new(),
             succs: Vec::new(),
-            scratch: Mutex::new(Vec::new()),
             node: qtask_taskflow::NodeId::DANGLING,
         }
     }

@@ -13,12 +13,12 @@
 //!
 //! Snapshots share block buffers with the engine's copy-on-write rows —
 //! no amplitude is copied at capture. Isolation falls out of the COW
-//! discipline: a re-executing partition reclaims its output buffer only
-//! when *no other holder shares it*
-//! ([`crate::cow::RowVector::take_reusable_arc`]), so a buffer pinned by
-//! a live snapshot is forked, never mutated. When nothing external holds
-//! the previous snapshot, the writer steals its spine and keeps the
-//! zero-allocation warm path (see `Ckt::update_state`).
+//! discipline: a re-executing partition takes its output buffer back only
+//! when *no other holder shares it* ([`crate::OwnerIndex::take`]), so a
+//! buffer pinned by a live snapshot is forked, never mutated. When
+//! nothing external holds the previous snapshot, the writer steals its
+//! spine and keeps the zero-allocation warm path (see
+//! `Ckt::update_state`).
 //!
 //! # Capture cost
 //!
@@ -263,7 +263,12 @@ impl StateSnapshot {
                 target -= p;
             }
         }
-        self.state_len() - 1 // numeric slack: return the last state
+        // Numeric slack (a norm within tolerance below 1) outlasted the
+        // scan: the last outcome that can occur.
+        (0..self.state_len())
+            .rev()
+            .find(|&i| self.probability(i) > 0.0)
+            .unwrap_or(0)
     }
 }
 
@@ -317,5 +322,30 @@ mod tests {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(s.sample(&mut rng), 0);
+    }
+
+    /// Draws `u64::MAX` every time: `random::<f64>()` is then 1 − 2⁻⁵³.
+    struct TopRng;
+
+    impl rand::RngCore for TopRng {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    /// A norm just below 1 (inside the default tolerance) leaves the
+    /// top draw unspent past the last outcome with any probability; the
+    /// sample must be that outcome, not a state of probability zero.
+    #[test]
+    fn sample_never_returns_an_impossible_outcome() {
+        let geom = BlockGeometry::new(2, 4);
+        let mut blocks = Spine::new(geom.num_blocks());
+        let amps = [0.5, 0.5 - 1e-9, 0.0, 0.0].map(|p: f64| qtask_num::c64(p.sqrt(), 0.0));
+        blocks.set(0, Some(Arc::new(amps.to_vec())));
+        let s = StateSnapshot {
+            inner: Arc::new(SnapInner::new(1, geom, blocks, QueryReport::default(), 1.0)),
+        };
+        assert!((s.norm_sqr() - (1.0 - 1e-9)).abs() < 1e-15);
+        assert_eq!(s.sample(&mut TopRng), 1);
     }
 }

@@ -441,10 +441,10 @@ fn phase_chain(depth: usize) -> Ckt {
 
 #[test]
 fn resolve_policies_agree_and_index_probes_stay_flat() {
-    // At the tail of a depth-512 chain the index must agree with the
-    // ground truth of the row vectors, the state with the oracle, and a
-    // one-gate incremental update must spend logarithmic — not
-    // depth-proportional — probes per resolution.
+    // At the tail of a depth-512 chain the index must stay well formed,
+    // the state must agree with the oracle, and a one-gate incremental
+    // update must spend logarithmic — not depth-proportional — probes
+    // per resolution.
     let mut ckt = phase_chain(512);
     ckt.update_state().unwrap();
     // One trailing X(q0): touches every block, so its task reads the

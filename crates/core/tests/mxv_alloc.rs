@@ -65,9 +65,8 @@ fn warm_mxv_reexecution_allocates_nothing() {
     assert!(ckt.snapshot().probability(1 << 2) < 1e-20);
 }
 
-/// Linear-row parity (ROADMAP, PR 2 follow-up): once the partition
-/// scratch pools and output buffers are warm, re-executing linear
-/// partitions performs zero heap allocations too — diagonal, cross-block
+/// Linear-row parity: once the output buffers are materialized,
+/// re-executing linear partitions performs zero heap allocations too — diagonal, cross-block
 /// anti-diagonal, and controlled kinds alike.
 fn warm_linear_reexecution_allocates_nothing() {
     let mut ckt = Ckt::with_config(6, alloc_test_config());
@@ -87,8 +86,8 @@ fn warm_linear_reexecution_allocates_nothing() {
     test_support::unpin_snapshot(&mut ckt);
     let pids = test_support::linear_partitions(&ckt);
     assert!(!pids.is_empty());
-    // Warm pass: grows each partition's scratch pool and the entry-vector
-    // capacities to their steady state.
+    // Warm pass: every owner-list entry holds a buffer the next pass can
+    // take back.
     test_support::reexec_linear_partitions(&ckt, &pids);
     let before = CountingAlloc::alloc_calls();
     test_support::reexec_linear_partitions(&ckt, &pids);

@@ -4,8 +4,8 @@
 //! `insert_gate`/`remove_gate`/`update_state` while mirroring every
 //! modifier into the serial [`qtask_baselines::NaiveSim`] oracle. After
 //! every update both simulators must agree amplitude-for-amplitude, and
-//! the owner index must match the ground truth of the row vectors — the
-//! removal path is where a stale index would silently corrupt reads, so
+//! the owner index must stay well formed, each settled row owning exactly
+//! the blocks it writes — the removal path is where a stale index would silently corrupt reads, so
 //! removals are weighted heavily and often batched without intervening
 //! updates.
 

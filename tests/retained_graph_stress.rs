@@ -135,6 +135,87 @@ fn constant_edit_patches_are_depth_independent() {
     deep.validate_graph().unwrap();
 }
 
+/// The engine's bookkeeping after one tail toggle cycle: memory
+/// accounting (owned blocks are owner-index entries), rows, partitions
+/// and frontier.
+fn bookkeeping(ckt: &Ckt) -> (qtask_core::queries::MemStats, usize, usize, usize) {
+    (
+        ckt.memory_stats(),
+        ckt.num_rows(),
+        ckt.num_partitions(),
+        ckt.frontier_len(),
+    )
+}
+
+/// Toggling a tail net on and off leaves nothing behind: after every
+/// append/remove cycle the owner index, rows, partitions and frontier are
+/// exactly as they were after the first, and the index stays well
+/// formed. The shape is the benchmark's `inc.tail` scaled down: an H
+/// wall, a T chain, a `Ccz` tail on the top qubits and a marginal view
+/// over them.
+#[test]
+fn tail_toggles_leave_bookkeeping_flat() {
+    const N: u8 = 10;
+    const TOP: [u8; 3] = [N - 1, N - 2, N - 3];
+    let mut cfg = SimConfig::with_block_size(16);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(N, cfg);
+    let mut oracle = NaiveSim::new(N);
+    let (wall, owall) = (ckt.push_net(), oracle.push_net());
+    for q in 0..N {
+        ckt.insert_gate(GateKind::H, wall, &[q]).unwrap();
+        oracle.insert_gate(GateKind::H, owall, &[q]).unwrap();
+    }
+    for _ in 0..256 {
+        let (n, on) = (ckt.push_net(), oracle.push_net());
+        ckt.insert_gate(GateKind::T, n, &[N - 1]).unwrap();
+        oracle.insert_gate(GateKind::T, on, &[N - 1]).unwrap();
+    }
+    let marginal = vec![TOP[2], TOP[1], TOP[0]];
+    let registry = ViewRegistry::new();
+    registry.attach(&mut ckt);
+    let view = registry.register(Box::new(ProbabilityView::marginal(marginal.clone())));
+    ckt.update_state().unwrap();
+
+    let mut first = None;
+    for cycle in 1..=300 {
+        let (net, _) = ckt
+            .edit(|tx| {
+                let net = tx.push_net();
+                tx.insert_gate(GateKind::Ccz, net, &TOP)?;
+                Ok(net)
+            })
+            .unwrap();
+        ckt.update_state().unwrap();
+        ckt.edit(|tx| tx.remove_net(net)).unwrap();
+        ckt.update_state().unwrap();
+        ckt.validate_owner_index()
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        let now = bookkeeping(&ckt);
+        assert_eq!(*first.get_or_insert(now), now, "cycle {cycle}");
+    }
+
+    oracle.update_state();
+    let mut want = vec![0.0; 1 << marginal.len()];
+    for (i, amp) in oracle.state_vec().iter().enumerate() {
+        let bin: usize = marginal
+            .iter()
+            .enumerate()
+            .map(|(k, &q)| ((i >> q) & 1) << k)
+            .sum();
+        want[bin] += amp.norm_sqr();
+    }
+    let reading = view.reading().expect("the view was patched");
+    assert_eq!(reading.version, ckt.snapshot_version());
+    let ViewValue::Vector(got) = reading.value else {
+        panic!("a marginal reads as a vector");
+    };
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert!((g - w).abs() < 1e-12, "view {got:?} vs oracle {want:?}");
+    }
+}
+
 /// A front-of-the-circuit edit re-executes the whole dirty cone, but the
 /// cone's veterans are *reused* retained nodes: only the edit's own
 /// partitions are fresh, everything downstream re-runs through retained
