@@ -7,7 +7,7 @@
 //! subflow in Figure 12).
 
 use crate::engine::Ckt;
-use crate::row::RowKind;
+use crate::row::{PartId, RowKind};
 use std::io::{self, Write};
 
 impl Ckt {
@@ -40,8 +40,8 @@ impl Ckt {
                 shape
             )?;
         }
-        for (key, part) in self.parts.iter() {
-            for s in &part.succs {
+        for key in self.parts.keys() {
+            for s in self.succs_of(PartId(key)) {
                 writeln!(out, "  p{} -> p{};", key.index(), s.key().index())?;
             }
         }

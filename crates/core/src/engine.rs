@@ -5,6 +5,7 @@ use crate::cow::BlockData;
 use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
 use crate::exec::{self, ExecView};
+use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
 use crate::row::{DenseFactor, PartId, Partition, Row, RowId, RowKind};
 use crate::snapshot::{QueryReport, SnapInner, StateSnapshot};
@@ -193,19 +194,16 @@ pub struct Ckt {
     /// [`Ckt::link_pending`] registers their covers and adds their edges
     /// in one pass.
     pub(crate) pending_links: Vec<PartId>,
-    /// Persistent task graph mirroring the partition graph: one retained
-    /// node per partition, patched in place by every modifier and
-    /// executed (dirty subset only) by [`Ckt::update_state`]. The graph
-    /// outlives individual updates, so a warm update re-boxes no closures
-    /// and re-wires no edges — the build phase is O(|dirty|).
+    /// The partition graph: one retained node per partition and the only
+    /// record of the edges between them, patched in place by every
+    /// modifier and executed (dirty subset only) by
+    /// [`Ckt::update_state`]. The graph outlives individual updates, so a
+    /// warm update re-boxes no closures and re-wires no edges — the build
+    /// phase is O(|dirty|).
     pub(crate) graph: RetainedGraph,
     /// Journal ops committed since the last `update_state` (reported as
     /// [`UpdateReport::staged_ops`], then reset).
     pub(crate) staged_ops_pending: usize,
-    /// Content-addressed sharing cache for fused MxV operators: rows with
-    /// identical factor groups share one `Arc<FusedOp>` instead of each
-    /// expanding their own pattern table.
-    pub(crate) fused_cache: crate::fused::FusedCache,
     /// Resolution counters of the most recent update's partition tasks
     /// (reset at each `update_state`).
     pub(crate) resolve_stats: ResolveStats,
@@ -287,7 +285,6 @@ impl Ckt {
             pending_links: Vec::new(),
             graph: RetainedGraph::new(),
             staged_ops_pending: 0,
-            fused_cache: crate::fused::FusedCache::default(),
             resolve_stats: ResolveStats::default(),
             scratch: UpdateScratch::default(),
             latest: None,
@@ -909,12 +906,12 @@ impl Ckt {
             .map(|spec| PartId(self.parts.insert(Partition::new(row_id, spec))))
             .collect();
         self.rows[row_id.key()].parts = pids.clone();
-        // Mirror the new partitions into the retained task graph: the
-        // payload is the packed `PartId` (decoded by `update_state`'s
-        // invoke closure), the chunk count fixes the execution shape —
-        // sync rows are pure barriers, MxV partitions one call each (a
-        // grain of blocks), linear partitions fan out one chunk per
-        // grain of items.
+        // Give each new partition its retained node: the payload is the
+        // packed `PartId` (decoded by `Ckt::part_of` and by
+        // `update_state`'s invoke closure), the chunk count fixes the
+        // execution shape — sync rows are pure barriers, MxV partitions
+        // one call each (a grain of blocks), linear partitions fan out one
+        // chunk per grain of items.
         let chunk = self.geom.grain() as u64;
         let label = std::sync::Arc::clone(&self.rows[row_id.key()].label);
         for &pid in &pids {
@@ -990,9 +987,11 @@ impl Ckt {
                 .copied()
                 .filter(|p| self.parts.contains(p.key())),
         );
+        // `dirty` is the visited set: the graph's own dirty flags cannot
+        // serve, since every node not yet run carries one already.
         while let Some(p) = stack.pop() {
             if dirty.insert(p) {
-                stack.extend(self.parts[p.key()].succs.iter().copied());
+                stack.extend(self.succs_of(p));
             }
         }
         qtask_faults::fault_point!("engine/update_build");
@@ -1003,33 +1002,23 @@ impl Ckt {
         // re-executing tasks can reclaim their buffers and the warm
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
-        let log2_block = self.geom.block_size().trailing_zeros();
+        let n = self.circuit.num_qubits();
         for &pid in &dirty {
             let part = &self.parts[pid.key()];
-            let span = part.spec.block_lo..=part.spec.block_hi;
-            match self.rows[part.row.key()].kind {
-                RowKind::Sync => {} // barriers span everything but own nothing
-                RowKind::MxV => self.snap_dirty.extend(span.map(|b| b as usize)),
-                // A linear span can hold blocks its items never touch.
-                RowKind::Linear(op) => {
-                    let pattern = op.pattern(self.circuit.num_qubits());
-                    self.snap_dirty.extend(
-                        span.filter(|&b| pattern.touches_block(u64::from(b), log2_block))
-                            .map(|b| b as usize),
-                    );
-                }
-            }
+            let kind = &self.rows[part.row.key()].kind;
+            self.snap_dirty
+                .extend(part.written_blocks(kind, &self.geom, n));
         }
         let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
-        // that read them are spawned (serial: the cache is engine state).
+        // that read them are spawned (serial: the operators are row state).
         let fuse_span = qtask_obs::span!("update/fuse");
         for &pid in &dirty {
             let rid = self.parts[pid.key()].row;
             let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
             if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty() {
-                row.fused = self.fused_cache.get_or_build(&row.dense);
+                row.fused = FusedOp::build(&row.dense);
             }
         }
         drop(fuse_span);
@@ -1489,7 +1478,7 @@ mod tests {
         ));
     }
 
-    /// Dense gate removal invalidates the fused cache; the next update
+    /// Dense gate removal invalidates the fused operator; the next update
     /// rebuilds it for the shrunken group.
     #[test]
     fn dense_removal_invalidates_fused_cache() {
@@ -1516,45 +1505,5 @@ mod tests {
             &want,
             1e-12
         ));
-    }
-
-    /// MxV rows whose factor groups have identical content share one
-    /// fused operator through the engine's content-addressed cache.
-    #[test]
-    fn identical_mxv_groups_share_one_fused_op() {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.num_threads = 1;
-        let mut ckt = Ckt::with_config(4, cfg);
-        let n1 = ckt.push_net();
-        let n2 = ckt.push_net();
-        let g1 = ckt.insert_gate(GateKind::H, n1, &[1]).unwrap();
-        let g2 = ckt.insert_gate(GateKind::H, n2, &[1]).unwrap();
-        let g3 = ckt.insert_gate(GateKind::H, n2, &[3]).unwrap();
-        ckt.update_state().unwrap();
-        let (GateSim::DenseInMxV(m1, _), GateSim::DenseInMxV(m2, _)) =
-            (&ckt.gate_sim[&g1], &ckt.gate_sim[&g2])
-        else {
-            panic!("H gates must fold into MxV rows");
-        };
-        let (m1, m2) = (*m1, *m2);
-        let (a, b) = (
-            ckt.rows[m1.key()].fused.clone().unwrap(),
-            ckt.rows[m2.key()].fused.clone().unwrap(),
-        );
-        // Same single-H-on-qubit-1 content in both nets? Only when the
-        // second net's group really is just {H@1}: with the default cap
-        // both of n2's gates share one row, so content differs …
-        if ckt.rows[m2.key()].dense.len() == 2 {
-            assert!(!Arc::ptr_eq(&a, &b), "different group content");
-        }
-        // … but removing the second factor shrinks n2's group back to
-        // {H@1}, and the rebuild must reuse n1's operator.
-        ckt.remove_gate(g3).unwrap();
-        ckt.update_state().unwrap();
-        let b = ckt.rows[m2.key()].fused.clone().unwrap();
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "identical groups share one fused operator"
-        );
     }
 }

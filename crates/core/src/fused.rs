@@ -12,23 +12,14 @@
 //! reduces to gather-bits → slice lookup → multiply-accumulate, with zero
 //! per-amplitude allocation.
 //!
-//! The cache lives on the MxV row ([`crate::row::Row::fused`]), is built
-//! serially in `update_state` for dirty rows, and is invalidated by the
+//! Each MxV row owns its operator ([`crate::row::Row::fused`]), built
+//! serially in `update_state` for dirty rows and invalidated by the
 //! modifiers that change the group (`add_dense_factor`, dense gate
 //! removal). Groups whose signature exceeds [`FusedOp::MAX_SIG_BITS`]
 //! decline to build and fall back to the scalar expansion.
-//!
-//! Identical factor groups are common — structured circuits apply the
-//! same gate pattern across many nets — so fused ops are shared through
-//! a content-addressed [`FusedCache`]: rows hold `Arc<FusedOp>` and a
-//! group whose exact content (qubit layout + matrix bit patterns) was
-//! built before reuses the existing operator instead of re-expanding its
-//! `2^s` pattern table.
 
 use crate::row::DenseFactor;
 use qtask_num::Complex64;
-use std::collections::HashMap;
-use std::sync::{Arc, Weak};
 
 /// Scatters the low bits of `k` over the set bits of `mask`
 /// (the inverse of [`gather_bits`]).
@@ -153,78 +144,6 @@ impl FusedOp {
     }
 }
 
-/// Content key of a factor group: per factor, the qubit layout plus the
-/// exact matrix bit patterns. Two groups share a key only when
-/// [`FusedOp::build`] would produce bit-identical operators (the build is
-/// a pure function of exactly these inputs, in order).
-#[derive(PartialEq, Eq, Hash)]
-struct GroupKey(Vec<(u64, u8, [u64; 8])>);
-
-impl GroupKey {
-    fn of(factors: &[DenseFactor]) -> GroupKey {
-        GroupKey(
-            factors
-                .iter()
-                .map(|f| {
-                    let mut bits = [0u64; 8];
-                    for (e, slot) in bits.chunks_exact_mut(2).enumerate() {
-                        let z = f.mat.at(e / 2, e % 2);
-                        slot[0] = z.re.to_bits();
-                        slot[1] = z.im.to_bits();
-                    }
-                    (f.controls, f.target, bits)
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Content-addressed sharing cache for fused operators.
-///
-/// Maps group content to a [`Weak`] fused op: rows own the operators
-/// (`Arc` on [`crate::row::Row::fused`]), the cache only deduplicates, so
-/// dropping every row of a group drops its operator. Dead entries are
-/// pruned whenever the map doubles past the live population, keeping the
-/// cache O(live distinct groups).
-#[derive(Default)]
-pub struct FusedCache {
-    map: HashMap<GroupKey, Weak<FusedOp>>,
-    prune_at: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl FusedCache {
-    /// Returns the shared fused op for this exact factor group, building
-    /// (and memoizing) it on first sight. `None` when the group's
-    /// signature is too wide to fuse, like [`FusedOp::build`].
-    pub fn get_or_build(&mut self, factors: &[DenseFactor]) -> Option<Arc<FusedOp>> {
-        let key = GroupKey::of(factors);
-        if let Some(op) = self.map.get(&key).and_then(Weak::upgrade) {
-            self.hits += 1;
-            return Some(op);
-        }
-        let op = Arc::new(FusedOp::build(factors)?);
-        self.misses += 1;
-        self.map.insert(key, Arc::downgrade(&op));
-        if self.map.len() >= self.prune_at.max(16) {
-            self.map.retain(|_, w| w.strong_count() > 0);
-            self.prune_at = self.map.len() * 2;
-        }
-        Some(op)
-    }
-
-    /// Lookups answered by an already-built operator.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to build (first sight of a group's content).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,53 +230,5 @@ mod tests {
         let h = GateKind::H.base_matrix().unwrap();
         let wide = ((1u64 << 40) - 1) & !(1 << 2);
         assert!(FusedOp::build(&[factor(wide, 2, h)]).is_none());
-    }
-
-    #[test]
-    fn cache_shares_identical_groups_only() {
-        let h = GateKind::H.base_matrix().unwrap();
-        let u = GateKind::U3(0.3, 0.8, 1.1).base_matrix().unwrap();
-        let mut cache = FusedCache::default();
-        let a = cache
-            .get_or_build(&[factor(0, 1, h), factor(0, 4, u)])
-            .unwrap();
-        let b = cache
-            .get_or_build(&[factor(0, 1, h), factor(0, 4, u)])
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "identical content shares one op");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Any content difference — qubit layout, matrix, or order —
-        // yields a distinct operator.
-        let c = cache
-            .get_or_build(&[factor(0, 4, u), factor(0, 1, h)])
-            .unwrap();
-        let d = cache
-            .get_or_build(&[factor(0, 1, h), factor(0, 4, h)])
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c) && !Arc::ptr_eq(&a, &d));
-        // Too-wide groups decline through the cache as well.
-        let wide = ((1u64 << 40) - 1) & !(1 << 2);
-        assert!(cache.get_or_build(&[factor(wide, 2, h)]).is_none());
-    }
-
-    #[test]
-    fn cache_entries_die_with_their_owners() {
-        let h = GateKind::H.base_matrix().unwrap();
-        let mut cache = FusedCache::default();
-        let first = cache.get_or_build(&[factor(0, 0, h)]).unwrap();
-        let ptr = Arc::as_ptr(&first);
-        drop(first);
-        // The owner dropped, so the next lookup must rebuild (a Weak
-        // cannot resurrect the dead op).
-        let again = cache.get_or_build(&[factor(0, 0, h)]).unwrap();
-        assert_eq!(cache.hits(), 0, "dead entry cannot be a hit");
-        let _ = ptr;
-        drop(again);
-        // Populate past the prune threshold with dead entries; the map
-        // stays bounded by the (here zero) live population.
-        for t in 0..64u8 {
-            drop(cache.get_or_build(&[factor(0, t % 50, h)]));
-        }
-        assert!(cache.map.len() < 64, "dead entries are pruned");
     }
 }

@@ -17,22 +17,41 @@
 //!   partition's predecessors to its successors where their block ranges
 //!   overlap inside the removed range (Figure 7), and push the successors
 //!   onto the frontier.
+//!
+//! The edges live only in the retained task graph (`Ckt::graph`): each
+//! partition's node carries the partition's packed id as its payload, and
+//! every edge reader walks the graph and maps nodes back through
+//! `Ckt::part_of`.
 
 use crate::engine::Ckt;
 use crate::row::{PartId, RowId};
+use qtask_taskflow::NodeId;
 
 impl Ckt {
-    /// Adds edge `a → b` if absent, mirroring it into the retained task
-    /// graph so `update_state` never has to re-derive precedence.
-    pub(crate) fn add_edge(&mut self, a: PartId, b: PartId) {
-        debug_assert_ne!(a, b);
-        let pa = &mut self.parts[a.key()];
-        if !pa.succs.contains(&b) {
-            pa.succs.push(b);
-            self.parts[b.key()].preds.push(a);
-            let (na, nb) = (self.parts[a.key()].node, self.parts[b.key()].node);
-            self.graph.add_edge(na, nb);
-        }
+    /// The partition a retained node stands for: node payloads are the
+    /// partitions' packed ids.
+    pub(crate) fn part_of(&self, node: NodeId) -> PartId {
+        PartId(qtask_util::Key::from_bits(self.graph.payload(node)))
+    }
+
+    /// Partitions with an edge into `pid`, in the order the edges were
+    /// added.
+    pub(crate) fn preds_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
+        let node = self.parts[pid.key()].node;
+        self.graph.preds(node).iter().map(|&n| self.part_of(n))
+    }
+
+    /// Partitions `pid` has an edge to, in the order the edges were added.
+    pub(crate) fn succs_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
+        let node = self.parts[pid.key()].node;
+        self.graph.succs(node).iter().map(|&n| self.part_of(n))
+    }
+
+    /// Adds edge `a → b` to the retained task graph if absent, so
+    /// `update_state` never has to re-derive precedence.
+    fn add_edge(&mut self, a: PartId, b: PartId) {
+        self.graph
+            .add_edge(self.parts[a.key()].node, self.parts[b.key()].node);
     }
 
     /// Links every partition created since the last pass: registers each
@@ -211,29 +230,19 @@ impl Ckt {
         qtask_faults::fault_point!("engine/graph_patch");
         let mut orphaned: Vec<PartId> = Vec::new();
         for pid in row.parts {
+            orphaned.extend(self.succs_of(pid));
             let part = self.parts.remove(pid.key()).expect("row partition is live");
             // Retained-graph removal detaches every incident edge, so the
             // reconnection scan below patches a graph with no stale nodes.
             self.graph.remove(part.node);
             self.frontier.remove(&pid);
-            // Detach.
-            for p in &part.preds {
-                self.parts[p.key()].succs.retain(|s| *s != pid);
-            }
-            for s in &part.succs {
-                self.parts[s.key()].preds.retain(|p| *p != pid);
-            }
-            orphaned.extend(part.succs.iter().copied());
-            self.frontier.extend(part.succs.iter().copied());
         }
         // Re-derive each orphan's predecessor set by a fresh backward
         // coverage scan (existing edges are kept; add_edge deduplicates).
         orphaned.sort_unstable();
         orphaned.dedup();
+        self.frontier.extend(orphaned.iter().copied());
         for s in orphaned {
-            if !self.parts.contains(s.key()) {
-                continue;
-            }
             let (s_row, lo, hi) = {
                 let p = &self.parts[s.key()];
                 (p.row, p.spec.block_lo, p.spec.block_hi)
@@ -248,10 +257,34 @@ impl Ckt {
         // simulation until `update_state`.
     }
 
-    /// Debug validation: edge symmetry, acyclicity-by-construction
-    /// (edges only point from earlier rows to later rows), and
-    /// frontier liveness. Used by tests.
+    /// Debug validation: one live retained node per partition carrying
+    /// its id, edges that only point from earlier rows to later rows
+    /// (acyclic by construction) between overlapping spans, frontier
+    /// liveness and coverage-index coherence. Used by tests.
     pub fn validate_graph(&self) -> Result<(), String> {
+        // Retained-graph coherence: exactly one live node per partition,
+        // carrying that partition's packed id (plus the graph's own
+        // symmetry/liveness invariants).
+        self.graph.validate()?;
+        if self.graph.len() != self.parts.len() {
+            return Err(format!(
+                "retained graph holds {} nodes for {} partitions",
+                self.graph.len(),
+                self.parts.len()
+            ));
+        }
+        for (k, part) in self.parts.iter() {
+            let pid = PartId(k);
+            if !self.rows.contains(part.row.key()) {
+                return Err(format!("{pid:?} points at a dead row"));
+            }
+            if !self.graph.contains(part.node) {
+                return Err(format!("{pid:?} points at a dead retained node"));
+            }
+            if self.part_of(part.node) != pid {
+                return Err(format!("{pid:?}'s retained node carries a foreign payload"));
+            }
+        }
         // Row order index for direction checks.
         let mut order = std::collections::HashMap::new();
         for (i, k) in self.rows.keys().enumerate() {
@@ -259,17 +292,8 @@ impl Ckt {
         }
         for (k, part) in self.parts.iter() {
             let pid = PartId(k);
-            if !self.rows.contains(part.row.key()) {
-                return Err(format!("{pid:?} points at a dead row"));
-            }
-            for s in &part.succs {
-                let succ = self
-                    .parts
-                    .get(s.key())
-                    .ok_or_else(|| format!("{pid:?} has dead succ {s:?}"))?;
-                if !succ.preds.contains(&pid) {
-                    return Err(format!("asymmetric edge {pid:?} -> {s:?}"));
-                }
+            for s in self.succs_of(pid) {
+                let succ = &self.parts[s.key()];
                 if order[&part.row] >= order[&succ.row] {
                     return Err(format!(
                         "edge {pid:?} -> {s:?} does not advance in row order"
@@ -277,15 +301,6 @@ impl Ckt {
                 }
                 if !part.spec.blocks_intersect(&succ.spec) {
                     return Err(format!("edge {pid:?} -> {s:?} without block overlap"));
-                }
-            }
-            for p in &part.preds {
-                let pred = self
-                    .parts
-                    .get(p.key())
-                    .ok_or_else(|| format!("{pid:?} has dead pred {p:?}"))?;
-                if !pred.succs.contains(&pid) {
-                    return Err(format!("asymmetric edge {p:?} -> {pid:?}"));
                 }
             }
         }
@@ -313,37 +328,6 @@ impl Ckt {
                 self.coverage.len()
             ));
         }
-        // Retained-graph coherence: exactly one live node per partition,
-        // carrying that partition's packed id, with every partition edge
-        // mirrored (plus the graph's own symmetry/liveness invariants).
-        self.graph.validate()?;
-        if self.graph.len() != self.parts.len() {
-            return Err(format!(
-                "retained graph holds {} nodes for {} partitions",
-                self.graph.len(),
-                self.parts.len()
-            ));
-        }
-        for (k, part) in self.parts.iter() {
-            let pid = PartId(k);
-            if !self.graph.contains(part.node) {
-                return Err(format!("{pid:?} points at a dead retained node"));
-            }
-            if self.graph.payload(part.node) != k.to_bits() {
-                return Err(format!("{pid:?}'s retained node carries a foreign payload"));
-            }
-            for s in &part.succs {
-                if !self
-                    .graph
-                    .succs(part.node)
-                    .contains(&self.parts[s.key()].node)
-                {
-                    return Err(format!(
-                        "partition edge {pid:?} -> {s:?} missing from the retained graph"
-                    ));
-                }
-            }
-        }
         for b in 0..self.geom.num_blocks() {
             let mut prev = None;
             for &pid in self.coverage.covers_of(b) {
@@ -366,39 +350,24 @@ impl Ckt {
 }
 
 impl Ckt {
-    /// Expensive debug validation of the operational soundness invariant:
-    /// for every partition `s` and every block `b` it spans, the nearest
-    /// earlier partition covering `b` (s's true data source ordering-wise)
-    /// must reach `s` through successor edges — otherwise a dirty source
-    /// could fail to re-dirty `s`. Transitive pruning makes the edge
-    /// indirect but must preserve the path.
+    /// Debug validation of the operational soundness invariant: for every
+    /// partition `s` and every block `b` it spans, the nearest earlier
+    /// partition covering `b` (s's true data source ordering-wise) has a
+    /// direct edge to `s` — otherwise a dirty source could fail to
+    /// re-dirty `s`. `Ckt::link_pending` and `remove_row`'s orphan
+    /// re-scan both add exactly these edges, and a direct edge is
+    /// stronger than the path the frontier DFS needs.
     pub fn validate_reachability(&self) -> Result<(), String> {
-        use std::collections::HashSet;
         for k in self.rows.keys() {
             let row = &self.rows[k];
             for pid in &row.parts {
                 let part = &self.parts[pid.key()];
                 let (lo, hi) = (part.spec.block_lo, part.spec.block_hi);
-                // Nearest covers of s.
-                let covers = self.coverage_scan(part.row, lo, hi);
-                for c in covers {
-                    // BFS forward from c, looking for pid.
-                    let mut seen: HashSet<PartId> = HashSet::new();
-                    let mut stack = vec![c];
-                    let mut found = false;
-                    while let Some(x) = stack.pop() {
-                        if x == *pid {
-                            found = true;
-                            break;
-                        }
-                        if seen.insert(x) {
-                            stack.extend(self.parts[x.key()].succs.iter().copied());
-                        }
-                    }
-                    if !found {
-                        let src = &self.parts[c.key()];
+                for c in self.coverage_scan(part.row, lo, hi) {
+                    let src = &self.parts[c.key()];
+                    if !self.graph.preds(part.node).contains(&src.node) {
                         return Err(format!(
-                            "no path from {}[{},{}] to {}[{},{}]",
+                            "no edge from {}[{},{}] to {}[{},{}]",
                             self.rows[src.row.key()].label,
                             src.spec.block_lo,
                             src.spec.block_hi,
@@ -411,5 +380,115 @@ impl Ckt {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::SimConfig;
+    use crate::engine::Ckt;
+    use qtask_circuit::{GateId, NetId};
+    use qtask_gates::GateKind;
+    use rand::prelude::*;
+
+    /// Walks `rows` backwards from every partition, block by block, to the
+    /// nearest earlier partition covering the block (the paper's Figure 9
+    /// walk, with no coverage index) and asserts the retained graph holds
+    /// the direct edge from that cover to the partition.
+    fn assert_nearest_covers_linked(ckt: &Ckt, at: &str) {
+        for k in ckt.rows.keys() {
+            for pid in &ckt.rows[k].parts {
+                let part = &ckt.parts[pid.key()];
+                for b in part.spec.block_lo..=part.spec.block_hi {
+                    let mut earlier =
+                        std::iter::successors(ckt.rows.prev(k), |&r| ckt.rows.prev(r));
+                    let cover = earlier.find_map(|r| {
+                        ckt.rows[r].parts.iter().copied().find(|q| {
+                            let spec = &ckt.parts[q.key()].spec;
+                            spec.block_lo <= b && b <= spec.block_hi
+                        })
+                    });
+                    if let Some(c) = cover {
+                        assert!(
+                            ckt.graph
+                                .preds(part.node)
+                                .contains(&ckt.parts[c.key()].node),
+                            "{at}: no edge {c:?} -> {pid:?} for block {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_gate(rng: &mut StdRng, n: u8, nets: &[NetId]) -> (GateKind, Vec<u8>, NetId) {
+        let kinds = [
+            GateKind::H,
+            GateKind::X,
+            GateKind::T,
+            GateKind::Ry(0.4),
+            GateKind::Cx,
+            GateKind::Cz,
+            GateKind::Ccx,
+        ];
+        let kind = kinds[rng.random_range(0..kinds.len())];
+        let mut qubits: Vec<u8> = (0..n).collect();
+        qubits.shuffle(rng);
+        qubits.truncate(kind.arity());
+        (kind, qubits, nets[rng.random_range(0..nets.len())])
+    }
+
+    /// A seeded storm of inserts, removals and multi-op edits keeps a
+    /// direct edge from every block's nearest earlier cover.
+    #[test]
+    fn every_nearest_cover_has_a_direct_edge() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for trial in 0..8 {
+            let n = rng.random_range(5..=7u8);
+            let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=4u32));
+            cfg.num_threads = 1;
+            let mut ckt = Ckt::with_config(n, cfg);
+            let nets: Vec<NetId> = (0..5).map(|_| ckt.push_net()).collect();
+            let mut live: Vec<GateId> = Vec::new();
+            for step in 0..60 {
+                match rng.random_range(0..10) {
+                    0..=4 => {
+                        let (kind, qubits, net) = random_gate(&mut rng, n, &nets);
+                        live.extend(ckt.insert_gate(kind, net, &qubits).ok());
+                    }
+                    5..=7 if !live.is_empty() => {
+                        let g = live.swap_remove(rng.random_range(0..live.len()));
+                        ckt.remove_gate(g).unwrap();
+                    }
+                    _ => {
+                        let mut victims = Vec::new();
+                        for _ in 0..rng.random_range(0..=2) {
+                            if !live.is_empty() {
+                                victims.push(live.swap_remove(rng.random_range(0..live.len())));
+                            }
+                        }
+                        let adds: Vec<_> = (0..rng.random_range(1..=3))
+                            .map(|_| random_gate(&mut rng, n, &nets))
+                            .collect();
+                        let (added, _) = ckt
+                            .edit(|tx| {
+                                for &g in &victims {
+                                    tx.remove_gate(g)?;
+                                }
+                                Ok(adds
+                                    .iter()
+                                    .filter_map(|(k, q, net)| tx.insert_gate(*k, *net, q).ok())
+                                    .collect::<Vec<_>>())
+                            })
+                            .unwrap();
+                        live.extend(added);
+                    }
+                }
+                assert_nearest_covers_linked(&ckt, &format!("trial {trial} step {step}"));
+                if rng.random_bool(0.3) {
+                    ckt.update_state().unwrap();
+                }
+            }
+        }
     }
 }

@@ -58,8 +58,8 @@ impl Ckt {
                     row.label.to_string(),
                     part.spec.block_lo,
                     part.spec.block_hi,
-                    part.preds.iter().map(|p| p.key().index()).collect(),
-                    part.succs.iter().map(|s| s.key().index()).collect(),
+                    self.preds_of(*pid).map(|p| p.key().index()).collect(),
+                    self.succs_of(*pid).map(|s| s.key().index()).collect(),
                     self.frontier.contains(pid),
                 ));
             }
@@ -89,18 +89,6 @@ impl Ckt {
             }
         }
         owned
-    }
-
-    /// Debug: the gates of rows in row order (row label, gate info).
-    pub fn debug_row_gates(&self) -> Vec<(String, Option<qtask_circuit::Gate>)> {
-        self.rows
-            .keys()
-            .map(|k| {
-                let row = &self.rows[k];
-                let gate = row.gate.and_then(|g| self.circuit.gate(g).copied());
-                (row.label.to_string(), gate)
-            })
-            .collect()
     }
 
     /// Memory accounting across all rows: owned blocks are owner-index

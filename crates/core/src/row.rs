@@ -57,13 +57,11 @@ pub struct Row {
     /// Dense factors for `MxV` rows (kept sorted by target for
     /// deterministic output).
     pub dense: Vec<DenseFactor>,
-    /// Fused sparse-row cache over `dense` ([`crate::fused::FusedOp`]).
-    /// Built lazily in `update_state` (`None` after that only for groups
-    /// too wide to fuse); invalidated by every modifier that changes the
-    /// factor group. Shared (`Arc`) between rows whose
-    /// factor groups have identical content, via
-    /// [`crate::fused::FusedCache`].
-    pub fused: Option<std::sync::Arc<crate::fused::FusedOp>>,
+    /// Fused sparse-row operator over `dense` ([`crate::fused::FusedOp`]).
+    /// Built in `update_state` for dirty rows (`None` after that only for
+    /// groups too wide to fuse); invalidated by every modifier that
+    /// changes the factor group.
+    pub fused: Option<crate::fused::FusedOp>,
     /// Partitions of this row, ordered by `block_lo` (block-disjoint).
     pub parts: Vec<PartId>,
     /// Largest partition block span — the row-ordering sort key.
@@ -73,62 +71,67 @@ pub struct Row {
 }
 
 impl Row {
-    /// The blocks this row's tasks write, ascending: its partition spans
-    /// for an MxV row, the span blocks its pattern touches for a linear
-    /// row, none for a sync row. A row that has run owns exactly these.
+    /// The blocks this row's tasks write, ascending: the union of
+    /// [`Partition::written_blocks`] over its partitions. A row that has
+    /// run owns exactly these.
     pub(crate) fn written_blocks<'a>(
         &'a self,
         parts: &'a Arena<Partition>,
         geom: &BlockGeometry,
         n_qubits: u8,
     ) -> impl Iterator<Item = usize> + 'a {
-        let log2_block = geom.block_size().trailing_zeros();
-        let (spans, pattern) = match self.kind {
-            RowKind::Sync => (&[][..], None),
-            RowKind::MxV => (&self.parts[..], None),
-            RowKind::Linear(op) => (&self.parts[..], Some(op.pattern(n_qubits))),
-        };
-        spans
+        let geom = *geom;
+        self.parts
             .iter()
-            .flat_map(move |pid| {
-                let spec = &parts[pid.key()].spec;
-                spec.block_lo as usize..=spec.block_hi as usize
-            })
-            .filter(move |&b| {
-                pattern
-                    .as_ref()
-                    .is_none_or(|p| p.touches_block(b as u64, log2_block))
-            })
+            .flat_map(move |pid| parts[pid.key()].written_blocks(&self.kind, &geom, n_qubits))
     }
 }
 
 /// A node of the task graph: a group of consecutive blocks of one row.
+/// Its edges live only in the engine's retained task graph, on `node`.
 pub struct Partition {
     /// The row this partition belongs to.
     pub row: RowId,
     /// Block range and item-rank range.
     pub spec: PartitionSpec,
-    /// Nearest earlier partitions that jointly cover this partition's
-    /// blocks (execution must wait for them).
-    pub preds: Vec<PartId>,
-    /// Partitions whose coverage includes this one, looking forward.
-    pub succs: Vec<PartId>,
     /// This partition's node in the engine's retained task graph
-    /// ([`qtask_taskflow::RetainedGraph`]). Assigned right after the
-    /// partition is created; [`qtask_taskflow::NodeId::DANGLING`] until
-    /// then.
+    /// ([`qtask_taskflow::RetainedGraph`]), whose payload is this
+    /// partition's packed id. Assigned right after the partition is
+    /// created; [`qtask_taskflow::NodeId::DANGLING`] until then.
     pub node: qtask_taskflow::NodeId,
 }
 
 impl Partition {
-    /// Creates an unlinked partition.
+    /// Creates a partition with no retained node yet.
     pub fn new(row: RowId, spec: PartitionSpec) -> Partition {
         Partition {
             row,
             spec,
-            preds: Vec::new(),
-            succs: Vec::new(),
             node: qtask_taskflow::NodeId::DANGLING,
         }
+    }
+
+    /// The blocks this partition's tasks write when its row computes
+    /// `kind`, ascending: its whole span for an MxV partition, the span
+    /// blocks the pattern touches for a linear one (a linear span can
+    /// hold blocks its items never touch), none for a sync barrier.
+    pub(crate) fn written_blocks(
+        &self,
+        kind: &RowKind,
+        geom: &BlockGeometry,
+        n_qubits: u8,
+    ) -> impl Iterator<Item = usize> {
+        let log2_block = geom.block_size().trailing_zeros();
+        let span = self.spec.block_lo as usize..self.spec.block_hi as usize + 1;
+        let (span, pattern) = match kind {
+            RowKind::Sync => (0..0, None),
+            RowKind::MxV => (span, None),
+            RowKind::Linear(op) => (span, Some(op.pattern(n_qubits))),
+        };
+        span.filter(move |&b| {
+            pattern
+                .as_ref()
+                .is_none_or(|p| p.touches_block(b as u64, log2_block))
+        })
     }
 }

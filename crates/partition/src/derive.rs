@@ -62,11 +62,6 @@ impl PartitionSpec {
     pub fn blocks_intersect(&self, other: &PartitionSpec) -> bool {
         self.block_lo <= other.block_hi && other.block_lo <= self.block_hi
     }
-
-    /// True if the block range intersects `[lo, hi]`.
-    pub fn blocks_intersect_range(&self, lo: u32, hi: u32) -> bool {
-        self.block_lo <= hi && lo <= self.block_hi
-    }
 }
 
 /// Derives the partitions of a linear op's touched-item pattern.

@@ -335,11 +335,6 @@ impl Executor {
         }
     }
 
-    /// Creates an executor sized to the machine's available parallelism.
-    pub fn with_default_threads() -> Executor {
-        Executor::new(crate::default_threads())
-    }
-
     /// Number of worker threads. A run also executes on the thread that
     /// called it, so it can use one thread more than this.
     pub fn num_threads(&self) -> usize {

@@ -184,6 +184,11 @@ impl RetainedGraph {
         &self.nodes[id.key()].succs
     }
 
+    /// Predecessors of `id`, in the order their edges were added.
+    pub fn preds(&self, id: NodeId) -> &[NodeId] {
+        &self.nodes[id.key()].preds
+    }
+
     /// True if `id` points at a live node.
     pub fn contains(&self, id: NodeId) -> bool {
         self.nodes.contains(id.key())
@@ -272,6 +277,7 @@ mod tests {
         g.remove(b);
         assert!(!g.contains(b));
         assert!(g.succs(a).is_empty());
+        assert!(g.preds(c).is_empty());
         assert_eq!(g.dirty_len(), 2);
         g.validate().unwrap();
     }

@@ -7,8 +7,7 @@
 //! * [`linked`] — an ordered arena (doubly-linked list over arena slots)
 //!   used for the global row order and the net order, where the simulator
 //!   needs O(1) insert-after / remove and bidirectional neighbour walks.
-//! * [`bitset`] — a growable bitset used for dirty/visited marks during
-//!   frontier DFS and coverage scans.
+//! * [`bitset`] — a growable bitset over `usize` indices.
 //! * [`disjoint`] — a guarded raw-pointer wrapper that lets parallel tasks
 //!   write provably disjoint index sets of one buffer.
 //! * [`alloc_counter`] — a counting global allocator used by the benchmark
