@@ -7,7 +7,7 @@
 //! subflow in Figure 12).
 
 use crate::engine::Ckt;
-use crate::row::{PartId, RowKind};
+use crate::row::RowKind;
 use std::io::{self, Write};
 
 impl Ckt {
@@ -17,7 +17,7 @@ impl Ckt {
         writeln!(out, "  rankdir=LR;")?;
         writeln!(out, "  node [fontsize=10];")?;
         let chunk = self.geom.grain() as u64;
-        for (key, part) in self.parts.iter() {
+        for (pid, part) in self.graph.iter() {
             let row = &self.rows[part.row.key()];
             let shape = match row.kind {
                 RowKind::Sync => "diamond",
@@ -33,16 +33,16 @@ impl Ckt {
             writeln!(
                 out,
                 "  p{} [label=\"{}[{},{}]\" shape={}];",
-                key.index(),
+                pid.key().index(),
                 row.label,
                 part.spec.block_lo,
                 part.spec.block_hi,
                 shape
             )?;
         }
-        for key in self.parts.keys() {
-            for s in self.succs_of(PartId(key)) {
-                writeln!(out, "  p{} -> p{};", key.index(), s.key().index())?;
+        for (pid, _) in self.graph.iter() {
+            for s in self.graph.succs(pid) {
+                writeln!(out, "  p{} -> p{};", pid.key().index(), s.key().index())?;
             }
         }
         writeln!(out, "}}")

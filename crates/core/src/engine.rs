@@ -14,7 +14,7 @@ use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_partition::{derive_partitions, BlockGeometry, LoweredGate, PartitionSpec};
 use qtask_taskflow::{Executor, RetainedGraph};
-use qtask_util::{Arena, LinkedArena};
+use qtask_util::LinkedArena;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -61,7 +61,9 @@ impl NetSim {
 /// Statistics returned by [`Ckt::update_state`].
 #[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
-    /// Partitions executed this update (0 when the frontier was empty).
+    /// Partitions executed this update: the successor closure of the
+    /// frontier, new sync barriers included (0 when the frontier was
+    /// empty).
     pub partitions_executed: usize,
     /// Total intra-partition tasks spawned.
     pub tasks_executed: usize,
@@ -169,7 +171,7 @@ pub struct RecoveryReport {
 ///
 /// Wraps a [`Circuit`] and maintains, incrementally under every modifier:
 /// per-row copy-on-write state vectors, the partition task graph, and the
-/// frontier list that seeds [`Ckt::update_state`].
+/// frontier (the graph's dirty list) that seeds [`Ckt::update_state`].
 ///
 /// State is read only through the [`StateSnapshot`]s it publishes:
 /// [`Ckt::latest_snapshot`] is what the last `update_state` published,
@@ -182,10 +184,8 @@ pub struct Ckt {
     pub(crate) config: SimConfig,
     pub(crate) executor: Arc<Executor>,
     pub(crate) rows: LinkedArena<Row>,
-    pub(crate) parts: Arena<Partition>,
     pub(crate) net_sim: HashMap<NetId, NetSim>,
     pub(crate) gate_sim: HashMap<GateId, GateSim>,
-    pub(crate) frontier: HashSet<PartId>,
     /// Per-block sorted owner lists for O(log) COW resolution.
     pub(crate) owners: OwnerIndex,
     /// Per-block sorted cover lists for O(log) partition linking.
@@ -194,21 +194,20 @@ pub struct Ckt {
     /// [`Ckt::link_pending`] registers their covers and adds their edges
     /// in one pass.
     pub(crate) pending_links: Vec<PartId>,
-    /// The partition graph: one retained node per partition and the only
-    /// record of the edges between them, patched in place by every
-    /// modifier and executed (dirty subset only) by
-    /// [`Ckt::update_state`]. The graph outlives individual updates, so a
-    /// warm update re-boxes no closures and re-wires no edges — the build
-    /// phase is O(|dirty|).
-    pub(crate) graph: RetainedGraph,
+    /// The partition graph: each partition is its retained node's
+    /// payload ([`PartId`] is the node's id), the graph holds the only
+    /// record of the edges between them, and its dirty list is the
+    /// frontier. Patched in place by every modifier and executed (dirty
+    /// subset only) by [`Ckt::update_state`]. The graph outlives
+    /// individual updates, so a warm update re-boxes no closures and
+    /// re-wires no edges — the build phase is O(|dirty|).
+    pub(crate) graph: RetainedGraph<Partition>,
     /// Journal ops committed since the last `update_state` (reported as
     /// [`UpdateReport::staged_ops`], then reset).
     pub(crate) staged_ops_pending: usize,
     /// Resolution counters of the most recent update's partition tasks
     /// (reset at each `update_state`).
     pub(crate) resolve_stats: ResolveStats,
-    /// Reusable `update_state` allocations (dirty-set DFS + task map).
-    scratch: UpdateScratch,
     /// Last published snapshot (None before the first publication).
     pub(crate) latest: Option<StateSnapshot>,
     /// Blocks whose final resolution changed since `latest` was captured
@@ -239,16 +238,6 @@ pub struct Ckt {
     last_norm_error: f64,
 }
 
-/// Allocation cache for [`Ckt::update_state`]: the dirty-set DFS scratch
-/// and the partition→task map survive across updates, so steady-state
-/// incremental updates reuse their backing storage instead of
-/// reallocating it every call.
-#[derive(Default)]
-struct UpdateScratch {
-    dirty: HashSet<PartId>,
-    stack: Vec<PartId>,
-}
-
 impl Ckt {
     /// Creates an engine with default configuration.
     pub fn new(num_qubits: u8) -> Ckt {
@@ -276,17 +265,14 @@ impl Ckt {
             config,
             executor,
             rows: LinkedArena::new(),
-            parts: Arena::new(),
             net_sim: HashMap::new(),
             gate_sim: HashMap::new(),
-            frontier: HashSet::new(),
             owners: OwnerIndex::new(geom.num_blocks()),
             coverage: crate::coverage::CoverageIndex::new(geom.num_blocks()),
             pending_links: Vec::new(),
             graph: RetainedGraph::new(),
             staged_ops_pending: 0,
             resolve_stats: ResolveStats::default(),
-            scratch: UpdateScratch::default(),
             latest: None,
             snap_dirty: HashSet::new(),
             snapshot_seq: 0,
@@ -547,7 +533,7 @@ impl Ckt {
 
     /// Number of live partitions (task-graph nodes).
     pub fn num_partitions(&self) -> usize {
-        self.parts.len()
+        self.graph.len()
     }
 
     /// Number of live rows (COW layers).
@@ -555,9 +541,11 @@ impl Ckt {
         self.rows.len()
     }
 
-    /// Current frontier size (partitions awaiting update).
+    /// Current frontier size: the partitions marked for the next update,
+    /// new sync barriers included. Their successors re-run too, but join
+    /// the frontier only when the update closes it.
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
+        self.graph.dirty_len()
     }
 
     // ---- circuit modifiers ----------------------------------------------
@@ -712,8 +700,7 @@ impl Ckt {
                 } else {
                     // The grouped operator changed: re-simulate all its
                     // partitions.
-                    let parts = self.rows[mxv.key()].parts.clone();
-                    self.frontier.extend(parts);
+                    self.mark_row_dirty(mxv);
                 }
             }
         }
@@ -794,8 +781,7 @@ impl Ckt {
             .expect("net is live")
             .linear
             .insert(insert_idx, row_id);
-        let pids = self.create_partitions(row_id, specs);
-        self.frontier.extend(pids);
+        self.create_partitions(row_id, specs);
         row_id
     }
 
@@ -820,8 +806,7 @@ impl Ckt {
             {
                 *existing = factor;
                 row.fused = None;
-                let parts = self.rows[mxv.key()].parts.clone();
-                self.frontier.extend(parts);
+                self.mark_row_dirty(mxv);
                 return (mxv, sync);
             }
         }
@@ -831,8 +816,7 @@ impl Ckt {
                 row.dense.push(factor);
                 row.dense.sort_by_key(|f| f.target);
                 row.fused = None;
-                let parts = self.rows[mxv.key()].parts.clone();
-                self.frontier.extend(parts);
+                self.mark_row_dirty(mxv);
                 return (mxv, sync);
             }
         }
@@ -893,45 +877,46 @@ impl Ckt {
                 item_end: 0,
             })
             .collect();
-        let mxv_pids = self.create_partitions(mxv_row_id, mxv_specs);
-        self.frontier.extend(mxv_pids);
+        self.create_partitions(mxv_row_id, mxv_specs);
         (mxv_row_id, sync_row_id)
     }
 
-    /// Creates a row's partitions and their retained nodes, and queues
-    /// them for [`Ckt::link_pending`].
-    fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) -> Vec<PartId> {
+    /// Puts every partition of a row on the frontier.
+    fn mark_row_dirty(&mut self, row_id: RowId) {
+        for &pid in &self.rows[row_id.key()].parts {
+            self.graph.mark_dirty(pid);
+        }
+    }
+
+    /// Inserts a row's partitions as retained nodes — new nodes start
+    /// dirty, so they are on the frontier — and queues them for
+    /// [`Ckt::link_pending`]. The chunk count fixes each node's execution
+    /// shape: sync rows are pure barriers, MxV partitions one call each
+    /// (a grain of blocks), linear partitions fan out one chunk per grain
+    /// of items.
+    fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) {
+        let chunk = self.geom.grain() as u64;
+        let row = &self.rows[row_id.key()];
         let pids: Vec<PartId> = specs
             .into_iter()
-            .map(|spec| PartId(self.parts.insert(Partition::new(row_id, spec))))
+            .map(|spec| {
+                let chunks = match row.kind {
+                    RowKind::Sync => 0,
+                    RowKind::MxV => 1,
+                    RowKind::Linear(_) => spec.num_tasks(chunk) as u32,
+                };
+                let part = Partition { row: row_id, spec };
+                self.graph.insert(part, chunks, Arc::clone(&row.label))
+            })
             .collect();
-        self.rows[row_id.key()].parts = pids.clone();
-        // Give each new partition its retained node: the payload is the
-        // packed `PartId` (decoded by `Ckt::part_of` and by
-        // `update_state`'s invoke closure), the chunk count fixes the
-        // execution shape — sync rows are pure barriers, MxV partitions
-        // one call each (a grain of blocks), linear partitions fan out one
-        // chunk per grain of items.
-        let chunk = self.geom.grain() as u64;
-        let label = std::sync::Arc::clone(&self.rows[row_id.key()].label);
-        for &pid in &pids {
-            let chunks = match self.rows[row_id.key()].kind {
-                RowKind::Sync => 0,
-                RowKind::MxV => 1,
-                RowKind::Linear(_) => self.parts[pid.key()].spec.num_tasks(chunk) as u32,
-            };
-            let node =
-                self.graph
-                    .insert(pid.key().to_bits(), chunks, std::sync::Arc::clone(&label));
-            self.parts[pid.key()].node = node;
-        }
         self.pending_links.extend_from_slice(&pids);
-        pids
+        self.rows[row_id.key()].parts = pids;
     }
 
     // ---- incremental update ----------------------------------------------
 
-    /// Re-simulates the partitions reachable from the frontier (paper
+    /// Re-simulates the frontier and everything downstream of it — the
+    /// successor closure of the retained graph's dirty set (paper
     /// §III-E). With a freshly built circuit every partition is frontier,
     /// so the first call is a full simulation.
     ///
@@ -952,7 +937,7 @@ impl Ckt {
     fn update_state_inner(&mut self) -> Result<UpdateReport, EngineError> {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
-        if self.frontier.is_empty() {
+        if self.graph.dirty_len() == 0 {
             // Nothing to execute, but removals may still have changed the
             // resolved view (a removal needs no simulation): refresh the
             // snapshot if so, or publish the very first one.
@@ -973,27 +958,10 @@ impl Ckt {
             record_update_metrics(&report);
             return Ok(report);
         }
-        // DFS over successor edges: the dirty set is successor-closed.
-        // The DFS scratch and the partition→task map are cached in
-        // `self.scratch` so steady-state updates reallocate nothing.
+        // Close the frontier over successor edges: the dirty set the run
+        // executes is successor-closed.
         let partition_span = qtask_obs::span!("update/partition");
-        let mut dirty = std::mem::take(&mut self.scratch.dirty);
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        dirty.clear();
-        stack.clear();
-        stack.extend(
-            self.frontier
-                .iter()
-                .copied()
-                .filter(|p| self.parts.contains(p.key())),
-        );
-        // `dirty` is the visited set: the graph's own dirty flags cannot
-        // serve, since every node not yet run carries one already.
-        while let Some(p) = stack.pop() {
-            if dirty.insert(p) {
-                stack.extend(self.succs_of(p));
-            }
-        }
+        self.graph.close_dirty();
         qtask_faults::fault_point!("engine/update_build");
         // Detach the previous snapshot spine *before* execution: blocks
         // this update will rewrite (the blocks dirty partitions write,
@@ -1003,8 +971,8 @@ impl Ckt {
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
         let n = self.circuit.num_qubits();
-        for &pid in &dirty {
-            let part = &self.parts[pid.key()];
+        for &pid in self.graph.dirty_nodes() {
+            let part = &self.graph[pid];
             let kind = &self.rows[part.row.key()].kind;
             self.snap_dirty
                 .extend(part.written_blocks(kind, &self.geom, n));
@@ -1014,51 +982,41 @@ impl Ckt {
         // Refresh the fused MxV operators of dirty rows before the tasks
         // that read them are spawned (serial: the operators are row state).
         let fuse_span = qtask_obs::span!("update/fuse");
-        for &pid in &dirty {
-            let rid = self.parts[pid.key()].row;
+        for &pid in self.graph.dirty_nodes() {
+            let rid = self.graph[pid].row;
             let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
             if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty() {
                 row.fused = FusedOp::build(&row.dense);
             }
         }
         drop(fuse_span);
-        // Stage the run: mark the dirty partitions' retained nodes. The
-        // graph's structure (nodes, edges, chunk fans) was patched in
-        // place by the modifiers that dirtied these partitions, so the
-        // build phase is O(|dirty|) flag flips — no closures are boxed,
-        // no edges re-wired, nothing proportional to the circuit.
+        // Stage the run. The graph's structure (nodes, edges, chunk fans)
+        // was patched in place by the modifiers that dirtied these
+        // partitions, so no closures are boxed, no edges re-wired,
+        // nothing proportional to the circuit.
         let build_span = qtask_obs::span!("update/build");
         self.resolve_stats.reset();
         let chunk = self.geom.grain() as u64;
-        for &pid in &dirty {
-            let node = self.parts[pid.key()].node;
-            self.graph.mark_dirty(node);
-        }
         // Structural patches accumulated since the previous update — the
         // graph-maintenance cost of the edit window now being absorbed.
         let graph_nodes_patched = self.graph.take_patches();
         let view = ExecView {
             rows: &self.rows,
-            parts: &self.parts,
             owners: &self.owners,
             stats: &self.resolve_stats,
             geom: self.geom,
             n_qubits: self.circuit.num_qubits(),
         };
-        // Retained nodes store only packed `PartId`s; this per-run
-        // closure decodes them and dispatches on the row kind. Chunked
-        // linear fans receive their chunk index and recompute the item
-        // sub-range (Figure 6's intra-gate operation parallelism).
-        let invoke = move |payload: u64, chunk_idx: u32| {
-            let pid = PartId(qtask_util::Key::from_bits(payload));
-            let part = &view.parts[pid.key()];
-            match view.rows[part.row.key()].kind {
-                RowKind::Sync => unreachable!("sync barriers are never invoked"),
-                RowKind::MxV => exec::exec_mxv_partition(view, pid),
-                RowKind::Linear(_) => {
-                    let s = part.spec.item_start + chunk_idx as u64 * chunk;
-                    exec::exec_linear_partition(view, pid, s..(s + chunk).min(part.spec.item_end));
-                }
+        // This per-run closure dispatches a node's partition on its row
+        // kind. Chunked linear fans receive their chunk index and
+        // recompute the item sub-range (Figure 6's intra-gate operation
+        // parallelism).
+        let invoke = move |part: &Partition, chunk_idx: u32| match view.rows[part.row.key()].kind {
+            RowKind::Sync => unreachable!("sync barriers are never invoked"),
+            RowKind::MxV => exec::exec_mxv_partition(view, part),
+            RowKind::Linear(_) => {
+                let s = part.spec.item_start + chunk_idx as u64 * chunk;
+                exec::exec_linear_partition(view, part, s..(s + chunk).min(part.spec.item_end));
             }
         };
         let build_elapsed = t0.elapsed();
@@ -1071,21 +1029,17 @@ impl Ckt {
         let run_result = self.executor.run_dirty(&mut self.graph, &invoke);
         let run_elapsed = t1.elapsed();
         drop(kernel_span);
-        let partitions_executed = dirty.len();
         let (blocks_resolved, owner_probes) = self.resolve_stats.snapshot();
-        self.scratch.dirty = dirty;
-        self.scratch.stack = stack;
         let stats = match run_result {
             Ok(stats) => stats,
             // Some partitions ran, some were cancelled: the row state is
             // torn. Poison; `recover` rebuilds from the circuit.
             Err(task_panic) => return Err(self.poison_with(task_panic.to_string())),
         };
-        self.frontier.clear();
         qtask_faults::fault_point!("engine/update_publish");
         let snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
         let report = UpdateReport {
-            partitions_executed,
+            partitions_executed: stats.nodes_run,
             tasks_executed: stats.tasks_run,
             elapsed: t0.elapsed(),
             build_elapsed,
@@ -1322,11 +1276,11 @@ impl Ckt {
         for k in self.rows.keys() {
             let row = &self.rows[k];
             let writes: Vec<usize> = row
-                .written_blocks(&self.parts, &self.geom, self.num_qubits())
+                .written_blocks(&self.graph, &self.geom, self.num_qubits())
                 .collect();
             let have = owned.remove(&RowId(k)).unwrap_or_default();
             let subset = have.iter().all(|b| writes.binary_search(b).is_ok());
-            let settled = !row.parts.iter().any(|p| self.frontier.contains(p));
+            let settled = !row.parts.iter().any(|&p| self.graph.is_dirty(p));
             if !subset || (settled && have != writes) {
                 return Err(format!(
                     "row {}: owns blocks {have:?}, writes {writes:?}",

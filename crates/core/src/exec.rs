@@ -27,10 +27,10 @@
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
-use crate::row::{PartId, Partition, Row, RowId, RowKind};
+use crate::row::{Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
-use qtask_util::{Arena, LinkedArena};
+use qtask_util::LinkedArena;
 use std::sync::Arc;
 
 /// Shared read-only view of the engine internals used by executing tasks.
@@ -39,8 +39,6 @@ use std::sync::Arc;
 pub struct ExecView<'a> {
     /// All rows in order.
     pub rows: &'a LinkedArena<Row>,
-    /// All partitions.
-    pub parts: &'a Arena<Partition>,
     /// Per-block owner lists.
     pub owners: &'a OwnerIndex,
     /// Resolution counters for the current update.
@@ -119,9 +117,9 @@ fn unique(data: &mut BlockData) -> &mut [Complex64] {
 
 /// Executes the item-rank range `ranks` of a linear partition: the body of
 /// one intra-partition task.
-pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::Range<u64>) {
+pub fn exec_linear_partition(view: ExecView<'_>, part: &Partition, ranks: std::ops::Range<u64>) {
     qtask_faults::fault_point!("exec/linear_task");
-    let row_id = view.parts[pid.key()].row;
+    let row_id = part.row;
     let RowKind::Linear(op) = view.rows[row_id.key()].kind else {
         unreachable!("linear execution on non-linear row");
     };
@@ -263,9 +261,8 @@ impl SourceCache {
 
 /// Executes one MxV partition: computes each output block of its span
 /// of the net's grouped superposition operator.
-pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
+pub fn exec_mxv_partition(view: ExecView<'_>, part: &Partition) {
     qtask_faults::fault_point!("exec/mxv_task");
-    let part = &view.parts[pid.key()];
     let row_id = part.row;
     let row = &view.rows[row_id.key()];
     debug_assert!(matches!(row.kind, RowKind::MxV));
@@ -521,10 +518,9 @@ mod tests {
         view: &ExecView<'_>,
         row_id: RowId,
         op: &LinearOp,
-        pid: PartId,
+        part: &Partition,
         shapes: &mut Shapes,
     ) {
-        let part = &view.parts[pid.key()];
         let pattern = op.pattern(view.n_qubits);
         shapes.record(op, &pattern, view.geom.block_size());
         let ranks = part.spec.item_start..part.spec.item_end;
@@ -540,7 +536,7 @@ mod tests {
             view.owners
                 .publish(b, row_id, poisoned, 0, |r| view.label_of(r));
         }
-        exec_linear_partition(*view, pid, ranks);
+        exec_linear_partition(*view, part, ranks);
         let got: BTreeMap<usize, Vec<Complex64>> = (part.spec.block_lo as usize
             ..=part.spec.block_hi as usize)
             .filter_map(|b| {
@@ -571,7 +567,6 @@ mod tests {
     fn check_all_mxv(ckt: &Ckt) -> Vec<bool> {
         let view = ExecView {
             rows: &ckt.rows,
-            parts: &ckt.parts,
             owners: &ckt.owners,
             stats: &ckt.resolve_stats,
             geom: ckt.geom,
@@ -580,8 +575,8 @@ mod tests {
         let mut paths = Vec::new();
         for k in ckt.rows.keys() {
             if matches!(ckt.rows[k].kind, RowKind::MxV) {
-                for pid in &ckt.rows[k].parts {
-                    paths.push(check_mxv(&view, RowId(k), &ckt.parts[pid.key()]));
+                for &pid in &ckt.rows[k].parts {
+                    paths.push(check_mxv(&view, RowId(k), &ckt.graph[pid]));
                 }
             }
         }
@@ -655,7 +650,6 @@ mod tests {
             ckt.update_state().unwrap();
             let view = ExecView {
                 rows: &ckt.rows,
-                parts: &ckt.parts,
                 owners: &ckt.owners,
                 stats: &ckt.resolve_stats,
                 geom: ckt.geom,
@@ -663,11 +657,11 @@ mod tests {
             };
             for k in ckt.rows.keys() {
                 for &pid in &ckt.rows[k].parts {
-                    let part = &ckt.parts[pid.key()];
+                    let part = &ckt.graph[pid];
                     match ckt.rows[k].kind {
                         RowKind::Sync => {}
                         RowKind::Linear(op) => {
-                            check_linear(&view, RowId(k), &op, pid, &mut shapes);
+                            check_linear(&view, RowId(k), &op, part, &mut shapes);
                         }
                         RowKind::MxV => {
                             if check_mxv(&view, RowId(k), part) {

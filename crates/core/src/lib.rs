@@ -10,7 +10,7 @@
 //!   an atomic transaction: staged against a shadow, committed only if
 //!   every op validates, so a mid-batch failure leaves no partial state.
 //! * **State update** — [`Ckt::update_state`] re-simulates exactly the
-//!   partitions reachable from the frontier, in parallel, on the
+//!   frontier and the partitions downstream of it, in parallel, on the
 //!   work-stealing executor, then publishes an immutable versioned
 //!   [`StateSnapshot`]. Building a circuit from scratch and calling
 //!   `update_state` once is the full-simulation special case.
@@ -34,9 +34,11 @@
 //! * Rows split into **partitions** of consecutive blocks ([`qtask_partition`]);
 //!   partitions form the task graph, linked by nearest-overlap coverage
 //!   scans ([`pgraph`]).
-//! * `update_state` performs a DFS from the frontier over successor edges
-//!   and executes the dirty partitions of the engine's persistent
-//!   [`qtask_taskflow::RetainedGraph`] with one
+//! * Each partition is the payload of its node in the engine's persistent
+//!   [`qtask_taskflow::RetainedGraph`], and the graph's dirty list is the
+//!   frontier. `update_state` closes the dirty set over successor edges
+//!   ([`close_dirty`](qtask_taskflow::RetainedGraph::close_dirty)) and
+//!   executes it with one
 //!   [`run_dirty`](qtask_taskflow::Executor::run_dirty) call; a
 //!   partition's intra-partition tasks are its node's parallel chunks
 //!   ([`exec`]).

@@ -15,45 +15,18 @@
 //!   `Ckt::link_pending`, links the queue in row order.
 //! * **Removing** a row: detach every partition, reconnect each removed
 //!   partition's predecessors to its successors where their block ranges
-//!   overlap inside the removed range (Figure 7), and push the successors
-//!   onto the frontier.
+//!   overlap inside the removed range (Figure 7), and mark the successors
+//!   dirty.
 //!
-//! The edges live only in the retained task graph (`Ckt::graph`): each
-//! partition's node carries the partition's packed id as its payload, and
-//! every edge reader walks the graph and maps nodes back through
-//! `Ckt::part_of`.
+//! The partitions live in the retained task graph (`Ckt::graph`): each
+//! partition is its node's payload, so a [`PartId`] is a node id, the
+//! graph's edges are the partition edges and its dirty list is the
+//! frontier. Nothing maps between the two.
 
 use crate::engine::Ckt;
 use crate::row::{PartId, RowId};
-use qtask_taskflow::NodeId;
 
 impl Ckt {
-    /// The partition a retained node stands for: node payloads are the
-    /// partitions' packed ids.
-    pub(crate) fn part_of(&self, node: NodeId) -> PartId {
-        PartId(qtask_util::Key::from_bits(self.graph.payload(node)))
-    }
-
-    /// Partitions with an edge into `pid`, in the order the edges were
-    /// added.
-    pub(crate) fn preds_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
-        let node = self.parts[pid.key()].node;
-        self.graph.preds(node).iter().map(|&n| self.part_of(n))
-    }
-
-    /// Partitions `pid` has an edge to, in the order the edges were added.
-    pub(crate) fn succs_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
-        let node = self.parts[pid.key()].node;
-        self.graph.succs(node).iter().map(|&n| self.part_of(n))
-    }
-
-    /// Adds edge `a → b` to the retained task graph if absent, so
-    /// `update_state` never has to re-derive precedence.
-    fn add_edge(&mut self, a: PartId, b: PartId) {
-        self.graph
-            .add_edge(self.parts[a.key()].node, self.parts[b.key()].node);
-    }
-
     /// Links every partition created since the last pass: registers each
     /// in the coverage index and adds its edges, the queue taken in row
     /// order. Called once at the end of [`Ckt::from_circuit`], at the end
@@ -91,8 +64,9 @@ impl Ckt {
     /// amplitudes (see `tests/pruning_regression.rs` for the distilled
     /// 5-qubit counterexample). Keeping the direct edges preserves the
     /// invariant that every partition's predecessors cover its whole
-    /// block span, which makes both the removal re-scan and frontier DFS
-    /// sound. The cost is a modestly denser graph; correctness first.
+    /// block span, which makes both the removal re-scan and the
+    /// frontier's successor closure sound. The cost is a modestly denser
+    /// graph; correctness first.
     pub(crate) fn link_pending(&mut self) {
         if self.pending_links.is_empty() {
             return;
@@ -102,23 +76,23 @@ impl Ckt {
             rows.order_label(row.key())
                 .expect("queued partitions have live rows")
         };
-        queue.sort_by_cached_key(|pid| label_of_row(&self.rows, self.parts[pid.key()].row));
+        queue.sort_by_cached_key(|&pid| label_of_row(&self.rows, self.graph[pid].row));
         let (mut preds, mut succs) = (Vec::new(), Vec::new());
         for &pid in &queue {
             qtask_faults::fault_point!("engine/graph_patch");
             let (row, lo, hi) = {
-                let p = &self.parts[pid.key()];
+                let p = &self.graph[pid];
                 (p.row, p.spec.block_lo, p.spec.block_hi)
             };
             let label = label_of_row(&self.rows, row);
-            let (rows, parts) = (&self.rows, &self.parts);
+            let (rows, parts) = (&self.rows, &self.graph);
             // Neighbouring blocks mostly share their last cover: remember
             // the last label looked up.
             let seen = std::cell::Cell::new(None::<(PartId, u64)>);
             let label_of = |p: PartId| match seen.get() {
                 Some((q, l)) if q == p => l,
                 _ => {
-                    let l = label_of_row(rows, parts[p.key()].row);
+                    let l = label_of_row(rows, parts[p].row);
                     seen.set(Some((p, l)));
                     l
                 }
@@ -132,10 +106,10 @@ impl Ckt {
                 }
             }
             for p in preds.drain(..) {
-                self.add_edge(p, pid);
+                self.graph.add_edge(p, pid);
             }
             for s in succs.drain(..) {
-                self.add_edge(pid, s);
+                self.graph.add_edge(pid, s);
             }
         }
         queue.clear();
@@ -153,7 +127,7 @@ impl Ckt {
             .expect("coverage scan starts at a live row");
         let label_of = |pid: PartId| {
             self.rows
-                .order_label(self.parts[pid.key()].row.key())
+                .order_label(self.graph[pid].row.key())
                 .expect("cover rows are live")
         };
         let mut found = Vec::new();
@@ -168,8 +142,8 @@ impl Ckt {
     }
 
     /// Removes a row and all its partitions, reconnecting each orphaned
-    /// successor to its true nearest writers and seeding the frontier
-    /// with the successors (paper Figure 7 + §III-E removal rule).
+    /// successor to its true nearest writers and marking the successors
+    /// dirty (paper Figure 7 + §III-E removal rule).
     ///
     /// The paper reconnects "preceding partitions to successor partitions
     /// if an overlap exists in their blocks", i.e. pairs from
@@ -201,7 +175,7 @@ impl Ckt {
                 .expect("owner index holds only live rows")
         };
         let n = self.circuit.num_qubits();
-        for b in rows[row_id.key()].written_blocks(&self.parts, &self.geom, n) {
+        for b in rows[row_id.key()].written_blocks(&self.graph, &self.geom, n) {
             if self.owners.remove(b, row_id, label_of) {
                 self.snap_dirty.insert(b);
             }
@@ -211,15 +185,15 @@ impl Ckt {
         // label); the orphan re-scan below must not see them as covers.
         {
             let rows = &self.rows;
-            let parts = &self.parts;
+            let parts = &self.graph;
             let label_of = |pid: PartId| {
-                rows.order_label(parts[pid.key()].row.key())
+                rows.order_label(parts[pid].row.key())
                     .expect("cover rows are live")
             };
-            for pid in &rows[row_id.key()].parts.clone() {
-                let spec = &parts[pid.key()].spec;
+            for &pid in &rows[row_id.key()].parts {
+                let spec = &parts[pid].spec;
                 for b in spec.block_lo..=spec.block_hi {
-                    self.coverage.remove(b as usize, *pid, label_of);
+                    self.coverage.remove(b as usize, pid, label_of);
                 }
             }
         }
@@ -230,26 +204,24 @@ impl Ckt {
         qtask_faults::fault_point!("engine/graph_patch");
         let mut orphaned: Vec<PartId> = Vec::new();
         for pid in row.parts {
-            orphaned.extend(self.succs_of(pid));
-            let part = self.parts.remove(pid.key()).expect("row partition is live");
-            // Retained-graph removal detaches every incident edge, so the
-            // reconnection scan below patches a graph with no stale nodes.
-            self.graph.remove(part.node);
-            self.frontier.remove(&pid);
+            orphaned.extend_from_slice(self.graph.succs(pid));
+            // Retained-graph removal detaches every incident edge and
+            // drops the node from the frontier, so the reconnection scan
+            // below patches a graph with no stale nodes.
+            self.graph.remove(pid).expect("row partition is live");
         }
         // Re-derive each orphan's predecessor set by a fresh backward
         // coverage scan (existing edges are kept; add_edge deduplicates).
         orphaned.sort_unstable();
         orphaned.dedup();
-        self.frontier.extend(orphaned.iter().copied());
         for s in orphaned {
+            self.graph.mark_dirty(s);
             let (s_row, lo, hi) = {
-                let p = &self.parts[s.key()];
+                let p = &self.graph[s];
                 (p.row, p.spec.block_lo, p.spec.block_hi)
             };
-            let preds = self.coverage_scan(s_row, lo, hi);
-            for p in preds {
-                self.add_edge(p, s);
+            for p in self.coverage_scan(s_row, lo, hi) {
+                self.graph.add_edge(p, s);
             }
         }
         // The row's vector (and its owned blocks) drops here; inherited
@@ -257,32 +229,16 @@ impl Ckt {
         // simulation until `update_state`.
     }
 
-    /// Debug validation: one live retained node per partition carrying
-    /// its id, edges that only point from earlier rows to later rows
-    /// (acyclic by construction) between overlapping spans, frontier
-    /// liveness and coverage-index coherence. Used by tests.
+    /// Debug validation: the retained graph's own invariants (edge
+    /// symmetry and liveness, dirty flags agreeing with the frontier
+    /// list), partitions of live rows, edges that only point from earlier
+    /// rows to later rows (acyclic by construction) between overlapping
+    /// spans, and coverage-index coherence. Used by tests.
     pub fn validate_graph(&self) -> Result<(), String> {
-        // Retained-graph coherence: exactly one live node per partition,
-        // carrying that partition's packed id (plus the graph's own
-        // symmetry/liveness invariants).
         self.graph.validate()?;
-        if self.graph.len() != self.parts.len() {
-            return Err(format!(
-                "retained graph holds {} nodes for {} partitions",
-                self.graph.len(),
-                self.parts.len()
-            ));
-        }
-        for (k, part) in self.parts.iter() {
-            let pid = PartId(k);
+        for (pid, part) in self.graph.iter() {
             if !self.rows.contains(part.row.key()) {
                 return Err(format!("{pid:?} points at a dead row"));
-            }
-            if !self.graph.contains(part.node) {
-                return Err(format!("{pid:?} points at a dead retained node"));
-            }
-            if self.part_of(part.node) != pid {
-                return Err(format!("{pid:?}'s retained node carries a foreign payload"));
             }
         }
         // Row order index for direction checks.
@@ -290,10 +246,9 @@ impl Ckt {
         for (i, k) in self.rows.keys().enumerate() {
             order.insert(RowId(k), i);
         }
-        for (k, part) in self.parts.iter() {
-            let pid = PartId(k);
-            for s in self.succs_of(pid) {
-                let succ = &self.parts[s.key()];
+        for (pid, part) in self.graph.iter() {
+            for &s in self.graph.succs(pid) {
+                let succ = &self.graph[s];
                 if order[&part.row] >= order[&succ.row] {
                     return Err(format!(
                         "edge {pid:?} -> {s:?} does not advance in row order"
@@ -304,17 +259,11 @@ impl Ckt {
                 }
             }
         }
-        for f in &self.frontier {
-            if !self.parts.contains(f.key()) {
-                return Err(format!("frontier holds dead partition {f:?}"));
-            }
-        }
         // Coverage-index coherence: every live partition is indexed for
         // exactly its span, every entry is live, and lists stay sorted by
         // row label.
         let mut expected = 0usize;
-        for (k, part) in self.parts.iter() {
-            let pid = PartId(k);
+        for (pid, part) in self.graph.iter() {
             for b in part.spec.block_lo..=part.spec.block_hi {
                 if !self.coverage.covers_of(b as usize).contains(&pid) {
                     return Err(format!("{pid:?} missing from coverage index at block {b}"));
@@ -332,8 +281,8 @@ impl Ckt {
             let mut prev = None;
             for &pid in self.coverage.covers_of(b) {
                 let part = self
-                    .parts
-                    .get(pid.key())
+                    .graph
+                    .get(pid)
                     .ok_or_else(|| format!("coverage index holds dead {pid:?} at block {b}"))?;
                 let label = self
                     .rows
@@ -356,16 +305,16 @@ impl Ckt {
     /// direct edge to `s` — otherwise a dirty source could fail to
     /// re-dirty `s`. `Ckt::link_pending` and `remove_row`'s orphan
     /// re-scan both add exactly these edges, and a direct edge is
-    /// stronger than the path the frontier DFS needs.
+    /// stronger than the path the frontier's successor closure needs.
     pub fn validate_reachability(&self) -> Result<(), String> {
         for k in self.rows.keys() {
             let row = &self.rows[k];
-            for pid in &row.parts {
-                let part = &self.parts[pid.key()];
+            for &pid in &row.parts {
+                let part = &self.graph[pid];
                 let (lo, hi) = (part.spec.block_lo, part.spec.block_hi);
                 for c in self.coverage_scan(part.row, lo, hi) {
-                    let src = &self.parts[c.key()];
-                    if !self.graph.preds(part.node).contains(&src.node) {
+                    let src = &self.graph[c];
+                    if !self.graph.preds(pid).contains(&c) {
                         return Err(format!(
                             "no edge from {}[{},{}] to {}[{},{}]",
                             self.rows[src.row.key()].label,
@@ -397,22 +346,20 @@ mod tests {
     /// the direct edge from that cover to the partition.
     fn assert_nearest_covers_linked(ckt: &Ckt, at: &str) {
         for k in ckt.rows.keys() {
-            for pid in &ckt.rows[k].parts {
-                let part = &ckt.parts[pid.key()];
+            for &pid in &ckt.rows[k].parts {
+                let part = &ckt.graph[pid];
                 for b in part.spec.block_lo..=part.spec.block_hi {
                     let mut earlier =
                         std::iter::successors(ckt.rows.prev(k), |&r| ckt.rows.prev(r));
                     let cover = earlier.find_map(|r| {
                         ckt.rows[r].parts.iter().copied().find(|q| {
-                            let spec = &ckt.parts[q.key()].spec;
+                            let spec = &ckt.graph[*q].spec;
                             spec.block_lo <= b && b <= spec.block_hi
                         })
                     });
                     if let Some(c) = cover {
                         assert!(
-                            ckt.graph
-                                .preds(part.node)
-                                .contains(&ckt.parts[c.key()].node),
+                            ckt.graph.preds(pid).contains(&c),
                             "{at}: no edge {c:?} -> {pid:?} for block {b}"
                         );
                     }

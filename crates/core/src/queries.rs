@@ -9,7 +9,7 @@
 use crate::cow::BlockData;
 use crate::engine::Ckt;
 use crate::owners::ResolveStats;
-use crate::row::RowId;
+use crate::row::{PartId, RowId};
 use qtask_num::Complex64;
 use std::collections::HashMap;
 
@@ -49,18 +49,19 @@ impl Ckt {
     /// `(label, block_lo, block_hi, preds, succs, in_frontier)`, in row
     /// order. For tests and diagnostics.
     pub fn debug_partitions(&self) -> Vec<PartitionDebug> {
+        let index = |ids: &[PartId]| ids.iter().map(|p| p.key().index()).collect();
         let mut out = Vec::new();
         for k in self.rows.keys() {
             let row = &self.rows[k];
-            for pid in &row.parts {
-                let part = &self.parts[pid.key()];
+            for &pid in &row.parts {
+                let part = &self.graph[pid];
                 out.push((
                     row.label.to_string(),
                     part.spec.block_lo,
                     part.spec.block_hi,
-                    self.preds_of(*pid).map(|p| p.key().index()).collect(),
-                    self.succs_of(*pid).map(|s| s.key().index()).collect(),
-                    self.frontier.contains(pid),
+                    index(self.graph.preds(pid)),
+                    index(self.graph.succs(pid)),
+                    self.graph.is_dirty(pid),
                 ));
             }
         }
@@ -98,7 +99,7 @@ impl Ckt {
         let owned_blocks = self.owners.num_entries();
         MemStats {
             rows: self.rows.len(),
-            partitions: self.parts.len(),
+            partitions: self.graph.len(),
             owned_blocks,
             owned_bytes: owned_blocks * bs * std::mem::size_of::<Complex64>(),
         }

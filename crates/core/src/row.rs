@@ -7,17 +7,17 @@
 use qtask_circuit::{GateId, NetId};
 use qtask_num::Mat2;
 use qtask_partition::{BlockGeometry, LinearOp, PartitionSpec};
-use qtask_util::{define_key, Arena};
+use qtask_taskflow::RetainedGraph;
+use qtask_util::define_key;
 
 define_key! {
     /// Stable handle to a row (one layer of the COW vector chain).
     pub struct RowId;
 }
 
-define_key! {
-    /// Stable handle to a partition (one node of the task graph).
-    pub struct PartId;
-}
+/// Stable handle to a partition: the id of the retained task-graph node
+/// whose payload it is.
+pub use qtask_taskflow::NodeId as PartId;
 
 /// One dense (superposing) factor of a net's matrix–vector row.
 #[derive(Clone, Copy, Debug)]
@@ -76,41 +76,28 @@ impl Row {
     /// run owns exactly these.
     pub(crate) fn written_blocks<'a>(
         &'a self,
-        parts: &'a Arena<Partition>,
+        parts: &'a RetainedGraph<Partition>,
         geom: &BlockGeometry,
         n_qubits: u8,
     ) -> impl Iterator<Item = usize> + 'a {
         let geom = *geom;
         self.parts
             .iter()
-            .flat_map(move |pid| parts[pid.key()].written_blocks(&self.kind, &geom, n_qubits))
+            .flat_map(move |&pid| parts[pid].written_blocks(&self.kind, &geom, n_qubits))
     }
 }
 
 /// A node of the task graph: a group of consecutive blocks of one row.
-/// Its edges live only in the engine's retained task graph, on `node`.
+/// It is the payload of its node in the engine's retained task graph,
+/// which holds its edges and its dirty flag.
 pub struct Partition {
     /// The row this partition belongs to.
     pub row: RowId,
     /// Block range and item-rank range.
     pub spec: PartitionSpec,
-    /// This partition's node in the engine's retained task graph
-    /// ([`qtask_taskflow::RetainedGraph`]), whose payload is this
-    /// partition's packed id. Assigned right after the partition is
-    /// created; [`qtask_taskflow::NodeId::DANGLING`] until then.
-    pub node: qtask_taskflow::NodeId,
 }
 
 impl Partition {
-    /// Creates a partition with no retained node yet.
-    pub fn new(row: RowId, spec: PartitionSpec) -> Partition {
-        Partition {
-            row,
-            spec,
-            node: qtask_taskflow::NodeId::DANGLING,
-        }
-    }
-
     /// The blocks this partition's tasks write when its row computes
     /// `kind`, ascending: its whole span for an MxV partition, the span
     /// blocks the pattern touches for a linear one (a linear span can

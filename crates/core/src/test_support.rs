@@ -35,7 +35,6 @@ fn partitions_of_kind(ckt: &Ckt, want: impl Fn(&RowKind) -> bool) -> Vec<PartId>
 fn exec_view(ckt: &Ckt) -> ExecView<'_> {
     ExecView {
         rows: &ckt.rows,
-        parts: &ckt.parts,
         owners: &ckt.owners,
         stats: &ckt.resolve_stats,
         geom: ckt.geom,
@@ -66,7 +65,7 @@ pub fn full_state(ckt: &mut Ckt) -> Vec<Complex64> {
 pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
     let view = exec_view(ckt);
     for &pid in pids {
-        exec::exec_mxv_partition(view, pid);
+        exec::exec_mxv_partition(view, &ckt.graph[pid]);
     }
 }
 
@@ -78,10 +77,7 @@ pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
 pub fn reexec_linear_partitions(ckt: &Ckt, pids: &[PartId]) {
     let view = exec_view(ckt);
     for &pid in pids {
-        let ranks = {
-            let spec = &ckt.parts[pid.key()].spec;
-            spec.item_start..spec.item_end
-        };
-        exec::exec_linear_partition(view, pid, ranks);
+        let part = &ckt.graph[pid];
+        exec::exec_linear_partition(view, part, part.spec.item_start..part.spec.item_end);
     }
 }

@@ -51,7 +51,8 @@ pub struct EditReceipt {
     /// Nets removed.
     pub nets_removed: usize,
     /// Frontier size after commit — the partitions the next
-    /// [`Ckt::update_state`] will start from.
+    /// [`Ckt::update_state`] will start from, new sync barriers
+    /// included.
     pub frontier_len: usize,
 }
 

@@ -138,6 +138,29 @@ fn incremental_update_touches_fewer_partitions() {
     assert_matches_oracle(&ckt, "last-net insertion");
 }
 
+/// A dense gate in a new tail net opens a sync + MxV pair. No dirty
+/// partition reaches the new sync barrier, but it is new, so it runs:
+/// `partitions_executed` counts the pair's MxV partitions plus the one
+/// sync — the nodes the update actually runs.
+#[test]
+fn new_tail_pair_counts_its_sync_barrier() {
+    let (mut ckt, _, _) = figure2_ckt(4);
+    ckt.update_state().unwrap();
+    let before = ckt.debug_partitions().len();
+    let tail = ckt.push_net();
+    ckt.insert_gate(GateKind::H, tail, &[0]).unwrap();
+    let parts = ckt.debug_partitions();
+    let added = &parts[before..];
+    let syncs = added.iter().filter(|p| p.0.starts_with("sync")).count();
+    let mxvs = added.iter().filter(|p| p.0.starts_with("MxV")).count();
+    assert_eq!((syncs, mxvs + syncs), (1, added.len()), "{added:?}");
+    assert_eq!(ckt.frontier_len(), mxvs + 1);
+    let report = ckt.update_state().unwrap();
+    assert_eq!(report.partitions_executed, mxvs + 1);
+    assert_eq!(report.tasks_executed, mxvs);
+    assert_matches_oracle(&ckt, "tail H");
+}
+
 #[test]
 fn update_with_empty_frontier_is_noop() {
     let (mut ckt, _, _) = figure2_ckt(4);

@@ -64,6 +64,7 @@ use std::thread::JoinHandle;
 
 use crate::graph::Taskflow;
 use crate::retained::{DirtyRunStats, RetainedGraph};
+use qtask_util::Key;
 
 /// Structured description of a task panic, returned by
 /// [`Executor::try_run`]. The graph is always drained before this is
@@ -116,7 +117,8 @@ enum RunWork {
     /// A pure synchronization point: completes without invoking.
     Empty,
     /// Calls the run-level `invoke` closure (stored on the [`RunCtx`])
-    /// with this node's payload and chunk.
+    /// with this node's payload — a task index, or a retained node's key
+    /// bits — and chunk.
     Invoke { payload: u64, chunk: u32 },
 }
 
@@ -413,8 +415,11 @@ impl Executor {
     /// predecessor's output is already materialized, so it never blocks a
     /// dirty successor. Each dirty node runs according to its chunk
     /// shape: barriers complete immediately, single nodes call
-    /// `invoke(payload, 0)`, fans call `invoke(payload, chunk)` for every
-    /// chunk in parallel with successors gated on all of them.
+    /// `invoke(&payload, 0)`, fans call `invoke(&payload, chunk)` for
+    /// every chunk in parallel with successors gated on all of them. The
+    /// run executes the dirty list as it stands: call
+    /// [`RetainedGraph::close_dirty`] first to re-run everything
+    /// downstream of it too.
     ///
     /// The materialization reuses the graph's internal run pool: after the
     /// dirty set's high-water mark is reached, warm runs build no new
@@ -428,10 +433,10 @@ impl Executor {
     /// # Panics
     /// Panics if the dirty subset contains a dependency cycle (a
     /// caller-side graph-construction bug).
-    pub fn run_dirty(
+    pub fn run_dirty<P: Sync>(
         &self,
-        graph: &mut RetainedGraph,
-        invoke: &(dyn Fn(u64, u32) + Send + Sync),
+        graph: &mut RetainedGraph<P>,
+        invoke: &(dyn Fn(&P, u32) + Send + Sync),
     ) -> Result<DirtyRunStats, TaskPanic> {
         // Split borrows: the dirty list and the pool leave the graph for
         // the duration of the run (their capacity is restored at the end).
@@ -461,12 +466,18 @@ impl Executor {
             node.run_exit = (total + size - 1) as u32;
             total += size;
         }
-        pool.begin(total, invoke);
+        // Run nodes carry their graph node's key bits; the run-level
+        // closure looks the payload up. Nothing mutates the arena until
+        // `drain` has returned (the lifetime argument of `RunPool::begin`).
+        let nodes = &graph.nodes;
+        let invoke_node =
+            |bits: u64, chunk: u32| invoke(&nodes[Key::from_bits(bits)].payload, chunk);
+        pool.begin(total, &invoke_node);
 
         // Pass 2: rewrite the pooled run nodes.
         for &d in &dirty {
-            let node = &graph.nodes[d.key()];
-            let (payload, chunks, name) = (node.payload, node.chunks, &node.name);
+            let node = &nodes[d.key()];
+            let (payload, chunks, name) = (d.key().to_bits(), node.chunks, &node.name);
             let (entry, exit) = (node.run_entry as usize, node.run_exit as usize);
             if chunks > 1 {
                 pool.set_node(entry, name, RunWork::Empty);
@@ -488,14 +499,14 @@ impl Executor {
         // exit(pred) → entry(succ) between dirty nodes. Clean neighbours
         // are skipped entirely.
         for &d in &dirty {
-            let node = &graph.nodes[d.key()];
+            let node = &nodes[d.key()];
             let (entry, exit) = (node.run_entry as usize, node.run_exit as usize);
             for leaf in entry + 1..exit {
                 pool.add_edge(entry, leaf);
                 pool.add_edge(leaf, exit);
             }
             for s in &node.succs {
-                let succ = &graph.nodes[s.key()];
+                let succ = &nodes[s.key()];
                 if succ.dirty {
                     pool.add_edge(exit, succ.run_entry as usize);
                 }
@@ -878,7 +889,7 @@ mod tests {
         let post = g.insert(1, 1, Arc::from("count"));
         g.add_edge(fan, post);
         ex.run_dirty(&mut g, &|payload, _chunk| {
-            if payload == 0 {
+            if *payload == 0 {
                 chunks.fetch_add(1, O::SeqCst);
             } else {
                 assert_eq!(chunks.load(O::SeqCst), 15);

@@ -12,19 +12,25 @@
 //! Closures are the reason retained graphs are usually awkward in Rust: a
 //! stored `Box<dyn Fn() + 'env>` would freeze the caller's borrows for
 //! the graph's whole lifetime. Retained nodes therefore store no closures
-//! at all — only an opaque `u64` payload (e.g. an arena key packed with
-//! [`qtask_util::Key::to_bits`]) and a chunk count. The *caller* supplies
-//! one `invoke(payload, chunk)` closure per run; it borrows freely
-//! because `run_dirty` blocks until the run completes, the same scoping
-//! argument `Executor::run` already makes for `Taskflow` closures.
+//! at all — only a caller payload of any `P: Sync` (the record the node
+//! stands for, so the node's id is that record's id) and a chunk count.
+//! The *caller* supplies one `invoke(&payload, chunk)` closure per run; it
+//! borrows freely because `run_dirty` blocks until the run completes, the
+//! same scoping argument `Executor::run` already makes for `Taskflow`
+//! closures.
 //!
 //! A node's `chunks` field encodes its execution shape:
 //!
 //! * `0` — a pure synchronization barrier; completes without invoking.
-//! * `1` — one `invoke(payload, 0)` call.
-//! * `n > 1` — `n` parallel `invoke(payload, chunk)` calls fanned out
+//! * `1` — one `invoke(&payload, 0)` call.
+//! * `n > 1` — `n` parallel `invoke(&payload, chunk)` calls fanned out
 //!   under an implicit entry/exit barrier pair (the retained analogue of
 //!   a joined subflow: successors wait for every chunk).
+//!
+//! The dirty nodes are kept as a list in the order they were marked.
+//! [`RetainedGraph::close_dirty`] extends it to its successor closure —
+//! everything downstream of a dirty node must re-run too — and
+//! `run_dirty` executes and clears it.
 //!
 //! The graph counts structural patches ([`RetainedGraph::take_patches`])
 //! and distinguishes nodes created since the last run from re-executed
@@ -39,9 +45,9 @@ define_key! {
     pub struct NodeId;
 }
 
-pub(crate) struct RetainedNode {
-    /// Opaque caller payload handed to `invoke`.
-    pub(crate) payload: u64,
+pub(crate) struct RetainedNode<P> {
+    /// Caller payload handed to `invoke`.
+    pub(crate) payload: P,
     /// Execution shape: 0 = barrier, 1 = single call, n = parallel fan.
     pub(crate) chunks: u32,
     /// Display/attribution name (task spans, panic reports).
@@ -73,10 +79,10 @@ pub struct DirtyRunStats {
 
 /// A persistent DAG of payload-carrying nodes, patched in place by edits
 /// and executed by [`Executor::run_dirty`](crate::Executor::run_dirty).
-#[derive(Default)]
-pub struct RetainedGraph {
-    pub(crate) nodes: Arena<RetainedNode>,
-    /// Dirty nodes in insertion order (deduplicated via the node flag).
+pub struct RetainedGraph<P = u64> {
+    pub(crate) nodes: Arena<RetainedNode<P>>,
+    /// Dirty nodes in the order they were marked (deduplicated via the
+    /// node flag).
     pub(crate) dirty: Vec<NodeId>,
     /// Structural patches (node/edge inserts and removals) since the
     /// last [`RetainedGraph::take_patches`].
@@ -86,9 +92,32 @@ pub struct RetainedGraph {
     pub(crate) pool: crate::executor::RunPool,
 }
 
-impl RetainedGraph {
+impl<P> Default for RetainedGraph<P> {
+    fn default() -> Self {
+        RetainedGraph {
+            nodes: Arena::new(),
+            dirty: Vec::new(),
+            patches: 0,
+            pool: crate::executor::RunPool::default(),
+        }
+    }
+}
+
+impl<P> std::ops::Index<NodeId> for RetainedGraph<P> {
+    type Output = P;
+
+    /// The node's payload.
+    ///
+    /// # Panics
+    /// Panics if `id` is stale.
+    fn index(&self, id: NodeId) -> &P {
+        &self.nodes[id.key()].payload
+    }
+}
+
+impl<P> RetainedGraph<P> {
     /// Creates an empty graph.
-    pub fn new() -> RetainedGraph {
+    pub fn new() -> RetainedGraph<P> {
         RetainedGraph::default()
     }
 
@@ -107,10 +136,20 @@ impl RetainedGraph {
         self.dirty.len()
     }
 
+    /// The dirty nodes, in the order they were marked.
+    pub fn dirty_nodes(&self) -> &[NodeId] {
+        &self.dirty
+    }
+
+    /// True if `id` is live and marked for the next run.
+    pub fn is_dirty(&self, id: NodeId) -> bool {
+        self.nodes.get(id.key()).is_some_and(|n| n.dirty)
+    }
+
     /// Inserts a node (initially dirty: a node that has never run has no
     /// materialized output). `chunks` fixes the execution shape — see the
     /// module docs.
-    pub fn insert(&mut self, payload: u64, chunks: u32, name: Arc<str>) -> NodeId {
+    pub fn insert(&mut self, payload: P, chunks: u32, name: Arc<str>) -> NodeId {
         self.patches += 1;
         let id = NodeId::from(self.nodes.insert(RetainedNode {
             payload,
@@ -127,12 +166,11 @@ impl RetainedGraph {
         id
     }
 
-    /// Removes a node, detaching every incident edge. Stale ids are
-    /// ignored (idempotent, like arena removal).
-    pub fn remove(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.remove(id.key()) else {
-            return;
-        };
+    /// Removes a node, detaching every incident edge and dropping it from
+    /// the dirty list, and returns its payload. Stale ids are ignored
+    /// (idempotent, like arena removal).
+    pub fn remove(&mut self, id: NodeId) -> Option<P> {
+        let node = self.nodes.remove(id.key())?;
         self.patches += 1;
         for p in &node.preds {
             if let Some(pred) = self.nodes.get_mut(p.key()) {
@@ -149,6 +187,7 @@ impl RetainedGraph {
         if node.dirty {
             self.dirty.retain(|&d| d != id);
         }
+        Some(node.payload)
     }
 
     /// Adds a precedence edge `a -> b` (deduplicated).
@@ -174,9 +213,36 @@ impl RetainedGraph {
         }
     }
 
-    /// The node's caller payload.
-    pub fn payload(&self, id: NodeId) -> u64 {
-        self.nodes[id.key()].payload
+    /// Marks every successor of a dirty node dirty, transitively, so the
+    /// dirty set is successor-closed. A worklist over the dirty list
+    /// itself: every listed node — including the ones that start dirty,
+    /// as every new node does — has its successors expanded once.
+    pub fn close_dirty(&mut self) {
+        let (nodes, dirty) = (&mut self.nodes, &mut self.dirty);
+        let mut next = 0;
+        while let Some(&id) = dirty.get(next) {
+            next += 1;
+            for i in 0..nodes[id.key()].succs.len() {
+                let s = nodes[id.key()].succs[i];
+                let succ = &mut nodes[s.key()];
+                if !succ.dirty {
+                    succ.dirty = true;
+                    dirty.push(s);
+                }
+            }
+        }
+    }
+
+    /// The payload of `id`, or `None` if it is stale.
+    pub fn get(&self, id: NodeId) -> Option<&P> {
+        self.nodes.get(id.key()).map(|n| &n.payload)
+    }
+
+    /// Every live node with its payload, in arena order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        self.nodes
+            .iter()
+            .map(|(key, node)| (NodeId::from(key), &node.payload))
     }
 
     /// Successors of `id` (live view of the patched edge list).
@@ -189,11 +255,6 @@ impl RetainedGraph {
         &self.nodes[id.key()].preds
     }
 
-    /// True if `id` points at a live node.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes.contains(id.key())
-    }
-
     /// Structural patches since the last call, resetting the counter.
     /// One insert, one edge add, and each edge detach of a removal all
     /// count individually, so the value bounds the graph-maintenance
@@ -202,16 +263,11 @@ impl RetainedGraph {
         std::mem::take(&mut self.patches)
     }
 
-    /// Drops every node and resets counters (used on engine recovery,
-    /// where the graph is rebuilt from scratch).
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.dirty.clear();
-        self.patches = 0;
-    }
-
-    /// Asserts pred/succ symmetry and edge liveness — the graph-side
-    /// invariants `run_dirty` relies on. Test/debug helper.
+    /// Asserts pred/succ symmetry and edge liveness, and that the dirty
+    /// flags and the dirty list agree: every listed node is live and
+    /// flagged, no node is listed twice, and every flagged node is
+    /// listed — the graph-side invariants `run_dirty` relies on.
+    /// Test/debug helper.
     pub fn validate(&self) -> Result<(), String> {
         for (key, node) in self.nodes.iter() {
             for s in &node.succs {
@@ -233,10 +289,25 @@ impl RetainedGraph {
                 }
             }
         }
-        for d in &self.dirty {
-            if !self.nodes.contains(d.key()) {
-                return Err(format!("dead node {d:?} in dirty list"));
+        let mut listed = std::collections::HashSet::new();
+        for &d in &self.dirty {
+            match self.nodes.get(d.key()) {
+                None => return Err(format!("dead node {d:?} in dirty list")),
+                Some(node) if !node.dirty => {
+                    return Err(format!("unflagged node {d:?} in dirty list"))
+                }
+                Some(_) if !listed.insert(d) => {
+                    return Err(format!("dirty list holds {d:?} twice"))
+                }
+                Some(_) => {}
             }
+        }
+        let flagged = self.nodes.iter().filter(|(_, n)| n.dirty).count();
+        if flagged != listed.len() {
+            return Err(format!(
+                "{flagged} nodes flagged dirty, {} listed",
+                listed.len()
+            ));
         }
         Ok(())
     }
@@ -274,8 +345,9 @@ mod tests {
         let c = g.insert(3, 1, name("c"));
         g.add_edge(a, b);
         g.add_edge(b, c);
-        g.remove(b);
-        assert!(!g.contains(b));
+        assert_eq!(g.remove(b), Some(2));
+        assert!(g.get(b).is_none());
+        assert_eq!(g.remove(b), None);
         assert!(g.succs(a).is_empty());
         assert!(g.preds(c).is_empty());
         assert_eq!(g.dirty_len(), 2);
@@ -294,7 +366,7 @@ mod tests {
         g.add_edge(b, c);
         let stats = ex
             .run_dirty(&mut g, &|payload, _chunk| {
-                log.lock().unwrap().push(payload);
+                log.lock().unwrap().push(*payload);
             })
             .unwrap();
         assert_eq!(stats.nodes_run, 3);
@@ -310,12 +382,63 @@ mod tests {
         g.mark_dirty(c);
         let stats = ex
             .run_dirty(&mut g, &|payload, _chunk| {
-                log.lock().unwrap().push(payload);
+                log.lock().unwrap().push(*payload);
             })
             .unwrap();
         assert_eq!(stats.nodes_run, 2);
         assert_eq!(stats.nodes_reused, 2);
         assert_eq!(*log.lock().unwrap(), vec![20, 30]);
+    }
+
+    /// A fresh node that feeds a clean chain is dirty from its insert;
+    /// closing the dirty set must still expand it, so everything
+    /// downstream re-runs after it.
+    #[test]
+    fn close_dirty_expands_nodes_that_start_dirty() {
+        let ex = Executor::new(2);
+        let mut g = RetainedGraph::new();
+        let log = Mutex::new(Vec::new());
+        let run = |g: &mut RetainedGraph<char>| {
+            ex.run_dirty(g, &|payload, _chunk| {
+                log.lock().unwrap().push(*payload);
+            })
+            .unwrap()
+        };
+        let a = g.insert('a', 1, name("a"));
+        let b = g.insert('b', 1, name("b"));
+        let c = g.insert('c', 1, name("c"));
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        run(&mut g);
+        log.lock().unwrap().clear();
+
+        let d = g.insert('d', 1, name("d"));
+        g.add_edge(d, b);
+        assert_eq!(g.dirty_nodes(), [d]);
+        g.close_dirty();
+        assert_eq!(g.dirty_nodes(), [d, b, c]);
+        assert!(!g.is_dirty(a));
+        g.validate().unwrap();
+        let stats = run(&mut g);
+        assert_eq!(*log.lock().unwrap(), ['d', 'b', 'c']);
+        assert_eq!((stats.nodes_run, stats.nodes_reused), (3, 2));
+        assert!(!g.is_dirty(b));
+    }
+
+    #[test]
+    fn validate_catches_dirty_flag_and_list_disagreement() {
+        let mut g = RetainedGraph::new();
+        let a = g.insert(1, 1, name("a"));
+        let b = g.insert(2, 1, name("b"));
+        g.validate().unwrap();
+        g.dirty.push(a);
+        assert!(g.validate().unwrap_err().contains("twice"));
+        g.dirty.clear();
+        assert!(g.validate().unwrap_err().contains("flagged"));
+        g.dirty.push(a);
+        g.dirty.push(b);
+        g.nodes[b.key()].dirty = false;
+        assert!(g.validate().unwrap_err().contains("unflagged"));
     }
 
     #[test]
@@ -331,7 +454,7 @@ mod tests {
         g.add_edge(fan, post);
         let stats = ex
             .run_dirty(&mut g, &|payload, chunk| {
-                if payload == 7 {
+                if *payload == 7 {
                     hits[chunk as usize].fetch_add(1, Ordering::SeqCst);
                 } else {
                     // Successors of a fan wait for every chunk.
@@ -363,7 +486,7 @@ mod tests {
         g.mark_dirty(b);
         ran.store(0, Ordering::SeqCst);
         let stats = ex.run_dirty(&mut g, &|p, _| {
-            assert_eq!(p, 2);
+            assert_eq!(*p, 2);
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 1);
@@ -373,7 +496,7 @@ mod tests {
     #[test]
     fn empty_dirty_set_is_noop() {
         let ex = Executor::new(2);
-        let mut g = RetainedGraph::new();
+        let mut g: RetainedGraph = RetainedGraph::new();
         let stats = ex
             .run_dirty(&mut g, &|_, _| panic!("nothing to run"))
             .unwrap();
@@ -389,7 +512,7 @@ mod tests {
         g.add_edge(a, b);
         let err = ex
             .run_dirty(&mut g, &|p, _| {
-                if p == 2 {
+                if *p == 2 {
                     panic!("retained task exploded");
                 }
             })
@@ -425,7 +548,7 @@ mod tests {
             }
             g.validate().unwrap();
             ex.run_dirty(&mut g, &|p, _| {
-                sum.fetch_add(p as usize, Ordering::SeqCst);
+                sum.fetch_add(*p as usize, Ordering::SeqCst);
             })
             .unwrap();
             assert_eq!(g.dirty_len(), 0);

@@ -54,7 +54,7 @@ fn hammer(ex: &Executor, caller: usize, rounds: usize, stop: &AtomicBool) {
         }
         let stats = ex
             .run_dirty(&mut g, &|payload, chunk| {
-                hits[payload as usize + chunk as usize].fetch_add(1, Ordering::SeqCst);
+                hits[*payload as usize + chunk as usize].fetch_add(1, Ordering::SeqCst);
             })
             .unwrap();
         assert_eq!(stats.tasks_run, 3 + FAN as usize);

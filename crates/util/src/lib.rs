@@ -7,7 +7,6 @@
 //! * [`linked`] — an ordered arena (doubly-linked list over arena slots)
 //!   used for the global row order and the net order, where the simulator
 //!   needs O(1) insert-after / remove and bidirectional neighbour walks.
-//! * [`bitset`] — a growable bitset over `usize` indices.
 //! * [`disjoint`] — a guarded raw-pointer wrapper that lets parallel tasks
 //!   write provably disjoint index sets of one buffer.
 //! * [`alloc_counter`] — a counting global allocator used by the benchmark
@@ -15,11 +14,9 @@
 
 pub mod alloc_counter;
 pub mod arena;
-pub mod bitset;
 pub mod disjoint;
 pub mod linked;
 
 pub use arena::{Arena, IdPredictor, Key};
-pub use bitset::BitSet;
 pub use disjoint::DisjointSlice;
 pub use linked::LinkedArena;
