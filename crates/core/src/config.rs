@@ -12,23 +12,6 @@ pub enum RowOrderPolicy {
     Append,
 }
 
-/// What the engine does when the published state's norm drifts off unity
-/// (or an amplitude goes non-finite) — checked at every snapshot
-/// publication.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NumericalPolicy {
-    /// Norm drift beyond [`SimConfig::norm_tolerance`] is an error: the
-    /// update fails with [`crate::EngineError::NormDrift`] and the engine
-    /// poisons itself (the state is numerically broken; recover or
-    /// rebuild). The default.
-    Strict,
-    /// Drift is absorbed: the engine records a renormalization scale
-    /// `1/√(norm²)` applied by every snapshot read, and counts the event in
-    /// [`crate::UpdateReport::drift_events`]. Non-finite amplitudes are
-    /// still an error — NaN cannot be scaled away.
-    Renormalize,
-}
-
 /// Tunables of a [`crate::Ckt`].
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -52,11 +35,11 @@ pub struct SimConfig {
     /// passes relative to gate-at-a-time baselines). The ablation bench
     /// sweeps this knob.
     pub mxv_group_max: usize,
-    /// Numerical-health policy at publish time (see `DESIGN.md`).
-    pub numerics: NumericalPolicy,
-    /// Allowed `|norm² − 1|` before [`SimConfig::numerics`] engages.
-    /// The default (1e-6) is far above honest f64 rounding across deep
-    /// circuits and far below any real corruption.
+    /// Allowed `|norm² − 1|` at publication: beyond it the update fails
+    /// with [`crate::EngineError::NormDrift`] and the engine poisons
+    /// itself (see `DESIGN.md`, "Numerical health"). The default (1e-6)
+    /// is far above honest f64 rounding across deep circuits and far
+    /// below any real corruption.
     pub norm_tolerance: f64,
 }
 
@@ -67,7 +50,6 @@ impl Default for SimConfig {
             num_threads: qtask_taskflow::default_threads(),
             row_order: RowOrderPolicy::SortedByBlockCount,
             mxv_group_max: 2,
-            numerics: NumericalPolicy::Strict,
             norm_tolerance: 1e-6,
         }
     }
@@ -89,12 +71,6 @@ impl SimConfig {
             ..SimConfig::default()
         }
     }
-
-    /// This config with the given numerical policy.
-    pub fn with_numerics(mut self, numerics: NumericalPolicy) -> SimConfig {
-        self.numerics = numerics;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +84,6 @@ mod tests {
         assert_eq!(c.row_order, RowOrderPolicy::SortedByBlockCount);
         assert!(c.num_threads >= 1);
         assert_eq!(c.mxv_group_max, 2);
-        assert_eq!(c.numerics, NumericalPolicy::Strict);
         assert!(c.norm_tolerance > 0.0);
-        let c = c.with_numerics(NumericalPolicy::Renormalize);
-        assert_eq!(c.numerics, NumericalPolicy::Renormalize);
     }
 }

@@ -14,20 +14,19 @@
 //! version" (partition execution, or a removed row that used to own it).
 //! Consumers holding per-block partial aggregates subtract the stale
 //! block contribution and re-add the fresh one; everything else carries
-//! over. The renormalization scales travel with the delta because a
-//! scale change alone re-weights *every* derived value without dirtying
-//! any block.
+//! over.
 
 use crate::snapshot::StateSnapshot;
 use qtask_num::Complex64;
 
-/// Squared norm of one block's raw amplitudes, summed in index order
+/// Squared norm of one block's amplitudes, summed in index order
 /// (`None` = the implicit |0…0⟩ block: 1.0 for block 0, else 0.0).
 ///
 /// The one block-norm pass: the engine computes it for its norm check
-/// and ships it in [`BlockDelta::norms`], and views that need a block's
-/// whole-block mass recompute it with this same function on refresh, so
-/// patched and refreshed partials are `==`, not merely close.
+/// and ships it in [`BlockDelta::norms`], [`StateSnapshot::norm_sqr`]
+/// sums it per block, and views that need a block's whole-block mass
+/// recompute it with this same function on refresh, so patched and
+/// refreshed partials are `==`, not merely close.
 pub fn block_norm_sqr(b: usize, raw: Option<&[Complex64]>) -> f64 {
     match raw {
         Some(d) => d.iter().fold(0.0, |acc, z| acc + z.norm_sqr()),
@@ -50,10 +49,9 @@ pub struct BlockDelta {
     pub prev_version: u64,
     /// Blocks whose resolved contents may have changed since
     /// `prev_version`, ascending. Folds in both executed partitions and
-    /// blocks surrendered by removed rows. Empty when `full` is set, and
-    /// also for a publication that only changed the scale.
+    /// blocks surrendered by removed rows. Empty when `full` is set.
     pub dirty: Vec<usize>,
-    /// `norms[i]` is the unscaled squared norm ([`block_norm_sqr`]) of
+    /// `norms[i]` is the squared norm ([`block_norm_sqr`]) of
     /// block `dirty[i]` in the new version — the value the engine's norm
     /// check already computed, so consumers need not rescan a block for
     /// its total mass. Parallel to `dirty`; empty when `full` is set.
@@ -62,10 +60,6 @@ pub struct BlockDelta {
     /// from scratch (first publication, or one following a recovery):
     /// consumers must rebuild, not patch.
     pub full: bool,
-    /// Renormalization scale of the new version ([`StateSnapshot::scale`]).
-    pub scale: f64,
-    /// Renormalization scale of `prev_version` (1.0 before the first).
-    pub prev_scale: f64,
 }
 
 impl BlockDelta {
@@ -91,8 +85,6 @@ impl BlockDelta {
             dirty: Vec::new(),
             norms: Vec::new(),
             full: true,
-            scale: snap.scale(),
-            prev_scale: 1.0,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The [`Ckt`] engine: modifiers, frontier bookkeeping, incremental update.
 
-use crate::config::{NumericalPolicy, RowOrderPolicy, SimConfig};
+use crate::config::{RowOrderPolicy, SimConfig};
 use crate::cow::BlockData;
 use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
@@ -88,11 +88,6 @@ pub struct UpdateReport {
     /// `|norm² − 1|` measured at this update's publication (0 when
     /// nothing was published).
     pub norm_error: f64,
-    /// Cumulative count of publications whose norm drifted beyond
-    /// [`SimConfig::norm_tolerance`] over this engine's lifetime. Only
-    /// grows under [`NumericalPolicy::Renormalize`] — under
-    /// [`NumericalPolicy::Strict`] the first drift poisons the engine.
-    pub drift_events: u64,
     /// Retained-graph nodes this update re-executed that predate the
     /// current edit window — structure (node + closure shape) reused from
     /// a previous run rather than rebuilt. With a warm graph this equals
@@ -221,19 +216,13 @@ pub struct Ckt {
     observers: Vec<Arc<dyn SnapshotObserver>>,
     gate_seq: u64,
     /// Why the engine is poisoned, if it is. Set by panic containment and
-    /// numerical-policy violations; cleared only by [`Ckt::recover`]
+    /// failed numerical-health checks; cleared only by [`Ckt::recover`]
     /// (which replaces the whole engine).
     poison: Option<String>,
     /// Per-block squared norms of the last published state — refreshed
     /// only for the blocks a publication re-resolves, so norm
     /// conservation is checked incrementally.
     block_norms: Vec<f64>,
-    /// Scale the published snapshot applies: 1.0 unless
-    /// [`NumericalPolicy::Renormalize`] absorbed drift at the last
-    /// publication. Stored, never baked into the shared COW buffers.
-    renorm_scale: f64,
-    /// Lifetime count of publications that drifted beyond tolerance.
-    drift_events: u64,
     /// `|norm² − 1|` at the last publication.
     last_norm_error: f64,
 }
@@ -280,8 +269,6 @@ impl Ckt {
             gate_seq: 0,
             poison: None,
             block_norms,
-            renorm_scale: 1.0,
-            drift_events: 0,
             last_norm_error: 0.0,
         }
     }
@@ -317,8 +304,8 @@ impl Ckt {
 
     // ---- health: poisoning, containment, recovery ------------------------
 
-    /// True when a previous mutation panicked (or violated the numerical
-    /// policy) and the simulation state may be torn. The circuit survives;
+    /// True when a previous mutation panicked (or failed a numerical-health
+    /// check) and the simulation state may be torn. The circuit survives;
     /// [`Ckt::recover`] rebuilds everything else from it.
     pub fn is_poisoned(&self) -> bool {
         self.poison.is_some()
@@ -444,10 +431,9 @@ impl Ckt {
     /// is safe to run on a poisoned engine — that is its purpose: after a
     /// contained panic, `audit` says *what* tore.
     ///
-    /// Checks: poisoning, owner-index structure, partition
-    /// graph coherence, per-block resolvability, amplitude finiteness,
-    /// norm conservation (after any renormalization scale), and snapshot
-    /// version monotonicity.
+    /// Checks: poisoning, owner-index structure, partition graph
+    /// coherence, per-block resolvability, amplitude finiteness, norm
+    /// conservation, and snapshot version monotonicity.
     pub fn audit(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         if let Some(reason) = &self.poison {
@@ -489,14 +475,11 @@ impl Ckt {
                 }
             }
         }
-        if norm_meaningful {
-            let effective = total * self.renorm_scale * self.renorm_scale;
-            if (effective - 1.0).abs() > self.config.norm_tolerance {
-                out.push(InvariantViolation::NormDrift {
-                    norm_sqr: effective,
-                    tolerance: self.config.norm_tolerance,
-                });
-            }
+        if norm_meaningful && (total - 1.0).abs() > self.config.norm_tolerance {
+            out.push(InvariantViolation::NormDrift {
+                norm_sqr: total,
+                tolerance: self.config.norm_tolerance,
+            });
         }
         if let Some(snap) = &self.latest {
             if snap.version() != self.snapshot_seq {
@@ -923,8 +906,10 @@ impl Ckt {
     /// The update also publishes a fresh [`StateSnapshot`]
     /// ([`Ckt::latest_snapshot`]) of the resolved state, so readers on
     /// other threads keep querying the previous version while this one
-    /// replaces it. Publication is where the [`NumericalPolicy`] engages:
-    /// non-finite amplitudes and out-of-tolerance norm drift surface here.
+    /// replaces it. Publication is where numerical health is checked:
+    /// non-finite amplitudes and out-of-tolerance norm drift fail the
+    /// update with [`EngineError::NonFinite`] / [`EngineError::NormDrift`]
+    /// and poison the engine.
     ///
     /// A panicking task (or a panic in the serial build phase) is
     /// contained: the engine poisons itself and the call returns
@@ -949,7 +934,6 @@ impl Ckt {
             let report = UpdateReport {
                 snapshot_blocks_resolved,
                 norm_error: self.last_norm_error,
-                drift_events: self.drift_events,
                 graph_nodes_patched: self.graph.take_patches(),
                 staged_ops: std::mem::take(&mut self.staged_ops_pending),
                 elapsed: t0.elapsed(),
@@ -1048,7 +1032,6 @@ impl Ckt {
             owner_probes,
             snapshot_blocks_resolved,
             norm_error: self.last_norm_error,
-            drift_events: self.drift_events,
             graph_nodes_reused: stats.nodes_reused,
             graph_nodes_patched,
             staged_ops: std::mem::take(&mut self.staged_ops_pending),
@@ -1082,8 +1065,8 @@ impl Ckt {
     /// Pending *insertions* that have not been simulated yet do not
     /// appear: they take effect at the next [`Ckt::update_state`].
     ///
-    /// Panics when the engine is poisoned (or publication violates the
-    /// numerical policy); [`Ckt::try_snapshot`] is the non-panicking
+    /// Panics when the engine is poisoned (or publication fails a
+    /// numerical-health check); [`Ckt::try_snapshot`] is the non-panicking
     /// variant.
     pub fn snapshot(&mut self) -> StateSnapshot {
         self.try_snapshot().unwrap_or_else(|e| panic!("{e}"))
@@ -1139,7 +1122,7 @@ impl Ckt {
     }
 
     /// Re-resolves the dirty blocks of `blocks` (or all of them) against
-    /// the current rows, runs the [`NumericalPolicy`] health checks,
+    /// the current rows, checks the state's numerical health,
     /// publishes the result as the next snapshot version, and clears the
     /// dirty set. Returns the number of blocks resolved.
     ///
@@ -1193,26 +1176,15 @@ impl Ckt {
         }
         let drift = (total - 1.0).abs();
         self.last_norm_error = drift;
-        let prev_version = self.snapshot_seq;
-        let prev_scale = self.renorm_scale;
         if drift > self.config.norm_tolerance {
-            self.drift_events += 1;
             qtask_obs::counter!("core.drift_events").inc();
             qtask_obs::event!("update/norm_drift");
-            match self.config.numerics {
-                NumericalPolicy::Strict => {
-                    return Err(self.poison_err(EngineError::NormDrift {
-                        norm_sqr: total,
-                        tolerance: self.config.norm_tolerance,
-                    }));
-                }
-                NumericalPolicy::Renormalize => {
-                    self.renorm_scale = 1.0 / total.sqrt();
-                }
-            }
-        } else {
-            self.renorm_scale = 1.0;
+            return Err(self.poison_err(EngineError::NormDrift {
+                norm_sqr: total,
+                tolerance: self.config.norm_tolerance,
+            }));
         }
+        let prev_version = self.snapshot_seq;
         let (blocks_resolved, owner_probes) = stats.snapshot();
         self.snapshot_seq += 1;
         self.latest = Some(StateSnapshot {
@@ -1224,7 +1196,6 @@ impl Ckt {
                     blocks_resolved,
                     owner_probes,
                 },
-                self.renorm_scale,
             )),
         });
         if !self.observers.is_empty() {
@@ -1235,8 +1206,6 @@ impl Ckt {
                 dirty: delta_dirty,
                 norms: delta_norms,
                 full: resolve_all,
-                scale: self.renorm_scale,
-                prev_scale,
             };
             for obs in &self.observers {
                 obs.on_publish(&snap, &delta);

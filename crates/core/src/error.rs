@@ -16,25 +16,26 @@ use qtask_circuit::CircuitError;
 /// Error type of the engine's fallible API surface.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The engine is poisoned: a previous mutation panicked (or violated
-    /// the numerical policy) and the simulation state may be torn. The
+    /// The engine is poisoned: a previous mutation panicked (or failed a
+    /// numerical-health check) and the simulation state may be torn. The
     /// circuit itself is intact; call [`crate::Ckt::recover`] to rebuild.
     Poisoned {
-        /// What poisoned the engine (panic message or policy violation).
+        /// What poisoned the engine (panic message or failed health check).
         reason: String,
     },
     /// A circuit-level validation failure (stale id, net conflict, …) —
     /// the engine state is untouched.
     Circuit(CircuitError),
-    /// A published block contained a non-finite amplitude (NaN/Inf). The
-    /// engine poisons itself under either [`crate::NumericalPolicy`] —
-    /// a non-finite state cannot be renormalized.
+    /// A published block contained a non-finite amplitude (NaN/Inf),
+    /// found by the per-block norm check at publication. The engine is
+    /// poisoned; [`crate::Ckt::recover`] rebuilds it.
     NonFinite {
         /// Block index holding the first non-finite amplitude.
         block: usize,
     },
-    /// The state norm drifted beyond [`crate::SimConfig::norm_tolerance`]
-    /// under [`crate::NumericalPolicy::Strict`]. The engine is poisoned.
+    /// The published state's norm² drifted off unity beyond
+    /// [`crate::SimConfig::norm_tolerance`]. The engine is poisoned;
+    /// [`crate::Ckt::recover`] rebuilds it.
     NormDrift {
         /// The measured squared norm.
         norm_sqr: f64,
@@ -144,10 +145,10 @@ pub enum InvariantViolation {
         /// The offending block.
         block: usize,
     },
-    /// The effective state norm (after any renormalization scale) is off
-    /// unity beyond the configured tolerance.
+    /// The resolved state's norm² is off unity beyond the configured
+    /// tolerance.
     NormDrift {
-        /// The measured effective squared norm.
+        /// The measured squared norm.
         norm_sqr: f64,
         /// The configured tolerance it exceeded.
         tolerance: f64,

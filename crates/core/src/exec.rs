@@ -93,7 +93,7 @@ impl<'a> ExecView<'a> {
     /// `pos` (from the acquisition). All executor-side publications go
     /// through here, so one probe covers every publication
     /// (`exec/publish_row` panics mid-publish; `exec/corrupt_row` poisons
-    /// an amplitude with NaN/Inf to exercise the numerical policy).
+    /// an amplitude with NaN/Inf to exercise the publication norm check).
     pub fn publish(&self, row: RowId, b: usize, data: BlockData, pos: usize) {
         qtask_faults::fault_point!("exec/publish_row");
         #[cfg(feature = "faults")]

@@ -62,11 +62,12 @@ pub mod spine;
 pub mod test_support;
 pub mod txn;
 
-pub use config::{NumericalPolicy, RowOrderPolicy, SimConfig};
+pub use config::{RowOrderPolicy, SimConfig};
 pub use delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 pub use engine::{Ckt, RecoveryReport, UpdateReport};
 pub use error::{EngineError, InvariantViolation};
 pub use owners::OwnerIndex;
+pub use qtask_partition::BlockGeometry;
 pub use row::{PartId, RowId};
 pub use snapshot::{QueryReport, StateSnapshot};
 pub use spine::Spine;

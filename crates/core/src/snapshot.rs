@@ -29,6 +29,7 @@
 //! surfaced in [`crate::UpdateReport::snapshot_blocks_resolved`] and
 //! [`StateSnapshot::capture_report`].
 
+use crate::delta::block_norm_sqr;
 use crate::spine::Spine;
 use qtask_num::Complex64;
 use qtask_partition::BlockGeometry;
@@ -60,12 +61,6 @@ pub(crate) struct SnapInner {
     /// Resolution work the capture performed (incremental: only blocks
     /// dirtied since the previous snapshot are re-resolved).
     pub(crate) capture_report: QueryReport,
-    /// Renormalization scale applied to every amplitude read (1.0 unless
-    /// the engine runs [`crate::NumericalPolicy::Renormalize`] and
-    /// detected drift at capture). Stored rather than baked into the
-    /// blocks: the buffers are shared copy-on-write with the engine's
-    /// rows, so mutating them would break MVCC isolation.
-    pub(crate) scale: f64,
 }
 
 impl SnapInner {
@@ -77,7 +72,6 @@ impl SnapInner {
         geom: BlockGeometry,
         blocks: Spine,
         capture_report: QueryReport,
-        scale: f64,
     ) -> SnapInner {
         qtask_faults::fault_point!("snapshot/publish");
         SnapInner {
@@ -85,7 +79,6 @@ impl SnapInner {
             geom,
             blocks,
             capture_report,
-            scale,
         }
     }
 }
@@ -123,14 +116,6 @@ impl StateSnapshot {
         self.inner.capture_report
     }
 
-    /// The renormalization scale baked into every amplitude this snapshot
-    /// reports: 1.0 unless the engine ran
-    /// [`crate::NumericalPolicy::Renormalize`] and absorbed norm drift at
-    /// capture time.
-    pub fn scale(&self) -> f64 {
-        self.inner.scale
-    }
-
     /// Number of blocks holding materialized data (the rest are the
     /// implicit initial state — untouched blocks cost nothing here
     /// either).
@@ -152,14 +137,13 @@ impl StateSnapshot {
         }
     }
 
-    /// The raw, **unscaled** amplitudes of block `b`, or `None` for an
+    /// The amplitudes of block `b` as the engine's kernels computed them
+    /// (the buffer itself, shared copy-on-write), or `None` for an
     /// implicit initial block (all zero, except amplitude 1 at global
     /// index 0 when `b == 0`). This is the bulk-read surface for
-    /// delta-maintained consumers (qtask-views): per-block partial
-    /// aggregates are computed from the unscaled buffers so a
-    /// scale-only change re-weights them in O(1). Multiply by
-    /// [`StateSnapshot::scale`] to recover the amplitudes the scalar
-    /// queries report.
+    /// delta-maintained consumers (qtask-views), which compute per-block
+    /// partial aggregates from it; the scalar queries read the same
+    /// values.
     pub fn raw_block(&self, b: usize) -> Option<&[Complex64]> {
         self.inner.blocks.get(b).as_deref().map(|v| v.as_slice())
     }
@@ -168,7 +152,7 @@ impl StateSnapshot {
     pub fn amplitude(&self, idx: usize) -> Complex64 {
         assert!(idx < self.state_len(), "basis index out of range");
         let geom = &self.inner.geom;
-        self.read(geom.block_of(idx), geom.offset_in_block(idx)) * self.inner.scale
+        self.read(geom.block_of(idx), geom.offset_in_block(idx))
     }
 
     /// The probability of basis state `idx`.
@@ -179,19 +163,15 @@ impl StateSnapshot {
     /// The full state vector (materializes `2^n` amplitudes).
     pub fn state(&self) -> Vec<Complex64> {
         let bs = self.inner.geom.block_size();
-        let scale = self.inner.scale;
         let mut out = Vec::with_capacity(self.state_len());
         for (b, slot) in self.inner.blocks.iter().enumerate() {
             match slot {
-                // `x * 1.0` is bit-exact for finite f64, but the unscaled
-                // path keeps the common case a memcpy.
-                Some(d) if scale == 1.0 => out.extend_from_slice(d),
-                Some(d) => out.extend(d.iter().map(|&z| z * scale)),
+                Some(d) => out.extend_from_slice(d),
                 None => {
                     let start = out.len();
                     out.resize(start + bs, Complex64::ZERO);
                     if b == 0 {
-                        out[0] = Complex64::ONE * scale;
+                        out[0] = Complex64::ONE;
                     }
                 }
             }
@@ -202,16 +182,15 @@ impl StateSnapshot {
     /// All basis-state probabilities.
     pub fn probabilities(&self) -> Vec<f64> {
         let bs = self.inner.geom.block_size();
-        let p_scale = self.inner.scale * self.inner.scale;
         let mut out = Vec::with_capacity(self.state_len());
         for (b, slot) in self.inner.blocks.iter().enumerate() {
             match slot {
-                Some(d) => out.extend(d.iter().map(|z| z.norm_sqr() * p_scale)),
+                Some(d) => out.extend(d.iter().map(|z| z.norm_sqr())),
                 None => {
                     let start = out.len();
                     out.resize(start + bs, 0.0);
                     if b == 0 {
-                        out[0] = p_scale;
+                        out[0] = 1.0;
                     }
                 }
             }
@@ -221,37 +200,25 @@ impl StateSnapshot {
 
     /// Sum of squared amplitudes (≈ 1 for a consistent state).
     pub fn norm_sqr(&self) -> f64 {
-        let p_scale = self.inner.scale * self.inner.scale;
         self.inner
             .blocks
             .iter()
             .enumerate()
-            .map(|(b, slot)| match slot {
-                Some(d) => d.iter().map(|z| z.norm_sqr()).sum::<f64>(),
-                None => {
-                    if b == 0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            })
-            .sum::<f64>()
-            * p_scale
+            .map(|(b, slot)| block_norm_sqr(b, slot.as_deref().map(Vec::as_slice)))
+            .sum()
     }
 
     /// Draws one computational-basis measurement outcome.
     pub fn sample<R: rand::Rng>(&self, rng: &mut R) -> usize {
         let mut target: f64 = rng.random::<f64>();
-        let p_scale = self.inner.scale * self.inner.scale;
         let bs = self.inner.geom.block_size();
         for (b, slot) in self.inner.blocks.iter().enumerate() {
             for off in 0..bs {
                 let p = match slot {
-                    Some(d) => d[off].norm_sqr() * p_scale,
+                    Some(d) => d[off].norm_sqr(),
                     None => {
                         if b == 0 && off == 0 {
-                            p_scale
+                            1.0
                         } else {
                             0.0
                         }
@@ -299,7 +266,6 @@ mod tests {
                 geom,
                 Spine::new(geom.num_blocks()),
                 QueryReport::default(),
-                1.0,
             )),
         }
     }
@@ -343,7 +309,7 @@ mod tests {
         let amps = [0.5, 0.5 - 1e-9, 0.0, 0.0].map(|p: f64| qtask_num::c64(p.sqrt(), 0.0));
         blocks.set(0, Some(Arc::new(amps.to_vec())));
         let s = StateSnapshot {
-            inner: Arc::new(SnapInner::new(1, geom, blocks, QueryReport::default(), 1.0)),
+            inner: Arc::new(SnapInner::new(1, geom, blocks, QueryReport::default())),
         };
         assert!((s.norm_sqr() - (1.0 - 1e-9)).abs() < 1e-15);
         assert_eq!(s.sample(&mut TopRng), 1);

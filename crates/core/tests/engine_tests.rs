@@ -6,7 +6,7 @@
 //! full simulation, and any sequence of incremental modifier+update
 //! steps — must match the oracle on the final circuit.
 
-use qtask_core::{Ckt, RowOrderPolicy, SimConfig};
+use qtask_core::{Ckt, EngineError, InvariantViolation, RowOrderPolicy, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::kernels;
@@ -562,4 +562,41 @@ fn snapshot_capture_reports_resolution_work() {
         report.owner_probes * 4 < deep as u64 * report.blocks_resolved,
         "owner index should probe far fewer than {deep} rows per block: {report:?}"
     );
+}
+
+/// Norm drift has one outcome: the update fails typed and poisons the
+/// engine. With a tolerance every publication exceeds, the audit names
+/// the drift and the poisoning and nothing else, and `recover` — whose
+/// rebuild drifts the same way — fails typed and leaves the engine
+/// poisoned.
+#[test]
+fn norm_drift_poisons_with_a_typed_error() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 1;
+    cfg.norm_tolerance = -1.0;
+    let mut ckt = Ckt::with_config(3, cfg);
+    let net = ckt.push_net();
+    ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
+    let err = ckt.update_state().unwrap_err();
+    assert!(matches!(err, EngineError::NormDrift { .. }), "{err:?}");
+    assert!(ckt.is_poisoned());
+
+    let audit = ckt.audit();
+    assert!(
+        audit
+            .iter()
+            .any(|v| matches!(v, InvariantViolation::NormDrift { .. })),
+        "{audit:?}"
+    );
+    assert!(
+        audit.iter().all(|v| matches!(
+            v,
+            InvariantViolation::NormDrift { .. } | InvariantViolation::EnginePoisoned { .. }
+        )),
+        "{audit:?}"
+    );
+
+    let err = ckt.recover().unwrap_err();
+    assert!(matches!(err, EngineError::RecoveryFailed { .. }), "{err:?}");
+    assert!(ckt.is_poisoned());
 }

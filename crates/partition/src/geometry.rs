@@ -23,13 +23,27 @@ pub struct BlockGeometry {
 }
 
 impl BlockGeometry {
-    /// Creates a geometry. `block_size` must be a power of two; it is
-    /// clamped to the state length (a small circuit gets one block, which
-    /// is why the paper notes 8-qubit circuits show no task parallelism at
-    /// the default 256).
+    /// The one rule for a valid geometry: 1..=30 qubits and a
+    /// power-of-two block size. [`BlockGeometry::new`] asserts it;
+    /// callers holding untrusted input check it first.
+    pub fn check(num_qubits: u8, block_size: usize) -> Result<(), String> {
+        if !(1..=30).contains(&num_qubits) {
+            return Err(format!("{num_qubits} qubits: supported range is 1..=30"));
+        }
+        if !block_size.is_power_of_two() {
+            return Err(format!("block size {block_size} is not 2^k"));
+        }
+        Ok(())
+    }
+
+    /// Creates a geometry. Panics unless [`BlockGeometry::check`] passes.
+    /// `block_size` is clamped to the state length (a small circuit gets
+    /// one block, which is why the paper notes 8-qubit circuits show no
+    /// task parallelism at the default 256).
     pub fn new(num_qubits: u8, block_size: usize) -> BlockGeometry {
-        assert!(block_size.is_power_of_two(), "block size must be 2^k");
-        assert!((1..=30).contains(&num_qubits), "1..=30 qubits");
+        if let Err(why) = BlockGeometry::check(num_qubits, block_size) {
+            panic!("{why}");
+        }
         let state_len = 1usize << num_qubits;
         let clamped = block_size.min(state_len);
         BlockGeometry {

@@ -15,8 +15,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// Admission control refused the work before queueing it: the
-    /// session limit or the per-session in-flight quota is exhausted
-    /// (or the target session does not exist). Nothing was enqueued.
+    /// session limit or the per-session in-flight quota is exhausted,
+    /// the target session does not exist, or a new session's qubit
+    /// count / block size is invalid. Nothing was enqueued.
     Rejected {
         /// Which limit refused the work.
         reason: String,

@@ -114,6 +114,24 @@ mod tests {
     }
 
     #[test]
+    fn invalid_geometry_is_rejected_not_panicked() {
+        let mgr = SessionManager::new(small_cfg());
+        let _a = mgr.open(2, SimConfig::default()).unwrap();
+        for (n, cfg) in [
+            (0, SimConfig::default()),
+            (31, SimConfig::default()),
+            (3, SimConfig::with_block_size(3)),
+        ] {
+            let err = mgr.open(n, cfg).unwrap_err();
+            assert!(matches!(err, ServiceError::Rejected { .. }), "{err}");
+            assert_eq!(mgr.live_sessions(), 1);
+        }
+        assert!(mgr.open(3, SimConfig::default()).is_ok());
+        assert_eq!(mgr.live_sessions(), 2);
+        mgr.shutdown();
+    }
+
+    #[test]
     fn invalid_transaction_is_typed_and_state_unchanged() {
         let mgr = SessionManager::new(small_cfg());
         let h = mgr.open(2, SimConfig::default()).unwrap();

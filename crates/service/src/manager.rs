@@ -2,7 +2,7 @@
 
 use crate::session::{Envelope, Shared, Supervisor};
 use crate::{ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState};
-use qtask_core::{Ckt, SimConfig};
+use qtask_core::{BlockGeometry, Ckt, SimConfig};
 use qtask_taskflow::Executor;
 use std::collections::HashMap;
 use std::sync::mpsc::sync_channel;
@@ -87,8 +87,10 @@ impl SessionManager {
     /// baseline snapshot is published (so the returned handle serves
     /// reads immediately and request ordering is deterministic).
     ///
-    /// Admission control: at the [`ServiceConfig::max_sessions`] limit
-    /// this is [`ServiceError::Rejected`] — nothing is spawned. A
+    /// Admission control: a qubit count or block size no engine can
+    /// take ([`BlockGeometry::check`]), or the
+    /// [`ServiceConfig::max_sessions`] limit, is
+    /// [`ServiceError::Rejected`] — nothing is spawned. A
     /// session whose engine is broken at birth is still *admitted* (it
     /// holds a slot); its health is observable via
     /// [`SessionHandle::state`] and the watchdog/breaker run as usual.
@@ -97,6 +99,8 @@ impl SessionManager {
         num_qubits: u8,
         sim_config: SimConfig,
     ) -> Result<SessionHandle, ServiceError> {
+        BlockGeometry::check(num_qubits, sim_config.block_size)
+            .map_err(|reason| ServiceError::Rejected { reason })?;
         let mut inner = lock(&self.inner);
         let live = inner
             .sessions

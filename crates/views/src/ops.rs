@@ -3,11 +3,9 @@
 //!
 //! Every operator follows the same discipline:
 //!
-//! * **Unscaled partials.** Per-block aggregates are computed from the
-//!   snapshot's raw (unscaled) amplitudes; the renormalization scale is
-//!   applied once at [`View::value`]. A publication that only changed
-//!   the scale (Renormalize drift with an empty write set) therefore
-//!   re-weights every view in O(1) — no block is rescanned.
+//! * **Per-block partials.** Aggregates are computed block by block from
+//!   [`StateSnapshot::raw_block`] — the same values the snapshot's scalar
+//!   queries report — and [`View::value`] reads the running total as is.
 //! * **Subtract-old / add-new.** [`View::patch`] retires each dirty
 //!   block's stale contribution from the running total, rescans exactly
 //!   that block, and adds the fresh contribution back. Applying the same
@@ -28,8 +26,8 @@ use std::sync::Arc;
 ///
 /// Implementations must keep [`View::patch`] equivalent to a
 /// [`View::refresh`] at the same version — the differential suite
-/// asserts it at every published version, drift events and removals
-/// included.
+/// asserts it at every published version, removals and late
+/// registrations included.
 pub trait View: Send {
     /// Human-readable label (used by registries and subscriptions).
     fn label(&self) -> &str;
@@ -43,23 +41,8 @@ pub trait View: Send {
     /// to [`View::refresh`] on any gap.
     fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats;
 
-    /// The current (scaled) value.
+    /// The current value.
     fn value(&self) -> ViewValue;
-}
-
-/// The raw (unscaled) amplitude of basis state `idx` in `snap`.
-fn raw_amp(snap: &StateSnapshot, idx: usize) -> Complex64 {
-    let geom = snap.geometry();
-    match snap.raw_block(geom.block_of(idx)) {
-        Some(d) => d[geom.offset_in_block(idx)],
-        None => {
-            if idx == 0 {
-                Complex64::ONE
-            } else {
-                Complex64::ZERO
-            }
-        }
-    }
 }
 
 // ---- NormView -----------------------------------------------------------
@@ -69,7 +52,6 @@ fn raw_amp(snap: &StateSnapshot, idx: usize) -> Complex64 {
 pub struct NormView {
     partials: Vec<f64>,
     total: f64,
-    scale: f64,
 }
 
 impl NormView {
@@ -77,11 +59,10 @@ impl NormView {
         NormView {
             partials: Vec::new(),
             total: 0.0,
-            scale: 1.0,
         }
     }
 
-    /// The unscaled per-block partials, one per block.
+    /// The per-block partials, one per block.
     pub fn partials(&self) -> &[f64] {
         &self.partials
     }
@@ -108,7 +89,6 @@ impl View for NormView {
             self.partials[b] = p;
             self.total += p;
         }
-        self.scale = snap.scale();
     }
 
     fn patch(&mut self, _snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
@@ -118,14 +98,13 @@ impl View for NormView {
             self.partials[b] = p;
             self.total += p;
         }
-        self.scale = delta.scale;
         PatchStats {
             blocks_scanned: delta.dirty.len(),
         }
     }
 
     fn value(&self) -> ViewValue {
-        ViewValue::Scalar(self.total * self.scale * self.scale)
+        ViewValue::Scalar(self.total)
     }
 }
 
@@ -214,7 +193,7 @@ impl ProbKind {
         match self {
             ProbKind::Basis(idx) => {
                 if snap.geometry().block_of(*idx) == b {
-                    out[0] = raw_amp(snap, *idx).norm_sqr();
+                    out[0] = snap.probability(*idx);
                 }
             }
             ProbKind::Marginal(m) => m.partial(snap, b, norm, out),
@@ -233,12 +212,11 @@ pub struct ProbabilityView {
     /// `num_blocks × dims`, row-major by block.
     partials: Vec<f64>,
     totals: Vec<f64>,
-    scale: f64,
     label: String,
 }
 
 impl ProbabilityView {
-    /// The unscaled per-block partial histograms, `num_blocks × dims`
+    /// The per-block partial histograms, `num_blocks × dims`
     /// row-major by block.
     pub fn partials(&self) -> &[f64] {
         &self.partials
@@ -252,7 +230,6 @@ impl ProbabilityView {
             dims: 1,
             partials: Vec::new(),
             totals: Vec::new(),
-            scale: 1.0,
         }
     }
 
@@ -270,7 +247,6 @@ impl ProbabilityView {
             }),
             partials: Vec::new(),
             totals: Vec::new(),
-            scale: 1.0,
         }
     }
 }
@@ -298,7 +274,6 @@ impl View for ProbabilityView {
                 *t += v;
             }
         }
-        self.scale = snap.scale();
     }
 
     fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
@@ -312,21 +287,15 @@ impl View for ProbabilityView {
                 *t += v;
             }
         }
-        self.scale = delta.scale;
         PatchStats {
             blocks_scanned: delta.dirty.len(),
         }
     }
 
     fn value(&self) -> ViewValue {
-        let p_scale = self.scale * self.scale;
         match self.kind {
-            ProbKind::Basis(_) => {
-                ViewValue::Scalar(self.totals.first().copied().unwrap_or(0.0) * p_scale)
-            }
-            ProbKind::Marginal(_) => {
-                ViewValue::Vector(self.totals.iter().map(|p| p * p_scale).collect())
-            }
+            ProbKind::Basis(_) => ViewValue::Scalar(self.totals.first().copied().unwrap_or(0.0)),
+            ProbKind::Marginal(_) => ViewValue::Vector(self.totals.clone()),
         }
     }
 }
@@ -355,7 +324,6 @@ pub struct ExpectationView {
     /// Reused buffer for a Pauli patch's widened, deduplicated block set.
     rescan: Vec<usize>,
     total: Complex64,
-    scale: f64,
     label: String,
 }
 
@@ -397,7 +365,7 @@ fn expectation_partial(kind: &ObsKind, snap: &StateSnapshot, b: usize) -> Comple
                 }
                 let m = b * bs + off;
                 let partner = m ^ xmask;
-                let zp = raw_amp(snap, partner);
+                let zp = snap.amplitude(partner);
                 let sign = if (partner & zmask).count_ones() & 1 == 1 {
                     -1.0
                 } else {
@@ -422,7 +390,6 @@ impl ExpectationView {
             partials: Vec::new(),
             rescan: Vec::new(),
             total: Complex64::ZERO,
-            scale: 1.0,
             label: label.into(),
         }
     }
@@ -448,7 +415,6 @@ impl ExpectationView {
             partials: Vec::new(),
             rescan: Vec::new(),
             total: Complex64::ZERO,
-            scale: 1.0,
         }
     }
 }
@@ -468,7 +434,6 @@ impl View for ExpectationView {
             self.partials[b] = p;
             self.total += p;
         }
-        self.scale = snap.scale();
     }
 
     fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
@@ -495,12 +460,11 @@ impl View for ExpectationView {
         }
         let blocks_scanned = blocks.len();
         self.rescan = rescan;
-        self.scale = delta.scale;
         PatchStats { blocks_scanned }
     }
 
     fn value(&self) -> ViewValue {
-        ViewValue::Scalar(self.total.re * self.scale * self.scale)
+        ViewValue::Scalar(self.total.re)
     }
 }
 

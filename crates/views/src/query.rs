@@ -12,7 +12,8 @@ use crate::ops::{ExpectationView, NormView, ProbabilityView, View};
 /// A subscribable query over the published state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViewQuery {
-    /// Σ|ψ|² — tracks renormalization drift.
+    /// Σ|ψ|² — the published state's norm², 1 up to
+    /// [`qtask_core::SimConfig::norm_tolerance`].
     Norm,
     /// The probability of one computational-basis state.
     Probability { basis: usize },

@@ -98,8 +98,8 @@ pub mod prelude {
         Circuit, CircuitBuilder, CircuitError, CircuitStats, Gate, GateId, NetId,
     };
     pub use qtask_core::{
-        Ckt, EditReceipt, EditTxn, EngineError, InvariantViolation, NumericalPolicy, QueryReport,
-        RecoveryReport, RowOrderPolicy, SimConfig, StateSnapshot, UpdateReport,
+        Ckt, EditReceipt, EditTxn, EngineError, InvariantViolation, QueryReport, RecoveryReport,
+        RowOrderPolicy, SimConfig, StateSnapshot, UpdateReport,
     };
     pub use qtask_gates::{GateClass, GateKind};
     pub use qtask_num::{c64, Complex64};
