@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 const N: u8 = 10;
 const EDITS_PER_SESSION: usize = 24;
-const SESSION_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SESSION_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 64];
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -131,8 +131,8 @@ fn soak(sessions: usize, threads: usize) -> SoakResult {
 fn main() {
     harness_init();
     // The soak kills each writer once on purpose; keep those panics out
-    // of the output (the supervisor contains them) but let real ones
-    // through.
+    // of the output (the session's watchdog contains them) but let real
+    // ones through.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let injected = info

@@ -47,9 +47,9 @@
 //! assert!(stats.spans >= 2);
 //! ```
 //!
-//! The per-thread rings survive thread exit, so a supervisor can read
-//! a failed writer's final events ([`recent_thread_events`]) into its
-//! autopsy report.
+//! The per-thread rings survive thread exit. A session's actor reads
+//! the final events of the worker that ran a failed request
+//! ([`recent_thread_events`]) into its autopsy report.
 
 #![warn(missing_docs)]
 

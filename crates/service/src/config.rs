@@ -45,8 +45,8 @@ pub struct ServiceConfig {
     pub inflight_quota: usize,
     /// Deadline for requests submitted without an explicit one.
     pub default_deadline: Duration,
-    /// Backoff schedule for mailbox-full retries and between recovery
-    /// attempts.
+    /// Backoff schedule for mailbox-full retries, slept on the caller's
+    /// thread.
     pub retry: RetryPolicy,
     /// Circuit breaker: this many consecutive failed recoveries within
     /// [`ServiceConfig::breaker_window`] trips the session to the
@@ -55,8 +55,9 @@ pub struct ServiceConfig {
     /// Time window for counting consecutive recovery failures; failures
     /// further apart than this reset the count.
     pub breaker_window: Duration,
-    /// Worker threads of the shared simulation executor (all sessions'
-    /// engines multiplex over this one pool).
+    /// Worker threads of the shared executor. All sessions multiplex
+    /// over this one pool: it runs their engines' simulation work and
+    /// their actors, so a session owns no thread of its own.
     pub num_threads: usize,
     /// Per-session cap on live view subscriptions
     /// ([`crate::SessionHandle::subscribe`]); beyond it, subscriptions

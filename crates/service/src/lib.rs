@@ -4,9 +4,10 @@
 //! threads read version *v* while one writer builds *v+1* — but edits
 //! still serialize on `&mut Ckt`. This crate is the service layer that
 //! split was designed for: a [`SessionManager`] multiplexes many
-//! circuits (*sessions*) over one worker pool; each session is owned by
-//! a supervised writer task that receives transactions over a bounded
-//! mailbox and publishes versioned snapshots.
+//! circuits (*sessions*) over one worker pool. Each session is a
+//! supervised actor: a bounded mailbox whose requests a pool worker
+//! serves one at a time, publishing versioned snapshots. No session owns
+//! an OS thread; an idle one costs none.
 //!
 //! Robustness is the point, threaded through every layer:
 //!
@@ -23,8 +24,8 @@
 //!   when a writer lags or is quarantined, new edits shed while
 //!   [`SessionHandle::snapshot`] keeps serving the last published
 //!   version: reads degrade to *stale*, never to torn or blocked.
-//! - **Supervision** — each writer runs under a watchdog: a panic or a
-//!   poisoned engine quarantines the session and runs
+//! - **Supervision** — each request runs under a watchdog: a panic or
+//!   a poisoned engine quarantines the session and runs
 //!   [`qtask_core::Ckt::recover`] under a circuit breaker
 //!   ([`ServiceConfig::breaker_threshold`] consecutive failures within
 //!   [`ServiceConfig::breaker_window`] trip the terminal `Failed` state
@@ -36,8 +37,8 @@
 //!
 //! With the `faults` feature, the service path carries three probe
 //! sites — `service/enqueue`, `service/writer`, `service/recover` — so
-//! the chaos suite (`tests/chaos_service.rs`) can kill writers
-//! mid-transaction and assert the service heals.
+//! the chaos suite (`tests/chaos_service.rs`) can kill a session's
+//! writer mid-transaction and assert the service heals.
 
 mod backoff;
 mod config;
@@ -230,6 +231,36 @@ mod tests {
         assert!(sibling.edit(|_| Ok(())).is_ok());
         let autopsy = mgr.close(h.id()).unwrap();
         assert_eq!(autopsy.state, SessionState::Failed);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn requests_queued_at_the_breaker_trip_fail_typed() {
+        let mgr = SessionManager::new(small_cfg());
+        // Every recovery of this engine fails, and each attempt rebuilds
+        // 2^20 amplitudes, so requests sent right after `open` are
+        // queued while the watchdog still heals.
+        let broken = SimConfig {
+            norm_tolerance: -1.0,
+            ..SimConfig::default()
+        };
+        let h = mgr.open(20, broken).unwrap();
+        let sync = h.sync();
+        let circuit = h.circuit();
+        let views = h.view_report();
+        assert!(
+            matches!(sync, Err(ServiceError::SessionFailed { .. })),
+            "{sync:?}"
+        );
+        assert!(
+            matches!(circuit, Err(ServiceError::SessionFailed { .. })),
+            "{circuit:?}"
+        );
+        assert!(
+            matches!(views, Err(ServiceError::SessionFailed { .. })),
+            "{views:?}"
+        );
+        assert_eq!(h.report().recovery_failures, 3);
         mgr.shutdown();
     }
 

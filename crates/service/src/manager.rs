@@ -1,32 +1,26 @@
 //! The session manager: admission, multiplexing, lifecycle.
 
-use crate::session::{Envelope, Shared, Supervisor};
+use crate::push::ViewFanout;
+use crate::session::{Shared, Writer};
 use crate::{ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState};
 use qtask_core::{BlockGeometry, Ckt, SimConfig};
 use qtask_taskflow::Executor;
 use std::collections::HashMap;
-use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::time::Duration;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-struct Entry {
-    handle: SessionHandle,
-    join: Option<JoinHandle<()>>,
-}
-
 /// Multiplexes many circuits (sessions) over one worker pool.
 ///
 /// Each [`SessionManager::open`] admits a session (or rejects it at the
-/// [`ServiceConfig::max_sessions`] limit), spawns its supervisor thread,
-/// and hands back a cloneable [`SessionHandle`]. All sessions' engines
-/// share the manager's [`Executor`], so simulation work from N writers
-/// multiplexes over one set of worker threads; supervisor threads
-/// themselves only orchestrate (receive, commit, publish) and block on
-/// their mailboxes when idle.
+/// [`ServiceConfig::max_sessions`] limit) and hands back a cloneable
+/// [`SessionHandle`]. A session owns no thread: its actor and its
+/// engine's simulation work both run on the manager's [`Executor`], so
+/// N sessions multiplex over one set of worker threads, and an idle
+/// session costs no thread at all.
 ///
 /// Sibling isolation is structural: a session's quarantine, recovery,
 /// or terminal failure touches nothing shared but the (stateless
@@ -39,7 +33,7 @@ pub struct SessionManager {
 
 struct Inner {
     next_id: u64,
-    sessions: HashMap<u64, Entry>,
+    sessions: HashMap<u64, SessionHandle>,
 }
 
 impl SessionManager {
@@ -75,22 +69,18 @@ impl SessionManager {
     /// Sessions currently holding a slot (everything not yet closed —
     /// failed sessions count until reaped with [`SessionManager::close`]).
     pub fn live_sessions(&self) -> usize {
-        lock(&self.inner)
-            .sessions
-            .values()
-            .filter(|e| e.handle.state() != SessionState::Closed)
-            .count()
+        lock(&self.inner).sessions.len()
     }
 
     /// Admits a new session simulating `num_qubits` qubits under
-    /// `sim_config`, spawns its supervised writer, and blocks until the
+    /// `sim_config`, schedules its actor, and blocks until the
     /// baseline snapshot is published (so the returned handle serves
     /// reads immediately and request ordering is deterministic).
     ///
     /// Admission control: a qubit count or block size no engine can
     /// take ([`BlockGeometry::check`]), or the
     /// [`ServiceConfig::max_sessions`] limit, is
-    /// [`ServiceError::Rejected`] — nothing is spawned. A
+    /// [`ServiceError::Rejected`] — nothing is scheduled. A
     /// session whose engine is broken at birth is still *admitted* (it
     /// holds a slot); its health is observable via
     /// [`SessionHandle::state`] and the watchdog/breaker run as usual.
@@ -102,45 +92,18 @@ impl SessionManager {
         BlockGeometry::check(num_qubits, sim_config.block_size)
             .map_err(|reason| ServiceError::Rejected { reason })?;
         let mut inner = lock(&self.inner);
-        let live = inner
-            .sessions
-            .values()
-            .filter(|e| e.handle.state() != SessionState::Closed)
-            .count();
-        if live >= self.cfg.max_sessions {
+        if inner.sessions.len() >= self.cfg.max_sessions {
             return Err(ServiceError::Rejected {
                 reason: format!("session limit of {} reached", self.cfg.max_sessions),
             });
         }
         let id = SessionId(inner.next_id);
         inner.next_id += 1;
-        let shared = Arc::new(Shared::new(id));
-        let (tx, rx) = sync_channel(self.cfg.mailbox_capacity);
         let mut ckt = Ckt::with_executor(num_qubits, sim_config, Arc::clone(&self.executor));
-        let views = crate::push::ViewFanout::attach(&mut ckt, self.cfg.view_quota);
-        let supervisor = Supervisor {
-            ckt,
-            rx,
-            shared: Arc::clone(&shared),
-            cfg: Arc::clone(&self.cfg),
-            views,
-        };
-        let join = std::thread::Builder::new()
-            .name(format!("qtask-session-{}", id.0))
-            .spawn(move || supervisor.run())
-            .expect("spawn session supervisor thread");
-        let handle = SessionHandle {
-            tx,
-            shared,
-            cfg: Arc::clone(&self.cfg),
-        };
-        inner.sessions.insert(
-            id.0,
-            Entry {
-                handle: handle.clone(),
-                join: Some(join),
-            },
-        );
+        let views = ViewFanout::attach(&mut ckt, self.cfg.view_quota);
+        let shared = Shared::open(id, Writer { ckt, views }, &self.cfg, &self.executor);
+        let handle = SessionHandle { shared };
+        inner.sessions.insert(id.0, handle.clone());
         drop(inner);
         handle.wait_for(|s| s != SessionState::Admitted, self.cfg.default_deadline);
         Ok(handle)
@@ -148,31 +111,26 @@ impl SessionManager {
 
     /// A fresh handle to an open session.
     pub fn session(&self, id: SessionId) -> Option<SessionHandle> {
-        lock(&self.inner)
-            .sessions
-            .get(&id.0)
-            .map(|e| e.handle.clone())
+        lock(&self.inner).sessions.get(&id.0).cloned()
     }
 
-    /// Closes a session: asks its writer to stop, joins the supervisor
-    /// thread, frees the slot, and returns the final autopsy. Works on
-    /// failed sessions too (that is how their slot is reaped); the
-    /// report then still shows `Failed`.
+    /// Closes a session: marks it closing (new requests get
+    /// [`ServiceError::SessionClosed`]), lets its actor serve what is
+    /// already queued, waits until the session is `Closed`, frees the
+    /// slot, and returns the final autopsy. Works on failed sessions too
+    /// (that is how their slot is reaped); the report then still shows
+    /// `Failed`.
     pub fn close(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        let mut entry =
+        let handle =
             lock(&self.inner)
                 .sessions
                 .remove(&id.0)
                 .ok_or_else(|| ServiceError::Rejected {
                     reason: format!("unknown session {id}"),
                 })?;
-        // Blocking send: a busy writer drains its queue first, a dead
-        // one has dropped the receiver (send fails, which is fine).
-        let _ = entry.handle.tx.send(Envelope::close());
-        if let Some(join) = entry.join.take() {
-            let _ = join.join();
-        }
-        Ok(entry.handle.report())
+        handle.shared.request_close();
+        handle.wait_for(|s| !s.is_serving(), Duration::MAX);
+        Ok(handle.report())
     }
 
     /// Closes every session (see [`SessionManager::close`]) and returns
@@ -192,8 +150,7 @@ impl SessionManager {
     /// Autopsies of every open session, ordered by session id.
     pub fn reports(&self) -> Vec<SessionReport> {
         let inner = lock(&self.inner);
-        let mut reports: Vec<SessionReport> =
-            inner.sessions.values().map(|e| e.handle.report()).collect();
+        let mut reports: Vec<SessionReport> = inner.sessions.values().map(|h| h.report()).collect();
         reports.sort_by_key(|r| r.session);
         reports
     }
@@ -201,13 +158,10 @@ impl SessionManager {
 
 impl Drop for SessionManager {
     fn drop(&mut self) {
-        // Best-effort close; never block in Drop (a caller-held handle
-        // clone with a full mailbox could otherwise pin us forever).
-        // Writers whose Close did not fit exit anyway once the last
-        // handle drops and their mailbox disconnects.
-        let inner = lock(&self.inner);
-        for entry in inner.sessions.values() {
-            let _ = entry.handle.tx.try_send(Envelope::close());
+        // Close every session without waiting: a client closure running
+        // in an actor could otherwise pin us forever.
+        for handle in lock(&self.inner).sessions.values() {
+            handle.shared.request_close();
         }
     }
 }

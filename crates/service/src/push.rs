@@ -195,8 +195,9 @@ struct SubEntry {
 
 /// Writer-side state of a session's subscriptions: the [`ViewRegistry`]
 /// attached to the session's engine plus one [`SubEntry`] per live
-/// subscription. Owned by the supervisor thread; nothing here is shared
-/// except the per-subscription slots.
+/// subscription. Owned by the session's actor; nothing here is shared
+/// except the per-subscription slots. Dropping it (session closed or
+/// failed) closes every subscription channel.
 pub(crate) struct ViewFanout {
     registry: ViewRegistry,
     subs: Vec<SubEntry>,
@@ -232,7 +233,7 @@ impl ViewFanout {
     }
 
     /// Registers `query` as a maintained view and returns the client end.
-    /// Runs on the writer thread (quota and registration are naturally
+    /// Runs in the session's actor (quota and registration are naturally
     /// serialized with publications).
     pub(crate) fn subscribe(
         &mut self,
@@ -297,17 +298,17 @@ impl ViewFanout {
         }
     }
 
-    /// Closes every subscription channel (session close or terminal
-    /// failure): blocked consumers wake with [`RecvError::Closed`].
-    pub(crate) fn close_all(&mut self) {
-        for entry in &self.subs {
-            entry.slot.close();
-        }
-        self.prune();
-    }
-
     /// The registry's maintenance counters for this session.
     pub(crate) fn report(&self) -> qtask_views::ViewReport {
         self.registry.report()
+    }
+}
+
+impl Drop for ViewFanout {
+    /// Blocked consumers wake with [`RecvError::Closed`].
+    fn drop(&mut self) {
+        for entry in &self.subs {
+            entry.slot.close();
+        }
     }
 }

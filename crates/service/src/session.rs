@@ -1,24 +1,30 @@
-//! One supervised session: a writer task owning a [`Ckt`], its bounded
+//! One supervised session: an actor owning a [`Ckt`], its bounded
 //! mailbox, and the watchdog that heals it.
 //!
-//! The writer runs on a dedicated supervisor thread inside
+//! A session owns no thread. Its mailbox is a bounded queue plus a
+//! `scheduled` flag: the submitter that flips the flag from false to true
+//! hands the actor to the shared pool ([`Executor::spawn`]), and the
+//! worker that picks it up serves requests one at a time until the
+//! queue is empty, then clears the flag. Each request is served inside
 //! `catch_unwind`. A poisoned engine or a panicked request quarantines
-//! the session; the supervisor then runs [`Ckt::recover`] under a
-//! circuit breaker (consecutive failures within a window trip the
-//! session to terminal `Failed`). Throughout quarantine and recovery,
-//! [`SessionHandle::snapshot`] keeps serving the last *published*
-//! [`StateSnapshot`] — reads degrade to staleness, never to torn data
-//! or a wedge.
+//! the session, and the same worker runs [`Ckt::recover`] back to back
+//! under a circuit breaker (consecutive failures within a window trip
+//! the session to terminal `Failed`). Throughout quarantine and
+//! recovery, [`SessionHandle::snapshot`] keeps serving the last
+//! *published* [`StateSnapshot`] — reads degrade to staleness, never to
+//! torn data or a wedge.
 
 use crate::backoff::BackoffSchedule;
 use crate::push::{Subscription, ViewFanout};
 use crate::{ServiceConfig, ServiceError};
 use qtask_circuit::{Circuit, CircuitError};
 use qtask_core::{Ckt, EditReceipt, EditTxn, StateSnapshot};
+use qtask_taskflow::Executor;
 use qtask_views::{ViewQuery, ViewReport};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
@@ -44,7 +50,7 @@ pub enum SessionState {
     Admitted,
     /// Serving, never quarantined.
     Active,
-    /// The writer panicked or its engine poisoned itself; the watchdog
+    /// A request panicked or the engine poisoned itself; the watchdog
     /// is running recovery. Edits queue (or shed); reads serve the last
     /// published snapshot.
     Quarantined,
@@ -109,10 +115,10 @@ pub struct SessionReport {
     pub last_error: Option<String>,
     /// Version of the last published snapshot.
     pub last_version: u64,
-    /// The failed writer's final trace events (rendered, oldest first),
-    /// captured from its thread-local ring buffer at quarantine. Empty
-    /// unless the `obs` feature is enabled and the session was
-    /// quarantined at least once.
+    /// The final trace events of the worker that ran the failing request
+    /// (rendered, oldest first), captured from its thread-local ring
+    /// buffer at quarantine. Empty unless the `obs` feature is enabled
+    /// and the session was quarantined at least once.
     pub recent_trace: Vec<String>,
 }
 
@@ -140,7 +146,6 @@ struct Stats {
     timeouts: AtomicU64,
     recoveries: AtomicU64,
     recovery_failures: AtomicU64,
-    breaker_tripped: AtomicBool,
 }
 
 /// Per-session handles into the global `qtask-obs` registry, labeled
@@ -179,25 +184,61 @@ impl SessionMetrics {
     }
 }
 
-/// State shared between the supervisor thread and every handle clone.
+/// The actor's mailbox.
+#[derive(Default)]
+struct Mailbox {
+    /// Requests with the time each was queued, to price queueing delay.
+    queue: VecDeque<(Request, Instant)>,
+    /// The actor is on the pool or running; whoever sets it spawns it.
+    scheduled: bool,
+    /// Close requested: no request is queued any more, and the actor
+    /// closes the session once the queue is empty.
+    closing: bool,
+}
+
+/// The engine and its views: what the actor serves requests with.
+pub(crate) struct Writer {
+    pub(crate) ckt: Ckt,
+    /// View subscriptions: the registry attached to `ckt` plus the push
+    /// slot of each live subscriber.
+    pub(crate) views: ViewFanout,
+}
+
+/// One session: the actor's state, shared by every handle clone and by
+/// the actor while it is scheduled.
 pub(crate) struct Shared {
     id: SessionId,
+    cfg: Arc<ServiceConfig>,
+    executor: Arc<Executor>,
     state: Mutex<SessionState>,
     state_cv: Condvar,
     /// The last published snapshot — the degraded-read surface. Written
-    /// only by the supervisor thread; read by any number of clients.
+    /// only by the actor; read by any number of clients.
     latest: RwLock<Option<StateSnapshot>>,
     inflight: AtomicUsize,
     stats: Stats,
     metrics: SessionMetrics,
     last_error: Mutex<Option<String>>,
     recent_trace: Mutex<Vec<String>>,
+    mailbox: Mutex<Mailbox>,
+    /// Locked only by the running actor; `None` once the session is
+    /// `Closed` or `Failed` (dropping it closes every subscription).
+    writer: Mutex<Option<Writer>>,
 }
 
 impl Shared {
-    pub(crate) fn new(id: SessionId) -> Shared {
-        Shared {
+    /// A session serving `writer`, with its actor scheduled to publish
+    /// the baseline snapshot.
+    pub(crate) fn open(
+        id: SessionId,
+        writer: Writer,
+        cfg: &Arc<ServiceConfig>,
+        executor: &Arc<Executor>,
+    ) -> Arc<Shared> {
+        let shared = Arc::new(Shared {
             id,
+            cfg: Arc::clone(cfg),
+            executor: Arc::clone(executor),
             state: Mutex::new(SessionState::Admitted),
             state_cv: Condvar::new(),
             latest: RwLock::new(None),
@@ -206,6 +247,121 @@ impl Shared {
             metrics: SessionMetrics::new(id),
             last_error: Mutex::new(None),
             recent_trace: Mutex::new(Vec::new()),
+            mailbox: Mutex::new(Mailbox::default()),
+            writer: Mutex::new(Some(writer)),
+        });
+        shared.schedule(lock(&shared.mailbox));
+        shared
+    }
+
+    /// Spawns the actor unless it is already scheduled.
+    fn schedule(self: &Arc<Self>, mut mailbox: MutexGuard<'_, Mailbox>) {
+        if !std::mem::replace(&mut mailbox.scheduled, true) {
+            drop(mailbox);
+            let actor = Arc::clone(self);
+            self.executor.spawn(Box::new(move || actor.run()));
+        }
+    }
+
+    /// Queues `req` for the actor. A full mailbox hands it back as
+    /// `Full`; a closing or terminal session as `Disconnected`.
+    fn try_send(self: &Arc<Self>, req: Request) -> Result<(), TrySendError<Request>> {
+        let mut mailbox = lock(&self.mailbox);
+        if mailbox.closing || !self.state().is_serving() {
+            return Err(TrySendError::Disconnected(req));
+        }
+        if mailbox.queue.len() >= self.cfg.mailbox_capacity {
+            return Err(TrySendError::Full(req));
+        }
+        mailbox.queue.push_back((req, Instant::now()));
+        self.note_enqueued();
+        self.schedule(mailbox);
+        Ok(())
+    }
+
+    /// Marks the session closing and schedules the actor, which serves
+    /// what is already queued and then closes. Does not wait.
+    pub(crate) fn request_close(self: &Arc<Self>) {
+        let mut mailbox = lock(&self.mailbox);
+        mailbox.closing = true;
+        self.schedule(mailbox);
+    }
+
+    /// The actor: serves queued requests until the mailbox is empty,
+    /// then clears `scheduled` — or, when closing, closes the session
+    /// and leaves the flag set for good. Runs on a pool worker.
+    fn run(&self) {
+        let mut writer = lock(&self.writer);
+        if self.state() == SessionState::Admitted {
+            // Baseline publish: leave `Admitted` only once readers have
+            // a consistent |0…0⟩ snapshot to degrade to. A config broken
+            // at birth (e.g. an impossible norm tolerance) goes straight
+            // into the quarantine → breaker path instead.
+            let w = writer.as_mut().expect("an admitted session has its engine");
+            match w.ckt.try_snapshot() {
+                Ok(snap) => {
+                    self.publish(snap);
+                    self.set_state(SessionState::Active);
+                }
+                Err(e) => self.quarantine(&mut writer, e.to_string()),
+            }
+        }
+        loop {
+            let (req, queued_at) = {
+                let mut mailbox = lock(&self.mailbox);
+                match mailbox.queue.pop_front() {
+                    Some(next) => next,
+                    None if mailbox.closing => break,
+                    None => {
+                        mailbox.scheduled = false;
+                        return;
+                    }
+                }
+            };
+            self.note_dequeued(queued_at.elapsed());
+            match writer.as_mut() {
+                Some(w) => {
+                    if let Err(reason) = w.serve(self, req) {
+                        self.quarantine(&mut writer, reason);
+                    }
+                }
+                // Breaker tripped: everything still queued gets the
+                // terminal error.
+                None => req.refuse(self.terminal_error()),
+            }
+        }
+        if writer.take().is_some() {
+            self.set_state(SessionState::Closed);
+        }
+    }
+
+    /// A request or the baseline killed the writer: quarantine, then
+    /// heal. When the breaker trips, mark terminal `Failed` and drop the
+    /// engine; the actor's loop then answers everything still queued
+    /// with [`ServiceError::SessionFailed`].
+    fn quarantine(&self, writer: &mut Option<Writer>, reason: String) {
+        // The failure happened on this very worker: its last trace
+        // events are still in this thread's ring. Attach them to the
+        // autopsy before recovery overwrites the ring.
+        self.capture_recent_trace();
+        qtask_obs::event!("session/quarantine");
+        self.note_error(reason);
+        self.set_state(SessionState::Quarantined);
+        let w = writer.as_mut().expect("a serving session has its engine");
+        if w.heal(self) {
+            return;
+        }
+        qtask_obs::counter!("service.breaker_tripped").inc();
+        qtask_obs::event!("session/breaker_trip");
+        *writer = None;
+        self.set_state(SessionState::Failed);
+    }
+
+    /// A terminal-state error matching the session's current state.
+    fn terminal_error(&self) -> ServiceError {
+        match self.state() {
+            SessionState::Failed => ServiceError::SessionFailed { session: self.id },
+            _ => ServiceError::SessionClosed { session: self.id },
         }
     }
 
@@ -216,15 +372,6 @@ impl Shared {
     fn set_state(&self, s: SessionState) {
         *lock(&self.state) = s;
         self.state_cv.notify_all();
-    }
-
-    fn wait_state(&self, pred: impl Fn(SessionState) -> bool, timeout: Duration) -> SessionState {
-        let guard = lock(&self.state);
-        let (guard, _timed_out) = self
-            .state_cv
-            .wait_timeout_while(guard, timeout, |s| !pred(*s))
-            .unwrap_or_else(|e| e.into_inner());
-        *guard
     }
 
     fn publish(&self, snap: StateSnapshot) {
@@ -306,9 +453,9 @@ impl Shared {
     }
 
     /// Captures the current thread's last trace events into the autopsy.
-    /// Called by the supervisor right after its writer loop died — the
-    /// supervisor thread *is* the writer thread, so its thread-local
-    /// ring holds the failure's immediate history. No-op without `obs`.
+    /// Called by the actor right after a request killed the writer, on
+    /// the worker that ran the request, so its thread-local ring holds
+    /// the failure's immediate history. No-op without `obs`.
     fn capture_recent_trace(&self) {
         #[cfg(feature = "obs")]
         {
@@ -321,16 +468,17 @@ impl Shared {
     }
 
     fn report(&self) -> SessionReport {
+        let state = self.state();
         SessionReport {
             session: self.id,
-            state: self.state(),
+            state,
             edits_ok: self.stats.edits_ok.load(Ordering::Relaxed),
             edits_failed: self.stats.edits_failed.load(Ordering::Relaxed),
             shed: self.stats.shed.load(Ordering::Relaxed),
             timeouts: self.stats.timeouts.load(Ordering::Relaxed),
             recoveries: self.stats.recoveries.load(Ordering::Relaxed),
             recovery_failures: self.stats.recovery_failures.load(Ordering::Relaxed),
-            breaker_tripped: self.stats.breaker_tripped.load(Ordering::Relaxed),
+            breaker_tripped: state == SessionState::Failed,
             last_error: lock(&self.last_error).clone(),
             last_version: self.version(),
             recent_trace: lock(&self.recent_trace).clone(),
@@ -340,33 +488,37 @@ impl Shared {
 
 type EditFn = Box<dyn FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send>;
 
-pub(crate) enum Request {
+/// A request's reply channel. Capacity 1: the actor's send never
+/// blocks, even when the caller has already timed out and dropped the
+/// receiver.
+type Reply<T> = SyncSender<Result<T, ServiceError>>;
+
+/// Sends `result`; a caller that gave up has dropped its receiver, and
+/// the failed send is then ignored.
+fn answer<T>(reply: Reply<T>, result: Result<T, ServiceError>) {
+    let _ = reply.send(result);
+}
+
+enum Request {
     Edit {
         op: EditFn,
-        reply: SyncSender<Result<EditOutcome, ServiceError>>,
+        reply: Reply<EditOutcome>,
     },
     /// Barrier: replies with the current version once every earlier
     /// request has been processed.
-    Sync {
-        reply: SyncSender<u64>,
-    },
+    Sync { reply: Reply<u64> },
     /// Clone of the session's circuit (for oracles/resims) plus the
     /// version it corresponds to.
-    Inspect {
-        reply: SyncSender<(Circuit, u64)>,
-    },
-    /// Register an incremental view subscription on the writer's
-    /// registry (quota-checked and primed on the writer thread, so it
+    Inspect { reply: Reply<(Circuit, u64)> },
+    /// Register an incremental view subscription on the actor's
+    /// registry (quota-checked and primed by the actor, so it
     /// serializes naturally with publications).
     Subscribe {
         query: ViewQuery,
-        reply: SyncSender<Result<Subscription, ServiceError>>,
+        reply: Reply<Subscription>,
     },
     /// The session's view-maintenance counters.
-    ViewReport {
-        reply: SyncSender<ViewReport>,
-    },
-    Close,
+    ViewReport { reply: Reply<ViewReport> },
 }
 
 impl Request {
@@ -382,31 +534,18 @@ impl Request {
             Request::Inspect { .. } => "session/inspect",
             Request::Subscribe { .. } => "session/subscribe",
             Request::ViewReport { .. } => "session/view_report",
-            Request::Close => "session/close",
-        }
-    }
-}
-
-/// What actually travels through the mailbox: the request plus its
-/// enqueue timestamp, so the writer can price enqueue→execute queueing
-/// delay. Lifecycle `Close` messages (manager close/drop) skip the
-/// depth/delay accounting — only client requests do backpressure.
-pub(crate) struct Envelope {
-    pub(crate) req: Request,
-    enqueued_at: Instant,
-}
-
-impl Envelope {
-    fn new(req: Request) -> Envelope {
-        Envelope {
-            req,
-            enqueued_at: Instant::now(),
         }
     }
 
-    /// A lifecycle close message (not counted as queue load).
-    pub(crate) fn close() -> Envelope {
-        Envelope::new(Request::Close)
+    /// Answers the request with `err` instead of serving it.
+    fn refuse(self, err: ServiceError) {
+        match self {
+            Request::Edit { reply, .. } => answer(reply, Err(err)),
+            Request::Sync { reply } => answer(reply, Err(err)),
+            Request::Inspect { reply } => answer(reply, Err(err)),
+            Request::Subscribe { reply, .. } => answer(reply, Err(err)),
+            Request::ViewReport { reply } => answer(reply, Err(err)),
+        }
     }
 }
 
@@ -435,13 +574,11 @@ impl Drop for QuotaGuard<'_> {
 }
 
 /// Client handle to one session. Cheap to clone; every clone talks to
-/// the same supervised writer. Dropping all handles (manager's
-/// included) closes the session.
+/// the same supervised actor. Dropping all handles (manager's included)
+/// drops the session's engine and closes its subscriptions.
 #[derive(Clone)]
 pub struct SessionHandle {
-    pub(crate) tx: SyncSender<Envelope>,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) cfg: Arc<ServiceConfig>,
 }
 
 impl std::fmt::Debug for SessionHandle {
@@ -468,7 +605,13 @@ impl SessionHandle {
     /// Blocks until `pred` holds for the session state (or `timeout`
     /// elapses) and returns the state observed last.
     pub fn wait_for(&self, pred: impl Fn(SessionState) -> bool, timeout: Duration) -> SessionState {
-        self.shared.wait_state(pred, timeout)
+        let state = lock(&self.shared.state);
+        let (state, _timed_out) = self
+            .shared
+            .state_cv
+            .wait_timeout_while(state, timeout, |s| !pred(*s))
+            .unwrap_or_else(|e| e.into_inner());
+        *state
     }
 
     /// The last published [`StateSnapshot`] — the degraded-read path.
@@ -495,7 +638,7 @@ impl SessionHandle {
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
     {
-        self.edit_with_deadline(f, self.cfg.default_deadline, self.shared.id.0)
+        self.edit_with_deadline(f, self.shared.cfg.default_deadline, self.shared.id.0)
     }
 
     /// Submits a transactional edit, bounded by `deadline` end to end
@@ -519,7 +662,7 @@ impl SessionHandle {
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
     {
-        let _quota = QuotaGuard::acquire(&self.shared, self.cfg.inflight_quota)?;
+        let _quota = QuotaGuard::acquire(&self.shared, self.shared.cfg.inflight_quota)?;
         self.call(
             |reply| Request::Edit {
                 op: Box::new(f),
@@ -527,27 +670,19 @@ impl SessionHandle {
             },
             deadline,
             seed,
-        )?
+        )
     }
 
     /// Waits until the writer has processed every request submitted
     /// before this call; returns the then-current version.
     pub fn sync(&self) -> Result<u64, ServiceError> {
-        self.call(
-            |reply| Request::Sync { reply },
-            self.cfg.default_deadline,
-            self.shared.id.0,
-        )
+        self.ask(|reply| Request::Sync { reply })
     }
 
     /// A clone of the session's circuit and the version it corresponds
     /// to — the resimulation oracle for consistency checks.
     pub fn circuit(&self) -> Result<(Circuit, u64), ServiceError> {
-        self.call(
-            |reply| Request::Inspect { reply },
-            self.cfg.default_deadline,
-            self.shared.id.0,
-        )
+        self.ask(|reply| Request::Inspect { reply })
     }
 
     /// Subscribes to `query` as an incrementally maintained view: the
@@ -562,87 +697,60 @@ impl SessionHandle {
     /// [`ServiceConfig::view_quota`] is exhausted (dropping a
     /// [`Subscription`] frees its slot at the writer's next publication).
     pub fn subscribe(&self, query: ViewQuery) -> Result<Subscription, ServiceError> {
-        self.call(
-            |reply| Request::Subscribe { query, reply },
-            self.cfg.default_deadline,
-            self.shared.id.0,
-        )?
+        self.ask(|reply| Request::Subscribe { query, reply })
     }
 
     /// The session's view-maintenance counters ([`ViewReport`]): patches
     /// vs full refreshes, blocks repatched vs rescanned.
     pub fn view_report(&self) -> Result<ViewReport, ServiceError> {
-        self.call(
-            |reply| Request::ViewReport { reply },
-            self.cfg.default_deadline,
-            self.shared.id.0,
-        )
+        self.ask(|reply| Request::ViewReport { reply })
     }
 
-    /// A terminal-state error matching the session's current state.
-    fn terminal_error(&self) -> ServiceError {
-        match self.shared.state() {
-            SessionState::Failed => ServiceError::SessionFailed {
-                session: self.shared.id,
-            },
-            _ => ServiceError::SessionClosed {
-                session: self.shared.id,
-            },
-        }
+    /// [`SessionHandle::call`] with the default deadline and seed.
+    fn ask<T>(&self, make: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServiceError> {
+        self.call(make, self.shared.cfg.default_deadline, self.shared.id.0)
     }
 
     /// Shared submit mechanics: admission by state, probe, bounded
     /// enqueue with seeded backoff, reply wait bounded by the deadline.
     fn call<T>(
         &self,
-        make: impl FnOnce(SyncSender<T>) -> Request,
+        make: impl FnOnce(Reply<T>) -> Request,
         deadline: Duration,
         seed: u64,
     ) -> Result<T, ServiceError> {
-        let state = self.shared.state();
-        if !state.is_serving() {
-            return Err(self.terminal_error());
+        if !self.shared.state().is_serving() {
+            return Err(self.shared.terminal_error());
         }
         qtask_faults::fault_point_err!(
             "service/enqueue",
             ServiceError::injected("service/enqueue")
         );
         let start = Instant::now();
-        // Reply capacity 1: the writer's send never blocks, even when
-        // the caller has already timed out and dropped the receiver.
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        let mut env = Envelope::new(make(reply_tx));
-        let mut backoff = BackoffSchedule::new(&self.cfg.retry, seed, deadline);
+        let mut req = make(reply_tx);
+        let mut backoff = BackoffSchedule::new(&self.shared.cfg.retry, seed, deadline);
         loop {
-            match self.tx.try_send(env) {
-                Ok(()) => {
-                    self.shared.note_enqueued();
-                    break;
-                }
+            match self.shared.try_send(req) {
+                Ok(()) => break,
                 Err(TrySendError::Full(r)) => {
-                    match backoff.next() {
-                        Some(delay) => {
-                            self.shared.note_backoff_sleep();
-                            std::thread::sleep(delay);
-                        }
-                        None => {
-                            self.shared.note_shed();
-                            return Err(ServiceError::Overloaded {
-                                session: self.shared.id,
-                                mailbox: self.cfg.mailbox_capacity,
-                            });
-                        }
-                    }
-                    // Re-stamp: queueing delay is measured from the
-                    // send that actually succeeds.
-                    env = Envelope::new(r.req);
+                    let Some(delay) = backoff.next() else {
+                        self.shared.note_shed();
+                        return Err(ServiceError::Overloaded {
+                            session: self.shared.id,
+                            mailbox: self.shared.cfg.mailbox_capacity,
+                        });
+                    };
+                    self.shared.note_backoff_sleep();
+                    std::thread::sleep(delay);
+                    req = r;
                 }
-                Err(TrySendError::Disconnected(_)) => return Err(self.terminal_error()),
+                Err(TrySendError::Disconnected(_)) => return Err(self.shared.terminal_error()),
             }
         }
         let remaining = deadline.saturating_sub(start.elapsed());
         match reply_rx.recv_timeout(remaining) {
-            Ok(value) => Ok(value),
+            Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
                 self.shared.note_timeout();
                 Err(ServiceError::Timeout {
@@ -650,7 +758,7 @@ impl SessionHandle {
                     waited: start.elapsed(),
                 })
             }
-            // The writer dropped the request without replying: it died
+            // The actor dropped the request without replying: it died
             // mid-request and the watchdog took over.
             Err(RecvTimeoutError::Disconnected) => Err(ServiceError::SessionPoisoned {
                 session: self.shared.id,
@@ -662,163 +770,101 @@ impl SessionHandle {
     }
 }
 
-/// Why the writer loop returned.
-enum LoopExit {
-    /// Close requested, or every handle was dropped.
-    Closed,
-    /// The engine poisoned itself; quarantine and recover.
-    Poisoned(String),
-}
-
-/// The supervisor owning one session's engine and mailbox; runs on a
-/// dedicated thread ([`crate::SessionManager::open`] spawns it).
-pub(crate) struct Supervisor {
-    pub(crate) ckt: Ckt,
-    pub(crate) rx: Receiver<Envelope>,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) cfg: Arc<ServiceConfig>,
-    /// View subscriptions: the registry attached to `ckt` plus the push
-    /// slot of each live subscriber.
-    pub(crate) views: ViewFanout,
-}
-
-impl Supervisor {
-    pub(crate) fn run(mut self) {
-        // Baseline publish: leave `Admitted` only once readers have a
-        // consistent |0…0⟩ snapshot to degrade to. A config broken at
-        // birth (e.g. an impossible norm tolerance) goes straight into
-        // the quarantine → breaker path instead.
-        match self.ckt.try_snapshot() {
-            Ok(snap) => {
-                self.shared.publish(snap);
-                self.shared.set_state(SessionState::Active);
-            }
-            Err(e) => {
-                self.shared.note_error(e.to_string());
-                self.shared.set_state(SessionState::Quarantined);
-                if !self.heal() {
-                    self.fail_and_drain();
-                    return;
+impl Writer {
+    /// Serves one request inside `catch_unwind`. `Err` carries why the
+    /// writer died — a panic anywhere here (injected fault, panicking
+    /// client closure, engine bug) or a poisoned engine — and the actor
+    /// quarantines. A panic drops the request unanswered: its caller
+    /// observes [`ServiceError::SessionPoisoned`].
+    fn serve(&mut self, shared: &Shared, req: Request) -> Result<(), String> {
+        let _req_span = qtask_obs::span!(req.span_name());
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            qtask_faults::fault_point!("service/writer");
+            match req {
+                Request::Sync { reply } => answer(reply, Ok(shared.version())),
+                Request::Inspect { reply } => {
+                    answer(reply, Ok((self.ckt.circuit().clone(), shared.version())))
                 }
-            }
-        }
-        loop {
-            let exit = catch_unwind(AssertUnwindSafe(|| {
-                writer_loop(&mut self.ckt, &self.rx, &self.shared, &mut self.views)
-            }));
-            let reason = match exit {
-                Ok(LoopExit::Closed) => {
-                    self.views.close_all();
-                    self.shared.set_state(SessionState::Closed);
-                    return;
+                Request::Subscribe { query, reply } => {
+                    answer(reply, self.views.subscribe(&self.ckt, shared.id, query))
                 }
-                Ok(LoopExit::Poisoned(reason)) => reason,
-                Err(payload) => panic_text(payload.as_ref()),
-            };
-            // The writer just died on this very thread: its last trace
-            // events are still in this thread's ring. Attach them to
-            // the autopsy before recovery overwrites the ring.
-            self.shared.capture_recent_trace();
-            qtask_obs::event!("session/quarantine");
-            self.shared.note_error(reason);
-            self.shared.set_state(SessionState::Quarantined);
-            if !self.heal() {
-                self.fail_and_drain();
-                return;
+                Request::ViewReport { reply } => answer(reply, Ok(self.views.report())),
+                Request::Edit { op, reply } => match apply_edit(&mut self.ckt, op, shared) {
+                    Ok(outcome) => {
+                        shared.note_edit_ok();
+                        // The publish inside apply_edit already patched
+                        // every registered view (registry is an engine
+                        // observer); deliver the fresh readings before
+                        // taking the next request.
+                        self.views.push_all();
+                        answer(reply, Ok(outcome));
+                    }
+                    Err(e) => {
+                        shared.note_edit_failed();
+                        if self.ckt.is_poisoned() {
+                            let reason = self.ckt.poison_reason().unwrap_or("engine poisoned");
+                            let reason = reason.to_string();
+                            answer(
+                                reply,
+                                Err(ServiceError::SessionPoisoned {
+                                    session: shared.id,
+                                    reason: reason.clone(),
+                                }),
+                            );
+                            return Err(reason);
+                        }
+                        answer(reply, Err(e));
+                    }
+                },
             }
-        }
+            Ok(())
+        }));
+        served.unwrap_or_else(|payload| Err(panic_text(payload.as_ref())))
     }
 
-    /// Watchdog: recover the engine under the circuit breaker. Returns
-    /// false when the breaker trips ([`ServiceConfig::breaker_threshold`]
+    /// Watchdog: recover the engine under the circuit breaker, attempt
+    /// after attempt — [`Ckt::recover`] is a deterministic rebuild, so
+    /// waiting between attempts would change nothing. Returns false when
+    /// the breaker trips ([`ServiceConfig::breaker_threshold`]
     /// consecutive failures within [`ServiceConfig::breaker_window`]).
-    fn heal(&mut self) -> bool {
+    fn heal(&mut self, shared: &Shared) -> bool {
         let _heal_span = qtask_obs::span!("session/heal");
         let mut failures = 0u32;
         let mut window_start = Instant::now();
-        let mut backoff = BackoffSchedule::new(
-            &self.cfg.retry,
-            self.shared.id.0 ^ self.shared.stats.recoveries.load(Ordering::Relaxed),
-            self.cfg.breaker_window,
-        );
         loop {
             match attempt_recovery(&mut self.ckt) {
                 Ok(()) => {
-                    self.shared.note_recovery();
+                    shared.note_recovery();
                     if let Some(snap) = self.ckt.latest_snapshot() {
-                        self.shared.publish(snap);
+                        shared.publish(snap);
                     }
                     // recover() carried the view registry across and
                     // full-refreshed every view from the republished
                     // snapshot; subscribers get the healed values now.
                     self.views.push_all();
-                    self.shared.set_state(SessionState::Recovered);
+                    shared.set_state(SessionState::Recovered);
                     return true;
                 }
                 Err(e) => {
-                    self.shared.note_recovery_failure();
-                    self.shared.note_error(e.to_string());
-                    if window_start.elapsed() > self.cfg.breaker_window {
+                    shared.note_recovery_failure();
+                    shared.note_error(e.to_string());
+                    if window_start.elapsed() > shared.cfg.breaker_window {
                         failures = 0;
                         window_start = Instant::now();
                     }
                     failures += 1;
-                    if failures >= self.cfg.breaker_threshold {
+                    if failures >= shared.cfg.breaker_threshold {
                         return false;
                     }
-                    if let Some(delay) = backoff.next() {
-                        std::thread::sleep(delay);
-                    }
                 }
             }
         }
-    }
-
-    /// Breaker tripped: mark terminal `Failed`, answer everything still
-    /// queued with [`ServiceError::SessionFailed`], and exit (dropping
-    /// the mailbox, so later submissions see a disconnect and map it to
-    /// the same typed error).
-    fn fail_and_drain(&mut self) {
-        self.shared
-            .stats
-            .breaker_tripped
-            .store(true, Ordering::Relaxed);
-        qtask_obs::counter!("service.breaker_tripped").inc();
-        qtask_obs::event!("session/breaker_trip");
-        self.views.close_all();
-        self.shared.set_state(SessionState::Failed);
-        let failed = ServiceError::SessionFailed {
-            session: self.shared.id,
-        };
-        for env in self.rx.try_iter() {
-            if !matches!(env.req, Request::Close) {
-                self.shared.note_dequeued(env.enqueued_at.elapsed());
-            }
-            match env.req {
-                Request::Edit { reply, .. } => {
-                    let _ = reply.send(Err(failed.clone()));
-                }
-                Request::Subscribe { reply, .. } => {
-                    let _ = reply.send(Err(failed.clone()));
-                }
-                // Sync/Inspect/ViewReport replies are dropped: their
-                // callers get a disconnect, mapped to the session's
-                // terminal state.
-                Request::Sync { .. }
-                | Request::Inspect { .. }
-                | Request::ViewReport { .. }
-                | Request::Close => {}
-            }
-        }
-        // Requests that never get consumed (the mailbox dies with this
-        // thread) must not leave the depth gauge dangling.
-        self.shared.metrics.mailbox_depth.set(0);
     }
 }
 
 /// One recovery attempt, panic-contained: an unwind out of the recovery
 /// path itself (probe or rebuild) must count as a *failed attempt* for
-/// the breaker, never kill the supervisor thread.
+/// the breaker, never end the actor.
 fn attempt_recovery(ckt: &mut Ckt) -> Result<(), ServiceError> {
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), ServiceError> {
         qtask_faults::fault_point_err!(
@@ -835,69 +881,6 @@ fn attempt_recovery(ckt: &mut Ckt) -> Result<(), ServiceError> {
                 reason: panic_text(payload.as_ref()),
             },
         )),
-    }
-}
-
-/// The writer: drains the mailbox, applying edits and publishing
-/// snapshots, until close/disconnect or poisoning. Runs inside the
-/// supervisor's `catch_unwind`; a panic anywhere here (injected fault,
-/// panicking client closure, engine bug) drops the in-flight request —
-/// its caller observes [`ServiceError::SessionPoisoned`] — and routes to
-/// the quarantine path.
-fn writer_loop(
-    ckt: &mut Ckt,
-    rx: &Receiver<Envelope>,
-    shared: &Shared,
-    views: &mut ViewFanout,
-) -> LoopExit {
-    loop {
-        let env = match rx.recv() {
-            Ok(r) => r,
-            Err(_) => return LoopExit::Closed,
-        };
-        if !matches!(env.req, Request::Close) {
-            shared.note_dequeued(env.enqueued_at.elapsed());
-        }
-        let _req_span = qtask_obs::span!(env.req.span_name());
-        qtask_faults::fault_point!("service/writer");
-        match env.req {
-            Request::Close => return LoopExit::Closed,
-            Request::Sync { reply } => {
-                let _ = reply.send(shared.version());
-            }
-            Request::Inspect { reply } => {
-                let _ = reply.send((ckt.circuit().clone(), shared.version()));
-            }
-            Request::Subscribe { query, reply } => {
-                let _ = reply.send(views.subscribe(ckt, shared.id, query));
-            }
-            Request::ViewReport { reply } => {
-                let _ = reply.send(views.report());
-            }
-            Request::Edit { op, reply } => match apply_edit(ckt, op, shared) {
-                Ok(outcome) => {
-                    shared.note_edit_ok();
-                    // The publish inside apply_edit already patched every
-                    // registered view (registry is an engine observer);
-                    // deliver the fresh readings before taking the next
-                    // request.
-                    views.push_all();
-                    let _ = reply.send(Ok(outcome));
-                }
-                Err(e) => {
-                    shared.note_edit_failed();
-                    if ckt.is_poisoned() {
-                        let reason = ckt.poison_reason().unwrap_or("engine poisoned").to_string();
-                        let _ = reply.send(Err(ServiceError::SessionPoisoned {
-                            session: shared.id,
-                            reason: reason.clone(),
-                        }));
-                        return LoopExit::Poisoned(reason);
-                    }
-                    let _ = reply.send(Err(e));
-                }
-            },
-        }
     }
 }
 

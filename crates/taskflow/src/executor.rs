@@ -15,12 +15,24 @@
 //! Taskflow's `corun`): it keeps one ready job and publishes only the
 //! surplus, and when it completes a node it keeps the first successor
 //! that node released. Once its chain runs dry it takes jobs from the
-//! injector — its own run's or another caller's — and it parks on the
-//! run's done gate only when the injector is empty. A run whose ready set
-//! is never wider than one job therefore executes entirely on the caller:
-//! it touches no queue, wakes no worker and never parks. Workers and
-//! callers share one `execute` body; they differ only in where released
-//! successors go.
+//! injector — its own run's or another caller's. A caller on a worker (a
+//! spawned job's run) is one of the pool's threads: it then steals from
+//! the workers' deques and parks with the workers, so that the jobs they
+//! release wake it too. Any other caller sleeps until its run ends.
+//! A run whose ready set is never wider than one job therefore executes
+//! entirely on the caller: it touches no queue, wakes no worker and
+//! never parks. Workers and callers share one `execute` body; they
+//! differ only in where released successors go.
+//!
+//! # Spawned jobs
+//!
+//! [`Executor::spawn`] queues a boxed `FnOnce` (a service session's
+//! actor) that only workers pop, and only when no run job is ready: a
+//! caller in `drain` never takes one, so one session's `update_state`
+//! never runs another session's actor on its stack. A spawned job that
+//! calls a run helps drain it like any caller. A worker running a
+//! spawned job that blocks (an actor inside a slow client closure) is
+//! lost to the pool until the job returns.
 //!
 //! # Safety model
 //!
@@ -41,13 +53,13 @@
 //!    released successor as a root and run or publish it a second time.
 //!    Every job is created exactly once — as a collected root, or by the
 //!    `join` decrement that releases it — and consumed exactly once.
-//! 3. **Liveness** — the caller keeps the pool alive until the done-gate
-//!    flag is set, and the flag is set only after the final `pending`
-//!    decrement; every job is consumed exactly once before that
+//! 3. **Liveness** — the caller keeps the pool alive until `pending`
+//!    reaches zero; every job is consumed exactly once before the final
 //!    decrement, so no thread dereferences a node after the run is over.
-//!    The done gate itself is a separate `Arc` cloned *before* the final
-//!    decrement's signal. The same holds for a job of *another* caller's
-//!    run that a caller picks up from the injector: that run's caller is
+//!    That decrement is the last access to the run: the wake-up after it
+//!    goes through the executor, which outlives every run. The same
+//!    holds for a job of *another* caller's run that a caller picks up
+//!    from the injector or a worker's deque: that run's caller is
 //!    blocked in its own `drain` until the job completed.
 //! 4. **Borrow validity** — the `invoke` closure may borrow the caller's
 //!    environment; `drain` blocks the caller until every task
@@ -129,18 +141,12 @@ struct RunNode {
     join: AtomicUsize,
 }
 
-struct DoneGate {
-    lock: Mutex<bool>,
-    cv: Condvar,
-}
-
 struct RunCtx {
-    /// Run nodes not yet completed.
+    /// Run nodes not yet completed; the run is done at zero.
     pending: AtomicUsize,
     /// Set when a task panicked; remaining closures are skipped.
     cancelled: AtomicBool,
     panic: Mutex<Option<FirstPanic>>,
-    done: Arc<DoneGate>,
     /// The caller's closure; lifetime erased (see [`RunPool::begin`]).
     /// Dangles between runs and is never dereferenced there.
     invoke: *const Invoke<'static>,
@@ -197,17 +203,12 @@ impl RunPool {
                 pending: AtomicUsize::new(0),
                 cancelled: AtomicBool::new(false),
                 panic: Mutex::new(None),
-                done: Arc::new(DoneGate {
-                    lock: Mutex::new(false),
-                    cv: Condvar::new(),
-                }),
                 invoke,
             })
         });
         *ctx.pending.get_mut() = len;
         *ctx.cancelled.get_mut() = false;
         *ctx.panic.get_mut() = None;
-        *ctx.done.lock.lock() = false;
         ctx.invoke = invoke;
     }
 
@@ -275,12 +276,20 @@ struct SleepCtl {
     /// Bumped on every job publication; prevents lost wakeups.
     epoch: AtomicU64,
     lock: Mutex<()>,
+    /// Parked workers.
     cv: Condvar,
+    /// Callers on a worker, parked in `drain` (a spawn must wake a worker).
+    callers: Condvar,
+    /// Callers from outside the pool, asleep until their run ends.
+    done: Condvar,
+    /// Threads parked on `cv` or `callers`.
     sleepers: AtomicUsize,
 }
 
 struct Inner {
     injector: Injector<Job>,
+    /// Jobs from [`Executor::spawn`]; only workers pop them (module docs).
+    spawned: Injector<Box<dyn FnOnce() + Send>>,
     stealers: Vec<Stealer<Job>>,
     sleep: SleepCtl,
     shutdown: AtomicBool,
@@ -290,11 +299,10 @@ struct Inner {
 }
 
 /// A persistent work-stealing thread pool executing [`Taskflow`] and
-/// [`RetainedGraph`] runs.
+/// [`RetainedGraph`] runs, and jobs handed to [`Executor::spawn`].
 pub struct Executor {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
-    num_threads: usize,
 }
 
 impl Executor {
@@ -309,11 +317,14 @@ impl Executor {
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let inner = Arc::new(Inner {
             injector: Injector::new(),
+            spawned: Injector::new(),
             stealers,
             sleep: SleepCtl {
                 epoch: AtomicU64::new(0),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
+                callers: Condvar::new(),
+                done: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
             },
             shutdown: AtomicBool::new(false),
@@ -326,21 +337,17 @@ impl Executor {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("qtask-worker-{idx}"))
-                    .spawn(move || worker_loop(inner, deque, idx))
+                    .spawn(move || worker_loop(inner, deque))
                     .expect("spawn worker thread")
             })
             .collect();
-        Executor {
-            inner,
-            handles,
-            num_threads,
-        }
+        Executor { inner, handles }
     }
 
     /// Number of worker threads. A run also executes on the thread that
     /// called it, so it can use one thread more than this.
     pub fn num_threads(&self) -> usize {
-        self.num_threads
+        self.inner.stealers.len()
     }
 
     /// Lifetime count of tasks this pool has executed, across every
@@ -349,6 +356,21 @@ impl Executor {
     /// throughput here without per-session bookkeeping.
     pub fn tasks_run(&self) -> u64 {
         self.inner.tasks_run.load(Ordering::Relaxed)
+    }
+
+    /// Hands `job` to the workers and returns at once. Only a worker with
+    /// no run job takes it, never a caller waiting in a run (module docs,
+    /// "Spawned jobs"). A panic in `job` is contained.
+    pub fn spawn(&self, job: Box<dyn FnOnce() + Send>) {
+        let inner = &*self.inner;
+        inner.spawned.push(job);
+        // One job needs one worker: waking every sleeper, as run jobs
+        // do, made `service.mixed` a quarter slower on 2 vCPUs.
+        inner.sleep.epoch.fetch_add(1, Ordering::SeqCst);
+        if inner.sleep.sleepers.load(Ordering::SeqCst) > 0 {
+            let _g = inner.sleep.lock.lock();
+            inner.sleep.cv.notify_one();
+        }
     }
 
     /// Executes `tf` to completion, blocking the caller.
@@ -531,10 +553,10 @@ impl Executor {
     /// calling thread and the workers, returns once it is drained, and
     /// takes its first panic. The caller keeps one root and publishes
     /// the rest, follows its chain of released successors, then helps
-    /// with injected work and parks only when there is none (module
-    /// docs). Nothing else pushes jobs from caller context, and nothing
-    /// here looks at a run node except through a job it holds (module
-    /// safety model, rule 2).
+    /// with injected or queued work and parks only when there is none
+    /// (module docs). Nothing else pushes jobs from caller context, and
+    /// nothing here looks at a run node except through a job it holds
+    /// (module safety model, rule 2).
     ///
     /// # Panics
     /// Panics, before anything is executed, if a non-empty run has no
@@ -552,42 +574,54 @@ impl Executor {
         assert!(pool.is_acyclic(), "task graph has a dependency cycle");
         let inner = &*self.inner;
         let ctx = pool.ctx.as_ref().expect("RunPool::begin precedes drain");
-        let done = Arc::clone(&ctx.done);
+        let own: *const RunCtx = &**ctx;
         for &root in rest {
-            inner.injector.push(Job(root, &**ctx));
+            inner.injector.push(Job(root, own));
         }
         if !rest.is_empty() {
             wake_workers(inner);
         }
-        let mut held = Some(Job(first, &**ctx));
-        while let Some(job) = held.take() {
-            // SAFETY: a job of this run or, once taken from the injector,
-            // of another caller's run that is still blocked in its own
-            // `drain` (module safety model).
-            unsafe { execute(job, inner, |next| keep_first(inner, &mut held, next)) };
-            if held.is_none() && !*done.lock.lock() {
-                held = steal_injected(inner);
+        let done = || ctx.pending.load(Ordering::SeqCst) == 0;
+        let mut held = Some(Job(first, own));
+        loop {
+            while let Some(job) = held.take() {
+                // SAFETY: a job of this run or, once taken from the
+                // injector or a deque, of another caller's run that is
+                // still blocked in its own `drain` (module safety model).
+                unsafe { execute(job, inner, own, |next| keep_first(inner, &mut held, next)) };
+            }
+            if done() {
+                return ctx.panic.lock().take();
+            }
+            // Out of jobs (module docs). A caller from outside the pool is
+            // a thread more than the pool has: letting it steal from the
+            // workers and wake for new work made `full.qft` 58% slower.
+            let observed = inner.sleep.epoch.load(Ordering::SeqCst);
+            held = steal_from(&inner.injector);
+            let me = std::thread::current().id();
+            if held.is_none() && self.handles.iter().any(|h| h.thread().id() == me) {
+                held = steal_deques(inner);
+                if held.is_none() {
+                    park(inner, &inner.sleep.callers, observed, done);
+                }
+            } else if held.is_none() {
+                let mut guard = inner.sleep.lock.lock();
+                while !done() {
+                    inner.sleep.done.wait(&mut guard);
+                }
             }
         }
-        {
-            let mut flag = done.lock.lock();
-            while !*flag {
-                done.cv.wait(&mut flag);
-            }
-        }
-        ctx.panic.lock().take()
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.sleep.epoch.fetch_add(1, Ordering::SeqCst);
-        {
-            let _g = self.inner.sleep.lock.lock();
-            self.inner.sleep.cv.notify_all();
-        }
-        for h in self.handles.drain(..) {
+        wake_workers(&self.inner);
+        // A spawned job may drop the last handle on a worker; that worker
+        // exits once the job returns and must not join itself.
+        let me = std::thread::current().id();
+        for h in self.handles.drain(..).filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }
@@ -599,10 +633,11 @@ fn wake_workers(inner: &Inner) {
     if inner.sleep.sleepers.load(Ordering::SeqCst) > 0 {
         let _g = inner.sleep.lock.lock();
         inner.sleep.cv.notify_all();
+        inner.sleep.callers.notify_all();
     }
 }
 
-fn find_work(inner: &Inner, local: &WorkerDeque<Job>, my_idx: usize) -> Option<Job> {
+fn find_work(inner: &Inner, local: &WorkerDeque<Job>) -> Option<Job> {
     if let Some(j) = local.pop() {
         return Some(j);
     }
@@ -614,11 +649,12 @@ fn find_work(inner: &Inner, local: &WorkerDeque<Job>, my_idx: usize) -> Option<J
             Steal::Empty => break,
         }
     }
-    // Steal from siblings.
-    for (i, st) in inner.stealers.iter().enumerate() {
-        if i == my_idx {
-            continue;
-        }
+    steal_deques(inner)
+}
+
+/// Steals one job from a worker's deque (a worker's own is empty then).
+fn steal_deques(inner: &Inner) -> Option<Job> {
+    for st in &inner.stealers {
         loop {
             match st.steal() {
                 Steal::Success(j) => {
@@ -633,32 +669,40 @@ fn find_work(inner: &Inner, local: &WorkerDeque<Job>, my_idx: usize) -> Option<J
     None
 }
 
-fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
+/// Runs a run job, else a spawned job; false if there was none.
+fn work_once(inner: &Inner, local: &WorkerDeque<Job>) -> bool {
+    if let Some(job) = find_work(inner, local) {
+        // SAFETY: job pointers stay valid until their run completes
+        // (module safety model).
+        unsafe {
+            execute(job, inner, std::ptr::null(), |next| {
+                enqueue_local(inner, local, next)
+            })
+        };
+    } else if let Some(job) = steal_from(&inner.spawned) {
+        let _ = catch_unwind(AssertUnwindSafe(job));
+    } else {
+        return false;
+    }
+    true
+}
+
+fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>) {
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if let Some(job) = find_work(&inner, &local, idx) {
-            // SAFETY: job pointers stay valid until their run completes
-            // (module safety model).
-            unsafe { execute(job, &inner, |next| enqueue_local(&inner, &local, next)) };
+        if work_once(&inner, &local) {
             continue;
         }
         // Slow path: re-scan once against the publication epoch, then park.
         let observed = inner.sleep.epoch.load(Ordering::SeqCst);
-        if let Some(job) = find_work(&inner, &local, idx) {
-            unsafe { execute(job, &inner, |next| enqueue_local(&inner, &local, next)) };
+        if work_once(&inner, &local) {
             continue;
         }
-        let mut guard = inner.sleep.lock.lock();
-        inner.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.sleep.epoch.load(Ordering::SeqCst) == observed
-            && !inner.shutdown.load(Ordering::Acquire)
-        {
-            qtask_obs::counter!("taskflow.parks").inc();
-            inner.sleep.cv.wait(&mut guard);
-        }
-        inner.sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
+        park(&inner, &inner.sleep.cv, observed, || {
+            inner.shutdown.load(Ordering::Acquire)
+        });
     }
 }
 
@@ -680,10 +724,22 @@ fn keep_first(inner: &Inner, held: &mut Option<Job>, job: Job) {
     }
 }
 
-/// Takes one job from the injector, if it holds any.
-fn steal_injected(inner: &Inner) -> Option<Job> {
+/// Parks on `cv` unless the publication epoch moved past `observed` or
+/// `stop()` holds; a publication, a run's end or shutdown wakes it.
+fn park(inner: &Inner, cv: &Condvar, observed: u64, stop: impl Fn() -> bool) {
+    let mut guard = inner.sleep.lock.lock();
+    inner.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
+    if inner.sleep.epoch.load(Ordering::SeqCst) == observed && !stop() {
+        qtask_obs::counter!("taskflow.parks").inc();
+        cv.wait(&mut guard);
+    }
+    inner.sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Takes one item from `queue`, if it holds any.
+fn steal_from<T>(queue: &Injector<T>) -> Option<T> {
     loop {
-        match inner.injector.steal() {
+        match queue.steal() {
             Steal::Success(job) => return Some(job),
             Steal::Retry => continue,
             Steal::Empty => return None,
@@ -692,14 +748,15 @@ fn steal_injected(inner: &Inner) -> Option<Job> {
 }
 
 /// Runs one job and hands every successor it releases to `release` —
-/// the one body workers and callers share.
+/// the one body workers and callers share. `own` is the run of the
+/// calling `drain`, or null on a worker.
 ///
 /// # Safety
 /// `job` must have been created exactly once, as a collected root or by
 /// the `join` decrement that released it, and not executed before; its
 /// run's pool must still be alive, which holds while that run's caller
 /// waits in `drain` (module safety model).
-unsafe fn execute(job: Job, inner: &Inner, mut release: impl FnMut(Job)) {
+unsafe fn execute(job: Job, inner: &Inner, own: *const RunCtx, mut release: impl FnMut(Job)) {
     let node = unsafe { &*job.0 };
     let ctx = unsafe { &*job.1 };
     inner.tasks_run.fetch_add(1, Ordering::Relaxed);
@@ -733,13 +790,12 @@ unsafe fn execute(job: Job, inner: &Inner, mut release: impl FnMut(Job)) {
             release(Job(s, job.1));
         }
     }
-    // Clone the gate *before* the final decrement so the signal never
-    // touches freed context memory.
-    let done = Arc::clone(&ctx.done);
-    if ctx.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let mut flag = done.lock.lock();
-        *flag = true;
-        done.cv.notify_all();
+    // Wake the run's caller unless this thread is that caller. Only the
+    // pool is touched after the decrement: the run may be freed at once.
+    if ctx.pending.fetch_sub(1, Ordering::SeqCst) == 1 && job.1 != own {
+        let _g = inner.sleep.lock.lock();
+        inner.sleep.callers.notify_all();
+        inner.sleep.done.notify_all();
     }
 }
 
@@ -996,5 +1052,62 @@ mod tests {
         let mut tf2 = Taskflow::new("t2");
         tf2.emplace("fine", || {});
         assert!(ex.try_run(&tf2).is_ok());
+    }
+
+    #[test]
+    fn spawned_jobs_run_on_workers_only() {
+        let ex = Executor::new(1);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (b, first) = (Arc::clone(&barrier), tx.clone());
+        ex.spawn(Box::new(move || {
+            first.send(std::thread::current().id()).unwrap();
+            b.wait();
+        }));
+        let worker = rx.recv().unwrap();
+        // The only worker is held: a fan runs wholly on the caller, and
+        // the caller does not pick up the job spawned meanwhile.
+        ex.spawn(Box::new(move || {
+            tx.send(std::thread::current().id()).unwrap()
+        }));
+        let threads = StdMutex::new(Vec::new());
+        let mut g = RetainedGraph::new();
+        g.insert(0, 16, Arc::from("fan"));
+        ex.run_dirty(&mut g, &|_, _| {
+            threads.lock().unwrap().push(std::thread::current().id())
+        })
+        .unwrap();
+        let early = rx.recv_timeout(std::time::Duration::from_millis(50));
+        // Release the worker before asserting, so a failure cannot hang
+        // in the executor's drop.
+        barrier.wait();
+        let caller = std::thread::current().id();
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 16);
+        assert!(threads.iter().all(|&t| t == caller));
+        assert!(
+            early.is_err(),
+            "the second job ran while the worker was held"
+        );
+        assert_eq!(rx.recv().unwrap(), worker);
+    }
+
+    #[test]
+    fn spawned_job_may_drop_the_last_executor_handle() {
+        let ex = Arc::new(Executor::new(2));
+        let held = Arc::clone(&ex);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        ex.spawn(Box::new(move || {
+            go_rx.recv().unwrap();
+            assert_eq!(Arc::strong_count(&held), 1);
+            // Executor::drop runs here, on one of its own workers.
+            drop(held);
+            done_tx.send(()).unwrap();
+        }));
+        drop(ex);
+        go_tx.send(()).unwrap();
+        let done = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(done.is_ok(), "the job hung or panicked while dropping");
     }
 }

@@ -5,7 +5,7 @@
 //! qubit count and lowers it to the concrete operator. Keeping the
 //! closed-world enum (rather than shipping `Box<dyn View>` through the
 //! channel) is what lets the service layer enforce quotas and reject
-//! malformed subscriptions before touching the writer thread.
+//! malformed subscriptions before touching the session's writer.
 
 use crate::ops::{ExpectationView, NormView, ProbabilityView, View};
 

@@ -7,7 +7,7 @@
 //! Opens N service sessions, subscribes each to a live marginal
 //! distribution and the state norm, then streams frames while the
 //! writers keep editing underneath. Halfway through, one session's
-//! writer is killed mid-edit; the supervisor quarantines and heals it,
+//! writer is killed mid-edit; the watchdog quarantines and heals it,
 //! the registry full-refreshes its views from the recovered snapshot,
 //! and the subscription resumes streaming — the dashboard never sees a
 //! stale value, only a version gap. The closing stats show the

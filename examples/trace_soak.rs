@@ -5,7 +5,7 @@
 //! ```
 //!
 //! then load `qtask_trace.json` in `chrome://tracing` (or
-//! <https://ui.perfetto.dev>). Each worker/writer thread gets a track;
+//! <https://ui.perfetto.dev>). Each pool worker and client thread gets a track;
 //! zooming into a `session/edit` request shows the nested `update`
 //! phases (`partition`/`fuse`/`build`/`kernel`/`snapshot`) and the
 //! per-task executor spans underneath. One writer is killed mid-soak so
