@@ -7,6 +7,13 @@
 //! grows on one shared worker pool — the multi-session contention the
 //! service layer exists to manage — and emits `BENCH_service.json` at
 //! the workspace root as the checked-in trajectory point.
+//!
+//! Every session count runs twice: with readers that spin on
+//! `snapshot()`, and with readers that yield the CPU after each read.
+//! Spinning readers keep every vCPU busy, so the pool's workers, which
+//! run every session's requests, get a share of the CPU that shrinks as
+//! sessions are added; the yielding series shows the service without
+//! that competition.
 
 use qtask_bench::{harness_init, Opts};
 use qtask_core::SimConfig;
@@ -20,6 +27,24 @@ const N: u8 = 10;
 const EDITS_PER_SESSION: usize = 24;
 const SESSION_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 64];
 
+/// How each reader thread paces its snapshot reads.
+#[derive(Clone, Copy)]
+enum Readers {
+    /// Back to back, never giving up the CPU.
+    Spin,
+    /// `yield_now()` after every read.
+    Yield,
+}
+
+impl Readers {
+    fn name(self) -> &'static str {
+        match self {
+            Readers::Spin => "spin",
+            Readers::Yield => "yield",
+        }
+    }
+}
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     if v.is_empty() {
@@ -30,6 +55,7 @@ fn median(mut v: Vec<f64>) -> f64 {
 
 struct SoakResult {
     sessions: usize,
+    readers: Readers,
     wall_s: f64,
     edits: u64,
     edit_p50_ms: f64,
@@ -38,7 +64,7 @@ struct SoakResult {
     recoveries: u64,
 }
 
-fn soak(sessions: usize, threads: usize) -> SoakResult {
+fn soak(sessions: usize, readers: Readers, threads: usize) -> SoakResult {
     let mgr = SessionManager::new(
         ServiceConfig::default()
             .with_threads(threads)
@@ -51,7 +77,7 @@ fn soak(sessions: usize, threads: usize) -> SoakResult {
 
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = handles
+    let reader_threads: Vec<_> = handles
         .iter()
         .map(|h| {
             let h = h.clone();
@@ -62,6 +88,9 @@ fn soak(sessions: usize, threads: usize) -> SoakResult {
                     let snap = h.snapshot().expect("degraded reads never go dark");
                     std::hint::black_box(snap.version());
                     reads.fetch_add(1, Ordering::Relaxed);
+                    if let Readers::Yield = readers {
+                        std::thread::yield_now();
+                    }
                 }
             })
         })
@@ -107,7 +136,7 @@ fn soak(sessions: usize, threads: usize) -> SoakResult {
     }
     let wall_s = t0.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
-    for reader in readers {
+    for reader in reader_threads {
         reader.join().expect("reader thread");
     }
 
@@ -119,6 +148,7 @@ fn soak(sessions: usize, threads: usize) -> SoakResult {
     }
     SoakResult {
         sessions,
+        readers,
         wall_s,
         edits: latencies.len() as u64,
         edit_p50_ms: median(latencies.clone()),
@@ -150,32 +180,43 @@ fn main() {
         opts.threads
     );
     println!(
-        "{:<9} {:>8} {:>10} {:>11} {:>11} {:>10} {:>10}",
-        "sessions", "edits", "edits/s", "p50 (ms)", "max (ms)", "reads/s", "recoveries"
+        "{:<9} {:<7} {:>8} {:>10} {:>11} {:>11} {:>10} {:>10}",
+        "sessions", "readers", "edits", "edits/s", "p50 (ms)", "max (ms)", "reads/s", "recoveries"
     );
 
     let mut rows_json = Vec::new();
-    for sessions in SESSION_COUNTS {
-        let r = soak(sessions, opts.threads);
-        let edit_rate = r.edits as f64 / r.wall_s;
-        let read_rate = r.reads as f64 / r.wall_s;
-        println!(
-            "{:<9} {:>8} {:>10.1} {:>11.3} {:>11.3} {:>10.0} {:>10}",
-            r.sessions, r.edits, edit_rate, r.edit_p50_ms, r.edit_max_ms, read_rate, r.recoveries
-        );
-        rows_json.push(format!(
-            "    {{\"sessions\": {}, \"edits\": {}, \"edit_throughput_per_s\": {:.2}, \
-             \"edit_p50_ms\": {:.4}, \"edit_max_ms\": {:.4}, \"reads\": {}, \
-             \"read_throughput_per_s\": {:.0}, \"recoveries\": {}}}",
-            r.sessions,
-            r.edits,
-            edit_rate,
-            r.edit_p50_ms,
-            r.edit_max_ms,
-            r.reads,
-            read_rate,
-            r.recoveries
-        ));
+    for readers in [Readers::Spin, Readers::Yield] {
+        for sessions in SESSION_COUNTS {
+            let r = soak(sessions, readers, opts.threads);
+            let edit_rate = r.edits as f64 / r.wall_s;
+            let read_rate = r.reads as f64 / r.wall_s;
+            println!(
+                "{:<9} {:<7} {:>8} {:>10.1} {:>11.3} {:>11.3} {:>10.0} {:>10}",
+                r.sessions,
+                r.readers.name(),
+                r.edits,
+                edit_rate,
+                r.edit_p50_ms,
+                r.edit_max_ms,
+                read_rate,
+                r.recoveries
+            );
+            rows_json.push(format!(
+                "    {{\"sessions\": {}, \"readers\": \"{}\", \"edits\": {}, \
+                 \"edit_throughput_per_s\": {:.2}, \"edit_p50_ms\": {:.4}, \
+                 \"edit_max_ms\": {:.4}, \"reads\": {}, \"read_throughput_per_s\": {:.0}, \
+                 \"recoveries\": {}}}",
+                r.sessions,
+                r.readers.name(),
+                r.edits,
+                edit_rate,
+                r.edit_p50_ms,
+                r.edit_max_ms,
+                r.reads,
+                read_rate,
+                r.recoveries
+            ));
+        }
     }
 
     let json = format!(

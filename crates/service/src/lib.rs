@@ -29,8 +29,9 @@
 //!   [`qtask_core::Ckt::recover`] under a circuit breaker
 //!   ([`ServiceConfig::breaker_threshold`] consecutive failures within
 //!   [`ServiceConfig::breaker_window`] trip the terminal `Failed` state
-//!   with a [`SessionReport`] autopsy). Sibling sessions share nothing
-//!   that failure can reach, so they are never disturbed.
+//!   with a [`SessionReport`] autopsy). A failure never reaches a
+//!   sibling's state, but siblings share the pool's workers: a blocking
+//!   client closure or a recovery delays the sessions queued behind it.
 //!
 //! Session lifecycle (see `DESIGN.md` §"Service & supervision"):
 //! `Admitted → Active → (Quarantined → Recovered | Failed)* → Closed`.
@@ -55,6 +56,12 @@ pub use push::{RecvError, Subscription, ViewUpdate};
 pub use session::{EditOutcome, SessionHandle, SessionId, SessionReport, SessionState};
 // Convenience re-exports: subscribing needs the query/value vocabulary.
 pub use qtask_views::{ViewQuery, ViewReport, ViewValue};
+
+/// std mutexes poison on panic; all service state behind them is plain
+/// data (counters, enums, snapshots), so clearing poisoning is sound.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[cfg(test)]
 mod tests {

@@ -2,16 +2,14 @@
 
 use crate::push::ViewFanout;
 use crate::session::{Shared, Writer};
-use crate::{ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState};
+use crate::{
+    lock, ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState,
+};
 use qtask_core::{BlockGeometry, Ckt, SimConfig};
 use qtask_taskflow::Executor;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Multiplexes many circuits (sessions) over one worker pool.
 ///
@@ -22,9 +20,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// N sessions multiplex over one set of worker threads, and an idle
 /// session costs no thread at all.
 ///
-/// Sibling isolation is structural: a session's quarantine, recovery,
-/// or terminal failure touches nothing shared but the (stateless
-/// between tasks) executor pool, so other sessions never observe it.
+/// Sessions fail independently: a quarantine or a breaker trip changes
+/// no other session's state. They do not wait independently: an actor
+/// holds a pool worker while it serves a request (client closure
+/// included) or runs its recovery attempts, and sessions queued behind
+/// it wait for that worker — on a 1-worker pool, all of them.
 pub struct SessionManager {
     cfg: Arc<ServiceConfig>,
     executor: Arc<Executor>,
@@ -120,6 +120,10 @@ impl SessionManager {
     /// slot, and returns the final autopsy. Works on failed sessions too
     /// (that is how their slot is reaped); the report then still shows
     /// `Failed`.
+    ///
+    /// Never call it from an edit closure: the closure holds a pool
+    /// worker, and when it holds the last free one the actor this waits
+    /// for never runs, so the call never returns.
     pub fn close(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         let handle =
             lock(&self.inner)

@@ -9,16 +9,12 @@
 //! value (never a stale backlog), which is the right degradation for a
 //! dashboard-style consumer.
 
-use crate::{ServiceError, SessionId};
+use crate::{lock, ServiceError, SessionId};
 use qtask_core::Ckt;
 use qtask_views::{ViewHandle, ViewQuery, ViewRegistry, ViewValue};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One pushed view value, stamped with the snapshot version it reflects.
 #[derive(Clone, Debug, PartialEq)]
@@ -188,7 +184,7 @@ impl std::fmt::Debug for Subscription {
 }
 
 struct SubEntry {
-    handle: Option<ViewHandle>,
+    handle: ViewHandle,
     slot: Arc<PushSlot>,
     last_pushed: u64,
 }
@@ -220,16 +216,9 @@ impl ViewFanout {
     /// Drops entries whose client end closed, unregistering their views
     /// so later publications stop paying for them.
     fn prune(&mut self) {
-        self.subs.retain_mut(|entry| {
-            if entry.slot.is_closed() {
-                if let Some(handle) = entry.handle.take() {
-                    handle.unregister();
-                }
-                false
-            } else {
-                true
-            }
-        });
+        for entry in self.subs.extract_if(.., |entry| entry.slot.is_closed()) {
+            entry.handle.unregister();
+        }
     }
 
     /// Registers `query` as a maintained view and returns the client end.
@@ -263,7 +252,7 @@ impl ViewFanout {
             });
         }
         self.subs.push(SubEntry {
-            handle: Some(handle),
+            handle,
             slot: Arc::clone(&slot),
             last_pushed,
         });
@@ -281,10 +270,7 @@ impl ViewFanout {
     pub(crate) fn push_all(&mut self) {
         self.prune();
         for entry in &mut self.subs {
-            let Some(handle) = entry.handle.as_ref() else {
-                continue;
-            };
-            let Some(reading) = handle.reading() else {
+            let Some(reading) = entry.handle.reading() else {
                 continue;
             };
             if reading.version <= entry.last_pushed {

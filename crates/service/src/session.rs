@@ -16,7 +16,7 @@
 
 use crate::backoff::BackoffSchedule;
 use crate::push::{Subscription, ViewFanout};
-use crate::{ServiceConfig, ServiceError};
+use crate::{lock, ServiceConfig, ServiceError};
 use qtask_circuit::{Circuit, CircuitError};
 use qtask_core::{Ckt, EditReceipt, EditTxn, StateSnapshot};
 use qtask_taskflow::Executor;
@@ -120,12 +120,6 @@ pub struct SessionReport {
     /// buffer at quarantine. Empty unless the `obs` feature is enabled
     /// and the session was quarantined at least once.
     pub recent_trace: Vec<String>,
-}
-
-/// std mutexes poison on panic; all service state behind them is plain
-/// data (counters, enums, snapshots), so clearing poisoning is sound.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -634,6 +628,11 @@ impl SessionHandle {
 
     /// Submits a transactional edit with the configured default
     /// deadline, seeding retry jitter from the session id.
+    ///
+    /// `f` runs on a pool worker shared by every session; while it runs,
+    /// that worker serves no other session. It must not block on the
+    /// service (e.g. [`crate::SessionManager::close`], or a request to
+    /// another session), which may need the very worker it holds.
     pub fn edit<F>(&self, f: F) -> Result<EditOutcome, ServiceError>
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
@@ -644,7 +643,8 @@ impl SessionHandle {
     /// Submits a transactional edit, bounded by `deadline` end to end
     /// (mailbox retries included). `seed` determinizes the backoff
     /// jitter — callers retrying the same logical request should reuse
-    /// their seed to reproduce the schedule.
+    /// their seed to reproduce the schedule. `f` runs on a pool worker,
+    /// as for [`SessionHandle::edit`].
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
     /// [`ServiceError::Rejected`] (quota), [`ServiceError::Overloaded`]
