@@ -1,31 +1,6 @@
-//! Service tunables: admission limits, deadlines, retry, breaker.
+//! Service tunables: admission limits, deadlines, breaker.
 
 use std::time::Duration;
-
-/// Retry schedule for retryable failures (see
-/// [`crate::BackoffSchedule`]): exponential backoff from
-/// [`RetryPolicy::base_delay`] capped at [`RetryPolicy::max_delay`],
-/// with deterministic seeded jitter, for at most
-/// [`RetryPolicy::max_retries`] attempts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts before giving up.
-    pub max_retries: u32,
-    /// Nominal delay before the first retry; doubles each attempt.
-    pub base_delay: Duration,
-    /// Cap on any single (pre-jitter) delay.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(20),
-        }
-    }
-}
 
 /// Tunables of a [`crate::SessionManager`].
 #[derive(Clone, Debug)]
@@ -36,18 +11,16 @@ pub struct ServiceConfig {
     /// slot until closed — dead tenants must be reaped explicitly, not
     /// silently replaced.
     pub max_sessions: usize,
-    /// Bounded mailbox depth per session. A full mailbox sheds new
-    /// edits with [`crate::ServiceError::Overloaded`] (after the retry
-    /// schedule) instead of queueing unboundedly.
+    /// Bounded mailbox depth per session. A caller that finds the
+    /// mailbox full waits for a free slot instead of queueing
+    /// unboundedly; one still waiting at its deadline is shed with
+    /// [`crate::ServiceError::Overloaded`].
     pub mailbox_capacity: usize,
     /// Per-session cap on concurrently submitted requests; beyond it,
     /// submissions are [`crate::ServiceError::Rejected`] immediately.
     pub inflight_quota: usize,
     /// Deadline for requests submitted without an explicit one.
     pub default_deadline: Duration,
-    /// Backoff schedule for mailbox-full retries, slept on the caller's
-    /// thread.
-    pub retry: RetryPolicy,
     /// Circuit breaker: this many consecutive failed recoveries within
     /// [`ServiceConfig::breaker_window`] trips the session to the
     /// terminal `Failed` state.
@@ -73,7 +46,6 @@ impl Default for ServiceConfig {
             mailbox_capacity: 32,
             inflight_quota: 16,
             default_deadline: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
             breaker_threshold: 3,
             breaker_window: Duration::from_secs(10),
             num_threads: qtask_taskflow::default_threads(),
@@ -104,12 +76,6 @@ impl ServiceConfig {
     /// This config with the given default request deadline.
     pub fn with_default_deadline(mut self, default_deadline: Duration) -> ServiceConfig {
         self.default_deadline = default_deadline;
-        self
-    }
-
-    /// This config with the given retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ServiceConfig {
-        self.retry = retry;
         self
     }
 

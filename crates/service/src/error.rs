@@ -5,7 +5,7 @@
 //! request never touched the session's circuit) from *session health*
 //! failures (a quarantined, failed, or closed writer). Retryability is
 //! a property of the variant: [`ServiceError::is_retryable`] is what a
-//! client loop should consult before re-submitting with backoff.
+//! client loop should consult before re-submitting.
 
 use crate::SessionId;
 use qtask_core::EngineError;
@@ -22,9 +22,10 @@ pub enum ServiceError {
         /// Which limit refused the work.
         reason: String,
     },
-    /// The session's bounded mailbox stayed full through every retry of
-    /// the backoff schedule — the writer is lagging. The edit was shed;
-    /// snapshot reads keep serving the last published version.
+    /// The session's bounded mailbox stayed full until the request's
+    /// deadline — the writer is lagging. The request was shed without
+    /// ever reaching the mailbox; snapshot reads keep serving the last
+    /// published version.
     Overloaded {
         /// The lagging session.
         session: SessionId,
@@ -83,9 +84,10 @@ impl ServiceError {
         }
     }
 
-    /// True when re-submitting the same request (after backoff) can
-    /// succeed: the failure was load or a recoverable writer death, not
-    /// a property of the request or a terminal session state.
+    /// True when re-submitting the same request later can succeed: the
+    /// failure was load (a mailbox full until the deadline, a writer too
+    /// slow for it) or a recoverable writer death, not a property of the
+    /// request or a terminal session state.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -108,7 +110,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Rejected { reason } => write!(f, "admission rejected: {reason}"),
             ServiceError::Overloaded { session, mailbox } => write!(
                 f,
-                "session {session} overloaded: mailbox of {mailbox} stayed full through backoff"
+                "session {session} overloaded: mailbox of {mailbox} stayed full until the deadline"
             ),
             ServiceError::Timeout { session, waited } => write!(
                 f,

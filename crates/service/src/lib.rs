@@ -15,15 +15,16 @@
 //!   tenant count, [`ServiceConfig::inflight_quota`] bounds each
 //!   tenant's concurrency; violations are typed
 //!   [`ServiceError::Rejected`], never unbounded queueing.
-//! - **Deadlines & retry** — every request is bounded end to end; the
-//!   mailbox-full path retries on a deterministic seeded
-//!   [`BackoffSchedule`] (reproducible from its seed, bounded by the
-//!   deadline) and then sheds with [`ServiceError::Overloaded`];
-//!   non-retryable failures surface immediately.
+//! - **Deadlines** — every request is bounded end to end. A caller that
+//!   finds the mailbox full waits on the session's condvar until a slot
+//!   frees, the session closes or fails, or its deadline passes; only
+//!   then is the request shed with [`ServiceError::Overloaded`].
+//!   Non-retryable failures surface immediately.
 //! - **Backpressure, graceful degradation** — mailboxes are bounded;
-//!   when a writer lags or is quarantined, new edits shed while
-//!   [`SessionHandle::snapshot`] keeps serving the last published
-//!   version: reads degrade to *stale*, never to torn or blocked.
+//!   when a writer lags or is quarantined, new edits wait for a slot
+//!   (and shed at their deadline) while [`SessionHandle::snapshot`]
+//!   keeps serving the last published version: reads degrade to
+//!   *stale*, never to torn or blocked.
 //! - **Supervision** — each request runs under a watchdog: a panic or
 //!   a poisoned engine quarantines the session and runs
 //!   [`qtask_core::Ckt::recover`] under a circuit breaker
@@ -41,15 +42,13 @@
 //! the chaos suite (`tests/chaos_service.rs`) can kill a session's
 //! writer mid-transaction and assert the service heals.
 
-mod backoff;
 mod config;
 mod error;
 mod manager;
 mod push;
 mod session;
 
-pub use backoff::BackoffSchedule;
-pub use config::{RetryPolicy, ServiceConfig};
+pub use config::ServiceConfig;
 pub use error::ServiceError;
 pub use manager::SessionManager;
 pub use push::{RecvError, Subscription, ViewUpdate};
@@ -68,7 +67,9 @@ mod tests {
     use super::*;
     use qtask_core::SimConfig;
     use qtask_gates::GateKind;
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
     fn small_cfg() -> ServiceConfig {
         ServiceConfig::default()
@@ -273,16 +274,7 @@ mod tests {
 
     #[test]
     fn quota_and_overload_shed_typed() {
-        let mgr = SessionManager::new(
-            small_cfg()
-                .with_mailbox_capacity(1)
-                .with_inflight_quota(1)
-                .with_retry(RetryPolicy {
-                    max_retries: 2,
-                    base_delay: Duration::from_millis(1),
-                    max_delay: Duration::from_millis(2),
-                }),
-        );
+        let mgr = SessionManager::new(small_cfg().with_mailbox_capacity(1).with_inflight_quota(1));
         let h = mgr.open(2, SimConfig::default()).unwrap();
         let slow = h.clone();
         let worker = std::thread::spawn(move || {
@@ -303,6 +295,108 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// Fills `h`'s capacity-1 mailbox: request A is an edit whose
+    /// closure holds the actor until the returned sender sends or drops,
+    /// and request B, queued behind it, timed out and stays queued.
+    /// Returns the release and A's caller thread.
+    fn hold_full_mailbox(
+        h: &SessionHandle,
+    ) -> (
+        mpsc::Sender<()>,
+        JoinHandle<Result<EditOutcome, ServiceError>>,
+    ) {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let held = h.clone();
+        let a = std::thread::spawn(move || {
+            held.edit(move |_| {
+                started_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                Ok(())
+            })
+        });
+        started_rx.recv().unwrap(); // A left the queue: it is empty again.
+        let err = h
+            .edit_with_deadline(|_| Ok(()), Duration::from_millis(10))
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Timeout { .. }), "{err}");
+        (release_tx, a)
+    }
+
+    /// Waits until `n` submitters block on `h`'s full mailbox.
+    fn await_waiting(h: &SessionHandle, n: usize) {
+        let start = Instant::now();
+        while h.waiting_submitters() < n {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "no submitter blocked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn backpressure_admits_and_sheds_only_at_the_deadline() {
+        let mgr = SessionManager::new(small_cfg().with_mailbox_capacity(1));
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let (release, a) = hold_full_mailbox(&h);
+        let shed = h.report().shed;
+        // C waits out its whole deadline for a slot, then sheds typed.
+        let start = Instant::now();
+        let err = h
+            .edit_with_deadline(|_| Ok(()), Duration::from_millis(50))
+            .unwrap_err();
+        let waited = start.elapsed();
+        assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
+        assert!(waited >= Duration::from_millis(50), "shed after {waited:?}");
+        assert_eq!(h.report().shed, shed + 1);
+        // D blocks with the default deadline; releasing A frees B's slot,
+        // and the dequeue must wake D.
+        let d_handle = h.clone();
+        let d = std::thread::spawn(move || {
+            let start = Instant::now();
+            (d_handle.edit(|_| Ok(())), start.elapsed())
+        });
+        await_waiting(&h, 1);
+        release.send(()).unwrap();
+        let (result, waited) = d.join().unwrap();
+        assert!(result.is_ok(), "{result:?}");
+        assert!(waited < Duration::from_secs(5), "admitted after {waited:?}");
+        assert!(a.join().unwrap().is_ok());
+        assert_eq!(h.report().shed, shed + 1);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_submitter() {
+        let mgr = SessionManager::new(small_cfg().with_mailbox_capacity(1));
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let (release, a) = hold_full_mailbox(&h);
+        let e_handle = h.clone();
+        let e = std::thread::spawn(move || {
+            let start = Instant::now();
+            let result = e_handle.edit_with_deadline(|_| Ok(()), Duration::from_secs(5));
+            (result, start.elapsed())
+        });
+        await_waiting(&h, 1);
+        std::thread::scope(|s| {
+            let closer = s.spawn(|| mgr.close(h.id()));
+            let (result, waited) = e.join().unwrap();
+            assert!(
+                matches!(result, Err(ServiceError::SessionClosed { .. })),
+                "{result:?}"
+            );
+            assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+            assert!(!a.is_finished(), "A must still hold the actor");
+            // Dropped here, or by a failed assert above, before the scope
+            // joins `closer`, which waits for A to finish.
+            drop(release);
+            assert!(a.join().unwrap().is_ok());
+            let report = closer.join().unwrap().unwrap();
+            assert_eq!(report.state, SessionState::Closed);
+        });
+    }
+
     #[test]
     fn deadline_times_out_but_work_completes_late() {
         let mgr = SessionManager::new(small_cfg());
@@ -316,7 +410,6 @@ mod tests {
                     Ok(())
                 },
                 Duration::from_millis(30),
-                7,
             )
             .unwrap_err();
         assert!(matches!(err, ServiceError::Timeout { .. }), "{err}");

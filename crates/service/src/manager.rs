@@ -114,12 +114,12 @@ impl SessionManager {
         lock(&self.inner).sessions.get(&id.0).cloned()
     }
 
-    /// Closes a session: marks it closing (new requests get
-    /// [`ServiceError::SessionClosed`]), lets its actor serve what is
-    /// already queued, waits until the session is `Closed`, frees the
-    /// slot, and returns the final autopsy. Works on failed sessions too
-    /// (that is how their slot is reaped); the report then still shows
-    /// `Failed`.
+    /// Closes a session: marks it closing (new requests, and callers
+    /// waiting for a mailbox slot, get [`ServiceError::SessionClosed`]),
+    /// lets its actor serve what is already queued, waits until the
+    /// session is `Closed`, frees the slot, and returns the final
+    /// autopsy. Works on failed sessions too (that is how their slot is
+    /// reaped); the report then still shows `Failed`.
     ///
     /// Never call it from an edit closure: the closure holds a pool
     /// worker, and when it holds the last free one the actor this waits

@@ -5,16 +5,20 @@
 //! `scheduled` flag: the submitter that flips the flag from false to true
 //! hands the actor to the shared pool ([`Executor::spawn`]), and the
 //! worker that picks it up serves requests one at a time until the
-//! queue is empty, then clears the flag. Each request is served inside
-//! `catch_unwind`. A poisoned engine or a panicked request quarantines
-//! the session, and the same worker runs [`Ckt::recover`] back to back
-//! under a circuit breaker (consecutive failures within a window trip
-//! the session to terminal `Failed`). Throughout quarantine and
-//! recovery, [`SessionHandle::snapshot`] keeps serving the last
-//! *published* [`StateSnapshot`] — reads degrade to staleness, never to
-//! torn data or a wedge.
+//! queue is empty, then clears the flag. The mailbox's mutex also guards
+//! the lifecycle state, and one condvar paired with it carries every
+//! wait: a submitter that finds the queue full waits there for a slot,
+//! a close, a terminal state or its deadline, and
+//! [`SessionHandle::wait_for`] waits there for a state.
+//!
+//! Each request is served inside `catch_unwind`. A poisoned engine or a
+//! panicked request quarantines the session, and the same worker runs
+//! [`Ckt::recover`] back to back under a circuit breaker (consecutive
+//! failures within a window trip the session to terminal `Failed`).
+//! Throughout quarantine and recovery, [`SessionHandle::snapshot`] keeps
+//! serving the last *published* [`StateSnapshot`] — reads degrade to
+//! staleness, never to torn data or a wedge.
 
-use crate::backoff::BackoffSchedule;
 use crate::push::{Subscription, ViewFanout};
 use crate::{lock, ServiceConfig, ServiceError};
 use qtask_circuit::{Circuit, CircuitError};
@@ -24,7 +28,7 @@ use qtask_views::{ViewQuery, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
@@ -154,7 +158,6 @@ struct SessionMetrics {
     timeouts: &'static qtask_obs::Counter,
     recoveries: &'static qtask_obs::Counter,
     recovery_failures: &'static qtask_obs::Counter,
-    backoff_sleeps: &'static qtask_obs::Counter,
     mailbox_depth: &'static qtask_obs::Gauge,
     queue_delay_us: &'static qtask_obs::Histogram,
 }
@@ -171,15 +174,13 @@ impl SessionMetrics {
             timeouts: reg.counter_with("service.timeouts", l),
             recoveries: reg.counter_with("service.recoveries", l),
             recovery_failures: reg.counter_with("service.recovery_failures", l),
-            backoff_sleeps: reg.counter_with("service.backoff_sleeps", l),
             mailbox_depth: reg.gauge_with("service.mailbox_depth", l),
             queue_delay_us: reg.histogram_with("service.queue_delay_us", l),
         }
     }
 }
 
-/// The actor's mailbox.
-#[derive(Default)]
+/// The actor's mailbox and the session's lifecycle, under one mutex.
 struct Mailbox {
     /// Requests with the time each was queued, to price queueing delay.
     queue: VecDeque<(Request, Instant)>,
@@ -188,6 +189,18 @@ struct Mailbox {
     /// Close requested: no request is queued any more, and the actor
     /// closes the session once the queue is empty.
     closing: bool,
+    /// Lifecycle state; every change notifies the condvar.
+    state: SessionState,
+    /// Submitters waiting for a free slot. The actor notifies the
+    /// condvar on a dequeue only when there are some.
+    waiting: usize,
+}
+
+impl Mailbox {
+    /// True while new requests may be queued.
+    fn admits(&self) -> bool {
+        !self.closing && self.state.is_serving()
+    }
 }
 
 /// The engine and its views: what the actor serves requests with.
@@ -204,8 +217,6 @@ pub(crate) struct Shared {
     id: SessionId,
     cfg: Arc<ServiceConfig>,
     executor: Arc<Executor>,
-    state: Mutex<SessionState>,
-    state_cv: Condvar,
     /// The last published snapshot — the degraded-read surface. Written
     /// only by the actor; read by any number of clients.
     latest: RwLock<Option<StateSnapshot>>,
@@ -215,6 +226,9 @@ pub(crate) struct Shared {
     last_error: Mutex<Option<String>>,
     recent_trace: Mutex<Vec<String>>,
     mailbox: Mutex<Mailbox>,
+    /// Signalled on every state change, on close, and on a dequeue that
+    /// frees a slot some submitter waits for.
+    changed: Condvar,
     /// Locked only by the running actor; `None` once the session is
     /// `Closed` or `Failed` (dropping it closes every subscription).
     writer: Mutex<Option<Writer>>,
@@ -233,15 +247,20 @@ impl Shared {
             id,
             cfg: Arc::clone(cfg),
             executor: Arc::clone(executor),
-            state: Mutex::new(SessionState::Admitted),
-            state_cv: Condvar::new(),
             latest: RwLock::new(None),
             inflight: AtomicUsize::new(0),
             stats: Stats::default(),
             metrics: SessionMetrics::new(id),
             last_error: Mutex::new(None),
             recent_trace: Mutex::new(Vec::new()),
-            mailbox: Mutex::new(Mailbox::default()),
+            mailbox: Mutex::new(Mailbox {
+                queue: VecDeque::new(),
+                scheduled: false,
+                closing: false,
+                state: SessionState::Admitted,
+                waiting: 0,
+            }),
+            changed: Condvar::new(),
             writer: Mutex::new(Some(writer)),
         });
         shared.schedule(lock(&shared.mailbox));
@@ -257,15 +276,36 @@ impl Shared {
         }
     }
 
-    /// Queues `req` for the actor. A full mailbox hands it back as
-    /// `Full`; a closing or terminal session as `Disconnected`.
-    fn try_send(self: &Arc<Self>, req: Request) -> Result<(), TrySendError<Request>> {
+    /// Queues `req` for the actor, waiting while the mailbox is full.
+    /// A closing or terminal session refuses it with the terminal error;
+    /// a mailbox still full `deadline` after `start` sheds it with
+    /// [`ServiceError::Overloaded`].
+    fn send(
+        self: &Arc<Self>,
+        req: Request,
+        start: Instant,
+        deadline: Duration,
+    ) -> Result<(), ServiceError> {
         let mut mailbox = lock(&self.mailbox);
-        if mailbox.closing || !self.state().is_serving() {
-            return Err(TrySendError::Disconnected(req));
+        while mailbox.admits() && mailbox.queue.len() >= self.cfg.mailbox_capacity {
+            let left = deadline.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                self.note_shed();
+                return Err(ServiceError::Overloaded {
+                    session: self.id,
+                    mailbox: self.cfg.mailbox_capacity,
+                });
+            }
+            mailbox.waiting += 1;
+            mailbox = self
+                .changed
+                .wait_timeout(mailbox, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            mailbox.waiting -= 1;
         }
-        if mailbox.queue.len() >= self.cfg.mailbox_capacity {
-            return Err(TrySendError::Full(req));
+        if !mailbox.admits() {
+            return Err(self.terminal_error(mailbox.state));
         }
         mailbox.queue.push_back((req, Instant::now()));
         self.note_enqueued();
@@ -273,11 +313,13 @@ impl Shared {
         Ok(())
     }
 
-    /// Marks the session closing and schedules the actor, which serves
-    /// what is already queued and then closes. Does not wait.
+    /// Marks the session closing, wakes blocked submitters, and
+    /// schedules the actor, which serves what is already queued and then
+    /// closes. Does not wait.
     pub(crate) fn request_close(self: &Arc<Self>) {
         let mut mailbox = lock(&self.mailbox);
         mailbox.closing = true;
+        self.changed.notify_all();
         self.schedule(mailbox);
     }
 
@@ -304,7 +346,12 @@ impl Shared {
             let (req, queued_at) = {
                 let mut mailbox = lock(&self.mailbox);
                 match mailbox.queue.pop_front() {
-                    Some(next) => next,
+                    Some(next) => {
+                        if mailbox.waiting > 0 {
+                            self.changed.notify_all();
+                        }
+                        next
+                    }
                     None if mailbox.closing => break,
                     None => {
                         mailbox.scheduled = false;
@@ -321,7 +368,7 @@ impl Shared {
                 }
                 // Breaker tripped: everything still queued gets the
                 // terminal error.
-                None => req.refuse(self.terminal_error()),
+                None => req.refuse(self.terminal_error(self.state())),
             }
         }
         if writer.take().is_some() {
@@ -351,21 +398,21 @@ impl Shared {
         self.set_state(SessionState::Failed);
     }
 
-    /// A terminal-state error matching the session's current state.
-    fn terminal_error(&self) -> ServiceError {
-        match self.state() {
+    /// The terminal error matching a session in `state`.
+    fn terminal_error(&self, state: SessionState) -> ServiceError {
+        match state {
             SessionState::Failed => ServiceError::SessionFailed { session: self.id },
             _ => ServiceError::SessionClosed { session: self.id },
         }
     }
 
     fn state(&self) -> SessionState {
-        *lock(&self.state)
+        lock(&self.mailbox).state
     }
 
     fn set_state(&self, s: SessionState) {
-        *lock(&self.state) = s;
-        self.state_cv.notify_all();
+        lock(&self.mailbox).state = s;
+        self.changed.notify_all();
     }
 
     fn publish(&self, snap: StateSnapshot) {
@@ -426,11 +473,6 @@ impl Shared {
         self.stats.recovery_failures.fetch_add(1, Ordering::Relaxed);
         self.metrics.recovery_failures.inc();
         qtask_obs::counter!("service.recovery_failures").inc();
-    }
-
-    fn note_backoff_sleep(&self) {
-        self.metrics.backoff_sleeps.inc();
-        qtask_obs::counter!("service.backoff_sleeps").inc();
     }
 
     fn note_enqueued(&self) {
@@ -599,13 +641,13 @@ impl SessionHandle {
     /// Blocks until `pred` holds for the session state (or `timeout`
     /// elapses) and returns the state observed last.
     pub fn wait_for(&self, pred: impl Fn(SessionState) -> bool, timeout: Duration) -> SessionState {
-        let state = lock(&self.shared.state);
-        let (state, _timed_out) = self
+        let mailbox = lock(&self.shared.mailbox);
+        let (mailbox, _timed_out) = self
             .shared
-            .state_cv
-            .wait_timeout_while(state, timeout, |s| !pred(*s))
+            .changed
+            .wait_timeout_while(mailbox, timeout, |m| !pred(m.state))
             .unwrap_or_else(|e| e.into_inner());
-        *state
+        mailbox.state
     }
 
     /// The last published [`StateSnapshot`] — the degraded-read path.
@@ -627,7 +669,7 @@ impl SessionHandle {
     }
 
     /// Submits a transactional edit with the configured default
-    /// deadline, seeding retry jitter from the session id.
+    /// deadline (see [`SessionHandle::edit_with_deadline`]).
     ///
     /// `f` runs on a pool worker shared by every session; while it runs,
     /// that worker serves no other session. It must not block on the
@@ -637,19 +679,20 @@ impl SessionHandle {
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
     {
-        self.edit_with_deadline(f, self.shared.cfg.default_deadline, self.shared.id.0)
+        self.edit_with_deadline(f, self.shared.cfg.default_deadline)
     }
 
-    /// Submits a transactional edit, bounded by `deadline` end to end
-    /// (mailbox retries included). `seed` determinizes the backoff
-    /// jitter — callers retrying the same logical request should reuse
-    /// their seed to reproduce the schedule. `f` runs on a pool worker,
-    /// as for [`SessionHandle::edit`].
+    /// Submits a transactional edit, bounded by `deadline` end to end:
+    /// a caller that finds the mailbox full blocks until a slot frees,
+    /// and that wait counts against the same deadline as the reply. `f`
+    /// runs on a pool worker, as for [`SessionHandle::edit`].
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
     /// [`ServiceError::Rejected`] (quota), [`ServiceError::Overloaded`]
-    /// (mailbox full through backoff), [`ServiceError::Timeout`] (writer
-    /// too slow — the edit may still commit late),
+    /// (mailbox full until the deadline; the edit was never queued),
+    /// [`ServiceError::SessionClosed`] (closed while it waited),
+    /// [`ServiceError::Timeout`] (writer too slow — the edit may still
+    /// commit late),
     /// [`ServiceError::Engine`] (transaction invalid),
     /// [`ServiceError::SessionPoisoned`] (writer died mid-request; the
     /// watchdog is recovering it).
@@ -657,7 +700,6 @@ impl SessionHandle {
         &self,
         f: F,
         deadline: Duration,
-        seed: u64,
     ) -> Result<EditOutcome, ServiceError>
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
@@ -669,7 +711,6 @@ impl SessionHandle {
                 reply,
             },
             deadline,
-            seed,
         )
     }
 
@@ -706,48 +747,26 @@ impl SessionHandle {
         self.ask(|reply| Request::ViewReport { reply })
     }
 
-    /// [`SessionHandle::call`] with the default deadline and seed.
+    /// [`SessionHandle::call`] with the default deadline.
     fn ask<T>(&self, make: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServiceError> {
-        self.call(make, self.shared.cfg.default_deadline, self.shared.id.0)
+        self.call(make, self.shared.cfg.default_deadline)
     }
 
-    /// Shared submit mechanics: admission by state, probe, bounded
-    /// enqueue with seeded backoff, reply wait bounded by the deadline.
+    /// Shared submit mechanics: probe, admission by state and enqueue
+    /// (waiting for a slot), reply wait — both waits bounded by one
+    /// deadline.
     fn call<T>(
         &self,
         make: impl FnOnce(Reply<T>) -> Request,
         deadline: Duration,
-        seed: u64,
     ) -> Result<T, ServiceError> {
-        if !self.shared.state().is_serving() {
-            return Err(self.shared.terminal_error());
-        }
         qtask_faults::fault_point_err!(
             "service/enqueue",
             ServiceError::injected("service/enqueue")
         );
         let start = Instant::now();
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        let mut req = make(reply_tx);
-        let mut backoff = BackoffSchedule::new(&self.shared.cfg.retry, seed, deadline);
-        loop {
-            match self.shared.try_send(req) {
-                Ok(()) => break,
-                Err(TrySendError::Full(r)) => {
-                    let Some(delay) = backoff.next() else {
-                        self.shared.note_shed();
-                        return Err(ServiceError::Overloaded {
-                            session: self.shared.id,
-                            mailbox: self.shared.cfg.mailbox_capacity,
-                        });
-                    };
-                    self.shared.note_backoff_sleep();
-                    std::thread::sleep(delay);
-                    req = r;
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(self.shared.terminal_error()),
-            }
-        }
+        self.shared.send(make(reply_tx), start, deadline)?;
         let remaining = deadline.saturating_sub(start.elapsed());
         match reply_rx.recv_timeout(remaining) {
             Ok(result) => result,
@@ -897,4 +916,12 @@ fn apply_edit(ckt: &mut Ckt, op: EditFn, shared: &Shared) -> Result<EditOutcome,
         receipt,
         version: ckt.snapshot_version(),
     })
+}
+
+#[cfg(test)]
+impl SessionHandle {
+    /// Submitters currently waiting for a mailbox slot.
+    pub(crate) fn waiting_submitters(&self) -> usize {
+        lock(&self.shared.mailbox).waiting
+    }
 }
