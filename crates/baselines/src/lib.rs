@@ -8,7 +8,7 @@
 //! * [`QulacsLike`] — flat state vector, specialized kernels per gate
 //!   class (diagonal scaling, anti-diagonal swap, dense butterfly), and
 //!   level-synchronized multi-threaded application: each gate is a
-//!   parallel-for over disjoint chunks, with a barrier between gates —
+//!   parallel-for over disjoint pieces, with a barrier between gates —
 //!   the synchronization pattern the paper contrasts qTask's whole-graph
 //!   scheduling against (§IV-D).
 //! * [`QiskitLike`] — generic dense-matrix dispatch for every gate (no
@@ -17,9 +17,17 @@
 //!   reports for Qiskit relative to Qulacs.
 //! * [`NaiveSim`] — a serial oracle using the shared flat kernels.
 //!
+//! Each parallel gate cuts its state with `split_at_mut` into one `&mut`
+//! piece per task ([`common`]): aligned sub-states while the gate's qubits
+//! lie low, lower/upper pairs when it acts on the top qubits. Each task
+//! takes its piece as one chunk of a retained fan node; no raw pointer
+//! is involved.
+//!
 //! All three implement [`Simulator`], the modifier-plus-update protocol
 //! the benchmark harness drives; the harness adapts `qtask_core::Ckt` to
 //! the same trait, so every experiment runs the identical protocol.
+
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod naive;

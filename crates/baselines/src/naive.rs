@@ -1,6 +1,6 @@
 //! A serial reference simulator — the workspace's ground-truth oracle.
 
-use crate::common::Simulator;
+use crate::common::{circuit_and_state, Simulator};
 use qtask_circuit::{Circuit, CircuitError, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
@@ -33,31 +33,6 @@ impl Simulator for NaiveSim {
         "naive"
     }
 
-    fn num_qubits(&self) -> u8 {
-        self.circuit.num_qubits()
-    }
-
-    fn push_net(&mut self) -> NetId {
-        self.circuit.push_net()
-    }
-
-    fn insert_gate(
-        &mut self,
-        kind: GateKind,
-        net: NetId,
-        qubits: &[u8],
-    ) -> Result<GateId, CircuitError> {
-        self.circuit.insert_gate(kind, net, qubits)
-    }
-
-    fn remove_gate(&mut self, gate: GateId) -> Result<(), CircuitError> {
-        self.circuit.remove_gate(gate).map(|_| ())
-    }
-
-    fn remove_net(&mut self, net: NetId) -> Result<(), CircuitError> {
-        self.circuit.remove_net(net).map(|_| ())
-    }
-
     fn update_state(&mut self) {
         self.state = vecops::ket_zero(self.num_qubits() as usize);
         for (_, gate) in self.circuit.ordered_gates() {
@@ -70,17 +45,7 @@ impl Simulator for NaiveSim {
         }
     }
 
-    fn amplitude(&self, idx: usize) -> Complex64 {
-        self.state[idx]
-    }
-
-    fn state_vec(&self) -> Vec<Complex64> {
-        self.state.clone()
-    }
-
-    fn num_gates(&self) -> usize {
-        self.circuit.num_gates()
-    }
+    circuit_and_state!();
 }
 
 #[cfg(test)]

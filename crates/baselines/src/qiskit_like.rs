@@ -6,25 +6,23 @@
 //! *generic* dense 2×2 path (no diagonal/anti-diagonal specialization —
 //! a Z gate costs as much as an H), and application is functional — each
 //! gate reads an input buffer and writes a separate output buffer, the
-//! style of a matrix-pipeline backend.
+//! style of a matrix-pipeline backend. Each task updates its own `&mut`
+//! pieces of the output buffer, one item at a time.
 
-use crate::common::Simulator;
+use crate::common::{apply_pairs, circuit_and_state, top_qubit, Fan, Piece, Simulator};
 use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64, Mat2};
-use qtask_partition::kernels::dense_pattern;
-use qtask_taskflow::{Executor, Taskflow};
-use qtask_util::DisjointSlice;
+use qtask_partition::kernels::{apply_dense_ranks, dense_pattern};
+use qtask_taskflow::Executor;
 use std::sync::Arc;
-
-const MIN_PAR_ITEMS: u64 = 4096;
 
 /// A Qiskit-style baseline: generic matrix dispatch, functional buffer
 /// copies, full re-simulation per update.
 pub struct QiskitLike {
     circuit: Circuit,
     state: Vec<Complex64>,
-    executor: Arc<Executor>,
+    fan: Fan,
 }
 
 impl QiskitLike {
@@ -38,7 +36,7 @@ impl QiskitLike {
         QiskitLike {
             circuit: Circuit::new(num_qubits),
             state: vecops::ket_zero(num_qubits as usize),
-            executor,
+            fan: Fan::new(executor, "qiskit-gate"),
         }
     }
 
@@ -49,59 +47,45 @@ impl QiskitLike {
 
     /// Applies one gate functionally: `out = U · in`.
     fn apply_functional(&mut self, gate: &Gate) {
-        let n = self.num_qubits();
-        // Functional style: fresh output buffer per gate.
-        let mut out = self.state.clone();
         if gate.kind().is_swap_family() {
             // Decompose SWAP(a,b) = CX(a,b) CX(b,a) CX(a,b), Fredkin via
             // Toffoli sandwich — the generic path has no permutation
             // fast-path, mirroring a matrix-pipeline backend.
             let t = gate.targets();
             let (a, b) = (t[0], t[1]);
-            let extra: u64 = gate.control_mask();
-            drop(out);
             for (c, tgt) in [(a, b), (b, a), (a, b)] {
-                let g = Gate::new(GateKind::Cx, &[c, tgt]);
-                let mut sub = Gate_to_dense(&g);
-                sub.0 |= extra;
-                let mut out = self.state.clone();
-                self.dense_into(sub.0, sub.1, &sub.2, n, &mut out);
-                self.state = out;
+                let (controls, target, mat) = gate_to_dense(&Gate::new(GateKind::Cx, &[c, tgt]));
+                self.dense(controls | gate.control_mask(), target, &mat);
             }
             return;
         }
-        let (controls, target, mat) = Gate_to_dense(gate);
-        self.dense_into(controls, target, &mat, n, &mut out);
-        self.state = out;
+        let (controls, target, mat) = gate_to_dense(gate);
+        self.dense(controls, target, &mat);
     }
 
-    fn dense_into(&self, controls: u64, target: u8, mat: &Mat2, n: u8, out: &mut [Complex64]) {
-        let total = dense_pattern(controls, target, n).num_items();
-        let threads = self.executor.num_threads() as u64;
-        let chunk = (total.div_ceil(threads.max(1) * 4)).max(MIN_PAR_ITEMS);
-        let input = &self.state;
-        if chunk >= total {
-            dense_chunk(input, out, controls, target, mat, n, 0..total);
-            return;
-        }
-        let view = DisjointSlice::new(out);
-        let mut tf = Taskflow::new("qiskit-gate");
-        let mut start = 0;
-        while start < total {
-            let end = (start + chunk).min(total);
-            tf.emplace(format!("[{start},{end})"), move || {
-                dense_chunk_view(input, view, controls, target, mat, n, start..end);
-            });
-            start = end;
-        }
-        self.executor.run(&tf);
+    /// `state = U · state` through a fresh output buffer. `out` starts
+    /// as a copy of the input and each pair is visited once, so updating
+    /// it in place computes the functional product.
+    fn dense(&mut self, controls: u64, target: u8, mat: &Mat2) {
+        let n = self.num_qubits();
+        let pattern = dense_pattern(controls, target, n);
+        let mut out = self.state.clone();
+        let top = top_qubit(controls, &[target]);
+        self.fan.run(&mut out, &pattern, top, &|piece| match piece {
+            Piece::Sub(block) => {
+                let n = block.len().trailing_zeros() as u8;
+                let items = dense_pattern(controls, target, n).num_items();
+                apply_dense_ranks(controls, target, mat, n, block, 0..items);
+            }
+            Piece::Part(part) => part.for_each_run(&pattern, |_, lo, hi| apply_pairs(mat, lo, hi)),
+        });
+        self.state = out;
     }
 }
 
 /// Lowers any non-swap gate to (controls, target, dense 2×2) — the
 /// deliberately generic dispatch.
-#[allow(non_snake_case)]
-fn Gate_to_dense(gate: &Gate) -> (u64, u8, Mat2) {
+fn gate_to_dense(gate: &Gate) -> (u64, u8, Mat2) {
     (
         gate.control_mask(),
         gate.targets()[0],
@@ -109,75 +93,9 @@ fn Gate_to_dense(gate: &Gate) -> (u64, u8, Mat2) {
     )
 }
 
-fn dense_chunk(
-    input: &[Complex64],
-    out: &mut [Complex64],
-    controls: u64,
-    target: u8,
-    mat: &Mat2,
-    n: u8,
-    ranks: std::ops::Range<u64>,
-) {
-    let pattern = dense_pattern(controls, target, n);
-    let tbit = 1usize << target;
-    for low in pattern.iter_lows(ranks) {
-        let (i, j) = (low as usize, low as usize | tbit);
-        let (a0, a1) = mat.apply(input[i], input[j]);
-        out[i] = a0;
-        out[j] = a1;
-    }
-}
-
-fn dense_chunk_view(
-    input: &[Complex64],
-    out: DisjointSlice<'_, Complex64>,
-    controls: u64,
-    target: u8,
-    mat: &Mat2,
-    n: u8,
-    ranks: std::ops::Range<u64>,
-) {
-    let pattern = dense_pattern(controls, target, n);
-    let tbit = 1usize << target;
-    for low in pattern.iter_lows(ranks) {
-        let (i, j) = (low as usize, low as usize | tbit);
-        let (a0, a1) = mat.apply(input[i], input[j]);
-        // SAFETY: pair ranks are disjoint across tasks.
-        unsafe {
-            out.write(i, a0);
-            out.write(j, a1);
-        }
-    }
-}
-
 impl Simulator for QiskitLike {
     fn name(&self) -> &str {
         "qiskit-like"
-    }
-
-    fn num_qubits(&self) -> u8 {
-        self.circuit.num_qubits()
-    }
-
-    fn push_net(&mut self) -> NetId {
-        self.circuit.push_net()
-    }
-
-    fn insert_gate(
-        &mut self,
-        kind: GateKind,
-        net: NetId,
-        qubits: &[u8],
-    ) -> Result<GateId, CircuitError> {
-        self.circuit.insert_gate(kind, net, qubits)
-    }
-
-    fn remove_gate(&mut self, gate: GateId) -> Result<(), CircuitError> {
-        self.circuit.remove_gate(gate).map(|_| ())
-    }
-
-    fn remove_net(&mut self, net: NetId) -> Result<(), CircuitError> {
-        self.circuit.remove_net(net).map(|_| ())
     }
 
     fn update_state(&mut self) {
@@ -191,15 +109,5 @@ impl Simulator for QiskitLike {
         }
     }
 
-    fn amplitude(&self, idx: usize) -> Complex64 {
-        self.state[idx]
-    }
-
-    fn state_vec(&self) -> Vec<Complex64> {
-        self.state.clone()
-    }
-
-    fn num_gates(&self) -> usize {
-        self.circuit.num_gates()
-    }
+    circuit_and_state!();
 }

@@ -5,28 +5,27 @@
 //! with a synchronization barrier *between* gates (§IV-D contrasts
 //! qTask's whole-graph scheduling with Qulacs "synchronizing work between
 //! levels"). Every `update_state` re-simulates from |0…0⟩: no
-//! incrementality, exactly like the real tool.
+//! incrementality, exactly like the real tool. Each task runs the serial
+//! kernels on its own sub-state, or a high gate's runs on its own `&mut`
+//! pairs, through the same batched [`qtask_num::slices`] primitives the
+//! qTask engine uses (so the comparison stays fair), and the state stays
+//! `==` the serial oracle's.
 
-use crate::common::Simulator;
+use crate::common::{apply_pairs, circuit_and_state, top_qubit, Fan, Piece, Simulator};
 use qtask_circuit::{Circuit, CircuitError, GateId, NetId};
 use qtask_gates::GateKind;
-use qtask_num::{slices, vecops, Complex64, Mat2};
+use qtask_num::{slices, vecops, Complex64};
 use qtask_partition::kernels;
 use qtask_partition::{lower_gate, LinearOp, LoweredGate};
-use qtask_taskflow::{Executor, Taskflow};
-use qtask_util::DisjointSlice;
+use qtask_taskflow::Executor;
 use std::sync::Arc;
-
-/// Minimum items per parallel chunk; below this the per-task overhead
-/// dominates and the gate is applied serially.
-const MIN_PAR_ITEMS: u64 = 4096;
 
 /// A Qulacs-style baseline: specialized kernels, per-gate parallel-for
 /// with inter-gate barriers, full re-simulation per update.
 pub struct QulacsLike {
     circuit: Circuit,
     state: Vec<Complex64>,
-    executor: Arc<Executor>,
+    fan: Fan,
 }
 
 impl QulacsLike {
@@ -40,7 +39,7 @@ impl QulacsLike {
         QulacsLike {
             circuit: Circuit::new(num_qubits),
             state: vecops::ket_zero(num_qubits as usize),
-            executor,
+            fan: Fan::new(executor, "qulacs-gate"),
         }
     }
 
@@ -51,164 +50,47 @@ impl QulacsLike {
 
     fn apply_gate_parallel(&mut self, kind: GateKind, controls: u64, targets: &[u8]) {
         let n = self.num_qubits();
-        let threads = self.executor.num_threads() as u64;
-        match lower_gate(kind, controls, targets) {
-            LoweredGate::Identity => {}
-            LoweredGate::Linear(op) => {
-                let total = op.pattern(n).num_items();
-                let chunk = chunk_size(total, threads);
-                if chunk >= total {
-                    kernels::apply_linear(&op, n, &mut self.state);
-                    return;
-                }
-                let view = DisjointSlice::new(&mut self.state);
-                let mut tf = Taskflow::new("qulacs-gate");
-                let mut start = 0;
-                while start < total {
-                    let end = (start + chunk).min(total);
-                    tf.emplace(format!("[{start},{end})"), move || {
-                        apply_linear_view(&op, n, view, start..end);
-                    });
-                    start = end;
-                }
-                self.executor.run(&tf);
-            }
+        let gate = lower_gate(kind, controls, targets);
+        let pattern = match gate {
+            LoweredGate::Identity => return,
+            LoweredGate::Linear(op) => op.pattern(n),
             LoweredGate::Dense {
-                controls,
-                target,
-                mat,
-            } => {
-                let total = kernels::dense_pattern(controls, target, n).num_items();
-                let chunk = chunk_size(total, threads);
-                if chunk >= total {
-                    kernels::apply_dense(controls, target, &mat, n, &mut self.state);
-                    return;
-                }
-                let view = DisjointSlice::new(&mut self.state);
-                let mut tf = Taskflow::new("qulacs-dense");
-                let mut start = 0;
-                while start < total {
-                    let end = (start + chunk).min(total);
-                    tf.emplace(format!("[{start},{end})"), move || {
-                        apply_dense_view(controls, target, &mat, n, view, start..end);
-                    });
-                    start = end;
-                }
-                self.executor.run(&tf);
-            }
-        }
-    }
-}
-
-fn chunk_size(total: u64, threads: u64) -> u64 {
-    (total.div_ceil(threads.max(1) * 4)).max(MIN_PAR_ITEMS)
-}
-
-/// Applies a linear op's rank range through a disjoint-write view, a
-/// whole run at a time (the same batched [`qtask_num::slices`] primitives
-/// the qTask engine uses, so the comparison stays fair). Distinct rank
-/// ranges touch distinct amplitudes, satisfying the view's exclusivity
-/// contract; runs within one range are likewise index-disjoint.
-fn apply_linear_view(
-    op: &LinearOp,
-    n_qubits: u8,
-    view: DisjointSlice<'_, Complex64>,
-    ranks: std::ops::Range<u64>,
-) {
-    let pattern = op.pattern(n_qubits);
-    for run in pattern.iter_runs(ranks) {
-        let (low, len) = (run.low_start as usize, run.len as usize);
-        match *op {
-            LinearOp::Diag { target, d0, d1, .. } => {
-                // SAFETY: rank ranges (hence their runs) are disjoint
-                // across tasks.
-                let slice = unsafe { view.slice_mut(low..low + len) };
-                kernels::scale_diag_run(slice, low, target, d0, d1);
-            }
-            LinearOp::AntiDiag { a01, a10, .. } => {
-                let high = pattern.partner(run.low_start) as usize;
-                debug_assert!(low + len <= high);
-                // SAFETY: as above; the low and partner runs of one task
-                // never overlap another task's.
-                let (a, b) = unsafe {
-                    (
-                        view.slice_mut(low..low + len),
-                        view.slice_mut(high..high + len),
-                    )
-                };
-                slices::butterfly_slices(a, b, a01, a10);
-            }
-            LinearOp::Swap { .. } => {
-                let high = pattern.partner(run.low_start) as usize;
-                debug_assert!(low + len <= high);
-                // SAFETY: as above.
-                let (a, b) = unsafe {
-                    (
-                        view.slice_mut(low..low + len),
-                        view.slice_mut(high..high + len),
-                    )
-                };
-                a.swap_with_slice(b);
-            }
-        }
-    }
-}
-
-/// Dense butterfly over a rank range, through a disjoint-write view —
-/// whole-run 2×2 butterflies.
-fn apply_dense_view(
-    controls: u64,
-    target: u8,
-    mat: &Mat2,
-    n_qubits: u8,
-    view: DisjointSlice<'_, Complex64>,
-    ranks: std::ops::Range<u64>,
-) {
-    let pattern = kernels::dense_pattern(controls, target, n_qubits);
-    let tbit = 1usize << target;
-    for run in pattern.iter_runs(ranks) {
-        let (low, len) = (run.low_start as usize, run.len as usize);
-        let high = low | tbit;
-        debug_assert!(low + len <= high);
-        // SAFETY: pair ranks are disjoint across tasks.
-        let (a, b) = unsafe {
-            (
-                view.slice_mut(low..low + len),
-                view.slice_mut(high..high + len),
-            )
+                controls, target, ..
+            } => kernels::dense_pattern(controls, target, n),
         };
-        slices::mat2_butterfly_slices(a, b, mat.at(0, 0), mat.at(0, 1), mat.at(1, 0), mat.at(1, 1));
+        let top = top_qubit(controls, targets);
+        // The serial dense kernel goes item by item when runs are single
+        // items; the pieces of a high gate do the same.
+        let by_item = pattern.run_len_log2() == 0;
+        let apply = |piece: Piece<'_>| match piece {
+            Piece::Sub(block) => kernels::apply_gate(kind, controls, targets, block),
+            Piece::Part(part) => part.for_each_run(&pattern, |at, lo, hi| match gate {
+                LoweredGate::Linear(LinearOp::Diag { target, d0, d1, .. }) => {
+                    kernels::scale_diag_run(lo, at, target, d0, d1)
+                }
+                LoweredGate::Linear(LinearOp::AntiDiag { a01, a10, .. }) => {
+                    slices::butterfly_slices(lo, hi, a01, a10)
+                }
+                LoweredGate::Linear(LinearOp::Swap { .. }) => lo.swap_with_slice(hi),
+                LoweredGate::Dense { mat, .. } if by_item => apply_pairs(&mat, lo, hi),
+                LoweredGate::Dense { mat, .. } => slices::mat2_butterfly_slices(
+                    lo,
+                    hi,
+                    mat.at(0, 0),
+                    mat.at(0, 1),
+                    mat.at(1, 0),
+                    mat.at(1, 1),
+                ),
+                LoweredGate::Identity => {}
+            }),
+        };
+        self.fan.run(&mut self.state, &pattern, top, &apply);
     }
 }
 
 impl Simulator for QulacsLike {
     fn name(&self) -> &str {
         "qulacs-like"
-    }
-
-    fn num_qubits(&self) -> u8 {
-        self.circuit.num_qubits()
-    }
-
-    fn push_net(&mut self) -> NetId {
-        self.circuit.push_net()
-    }
-
-    fn insert_gate(
-        &mut self,
-        kind: GateKind,
-        net: NetId,
-        qubits: &[u8],
-    ) -> Result<GateId, CircuitError> {
-        self.circuit.insert_gate(kind, net, qubits)
-    }
-
-    fn remove_gate(&mut self, gate: GateId) -> Result<(), CircuitError> {
-        self.circuit.remove_gate(gate).map(|_| ())
-    }
-
-    fn remove_net(&mut self, net: NetId) -> Result<(), CircuitError> {
-        self.circuit.remove_net(net).map(|_| ())
     }
 
     fn update_state(&mut self) {
@@ -219,21 +101,11 @@ impl Simulator for QulacsLike {
             .map(|(_, g)| (g.kind(), g.control_mask(), g.targets().to_vec()))
             .collect();
         for (kind, controls, targets) in gates {
-            // Barrier between gates: `run` blocks until the gate's
+            // Barrier between gates: `Fan::run` blocks until the gate's
             // parallel-for completes (the Qulacs synchronization model).
             self.apply_gate_parallel(kind, controls, &targets);
         }
     }
 
-    fn amplitude(&self, idx: usize) -> Complex64 {
-        self.state[idx]
-    }
-
-    fn state_vec(&self) -> Vec<Complex64> {
-        self.state.clone()
-    }
-
-    fn num_gates(&self) -> usize {
-        self.circuit.num_gates()
-    }
+    circuit_and_state!();
 }

@@ -4,7 +4,9 @@
 use qtask_baselines::{NaiveSim, QiskitLike, QulacsLike, Simulator};
 use qtask_gates::GateKind;
 use qtask_num::vecops;
+use qtask_taskflow::Executor;
 use rand::prelude::*;
+use std::sync::Arc;
 
 fn random_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
     let mut qubits: Vec<u8> = (0..n).collect();
@@ -60,10 +62,39 @@ fn all_baselines_agree_on_random_circuits() {
     }
 }
 
+/// `random_gate` with, half the time, one operand relabelled to the top
+/// qubit and (for a second operand) another to the qubit below it, so
+/// targets, controls and both swap targets land on the highest bits.
+fn top_heavy_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
+    let (kind, mut qubits) = random_gate(rng, n);
+    for (top, slot) in [(n - 1, 0), (n - 2, 1)] {
+        if slot < qubits.len() && rng.random_bool(0.5) {
+            let pos = rng.random_range(slot..qubits.len());
+            let a = qubits[pos];
+            for q in &mut qubits {
+                if *q == a {
+                    *q = top;
+                } else if *q == top {
+                    *q = a;
+                }
+            }
+        }
+    }
+    (kind, qubits)
+}
+
+/// Builds one gate per net on `sim`.
+fn build(sim: &mut dyn Simulator, gates: &[(GateKind, Vec<u8>)]) {
+    for (kind, qubits) in gates {
+        let net = sim.push_net();
+        sim.insert_gate(*kind, net, qubits).unwrap();
+    }
+}
+
 #[test]
 fn parallel_chunking_kicks_in_on_larger_states() {
-    // 14 qubits crosses the MIN_PAR_ITEMS threshold, exercising the
-    // DisjointSlice parallel paths of both baselines.
+    // 14 qubits crosses the MIN_PAR_ITEMS threshold for the one-qubit
+    // gates, exercising the parallel paths of both baselines.
     let n = 14u8;
     let mut naive = NaiveSim::new(n);
     let mut qulacs = QulacsLike::new(n, 4);
@@ -91,6 +122,69 @@ fn parallel_chunking_kicks_in_on_larger_states() {
     let want = naive.state_vec();
     assert!(vecops::approx_eq(&qulacs.state_vec(), &want, 1e-9));
     assert!(vecops::approx_eq(&qiskit.state_vec(), &want, 1e-9));
+
+    // At 16 and 17 qubits every gate shape (two- and three-qubit ones
+    // included) crosses the threshold, and the top-qubit gates take the
+    // high-gate splits. Qulacs-like must be `==` the serial oracle, and
+    // Qiskit-like `==` itself at every thread count.
+    let executors: Vec<Arc<Executor>> = (1..=4).map(|t| Arc::new(Executor::new(t))).collect();
+    let mut rng = StdRng::seed_from_u64(2024);
+    for (trial, n) in [16u8, 17, 16].into_iter().enumerate() {
+        // The fixed gates come last, on a state the random ones have
+        // filled.
+        let mut gates: Vec<_> = (0..60).map(|_| top_heavy_gate(&mut rng, n)).collect();
+        gates.extend([
+            (GateKind::H, vec![n - 1]),
+            (GateKind::Cx, vec![n - 1, 0]),
+            (GateKind::Cx, vec![0, n - 1]),
+            (GateKind::Swap, vec![n - 2, n - 1]),
+            (GateKind::Cswap, vec![0, n - 2, n - 1]),
+            (GateKind::Ccx, vec![n - 1, n - 2, 1]),
+            (GateKind::Cz, vec![n - 1, n - 2]),
+            (GateKind::Rz(0.3), vec![n - 1]),
+            (GateKind::T, vec![n - 1]),
+            // Controlled dense gates whose runs are single items.
+            (GateKind::Cu3(0.3, 0.7, 1.1), vec![0, n - 1]),
+            (GateKind::Crx(0.9), vec![n - 1, 0]),
+        ]);
+        let mut naive = NaiveSim::new(n);
+        build(&mut naive, &gates);
+        naive.update_state();
+        let want = naive.state_vec();
+        let mut qiskit_first: Option<Vec<_>> = None;
+        for ex in &executors {
+            let threads = ex.num_threads();
+            let before = ex.tasks_run();
+            let mut qulacs = QulacsLike::with_executor(n, ex.clone());
+            let mut qiskit = QiskitLike::with_executor(n, ex.clone());
+            build(&mut qulacs, &gates);
+            build(&mut qiskit, &gates);
+            qulacs.update_state();
+            qiskit.update_state();
+            assert!(
+                ex.tasks_run() > before,
+                "trial {trial}, {threads} threads: no parallel task ran"
+            );
+            assert!(
+                qulacs.state_vec() == want,
+                "trial {trial}, {threads} threads: qulacs-like != naive, diff {}",
+                vecops::max_abs_diff(&qulacs.state_vec(), &want)
+            );
+            let got = qiskit.state_vec();
+            assert!(
+                vecops::approx_eq(&got, &want, 1e-12),
+                "trial {trial}, {threads} threads: qiskit-like diverged, diff {}",
+                vecops::max_abs_diff(&got, &want)
+            );
+            match &qiskit_first {
+                None => qiskit_first = Some(got),
+                Some(first) => assert!(
+                    &got == first,
+                    "trial {trial}, {threads} threads: qiskit-like differs from 1 thread"
+                ),
+            }
+        }
+    }
 }
 
 #[test]

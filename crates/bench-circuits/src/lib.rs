@@ -13,6 +13,8 @@
 //! Every entry also carries the paper's reported measurements
 //! ([`PaperRow`]) so the harness can print paper-vs-measured side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod gens_app;
 pub mod gens_core;

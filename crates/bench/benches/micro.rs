@@ -2,12 +2,12 @@
 //! item-pattern enumeration, partition derivation, executor fan-out, and
 //! the COW resolve chain.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::{derive_partitions, kernels, BlockGeometry, LinearOp};
-use qtask_taskflow::{Executor, Taskflow};
+use qtask_taskflow::{Executor, NodeId, RetainedGraph};
 use std::hint::black_box;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -72,21 +72,20 @@ fn bench_derive(c: &mut Criterion) {
 
 fn bench_executor(c: &mut Criterion) {
     let ex = Executor::new(8);
+    let mut graph = RetainedGraph::<()>::new();
+    let name: std::sync::Arc<str> = std::sync::Arc::from("t");
+    let nodes: Vec<NodeId> = (0..1000)
+        .map(|_| graph.insert((), 0, name.clone()))
+        .collect();
     let mut g = c.benchmark_group("executor");
     g.sample_size(10);
     g.bench_function("run_1000_noop_tasks", |b| {
-        b.iter_batched(
-            || {
-                let mut tf = Taskflow::new("micro");
-                let name: std::sync::Arc<str> = std::sync::Arc::from("t");
-                for _ in 0..1000 {
-                    tf.emplace_empty(name.clone());
-                }
-                tf
-            },
-            |tf| ex.run(&tf),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            for &node in &nodes {
+                graph.mark_dirty(node);
+            }
+            ex.run_dirty(&mut graph, &|_, _| {}).unwrap()
+        })
     });
     g.finish();
 }

@@ -12,6 +12,8 @@
 //! | `QTASK_BENCH_THREADS` | min(16, cores) | worker threads |
 //! | `QTASK_BENCH_FULL` | unset | `1` = paper-exact sizes everywhere |
 
+#![forbid(unsafe_code)]
+
 use qtask_baselines::{QiskitLike, QulacsLike, Simulator};
 use qtask_circuit::{Circuit, CircuitError, GateId, NetId};
 use qtask_core::{Ckt, SimConfig};

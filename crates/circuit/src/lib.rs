@@ -16,6 +16,8 @@
 //! clone for all-or-nothing application — the circuit-level half of the
 //! engine's transactional `edit` API.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod circuit;
 pub mod dot;

@@ -43,6 +43,8 @@
 //!   partition's intra-partition tasks are its node's parallel chunks
 //!   ([`exec`]).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub(crate) mod coverage;
 pub mod cow;

@@ -32,6 +32,8 @@
 //! the chaos driver uses [`site_hits`] traces to pair sites with the
 //! kinds they support.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};

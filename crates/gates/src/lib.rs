@@ -14,6 +14,8 @@
 //! (phased) bit-flip while `RX(π/2)` is dense — exactly the paper's
 //! "RX/RY/RZ of certain degrees that do not form superposition".
 
+#![forbid(unsafe_code)]
+
 pub mod class;
 pub mod kind;
 pub mod matrices;

@@ -8,6 +8,8 @@
 //! engine (paper §III-C). [`slices`] provides the batched (autovectorized)
 //! whole-run primitives behind the engine's and the baselines' kernels.
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod dense;
 pub mod mat;

@@ -52,6 +52,7 @@
 //! ([`recent_thread_events`]) into its autopsy report.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod metrics;
 mod trace;

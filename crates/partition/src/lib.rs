@@ -21,6 +21,8 @@
 //! * [`kernels`] — serial/sliced application of linear and dense ops to a
 //!   flat amplitude vector (shared with the baseline simulators).
 
+#![forbid(unsafe_code)]
+
 pub mod derive;
 pub mod geometry;
 pub mod kernels;

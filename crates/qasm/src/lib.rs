@@ -13,6 +13,8 @@
 //! circuits back to QASM, which doubles as the workspace's persistence
 //! format.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -42,6 +42,8 @@
 //! the chaos suite (`tests/chaos_service.rs`) can kill a session's
 //! writer mid-transaction and assert the service heals.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod error;
 mod manager;

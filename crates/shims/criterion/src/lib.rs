@@ -8,6 +8,8 @@
 //! No statistics engine, plots, or CLI; results print as one line per
 //! benchmark, which is what the repo's bench scripts consume.
 
+#![forbid(unsafe_code)]
+
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 

@@ -7,6 +7,8 @@
 //! `Steal::Retry` reporting) is preserved, so swapping the real crate back
 //! in is a manifest-only change.
 
+#![forbid(unsafe_code)]
+
 pub mod deque {
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};

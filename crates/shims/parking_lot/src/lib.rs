@@ -6,6 +6,8 @@
 //! a panicking critical section already cancels the surrounding run, so
 //! later lock holders may proceed (matching parking_lot semantics).
 
+#![forbid(unsafe_code)]
+
 use std::sync;
 
 /// A mutex whose `lock` returns the guard directly.

@@ -9,6 +9,8 @@
 //! It is **not** a cryptographic RNG; the workspace only uses it for
 //! randomized tests, benchmarks and circuit generators.
 
+#![forbid(unsafe_code)]
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     /// Next 64 uniformly random bits.

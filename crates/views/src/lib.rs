@@ -42,6 +42,8 @@
 //! assert!((dist[0] - 0.5).abs() < 1e-12 && (dist[1] - 0.5).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ops;
 pub mod query;
 pub mod registry;

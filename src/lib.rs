@@ -78,6 +78,8 @@
 //! | [`baselines`] | `qtask-baselines` | Qulacs-like / Qiskit-like / naive |
 //! | [`bench_circuits`] | `qtask-bench-circuits` | QASMBench-style generators |
 
+#![forbid(unsafe_code)]
+
 pub use qtask_baselines as baselines;
 pub use qtask_bench_circuits as bench_circuits;
 pub use qtask_circuit as circuit;
