@@ -29,8 +29,10 @@ fn run_series(name: &str, opts: &Opts, rows: &mut Vec<String>) {
             let mut sim = make_sim(SimKind::QTask, n, &ex, &config);
             full_sim_ms(sim.as_mut(), &levels)
         });
-        let tasks = qtask_obs::snapshot().counter_total("core.tasks_executed")
-            - before.counter_total("core.tasks_executed");
+        let tasks = qtask_obs::snapshot()
+            .counter("core.tasks_executed")
+            .unwrap_or(0)
+            - before.counter("core.tasks_executed").unwrap_or(0);
         let qul = median_of(opts.reps, || {
             let mut sim = make_sim(SimKind::Qulacs, n, &ex, &config);
             full_sim_ms(sim.as_mut(), &levels)

@@ -70,7 +70,7 @@ fn run_series(name: &str, opts: &Opts, rows: &mut Vec<String>) {
             mixed_protocol_ms(SimKind::QTask, n, &ex, &levels, 18)
         });
         let after = qtask_obs::snapshot();
-        let delta = |k: &str| after.counter_total(k) - before.counter_total(k);
+        let delta = |k: &str| after.counter(k).unwrap_or(0) - before.counter(k).unwrap_or(0);
         let (updates, tasks) = (delta("core.updates"), delta("core.tasks_executed"));
         let qul = median_of(opts.reps, || {
             mixed_protocol_ms(SimKind::Qulacs, n, &ex, &levels, 18)

@@ -188,20 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn labeled_metrics_render_and_total() {
-        let a = registry().counter_with("obs.test.labeled", Some(("session", "1")));
-        let b = registry().counter_with("obs.test.labeled", Some(("session", "2")));
-        a.add(2);
-        b.add(3);
-        let snap = snapshot();
-        assert_eq!(snap.counter("obs.test.labeled{session=\"1\"}"), Some(2));
-        assert_eq!(snap.counter_total("obs.test.labeled"), 5);
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("qtask_obs_test_labeled{session=\"1\"} 2"));
-        assert!(prom.contains("qtask_obs_test_labeled{session=\"2\"} 3"));
-    }
-
-    #[test]
     fn snapshot_json_is_valid_json() {
         registry().counter("obs.test.json").add(7);
         registry().histogram("obs.test.json_hist").record(42);

@@ -1,7 +1,7 @@
 //! The always-on metrics registry: sharded counters, gauges, log2
 //! histograms, and coherent [`MetricsSnapshot`] exposition.
 //!
-//! Handles are interned once per `(name, label)` and leaked, so the hot
+//! Handles are interned once per name and leaked, so the hot
 //! path — [`Counter::add`], [`Gauge::set`], [`Histogram::record`] — is a
 //! handful of relaxed atomic operations with no locks and no
 //! allocation. The [`counter!`](crate::counter)/[`gauge!`](crate::gauge)/
@@ -242,13 +242,15 @@ enum Handle {
     Histogram(&'static Histogram),
 }
 
-/// The process-wide metric registry: interns `(name, label)` pairs to
-/// leaked `'static` handles and enumerates them for snapshots.
+/// The process-wide metric registry: interns names to leaked `'static`
+/// handles and enumerates them for snapshots.
 ///
 /// Interning takes a short mutex; it happens once per call site (the
 /// macros cache the returned reference), so the lock is never on a hot
-/// path. The leak is bounded by the number of distinct metric names —
-/// a few dozen in this workspace plus one set per live session label.
+/// path. The leak is bounded by the number of distinct metric names, a
+/// few dozen in this workspace: metrics carry no labels, so opening a
+/// session, a view or an engine registers nothing new. Per-instance
+/// numbers live in that instance's own report and die with it.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Handle>>,
@@ -260,43 +262,27 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
-/// Renders the canonical key for a metric: `name` alone, or
-/// `name{key="value"}` for labeled instances.
-fn render_key(name: &str, label: Option<(&str, &str)>) -> String {
-    match label {
-        None => name.to_string(),
-        Some((k, v)) => format!("{name}{{{k}=\"{v}\"}}"),
-    }
-}
-
 impl Registry {
     fn intern<T: Default>(
         &self,
         name: &str,
-        label: Option<(&str, &str)>,
         wrap: fn(&'static T) -> Handle,
         unwrap: fn(&Handle) -> Option<&'static T>,
     ) -> &'static T {
-        let key = render_key(name, label);
         let mut metrics = self.metrics.lock();
-        if let Some(h) = metrics.get(&key) {
+        if let Some(h) = metrics.get(name) {
             return unwrap(h).unwrap_or_else(|| {
-                panic!("metric {key:?} already registered with a different type")
+                panic!("metric {name:?} already registered with a different type")
             });
         }
         let leaked: &'static T = Box::leak(Box::default());
-        metrics.insert(key, wrap(leaked));
+        metrics.insert(name.to_string(), wrap(leaked));
         leaked
     }
 
     /// Interns (or retrieves) the counter `name`.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        self.counter_with(name, None)
-    }
-
-    /// Interns a labeled counter, e.g. `("service.edits_ok", Some(("session", "3")))`.
-    pub fn counter_with(&self, name: &str, label: Option<(&str, &str)>) -> &'static Counter {
-        self.intern(name, label, Handle::Counter, |h| match h {
+        self.intern(name, Handle::Counter, |h| match h {
             Handle::Counter(c) => Some(c),
             _ => None,
         })
@@ -304,12 +290,7 @@ impl Registry {
 
     /// Interns (or retrieves) the gauge `name`.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        self.gauge_with(name, None)
-    }
-
-    /// Interns a labeled gauge.
-    pub fn gauge_with(&self, name: &str, label: Option<(&str, &str)>) -> &'static Gauge {
-        self.intern(name, label, Handle::Gauge, |h| match h {
+        self.intern(name, Handle::Gauge, |h| match h {
             Handle::Gauge(g) => Some(g),
             _ => None,
         })
@@ -317,12 +298,7 @@ impl Registry {
 
     /// Interns (or retrieves) the histogram `name`.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        self.histogram_with(name, None)
-    }
-
-    /// Interns a labeled histogram.
-    pub fn histogram_with(&self, name: &str, label: Option<(&str, &str)>) -> &'static Histogram {
-        self.intern(name, label, Handle::Histogram, |h| match h {
+        self.intern(name, Handle::Histogram, |h| match h {
             Handle::Histogram(h) => Some(h),
             _ => None,
         })
@@ -353,7 +329,7 @@ pub fn snapshot() -> MetricsSnapshot {
 
 /// A coherent, point-in-time copy of every metric in a [`Registry`],
 /// with JSON and Prometheus text exposition. Entries are sorted by
-/// rendered name, so output is deterministic.
+/// name, so output is deterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter.
@@ -380,20 +356,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Splits a rendered key back into `(base name, label)` — the inverse
-/// of the registry's `name{key="value"}` rendering.
-fn split_key(key: &str) -> (&str, Option<(&str, &str)>) {
-    let Some(brace) = key.find('{') else {
-        return (key, None);
-    };
-    let base = &key[..brace];
-    let body = key[brace + 1..].trim_end_matches('}');
-    if let Some((k, v)) = body.split_once("=\"") {
-        return (base, Some((k, v.trim_end_matches('"'))));
-    }
-    (base, None)
-}
-
 /// Maps a metric name to a Prometheus-legal identifier.
 fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 6);
@@ -409,7 +371,7 @@ fn prometheus_name(name: &str) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Value of counter `name` (rendered key, including any label).
+    /// Value of counter `name`.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
@@ -428,16 +390,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, h)| h)
-    }
-
-    /// Sum of counter `name` over all labeled instances (plus the
-    /// unlabeled one, if present).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| split_key(k).0 == name)
-            .map(|&(_, v)| v)
-            .sum()
     }
 
     /// JSON exposition: one object with `counters`/`gauges`/`histograms`
@@ -490,65 +442,27 @@ impl MetricsSnapshot {
     /// `_count` series with cumulative `le` buckets for histograms).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let label_str = |label: Option<(&str, &str)>, extra: Option<(&str, String)>| {
-            let mut parts = Vec::new();
-            if let Some((k, v)) = label {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        };
-        let mut typed = std::collections::BTreeSet::new();
         for (key, v) in &self.counters {
-            let (base, label) = split_key(key);
-            let name = prometheus_name(base);
-            if typed.insert(name.clone()) {
-                out.push_str(&format!("# TYPE {name} counter\n"));
-            }
-            out.push_str(&format!("{name}{} {v}\n", label_str(label, None)));
+            let name = prometheus_name(key);
+            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
         for (key, v) in &self.gauges {
-            let (base, label) = split_key(key);
-            let name = prometheus_name(base);
-            if typed.insert(name.clone()) {
-                out.push_str(&format!("# TYPE {name} gauge\n"));
-            }
-            out.push_str(&format!("{name}{} {v}\n", label_str(label, None)));
+            let name = prometheus_name(key);
+            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
         for (key, h) in &self.histograms {
-            let (base, label) = split_key(key);
-            let name = prometheus_name(base);
-            if typed.insert(name.clone()) {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-            }
+            let name = prometheus_name(key);
+            out.push_str(&format!("# TYPE {name} histogram\n"));
             let mut cumulative = 0u64;
             for (idx, &c) in h.buckets.iter().enumerate() {
-                if c == 0 || idx == HISTOGRAM_BUCKETS - 1 {
-                    cumulative += c;
-                    continue;
-                }
                 cumulative += c;
-                out.push_str(&format!(
-                    "{name}_bucket{} {cumulative}\n",
-                    label_str(label, Some(("le", bucket_bound(idx).to_string())))
-                ));
+                if c != 0 && idx != HISTOGRAM_BUCKETS - 1 {
+                    let le = bucket_bound(idx);
+                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+                }
             }
-            out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                label_str(label, Some(("le", "+Inf".to_string())))
-            ));
-            out.push_str(&format!("{name}_sum{} {}\n", label_str(label, None), h.sum));
-            out.push_str(&format!(
-                "{name}_count{} {}\n",
-                label_str(label, None),
-                h.count
-            ));
+            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
+            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
         }
         out
     }

@@ -100,12 +100,22 @@ impl ItemPattern {
     /// low_start + j` for `j < len`; for pair patterns the partners are
     /// `partner(low_start) + j` (the partner masks only touch bits at or
     /// above [`Self::run_len_log2`], so both sides advance in lockstep).
+    /// O(1) per run after one [`Self::nth_low`] for the first.
     pub fn iter_runs(&self, ranks: std::ops::Range<u64>) -> RunIter {
+        let span = 1u64 << self.run_len_log2();
+        let above = self.free_mask & !(span - 1);
+        let end = ranks.end.max(ranks.start);
         RunIter {
-            pattern: *self,
+            base: self.base,
+            above,
+            cursor: if ranks.start < end {
+                self.nth_low(ranks.start) & above
+            } else {
+                0
+            },
             rank: ranks.start,
-            end: ranks.end.max(ranks.start),
-            span: 1u64 << self.run_len_log2(),
+            end,
+            span,
         }
     }
 
@@ -171,7 +181,11 @@ pub struct Run {
 /// ([`ItemPattern::iter_runs`]). A clipped first/last run is simply
 /// shorter; interior runs have the full `2^run_len_log2` length.
 pub struct RunIter {
-    pattern: ItemPattern,
+    base: u64,
+    /// The free bits above the run span, which the run starts enumerate.
+    above: u64,
+    /// The current run's bits in `above` (a submask of it).
+    cursor: u64,
     rank: u64,
     end: u64,
     span: u64,
@@ -186,14 +200,17 @@ impl Iterator for RunIter {
         }
         let rank_start = self.rank;
         // Runs break at aligned multiples of the span: the carry out of
-        // the contiguous low free bits lands in a non-adjacent position.
-        let boundary = (rank_start / self.span + 1) * self.span;
-        let len = boundary.min(self.end) - rank_start;
+        // the contiguous low free bits lands in a non-adjacent position,
+        // the next submask of `above`.
+        let offset = rank_start & (self.span - 1);
+        let len = (self.span - offset).min(self.end - rank_start);
+        let low_start = self.base | self.cursor | offset;
         self.rank = rank_start + len;
+        self.cursor = self.cursor.wrapping_sub(self.above) & self.above;
         Some(Run {
             rank_start,
             len,
-            low_start: self.pattern.nth_low(rank_start),
+            low_start,
         })
     }
 }

@@ -11,14 +11,13 @@ pub struct ServiceConfig {
     /// slot until closed — dead tenants must be reaped explicitly, not
     /// silently replaced.
     pub max_sessions: usize,
-    /// Bounded mailbox depth per session. A caller that finds the
-    /// mailbox full waits for a free slot instead of queueing
-    /// unboundedly; one still waiting at its deadline is shed with
-    /// [`crate::ServiceError::Overloaded`].
+    /// Bounded mailbox depth per session, the one bound on a session's
+    /// queued requests. A caller that finds the mailbox full waits for a
+    /// free slot instead of queueing unboundedly; one still waiting at
+    /// its deadline is shed with [`crate::ServiceError::Overloaded`].
+    /// Zero is [`crate::ServiceError::Rejected`] at
+    /// [`crate::SessionManager::open`]: such a session could only shed.
     pub mailbox_capacity: usize,
-    /// Per-session cap on concurrently submitted requests; beyond it,
-    /// submissions are [`crate::ServiceError::Rejected`] immediately.
-    pub inflight_quota: usize,
     /// Deadline for requests submitted without an explicit one.
     pub default_deadline: Duration,
     /// Circuit breaker: this many consecutive failed recoveries within
@@ -44,7 +43,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_sessions: 64,
             mailbox_capacity: 32,
-            inflight_quota: 16,
             default_deadline: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_window: Duration::from_secs(10),
@@ -64,12 +62,6 @@ impl ServiceConfig {
     /// This config with the given per-session mailbox depth (at least 1).
     pub fn with_mailbox_capacity(mut self, mailbox_capacity: usize) -> ServiceConfig {
         self.mailbox_capacity = mailbox_capacity.max(1);
-        self
-    }
-
-    /// This config with the given per-session in-flight quota (at least 1).
-    pub fn with_inflight_quota(mut self, inflight_quota: usize) -> ServiceConfig {
-        self.inflight_quota = inflight_quota.max(1);
         self
     }
 
@@ -113,14 +105,12 @@ mod tests {
         let c = c
             .with_max_sessions(2)
             .with_mailbox_capacity(0)
-            .with_inflight_quota(0)
             .with_default_deadline(Duration::from_millis(50))
             .with_breaker(0, Duration::from_secs(1))
             .with_threads(0)
             .with_view_quota(0);
         assert_eq!(c.max_sessions, 2);
         assert_eq!(c.mailbox_capacity, 1); // clamped
-        assert_eq!(c.inflight_quota, 1); // clamped
         assert_eq!(c.breaker_threshold, 1); // clamped
         assert_eq!(c.num_threads, 1); // clamped
         assert_eq!(c.view_quota, 1); // clamped

@@ -15,9 +15,11 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// Admission control refused the work before queueing it: the
-    /// session limit or the per-session in-flight quota is exhausted,
-    /// the target session does not exist, or a new session's qubit
-    /// count / block size is invalid. Nothing was enqueued.
+    /// session limit or a session's view quota is exhausted, the target
+    /// session does not exist, a view query is invalid, or a new
+    /// session's qubit count, block size or mailbox capacity is invalid.
+    /// Nothing was enqueued. A full mailbox is not a rejection: its
+    /// callers wait, and shed with [`ServiceError::Overloaded`].
     Rejected {
         /// Which limit refused the work.
         reason: String,

@@ -1,7 +1,7 @@
 //! The session manager: admission, multiplexing, lifecycle.
 
 use crate::push::ViewFanout;
-use crate::session::{Shared, Writer};
+use crate::session::{touch_service_metrics, Shared, Writer};
 use crate::{
     lock, ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState,
 };
@@ -46,6 +46,7 @@ impl SessionManager {
 
     /// A manager multiplexing sessions over an existing pool.
     pub fn with_executor(cfg: ServiceConfig, executor: Arc<Executor>) -> SessionManager {
+        touch_service_metrics();
         SessionManager {
             cfg: Arc::new(cfg),
             executor,
@@ -78,8 +79,9 @@ impl SessionManager {
     /// reads immediately and request ordering is deterministic).
     ///
     /// Admission control: a qubit count or block size no engine can
-    /// take ([`BlockGeometry::check`]), or the
-    /// [`ServiceConfig::max_sessions`] limit, is
+    /// take ([`BlockGeometry::check`]), a
+    /// [`ServiceConfig::mailbox_capacity`] of zero (a session that could
+    /// only shed), or the [`ServiceConfig::max_sessions`] limit, is
     /// [`ServiceError::Rejected`] — nothing is scheduled. A
     /// session whose engine is broken at birth is still *admitted* (it
     /// holds a slot); its health is observable via
@@ -91,6 +93,11 @@ impl SessionManager {
     ) -> Result<SessionHandle, ServiceError> {
         BlockGeometry::check(num_qubits, sim_config.block_size)
             .map_err(|reason| ServiceError::Rejected { reason })?;
+        if self.cfg.mailbox_capacity == 0 {
+            return Err(ServiceError::Rejected {
+                reason: "mailbox capacity of 0 admits no request".to_string(),
+            });
+        }
         let mut inner = lock(&self.inner);
         if inner.sessions.len() >= self.cfg.max_sessions {
             return Err(ServiceError::Rejected {

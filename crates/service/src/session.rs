@@ -27,7 +27,7 @@ use qtask_taskflow::Executor;
 use qtask_views::{ViewQuery, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
@@ -104,7 +104,8 @@ pub struct SessionReport {
     /// Edits that reached the writer and failed (typed error; circuit
     /// unchanged).
     pub edits_failed: u64,
-    /// Requests shed before reaching the writer (quota, overload).
+    /// Requests shed before reaching the writer: the mailbox stayed
+    /// full until their deadline ([`ServiceError::Overloaded`]).
     pub shed: u64,
     /// Requests whose caller gave up waiting (the writer may have
     /// completed them late).
@@ -146,38 +147,19 @@ struct Stats {
     recovery_failures: AtomicU64,
 }
 
-/// Per-session handles into the global `qtask-obs` registry, labeled
-/// `{session="<id>"}`. Interned once at session creation; every update
-/// afterwards is lock-free. The [`Stats`] atomics and these counters
-/// are bumped at the same sites, so [`SessionReport`] and
-/// [`qtask_obs::MetricsSnapshot`] can never disagree.
-struct SessionMetrics {
-    edits_ok: &'static qtask_obs::Counter,
-    edits_failed: &'static qtask_obs::Counter,
-    shed: &'static qtask_obs::Counter,
-    timeouts: &'static qtask_obs::Counter,
-    recoveries: &'static qtask_obs::Counter,
-    recovery_failures: &'static qtask_obs::Counter,
-    mailbox_depth: &'static qtask_obs::Gauge,
-    queue_delay_us: &'static qtask_obs::Histogram,
-}
-
-impl SessionMetrics {
-    fn new(id: SessionId) -> SessionMetrics {
-        let reg = qtask_obs::registry();
-        let v = id.0.to_string();
-        let l = Some(("session", v.as_str()));
-        SessionMetrics {
-            edits_ok: reg.counter_with("service.edits_ok", l),
-            edits_failed: reg.counter_with("service.edits_failed", l),
-            shed: reg.counter_with("service.shed", l),
-            timeouts: reg.counter_with("service.timeouts", l),
-            recoveries: reg.counter_with("service.recoveries", l),
-            recovery_failures: reg.counter_with("service.recovery_failures", l),
-            mailbox_depth: reg.gauge_with("service.mailbox_depth", l),
-            queue_delay_us: reg.histogram_with("service.queue_delay_us", l),
-        }
-    }
+/// Interns every `service.*` aggregate a [`SessionReport`] feeds, so
+/// metrics expositions cover them all from the first snapshot, even
+/// counters whose path never ran (e.g. a recovery failure). Called once
+/// per manager; interning an existing handle is a map lookup.
+pub(crate) fn touch_service_metrics() {
+    let _ = qtask_obs::counter!("service.edits_ok");
+    let _ = qtask_obs::counter!("service.edits_failed");
+    let _ = qtask_obs::counter!("service.shed");
+    let _ = qtask_obs::counter!("service.timeouts");
+    let _ = qtask_obs::counter!("service.recoveries");
+    let _ = qtask_obs::counter!("service.recovery_failures");
+    let _ = qtask_obs::gauge!("service.mailbox_depth");
+    let _ = qtask_obs::histogram!("service.queue_delay_us");
 }
 
 /// The actor's mailbox and the session's lifecycle, under one mutex.
@@ -220,9 +202,7 @@ pub(crate) struct Shared {
     /// The last published snapshot — the degraded-read surface. Written
     /// only by the actor; read by any number of clients.
     latest: RwLock<Option<StateSnapshot>>,
-    inflight: AtomicUsize,
     stats: Stats,
-    metrics: SessionMetrics,
     last_error: Mutex<Option<String>>,
     recent_trace: Mutex<Vec<String>>,
     mailbox: Mutex<Mailbox>,
@@ -248,9 +228,7 @@ impl Shared {
             cfg: Arc::clone(cfg),
             executor: Arc::clone(executor),
             latest: RwLock::new(None),
-            inflight: AtomicUsize::new(0),
             stats: Stats::default(),
-            metrics: SessionMetrics::new(id),
             last_error: Mutex::new(None),
             recent_trace: Mutex::new(Vec::new()),
             mailbox: Mutex::new(Mailbox {
@@ -434,58 +412,48 @@ impl Shared {
         *lock(&self.last_error) = Some(reason);
     }
 
-    // The note_* methods feed the per-call [`Stats`] atomic and the
-    // registry counters (per-session label + service-wide aggregate)
-    // from the same increment, so the autopsy and the registry stay in
-    // lockstep by construction.
+    // The note_* methods bump this session's [`Stats`] atomic, which
+    // dies with the session, and the registry's process-wide aggregate
+    // at the same site: the aggregate is the sum of every session's
+    // report, and the registry grows by nothing per session.
 
     fn note_edit_ok(&self) {
         self.stats.edits_ok.fetch_add(1, Ordering::Relaxed);
-        self.metrics.edits_ok.inc();
         qtask_obs::counter!("service.edits_ok").inc();
     }
 
     fn note_edit_failed(&self) {
         self.stats.edits_failed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.edits_failed.inc();
         qtask_obs::counter!("service.edits_failed").inc();
     }
 
     fn note_shed(&self) {
         self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.shed.inc();
         qtask_obs::counter!("service.shed").inc();
     }
 
     fn note_timeout(&self) {
         self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.metrics.timeouts.inc();
         qtask_obs::counter!("service.timeouts").inc();
     }
 
     fn note_recovery(&self) {
         self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.metrics.recoveries.inc();
         qtask_obs::counter!("service.recoveries").inc();
     }
 
     fn note_recovery_failure(&self) {
         self.stats.recovery_failures.fetch_add(1, Ordering::Relaxed);
-        self.metrics.recovery_failures.inc();
         qtask_obs::counter!("service.recovery_failures").inc();
     }
 
     fn note_enqueued(&self) {
-        self.metrics.mailbox_depth.inc();
         qtask_obs::gauge!("service.mailbox_depth").inc();
     }
 
     fn note_dequeued(&self, queued_for: Duration) {
-        self.metrics.mailbox_depth.dec();
         qtask_obs::gauge!("service.mailbox_depth").dec();
-        let us = queued_for.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.metrics.queue_delay_us.record(us);
-        qtask_obs::histogram!("service.queue_delay_us").record(us);
+        qtask_obs::histogram!("service.queue_delay_us").record_duration_us(queued_for);
     }
 
     /// Captures the current thread's last trace events into the autopsy.
@@ -585,30 +553,6 @@ impl Request {
     }
 }
 
-/// RAII bracket for the per-session in-flight quota.
-struct QuotaGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl<'a> QuotaGuard<'a> {
-    fn acquire(shared: &'a Shared, quota: usize) -> Result<QuotaGuard<'a>, ServiceError> {
-        if shared.inflight.fetch_add(1, Ordering::AcqRel) >= quota {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.note_shed();
-            return Err(ServiceError::Rejected {
-                reason: format!("session {} in-flight quota of {quota} exhausted", shared.id),
-            });
-        }
-        Ok(QuotaGuard { shared })
-    }
-}
-
-impl Drop for QuotaGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// Client handle to one session. Cheap to clone; every clone talks to
 /// the same supervised actor. Dropping all handles (manager's included)
 /// drops the session's engine and closes its subscriptions.
@@ -688,8 +632,8 @@ impl SessionHandle {
     /// runs on a pool worker, as for [`SessionHandle::edit`].
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
-    /// [`ServiceError::Rejected`] (quota), [`ServiceError::Overloaded`]
-    /// (mailbox full until the deadline; the edit was never queued),
+    /// [`ServiceError::Overloaded`] (mailbox full until the deadline;
+    /// the edit was never queued),
     /// [`ServiceError::SessionClosed`] (closed while it waited),
     /// [`ServiceError::Timeout`] (writer too slow — the edit may still
     /// commit late),
@@ -704,7 +648,6 @@ impl SessionHandle {
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
     {
-        let _quota = QuotaGuard::acquire(&self.shared, self.shared.cfg.inflight_quota)?;
         self.call(
             |reply| Request::Edit {
                 op: Box::new(f),

@@ -13,7 +13,7 @@
 use qtask::prelude::*;
 
 fn delta(after: &qtask_obs::MetricsSnapshot, before: &qtask_obs::MetricsSnapshot, k: &str) -> u64 {
-    after.counter_total(k) - before.counter_total(k)
+    after.counter(k).unwrap_or(0) - before.counter(k).unwrap_or(0)
 }
 
 #[test]
