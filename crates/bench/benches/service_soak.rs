@@ -10,10 +10,11 @@
 //!
 //! Every session count runs twice: with readers that spin on
 //! `snapshot()`, and with readers that yield the CPU after each read.
-//! Spinning readers keep every vCPU busy, so the pool's workers, which
-//! run every session's requests, get a share of the CPU that shrinks as
-//! sessions are added; the yielding series shows the service without
-//! that competition.
+//! Each session's requests run on its own client thread (the caller
+//! that serves the session), with the pool's workers joining its
+//! simulation runs. Spinning readers keep every vCPU busy, so those
+//! threads compete with them for the CPU; the yielding series shows the
+//! service without that competition.
 
 use qtask_bench::{harness_init, Opts};
 use qtask_core::SimConfig;

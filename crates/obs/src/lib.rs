@@ -47,8 +47,8 @@
 //! assert!(stats.spans >= 2);
 //! ```
 //!
-//! The per-thread rings survive thread exit. A session's actor reads
-//! the final events of the worker that ran a failed request
+//! The per-thread rings survive thread exit. A session reads the final
+//! events of the thread that ran a failed request
 //! ([`recent_thread_events`]) into its autopsy report.
 
 #![warn(missing_docs)]

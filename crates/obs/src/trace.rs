@@ -228,8 +228,8 @@ pub fn instant(name: impl Into<Name>) {
 }
 
 /// The last `n` events recorded by the *current* thread, oldest first.
-/// This is the autopsy hook: a session's actor reads the ring of the
-/// worker it runs on right after a request killed its writer.
+/// This is the autopsy hook: a session's serving caller reads its own
+/// ring right after a request it ran killed the session's writer.
 pub fn recent_thread_events(n: usize) -> Vec<TraceEvent> {
     let mut events = with_thread_ring(|r| r.snapshot());
     if events.len() > n {

@@ -27,9 +27,11 @@ pub struct ServiceConfig {
     /// Time window for counting consecutive recovery failures; failures
     /// further apart than this reset the count.
     pub breaker_window: Duration,
-    /// Worker threads of the shared executor. All sessions multiplex
-    /// over this one pool: it runs their engines' simulation work and
-    /// their actors, so a session owns no thread of its own.
+    /// Worker threads of the shared executor. All sessions share this
+    /// one pool, and it does their engines' simulation work only: a
+    /// request runs on the thread of whichever caller serves its
+    /// session, which takes part in its own simulation runs, so a
+    /// session owns no thread of its own.
     pub num_threads: usize,
     /// Per-session cap on live view subscriptions
     /// ([`crate::SessionHandle::subscribe`]); beyond it, subscriptions

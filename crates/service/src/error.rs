@@ -34,9 +34,11 @@ pub enum ServiceError {
         /// Its mailbox capacity (every slot was occupied).
         mailbox: usize,
     },
-    /// The per-request deadline elapsed before the writer replied. The
-    /// request may still complete afterwards — the deadline bounds the
-    /// caller's wait, not the writer's work.
+    /// The request had not completed by its deadline, whichever caller's
+    /// thread ran it. The request may still complete afterwards — the
+    /// deadline bounds the caller's wait, not the work: a request still
+    /// queued stays queued, and the next caller to serve the session
+    /// runs it, possibly on another client's thread.
     Timeout {
         /// The slow session.
         session: SessionId,

@@ -5,8 +5,11 @@
 //! still serialize on `&mut Ckt`. This crate is the service layer that
 //! split was designed for: a [`SessionManager`] multiplexes many
 //! circuits (*sessions*) over one worker pool. Each session is a
-//! supervised actor: a bounded mailbox whose requests a pool worker
-//! serves one at a time, publishing versioned snapshots. No session owns
+//! supervised bounded mailbox whose requests are served one at a time,
+//! publishing versioned snapshots. A request runs on the thread of
+//! whichever caller serves the session: the caller that finds it idle
+//! runs its own request and then those other callers queued meanwhile.
+//! The pool does simulation work only, no client code. No session owns
 //! an OS thread; an idle one costs none.
 //!
 //! Robustness is the point, threaded through every layer:
@@ -20,7 +23,10 @@
 //! - **Deadlines** — every request is bounded end to end. A caller that
 //!   finds the mailbox full waits on the session's condvar until a slot
 //!   frees, the session closes or fails, or its deadline passes; only
-//!   then is the request shed with [`ServiceError::Overloaded`].
+//!   then is the request shed with [`ServiceError::Overloaded`]. A
+//!   request not completed by its deadline is [`ServiceError::Timeout`]
+//!   to its caller; it stays queued, and the next caller to serve the
+//!   session runs it, possibly on another client's thread.
 //!   Non-retryable failures surface immediately.
 //! - **Backpressure, graceful degradation** — mailboxes are bounded;
 //!   when a writer lags or is quarantined, new edits wait for a slot
@@ -33,8 +39,8 @@
 //!   ([`ServiceConfig::breaker_threshold`] consecutive failures within
 //!   [`ServiceConfig::breaker_window`] trip the terminal `Failed` state
 //!   with a [`SessionReport`] autopsy). A failure never reaches a
-//!   sibling's state, but siblings share the pool's workers: a blocking
-//!   client closure or a recovery delays the sessions queued behind it.
+//!   sibling's state, and a blocking client closure or a recovery
+//!   delays only its own session's callers.
 //!
 //! Session lifecycle (see `DESIGN.md` §"Service & supervision"):
 //! `Admitted → Active → (Quarantined → Recovered | Failed)* → Closed`.
@@ -261,9 +267,11 @@ mod tests {
     #[test]
     fn requests_queued_at_the_breaker_trip_fail_typed() {
         let mgr = SessionManager::new(small_cfg());
-        // Every recovery of this engine fails, and each attempt rebuilds
-        // 2^20 amplitudes, so requests sent right after `open` are
-        // queued while the watchdog still heals.
+        // Every recovery of this engine fails. `open` runs the watchdog
+        // on its own thread and returns once the breaker tripped, so
+        // these requests are refused at admission. Requests queued
+        // behind a serving caller when it trips the breaker are tested
+        // in `tests/chaos_service.rs`.
         let broken = SimConfig {
             norm_tolerance: -1.0,
             ..SimConfig::default()
@@ -289,8 +297,9 @@ mod tests {
     }
 
     /// Fills `h`'s capacity-1 mailbox: request A is an edit whose
-    /// closure holds the actor until the returned sender sends or drops,
-    /// and request B, queued behind it, timed out and stays queued.
+    /// closure holds the session until the returned sender sends or
+    /// drops, and request B, queued behind it, timed out and stays
+    /// queued.
     /// Returns the release and A's caller thread.
     fn hold_full_mailbox(
         h: &SessionHandle,

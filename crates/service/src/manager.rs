@@ -2,9 +2,7 @@
 
 use crate::push::ViewFanout;
 use crate::session::{touch_service_metrics, Shared, Writer};
-use crate::{
-    lock, ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport, SessionState,
-};
+use crate::{lock, ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport};
 use qtask_core::{BlockGeometry, Ckt, SimConfig};
 use qtask_taskflow::Executor;
 use std::collections::HashMap;
@@ -15,16 +13,18 @@ use std::time::Duration;
 ///
 /// Each [`SessionManager::open`] admits a session (or rejects it at the
 /// [`ServiceConfig::max_sessions`] limit) and hands back a cloneable
-/// [`SessionHandle`]. A session owns no thread: its actor and its
-/// engine's simulation work both run on the manager's [`Executor`], so
-/// N sessions multiplex over one set of worker threads, and an idle
-/// session costs no thread at all.
+/// [`SessionHandle`]. A session owns no thread. A request runs on the
+/// thread of whichever caller serves the session — the caller that
+/// finds it idle serves it until its queue is empty — and the engine's
+/// simulation work runs on that thread plus the manager's [`Executor`],
+/// which does simulation work only. N sessions share one set of worker
+/// threads, and an idle session costs no thread at all.
 ///
-/// Sessions fail independently: a quarantine or a breaker trip changes
-/// no other session's state. They do not wait independently: an actor
-/// holds a pool worker while it serves a request (client closure
-/// included) or runs its recovery attempts, and sessions queued behind
-/// it wait for that worker — on a 1-worker pool, all of them.
+/// Sessions fail and wait independently: a quarantine or a breaker trip
+/// changes no other session's state, and a slow or blocking client
+/// closure, or a run of recovery attempts, holds up only its own
+/// session's callers. The manager's own lock is never held while a
+/// session is served.
 pub struct SessionManager {
     cfg: Arc<ServiceConfig>,
     executor: Arc<Executor>,
@@ -74,18 +74,19 @@ impl SessionManager {
     }
 
     /// Admits a new session simulating `num_qubits` qubits under
-    /// `sim_config`, schedules its actor, and blocks until the
-    /// baseline snapshot is published (so the returned handle serves
-    /// reads immediately and request ordering is deterministic).
+    /// `sim_config` and publishes its baseline snapshot on this thread
+    /// before returning (so the returned handle serves reads immediately
+    /// and request ordering is deterministic).
     ///
     /// Admission control: a qubit count or block size no engine can
     /// take ([`BlockGeometry::check`]), a
     /// [`ServiceConfig::mailbox_capacity`] of zero (a session that could
     /// only shed), or the [`ServiceConfig::max_sessions`] limit, is
-    /// [`ServiceError::Rejected`] — nothing is scheduled. A
-    /// session whose engine is broken at birth is still *admitted* (it
-    /// holds a slot); its health is observable via
-    /// [`SessionHandle::state`] and the watchdog/breaker run as usual.
+    /// [`ServiceError::Rejected`] — nothing is built. A session whose
+    /// engine is broken at birth is still *admitted* (it holds a slot);
+    /// the watchdog and breaker run as usual, on this thread, before
+    /// `open` returns, and its health is observable via
+    /// [`SessionHandle::state`].
     pub fn open(
         &self,
         num_qubits: u8,
@@ -108,11 +109,11 @@ impl SessionManager {
         inner.next_id += 1;
         let mut ckt = Ckt::with_executor(num_qubits, sim_config, Arc::clone(&self.executor));
         let views = ViewFanout::attach(&mut ckt, self.cfg.view_quota);
-        let shared = Shared::open(id, Writer { ckt, views }, &self.cfg, &self.executor);
+        let shared = Arc::new(Shared::new(id, Writer { ckt, views }, &self.cfg));
         let handle = SessionHandle { shared };
         inner.sessions.insert(id.0, handle.clone());
         drop(inner);
-        handle.wait_for(|s| s != SessionState::Admitted, self.cfg.default_deadline);
+        handle.shared.serve_queue();
         Ok(handle)
     }
 
@@ -123,14 +124,15 @@ impl SessionManager {
 
     /// Closes a session: marks it closing (new requests, and callers
     /// waiting for a mailbox slot, get [`ServiceError::SessionClosed`]),
-    /// lets its actor serve what is already queued, waits until the
-    /// session is `Closed`, frees the slot, and returns the final
-    /// autopsy. Works on failed sessions too (that is how their slot is
-    /// reaped); the report then still shows `Failed`.
+    /// and closes it on this thread if no caller is serving it; else the
+    /// serving caller serves what is already queued and then closes it.
+    /// Waits until the session is `Closed`, frees the slot, and returns
+    /// the final autopsy. Works on failed sessions too (that is how
+    /// their slot is reaped); the report then still shows `Failed`.
     ///
-    /// Never call it from an edit closure: the closure holds a pool
-    /// worker, and when it holds the last free one the actor this waits
-    /// for never runs, so the call never returns.
+    /// An edit closure may close any session but its own. Closing its
+    /// own session never returns: the session is being served by the
+    /// closure's caller, and it cannot finish serving while this waits.
     pub fn close(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         let handle =
             lock(&self.inner)
@@ -169,9 +171,10 @@ impl SessionManager {
 
 impl Drop for SessionManager {
     fn drop(&mut self) {
-        // Close every session without waiting: a client closure running
-        // in an actor could otherwise pin us forever.
-        for handle in lock(&self.inner).sessions.values() {
+        // Close every session without waiting for those another caller
+        // serves: a blocked client closure could otherwise pin us forever.
+        let sessions = std::mem::take(&mut lock(&self.inner).sessions);
+        for handle in sessions.into_values() {
             handle.shared.request_close();
         }
     }

@@ -191,7 +191,7 @@ struct SubEntry {
 
 /// Writer-side state of a session's subscriptions: the [`ViewRegistry`]
 /// attached to the session's engine plus one [`SubEntry`] per live
-/// subscription. Owned by the session's actor; nothing here is shared
+/// subscription. Owned by the session's writer; nothing here is shared
 /// except the per-subscription slots. Dropping it (session closed or
 /// failed) closes every subscription channel.
 pub(crate) struct ViewFanout {
@@ -222,8 +222,8 @@ impl ViewFanout {
     }
 
     /// Registers `query` as a maintained view and returns the client end.
-    /// Runs in the session's actor (quota and registration are naturally
-    /// serialized with publications).
+    /// Runs on the session's serving caller (quota and registration are
+    /// naturally serialized with publications).
     pub(crate) fn subscribe(
         &mut self,
         ckt: &Ckt,

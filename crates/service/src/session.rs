@@ -1,18 +1,20 @@
-//! One supervised session: an actor owning a [`Ckt`], its bounded
-//! mailbox, and the watchdog that heals it.
+//! One supervised session: a [`Ckt`], its bounded mailbox, and the
+//! watchdog that heals it.
 //!
-//! A session owns no thread. Its mailbox is a bounded queue plus a
-//! `scheduled` flag: the submitter that flips the flag from false to true
-//! hands the actor to the shared pool ([`Executor::spawn`]), and the
-//! worker that picks it up serves requests one at a time until the
-//! queue is empty, then clears the flag. The mailbox's mutex also guards
-//! the lifecycle state, and one condvar paired with it carries every
-//! wait: a submitter that finds the queue full waits there for a slot,
-//! a close, a terminal state or its deadline, and
-//! [`SessionHandle::wait_for`] waits there for a state.
+//! A session owns no thread: its callers serve it. Its mailbox is a
+//! bounded queue plus a `scheduled` flag. The submitter that flips the
+//! flag from false to true serves the session on its own thread: it
+//! runs its own request, then every request other callers queued
+//! meanwhile, one at a time until the queue is empty, and then clears
+//! the flag. Every other submitter only queues its request and waits for
+//! the reply. The mailbox's mutex also guards the lifecycle state, and
+//! one condvar paired with it carries every wait: a submitter that finds
+//! the queue full waits there for a slot, a close, a terminal state or
+//! its deadline, and [`SessionHandle::wait_for`] waits there for a
+//! state.
 //!
 //! Each request is served inside `catch_unwind`. A poisoned engine or a
-//! panicked request quarantines the session, and the same worker runs
+//! panicked request quarantines the session, and the serving caller runs
 //! [`Ckt::recover`] back to back under a circuit breaker (consecutive
 //! failures within a window trip the session to terminal `Failed`).
 //! Throughout quarantine and recovery, [`SessionHandle::snapshot`] keeps
@@ -23,7 +25,6 @@ use crate::push::{Subscription, ViewFanout};
 use crate::{lock, ServiceConfig, ServiceError};
 use qtask_circuit::{Circuit, CircuitError};
 use qtask_core::{Ckt, EditReceipt, EditTxn, StateSnapshot};
-use qtask_taskflow::Executor;
 use qtask_views::{ViewQuery, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,7 +121,7 @@ pub struct SessionReport {
     pub last_error: Option<String>,
     /// Version of the last published snapshot.
     pub last_version: u64,
-    /// The final trace events of the worker that ran the failing request
+    /// The final trace events of the thread that ran the failing request
     /// (rendered, oldest first), captured from its thread-local ring
     /// buffer at quarantine. Empty unless the `obs` feature is enabled
     /// and the session was quarantined at least once.
@@ -158,23 +159,24 @@ pub(crate) fn touch_service_metrics() {
     let _ = qtask_obs::counter!("service.timeouts");
     let _ = qtask_obs::counter!("service.recoveries");
     let _ = qtask_obs::counter!("service.recovery_failures");
+    let _ = qtask_obs::counter!("service.breaker_tripped");
     let _ = qtask_obs::gauge!("service.mailbox_depth");
     let _ = qtask_obs::histogram!("service.queue_delay_us");
 }
 
-/// The actor's mailbox and the session's lifecycle, under one mutex.
+/// The session's mailbox and lifecycle, under one mutex.
 struct Mailbox {
     /// Requests with the time each was queued, to price queueing delay.
     queue: VecDeque<(Request, Instant)>,
-    /// The actor is on the pool or running; whoever sets it spawns it.
+    /// A caller is serving the session; whoever sets it serves.
     scheduled: bool,
-    /// Close requested: no request is queued any more, and the actor
-    /// closes the session once the queue is empty.
+    /// Close requested: no request is queued any more, and the serving
+    /// caller closes the session once the queue is empty.
     closing: bool,
     /// Lifecycle state; every change notifies the condvar.
     state: SessionState,
-    /// Submitters waiting for a free slot. The actor notifies the
-    /// condvar on a dequeue only when there are some.
+    /// Submitters waiting for a free slot. The serving caller notifies
+    /// the condvar on a dequeue only when there are some.
     waiting: usize,
 }
 
@@ -185,7 +187,7 @@ impl Mailbox {
     }
 }
 
-/// The engine and its views: what the actor serves requests with.
+/// The engine and its views: what a serving caller serves requests with.
 pub(crate) struct Writer {
     pub(crate) ckt: Ckt,
     /// View subscriptions: the registry attached to `ckt` plus the push
@@ -193,14 +195,12 @@ pub(crate) struct Writer {
     pub(crate) views: ViewFanout,
 }
 
-/// One session: the actor's state, shared by every handle clone and by
-/// the actor while it is scheduled.
+/// One session, shared by every handle clone.
 pub(crate) struct Shared {
     id: SessionId,
     cfg: Arc<ServiceConfig>,
-    executor: Arc<Executor>,
     /// The last published snapshot — the degraded-read surface. Written
-    /// only by the actor; read by any number of clients.
+    /// only by the serving caller; read by any number of clients.
     latest: RwLock<Option<StateSnapshot>>,
     stats: Stats,
     last_error: Mutex<Option<String>>,
@@ -209,61 +209,48 @@ pub(crate) struct Shared {
     /// Signalled on every state change, on close, and on a dequeue that
     /// frees a slot some submitter waits for.
     changed: Condvar,
-    /// Locked only by the running actor; `None` once the session is
+    /// Locked only by the serving caller; `None` once the session is
     /// `Closed` or `Failed` (dropping it closes every subscription).
     writer: Mutex<Option<Writer>>,
 }
 
 impl Shared {
-    /// A session serving `writer`, with its actor scheduled to publish
+    /// An `Admitted` session serving `writer`, marked as served by its
+    /// opener, which must then call [`Shared::serve_queue`] to publish
     /// the baseline snapshot.
-    pub(crate) fn open(
-        id: SessionId,
-        writer: Writer,
-        cfg: &Arc<ServiceConfig>,
-        executor: &Arc<Executor>,
-    ) -> Arc<Shared> {
-        let shared = Arc::new(Shared {
+    pub(crate) fn new(id: SessionId, writer: Writer, cfg: &Arc<ServiceConfig>) -> Shared {
+        Shared {
             id,
             cfg: Arc::clone(cfg),
-            executor: Arc::clone(executor),
             latest: RwLock::new(None),
             stats: Stats::default(),
             last_error: Mutex::new(None),
             recent_trace: Mutex::new(Vec::new()),
             mailbox: Mutex::new(Mailbox {
                 queue: VecDeque::new(),
-                scheduled: false,
+                scheduled: true,
                 closing: false,
                 state: SessionState::Admitted,
                 waiting: 0,
             }),
             changed: Condvar::new(),
             writer: Mutex::new(Some(writer)),
-        });
-        shared.schedule(lock(&shared.mailbox));
-        shared
-    }
-
-    /// Spawns the actor unless it is already scheduled.
-    fn schedule(self: &Arc<Self>, mut mailbox: MutexGuard<'_, Mailbox>) {
-        if !std::mem::replace(&mut mailbox.scheduled, true) {
-            drop(mailbox);
-            let actor = Arc::clone(self);
-            self.executor.spawn(Box::new(move || actor.run()));
         }
     }
 
-    /// Queues `req` for the actor, waiting while the mailbox is full.
-    /// A closing or terminal session refuses it with the terminal error;
-    /// a mailbox still full `deadline` after `start` sheds it with
-    /// [`ServiceError::Overloaded`].
-    fn send(
-        self: &Arc<Self>,
-        req: Request,
-        start: Instant,
-        deadline: Duration,
-    ) -> Result<(), ServiceError> {
+    /// Serves the session on this thread unless a caller already does.
+    fn serve_if_idle(&self, mut mailbox: MutexGuard<'_, Mailbox>) {
+        if !std::mem::replace(&mut mailbox.scheduled, true) {
+            drop(mailbox);
+            self.serve_queue();
+        }
+    }
+
+    /// Queues `req`, waiting while the mailbox is full, and serves the
+    /// session if no caller does. A closing or terminal session refuses
+    /// it with the terminal error; a mailbox still full `deadline` after
+    /// `start` sheds it with [`ServiceError::Overloaded`].
+    fn send(&self, req: Request, start: Instant, deadline: Duration) -> Result<(), ServiceError> {
         let mut mailbox = lock(&self.mailbox);
         while mailbox.admits() && mailbox.queue.len() >= self.cfg.mailbox_capacity {
             let left = deadline.saturating_sub(start.elapsed());
@@ -287,24 +274,26 @@ impl Shared {
         }
         mailbox.queue.push_back((req, Instant::now()));
         self.note_enqueued();
-        self.schedule(mailbox);
+        self.serve_if_idle(mailbox);
         Ok(())
     }
 
-    /// Marks the session closing, wakes blocked submitters, and
-    /// schedules the actor, which serves what is already queued and then
-    /// closes. Does not wait.
-    pub(crate) fn request_close(self: &Arc<Self>) {
+    /// Marks the session closing and wakes blocked submitters. An idle
+    /// session is closed on this thread; a served one is closed by its
+    /// serving caller once what is already queued has been served. Does
+    /// not wait for that.
+    pub(crate) fn request_close(&self) {
         let mut mailbox = lock(&self.mailbox);
         mailbox.closing = true;
         self.changed.notify_all();
-        self.schedule(mailbox);
+        self.serve_if_idle(mailbox);
     }
 
-    /// The actor: serves queued requests until the mailbox is empty,
-    /// then clears `scheduled` — or, when closing, closes the session
-    /// and leaves the flag set for good. Runs on a pool worker.
-    fn run(&self) {
+    /// Serves queued requests on the calling thread until the mailbox is
+    /// empty, then clears `scheduled` — or, when closing, closes the
+    /// session and leaves the flag set for good. Only the caller that
+    /// set `scheduled` runs it.
+    pub(crate) fn serve_queue(&self) {
         let mut writer = lock(&self.writer);
         if self.state() == SessionState::Admitted {
             // Baseline publish: leave `Admitted` only once readers have
@@ -356,12 +345,12 @@ impl Shared {
 
     /// A request or the baseline killed the writer: quarantine, then
     /// heal. When the breaker trips, mark terminal `Failed` and drop the
-    /// engine; the actor's loop then answers everything still queued
+    /// engine; the serving loop then answers everything still queued
     /// with [`ServiceError::SessionFailed`].
     fn quarantine(&self, writer: &mut Option<Writer>, reason: String) {
-        // The failure happened on this very worker: its last trace
-        // events are still in this thread's ring. Attach them to the
-        // autopsy before recovery overwrites the ring.
+        // The failure happened on this very thread: its last trace
+        // events are still in its ring. Attach them to the autopsy
+        // before recovery overwrites the ring.
         self.capture_recent_trace();
         qtask_obs::event!("session/quarantine");
         self.note_error(reason);
@@ -457,9 +446,9 @@ impl Shared {
     }
 
     /// Captures the current thread's last trace events into the autopsy.
-    /// Called by the actor right after a request killed the writer, on
-    /// the worker that ran the request, so its thread-local ring holds
-    /// the failure's immediate history. No-op without `obs`.
+    /// Called right after a request killed the writer, on the thread
+    /// that ran the request, so its thread-local ring holds the
+    /// failure's immediate history. No-op without `obs`.
     fn capture_recent_trace(&self) {
         #[cfg(feature = "obs")]
         {
@@ -492,15 +481,15 @@ impl Shared {
 
 type EditFn = Box<dyn FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send>;
 
-/// A request's reply channel. Capacity 1: the actor's send never
-/// blocks, even when the caller has already timed out and dropped the
-/// receiver.
-type Reply<T> = SyncSender<Result<T, ServiceError>>;
+/// A request's reply channel, carrying the result and when it was
+/// ready. Capacity 1: the serving caller's send never blocks, even when
+/// the caller has already timed out and dropped the receiver.
+type Reply<T> = SyncSender<(Result<T, ServiceError>, Instant)>;
 
-/// Sends `result`; a caller that gave up has dropped its receiver, and
-/// the failed send is then ignored.
+/// Sends `result`, stamped now; a caller that gave up has dropped its
+/// receiver, and the failed send is then ignored.
 fn answer<T>(reply: Reply<T>, result: Result<T, ServiceError>) {
-    let _ = reply.send(result);
+    let _ = reply.send((result, Instant::now()));
 }
 
 enum Request {
@@ -514,8 +503,8 @@ enum Request {
     /// Clone of the session's circuit (for oracles/resims) plus the
     /// version it corresponds to.
     Inspect { reply: Reply<(Circuit, u64)> },
-    /// Register an incremental view subscription on the actor's
-    /// registry (quota-checked and primed by the actor, so it
+    /// Register an incremental view subscription on the session's
+    /// registry (quota-checked and primed by the serving caller, so it
     /// serializes naturally with publications).
     Subscribe {
         query: ViewQuery,
@@ -554,8 +543,8 @@ impl Request {
 }
 
 /// Client handle to one session. Cheap to clone; every clone talks to
-/// the same supervised actor. Dropping all handles (manager's included)
-/// drops the session's engine and closes its subscriptions.
+/// the same supervised session. Dropping all handles (manager's
+/// included) drops the session's engine and closes its subscriptions.
 #[derive(Clone)]
 pub struct SessionHandle {
     pub(crate) shared: Arc<Shared>,
@@ -615,10 +604,15 @@ impl SessionHandle {
     /// Submits a transactional edit with the configured default
     /// deadline (see [`SessionHandle::edit_with_deadline`]).
     ///
-    /// `f` runs on a pool worker shared by every session; while it runs,
-    /// that worker serves no other session. It must not block on the
-    /// service (e.g. [`crate::SessionManager::close`], or a request to
-    /// another session), which may need the very worker it holds.
+    /// `f` runs on the thread of whichever caller serves the session:
+    /// this one when the session is idle, else the caller already
+    /// serving it. While `f` runs, this session serves nothing else;
+    /// other sessions are not held up. `f` may call into other sessions
+    /// (even close them), but not into its own: a request to it waits
+    /// for `f` to return, so it times out, and
+    /// [`crate::SessionManager::close`] on it waits for the session to
+    /// finish serving, which it cannot do while `f` runs, so it never
+    /// returns.
     pub fn edit<F>(&self, f: F) -> Result<EditOutcome, ServiceError>
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
@@ -629,14 +623,21 @@ impl SessionHandle {
     /// Submits a transactional edit, bounded by `deadline` end to end:
     /// a caller that finds the mailbox full blocks until a slot frees,
     /// and that wait counts against the same deadline as the reply. `f`
-    /// runs on a pool worker, as for [`SessionHandle::edit`].
+    /// runs on a caller's thread, as for [`SessionHandle::edit`].
+    ///
+    /// A caller that finds the session idle serves it: it runs `f`, then
+    /// the requests other callers queued meanwhile, and returns once the
+    /// queue is empty — so it may return after `deadline` with its own
+    /// result, which it gets when `f`'s edit completed in time.
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
     /// [`ServiceError::Overloaded`] (mailbox full until the deadline;
     /// the edit was never queued),
     /// [`ServiceError::SessionClosed`] (closed while it waited),
-    /// [`ServiceError::Timeout`] (writer too slow — the edit may still
-    /// commit late),
+    /// [`ServiceError::Timeout`] (the edit had not completed by the
+    /// deadline and may still commit late: one still queued stays
+    /// queued, and the next caller to serve the session runs it,
+    /// possibly on another client's thread),
     /// [`ServiceError::Engine`] (transaction invalid),
     /// [`ServiceError::SessionPoisoned`] (writer died mid-request; the
     /// watchdog is recovering it).
@@ -696,8 +697,10 @@ impl SessionHandle {
     }
 
     /// Shared submit mechanics: probe, admission by state and enqueue
-    /// (waiting for a slot), reply wait — both waits bounded by one
-    /// deadline.
+    /// (waiting for a slot), serving the session if it is idle, reply
+    /// wait — both waits bounded by one deadline. The request timed out
+    /// exactly when its reply was not ready by the deadline, whichever
+    /// thread served it.
     fn call<T>(
         &self,
         make: impl FnOnce(Reply<T>) -> Request,
@@ -710,17 +713,18 @@ impl SessionHandle {
         let start = Instant::now();
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
         self.shared.send(make(reply_tx), start, deadline)?;
+        // A reply already sent is received even at a zero timeout.
         let remaining = deadline.saturating_sub(start.elapsed());
         match reply_rx.recv_timeout(remaining) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
+            Ok((result, ready)) if ready.duration_since(start) <= deadline => result,
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {
                 self.shared.note_timeout();
                 Err(ServiceError::Timeout {
                     session: self.shared.id,
                     waited: start.elapsed(),
                 })
             }
-            // The actor dropped the request without replying: it died
+            // The request was dropped without a reply: the writer died
             // mid-request and the watchdog took over.
             Err(RecvTimeoutError::Disconnected) => Err(ServiceError::SessionPoisoned {
                 session: self.shared.id,
@@ -735,8 +739,8 @@ impl SessionHandle {
 impl Writer {
     /// Serves one request inside `catch_unwind`. `Err` carries why the
     /// writer died — a panic anywhere here (injected fault, panicking
-    /// client closure, engine bug) or a poisoned engine — and the actor
-    /// quarantines. A panic drops the request unanswered: its caller
+    /// client closure, engine bug) or a poisoned engine — and the serving
+    /// caller quarantines. A panic drops the request unanswered: its caller
     /// observes [`ServiceError::SessionPoisoned`].
     fn serve(&mut self, shared: &Shared, req: Request) -> Result<(), String> {
         let _req_span = qtask_obs::span!(req.span_name());
@@ -826,7 +830,7 @@ impl Writer {
 
 /// One recovery attempt, panic-contained: an unwind out of the recovery
 /// path itself (probe or rebuild) must count as a *failed attempt* for
-/// the breaker, never end the actor.
+/// the breaker, never unwind out of the serving caller.
 fn attempt_recovery(ckt: &mut Ckt) -> Result<(), ServiceError> {
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), ServiceError> {
         qtask_faults::fault_point_err!(

@@ -15,24 +15,12 @@
 //! Taskflow's `corun`): it keeps one ready job and publishes only the
 //! surplus, and when it completes a node it keeps the first successor
 //! that node released. Once its chain runs dry it takes jobs from the
-//! injector — its own run's or another caller's. A caller on a worker (a
-//! spawned job's run) is one of the pool's threads: it then steals from
-//! the workers' deques and parks with the workers, so that the jobs they
-//! release wake it too. Any other caller sleeps until its run ends.
-//! A run whose ready set is never wider than one job therefore executes
-//! entirely on the caller: it touches no queue, wakes no worker and
-//! never parks. Workers and callers share one `execute` body; they
-//! differ only in where released successors go.
-//!
-//! # Spawned jobs
-//!
-//! [`Executor::spawn`] queues a boxed `FnOnce` (a service session's
-//! actor) that only workers pop, and only when no run job is ready: a
-//! caller in `drain` never takes one, so one session's `update_state`
-//! never runs another session's actor on its stack. A spawned job that
-//! calls a run helps drain it like any caller. A worker running a
-//! spawned job that blocks (an actor inside a slow client closure) is
-//! lost to the pool until the job returns.
+//! injector — its own run's or another caller's — and sleeps until its
+//! run ends only when the injector is empty. A run whose ready set is
+//! never wider than one job therefore executes entirely on the caller:
+//! it touches no queue, wakes no worker and never parks. A worker and a
+//! caller run jobs through one `execute` body; they differ only in where
+//! released successors go.
 //!
 //! # Safety model
 //!
@@ -47,7 +35,7 @@
 //!    `RunPool::roots`, the last time it looks at a join counter, and
 //!    only then starts executing or publishing. From then on a node
 //!    belongs to whichever thread holds a job for it: a worker that is
-//!    already awake (it serves other callers of a shared pool) may
+//!    already awake (it serves other runs of a shared pool) may
 //!    complete a published root and release its successors at any
 //!    moment, so a caller that looked at a join counter could see a
 //!    released successor as a root and run or publish it a second time.
@@ -59,8 +47,8 @@
 //!    That decrement is the last access to the run: the wake-up after it
 //!    goes through the executor, which outlives every run. The same
 //!    holds for a job of *another* caller's run that a caller picks up
-//!    from the injector or a worker's deque: that run's caller is
-//!    blocked in its own `drain` until the job completed.
+//!    from the injector: that run's caller is blocked in its own `drain`
+//!    until the job completed.
 //! 4. **Borrow validity** — the `invoke` closure may borrow the caller's
 //!    environment; `drain` blocks the caller until every task
 //!    completed, so those borrows outlive all uses (the same argument
@@ -71,7 +59,7 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
 use crate::graph::Taskflow;
@@ -278,18 +266,14 @@ struct SleepCtl {
     lock: Mutex<()>,
     /// Parked workers.
     cv: Condvar,
-    /// Callers on a worker, parked in `drain` (a spawn must wake a worker).
-    callers: Condvar,
-    /// Callers from outside the pool, asleep until their run ends.
+    /// Callers asleep until their run ends.
     done: Condvar,
-    /// Threads parked on `cv` or `callers`.
+    /// Workers parked on `cv`.
     sleepers: AtomicUsize,
 }
 
 struct Inner {
     injector: Injector<Job>,
-    /// Jobs from [`Executor::spawn`]; only workers pop them (module docs).
-    spawned: Injector<Box<dyn FnOnce() + Send>>,
     stealers: Vec<Stealer<Job>>,
     sleep: SleepCtl,
     shutdown: AtomicBool,
@@ -299,7 +283,7 @@ struct Inner {
 }
 
 /// A persistent work-stealing thread pool executing [`Taskflow`] and
-/// [`RetainedGraph`] runs, and jobs handed to [`Executor::spawn`].
+/// [`RetainedGraph`] runs.
 pub struct Executor {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
@@ -317,30 +301,40 @@ impl Executor {
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let inner = Arc::new(Inner {
             injector: Injector::new(),
-            spawned: Injector::new(),
             stealers,
             sleep: SleepCtl {
                 epoch: AtomicU64::new(0),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
-                callers: Condvar::new(),
                 done: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
             },
             shutdown: AtomicBool::new(false),
             tasks_run: AtomicU64::new(0),
         });
+        // A worker's start-up allocates (its thread's name, and the
+        // counters it interns at its first park or steal). Interning here
+        // and returning only once every worker runs keeps those
+        // allocations inside `new`, so the allocation profile of the
+        // first runs does not depend on when the workers got going.
+        let _ = qtask_obs::counter!("taskflow.parks");
+        let _ = qtask_obs::counter!("taskflow.steals");
+        let started = Arc::new(Barrier::new(num_threads + 1));
         let handles = deques
             .into_iter()
             .enumerate()
             .map(|(idx, deque)| {
-                let inner = Arc::clone(&inner);
+                let (inner, started) = (Arc::clone(&inner), Arc::clone(&started));
                 std::thread::Builder::new()
                     .name(format!("qtask-worker-{idx}"))
-                    .spawn(move || worker_loop(inner, deque))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(inner, deque)
+                    })
                     .expect("spawn worker thread")
             })
             .collect();
+        started.wait();
         Executor { inner, handles }
     }
 
@@ -356,21 +350,6 @@ impl Executor {
     /// throughput here without per-session bookkeeping.
     pub fn tasks_run(&self) -> u64 {
         self.inner.tasks_run.load(Ordering::Relaxed)
-    }
-
-    /// Hands `job` to the workers and returns at once. Only a worker with
-    /// no run job takes it, never a caller waiting in a run (module docs,
-    /// "Spawned jobs"). A panic in `job` is contained.
-    pub fn spawn(&self, job: Box<dyn FnOnce() + Send>) {
-        let inner = &*self.inner;
-        inner.spawned.push(job);
-        // One job needs one worker: waking every sleeper, as run jobs
-        // do, made `service.mixed` a quarter slower on 2 vCPUs.
-        inner.sleep.epoch.fetch_add(1, Ordering::SeqCst);
-        if inner.sleep.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = inner.sleep.lock.lock();
-            inner.sleep.cv.notify_one();
-        }
     }
 
     /// Executes `tf` to completion, blocking the caller.
@@ -553,8 +532,8 @@ impl Executor {
     /// calling thread and the workers, returns once it is drained, and
     /// takes its first panic. The caller keeps one root and publishes
     /// the rest, follows its chain of released successors, then helps
-    /// with injected or queued work and parks only when there is none
-    /// (module docs). Nothing else pushes jobs from caller context, and
+    /// with injected work and sleeps only when there is none (module
+    /// docs). Nothing else pushes jobs from caller context, and
     /// nothing here looks at a run node except through a job it holds
     /// (module safety model, rule 2).
     ///
@@ -586,25 +565,18 @@ impl Executor {
         loop {
             while let Some(job) = held.take() {
                 // SAFETY: a job of this run or, once taken from the
-                // injector or a deque, of another caller's run that is
-                // still blocked in its own `drain` (module safety model).
+                // injector, of another caller's run that is still blocked
+                // in its own `drain` (module safety model).
                 unsafe { execute(job, inner, own, |next| keep_first(inner, &mut held, next)) };
             }
             if done() {
                 return ctx.panic.lock().take();
             }
-            // Out of jobs (module docs). A caller from outside the pool is
-            // a thread more than the pool has: letting it steal from the
-            // workers and wake for new work made `full.qft` 58% slower.
-            let observed = inner.sleep.epoch.load(Ordering::SeqCst);
-            held = steal_from(&inner.injector);
-            let me = std::thread::current().id();
-            if held.is_none() && self.handles.iter().any(|h| h.thread().id() == me) {
-                held = steal_deques(inner);
-                if held.is_none() {
-                    park(inner, &inner.sleep.callers, observed, done);
-                }
-            } else if held.is_none() {
+            // Out of jobs: a caller is a thread more than the pool has.
+            // Letting it steal from the workers and wake for new work made
+            // `full.qft` 58% slower, so it sleeps until its run ends.
+            held = steal_injected(inner);
+            if held.is_none() {
                 let mut guard = inner.sleep.lock.lock();
                 while !done() {
                     inner.sleep.done.wait(&mut guard);
@@ -618,10 +590,7 @@ impl Drop for Executor {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         wake_workers(&self.inner);
-        // A spawned job may drop the last handle on a worker; that worker
-        // exits once the job returns and must not join itself.
-        let me = std::thread::current().id();
-        for h in self.handles.drain(..).filter(|h| h.thread().id() != me) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -633,7 +602,6 @@ fn wake_workers(inner: &Inner) {
     if inner.sleep.sleepers.load(Ordering::SeqCst) > 0 {
         let _g = inner.sleep.lock.lock();
         inner.sleep.cv.notify_all();
-        inner.sleep.callers.notify_all();
     }
 }
 
@@ -649,11 +617,7 @@ fn find_work(inner: &Inner, local: &WorkerDeque<Job>) -> Option<Job> {
             Steal::Empty => break,
         }
     }
-    steal_deques(inner)
-}
-
-/// Steals one job from a worker's deque (a worker's own is empty then).
-fn steal_deques(inner: &Inner) -> Option<Job> {
+    // Steal from siblings (a worker's own deque is empty by now).
     for st in &inner.stealers {
         loop {
             match st.steal() {
@@ -669,21 +633,18 @@ fn steal_deques(inner: &Inner) -> Option<Job> {
     None
 }
 
-/// Runs a run job, else a spawned job; false if there was none.
+/// Runs one job, if a worker can find any.
 fn work_once(inner: &Inner, local: &WorkerDeque<Job>) -> bool {
-    if let Some(job) = find_work(inner, local) {
-        // SAFETY: job pointers stay valid until their run completes
-        // (module safety model).
-        unsafe {
-            execute(job, inner, std::ptr::null(), |next| {
-                enqueue_local(inner, local, next)
-            })
-        };
-    } else if let Some(job) = steal_from(&inner.spawned) {
-        let _ = catch_unwind(AssertUnwindSafe(job));
-    } else {
+    let Some(job) = find_work(inner, local) else {
         return false;
-    }
+    };
+    // SAFETY: job pointers stay valid until their run completes (module
+    // safety model).
+    unsafe {
+        execute(job, inner, std::ptr::null(), |next| {
+            enqueue_local(inner, local, next)
+        })
+    };
     true
 }
 
@@ -700,9 +661,15 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>) {
         if work_once(&inner, &local) {
             continue;
         }
-        park(&inner, &inner.sleep.cv, observed, || {
-            inner.shutdown.load(Ordering::Acquire)
-        });
+        let mut guard = inner.sleep.lock.lock();
+        inner.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
+        if inner.sleep.epoch.load(Ordering::SeqCst) == observed
+            && !inner.shutdown.load(Ordering::Acquire)
+        {
+            qtask_obs::counter!("taskflow.parks").inc();
+            inner.sleep.cv.wait(&mut guard);
+        }
+        inner.sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -724,22 +691,10 @@ fn keep_first(inner: &Inner, held: &mut Option<Job>, job: Job) {
     }
 }
 
-/// Parks on `cv` unless the publication epoch moved past `observed` or
-/// `stop()` holds; a publication, a run's end or shutdown wakes it.
-fn park(inner: &Inner, cv: &Condvar, observed: u64, stop: impl Fn() -> bool) {
-    let mut guard = inner.sleep.lock.lock();
-    inner.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
-    if inner.sleep.epoch.load(Ordering::SeqCst) == observed && !stop() {
-        qtask_obs::counter!("taskflow.parks").inc();
-        cv.wait(&mut guard);
-    }
-    inner.sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Takes one item from `queue`, if it holds any.
-fn steal_from<T>(queue: &Injector<T>) -> Option<T> {
+/// Takes one job from the injector, if it holds any.
+fn steal_injected(inner: &Inner) -> Option<Job> {
     loop {
-        match queue.steal() {
+        match inner.injector.steal() {
             Steal::Success(job) => return Some(job),
             Steal::Retry => continue,
             Steal::Empty => return None,
@@ -748,7 +703,7 @@ fn steal_from<T>(queue: &Injector<T>) -> Option<T> {
 }
 
 /// Runs one job and hands every successor it releases to `release` —
-/// the one body workers and callers share. `own` is the run of the
+/// the one body a worker and a caller share. `own` is the run of the
 /// calling `drain`, or null on a worker.
 ///
 /// # Safety
@@ -794,7 +749,6 @@ unsafe fn execute(job: Job, inner: &Inner, own: *const RunCtx, mut release: impl
     // pool is touched after the decrement: the run may be freed at once.
     if ctx.pending.fetch_sub(1, Ordering::SeqCst) == 1 && job.1 != own {
         let _g = inner.sleep.lock.lock();
-        inner.sleep.callers.notify_all();
         inner.sleep.done.notify_all();
     }
 }
@@ -1052,62 +1006,5 @@ mod tests {
         let mut tf2 = Taskflow::new("t2");
         tf2.emplace("fine", || {});
         assert!(ex.try_run(&tf2).is_ok());
-    }
-
-    #[test]
-    fn spawned_jobs_run_on_workers_only() {
-        let ex = Executor::new(1);
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (b, first) = (Arc::clone(&barrier), tx.clone());
-        ex.spawn(Box::new(move || {
-            first.send(std::thread::current().id()).unwrap();
-            b.wait();
-        }));
-        let worker = rx.recv().unwrap();
-        // The only worker is held: a fan runs wholly on the caller, and
-        // the caller does not pick up the job spawned meanwhile.
-        ex.spawn(Box::new(move || {
-            tx.send(std::thread::current().id()).unwrap()
-        }));
-        let threads = StdMutex::new(Vec::new());
-        let mut g = RetainedGraph::new();
-        g.insert(0, 16, Arc::from("fan"));
-        ex.run_dirty(&mut g, &|_, _| {
-            threads.lock().unwrap().push(std::thread::current().id())
-        })
-        .unwrap();
-        let early = rx.recv_timeout(std::time::Duration::from_millis(50));
-        // Release the worker before asserting, so a failure cannot hang
-        // in the executor's drop.
-        barrier.wait();
-        let caller = std::thread::current().id();
-        let threads = threads.into_inner().unwrap();
-        assert_eq!(threads.len(), 16);
-        assert!(threads.iter().all(|&t| t == caller));
-        assert!(
-            early.is_err(),
-            "the second job ran while the worker was held"
-        );
-        assert_eq!(rx.recv().unwrap(), worker);
-    }
-
-    #[test]
-    fn spawned_job_may_drop_the_last_executor_handle() {
-        let ex = Arc::new(Executor::new(2));
-        let held = Arc::clone(&ex);
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        ex.spawn(Box::new(move || {
-            go_rx.recv().unwrap();
-            assert_eq!(Arc::strong_count(&held), 1);
-            // Executor::drop runs here, on one of its own workers.
-            drop(held);
-            done_tx.send(()).unwrap();
-        }));
-        drop(ex);
-        go_tx.send(()).unwrap();
-        let done = done_rx.recv_timeout(std::time::Duration::from_secs(10));
-        assert!(done.is_ok(), "the job hung or panicked while dropping");
     }
 }

@@ -34,8 +34,8 @@ impl<'env> Taskflow<'env> {
         }
     }
 
-    /// Creates an empty graph with room for `cap` tasks — callers that
-    /// rebuild a similar graph every round pass the previous round's
+    /// Creates an empty graph with room for `cap` tasks — code that
+    /// rebuilds a similar graph every round passes the previous round's
     /// [`Taskflow::len`] to allocate the node storage once.
     pub fn with_capacity(name: impl Into<String>, cap: usize) -> Self {
         Taskflow {

@@ -22,8 +22,9 @@
 //! thread that called the run, which executes ready work of its own run
 //! until it is done (Taskflow's `corun`). A run that is never more than
 //! one job wide runs on the caller alone, without waking a worker.
-//! [`Executor::spawn`] hands the workers, and only them, a boxed
-//! `FnOnce` such as a service session's actor.
+//! Workers execute run jobs and nothing else: whatever calls a run (an
+//! engine's `update_state`, a service session's request) supplies its
+//! own thread, and the pool adds its workers to that run.
 //!
 //! # Example
 //! ```

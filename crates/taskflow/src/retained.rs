@@ -34,7 +34,7 @@
 //!
 //! The graph counts structural patches ([`RetainedGraph::take_patches`])
 //! and distinguishes nodes created since the last run from re-executed
-//! veterans ([`DirtyRunStats::nodes_reused`]) so callers can assert
+//! veterans ([`DirtyRunStats::nodes_reused`]) so a user can assert
 //! incrementality ("this edit patched O(edit) nodes, not O(graph)").
 
 use qtask_util::{define_key, Arena};

@@ -18,7 +18,8 @@
 use qtask::prelude::*;
 use qtask_faults::{self as faults, FaultKind, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The fault registry is process-global; chaos tests must not overlap.
@@ -39,9 +40,9 @@ fn service_cfg() -> ServiceConfig {
         .with_breaker(3, Duration::from_secs(20))
 }
 
-/// A victim session plus an idle sibling (its writer sits in `recv`, so
-/// it reaches no probe sites while a plan is armed). Built *before*
-/// arming so its setup traffic does not consume hits.
+/// A victim session plus an idle sibling (no caller serves it, so it
+/// reaches no probe sites while a plan is armed). Built *before* arming
+/// so its setup traffic does not consume hits.
 struct Fixture {
     mgr: SessionManager,
     victim: SessionHandle,
@@ -329,6 +330,82 @@ fn repeated_recovery_faults_trip_breaker_with_autopsy() {
     let autopsy = fx.mgr.close(fx.victim.id()).expect("close failed session");
     assert_eq!(autopsy.state, SessionState::Failed);
     assert!(autopsy.breaker_tripped);
+    fx.mgr.shutdown();
+}
+
+/// The process-wide count of queued requests, over every session.
+fn mailbox_depth() -> i64 {
+    qtask_obs::snapshot()
+        .gauge("service.mailbox_depth")
+        .unwrap_or(0)
+}
+
+/// Requests that other callers queue behind a session while its serving
+/// caller trips the breaker are answered with the terminal
+/// `SessionFailed`: once the engine is gone, the serving caller drains
+/// the queue and refuses each request typed instead of dropping it.
+#[test]
+fn requests_queued_behind_a_breaker_trip_get_session_failed() {
+    let _guard = chaos_guard();
+    let fx = open_fixture();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (kill_tx, kill_rx) = mpsc::channel::<()>();
+    let victim = fx.victim.clone();
+    let serving = std::thread::spawn(move || {
+        victim.edit(move |_| {
+            started_tx.send(()).unwrap();
+            let _ = kill_rx.recv();
+            panic!("chaos: kill the writer")
+        })
+    });
+    started_rx.recv().unwrap();
+    let depth = mailbox_depth();
+    let queue = |op: fn(&SessionHandle) -> Result<(), ServiceError>| {
+        let victim = fx.victim.clone();
+        std::thread::spawn(move || op(&victim))
+    };
+    let queued: Vec<JoinHandle<Result<(), ServiceError>>> = vec![
+        queue(|h| h.sync().map(|_| ())),
+        queue(|h| h.circuit().map(|_| ())),
+        queue(|h| h.view_report().map(|_| ())),
+        queue(|h| h.edit(|_| Ok(())).map(|_| ())),
+    ];
+    let start = Instant::now();
+    while mailbox_depth() < depth + queued.len() as i64 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "requests never queued"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Every recovery attempt fails until the breaker (threshold 3) trips.
+    faults::arm(FaultPlan::repeated(
+        "service/recover",
+        FaultKind::Error,
+        1,
+        99,
+    ));
+    kill_tx.send(()).unwrap();
+    let killed = serving
+        .join()
+        .expect("the serving caller contains the panic");
+    let summary = faults::disarm();
+    assert!(
+        matches!(killed, Err(ServiceError::SessionPoisoned { .. })),
+        "{killed:?}"
+    );
+    assert_eq!(summary.fires, 3, "exactly K = breaker_threshold attempts");
+    for request in queued {
+        let result = request.join().unwrap();
+        assert!(
+            matches!(result, Err(ServiceError::SessionFailed { .. })),
+            "{result:?}"
+        );
+    }
+    let report = fx.victim.report();
+    assert_eq!(report.state, SessionState::Failed);
+    assert_eq!(report.recovery_failures, 3);
+    assert_sibling_undisturbed(&fx, "queued at the trip");
     fx.mgr.shutdown();
 }
 

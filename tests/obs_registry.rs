@@ -194,6 +194,7 @@ fn session_report_counters_match_registry_and_exposition() {
         "service.timeouts",
         "service.recoveries",
         "service.recovery_failures",
+        "service.breaker_tripped",
         "service.queue_delay_us",
         "service.mailbox_depth",
     ] {

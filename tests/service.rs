@@ -1,15 +1,17 @@
 //! Service-layer integration tests that run in the default (tier-1)
 //! build: the degraded-read surface never goes dark or tears while a
-//! session is quarantined and recovered. Backpressure (a caller facing a
-//! full mailbox waits on the session's condvar for a slot, a close or
-//! its deadline) is tested next to the session code, in `qtask-service`'s
-//! own unit tests.
+//! session is quarantined and recovered, and a session's requests run
+//! on its own callers' threads, so a client closure that blocks (or
+//! closes another session) holds up no other session, even on a
+//! 1-worker pool. Backpressure (a caller facing a full mailbox waits on
+//! the session's condvar for a slot, a close or its deadline) is tested
+//! next to the session code, in `qtask-service`'s own unit tests.
 
 use qtask::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const EPS: f64 = 1e-9;
 
@@ -115,6 +117,11 @@ fn degraded_reads_serve_last_published_version_through_recovery() {
         })
         .collect();
 
+    // The kill, quarantine and recovery run on this thread, so let the
+    // readers start spinning before it.
+    while total_reads.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
     // Kill the writer mid-request; the watchdog quarantines and heals.
     let err = h
         .edit(|_| panic!("degraded-reads: client bug"))
@@ -154,5 +161,106 @@ fn degraded_reads_serve_last_published_version_through_recovery() {
     let report = h.report();
     assert_eq!(report.recoveries, 1);
     assert!(!report.breaker_tripped);
+    mgr.shutdown();
+}
+
+/// Runs `scenario` on a thread of its own and returns its result, or
+/// fails once `limit` has passed: a scenario that hangs fails the test
+/// instead of hanging the suite (its thread is left behind).
+fn within<T: Send + 'static>(limit: Duration, scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(scenario());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(result) => result,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("scenario still running after {limit:?}"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("scenario panicked"),
+    }
+}
+
+fn one_worker_manager() -> SessionManager {
+    SessionManager::new(
+        ServiceConfig::default()
+            .with_threads(1)
+            .with_default_deadline(Duration::from_secs(10)),
+    )
+}
+
+/// Session A's edit closure blocks on a channel this test holds. On a
+/// 1-worker pool, session B's edit, sync and inspection must each still
+/// answer `Ok` within 1 s: B's requests run on B's caller, not behind
+/// A's closure.
+#[test]
+fn a_blocked_edit_closure_holds_up_only_its_own_session() {
+    let mgr = one_worker_manager();
+    let a = mgr.open(3, SimConfig::default()).unwrap();
+    let b = mgr.open(3, SimConfig::default()).unwrap();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let a_caller = {
+        let a = a.clone();
+        std::thread::spawn(move || {
+            a.edit(move |_| {
+                started_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                Ok(())
+            })
+        })
+    };
+    started_rx.recv().unwrap();
+    let b_client = b.clone();
+    let timed = within(Duration::from_secs(5), move || {
+        let time = |op: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            (op(), start.elapsed())
+        };
+        [
+            time(&|| {
+                b_client
+                    .edit(|tx| {
+                        let net = tx.push_net();
+                        tx.insert_gate(GateKind::H, net, &[0]).map(|_| ())
+                    })
+                    .is_ok()
+            }),
+            time(&|| b_client.sync().is_ok()),
+            time(&|| b_client.circuit().is_ok()),
+        ]
+    });
+    for (op, (ok, took)) in ["edit", "sync", "circuit"].into_iter().zip(timed) {
+        assert!(ok, "B's {op} failed");
+        assert!(took < Duration::from_secs(1), "B's {op} took {took:?}");
+    }
+    assert!(!a_caller.is_finished(), "A's closure must still block");
+    assert_eq!(b.circuit().unwrap().0.num_gates(), 1);
+    release_tx.send(()).unwrap();
+    assert!(a_caller.join().unwrap().is_ok());
+    mgr.shutdown();
+}
+
+/// An edit closure of session A closes session B: on a 1-worker pool
+/// the close returns B's `Closed` report, and A's edit commits.
+#[test]
+fn an_edit_closure_may_close_another_session() {
+    let mgr = Arc::new(one_worker_manager());
+    let a = mgr.open(3, SimConfig::default()).unwrap();
+    let b = mgr.open(3, SimConfig::default()).unwrap();
+    let (report_tx, report_rx) = mpsc::channel();
+    let (closer, b_id, a_client) = (Arc::clone(&mgr), b.id(), a.clone());
+    let outcome = within(Duration::from_secs(5), move || {
+        a_client.edit(move |tx| {
+            report_tx.send(closer.close(b_id)).unwrap();
+            let net = tx.push_net();
+            tx.insert_gate(GateKind::X, net, &[0]).map(|_| ())
+        })
+    });
+    assert!(outcome.is_ok(), "{outcome:?}");
+    let report = report_rx.recv().unwrap().expect("B was open");
+    assert_eq!(report.session, b.id());
+    assert_eq!(report.state, SessionState::Closed);
+    assert_eq!(b.state(), SessionState::Closed);
+    assert_eq!(mgr.live_sessions(), 1);
+    assert_eq!(a.snapshot().unwrap().amplitude(1).re, 1.0);
     mgr.shutdown();
 }

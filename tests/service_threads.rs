@@ -1,7 +1,9 @@
-//! A session owns no OS thread: its actor and its engine's work run on
-//! the manager's pool. This test counts the threads of the whole
-//! process, so it lives in a test binary of its own, where no other
-//! test's threads come and go while it counts.
+//! A session owns no OS thread: its requests run on the thread of
+//! whichever caller serves it, and its engine's runs use that thread
+//! plus the manager's pool, which does simulation work only. This test
+//! counts the threads of the whole process, so it lives in a test binary
+//! of its own, where no other test's threads come and go while it
+//! counts.
 #![cfg(target_os = "linux")]
 
 use qtask::prelude::*;
