@@ -18,8 +18,10 @@
 use qtask_core::test_support;
 use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
+use qtask_taskflow::{Executor, RetainedGraph};
 use qtask_util::alloc_counter::CountingAlloc;
 use std::panic::{catch_unwind, UnwindSafe};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 #[global_allocator]
@@ -31,11 +33,30 @@ fn alloc_test_config() -> SimConfig {
     cfg
 }
 
+/// A 6-qubit engine on an executor of its own whose worker thread has
+/// started. A thread's start-up allocates, and a worker that got going
+/// late, inside a measured window, would add those allocations to it.
+fn engine() -> Ckt {
+    let cfg = alloc_test_config();
+    let executor = Arc::new(Executor::new(cfg.num_threads));
+    // Two chunks that wait for each other run on two threads at once:
+    // the caller and the worker.
+    let met = Barrier::new(2);
+    let mut fan = RetainedGraph::new();
+    fan.insert((), 2, Arc::from("start-worker"));
+    executor
+        .run_dirty(&mut fan, &|_, _| {
+            met.wait();
+        })
+        .unwrap();
+    Ckt::with_executor(6, cfg, executor)
+}
+
 /// Once the `FusedOp` cache is warm and the output buffers are
 /// materialized, re-executing MxV partitions — the body of a repeated
 /// incremental update — performs zero heap allocations.
 fn warm_mxv_reexecution_allocates_nothing() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     let net = ckt.push_net();
     // A two-factor group (the default cap), one gate controlled: the
     // fused signature spans controls and targets.
@@ -69,7 +90,7 @@ fn warm_mxv_reexecution_allocates_nothing() {
 /// re-executing linear partitions performs zero heap allocations too — diagonal, cross-block
 /// anti-diagonal, and controlled kinds alike.
 fn warm_linear_reexecution_allocates_nothing() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     // One gate per net, covering each linear kernel shape: Diag (T),
     // AntiDiag crossing blocks (X on a high qubit), controlled AntiDiag
     // (CNOT), and Swap.
@@ -117,7 +138,7 @@ fn warm_linear_reexecution_allocates_nothing() {
 /// The full `update_state` of a repeated incremental toggle stays cheap
 /// too: the fused cache rebuilds only when the factor group changes.
 fn fused_cache_survives_unrelated_updates() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
     let tail = ckt.push_net();
@@ -145,7 +166,7 @@ fn fused_cache_survives_unrelated_updates() {
 /// closure boxing or graph rebuild whose footprint could creep with
 /// history — and arena free-list reuse makes it hold for the modifiers.
 fn warm_retained_update_is_allocation_stable() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
     let tail = ckt.push_net();
@@ -181,7 +202,7 @@ fn warm_retained_update_is_allocation_stable() {
 /// reader holding the snapshot, the same update must fork instead
 /// (strictly more allocations).
 fn publish_policy_forks_only_for_live_readers() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();
@@ -219,7 +240,7 @@ fn publish_policy_forks_only_for_live_readers() {
 /// every toggle after that runs the ordinary detach path and must match
 /// the unpinned warm allocation profile exactly, version after version.
 fn long_lived_reader_does_not_perturb_warm_profile() {
-    let mut ckt = Ckt::with_config(6, alloc_test_config());
+    let mut ckt = engine();
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();

@@ -28,10 +28,9 @@ pub struct ServiceConfig {
     /// further apart than this reset the count.
     pub breaker_window: Duration,
     /// Worker threads of the shared executor. All sessions share this
-    /// one pool, and it does their engines' simulation work only: a
-    /// request runs on the thread of whichever caller serves its
-    /// session, which takes part in its own simulation runs, so a
-    /// session owns no thread of its own.
+    /// pool, and it does their engines' simulation work only: a request
+    /// runs on the thread of whichever caller serves its session, which
+    /// joins its simulation runs, so a session owns no thread.
     pub num_threads: usize,
     /// Per-session cap on live view subscriptions
     /// ([`crate::SessionHandle::subscribe`]); beyond it, subscriptions

@@ -6,10 +6,10 @@
 //! split was designed for: a [`SessionManager`] multiplexes many
 //! circuits (*sessions*) over one worker pool. Each session is a
 //! supervised bounded mailbox whose requests are served one at a time,
-//! publishing versioned snapshots. A request runs on the thread of
-//! whichever caller serves the session: the caller that finds it idle
-//! runs its own request and then those other callers queued meanwhile.
-//! The pool does simulation work only, no client code. No session owns
+//! publishing versioned snapshots. Callers serve their session in turns,
+//! each on its own thread and up to its own request, so a request runs
+//! on the thread of whichever caller serves the session, and the pool
+//! does simulation work only, no client code. No session owns
 //! an OS thread; an idle one costs none.
 //!
 //! Robustness is the point, threaded through every layer:
@@ -20,8 +20,10 @@
 //!   admission bound. A session past the tenant limit is typed
 //!   [`ServiceError::Rejected`]; a request finding the mailbox full
 //!   waits for a slot (next bullet). Nothing queues unboundedly.
-//! - **Deadlines** — every request is bounded end to end. A caller that
-//!   finds the mailbox full waits on the session's condvar until a slot
+//! - **Deadlines** — a caller's waits end at its deadline, and so does
+//!   its turn serving the session: it returns by its deadline unless the
+//!   request it runs then (its own or one queued ahead) is still
+//!   running. A caller that finds the mailbox full waits on the session's condvar until a slot
 //!   frees, the session closes or fails, or its deadline passes; only
 //!   then is the request shed with [`ServiceError::Overloaded`]. A
 //!   request not completed by its deadline is [`ServiceError::Timeout`]

@@ -14,11 +14,11 @@ use std::time::Duration;
 /// Each [`SessionManager::open`] admits a session (or rejects it at the
 /// [`ServiceConfig::max_sessions`] limit) and hands back a cloneable
 /// [`SessionHandle`]. A session owns no thread. A request runs on the
-/// thread of whichever caller serves the session — the caller that
-/// finds it idle serves it until its queue is empty — and the engine's
-/// simulation work runs on that thread plus the manager's [`Executor`],
-/// which does simulation work only. N sessions share one set of worker
-/// threads, and an idle session costs no thread at all.
+/// thread of whichever caller serves the session (callers serve it in
+/// turns, see [`SessionHandle::edit`]), and its simulation work on that
+/// thread plus the manager's [`Executor`], which does simulation work
+/// only. N sessions share one set of worker threads, and an idle
+/// session costs no thread at all.
 ///
 /// Sessions fail and wait independently: a quarantine or a breaker trip
 /// changes no other session's state, and a slow or blocking client
@@ -113,7 +113,7 @@ impl SessionManager {
         let handle = SessionHandle { shared };
         inner.sessions.insert(id.0, handle.clone());
         drop(inner);
-        handle.shared.serve_queue();
+        handle.shared.publish_baseline();
         Ok(handle)
     }
 
@@ -125,9 +125,9 @@ impl SessionManager {
     /// Closes a session: marks it closing (new requests, and callers
     /// waiting for a mailbox slot, get [`ServiceError::SessionClosed`]),
     /// and closes it on this thread if no caller is serving it; else the
-    /// serving caller serves what is already queued and then closes it.
-    /// Waits until the session is `Closed`, frees the slot, and returns
-    /// the final autopsy. Works on failed sessions too (that is how
+    /// serving caller serves what is queued and then closes it. Waits
+    /// until the session is `Closed`, frees the slot, and returns the
+    /// final autopsy. Works on failed sessions too (that is how
     /// their slot is reaped); the report then still shows `Failed`.
     ///
     /// An edit closure may close any session but its own. Closing its

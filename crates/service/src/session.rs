@@ -1,17 +1,13 @@
 //! One supervised session: a [`Ckt`], its bounded mailbox, and the
 //! watchdog that heals it.
 //!
-//! A session owns no thread: its callers serve it. Its mailbox is a
-//! bounded queue plus a `scheduled` flag. The submitter that flips the
-//! flag from false to true serves the session on its own thread: it
-//! runs its own request, then every request other callers queued
-//! meanwhile, one at a time until the queue is empty, and then clears
-//! the flag. Every other submitter only queues its request and waits for
-//! the reply. The mailbox's mutex also guards the lifecycle state, and
-//! one condvar paired with it carries every wait: a submitter that finds
-//! the queue full waits there for a slot, a close, a terminal state or
-//! its deadline, and [`SessionHandle::wait_for`] waits there for a
-//! state.
+//! A session owns no thread: its callers serve it in turns. A caller
+//! whose request is queued while no one serves (the mailbox's
+//! `scheduled` flag is false) serves, on its own thread, the requests
+//! queued ahead of its own and then its own, stopping early once its
+//! deadline passes, and hands the session on. Other callers wait for
+//! their reply or for the turn. The mailbox's mutex also guards the
+//! lifecycle state, and one condvar paired with it carries every wait.
 //!
 //! Each request is served inside `catch_unwind`. A poisoned engine or a
 //! panicked request quarantines the session, and the serving caller runs
@@ -29,7 +25,7 @@ use qtask_views::{ViewQuery, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
@@ -168,15 +164,18 @@ pub(crate) fn touch_service_metrics() {
 struct Mailbox {
     /// Requests with the time each was queued, to price queueing delay.
     queue: VecDeque<(Request, Instant)>,
+    /// Requests taken off the queue so far: a request queued behind `n`
+    /// others when this read `t` has been served once it exceeds `t + n`.
+    taken: u64,
     /// A caller is serving the session; whoever sets it serves.
     scheduled: bool,
     /// Close requested: no request is queued any more, and the serving
-    /// caller closes the session once the queue is empty.
+    /// caller serves what is queued and then closes the session.
     closing: bool,
     /// Lifecycle state; every change notifies the condvar.
     state: SessionState,
-    /// Submitters waiting for a free slot. The serving caller notifies
-    /// the condvar on a dequeue only when there are some.
+    /// Callers asleep on the condvar (for a slot, a reply or a turn);
+    /// the serving caller notifies only when there are some.
     waiting: usize,
 }
 
@@ -206,8 +205,8 @@ pub(crate) struct Shared {
     last_error: Mutex<Option<String>>,
     recent_trace: Mutex<Vec<String>>,
     mailbox: Mutex<Mailbox>,
-    /// Signalled on every state change, on close, and on a dequeue that
-    /// frees a slot some submitter waits for.
+    /// Signalled on every state change, on close, and after each served
+    /// request while a caller waits.
     changed: Condvar,
     /// Locked only by the serving caller; `None` once the session is
     /// `Closed` or `Failed` (dropping it closes every subscription).
@@ -216,8 +215,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// An `Admitted` session serving `writer`, marked as served by its
-    /// opener, which must then call [`Shared::serve_queue`] to publish
-    /// the baseline snapshot.
+    /// opener, which must then call [`Shared::publish_baseline`].
     pub(crate) fn new(id: SessionId, writer: Writer, cfg: &Arc<ServiceConfig>) -> Shared {
         Shared {
             id,
@@ -228,6 +226,7 @@ impl Shared {
             recent_trace: Mutex::new(Vec::new()),
             mailbox: Mutex::new(Mailbox {
                 queue: VecDeque::new(),
+                taken: 0,
                 scheduled: true,
                 closing: false,
                 state: SessionState::Admitted,
@@ -238,62 +237,93 @@ impl Shared {
         }
     }
 
-    /// Serves the session on this thread unless a caller already does.
-    fn serve_if_idle(&self, mut mailbox: MutexGuard<'_, Mailbox>) {
-        if !std::mem::replace(&mut mailbox.scheduled, true) {
-            drop(mailbox);
-            self.serve_queue();
-        }
+    /// The opener's turn: publishes the baseline snapshot.
+    pub(crate) fn publish_baseline(&self) {
+        drop(self.serve(lock(&self.mailbox), 0, None));
     }
 
-    /// Queues `req`, waiting while the mailbox is full, and serves the
-    /// session if no caller does. A closing or terminal session refuses
-    /// it with the terminal error; a mailbox still full `deadline` after
-    /// `start` sheds it with [`ServiceError::Overloaded`].
-    fn send(&self, req: Request, start: Instant, deadline: Duration) -> Result<(), ServiceError> {
+    /// Queues `req`, waiting while the mailbox is full (serving its
+    /// oldest request if no caller does), and returns the mailbox still
+    /// locked with the `taken` count at which `req` has been served. A
+    /// closing or terminal session refuses `req`; a mailbox still full at
+    /// `until` sheds it with [`ServiceError::Overloaded`].
+    fn send(
+        &self,
+        req: Request,
+        until: Option<Instant>,
+    ) -> Result<(MutexGuard<'_, Mailbox>, u64), ServiceError> {
         let mut mailbox = lock(&self.mailbox);
         while mailbox.admits() && mailbox.queue.len() >= self.cfg.mailbox_capacity {
-            let left = deadline.saturating_sub(start.elapsed());
-            if left.is_zero() {
+            if until.is_some_and(|t| Instant::now() >= t) {
                 self.note_shed();
                 return Err(ServiceError::Overloaded {
                     session: self.id,
                     mailbox: self.cfg.mailbox_capacity,
                 });
             }
-            mailbox.waiting += 1;
-            mailbox = self
-                .changed
-                .wait_timeout(mailbox, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-            mailbox.waiting -= 1;
+            let upto = mailbox.taken + 1;
+            mailbox = self.wait_or_serve(mailbox, upto, until);
         }
         if !mailbox.admits() {
             return Err(self.terminal_error(mailbox.state));
         }
+        let upto = mailbox.taken + mailbox.queue.len() as u64 + 1;
         mailbox.queue.push_back((req, Instant::now()));
         self.note_enqueued();
-        self.serve_if_idle(mailbox);
-        Ok(())
+        Ok((mailbox, upto))
+    }
+
+    /// Takes the turn if no caller serves (serving until `upto` requests
+    /// were taken), else sleeps on the condvar, at most until `until`.
+    fn wait_or_serve<'a>(
+        &'a self,
+        mut mailbox: MutexGuard<'a, Mailbox>,
+        upto: u64,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, Mailbox> {
+        if !mailbox.scheduled {
+            return self.serve(mailbox, upto, until);
+        }
+        let left = until.map_or(Duration::MAX, |t| {
+            t.saturating_duration_since(Instant::now())
+        });
+        mailbox.waiting += 1;
+        mailbox = self
+            .changed
+            .wait_timeout(mailbox, left)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+        mailbox.waiting -= 1;
+        mailbox
     }
 
     /// Marks the session closing and wakes blocked submitters. An idle
-    /// session is closed on this thread; a served one is closed by its
-    /// serving caller once what is already queued has been served. Does
-    /// not wait for that.
+    /// session is closed on this thread, a served one by its serving
+    /// caller after the queue; this does not wait for that.
     pub(crate) fn request_close(&self) {
         let mut mailbox = lock(&self.mailbox);
         mailbox.closing = true;
         self.changed.notify_all();
-        self.serve_if_idle(mailbox);
+        if !mailbox.scheduled {
+            drop(self.serve(mailbox, u64::MAX, None));
+        }
     }
 
-    /// Serves queued requests on the calling thread until the mailbox is
-    /// empty, then clears `scheduled` — or, when closing, closes the
-    /// session and leaves the flag set for good. Only the caller that
-    /// set `scheduled` runs it.
-    pub(crate) fn serve_queue(&self) {
+    /// Takes a turn serving the session on this thread: sets `scheduled`
+    /// and serves queued requests, oldest first, until `upto` have been
+    /// taken off the queue in all, the queue is empty, or `until` passed;
+    /// then clears the flag for a waiting caller to take the next turn and
+    /// returns the mailbox still locked. A closing session is served to
+    /// the end (at most a mailbox: nothing new is queued) and closed, and
+    /// the flag stays set for good.
+    fn serve<'a>(
+        &'a self,
+        mut mailbox: MutexGuard<'a, Mailbox>,
+        upto: u64,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, Mailbox> {
+        mailbox.scheduled = true;
+        drop(mailbox);
         let mut writer = lock(&self.writer);
         if self.state() == SessionState::Admitted {
             // Baseline publish: leave `Admitted` only once readers have
@@ -310,22 +340,23 @@ impl Shared {
             }
         }
         loop {
-            let (req, queued_at) = {
-                let mut mailbox = lock(&self.mailbox);
-                match mailbox.queue.pop_front() {
-                    Some(next) => {
-                        if mailbox.waiting > 0 {
-                            self.changed.notify_all();
-                        }
-                        next
-                    }
-                    None if mailbox.closing => break,
-                    None => {
-                        mailbox.scheduled = false;
-                        return;
-                    }
-                }
-            };
+            let mut mailbox = lock(&self.mailbox);
+            // Wakes the callers of a reply just sent, of the slot freed
+            // below, or of the turn handed over below.
+            if mailbox.waiting > 0 {
+                self.changed.notify_all();
+            }
+            if mailbox.closing && mailbox.queue.is_empty() {
+                break;
+            }
+            let turn_over = mailbox.taken >= upto || until.is_some_and(|t| Instant::now() >= t);
+            if mailbox.queue.is_empty() || (turn_over && !mailbox.closing) {
+                mailbox.scheduled = false;
+                return mailbox;
+            }
+            mailbox.taken += 1;
+            let (req, queued_at) = mailbox.queue.pop_front().expect("the queue is not empty");
+            drop(mailbox);
             self.note_dequeued(queued_at.elapsed());
             match writer.as_mut() {
                 Some(w) => {
@@ -341,12 +372,13 @@ impl Shared {
         if writer.take().is_some() {
             self.set_state(SessionState::Closed);
         }
+        lock(&self.mailbox)
     }
 
     /// A request or the baseline killed the writer: quarantine, then
     /// heal. When the breaker trips, mark terminal `Failed` and drop the
-    /// engine; the serving loop then answers everything still queued
-    /// with [`ServiceError::SessionFailed`].
+    /// engine; whoever serves the queue from then on answers each
+    /// request still queued with [`ServiceError::SessionFailed`].
     fn quarantine(&self, writer: &mut Option<Writer>, reason: String) {
         // The failure happened on this very thread: its last trace
         // events are still in its ring. Attach them to the autopsy
@@ -481,13 +513,11 @@ impl Shared {
 
 type EditFn = Box<dyn FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send>;
 
-/// A request's reply channel, carrying the result and when it was
-/// ready. Capacity 1: the serving caller's send never blocks, even when
-/// the caller has already timed out and dropped the receiver.
+/// A request's reply channel: the result and when it was ready.
+/// Capacity 1, so the serving caller's send never blocks.
 type Reply<T> = SyncSender<(Result<T, ServiceError>, Instant)>;
 
-/// Sends `result`, stamped now; a caller that gave up has dropped its
-/// receiver, and the failed send is then ignored.
+/// Sends `result`, stamped now; a caller that gave up gets nothing.
 fn answer<T>(reply: Reply<T>, result: Result<T, ServiceError>) {
     let _ = reply.send((result, Instant::now()));
 }
@@ -604,15 +634,13 @@ impl SessionHandle {
     /// Submits a transactional edit with the configured default
     /// deadline (see [`SessionHandle::edit_with_deadline`]).
     ///
-    /// `f` runs on the thread of whichever caller serves the session:
-    /// this one when the session is idle, else the caller already
-    /// serving it. While `f` runs, this session serves nothing else;
-    /// other sessions are not held up. `f` may call into other sessions
-    /// (even close them), but not into its own: a request to it waits
-    /// for `f` to return, so it times out, and
-    /// [`crate::SessionManager::close`] on it waits for the session to
-    /// finish serving, which it cannot do while `f` runs, so it never
-    /// returns.
+    /// `f` runs on the thread of whichever caller serves the session
+    /// (see [`SessionHandle::edit_with_deadline`]); while it runs, this
+    /// session serves nothing else, and other sessions are not held up.
+    /// `f` may call into other sessions, even close them, but not into
+    /// its own: a request to it times out, and
+    /// [`crate::SessionManager::close`] on it never returns, as the
+    /// session cannot finish serving while `f` runs.
     pub fn edit<F>(&self, f: F) -> Result<EditOutcome, ServiceError>
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
@@ -625,10 +653,11 @@ impl SessionHandle {
     /// and that wait counts against the same deadline as the reply. `f`
     /// runs on a caller's thread, as for [`SessionHandle::edit`].
     ///
-    /// A caller that finds the session idle serves it: it runs `f`, then
-    /// the requests other callers queued meanwhile, and returns once the
-    /// queue is empty — so it may return after `deadline` with its own
-    /// result, which it gets when `f`'s edit completed in time.
+    /// A caller that finds no one serving the session serves, on its own
+    /// thread, the requests queued ahead of `f` and then `f`, never one
+    /// queued behind, and stops between requests once `deadline` passed:
+    /// it returns by `deadline` unless the request it runs then is still
+    /// running.
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
     /// [`ServiceError::Overloaded`] (mailbox full until the deadline;
@@ -696,11 +725,10 @@ impl SessionHandle {
         self.call(make, self.shared.cfg.default_deadline)
     }
 
-    /// Shared submit mechanics: probe, admission by state and enqueue
-    /// (waiting for a slot), serving the session if it is idle, reply
-    /// wait — both waits bounded by one deadline. The request timed out
-    /// exactly when its reply was not ready by the deadline, whichever
-    /// thread served it.
+    /// Shared submit mechanics: probe, enqueue (waiting for a slot), then
+    /// wait for the reply, taking a turn serving whenever no caller
+    /// serves; one deadline bounds it all. The request timed out exactly
+    /// when its reply was not ready by the deadline.
     fn call<T>(
         &self,
         make: impl FnOnce(Reply<T>) -> Request,
@@ -711,28 +739,38 @@ impl SessionHandle {
             ServiceError::injected("service/enqueue")
         );
         let start = Instant::now();
+        let until = start.checked_add(deadline);
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        self.shared.send(make(reply_tx), start, deadline)?;
-        // A reply already sent is received even at a zero timeout.
-        let remaining = deadline.saturating_sub(start.elapsed());
-        match reply_rx.recv_timeout(remaining) {
-            Ok((result, ready)) if ready.duration_since(start) <= deadline => result,
-            Ok(_) | Err(RecvTimeoutError::Timeout) => {
-                self.shared.note_timeout();
-                Err(ServiceError::Timeout {
-                    session: self.shared.id,
-                    waited: start.elapsed(),
-                })
+        let shared = &*self.shared;
+        let (mut mailbox, upto) = shared.send(make(reply_tx), until)?;
+        loop {
+            // A reply already sent is received even past the deadline.
+            match reply_rx.try_recv() {
+                Ok((result, ready)) if until.is_none_or(|t| ready <= t) => return result,
+                Ok(_) => break,
+                // The request was dropped without a reply: the writer
+                // died mid-request and the watchdog took over.
+                Err(TryRecvError::Disconnected) => {
+                    return Err(ServiceError::SessionPoisoned {
+                        session: shared.id,
+                        reason: lock(&shared.last_error)
+                            .clone()
+                            .unwrap_or_else(|| "writer task terminated mid-request".to_string()),
+                    });
+                }
+                Err(TryRecvError::Empty) => {}
             }
-            // The request was dropped without a reply: the writer died
-            // mid-request and the watchdog took over.
-            Err(RecvTimeoutError::Disconnected) => Err(ServiceError::SessionPoisoned {
-                session: self.shared.id,
-                reason: lock(&self.shared.last_error)
-                    .clone()
-                    .unwrap_or_else(|| "writer task terminated mid-request".to_string()),
-            }),
+            if until.is_some_and(|t| Instant::now() >= t) {
+                break;
+            }
+            // No reply yet: the request is queued, or being served.
+            mailbox = shared.wait_or_serve(mailbox, upto, until);
         }
+        shared.note_timeout();
+        Err(ServiceError::Timeout {
+            session: shared.id,
+            waited: start.elapsed(),
+        })
     }
 }
 
@@ -867,7 +905,8 @@ fn apply_edit(ckt: &mut Ckt, op: EditFn, shared: &Shared) -> Result<EditOutcome,
 
 #[cfg(test)]
 impl SessionHandle {
-    /// Submitters currently waiting for a mailbox slot.
+    /// Callers asleep on the session's condvar (for a mailbox slot, a
+    /// reply or a turn).
     pub(crate) fn waiting_submitters(&self) -> usize {
         lock(&self.shared.mailbox).waiting
     }

@@ -59,7 +59,7 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::graph::Taskflow;
@@ -312,29 +312,17 @@ impl Executor {
             shutdown: AtomicBool::new(false),
             tasks_run: AtomicU64::new(0),
         });
-        // A worker's start-up allocates (its thread's name, and the
-        // counters it interns at its first park or steal). Interning here
-        // and returning only once every worker runs keeps those
-        // allocations inside `new`, so the allocation profile of the
-        // first runs does not depend on when the workers got going.
-        let _ = qtask_obs::counter!("taskflow.parks");
-        let _ = qtask_obs::counter!("taskflow.steals");
-        let started = Arc::new(Barrier::new(num_threads + 1));
         let handles = deques
             .into_iter()
             .enumerate()
             .map(|(idx, deque)| {
-                let (inner, started) = (Arc::clone(&inner), Arc::clone(&started));
+                let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("qtask-worker-{idx}"))
-                    .spawn(move || {
-                        started.wait();
-                        worker_loop(inner, deque)
-                    })
+                    .spawn(move || worker_loop(inner, deque))
                     .expect("spawn worker thread")
             })
             .collect();
-        started.wait();
         Executor { inner, handles }
     }
 

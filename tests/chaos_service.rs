@@ -342,8 +342,8 @@ fn mailbox_depth() -> i64 {
 
 /// Requests that other callers queue behind a session while its serving
 /// caller trips the breaker are answered with the terminal
-/// `SessionFailed`: once the engine is gone, the serving caller drains
-/// the queue and refuses each request typed instead of dropping it.
+/// `SessionFailed`: once the engine is gone, whichever caller serves the
+/// queue refuses each request typed instead of dropping it.
 #[test]
 fn requests_queued_behind_a_breaker_trip_get_session_failed() {
     let _guard = chaos_guard();

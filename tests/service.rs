@@ -3,7 +3,8 @@
 //! session is quarantined and recovered, and a session's requests run
 //! on its own callers' threads, so a client closure that blocks (or
 //! closes another session) holds up no other session, even on a
-//! 1-worker pool. Backpressure (a caller facing a full mailbox waits on
+//! 1-worker pool, and callers serve a session in turns that end at their
+//! own request, so no client's traffic holds another's caller. Backpressure (a caller facing a full mailbox waits on
 //! the session's condvar for a slot, a close or its deadline) is tested
 //! next to the session code, in `qtask-service`'s own unit tests.
 
@@ -262,5 +263,71 @@ fn an_edit_closure_may_close_another_session() {
     assert_eq!(b.state(), SessionState::Closed);
     assert_eq!(mgr.live_sessions(), 1);
     assert_eq!(a.snapshot().unwrap().amplitude(1).re, 1.0);
+    mgr.shutdown();
+}
+
+/// Two clients loop edits on one session while a third calls it with a
+/// short deadline. A caller serves the session only up to its own
+/// request, then hands it on, so every call of all three returns within
+/// a bound of its deadline: no client's traffic holds another's caller.
+#[test]
+fn callers_of_a_busy_session_each_return_near_their_deadline() {
+    const LOOPER_DEADLINE: Duration = Duration::from_millis(100);
+    const SHORT_DEADLINE: Duration = Duration::from_millis(20);
+    const SLACK: Duration = Duration::from_millis(500);
+    let mgr = one_worker_manager();
+    let h = mgr.open(3, SimConfig::default()).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let slowest = within(Duration::from_secs(10), move || {
+        // Each edit holds the session for a while, so requests overlap.
+        let edit = |h: &SessionHandle, deadline| {
+            let start = Instant::now();
+            let result = h.edit_with_deadline(
+                |_| {
+                    std::thread::sleep(Duration::from_millis(1));
+                    Ok(())
+                },
+                deadline,
+            );
+            assert!(
+                matches!(result, Ok(_) | Err(ServiceError::Timeout { .. })),
+                "{result:?}"
+            );
+            start.elapsed()
+        };
+        let loopers: Vec<_> = (0..2)
+            .map(|_| {
+                let (h, stop) = (h.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let (mut calls, mut slowest) = (0u32, Duration::ZERO);
+                    while !stop.load(Ordering::Relaxed) {
+                        slowest = slowest.max(edit(&h, LOOPER_DEADLINE));
+                        calls += 1;
+                    }
+                    (calls, slowest)
+                })
+            })
+            .collect();
+        let mut short = Duration::ZERO;
+        for _ in 0..200 {
+            short = short.max(edit(&h, SHORT_DEADLINE));
+        }
+        stop.store(true, Ordering::Relaxed);
+        let loopers: Vec<(u32, Duration)> =
+            loopers.into_iter().map(|l| l.join().unwrap()).collect();
+        (short, loopers)
+    });
+    let (short, loopers) = slowest;
+    assert!(
+        short < SHORT_DEADLINE + SLACK,
+        "the short-deadline caller took {short:?}"
+    );
+    for (calls, slowest) in loopers {
+        assert!(calls > 0, "a looping client made no call");
+        assert!(
+            slowest < LOOPER_DEADLINE + SLACK,
+            "a looping client's call took {slowest:?}"
+        );
+    }
     mgr.shutdown();
 }
