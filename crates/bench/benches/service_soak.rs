@@ -6,12 +6,14 @@
 //! surface. The chart is throughput and latency as the tenant count
 //! grows on one shared worker pool — the multi-session contention the
 //! service layer exists to manage — and emits `BENCH_service.json` at
-//! the workspace root as the checked-in trajectory point.
+//! the workspace root. That file is one run, a smoke point and not a
+//! trajectory: its rows spread several-fold between runs of one tree,
+//! so a claim about the soak takes interleaved runs of both trees.
 //!
 //! Every session count runs twice: with readers that spin on
 //! `snapshot()`, and with readers that yield the CPU after each read.
-//! Each session's requests run on its own client thread (the caller
-//! that serves the session), with the pool's workers joining its
+//! Each session's requests run on its own client thread, the caller
+//! that holds the session's turn, with the pool's workers joining its
 //! simulation runs. Spinning readers keep every vCPU busy, so those
 //! threads compete with them for the CPU; the yielding series shows the
 //! service without that competition.

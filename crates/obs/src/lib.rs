@@ -48,8 +48,8 @@
 //! ```
 //!
 //! The per-thread rings survive thread exit. A session reads the final
-//! events of the thread that ran a failed request
-//! ([`recent_thread_events`]) into its autopsy report.
+//! events of the caller whose request failed, on that caller's own
+//! thread and turn ([`recent_thread_events`]), into its autopsy report.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -228,8 +228,8 @@ pub fn instant(name: impl Into<Name>) {
 }
 
 /// The last `n` events recorded by the *current* thread, oldest first.
-/// This is the autopsy hook: a session's serving caller reads its own
-/// ring right after a request it ran killed the session's writer.
+/// This is the autopsy hook: the caller holding a session's turn reads
+/// its own ring right after its request killed the session's engine.
 pub fn recent_thread_events(n: usize) -> Vec<TraceEvent> {
     let mut events = with_thread_ring(|r| r.snapshot());
     if events.len() > n {

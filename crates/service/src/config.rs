@@ -11,11 +11,12 @@ pub struct ServiceConfig {
     /// slot until closed — dead tenants must be reaped explicitly, not
     /// silently replaced.
     pub max_sessions: usize,
-    /// Bounded mailbox depth per session, the one bound on a session's
-    /// queued requests. A caller that finds the mailbox full waits for a
-    /// free slot instead of queueing unboundedly; one still waiting at
-    /// its deadline is shed with [`crate::ServiceError::Overloaded`].
-    /// Zero is [`crate::ServiceError::Rejected`] at
+    /// Bounds waiting callers: the most callers one session lets wait
+    /// in line for a turn, its one admission bound. A caller that finds
+    /// the line full waits for a place instead of queueing unboundedly;
+    /// one still waiting at its deadline is shed with
+    /// [`crate::ServiceError::Overloaded`]. Zero is
+    /// [`crate::ServiceError::Rejected`] at
     /// [`crate::SessionManager::open`]: such a session could only shed.
     pub mailbox_capacity: usize,
     /// Deadline for requests submitted without an explicit one.
@@ -29,13 +30,13 @@ pub struct ServiceConfig {
     pub breaker_window: Duration,
     /// Worker threads of the shared executor. All sessions share this
     /// pool, and it does their engines' simulation work only: a request
-    /// runs on the thread of whichever caller serves its session, which
-    /// joins its simulation runs, so a session owns no thread.
+    /// runs on its caller's thread, which joins its simulation runs, so a
+    /// session owns no thread.
     pub num_threads: usize,
     /// Per-session cap on live view subscriptions
     /// ([`crate::SessionHandle::subscribe`]); beyond it, subscriptions
     /// are [`crate::ServiceError::Rejected`]. Dropping a subscription
-    /// frees its slot at the writer's next publication.
+    /// frees its slot at the session's next publication.
     pub view_quota: usize,
 }
 
@@ -60,7 +61,8 @@ impl ServiceConfig {
         self
     }
 
-    /// This config with the given per-session mailbox depth (at least 1).
+    /// This config with the given bound on waiting callers per session
+    /// (at least 1).
     pub fn with_mailbox_capacity(mut self, mailbox_capacity: usize) -> ServiceConfig {
         self.mailbox_capacity = mailbox_capacity.max(1);
         self

@@ -18,37 +18,37 @@ pub enum ServiceError {
     /// session limit or a session's view quota is exhausted, the target
     /// session does not exist, a view query is invalid, or a new
     /// session's qubit count, block size or mailbox capacity is invalid.
-    /// Nothing was enqueued. A full mailbox is not a rejection: its
-    /// callers wait, and shed with [`ServiceError::Overloaded`].
+    /// Nothing ran. A full line is not a rejection: its callers wait,
+    /// and shed with [`ServiceError::Overloaded`].
     Rejected {
         /// Which limit refused the work.
         reason: String,
     },
-    /// The session's bounded mailbox stayed full until the request's
-    /// deadline — the writer is lagging. The request was shed without
-    /// ever reaching the mailbox; snapshot reads keep serving the last
-    /// published version.
+    /// The session's line of callers waiting for a turn stayed full
+    /// until the request's deadline — the session is lagging. The
+    /// caller left without a ticket, and the request never ran; snapshot
+    /// reads keep serving the last published version.
     Overloaded {
         /// The lagging session.
         session: SessionId,
-        /// Its mailbox capacity (every slot was occupied).
+        /// Its [`crate::ServiceConfig::mailbox_capacity`] (every place in
+        /// line was taken).
         mailbox: usize,
     },
-    /// The request had not completed by its deadline, whichever caller's
-    /// thread ran it. The request may still complete afterwards — the
-    /// deadline bounds the caller's wait, not the work: a request still
-    /// queued stays queued, and the next caller to serve the session
-    /// runs it, possibly on another client's thread.
+    /// The request had not completed by its deadline. Either the
+    /// caller's turn had not come by then, and the caller left: the
+    /// request never ran. Or the request was running at the deadline:
+    /// it completed, and took effect, after it.
     Timeout {
         /// The slow session.
         session: SessionId,
         /// How long the caller actually waited.
         waited: Duration,
     },
-    /// The session's writer panicked or its engine poisoned itself while
-    /// (or before) handling this request. The watchdog quarantines the
-    /// session and runs recovery; reads keep serving the last published
-    /// snapshot, and the request is retryable once the session heals.
+    /// The request panicked or the engine poisoned itself while running
+    /// it. The session was quarantined and its caller ran recovery
+    /// before returning; reads kept serving the last published snapshot,
+    /// and the request is retryable once the session has healed.
     SessionPoisoned {
         /// The quarantined session.
         session: SessionId,
@@ -63,7 +63,8 @@ pub enum ServiceError {
         /// The dead session.
         session: SessionId,
     },
-    /// The session was closed; its writer has exited.
+    /// The session was closed; its engine is dropped, or is dropped when
+    /// the current turn ends.
     SessionClosed {
         /// The closed session.
         session: SessionId,
@@ -89,8 +90,8 @@ impl ServiceError {
     }
 
     /// True when re-submitting the same request later can succeed: the
-    /// failure was load (a mailbox full until the deadline, a writer too
-    /// slow for it) or a recoverable writer death, not a property of the
+    /// failure was load (a line full until the deadline, a session too
+    /// slow for it) or a recoverable engine death, not a property of the
     /// request or a terminal session state.
     pub fn is_retryable(&self) -> bool {
         matches!(

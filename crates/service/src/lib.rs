@@ -5,38 +5,39 @@
 //! still serialize on `&mut Ckt`. This crate is the service layer that
 //! split was designed for: a [`SessionManager`] multiplexes many
 //! circuits (*sessions*) over one worker pool. Each session is a
-//! supervised bounded mailbox whose requests are served one at a time,
-//! publishing versioned snapshots. Callers serve their session in turns,
-//! each on its own thread and up to its own request, so a request runs
-//! on the thread of whichever caller serves the session, and the pool
-//! does simulation work only, no client code. No session owns
-//! an OS thread; an idle one costs none.
+//! supervised engine behind a fair deadline lock: its callers take
+//! turns, in the order they arrived, and each runs its own request on
+//! its own thread on its turn, publishing versioned snapshots. The
+//! pool does simulation work only, no client code. No session owns an
+//! OS thread; an idle one costs none.
 //!
 //! Robustness is the point, threaded through every layer:
 //!
 //! - **Admission control** — [`ServiceConfig::max_sessions`] bounds the
 //!   tenant count and [`ServiceConfig::mailbox_capacity`] bounds each
-//!   tenant's queued requests; that mailbox is a session's one
-//!   admission bound. A session past the tenant limit is typed
-//!   [`ServiceError::Rejected`]; a request finding the mailbox full
-//!   waits for a slot (next bullet). Nothing queues unboundedly.
-//! - **Deadlines** — a caller's waits end at its deadline, and so does
-//!   its turn serving the session: it returns by its deadline unless the
-//!   request it runs then (its own or one queued ahead) is still
-//!   running. A caller that finds the mailbox full waits on the session's condvar until a slot
-//!   frees, the session closes or fails, or its deadline passes; only
-//!   then is the request shed with [`ServiceError::Overloaded`]. A
-//!   request not completed by its deadline is [`ServiceError::Timeout`]
-//!   to its caller; it stays queued, and the next caller to serve the
-//!   session runs it, possibly on another client's thread.
-//!   Non-retryable failures surface immediately.
-//! - **Backpressure, graceful degradation** — mailboxes are bounded;
-//!   when a writer lags or is quarantined, new edits wait for a slot
-//!   (and shed at their deadline) while [`SessionHandle::snapshot`]
-//!   keeps serving the last published version: reads degrade to
-//!   *stale*, never to torn or blocked.
+//!   tenant's callers waiting in line for a turn; that line is a
+//!   session's one admission bound. A session past the tenant limit is
+//!   typed [`ServiceError::Rejected`]; a caller finding the line full
+//!   waits for a place (next bullet). Nothing queues unboundedly.
+//! - **Deadlines** — one deadline bounds each request end to end. A
+//!   caller that finds the line full waits on the session's condvar
+//!   until a place frees, the session closes or fails, or its deadline
+//!   passes; only then is it shed with [`ServiceError::Overloaded`].
+//!   In line, it waits for its turn, and a caller whose deadline passes
+//!   first leaves with [`ServiceError::Timeout`]: its request never
+//!   runs. So every caller returns by its deadline unless its own
+//!   request is running then; a request that runs past the deadline
+//!   still takes effect, and its caller gets
+//!   [`ServiceError::Timeout`]. Non-retryable failures surface
+//!   immediately.
+//! - **Backpressure, graceful degradation** — lines are bounded; when
+//!   a request runs long or the session is quarantined, new callers wait
+//!   for a place (and shed at their deadline) while
+//!   [`SessionHandle::snapshot`], which takes no turn, keeps serving the
+//!   last published version: reads degrade to *stale*, never to torn or
+//!   blocked.
 //! - **Supervision** — each request runs under a watchdog: a panic or
-//!   a poisoned engine quarantines the session and runs
+//!   a poisoned engine quarantines the session, and its caller runs
 //!   [`qtask_core::Ckt::recover`] under a circuit breaker
 //!   ([`ServiceConfig::breaker_threshold`] consecutive failures within
 //!   [`ServiceConfig::breaker_window`] trip the terminal `Failed` state
@@ -48,9 +49,10 @@
 //! `Admitted → Active → (Quarantined → Recovered | Failed)* → Closed`.
 //!
 //! With the `faults` feature, the service path carries three probe
-//! sites — `service/enqueue`, `service/writer`, `service/recover` — so
-//! the chaos suite (`tests/chaos_service.rs`) can kill a session's
-//! writer mid-transaction and assert the service heals.
+//! sites — `service/enqueue` (before a caller takes a ticket),
+//! `service/writer` (in its turn) and `service/recover` — so the chaos
+//! suite (`tests/chaos_service.rs`) can kill a session's engine
+//! mid-transaction and assert the service heals.
 
 #![forbid(unsafe_code)]
 
@@ -271,8 +273,8 @@ mod tests {
         let mgr = SessionManager::new(small_cfg());
         // Every recovery of this engine fails. `open` runs the watchdog
         // on its own thread and returns once the breaker tripped, so
-        // these requests are refused at admission. Requests queued
-        // behind a serving caller when it trips the breaker are tested
+        // these requests are refused at admission. Callers waiting in
+        // line when the holder of the turn trips the breaker are tested
         // in `tests/chaos_service.rs`.
         let broken = SimConfig {
             norm_tolerance: -1.0,
@@ -298,17 +300,13 @@ mod tests {
         mgr.shutdown();
     }
 
-    /// Fills `h`'s capacity-1 mailbox: request A is an edit whose
-    /// closure holds the session until the returned sender sends or
-    /// drops, and request B, queued behind it, timed out and stays
-    /// queued.
-    /// Returns the release and A's caller thread.
-    fn hold_full_mailbox(
-        h: &SessionHandle,
-    ) -> (
-        mpsc::Sender<()>,
-        JoinHandle<Result<EditOutcome, ServiceError>>,
-    ) {
+    /// The thread of a caller that submitted an edit.
+    type Caller = JoinHandle<Result<EditOutcome, ServiceError>>;
+
+    /// An edit on `h` whose closure holds the turn until the returned
+    /// sender sends or drops. Returns once the closure runs: the release
+    /// and the edit's caller thread.
+    fn hold_turn(h: &SessionHandle) -> (mpsc::Sender<()>, Caller) {
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let held = h.clone();
@@ -319,15 +317,32 @@ mod tests {
                 Ok(())
             })
         });
-        started_rx.recv().unwrap(); // A left the queue: it is empty again.
+        started_rx.recv().unwrap(); // A holds the turn: the line is empty.
+        (release_tx, a)
+    }
+
+    /// Fills `h`'s capacity-1 line: edit A holds the turn (see
+    /// [`hold_turn`]), edit B waits behind it with a short deadline and
+    /// times out, leaving the line, and then caller F, with the default
+    /// deadline, takes the one place in line.
+    /// Returns the release, A's caller thread and F's.
+    fn hold_full_mailbox(h: &SessionHandle) -> (mpsc::Sender<()>, Caller, Caller) {
+        let (release, a) = hold_turn(h);
         let err = h
             .edit_with_deadline(|_| Ok(()), Duration::from_millis(10))
             .unwrap_err();
         assert!(matches!(err, ServiceError::Timeout { .. }), "{err}");
-        (release_tx, a)
+        let waiter = h.clone();
+        let f = std::thread::spawn(move || waiter.edit(|_| Ok(())));
+        let start = Instant::now();
+        while h.callers_in_line() < 1 {
+            assert!(start.elapsed() < Duration::from_secs(10), "F never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (release, a, f)
     }
 
-    /// Waits until `n` submitters block on `h`'s full mailbox.
+    /// Waits until `n` submitters wait for a place in `h`'s full line.
     fn await_waiting(h: &SessionHandle, n: usize) {
         let start = Instant::now();
         while h.waiting_submitters() < n {
@@ -343,7 +358,7 @@ mod tests {
     fn backpressure_admits_and_sheds_only_at_the_deadline() {
         let mgr = SessionManager::new(small_cfg().with_mailbox_capacity(1));
         let h = mgr.open(2, SimConfig::default()).unwrap();
-        let (release, a) = hold_full_mailbox(&h);
+        let (release, a, f) = hold_full_mailbox(&h);
         let shed = h.report().shed;
         // C waits out its whole deadline for a slot, then sheds typed.
         let start = Instant::now();
@@ -356,8 +371,8 @@ mod tests {
         assert_eq!(h.report().shed, shed + 1);
         // Reads keep serving while the writer lags.
         assert!(h.snapshot().is_some());
-        // D blocks with the default deadline; releasing A frees B's slot,
-        // and the dequeue must wake D.
+        // D blocks with the default deadline; releasing A hands the turn
+        // to F, which frees F's place, and that must wake D.
         let d_handle = h.clone();
         let d = std::thread::spawn(move || {
             let start = Instant::now();
@@ -369,6 +384,7 @@ mod tests {
         assert!(result.is_ok(), "{result:?}");
         assert!(waited < Duration::from_secs(5), "admitted after {waited:?}");
         assert!(a.join().unwrap().is_ok());
+        assert!(f.join().unwrap().is_ok());
         assert_eq!(h.report().shed, shed + 1);
         mgr.shutdown();
     }
@@ -377,7 +393,7 @@ mod tests {
     fn close_wakes_a_blocked_submitter() {
         let mgr = SessionManager::new(small_cfg().with_mailbox_capacity(1));
         let h = mgr.open(2, SimConfig::default()).unwrap();
-        let (release, a) = hold_full_mailbox(&h);
+        let (release, a, f) = hold_full_mailbox(&h);
         let e_handle = h.clone();
         let e = std::thread::spawn(move || {
             let start = Instant::now();
@@ -393,7 +409,12 @@ mod tests {
                 "{result:?}"
             );
             assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
-            assert!(!a.is_finished(), "A must still hold the actor");
+            assert!(!a.is_finished(), "A must still hold the turn");
+            let in_line = f.join().unwrap();
+            assert!(
+                matches!(in_line, Err(ServiceError::SessionClosed { .. })),
+                "{in_line:?}"
+            );
             // Dropped here, or by a failed assert above, before the scope
             // joins `closer`, which waits for A to finish.
             drop(release);
@@ -424,6 +445,70 @@ mod tests {
         assert!(v >= 2);
         assert_eq!(h.snapshot().unwrap().amplitude(1).re, 1.0);
         assert_eq!(h.report().timeouts, 1);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn a_caller_that_times_out_before_its_turn_never_runs() {
+        let mgr = SessionManager::new(small_cfg());
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let (release, a) = hold_turn(&h);
+        let before = h.report();
+        let err = h
+            .edit_with_deadline(
+                |tx| {
+                    let net = tx.push_net();
+                    tx.insert_gate(GateKind::X, net, &[0])?;
+                    Ok(())
+                },
+                Duration::from_millis(20),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Timeout { .. }), "{err}");
+        release.send(()).unwrap();
+        assert!(a.join().unwrap().is_ok());
+        // The timed-out edit left with its caller: no later turn ran it.
+        let (circuit, _) = h.circuit().unwrap();
+        assert_eq!(circuit.num_gates(), 0);
+        let after = h.report();
+        assert_eq!(after.edits_ok, before.edits_ok + 1, "only A committed");
+        assert_eq!(after.timeouts, before.timeouts + 1);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn turns_come_in_ticket_order() {
+        let mgr = SessionManager::new(small_cfg());
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let (release, a) = hold_turn(&h);
+        let order = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let callers: Vec<_> = (0..4)
+            .map(|i| {
+                let (client, order) = (h.clone(), std::sync::Arc::clone(&order));
+                let caller = std::thread::spawn(move || {
+                    client.edit(move |_| {
+                        order.lock().unwrap().push(i);
+                        Ok(())
+                    })
+                });
+                // The next caller comes only once this one is in line.
+                let start = Instant::now();
+                while h.callers_in_line() < i + 1 {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(10),
+                        "{i} never queued"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                caller
+            })
+            .collect();
+        release.send(()).unwrap();
+        assert!(a.join().unwrap().is_ok());
+        for caller in callers {
+            assert!(caller.join().unwrap().is_ok());
+        }
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         mgr.shutdown();
     }
 

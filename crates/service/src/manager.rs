@@ -13,18 +13,18 @@ use std::time::Duration;
 ///
 /// Each [`SessionManager::open`] admits a session (or rejects it at the
 /// [`ServiceConfig::max_sessions`] limit) and hands back a cloneable
-/// [`SessionHandle`]. A session owns no thread. A request runs on the
-/// thread of whichever caller serves the session (callers serve it in
-/// turns, see [`SessionHandle::edit`]), and its simulation work on that
-/// thread plus the manager's [`Executor`], which does simulation work
-/// only. N sessions share one set of worker threads, and an idle
+/// [`SessionHandle`]. A session owns no thread. Each request runs on its
+/// caller's thread, on the caller's turn (a session's callers take
+/// turns in order, see [`SessionHandle::edit`]), and its simulation work
+/// on that thread plus the manager's [`Executor`], which does simulation
+/// work only. N sessions share one set of worker threads, and an idle
 /// session costs no thread at all.
 ///
 /// Sessions fail and wait independently: a quarantine or a breaker trip
 /// changes no other session's state, and a slow or blocking client
 /// closure, or a run of recovery attempts, holds up only its own
 /// session's callers. The manager's own lock is never held while a
-/// session is served.
+/// request runs.
 pub struct SessionManager {
     cfg: Arc<ServiceConfig>,
     executor: Arc<Executor>,
@@ -123,16 +123,13 @@ impl SessionManager {
     }
 
     /// Closes a session: marks it closing (new requests, and callers
-    /// waiting for a mailbox slot, get [`ServiceError::SessionClosed`]),
-    /// and closes it on this thread if no caller is serving it; else the
-    /// serving caller serves what is queued and then closes it. Waits
-    /// until the session is `Closed`, frees the slot, and returns the
-    /// final autopsy. Works on failed sessions too (that is how
-    /// their slot is reaped); the report then still shows `Failed`.
-    ///
-    /// An edit closure may close any session but its own. Closing its
-    /// own session never returns: the session is being served by the
-    /// closure's caller, and it cannot finish serving while this waits.
+    /// waiting for a place or a turn, get [`ServiceError::SessionClosed`])
+    /// and closes it on this thread if no caller holds its turn; else the
+    /// holder closes it when its turn ends, and this waits for that,
+    /// unless the holder is this thread: an edit closure may close its
+    /// own session, and the report then still shows it serving. Frees the
+    /// slot and returns the final autopsy. Works on failed sessions too
+    /// (that is how their slot is reaped); the report then shows `Failed`.
     pub fn close(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         let handle =
             lock(&self.inner)
@@ -141,8 +138,9 @@ impl SessionManager {
                 .ok_or_else(|| ServiceError::Rejected {
                     reason: format!("unknown session {id}"),
                 })?;
-        handle.shared.request_close();
-        handle.wait_for(|s| !s.is_serving(), Duration::MAX);
+        if handle.shared.request_close() {
+            handle.wait_for(|s| !s.is_serving(), Duration::MAX);
+        }
         Ok(handle.report())
     }
 
@@ -171,8 +169,8 @@ impl SessionManager {
 
 impl Drop for SessionManager {
     fn drop(&mut self) {
-        // Close every session without waiting for those another caller
-        // serves: a blocked client closure could otherwise pin us forever.
+        // Close every session without waiting for the holder of a turn:
+        // a blocked client closure could otherwise pin us forever.
         let sessions = std::mem::take(&mut lock(&self.inner).sessions);
         for handle in sessions.into_values() {
             handle.shared.request_close();

@@ -222,8 +222,8 @@ impl ViewFanout {
     }
 
     /// Registers `query` as a maintained view and returns the client end.
-    /// Runs on the session's serving caller (quota and registration are
-    /// naturally serialized with publications).
+    /// Runs on the subscribing caller's turn, so quota and registration
+    /// are serialized with every publication.
     pub(crate) fn subscribe(
         &mut self,
         ckt: &Ckt,
@@ -265,8 +265,8 @@ impl ViewFanout {
     }
 
     /// Pushes every view's current reading to its subscriber (skipping
-    /// versions already delivered). Called by the writer after each
-    /// publication and after recovery.
+    /// versions already delivered). Called on the turn of each edit that
+    /// published, and after recovery.
     pub(crate) fn push_all(&mut self) {
         self.prune();
         for entry in &mut self.subs {

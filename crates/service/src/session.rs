@@ -1,21 +1,22 @@
-//! One supervised session: a [`Ckt`], its bounded mailbox, and the
-//! watchdog that heals it.
+//! One supervised session: a [`Ckt`] behind a fair deadline lock, and
+//! the watchdog that heals it.
 //!
-//! A session owns no thread: its callers serve it in turns. A caller
-//! whose request is queued while no one serves (the mailbox's
-//! `scheduled` flag is false) serves, on its own thread, the requests
-//! queued ahead of its own and then its own, stopping early once its
-//! deadline passes, and hands the session on. Other callers wait for
-//! their reply or for the turn. The mailbox's mutex also guards the
-//! lifecycle state, and one condvar paired with it carries every wait.
+//! A session owns no thread: each caller runs its own request on its
+//! own thread, on its turn. Turns come from a FIFO ticket lock: a caller
+//! takes a ticket once fewer than [`ServiceConfig::mailbox_capacity`]
+//! callers wait in line, turns come in ticket order, and a caller still
+//! waiting for a place or a turn at its deadline leaves without running
+//! its request. The lock's mutex also guards the lifecycle state, and
+//! one condvar paired with it carries every wait.
 //!
-//! Each request is served inside `catch_unwind`. A poisoned engine or a
-//! panicked request quarantines the session, and the serving caller runs
-//! [`Ckt::recover`] back to back under a circuit breaker (consecutive
-//! failures within a window trip the session to terminal `Failed`).
-//! Throughout quarantine and recovery, [`SessionHandle::snapshot`] keeps
-//! serving the last *published* [`StateSnapshot`] — reads degrade to
-//! staleness, never to torn data or a wedge.
+//! Each request runs inside `catch_unwind`. A poisoned engine or a
+//! panicked request quarantines the session, and its caller runs
+//! [`Ckt::recover`] back to back, still on its turn, under a circuit
+//! breaker (consecutive failures within a window trip the session to
+//! terminal `Failed`). Throughout quarantine and recovery,
+//! [`SessionHandle::snapshot`] keeps serving the last *published*
+//! [`StateSnapshot`] — reads degrade to staleness, never to torn data
+//! or a wedge.
 
 use crate::push::{Subscription, ViewFanout};
 use crate::{lock, ServiceConfig, ServiceError};
@@ -25,8 +26,8 @@ use qtask_views::{ViewQuery, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Opaque session identifier, unique within one [`crate::SessionManager`].
@@ -46,14 +47,15 @@ impl std::fmt::Display for SessionId {
 /// `Closed` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
-    /// Admission succeeded; the writer has not published its baseline
+    /// Admission succeeded; the opener has not published the baseline
     /// snapshot yet.
     Admitted,
     /// Serving, never quarantined.
     Active,
-    /// A request panicked or the engine poisoned itself; the watchdog
-    /// is running recovery. Edits queue (or shed); reads serve the last
-    /// published snapshot.
+    /// A request panicked or the engine poisoned itself; its caller is
+    /// running recovery on its turn. Other callers wait for their turn
+    /// (or leave at their deadline); reads serve the last published
+    /// snapshot.
     Quarantined,
     /// Serving again after at least one successful recovery.
     Recovered,
@@ -65,7 +67,7 @@ pub enum SessionState {
 }
 
 impl SessionState {
-    /// True for states in which the writer accepts new requests.
+    /// True for states in which the session accepts new requests.
     pub fn is_serving(self) -> bool {
         matches!(
             self,
@@ -98,14 +100,14 @@ pub struct SessionReport {
     pub state: SessionState,
     /// Edits committed and published.
     pub edits_ok: u64,
-    /// Edits that reached the writer and failed (typed error; circuit
-    /// unchanged).
+    /// Edits that ran and failed (typed error; circuit unchanged).
     pub edits_failed: u64,
-    /// Requests shed before reaching the writer: the mailbox stayed
-    /// full until their deadline ([`ServiceError::Overloaded`]).
+    /// Requests shed without a ticket: the line stayed full until their
+    /// deadline ([`ServiceError::Overloaded`]).
     pub shed: u64,
-    /// Requests whose caller gave up waiting (the writer may have
-    /// completed them late).
+    /// Requests whose result was not ready by their caller's deadline:
+    /// the caller left before its turn (the request never ran), or the
+    /// request ran past the deadline (and took effect late).
     pub timeouts: u64,
     /// Successful recoveries.
     pub recoveries: u64,
@@ -160,33 +162,32 @@ pub(crate) fn touch_service_metrics() {
     let _ = qtask_obs::histogram!("service.queue_delay_us");
 }
 
-/// The session's mailbox and lifecycle, under one mutex.
-struct Mailbox {
-    /// Requests with the time each was queued, to price queueing delay.
-    queue: VecDeque<(Request, Instant)>,
-    /// Requests taken off the queue so far: a request queued behind `n`
-    /// others when this read `t` has been served once it exceeds `t + n`.
-    taken: u64,
-    /// A caller is serving the session; whoever sets it serves.
-    scheduled: bool,
-    /// Close requested: no request is queued any more, and the serving
-    /// caller serves what is queued and then closes the session.
+/// The session's deadline lock and lifecycle, under one mutex.
+struct Gate {
+    /// Tickets of the callers waiting for a turn, in ticket order.
+    line: VecDeque<u64>,
+    /// The ticket the next caller gets.
+    next_ticket: u64,
+    /// The thread holding the turn; set for good once the session closes.
+    holder: Option<ThreadId>,
+    /// Callers asleep on the condvar for a place or a turn; while there
+    /// are none, a turn's end notifies no one.
+    sleepers: usize,
+    /// Close requested: waiting callers leave, and the session closes
+    /// when the current turn ends.
     closing: bool,
     /// Lifecycle state; every change notifies the condvar.
     state: SessionState,
-    /// Callers asleep on the condvar (for a slot, a reply or a turn);
-    /// the serving caller notifies only when there are some.
-    waiting: usize,
 }
 
-impl Mailbox {
-    /// True while new requests may be queued.
+impl Gate {
+    /// True while callers may take a ticket or a turn.
     fn admits(&self) -> bool {
         !self.closing && self.state.is_serving()
     }
 }
 
-/// The engine and its views: what a serving caller serves requests with.
+/// The engine and its views: what a caller runs its request on.
 pub(crate) struct Writer {
     pub(crate) ckt: Ckt,
     /// View subscriptions: the registry attached to `ckt` plus the push
@@ -199,23 +200,23 @@ pub(crate) struct Shared {
     id: SessionId,
     cfg: Arc<ServiceConfig>,
     /// The last published snapshot — the degraded-read surface. Written
-    /// only by the serving caller; read by any number of clients.
+    /// only by the holder of the turn; read by any number of clients.
     latest: RwLock<Option<StateSnapshot>>,
     stats: Stats,
     last_error: Mutex<Option<String>>,
     recent_trace: Mutex<Vec<String>>,
-    mailbox: Mutex<Mailbox>,
-    /// Signalled on every state change, on close, and after each served
-    /// request while a caller waits.
+    gate: Mutex<Gate>,
+    /// Signalled on every state change, on close, and whenever a place
+    /// or a turn frees while a caller waits.
     changed: Condvar,
-    /// Locked only by the serving caller; `None` once the session is
+    /// Locked only by the holder of the turn; `None` once the session is
     /// `Closed` or `Failed` (dropping it closes every subscription).
     writer: Mutex<Option<Writer>>,
 }
 
 impl Shared {
-    /// An `Admitted` session serving `writer`, marked as served by its
-    /// opener, which must then call [`Shared::publish_baseline`].
+    /// An `Admitted` session over `writer` whose turn the calling thread
+    /// holds; the opener must then call [`Shared::publish_baseline`].
     pub(crate) fn new(id: SessionId, writer: Writer, cfg: &Arc<ServiceConfig>) -> Shared {
         Shared {
             id,
@@ -224,161 +225,162 @@ impl Shared {
             stats: Stats::default(),
             last_error: Mutex::new(None),
             recent_trace: Mutex::new(Vec::new()),
-            mailbox: Mutex::new(Mailbox {
-                queue: VecDeque::new(),
-                taken: 0,
-                scheduled: true,
+            gate: Mutex::new(Gate {
+                line: VecDeque::new(),
+                next_ticket: 0,
+                holder: Some(std::thread::current().id()),
+                sleepers: 0,
                 closing: false,
                 state: SessionState::Admitted,
-                waiting: 0,
             }),
             changed: Condvar::new(),
             writer: Mutex::new(Some(writer)),
         }
     }
 
-    /// The opener's turn: publishes the baseline snapshot.
+    /// The opener's turn: publishes the baseline snapshot, leaving
+    /// `Admitted` only once readers have a consistent |0…0⟩ snapshot to
+    /// degrade to. A config broken at birth (e.g. an impossible norm
+    /// tolerance) goes straight into the quarantine → breaker path.
     pub(crate) fn publish_baseline(&self) {
-        drop(self.serve(lock(&self.mailbox), 0, None));
+        let mut writer = lock(&self.writer);
+        let w = writer.as_mut().expect("an admitted session has its engine");
+        match w.ckt.try_snapshot() {
+            Ok(snap) => {
+                self.publish(snap);
+                self.set_state(SessionState::Active);
+            }
+            Err(e) => self.quarantine(&mut writer, e.to_string()),
+        }
+        self.end_turn(writer);
     }
 
-    /// Queues `req`, waiting while the mailbox is full (serving its
-    /// oldest request if no caller does), and returns the mailbox still
-    /// locked with the `taken` count at which `req` has been served. A
-    /// closing or terminal session refuses `req`; a mailbox still full at
-    /// `until` sheds it with [`ServiceError::Overloaded`].
-    fn send(
+    /// Waits for a place in line, then for this caller's turn, at most
+    /// until `until`, and returns the engine, locked. A closing or
+    /// terminal session refuses the caller; at `until`, one waiting for a
+    /// place is shed with [`ServiceError::Overloaded`], and one in line
+    /// gets [`ServiceError::Timeout`]. Either way its request never runs.
+    fn take_turn(
         &self,
-        req: Request,
+        start: Instant,
         until: Option<Instant>,
-    ) -> Result<(MutexGuard<'_, Mailbox>, u64), ServiceError> {
-        let mut mailbox = lock(&self.mailbox);
-        while mailbox.admits() && mailbox.queue.len() >= self.cfg.mailbox_capacity {
-            if until.is_some_and(|t| Instant::now() >= t) {
+    ) -> Result<MutexGuard<'_, Option<Writer>>, ServiceError> {
+        let past_deadline = || until.is_some_and(|t| Instant::now() >= t);
+        let mut gate = lock(&self.gate);
+        loop {
+            if !gate.admits() {
+                return Err(self.terminal_error(gate.state));
+            }
+            if gate.line.len() < self.cfg.mailbox_capacity {
+                break;
+            }
+            if past_deadline() {
                 self.note_shed();
                 return Err(ServiceError::Overloaded {
                     session: self.id,
                     mailbox: self.cfg.mailbox_capacity,
                 });
             }
-            let upto = mailbox.taken + 1;
-            mailbox = self.wait_or_serve(mailbox, upto, until);
+            gate = self.sleep(gate, until);
         }
-        if !mailbox.admits() {
-            return Err(self.terminal_error(mailbox.state));
+        let ticket = gate.next_ticket;
+        gate.next_ticket += 1;
+        gate.line.push_back(ticket);
+        let ticketed = Instant::now();
+        qtask_obs::gauge!("service.mailbox_depth").inc();
+        let turn = loop {
+            let turn = gate.admits() && gate.holder.is_none() && gate.line.front() == Some(&ticket);
+            if turn || !gate.admits() || past_deadline() {
+                break turn;
+            }
+            gate = self.sleep(gate, until);
+        };
+        self.leave_line(&mut gate, ticket);
+        if !gate.admits() {
+            return Err(self.terminal_error(gate.state));
         }
-        let upto = mailbox.taken + mailbox.queue.len() as u64 + 1;
-        mailbox.queue.push_back((req, Instant::now()));
-        self.note_enqueued();
-        Ok((mailbox, upto))
+        if !turn {
+            return Err(self.timeout(start));
+        }
+        gate.holder = Some(std::thread::current().id());
+        drop(gate);
+        qtask_obs::histogram!("service.queue_delay_us").record_duration_us(ticketed.elapsed());
+        Ok(lock(&self.writer))
     }
 
-    /// Takes the turn if no caller serves (serving until `upto` requests
-    /// were taken), else sleeps on the condvar, at most until `until`.
-    fn wait_or_serve<'a>(
-        &'a self,
-        mut mailbox: MutexGuard<'a, Mailbox>,
-        upto: u64,
-        until: Option<Instant>,
-    ) -> MutexGuard<'a, Mailbox> {
-        if !mailbox.scheduled {
-            return self.serve(mailbox, upto, until);
+    /// Takes `ticket` out of line, for its turn or because its caller
+    /// leaves, and wakes the callers that may now take the freed place
+    /// or the turn.
+    fn leave_line(&self, gate: &mut Gate, ticket: u64) {
+        let at = gate.line.iter().position(|&t| t == ticket);
+        gate.line
+            .remove(at.expect("a caller in line holds its ticket"));
+        qtask_obs::gauge!("service.mailbox_depth").dec();
+        if gate.sleepers > 0 {
+            self.changed.notify_all();
         }
+    }
+
+    /// Sleeps on the condvar until notified or `until`.
+    fn sleep<'a>(
+        &'a self,
+        mut gate: MutexGuard<'a, Gate>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, Gate> {
         let left = until.map_or(Duration::MAX, |t| {
             t.saturating_duration_since(Instant::now())
         });
-        mailbox.waiting += 1;
-        mailbox = self
+        gate.sleepers += 1;
+        gate = self
             .changed
-            .wait_timeout(mailbox, left)
+            .wait_timeout(gate, left)
             .unwrap_or_else(|e| e.into_inner())
             .0;
-        mailbox.waiting -= 1;
-        mailbox
+        gate.sleepers -= 1;
+        gate
     }
 
-    /// Marks the session closing and wakes blocked submitters. An idle
-    /// session is closed on this thread, a served one by its serving
-    /// caller after the queue; this does not wait for that.
-    pub(crate) fn request_close(&self) {
-        let mut mailbox = lock(&self.mailbox);
-        mailbox.closing = true;
+    /// Ends the holder's turn. A closing session closes instead: the
+    /// holder drops the engine, which closes every subscription, and
+    /// sets `Closed` (a `Failed` session has no engine left and stays
+    /// `Failed`); no turn is given again.
+    fn end_turn(&self, mut writer: MutexGuard<'_, Option<Writer>>) {
+        let mut gate = lock(&self.gate);
+        if gate.closing {
+            drop(gate);
+            if writer.take().is_some() {
+                self.set_state(SessionState::Closed);
+            }
+            return;
+        }
+        gate.holder = None;
+        if gate.sleepers > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Marks the session closing and wakes every waiting caller. If no
+    /// one holds the turn, closes the session on this thread; else the
+    /// holder closes it when its turn ends. Returns true when that
+    /// holder is another thread, which the caller may wait for.
+    pub(crate) fn request_close(&self) -> bool {
+        let mut gate = lock(&self.gate);
+        gate.closing = true;
         self.changed.notify_all();
-        if !mailbox.scheduled {
-            drop(self.serve(mailbox, u64::MAX, None));
+        let me = std::thread::current().id();
+        if gate.holder.is_some() {
+            return gate.holder != Some(me);
         }
-    }
-
-    /// Takes a turn serving the session on this thread: sets `scheduled`
-    /// and serves queued requests, oldest first, until `upto` have been
-    /// taken off the queue in all, the queue is empty, or `until` passed;
-    /// then clears the flag for a waiting caller to take the next turn and
-    /// returns the mailbox still locked. A closing session is served to
-    /// the end (at most a mailbox: nothing new is queued) and closed, and
-    /// the flag stays set for good.
-    fn serve<'a>(
-        &'a self,
-        mut mailbox: MutexGuard<'a, Mailbox>,
-        upto: u64,
-        until: Option<Instant>,
-    ) -> MutexGuard<'a, Mailbox> {
-        mailbox.scheduled = true;
-        drop(mailbox);
-        let mut writer = lock(&self.writer);
-        if self.state() == SessionState::Admitted {
-            // Baseline publish: leave `Admitted` only once readers have
-            // a consistent |0…0⟩ snapshot to degrade to. A config broken
-            // at birth (e.g. an impossible norm tolerance) goes straight
-            // into the quarantine → breaker path instead.
-            let w = writer.as_mut().expect("an admitted session has its engine");
-            match w.ckt.try_snapshot() {
-                Ok(snap) => {
-                    self.publish(snap);
-                    self.set_state(SessionState::Active);
-                }
-                Err(e) => self.quarantine(&mut writer, e.to_string()),
-            }
-        }
-        loop {
-            let mut mailbox = lock(&self.mailbox);
-            // Wakes the callers of a reply just sent, of the slot freed
-            // below, or of the turn handed over below.
-            if mailbox.waiting > 0 {
-                self.changed.notify_all();
-            }
-            if mailbox.closing && mailbox.queue.is_empty() {
-                break;
-            }
-            let turn_over = mailbox.taken >= upto || until.is_some_and(|t| Instant::now() >= t);
-            if mailbox.queue.is_empty() || (turn_over && !mailbox.closing) {
-                mailbox.scheduled = false;
-                return mailbox;
-            }
-            mailbox.taken += 1;
-            let (req, queued_at) = mailbox.queue.pop_front().expect("the queue is not empty");
-            drop(mailbox);
-            self.note_dequeued(queued_at.elapsed());
-            match writer.as_mut() {
-                Some(w) => {
-                    if let Err(reason) = w.serve(self, req) {
-                        self.quarantine(&mut writer, reason);
-                    }
-                }
-                // Breaker tripped: everything still queued gets the
-                // terminal error.
-                None => req.refuse(self.terminal_error(self.state())),
-            }
-        }
-        if writer.take().is_some() {
-            self.set_state(SessionState::Closed);
-        }
-        lock(&self.mailbox)
+        gate.holder = Some(me);
+        drop(gate);
+        self.end_turn(lock(&self.writer));
+        false
     }
 
     /// A request or the baseline killed the writer: quarantine, then
-    /// heal. When the breaker trips, mark terminal `Failed` and drop the
-    /// engine; whoever serves the queue from then on answers each
-    /// request still queued with [`ServiceError::SessionFailed`].
+    /// heal, on the same turn. When the breaker trips, mark terminal
+    /// `Failed` and drop the engine; every caller waiting for a turn
+    /// wakes with [`ServiceError::SessionFailed`].
     fn quarantine(&self, writer: &mut Option<Writer>, reason: String) {
         // The failure happened on this very thread: its last trace
         // events are still in its ring. Attach them to the autopsy
@@ -406,11 +408,11 @@ impl Shared {
     }
 
     fn state(&self) -> SessionState {
-        lock(&self.mailbox).state
+        lock(&self.gate).state
     }
 
     fn set_state(&self, s: SessionState) {
-        lock(&self.mailbox).state = s;
+        lock(&self.gate).state = s;
         self.changed.notify_all();
     }
 
@@ -453,9 +455,15 @@ impl Shared {
         qtask_obs::counter!("service.shed").inc();
     }
 
-    fn note_timeout(&self) {
+    /// Counts a timeout of a request submitted at `start`; returns its
+    /// error.
+    fn timeout(&self, start: Instant) -> ServiceError {
         self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
         qtask_obs::counter!("service.timeouts").inc();
+        ServiceError::Timeout {
+            session: self.id,
+            waited: start.elapsed(),
+        }
     }
 
     fn note_recovery(&self) {
@@ -466,15 +474,6 @@ impl Shared {
     fn note_recovery_failure(&self) {
         self.stats.recovery_failures.fetch_add(1, Ordering::Relaxed);
         qtask_obs::counter!("service.recovery_failures").inc();
-    }
-
-    fn note_enqueued(&self) {
-        qtask_obs::gauge!("service.mailbox_depth").inc();
-    }
-
-    fn note_dequeued(&self, queued_for: Duration) {
-        qtask_obs::gauge!("service.mailbox_depth").dec();
-        qtask_obs::histogram!("service.queue_delay_us").record_duration_us(queued_for);
     }
 
     /// Captures the current thread's last trace events into the autopsy.
@@ -511,67 +510,6 @@ impl Shared {
     }
 }
 
-type EditFn = Box<dyn FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send>;
-
-/// A request's reply channel: the result and when it was ready.
-/// Capacity 1, so the serving caller's send never blocks.
-type Reply<T> = SyncSender<(Result<T, ServiceError>, Instant)>;
-
-/// Sends `result`, stamped now; a caller that gave up gets nothing.
-fn answer<T>(reply: Reply<T>, result: Result<T, ServiceError>) {
-    let _ = reply.send((result, Instant::now()));
-}
-
-enum Request {
-    Edit {
-        op: EditFn,
-        reply: Reply<EditOutcome>,
-    },
-    /// Barrier: replies with the current version once every earlier
-    /// request has been processed.
-    Sync { reply: Reply<u64> },
-    /// Clone of the session's circuit (for oracles/resims) plus the
-    /// version it corresponds to.
-    Inspect { reply: Reply<(Circuit, u64)> },
-    /// Register an incremental view subscription on the session's
-    /// registry (quota-checked and primed by the serving caller, so it
-    /// serializes naturally with publications).
-    Subscribe {
-        query: ViewQuery,
-        reply: Reply<Subscription>,
-    },
-    /// The session's view-maintenance counters.
-    ViewReport { reply: Reply<ViewReport> },
-}
-
-impl Request {
-    /// Trace span name for processing this request kind.
-    ///
-    /// Only evaluated when the `obs` feature is on (the span macro
-    /// compiles its argument away otherwise).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    fn span_name(&self) -> &'static str {
-        match self {
-            Request::Edit { .. } => "session/edit",
-            Request::Sync { .. } => "session/sync",
-            Request::Inspect { .. } => "session/inspect",
-            Request::Subscribe { .. } => "session/subscribe",
-            Request::ViewReport { .. } => "session/view_report",
-        }
-    }
-
-    /// Answers the request with `err` instead of serving it.
-    fn refuse(self, err: ServiceError) {
-        match self {
-            Request::Edit { reply, .. } => answer(reply, Err(err)),
-            Request::Sync { reply } => answer(reply, Err(err)),
-            Request::Inspect { reply } => answer(reply, Err(err)),
-            Request::Subscribe { reply, .. } => answer(reply, Err(err)),
-            Request::ViewReport { reply } => answer(reply, Err(err)),
-        }
-    }
-}
-
 /// Client handle to one session. Cheap to clone; every clone talks to
 /// the same supervised session. Dropping all handles (manager's
 /// included) drops the session's engine and closes its subscriptions.
@@ -604,19 +542,19 @@ impl SessionHandle {
     /// Blocks until `pred` holds for the session state (or `timeout`
     /// elapses) and returns the state observed last.
     pub fn wait_for(&self, pred: impl Fn(SessionState) -> bool, timeout: Duration) -> SessionState {
-        let mailbox = lock(&self.shared.mailbox);
-        let (mailbox, _timed_out) = self
+        let gate = lock(&self.shared.gate);
+        let (gate, _timed_out) = self
             .shared
             .changed
-            .wait_timeout_while(mailbox, timeout, |m| !pred(m.state))
+            .wait_timeout_while(gate, timeout, |g| !pred(g.state))
             .unwrap_or_else(|e| e.into_inner());
-        mailbox.state
+        gate.state
     }
 
     /// The last published [`StateSnapshot`] — the degraded-read path.
-    /// Never blocks on the writer: during quarantine, recovery, and even
-    /// terminal failure this keeps serving the newest consistent
-    /// version.
+    /// Takes no turn, so it never waits for the engine: during
+    /// quarantine, recovery, and even terminal failure this keeps
+    /// serving the newest consistent version.
     pub fn snapshot(&self) -> Option<StateSnapshot> {
         self.shared.snapshot()
     }
@@ -634,105 +572,131 @@ impl SessionHandle {
     /// Submits a transactional edit with the configured default
     /// deadline (see [`SessionHandle::edit_with_deadline`]).
     ///
-    /// `f` runs on the thread of whichever caller serves the session
-    /// (see [`SessionHandle::edit_with_deadline`]); while it runs, this
-    /// session serves nothing else, and other sessions are not held up.
-    /// `f` may call into other sessions, even close them, but not into
-    /// its own: a request to it times out, and
-    /// [`crate::SessionManager::close`] on it never returns, as the
-    /// session cannot finish serving while `f` runs.
+    /// `f` runs on this caller's thread, on its turn, so it may borrow
+    /// the caller's locals; while it runs, this session runs nothing
+    /// else, and other sessions are not held up. `f` may call into other
+    /// sessions, and close any session: closing its own returns at once,
+    /// and the session closes when `f`'s edit has committed. Any other
+    /// request to its own session waits for `f`'s turn, and times out.
     pub fn edit<F>(&self, f: F) -> Result<EditOutcome, ServiceError>
     where
-        F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
+        F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError>,
     {
         self.edit_with_deadline(f, self.shared.cfg.default_deadline)
     }
 
     /// Submits a transactional edit, bounded by `deadline` end to end:
-    /// a caller that finds the mailbox full blocks until a slot frees,
-    /// and that wait counts against the same deadline as the reply. `f`
-    /// runs on a caller's thread, as for [`SessionHandle::edit`].
-    ///
-    /// A caller that finds no one serving the session serves, on its own
-    /// thread, the requests queued ahead of `f` and then `f`, never one
-    /// queued behind, and stops between requests once `deadline` passed:
-    /// it returns by `deadline` unless the request it runs then is still
-    /// running.
+    /// the caller waits for a place in line if the line is full, then
+    /// for its turn, then runs `f` as for [`SessionHandle::edit`]. It
+    /// returns by `deadline` unless its own edit is running then.
     ///
     /// Failure modes, all typed and all leaving the circuit unchanged:
-    /// [`ServiceError::Overloaded`] (mailbox full until the deadline;
-    /// the edit was never queued),
+    /// [`ServiceError::Overloaded`] (the line stayed full until the
+    /// deadline; the edit never ran),
     /// [`ServiceError::SessionClosed`] (closed while it waited),
     /// [`ServiceError::Timeout`] (the edit had not completed by the
-    /// deadline and may still commit late: one still queued stays
-    /// queued, and the next caller to serve the session runs it,
-    /// possibly on another client's thread),
+    /// deadline: either its turn never came, and it never ran, or it
+    /// ran past the deadline and committed late),
     /// [`ServiceError::Engine`] (transaction invalid),
-    /// [`ServiceError::SessionPoisoned`] (writer died mid-request; the
-    /// watchdog is recovering it).
+    /// [`ServiceError::SessionPoisoned`] (the engine died mid-request;
+    /// the session has run recovery).
     pub fn edit_with_deadline<F>(
         &self,
         f: F,
         deadline: Duration,
     ) -> Result<EditOutcome, ServiceError>
     where
-        F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError> + Send + 'static,
+        F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError>,
     {
-        self.call(
-            |reply| Request::Edit {
-                op: Box::new(f),
-                reply,
-            },
-            deadline,
-        )
+        let shared = &*self.shared;
+        self.call(deadline, "session/edit", |w| {
+            // Commit, re-simulate, publish. A typed error with a healthy
+            // engine leaves the circuit exactly as before (the
+            // transaction staged and aborted).
+            let committed = w.ckt.edit(f).and_then(|((), receipt)| {
+                w.ckt.update_state()?;
+                Ok(receipt)
+            });
+            let receipt = committed.map_err(|e| {
+                shared.note_edit_failed();
+                ServiceError::Engine(e)
+            })?;
+            if let Some(snap) = w.ckt.latest_snapshot() {
+                shared.publish(snap);
+            }
+            shared.note_edit_ok();
+            // The publish already patched every registered view (the
+            // registry is an engine observer); deliver the fresh
+            // readings before the turn ends.
+            w.views.push_all();
+            Ok(EditOutcome {
+                receipt,
+                version: w.ckt.snapshot_version(),
+            })
+        })
     }
 
-    /// Waits until the writer has processed every request submitted
-    /// before this call; returns the then-current version.
+    /// Takes a turn, so every request whose caller was in line before
+    /// this call has run or left; returns the then-current version.
     pub fn sync(&self) -> Result<u64, ServiceError> {
-        self.ask(|reply| Request::Sync { reply })
+        self.ask("session/sync", |_| Ok(self.shared.version()))
     }
 
     /// A clone of the session's circuit and the version it corresponds
     /// to — the resimulation oracle for consistency checks.
     pub fn circuit(&self) -> Result<(Circuit, u64), ServiceError> {
-        self.ask(|reply| Request::Inspect { reply })
+        self.ask("session/inspect", |w| {
+            Ok((w.ckt.circuit().clone(), self.shared.version()))
+        })
     }
 
-    /// Subscribes to `query` as an incrementally maintained view: the
-    /// writer registers it on the session's [`qtask_views::ViewRegistry`],
-    /// primes it from the latest snapshot, and pushes a [`crate::ViewUpdate`]
-    /// after every publication — over a capacity-one overwrite-latest
+    /// Subscribes to `query` as an incrementally maintained view: on its
+    /// turn, the caller registers it on the session's
+    /// [`qtask_views::ViewRegistry`] and primes it from the latest
+    /// snapshot, and every later publication pushes a
+    /// [`crate::ViewUpdate`] over a capacity-one overwrite-latest
     /// channel, so a slow subscriber lags (counted) but never blocks the
-    /// writer.
+    /// session.
     ///
     /// Fails with [`ServiceError::Rejected`] when the query is invalid
     /// for the session's register or the per-session
     /// [`ServiceConfig::view_quota`] is exhausted (dropping a
-    /// [`Subscription`] frees its slot at the writer's next publication).
+    /// [`Subscription`] frees its slot at the session's next
+    /// publication).
     pub fn subscribe(&self, query: ViewQuery) -> Result<Subscription, ServiceError> {
-        self.ask(|reply| Request::Subscribe { query, reply })
+        self.ask("session/subscribe", |w| {
+            w.views.subscribe(&w.ckt, self.shared.id, query)
+        })
     }
 
     /// The session's view-maintenance counters ([`ViewReport`]): patches
     /// vs full refreshes, blocks repatched vs rescanned.
     pub fn view_report(&self) -> Result<ViewReport, ServiceError> {
-        self.ask(|reply| Request::ViewReport { reply })
+        self.ask("session/view_report", |w| Ok(w.views.report()))
     }
 
     /// [`SessionHandle::call`] with the default deadline.
-    fn ask<T>(&self, make: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServiceError> {
-        self.call(make, self.shared.cfg.default_deadline)
+    fn ask<T>(
+        &self,
+        span: &'static str,
+        op: impl FnOnce(&mut Writer) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        self.call(self.shared.cfg.default_deadline, span, op)
     }
 
-    /// Shared submit mechanics: probe, enqueue (waiting for a slot), then
-    /// wait for the reply, taking a turn serving whenever no caller
-    /// serves; one deadline bounds it all. The request timed out exactly
-    /// when its reply was not ready by the deadline.
+    /// Shared request mechanics: probe, wait for a place and a turn, run
+    /// `op` on the engine on this thread inside `catch_unwind`, end the
+    /// turn; one deadline bounds it all. A panic anywhere in `op`
+    /// (injected fault, panicking client closure, engine bug) or a
+    /// poisoned engine quarantines the session, and the caller gets
+    /// [`ServiceError::SessionPoisoned`]. Otherwise the request timed out
+    /// exactly when its result was not ready by the deadline.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn call<T>(
         &self,
-        make: impl FnOnce(Reply<T>) -> Request,
         deadline: Duration,
+        span: &'static str,
+        op: impl FnOnce(&mut Writer) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
         qtask_faults::fault_point_err!(
             "service/enqueue",
@@ -740,92 +704,42 @@ impl SessionHandle {
         );
         let start = Instant::now();
         let until = start.checked_add(deadline);
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
         let shared = &*self.shared;
-        let (mut mailbox, upto) = shared.send(make(reply_tx), until)?;
-        loop {
-            // A reply already sent is received even past the deadline.
-            match reply_rx.try_recv() {
-                Ok((result, ready)) if until.is_none_or(|t| ready <= t) => return result,
-                Ok(_) => break,
-                // The request was dropped without a reply: the writer
-                // died mid-request and the watchdog took over.
-                Err(TryRecvError::Disconnected) => {
-                    return Err(ServiceError::SessionPoisoned {
-                        session: shared.id,
-                        reason: lock(&shared.last_error)
-                            .clone()
-                            .unwrap_or_else(|| "writer task terminated mid-request".to_string()),
-                    });
-                }
-                Err(TryRecvError::Empty) => {}
+        let mut writer = shared.take_turn(start, until)?;
+        let w = writer.as_mut().expect("a serving session has its engine");
+        let served = {
+            let _span = qtask_obs::span!(span);
+            catch_unwind(AssertUnwindSafe(|| {
+                qtask_faults::fault_point!("service/writer");
+                op(w)
+            }))
+        };
+        // Why the request killed the engine, if it did.
+        let killed = match &served {
+            Ok(_) => w.ckt.poison_reason().map(str::to_string),
+            Err(payload) => Some(panic_text(payload.as_ref())),
+        };
+        let result = match (served, killed) {
+            (Ok(result), None) => result,
+            (_, reason) => {
+                let reason = reason.unwrap_or_default();
+                shared.quarantine(&mut writer, reason.clone());
+                Err(ServiceError::SessionPoisoned {
+                    session: shared.id,
+                    reason,
+                })
             }
-            if until.is_some_and(|t| Instant::now() >= t) {
-                break;
-            }
-            // No reply yet: the request is queued, or being served.
-            mailbox = shared.wait_or_serve(mailbox, upto, until);
+        };
+        shared.end_turn(writer);
+        match result {
+            Err(e @ ServiceError::SessionPoisoned { .. }) => Err(e),
+            _ if until.is_some_and(|t| Instant::now() > t) => Err(shared.timeout(start)),
+            result => result,
         }
-        shared.note_timeout();
-        Err(ServiceError::Timeout {
-            session: shared.id,
-            waited: start.elapsed(),
-        })
     }
 }
 
 impl Writer {
-    /// Serves one request inside `catch_unwind`. `Err` carries why the
-    /// writer died — a panic anywhere here (injected fault, panicking
-    /// client closure, engine bug) or a poisoned engine — and the serving
-    /// caller quarantines. A panic drops the request unanswered: its caller
-    /// observes [`ServiceError::SessionPoisoned`].
-    fn serve(&mut self, shared: &Shared, req: Request) -> Result<(), String> {
-        let _req_span = qtask_obs::span!(req.span_name());
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            qtask_faults::fault_point!("service/writer");
-            match req {
-                Request::Sync { reply } => answer(reply, Ok(shared.version())),
-                Request::Inspect { reply } => {
-                    answer(reply, Ok((self.ckt.circuit().clone(), shared.version())))
-                }
-                Request::Subscribe { query, reply } => {
-                    answer(reply, self.views.subscribe(&self.ckt, shared.id, query))
-                }
-                Request::ViewReport { reply } => answer(reply, Ok(self.views.report())),
-                Request::Edit { op, reply } => match apply_edit(&mut self.ckt, op, shared) {
-                    Ok(outcome) => {
-                        shared.note_edit_ok();
-                        // The publish inside apply_edit already patched
-                        // every registered view (registry is an engine
-                        // observer); deliver the fresh readings before
-                        // taking the next request.
-                        self.views.push_all();
-                        answer(reply, Ok(outcome));
-                    }
-                    Err(e) => {
-                        shared.note_edit_failed();
-                        if self.ckt.is_poisoned() {
-                            let reason = self.ckt.poison_reason().unwrap_or("engine poisoned");
-                            let reason = reason.to_string();
-                            answer(
-                                reply,
-                                Err(ServiceError::SessionPoisoned {
-                                    session: shared.id,
-                                    reason: reason.clone(),
-                                }),
-                            );
-                            return Err(reason);
-                        }
-                        answer(reply, Err(e));
-                    }
-                },
-            }
-            Ok(())
-        }));
-        served.unwrap_or_else(|payload| Err(panic_text(payload.as_ref())))
-    }
-
     /// Watchdog: recover the engine under the circuit breaker, attempt
     /// after attempt — [`Ckt::recover`] is a deterministic rebuild, so
     /// waiting between attempts would change nothing. Returns false when
@@ -868,7 +782,7 @@ impl Writer {
 
 /// One recovery attempt, panic-contained: an unwind out of the recovery
 /// path itself (probe or rebuild) must count as a *failed attempt* for
-/// the breaker, never unwind out of the serving caller.
+/// the breaker, never unwind out of the holder of the turn.
 fn attempt_recovery(ckt: &mut Ckt) -> Result<(), ServiceError> {
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), ServiceError> {
         qtask_faults::fault_point_err!(
@@ -888,26 +802,18 @@ fn attempt_recovery(ckt: &mut Ckt) -> Result<(), ServiceError> {
     }
 }
 
-/// Commit one transaction, re-simulate, publish. A typed error with a
-/// healthy engine leaves the circuit exactly as before (the transaction
-/// staged and aborted); a poisoning error is escalated by the caller.
-fn apply_edit(ckt: &mut Ckt, op: EditFn, shared: &Shared) -> Result<EditOutcome, ServiceError> {
-    let (_, receipt) = ckt.edit(|tx| op(tx)).map_err(ServiceError::Engine)?;
-    ckt.update_state().map_err(ServiceError::Engine)?;
-    if let Some(snap) = ckt.latest_snapshot() {
-        shared.publish(snap);
-    }
-    Ok(EditOutcome {
-        receipt,
-        version: ckt.snapshot_version(),
-    })
-}
-
 #[cfg(test)]
 impl SessionHandle {
-    /// Callers asleep on the session's condvar (for a mailbox slot, a
-    /// reply or a turn).
+    /// Callers asleep waiting for a place in line: every sleeper that is
+    /// not in line. (A caller in line counts only while it sleeps, so
+    /// this never counts more than wait for a place.)
     pub(crate) fn waiting_submitters(&self) -> usize {
-        lock(&self.shared.mailbox).waiting
+        let gate = lock(&self.shared.gate);
+        gate.sleepers.saturating_sub(gate.line.len())
+    }
+
+    /// Callers in line, waiting for their turn.
+    pub(crate) fn callers_in_line(&self) -> usize {
+        lock(&self.shared.gate).line.len()
     }
 }

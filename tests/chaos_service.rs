@@ -40,8 +40,8 @@ fn service_cfg() -> ServiceConfig {
         .with_breaker(3, Duration::from_secs(20))
 }
 
-/// A victim session plus an idle sibling (no caller serves it, so it
-/// reaches no probe sites while a plan is armed). Built *before* arming
+/// A victim session plus an idle sibling (no caller takes a turn on it,
+/// so it reaches no probe sites while a plan is armed). Built *before* arming
 /// so its setup traffic does not consume hits.
 struct Fixture {
     mgr: SessionManager,
@@ -99,7 +99,7 @@ fn run_scenario(victim: &SessionHandle) -> Result<(), ServiceError> {
         Err(ServiceError::SessionPoisoned { .. }) => {}
         Err(other) => return Err(other),
     }
-    // The mailbox is the barrier: sync blocks until the watchdog has
+    // The turn is the barrier: sync waits until the watchdog has
     // restarted the writer (or surfaces the terminal error).
     victim.sync()?;
     victim.edit(|tx| {
@@ -250,8 +250,8 @@ fn every_service_site_fails_safe() {
                         );
                     }
                     // An escaped panic is legal only on the caller's own
-                    // thread — the enqueue probe runs before the request
-                    // enters the mailbox.
+                    // thread — the enqueue probe runs before the caller
+                    // takes a ticket.
                     Err(_payload) => {
                         assert_eq!(
                             site.as_str(),
@@ -333,17 +333,17 @@ fn repeated_recovery_faults_trip_breaker_with_autopsy() {
     fx.mgr.shutdown();
 }
 
-/// The process-wide count of queued requests, over every session.
+/// The process-wide count of callers waiting in line for a turn, over
+/// every session.
 fn mailbox_depth() -> i64 {
     qtask_obs::snapshot()
         .gauge("service.mailbox_depth")
         .unwrap_or(0)
 }
 
-/// Requests that other callers queue behind a session while its serving
-/// caller trips the breaker are answered with the terminal
-/// `SessionFailed`: once the engine is gone, whichever caller serves the
-/// queue refuses each request typed instead of dropping it.
+/// Callers waiting in line for a session's turn while the holder of the
+/// turn trips the breaker each get the terminal `SessionFailed`: the
+/// trip wakes them, and none of their requests runs.
 #[test]
 fn requests_queued_behind_a_breaker_trip_get_session_failed() {
     let _guard = chaos_guard();

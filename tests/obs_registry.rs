@@ -227,9 +227,10 @@ fn registry_is_bounded_and_service_aggregates_are_exact() {
     assert_eq!(b.id(), SessionId(1));
 
     // Session a: edits that commit, one the engine rejects, one that
-    // times out and one that is shed. Edit A holds the actor, B queues
-    // behind it (filling the capacity-1 mailbox) and times out, and C
-    // finds the mailbox full until its deadline.
+    // times out and one that is shed. Edit A holds the turn, B waits in
+    // line behind it and times out, never running, F takes the one
+    // place in line with the default deadline, and C finds the line
+    // full until its deadline.
     for q in 0..3 {
         a.edit(x_on(q)).unwrap();
     }
@@ -249,12 +250,22 @@ fn registry_is_bounded_and_service_aggregates_are_exact() {
         .edit_with_deadline(x_on(1), Duration::from_millis(10))
         .unwrap_err();
     assert!(matches!(err, ServiceError::Timeout { .. }), "{err}");
+    let in_line = || qtask_obs::snapshot().gauge("service.mailbox_depth");
+    let depth = in_line();
+    let waiter = a.clone();
+    let filler = std::thread::spawn(move || waiter.edit(x_on(1)));
+    let start = std::time::Instant::now();
+    while in_line() <= depth {
+        assert!(start.elapsed() < Duration::from_secs(10), "F never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let err = a
         .edit_with_deadline(x_on(2), Duration::from_millis(10))
         .unwrap_err();
     assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
     release_tx.send(()).unwrap();
     assert!(holder.join().unwrap().is_ok());
+    assert!(filler.join().unwrap().is_ok());
     let mut reports = vec![m1.close(a.id()).unwrap()];
     assert_eq!(reports[0].shed, 1);
     assert_eq!(reports[0].timeouts, 1);

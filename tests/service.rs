@@ -1,12 +1,15 @@
 //! Service-layer integration tests that run in the default (tier-1)
 //! build: the degraded-read surface never goes dark or tears while a
-//! session is quarantined and recovered, and a session's requests run
-//! on its own callers' threads, so a client closure that blocks (or
-//! closes another session) holds up no other session, even on a
-//! 1-worker pool, and callers serve a session in turns that end at their
-//! own request, so no client's traffic holds another's caller. Backpressure (a caller facing a full mailbox waits on
-//! the session's condvar for a slot, a close or its deadline) is tested
-//! next to the session code, in `qtask-service`'s own unit tests.
+//! session is quarantined and recovered, and each request runs on its
+//! own caller's thread, on the caller's turn, so a client closure that
+//! blocks (or closes another session, or its own) holds up no other
+//! session, even on a 1-worker pool, and may borrow its caller's
+//! locals. Turns come in order and each caller runs only its own
+//! request, so no client's traffic holds another's caller past its
+//! deadline. Backpressure (a caller facing a full line waits on the
+//! session's condvar for a place, a close or its deadline) and a caller
+//! that times out before its turn are tested next to the session code,
+//! in `qtask-service`'s own unit tests.
 
 use qtask::prelude::*;
 use std::collections::HashMap;
@@ -266,10 +269,59 @@ fn an_edit_closure_may_close_another_session() {
     mgr.shutdown();
 }
 
+/// An edit closure closes its own session on a 1-worker pool: the close
+/// returns without waiting for the turn the closure's caller holds, the
+/// edit commits, and the session closes when that turn ends.
+#[test]
+fn an_edit_closure_may_close_its_own_session() {
+    let mgr = Arc::new(one_worker_manager());
+    let a = mgr.open(3, SimConfig::default()).unwrap();
+    let (closer, a_client) = (Arc::clone(&mgr), a.clone());
+    let outcome = within(Duration::from_secs(5), move || {
+        let id = a_client.id();
+        a_client.edit(move |tx| {
+            closer.close(id).expect("A was open");
+            let net = tx.push_net();
+            tx.insert_gate(GateKind::X, net, &[0]).map(|_| ())
+        })
+    });
+    assert!(outcome.is_ok(), "{outcome:?}");
+    assert_eq!(a.state(), SessionState::Closed);
+    assert_eq!(mgr.live_sessions(), 0);
+    let sync = a.sync();
+    assert!(
+        matches!(sync, Err(ServiceError::SessionClosed { .. })),
+        "{sync:?}"
+    );
+}
+
+/// An edit closure runs on its caller's thread, so it may borrow the
+/// caller's locals: here it reads a `Vec` of qubits and counts into a
+/// local, neither of which is `'static`.
+#[test]
+fn an_edit_closure_may_borrow_its_callers_locals() {
+    let mgr = one_worker_manager();
+    let h = mgr.open(3, SimConfig::default()).unwrap();
+    let qubits: Vec<u8> = vec![0, 2];
+    let mut inserted = 0;
+    h.edit(|tx| {
+        let net = tx.push_net();
+        for &q in &qubits {
+            tx.insert_gate(GateKind::X, net, &[q])?;
+            inserted += 1;
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(inserted, qubits.len());
+    assert_eq!(h.snapshot().unwrap().amplitude(0b101).re, 1.0);
+    mgr.shutdown();
+}
+
 /// Two clients loop edits on one session while a third calls it with a
-/// short deadline. A caller serves the session only up to its own
-/// request, then hands it on, so every call of all three returns within
-/// a bound of its deadline: no client's traffic holds another's caller.
+/// short deadline. Turns come in order and each caller runs only its
+/// own request, so every call of all three returns within a bound of
+/// its deadline: no client's traffic holds another's caller.
 #[test]
 fn callers_of_a_busy_session_each_return_near_their_deadline() {
     const LOOPER_DEADLINE: Duration = Duration::from_millis(100);
