@@ -1,13 +1,21 @@
 //! Copy-on-write blocks (paper §III-F3).
 //!
-//! Every row keeps a logical full state vector, but physically stores only
-//! the blocks its gate touched; every other block is logically the same
-//! block one row earlier. The stored blocks live in the owner index
-//! ([`crate::owners::OwnerIndex`]), which resolves a read to the nearest
-//! earlier owner in one binary search, bottoming out at the implicit
-//! |0…0⟩ initial state — which is never materialized, so an untouched
-//! 26-qubit block costs nothing. This module holds the block buffer type
-//! and the resolution result.
+//! Every row stands for a logical full state vector — the state after its
+//! gate — but physically owns at most the blocks its gate touched; every
+//! other block is logically the same block one row earlier. The owned
+//! blocks live in the owner index ([`crate::owners::OwnerIndex`]), which
+//! resolves a read to the nearest earlier owner in one binary search,
+//! bottoming out at the implicit |0…0⟩ initial state — which is never
+//! materialized, so an untouched 26-qubit block costs nothing.
+//!
+//! Not every owned block keeps its buffer: within a run, a transient
+//! row hands it on to the block's next linear writer, which rewrites it
+//! in place, and the row's entry is *evicted*. Checkpoints (every
+//! ⌈√n⌉-th of the n rows run together) and each block's last two writers
+//! keep theirs, so a full simulation holds O(√n) states, not n. An
+//! evicted block is recomputed from the nearest held entry only when
+//! read. This module holds the block buffer type and the resolution
+//! result.
 
 use qtask_num::Complex64;
 use std::sync::Arc;
@@ -16,9 +24,10 @@ use std::sync::Arc;
 ///
 /// `Arc<Vec<…>>` rather than `Arc<[…]>`: publishing a freshly computed
 /// buffer is then a pointer move instead of a second 4 KiB copy, and a
-/// uniquely held block can be taken back ([`crate::OwnerIndex::take`])
-/// when its partition re-executes, making steady-state incremental
-/// updates allocation-free.
+/// uniquely held block can be taken — by the next writer of a transient
+/// row's block ([`crate::OwnerIndex::take_input`]), or back by its own
+/// row when its partition re-executes ([`crate::OwnerIndex::take_own`])
+/// — and rewritten in place without allocating.
 pub type BlockData = Arc<Vec<Complex64>>;
 
 /// The resolution result for one block.

@@ -225,6 +225,19 @@ pub struct Ckt {
     block_norms: Vec<f64>,
     /// `|norm² − 1|` at the last publication.
     last_norm_error: f64,
+    /// Runs planned so far ([`Row::transient`] stamps).
+    run_seq: u64,
+    /// Per block, its last writer, recorded for the blocks a run writes.
+    last_writer: Vec<Option<RowId>>,
+    /// Per block, the last run that wrote it.
+    written_run: Vec<u64>,
+    /// The run's partitions in row order, kept to reuse the allocation.
+    run_order: Vec<PartId>,
+    /// Every row a checkpoint (`test_support::retain_every_row`).
+    pub(crate) retain_all: bool,
+    /// Serializes re-materializations, which `&self` audits may run
+    /// concurrently: each takes buffers out while it rewrites them.
+    remat: parking_lot::Mutex<()>,
 }
 
 impl Ckt {
@@ -270,6 +283,12 @@ impl Ckt {
             poison: None,
             block_norms,
             last_norm_error: 0.0,
+            run_seq: 0,
+            last_writer: vec![None; geom.num_blocks()],
+            written_run: vec![0; geom.num_blocks()],
+            run_order: Vec::new(),
+            retain_all: false,
+            remat: parking_lot::Mutex::new(()),
         }
     }
 
@@ -379,10 +398,12 @@ impl Ckt {
         let circuit = self.circuit.clone();
         let config = self.config.clone();
         let executor = Arc::clone(&self.executor);
+        let retain_all = self.retain_all;
         let rebuilt = catch_unwind(AssertUnwindSafe(
             || -> Result<(Ckt, UpdateReport), EngineError> {
                 let mut fresh = Ckt::from_circuit_with_executor(&circuit, config, executor);
                 fresh.snapshot_seq = seq;
+                fresh.retain_all = retain_all;
                 let update = fresh.update_state()?;
                 Ok((fresh, update))
             },
@@ -427,9 +448,11 @@ impl Ckt {
     }
 
     /// Checks every cross-structure engine invariant and reports the
-    /// violations (empty = coherent). Read-only and panic-contained, so it
-    /// is safe to run on a poisoned engine — that is its purpose: after a
-    /// contained panic, `audit` says *what* tore.
+    /// violations (empty = coherent). Panic-contained, so it is safe to
+    /// run on a poisoned engine — that is its purpose: after a contained
+    /// panic, `audit` says *what* tore. It changes no state it reports
+    /// on: it only re-materializes a final entry that a removal left
+    /// evicted, to read it.
     ///
     /// Checks: poisoning, owner-index structure, partition graph
     /// coherence, per-block resolvability, amplitude finiteness, norm
@@ -723,6 +746,7 @@ impl Ckt {
             fused: None,
             parts: Vec::new(),
             max_part_blocks: 0,
+            transient: 0,
             label: std::sync::Arc::from(label),
         }
     }
@@ -923,9 +947,8 @@ impl Ckt {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
         if self.graph.dirty_len() == 0 {
-            // Nothing to execute, but removals may still have changed the
-            // resolved view (a removal needs no simulation): refresh the
-            // snapshot if so, or publish the very first one.
+            // Nothing to execute, but removals may have changed the resolved
+            // view: republish the snapshot if so, or publish the first one.
             let snapshot_blocks_resolved = self
                 .republish_if_stale(|| {
                     qtask_faults::fault_point!("engine/update_publish");
@@ -947,6 +970,8 @@ impl Ckt {
         let partition_span = qtask_obs::span!("update/partition");
         self.graph.close_dirty();
         qtask_faults::fault_point!("engine/update_build");
+        self.resolve_stats.reset();
+        let run = self.plan_run();
         // Detach the previous snapshot spine *before* execution: blocks
         // this update will rewrite (the blocks dirty partitions write,
         // plus blocks of removed rows) are dropped from the engine's own
@@ -954,13 +979,6 @@ impl Ckt {
         // re-executing tasks can reclaim their buffers and the warm
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
-        let n = self.circuit.num_qubits();
-        for &pid in self.graph.dirty_nodes() {
-            let part = &self.graph[pid];
-            let kind = &self.rows[part.row.key()].kind;
-            self.snap_dirty
-                .extend(part.written_blocks(kind, &self.geom, n));
-        }
         let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
@@ -979,7 +997,6 @@ impl Ckt {
         // partitions, so no closures are boxed, no edges re-wired,
         // nothing proportional to the circuit.
         let build_span = qtask_obs::span!("update/build");
-        self.resolve_stats.reset();
         let chunk = self.geom.grain() as u64;
         // Structural patches accumulated since the previous update — the
         // graph-maintenance cost of the edit window now being absorbed.
@@ -990,6 +1007,8 @@ impl Ckt {
             stats: &self.resolve_stats,
             geom: self.geom,
             n_qubits: self.circuit.num_qubits(),
+            run,
+            last_writer: &self.last_writer,
         };
         // This per-run closure dispatches a node's partition on its row
         // kind. Chunked linear fans receive their chunk index and
@@ -1040,6 +1059,139 @@ impl Ckt {
         Ok(report)
     }
 
+    // ---- transient rows ---------------------------------------------------
+
+    /// Plans the run of the closed dirty set in row order (serial): adds
+    /// the blocks it writes to the snapshot's dirty set, records their
+    /// last writers, stamps every row that writes transient but each
+    /// ⌈√n⌉-th of those n, a checkpoint, and re-materializes each evicted
+    /// entry the run would read. A read after a block's first writer in
+    /// the run reads a writer of the run, since the dirty set is
+    /// successor-closed, so only reads before it are checked.
+    fn plan_run(&mut self) -> u64 {
+        self.run_seq += 1;
+        let run = self.run_seq;
+        let n = self.circuit.num_qubits();
+        let mut order = std::mem::take(&mut self.run_order);
+        order.clear();
+        order.extend_from_slice(self.graph.dirty_nodes());
+        let (rows, graph) = (&self.rows, &self.graph);
+        let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
+        order.sort_unstable_by_key(|&pid| label(graph[pid].row));
+        // A row's partitions sit together: they share its label.
+        let same_row = |a: &PartId, b: &PartId| graph[*a].row == graph[*b].row;
+        let writes = |pid: PartId| !matches!(rows[graph[pid].row.key()].kind, RowKind::Sync);
+        let n_rows = order.chunk_by(same_row).filter(|p| writes(p[0])).count();
+        let step = (1..).find(|s| s * s >= n_rows).expect("a square root");
+        let mut reads = Vec::new();
+        for parts in order.chunk_by(same_row) {
+            let row = graph[parts[0]].row;
+            let kind = &rows[row.key()].kind;
+            let limit = label(row);
+            let evicted = |b: usize| self.owners.evicted_before(b, limit, label).is_some();
+            // An MxV row reads every block before it, the blocks its run
+            // partitions write included.
+            let reads_all = matches!(kind, RowKind::MxV);
+            if reads_all {
+                let first = (0..self.geom.num_blocks()).filter(|&b| self.written_run[b] != run);
+                reads.extend(first.filter(|&b| evicted(b)).map(|b| (b, limit)));
+            }
+            for &pid in parts {
+                for b in graph[pid].written_blocks(kind, &self.geom, n) {
+                    if !reads_all && self.written_run[b] != run && evicted(b) {
+                        reads.push((b, limit));
+                    }
+                    self.written_run[b] = run;
+                    self.last_writer[b] = Some(row);
+                    self.snap_dirty.insert(b);
+                }
+            }
+        }
+        let mut i = 0;
+        for parts in order.chunk_by(same_row) {
+            // A sync row owns nothing: its stamp is moot.
+            let row = &mut self.rows[graph[parts[0]].row.key()];
+            i += usize::from(!matches!(row.kind, RowKind::Sync));
+            if !self.retain_all && i % step != 0 {
+                row.transient = run;
+            }
+        }
+        self.run_order = order;
+        for (b, limit) in reads {
+            self.rematerialize(b, limit, &self.resolve_stats);
+        }
+        run
+    }
+
+    /// Makes the read of block `b` before label `limit` land on a held
+    /// entry. When it would land on an evicted one, re-runs that entry's
+    /// segment serially, with no takes: its partition, after the
+    /// partitions that produce its evicted inputs (the entries just
+    /// before its row of the blocks it writes, or of every block for an
+    /// MxV partition), back to the nearest held entries.
+    pub(crate) fn rematerialize(&self, b: usize, limit: u64, stats: &ResolveStats) {
+        let label = |r: RowId| {
+            self.rows
+                .order_label(r.key())
+                .expect("owner index holds only live rows")
+        };
+        let _serial = self.remat.lock();
+        let Some(evicted) = self.owners.evicted_before(b, limit, label) else {
+            return;
+        };
+        let view = self.exec_view(stats);
+        let n = self.num_qubits();
+        let mut segment = vec![self.partition_at(evicted, b)];
+        while let Some(&pid) = segment.last() {
+            let part = &self.graph[pid];
+            let kind = &self.rows[part.row.key()].kind;
+            let limit = label(part.row);
+            let input = |b: usize| {
+                let evicted = self.owners.evicted_before(b, limit, label)?;
+                Some(self.partition_at(evicted, b))
+            };
+            let needed = match kind {
+                RowKind::MxV => (0..self.geom.num_blocks()).find_map(input),
+                _ => part.written_blocks(kind, &self.geom, n).find_map(input),
+            };
+            if let Some(earlier) = needed {
+                segment.push(earlier);
+                continue;
+            }
+            qtask_faults::fault_point!("engine/rematerialize");
+            match kind {
+                RowKind::Sync => unreachable!("a sync barrier owns no block"),
+                RowKind::MxV => exec::exec_mxv_partition(view, part),
+                RowKind::Linear(_) => exec::exec_linear_partition(
+                    view,
+                    part,
+                    part.spec.item_start..part.spec.item_end,
+                ),
+            }
+            segment.pop();
+        }
+    }
+
+    /// A view for execution outside a run: it takes no predecessor's buffer.
+    pub(crate) fn exec_view<'a>(&'a self, stats: &'a ResolveStats) -> ExecView<'a> {
+        ExecView {
+            rows: &self.rows,
+            owners: &self.owners,
+            stats,
+            geom: self.geom,
+            n_qubits: self.num_qubits(),
+            run: 0,
+            last_writer: &[],
+        }
+    }
+
+    /// The partition of `row` whose span holds block `b`.
+    fn partition_at(&self, row: RowId, b: usize) -> PartId {
+        let parts = &self.rows[row.key()].parts;
+        let at = parts.partition_point(|&p| (self.graph[p].spec.block_hi as usize) < b);
+        parts[at]
+    }
+
     // ---- snapshot publication -------------------------------------------
 
     /// The last published [`StateSnapshot`], if any. Cheap (`Arc` clone);
@@ -1058,9 +1210,12 @@ impl Ckt {
 
     /// A snapshot of the current resolved state: the latest published
     /// snapshot, republished first if removals changed the resolved view
-    /// since (or none was ever published). A removal needs no
-    /// simulation, so reading after one costs only the re-resolution of
-    /// the blocks the removed rows owned.
+    /// since (or none was ever published). Removing a block's last
+    /// writer needs no simulation: a last writer copies its input, so its
+    /// predecessor still holds its buffer, and reading costs only the
+    /// re-resolution of the blocks the removed rows owned. An entry that
+    /// handed its buffer on to a removed row (at the second of two tail
+    /// removals, say) is re-materialized first.
     ///
     /// Pending *insertions* that have not been simulated yet do not
     /// appear: they take effect at the next [`Ckt::update_state`].
@@ -1222,21 +1377,19 @@ impl Ckt {
         self.observers.push(observer);
     }
 
-    /// Validates the owner index's structure: every list is in row order,
-    /// names only live rows and holds every entry's buffer; a row with no
-    /// partition on the frontier owns exactly the blocks it writes (its
-    /// MxV partition spans, or the span blocks its linear pattern
-    /// touches), any other row a subset of them.
+    /// Validates the owner index's structure: every list is in row order
+    /// and names only live rows; a row with no partition on the frontier
+    /// owns exactly the blocks it writes (its MxV partition spans, or the
+    /// span blocks its linear pattern touches), any other row a subset of
+    /// them. An evicted entry, which has no buffer, still counts as owned.
     /// O(rows × blocks); tests only.
     pub fn validate_owner_index(&self) -> Result<(), String> {
         for b in 0..self.geom.num_blocks() {
             let mut prev = None;
-            for (r, data) in self.owners.entries(b) {
+            for (r, _) in self.owners.entries(b) {
                 let label = self.rows.order_label(r.key());
-                if label.is_none() || label <= prev || data.is_none() {
-                    return Err(format!(
-                        "block {b}: {r:?} is dead, out of order or unfilled"
-                    ));
+                if label.is_none() || label <= prev {
+                    return Err(format!("block {b}: {r:?} is dead or out of order"));
                 }
                 prev = label;
             }
@@ -1399,6 +1552,60 @@ mod tests {
             &want,
             1e-12
         ));
+    }
+
+    /// A chain of nine linear rows over every block, run together: every
+    /// third row is a checkpoint (⌈√9⌉ = 3), every other row hands its
+    /// buffers to the next one, and the last row copies, so it leaves
+    /// its predecessor held. Its removal then needs no simulation; the
+    /// next removal re-materializes the evicted entry it uncovers, and an
+    /// insert inside the chain re-materializes what it reads.
+    #[test]
+    fn transient_rows_evict_and_rematerialize() {
+        let mut cfg = SimConfig::with_block_size(4);
+        cfg.num_threads = 1;
+        let mut ckt = Ckt::with_config(6, cfg);
+        let nets: Vec<NetId> = (0..9).map(|_| ckt.push_net()).collect();
+        let gates: Vec<GateId> = nets
+            .iter()
+            .map(|&net| ckt.insert_gate(GateKind::X, net, &[0]).unwrap())
+            .collect();
+        ckt.update_state().unwrap();
+        let blocks = ckt.geometry().num_blocks();
+        let owned = |ckt: &Ckt| ckt.memory_stats().owned_blocks;
+        let held_rows = |ckt: &Ckt| {
+            let held: Vec<RowId> = (0..blocks)
+                .flat_map(|b| ckt.owners.entries(b))
+                .filter(|(_, data)| data.is_some())
+                .map(|(row, _)| row)
+                .collect();
+            ckt.rows
+                .keys()
+                .enumerate()
+                .filter(|&(_, k)| held.contains(&RowId(k)))
+                .map(|(i, _)| i + 1)
+                .collect::<Vec<_>>()
+        };
+        // Checkpoints 3, 6, 9 and the last writer's predecessor 8.
+        assert_eq!(held_rows(&ckt), vec![3, 6, 8, 9]);
+        assert_eq!(owned(&ckt), 4 * blocks);
+        assert_eq!(ckt.owners.num_entries(), 9 * blocks);
+        ckt.validate_owner_index().unwrap();
+
+        ckt.remove_gate(gates[8]).unwrap();
+        let snap = ckt.snapshot();
+        assert_eq!(snap.capture_report().blocks_resolved, blocks as u64);
+        assert_eq!(owned(&ckt), 3 * blocks, "no simulation");
+        ckt.remove_gate(gates[7]).unwrap();
+        let snap = ckt.snapshot();
+        assert_eq!(held_rows(&ckt), vec![3, 6, 7], "row 7 re-materialized");
+        assert!(snap.amplitude(1).is_one(1e-12), "seven X gates");
+
+        let extra = ckt.insert_net_after(nets[0]).unwrap();
+        ckt.insert_gate(GateKind::X, extra, &[1]).unwrap();
+        ckt.update_state().unwrap();
+        assert!(ckt.latest_snapshot().unwrap().amplitude(3).is_one(1e-12));
+        assert_eq!(ckt.audit(), vec![]);
     }
 
     /// Dense gate removal invalidates the fused operator; the next update

@@ -2,11 +2,11 @@
 //!
 //! A linear partition task walks its items one low-side block at a time:
 //! it acquires the block (and the partner block, when a pair op's partner
-//! lies in another) as a fresh copy of the *previous* row's content,
-//! applies the swap/scale items, and publishes at once. Tasks of one partition touch disjoint
-//! blocks (each is whole dispatch grains, [`BlockGeometry::grain`]) and a
-//! task acquires no block twice, so tasks synchronize only on the
-//! per-block owner-list locks.
+//! lies in another) holding the *previous* row's content, applies the
+//! swap/scale items in place, and publishes at once. Tasks of one
+//! partition touch disjoint blocks (each is whole dispatch grains,
+//! [`BlockGeometry::grain`]) and a task acquires no block twice, so tasks
+//! synchronize only on the per-block owner-list locks.
 //!
 //! An MxV partition computes a grain of output blocks of the net's
 //! grouped superposition operator, one block at a time: each output
@@ -19,14 +19,19 @@
 //! Each kernel is bit-identical to its scalar reference (checked by this
 //! module's tests).
 //!
-//! Steady-state incremental updates are allocation-free: re-executing
-//! partitions take their previously published buffers back *with* their
-//! `Arc` wrapper ([`OwnerIndex::take`]), mutate in place, and republish
-//! the same allocation.
+//! Acquiring a linear block allocates and copies nothing when the
+//! predecessor entry is transient: the task takes that buffer whole
+//! ([`OwnerIndex::take_input`]), evicting the entry. Otherwise (a
+//! checkpoint, a row of an earlier run, a pinned buffer, or the block's
+//! last writer as the taker) it copies the input into its own buffer,
+//! taken back with its `Arc` wrapper, or into a fresh one when the row
+//! has none. MxV outputs, which cannot alias their sources, rewrite the
+//! row's own buffers. So re-executing a partition whose buffers are held
+//! touches the heap not at all.
 
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
-use crate::owners::{OwnerIndex, ResolveStats};
+use crate::owners::{Input, OwnerIndex, ResolveStats};
 use crate::row::{Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
@@ -47,6 +52,12 @@ pub struct ExecView<'a> {
     pub geom: BlockGeometry,
     /// Qubit count.
     pub n_qubits: u8,
+    /// The run being executed, whose [`Row::transient`] rows lose their
+    /// buffers to the next writer; 0 outside a run (no takes).
+    pub run: u64,
+    /// Per block, its last writer; read only for the blocks the run
+    /// writes.
+    pub last_writer: &'a [Option<RowId>],
 }
 
 impl<'a> ExecView<'a> {
@@ -58,32 +69,47 @@ impl<'a> ExecView<'a> {
     }
 
     /// Resolves block `b` as seen *before* `row` (i.e. the previous row's
-    /// logical content).
+    /// logical content). Panics when the read lands on an evicted
+    /// entry: the run re-materializes every such entry before any task
+    /// starts.
     pub fn resolve_before(&self, row: RowId, b: usize) -> Resolved {
         self.owners
             .resolve_before(b, self.label_of(row), |r| self.label_of(r), self.stats)
+            .unwrap_or_else(|evicted| {
+                panic!("block {b}: resolution reached the evicted entry of {evicted:?}")
+            })
             .map_or(Resolved::Initial, Resolved::Data)
     }
 
-    /// Acquires block `b` of `row` for rewriting, filled with the
-    /// previous row's content: the row's own buffer when it can be taken
-    /// back, a fresh one otherwise. Returns it with its owner-list
-    /// position for [`Self::publish`].
+    /// Acquires block `b` of `row` for rewriting, holding the previous
+    /// row's content: the predecessor's buffer when its row is transient
+    /// in this run and `row` is not the block's last writer, else a copy
+    /// in the row's own buffer or a fresh one. Returns it with its
+    /// owner-list position for [`Self::publish`].
     fn acquire(&self, row: RowId, b: usize) -> (BlockData, usize) {
-        let (own, before, pos) = self
-            .owners
-            .take(b, row, |r| self.label_of(r), Some(self.stats));
-        let resolved = before.map_or(Resolved::Initial, Resolved::Data);
-        let data = match own {
-            Some(mut arc) => {
-                resolved.fill_into(b, unique(&mut arc));
+        let may_take = self.run != 0 && self.last_writer[b] != Some(row);
+        let (input, pos) = self.owners.take_input(
+            b,
+            row,
+            |r| self.label_of(r),
+            self.stats,
+            |pred| may_take && self.rows[pred.key()].transient == self.run,
+        );
+        let resolved = |before: Option<BlockData>| before.map_or(Resolved::Initial, Resolved::Data);
+        let data = match input {
+            Input::Taken(arc) => arc,
+            Input::Resolved {
+                before,
+                own: Some(mut arc),
+            } => {
+                resolved(before).fill_into(b, unique(&mut arc));
                 arc
             }
-            None => {
+            Input::Resolved { before, own: None } => {
                 // Simulated allocation failure lands here: the cold path
                 // that materializes a fresh working buffer.
                 qtask_faults::fault_point!("exec/alloc_block");
-                Arc::new(resolved.to_vec(b, self.geom.block_size()))
+                Arc::new(resolved(before).to_vec(b, self.geom.block_size()))
             }
         };
         (data, pos)
@@ -268,7 +294,7 @@ pub fn exec_mxv_partition(view: ExecView<'_>, part: &Partition) {
     debug_assert!(matches!(row.kind, RowKind::MxV));
     let bs = view.geom.block_size();
     for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
-        let (own, _, pos) = view.owners.take(block, row_id, |r| view.label_of(r), None);
+        let (own, pos) = view.owners.take_own(block, row_id, |r| view.label_of(r));
         let mut out_arc = own.unwrap_or_else(|| {
             qtask_faults::fault_point!("exec/alloc_block");
             Arc::new(vec![Complex64::ZERO; bs])
@@ -565,13 +591,7 @@ mod tests {
     /// Runs [`check_mxv`] on every MxV partition of an updated circuit and
     /// returns, per partition, whether the whole-block shortcut ran.
     fn check_all_mxv(ckt: &Ckt) -> Vec<bool> {
-        let view = ExecView {
-            rows: &ckt.rows,
-            owners: &ckt.owners,
-            stats: &ckt.resolve_stats,
-            geom: ckt.geom,
-            n_qubits: ckt.num_qubits(),
-        };
+        let view = ckt.exec_view(&ckt.resolve_stats);
         let mut paths = Vec::new();
         for k in ckt.rows.keys() {
             if matches!(ckt.rows[k].kind, RowKind::MxV) {
@@ -629,7 +649,8 @@ mod tests {
     /// random circuits and geometries (3–8 qubits, blocks of 1–64), each
     /// linear partition runs through both `exec_linear_partition` and
     /// `linear_scalar`, and each MxV output block through both
-    /// `mxv_fused` and `mxv_scalar`, from the same resolved inputs.
+    /// `mxv_fused` and `mxv_scalar`, from the same resolved inputs. Every
+    /// row is retained, so each row's inputs stay readable.
     #[test]
     fn batched_kernels_match_scalar_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(20260729);
@@ -641,6 +662,7 @@ mod tests {
             cfg.num_threads = 1;
             cfg.mxv_group_max = rng.random_range(1..=3);
             let mut ckt = Ckt::with_config(n, cfg);
+            crate::test_support::retain_every_row(&mut ckt);
             for _ in 0..rng.random_range(2..=5) {
                 let net = ckt.push_net();
                 for (kind, qubits) in random_net(&mut rng, n) {
@@ -648,13 +670,7 @@ mod tests {
                 }
             }
             ckt.update_state().unwrap();
-            let view = ExecView {
-                rows: &ckt.rows,
-                owners: &ckt.owners,
-                stats: &ckt.resolve_stats,
-                geom: ckt.geom,
-                n_qubits: n,
-            };
+            let view = ckt.exec_view(&ckt.resolve_stats);
             for k in ckt.rows.keys() {
                 for &pid in &ckt.rows[k].parts {
                     let part = &ckt.graph[pid];

@@ -21,7 +21,8 @@
 //!   keep querying version *v* while the writer builds *v+1*.
 //!   [`Ckt::latest_snapshot`] is what the last update published;
 //!   [`Ckt::snapshot`] also republishes the blocks removals changed, so
-//!   a removal followed by a read needs no simulation at all. Capture
+//!   removing the circuit's last gate and reading needs no simulation at
+//!   all. Capture
 //!   work is counted by [`QueryReport`]; [`Ckt::dump_graph`] renders the
 //!   partition graph.
 //!
@@ -30,7 +31,10 @@
 //! * Each gate contributes a **row** — its private logical state vector,
 //!   stored copy-on-write per block ([`cow`]) in the owner index
 //!   ([`owners`]). A net's superposition gates share one matrix–vector
-//!   row preceded by a `sync` row.
+//!   row preceded by a `sync` row. Rows run together are transient
+//!   between ⌈√n⌉-spaced checkpoints: a linear row rewrites its
+//!   predecessor's buffer in place, and an evicted block is recomputed
+//!   from the nearest held one only when read again.
 //! * Rows split into **partitions** of consecutive blocks ([`qtask_partition`]);
 //!   partitions form the task graph, linked by nearest-overlap coverage
 //!   scans ([`pgraph`]).

@@ -24,9 +24,11 @@ pub struct MemStats {
     pub rows: usize,
     /// Partitions currently alive.
     pub partitions: usize,
-    /// Blocks owned across all rows (materialized data).
+    /// Block buffers the rows hold: owner-index entries not evicted.
+    /// After a full simulation, those of the checkpoints, the untaken MxV
+    /// rows and each block's last two writers — not every row's.
     pub owned_blocks: usize,
-    /// Bytes of owned amplitude data.
+    /// Bytes of those buffers' amplitudes.
     pub owned_bytes: usize,
 }
 
@@ -34,15 +36,23 @@ impl Ckt {
     /// Resolves block `b` of the final state against `stats` counters:
     /// the last owner of `b` in row order, or `None` for the implicit
     /// initial state — the last entry of the owner index's list, one
-    /// probe (a reader "after every row"). Used by snapshot capture and
-    /// [`Ckt::audit`].
+    /// probe (a reader "after every row"). When that entry is evicted (a
+    /// removal left it last), it is re-materialized first and the block
+    /// resolved again. Used by snapshot capture and [`Ckt::audit`].
     pub(crate) fn resolve_final_data(&self, b: usize, stats: &ResolveStats) -> Option<BlockData> {
         let label_of = |r: RowId| {
             self.rows
                 .order_label(r.key())
                 .expect("owner index holds only live rows")
         };
-        self.owners.resolve_before(b, u64::MAX, label_of, stats)
+        self.owners
+            .resolve_before(b, u64::MAX, label_of, stats)
+            .unwrap_or_else(|_| {
+                self.rematerialize(b, u64::MAX, stats);
+                self.owners
+                    .resolve_before(b, u64::MAX, label_of, stats)
+                    .expect("a re-materialized entry is held")
+            })
     }
 
     /// Debug introspection: every partition as
@@ -92,11 +102,11 @@ impl Ckt {
         owned
     }
 
-    /// Memory accounting across all rows: owned blocks are owner-index
-    /// entries.
+    /// Memory accounting across all rows: owned blocks are the buffers
+    /// the owner index holds; evicted entries own none.
     pub fn memory_stats(&self) -> MemStats {
         let bs = self.geom.block_size();
-        let owned_blocks = self.owners.num_entries();
+        let owned_blocks = self.owners.num_held();
         MemStats {
             rows: self.rows.len(),
             partitions: self.graph.len(),

@@ -66,6 +66,9 @@ pub struct Row {
     pub parts: Vec<PartId>,
     /// Largest partition block span — the row-ordering sort key.
     pub max_part_blocks: u32,
+    /// The last run in which this row was transient, its buffers free
+    /// for the next writer of each block to take (0 = none).
+    pub transient: u64,
     /// Display label for DOT dumps (e.g. "G8" or "MxV(net3)").
     pub label: std::sync::Arc<str>,
 }

@@ -7,10 +7,12 @@
 //! needs are `pub(crate)`, so this module re-exposes exactly the
 //! operations the test performs. The oracle checks of the transaction and
 //! chaos suites read [`full_state`], which resolves every block from the
-//! rows. Not a public API; hidden from docs and subject to change.
+//! rows, and differential tests compare the default engine against one
+//! that [`retain_every_row`]. Not a public API; hidden from docs and
+//! subject to change.
 
 use crate::engine::Ckt;
-use crate::exec::{self, ExecView};
+use crate::exec;
 use crate::row::{PartId, RowKind};
 use qtask_num::Complex64;
 
@@ -30,16 +32,6 @@ fn partitions_of_kind(ckt: &Ckt, want: impl Fn(&RowKind) -> bool) -> Vec<PartId>
         .filter(|k| want(&ckt.rows[*k].kind))
         .flat_map(|k| ckt.rows[k].parts.clone())
         .collect()
-}
-
-fn exec_view(ckt: &Ckt) -> ExecView<'_> {
-    ExecView {
-        rows: &ckt.rows,
-        owners: &ckt.owners,
-        stats: &ckt.resolve_stats,
-        geom: ckt.geom,
-        n_qubits: ckt.num_qubits(),
-    }
 }
 
 /// Drops the engine's own reference to its latest snapshot. That snapshot
@@ -63,7 +55,7 @@ pub fn full_state(ckt: &mut Ckt) -> Vec<Complex64> {
 /// Re-executes the given MxV partitions once, serially, on the calling
 /// thread — the body an incremental update would run for them.
 pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
-    let view = exec_view(ckt);
+    let view = ckt.exec_view(&ckt.resolve_stats);
     for &pid in pids {
         exec::exec_mxv_partition(view, &ckt.graph[pid]);
     }
@@ -71,13 +63,23 @@ pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
 
 /// Re-executes the given linear partitions once, serially, on the
 /// calling thread, each as a single whole-range task (the `n_tasks <= 1`
-/// shape of `update_state`). Idempotent: tasks re-materialize their
-/// blocks from the *previous* row's resolved content before applying the
-/// gate.
+/// shape of `update_state`), taking no predecessor's buffer. Idempotent:
+/// tasks re-materialize their blocks from the *previous* row's resolved
+/// content before applying the gate, so run in row order they also
+/// refill every entry a transient row had evicted.
 pub fn reexec_linear_partitions(ckt: &Ckt, pids: &[PartId]) {
-    let view = exec_view(ckt);
+    let view = ckt.exec_view(&ckt.resolve_stats);
     for &pid in pids {
         let part = &ckt.graph[pid];
         exec::exec_linear_partition(view, part, part.spec.item_start..part.spec.item_end);
     }
+}
+
+/// Makes every row of `ckt` a retained checkpoint from its next run on,
+/// across [`Ckt::recover`] too: no row's buffers are ever taken by the
+/// next writer, so every owner-index entry stays held — the
+/// every-row-retained engine differential tests compare the default one
+/// against.
+pub fn retain_every_row(ckt: &mut Ckt) {
+    ckt.retain_all = true;
 }

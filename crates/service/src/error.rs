@@ -16,9 +16,11 @@ use std::time::Duration;
 pub enum ServiceError {
     /// Admission control refused the work before queueing it: the
     /// session limit or a session's view quota is exhausted, the target
-    /// session does not exist, a view query is invalid, or a new
-    /// session's qubit count, block size or mailbox capacity is invalid.
-    /// Nothing ran. A full line is not a rejection: its callers wait,
+    /// session does not exist, a view query is invalid, a new session's
+    /// qubit count, block size or mailbox capacity is invalid, or the
+    /// caller's thread already holds the session's turn (a request made
+    /// from inside the session's own edit closure, which would wait for
+    /// itself). Nothing ran. A full line is not a rejection: its callers wait,
     /// and shed with [`ServiceError::Overloaded`].
     Rejected {
         /// Which limit refused the work.

@@ -29,7 +29,9 @@
 //!   request is running then; a request that runs past the deadline
 //!   still takes effect, and its caller gets
 //!   [`ServiceError::Timeout`]. Non-retryable failures surface
-//!   immediately.
+//!   immediately, among them a request an edit closure makes to its own
+//!   session ([`ServiceError::Rejected`]): it would wait for the turn
+//!   its own thread holds.
 //! - **Backpressure, graceful degradation** — lines are bounded; when
 //!   a request runs long or the session is quarantined, new callers wait
 //!   for a place (and shed at their deadline) while
@@ -473,6 +475,47 @@ mod tests {
         let after = h.report();
         assert_eq!(after.edits_ok, before.edits_ok + 1, "only A committed");
         assert_eq!(after.timeouts, before.timeouts + 1);
+        mgr.shutdown();
+    }
+
+    /// A request an edit closure makes to its own session can never get
+    /// the turn the closure holds: it is refused at once, well inside its
+    /// 5 s deadline, and counts no timeout. The edit runs on a thread of
+    /// its own, which a watchdog waits for, so a call that waits for its
+    /// own turn fails the test instead of hanging it.
+    #[test]
+    fn a_request_from_its_own_sessions_edit_is_rejected_at_once() {
+        let mgr = SessionManager::new(small_cfg().with_default_deadline(Duration::from_secs(5)));
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let before = h.report();
+        let (done, watchdog) = mpsc::channel();
+        let client = h.clone();
+        let editor = std::thread::spawn(move || {
+            let mut inner = None;
+            let outcome = client.edit(|tx| {
+                let t0 = Instant::now();
+                inner = Some((client.sync(), t0.elapsed()));
+                let net = tx.push_net();
+                tx.insert_gate(GateKind::X, net, &[0])?;
+                Ok(())
+            });
+            done.send(()).unwrap();
+            (outcome, inner.expect("the closure ran"))
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the re-entrant call hung");
+        let (outcome, (inner, waited)) = editor.join().unwrap();
+        assert!(
+            matches!(inner, Err(ServiceError::Rejected { .. })),
+            "{inner:?}"
+        );
+        assert!(waited < Duration::from_millis(50), "waited {waited:?}");
+        assert!(outcome.is_ok(), "the outer edit commits: {outcome:?}");
+        assert_eq!(h.snapshot().unwrap().amplitude(1).re, 1.0);
+        let after = h.report();
+        assert_eq!(after.timeouts, before.timeouts);
+        assert_eq!(after.edits_ok, before.edits_ok + 1);
         mgr.shutdown();
     }
 

@@ -257,7 +257,10 @@ impl Shared {
 
     /// Waits for a place in line, then for this caller's turn, at most
     /// until `until`, and returns the engine, locked. A closing or
-    /// terminal session refuses the caller; at `until`, one waiting for a
+    /// terminal session refuses the caller, and so does a serving one
+    /// whose turn this very thread holds — a request made from inside
+    /// its own session's edit closure, whose turn could never come — with
+    /// [`ServiceError::Rejected`] at once. At `until`, one waiting for a
     /// place is shed with [`ServiceError::Overloaded`], and one in line
     /// gets [`ServiceError::Timeout`]. Either way its request never runs.
     fn take_turn(
@@ -267,6 +270,15 @@ impl Shared {
     ) -> Result<MutexGuard<'_, Option<Writer>>, ServiceError> {
         let past_deadline = || until.is_some_and(|t| Instant::now() >= t);
         let mut gate = lock(&self.gate);
+        if gate.admits() && gate.holder == Some(std::thread::current().id()) {
+            return Err(ServiceError::Rejected {
+                reason: format!(
+                    "session {} is running this thread's own request: \
+                     a request may not call into its own session",
+                    self.id
+                ),
+            });
+        }
         loop {
             if !gate.admits() {
                 return Err(self.terminal_error(gate.state));
@@ -577,7 +589,9 @@ impl SessionHandle {
     /// else, and other sessions are not held up. `f` may call into other
     /// sessions, and close any session: closing its own returns at once,
     /// and the session closes when `f`'s edit has committed. Any other
-    /// request to its own session waits for `f`'s turn, and times out.
+    /// request to its own session would wait for the turn `f` holds, so
+    /// it returns [`ServiceError::Rejected`] at once instead, and counts
+    /// no timeout.
     pub fn edit<F>(&self, f: F) -> Result<EditOutcome, ServiceError>
     where
         F: FnOnce(&mut EditTxn<'_>) -> Result<(), CircuitError>,

@@ -78,9 +78,10 @@ fn assert_close(got: &[Complex64], want: &[Complex64], ctx: &str) {
     }
 }
 
-/// The deterministic chaos scenario: incremental builds, a transaction,
-/// removals, queries, and snapshots — it crosses every probe site the
-/// engine registers. Fallible end to end so injected errors surface.
+/// The deterministic chaos scenario: incremental builds, transactions,
+/// removals, a re-materialization, queries, and snapshots — it crosses
+/// every probe site the engine registers. Fallible end to end so
+/// injected errors surface.
 fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
     let a = ckt.push_net();
     ckt.insert_gate(GateKind::H, a, &[0])?;
@@ -106,6 +107,22 @@ fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
     ckt.remove_net(b)?;
     ckt.update_state()?;
 
+    // Three linear rows run together: the middle one rewrites the first
+    // one's buffers in place, so once it is gone the next update
+    // re-materializes them.
+    let (middle, _receipt) = ckt.edit(|tx| {
+        let d = tx.push_net();
+        tx.insert_gate(GateKind::X, d, &[0])?;
+        let e = tx.push_net();
+        let middle = tx.insert_gate(GateKind::Z, e, &[1])?;
+        let f = tx.push_net();
+        tx.insert_gate(GateKind::X, f, &[1])?;
+        Ok(middle)
+    })?;
+    ckt.update_state()?;
+    ckt.remove_gate(middle)?;
+    ckt.update_state()?;
+
     let snap = ckt.try_snapshot()?;
     let norm = snap.norm_sqr();
     assert!((norm - 1.0).abs() < EPS, "scenario norm² = {norm}");
@@ -118,6 +135,7 @@ fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
 const EXPECTED_SITES: &[&str] = &[
     "engine/graph_patch",
     "engine/insert_gate",
+    "engine/rematerialize",
     "engine/remove_gate",
     "engine/update_build",
     "engine/update_publish",
