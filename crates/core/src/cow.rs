@@ -9,8 +9,10 @@
 //! materialized, so an untouched 26-qubit block costs nothing.
 //!
 //! Not every owned block keeps its buffer: within a run, a transient
-//! row hands it on to the block's next linear writer, which rewrites it
-//! in place, and the row's entry is *evicted*. Checkpoints (every
+//! row hands it on to the block's next writer when that writer reads
+//! only the blocks it writes — a linear row, or an MxV row whose every
+//! target lies below the block width — which rewrites it in place, and
+//! the row's entry is *evicted*. Checkpoints (every
 //! ⌈√n⌉-th of the n rows run together) and each block's last two writers
 //! keep theirs, so a full simulation holds O(√n) states, not n. An
 //! evicted block is recomputed from the nearest held entry only when

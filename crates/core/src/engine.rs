@@ -76,9 +76,10 @@ pub struct UpdateReport {
     pub run_elapsed: Duration,
     /// COW block resolutions performed by the executed tasks.
     pub blocks_resolved: u64,
-    /// Owner probes those resolutions cost: binary-search steps over the
-    /// owner index. `owner_probes / blocks_resolved` is the per-lookup
-    /// cost, flat in circuit depth.
+    /// Owner probes those resolutions cost: the label comparisons their
+    /// owner-index searches made (one for a tail append).
+    /// `owner_probes / blocks_resolved` is the per-lookup cost, flat in
+    /// circuit depth.
     pub owner_probes: u64,
     /// Blocks re-resolved to publish the [`StateSnapshot`] (0 when
     /// nothing changed). Capture is incremental, so this tracks the
@@ -1089,9 +1090,9 @@ impl Ckt {
             let kind = &rows[row.key()].kind;
             let limit = label(row);
             let evicted = |b: usize| self.owners.evicted_before(b, limit, label).is_some();
-            // An MxV row reads every block before it, the blocks its run
-            // partitions write included.
-            let reads_all = matches!(kind, RowKind::MxV);
+            // A non-local MxV row reads every block before it, the blocks
+            // its run partitions write included.
+            let reads_all = rows[row.key()].reads_all_blocks(self.geom.block_size());
             if reads_all {
                 let first = (0..self.geom.num_blocks()).filter(|&b| self.written_run[b] != run);
                 reads.extend(first.filter(|&b| evicted(b)).map(|b| (b, limit)));
@@ -1127,8 +1128,8 @@ impl Ckt {
     /// entry. When it would land on an evicted one, re-runs that entry's
     /// segment serially, with no takes: its partition, after the
     /// partitions that produce its evicted inputs (the entries just
-    /// before its row of the blocks it writes, or of every block for an
-    /// MxV partition), back to the nearest held entries.
+    /// before its row of the blocks it writes, or of every block for a
+    /// non-local MxV partition), back to the nearest held entries.
     pub(crate) fn rematerialize(&self, b: usize, limit: u64, stats: &ResolveStats) {
         let label = |r: RowId| {
             self.rows
@@ -1144,15 +1145,17 @@ impl Ckt {
         let mut segment = vec![self.partition_at(evicted, b)];
         while let Some(&pid) = segment.last() {
             let part = &self.graph[pid];
-            let kind = &self.rows[part.row.key()].kind;
+            let row = &self.rows[part.row.key()];
+            let kind = &row.kind;
             let limit = label(part.row);
             let input = |b: usize| {
                 let evicted = self.owners.evicted_before(b, limit, label)?;
                 Some(self.partition_at(evicted, b))
             };
-            let needed = match kind {
-                RowKind::MxV => (0..self.geom.num_blocks()).find_map(input),
-                _ => part.written_blocks(kind, &self.geom, n).find_map(input),
+            let needed = if row.reads_all_blocks(self.geom.block_size()) {
+                (0..self.geom.num_blocks()).find_map(input)
+            } else {
+                part.written_blocks(kind, &self.geom, n).find_map(input)
             };
             if let Some(earlier) = needed {
                 segment.push(earlier);

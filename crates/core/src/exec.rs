@@ -9,25 +9,30 @@
 //! synchronize only on the per-block owner-list locks.
 //!
 //! An MxV partition computes a grain of output blocks of the net's
-//! grouped superposition operator, one block at a time: each output
-//! amplitude accumulates its fused sparse row
-//! ([`crate::fused::FusedOp`], precomputed once per group change) against
-//! sources resolved through the owner index.
+//! grouped superposition operator, one block at a time, one *run* at a
+//! time: the offsets below the lowest in-block signature bit share one
+//! fused sparse row ([`crate::fused::FusedOp`], precomputed once per
+//! group change), and each of its entries accumulates one contiguous
+//! source run. A *block-local* group (every target below the block
+//! width) reads only the block it writes; any other group reads its
+//! sources from other blocks through the owner index.
 //!
 //! Linear items run as contiguous slices ([`qtask_num::slices`]); MxV
 //! groups too wide to fuse re-expand their factor product per amplitude.
 //! Each kernel is bit-identical to its scalar reference (checked by this
 //! module's tests).
 //!
-//! Acquiring a linear block allocates and copies nothing when the
-//! predecessor entry is transient: the task takes that buffer whole
-//! ([`OwnerIndex::take_input`]), evicting the entry. Otherwise (a
-//! checkpoint, a row of an earlier run, a pinned buffer, or the block's
-//! last writer as the taker) it copies the input into its own buffer,
-//! taken back with its `Arc` wrapper, or into a fresh one when the row
-//! has none. MxV outputs, which cannot alias their sources, rewrite the
-//! row's own buffers. So re-executing a partition whose buffers are held
-//! touches the heap not at all.
+//! Acquiring a linear or block-local MxV block allocates and copies
+//! nothing when the predecessor entry is transient: the task takes that
+//! buffer whole ([`OwnerIndex::take_input`]), evicting the entry.
+//! Otherwise (a checkpoint, a row of an earlier run, a pinned buffer, or
+//! the block's last writer as the taker) it copies the input into its
+//! own buffer, taken back with its `Arc` wrapper, or into a fresh one
+//! when the row has none. A block-local MxV block then computes its
+//! output in that buffer from a per-thread copy of the input. Other MxV
+//! outputs, which cannot alias their sources, rewrite the row's own
+//! buffers. So re-executing a partition whose buffers are held touches
+//! the heap not at all.
 
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
@@ -36,6 +41,7 @@ use crate::row::{Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
 use qtask_util::LinkedArena;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Shared read-only view of the engine internals used by executing tasks.
@@ -246,79 +252,142 @@ fn pair_run(op: &LinearOp, lows: &mut [Complex64], highs: &mut [Complex64]) {
     }
 }
 
-/// Resolved source blocks of one MxV task, in a fixed-capacity cache:
-/// sources cluster into at most `2^g` distinct blocks, so [`Self::CAP`]
-/// slots cover every practical group without heap allocation. Overflow
-/// reads fall through to direct resolution (correct, just uncached).
+/// Resolved source blocks of one non-local MxV output block, in a
+/// fixed-capacity cache: sources cluster into at most `2^g` distinct
+/// blocks, so [`Self::CAP`] slots cover every practical group without
+/// heap allocation. Past that, a miss overwrites the oldest slot
+/// (correct, just resolved again when read again).
 struct SourceCache {
-    entries: [Option<(usize, Resolved)>; SourceCache::CAP],
-    len: usize,
+    entries: [(usize, Resolved); SourceCache::CAP],
+    misses: usize,
 }
 
 impl SourceCache {
     /// Covers every distinct source block of a group with `2^g ≤ 16`
-    /// fused entries; wider groups (signature near `MAX_SIG_BITS`) spill
-    /// to uncached resolution, trading lookups for zero allocation.
+    /// fused entries; wider groups (signature near `MAX_SIG_BITS`) cycle
+    /// through the slots, trading lookups for zero allocation.
     const CAP: usize = 16;
 
     fn new() -> SourceCache {
         SourceCache {
-            entries: std::array::from_fn(|_| None),
-            len: 0,
+            entries: std::array::from_fn(|_| (usize::MAX, Resolved::Initial)),
+            misses: 0,
         }
     }
 
+    /// Block `sb` resolved before `row_id`, once per block while it fits.
     #[inline]
-    fn read(&mut self, view: &ExecView<'_>, row_id: RowId, sb: usize, so: usize) -> Complex64 {
-        for e in self.entries[..self.len].iter().flatten() {
-            if e.0 == sb {
-                return e.1.read(sb, so);
+    fn get(&mut self, view: &ExecView<'_>, row_id: RowId, sb: usize) -> &Resolved {
+        let filled = self.misses.min(Self::CAP);
+        let at = match self.entries[..filled].iter().position(|e| e.0 == sb) {
+            Some(at) => at,
+            None => {
+                let at = self.misses % Self::CAP;
+                self.misses += 1;
+                self.entries[at] = (sb, view.resolve_before(row_id, sb));
+                at
             }
-        }
-        let resolved = view.resolve_before(row_id, sb);
-        let v = resolved.read(sb, so);
-        if self.len < Self::CAP {
-            self.entries[self.len] = Some((sb, resolved));
-            self.len += 1;
-        }
-        v
+        };
+        &self.entries[at].1
     }
+}
+
+thread_local! {
+    /// The input of a block-local MxV block, copied out of the buffer its
+    /// output overwrites: one per thread, sized on first use, reused after.
+    static LOCAL_INPUT: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Executes one MxV partition: computes each output block of its span
 /// of the net's grouped superposition operator.
+///
+/// A fused block-local group ([`Row::reads_all_blocks`] false) reads
+/// only the block it writes, so it acquires that block's input exactly
+/// as a linear row does — taking a transient predecessor's buffer whole
+/// — and computes its output into the same buffer from a per-thread
+/// copy of the input. Any other group reads its sources through the
+/// owner index and writes the row's own buffer, or a fresh one.
 pub fn exec_mxv_partition(view: ExecView<'_>, part: &Partition) {
     qtask_faults::fault_point!("exec/mxv_task");
     let row_id = part.row;
     let row = &view.rows[row_id.key()];
     debug_assert!(matches!(row.kind, RowKind::MxV));
     let bs = view.geom.block_size();
+    let in_place = row.fused.is_some() && !row.reads_all_blocks(bs);
     for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
-        let (own, pos) = view.owners.take_own(block, row_id, |r| view.label_of(r));
-        let mut out_arc = own.unwrap_or_else(|| {
-            qtask_faults::fault_point!("exec/alloc_block");
-            Arc::new(vec![Complex64::ZERO; bs])
-        });
-        let out = unique(&mut out_arc);
         let base = block * bs;
+        let (mut data, pos) = if in_place {
+            view.acquire(row_id, block)
+        } else {
+            let (own, pos) = view.owners.take_own(block, row_id, |r| view.label_of(r));
+            let data = own.unwrap_or_else(|| {
+                qtask_faults::fault_point!("exec/alloc_block");
+                Arc::new(vec![Complex64::ZERO; bs])
+            });
+            (data, pos)
+        };
+        let out = unique(&mut data);
         match row.fused {
+            Some(ref fused) if in_place => mxv_local(fused, base, out),
             Some(ref fused) => mxv_fused(&view, row_id, fused, base, out),
             None => mxv_scalar(&view, row_id, row, base, out),
         }
-        view.publish(row_id, block, out_arc, pos);
+        view.publish(row_id, block, data, pos);
     }
 }
 
-/// The fused path: per amplitude, gather the signature bits, look up the
-/// precomputed sparse row, multiply-accumulate. Zero heap allocation.
-///
-/// When no signature bit lies inside the block (every control and target
-/// at or above the block width), the whole output block shares one fused
-/// row and each entry's sources form one whole source block at identical
-/// offsets — the accumulation collapses to one
-/// [`slices::accumulate_scaled`] per entry, resolving each source block
-/// once per block instead of once per amplitude. Both paths add the same
-/// terms in the same order, so results stay `==`-identical.
+/// The run length of a fused group over blocks of `block_size`: the
+/// offsets below the lowest in-block signature bit share one fused row,
+/// and each entry's sources form one contiguous, aligned slice. A group
+/// with no signature bit inside the block runs the whole block as one.
+fn run_len(fused: &FusedOp, block_size: usize) -> usize {
+    match fused.sig_mask() & (block_size as u64 - 1) {
+        0 => block_size,
+        in_block => 1 << in_block.trailing_zeros(),
+    }
+}
+
+/// The run-wise fused kernel: per run of [`run_len`] output amplitudes,
+/// look up the fused row once and hand `add` each `(source start,
+/// coefficient)` entry, in row order, to accumulate into the zeroed
+/// run. Every amplitude thus sums the same terms in the same order as
+/// [`mxv_scalar`], so the result is `==`-identical.
+#[inline]
+fn mxv_runs(
+    fused: &FusedOp,
+    base: usize,
+    out: &mut [Complex64],
+    mut add: impl FnMut(&mut [Complex64], usize, Complex64),
+) {
+    let run = run_len(fused, out.len());
+    for (k, dst) in out.chunks_exact_mut(run).enumerate() {
+        dst.fill(Complex64::ZERO);
+        let i = base + k * run;
+        for &(xor, coef) in fused.row_of(i as u64) {
+            add(dst, i ^ xor as usize, coef);
+        }
+    }
+}
+
+/// The block-local path: `out` holds the block's input on entry and its
+/// output on return. Every source lies in the block (the xor of an entry
+/// is a subset of the target bits, all below the block width), so the
+/// input is copied once into this thread's scratch and each entry is one
+/// [`slices::accumulate_scaled`] over a run of it.
+fn mxv_local(fused: &FusedOp, base: usize, out: &mut [Complex64]) {
+    LOCAL_INPUT.with_borrow_mut(|input| {
+        input.clear();
+        input.extend_from_slice(out);
+        mxv_runs(fused, base, out, |dst, src, coef| {
+            let so = src - base;
+            slices::accumulate_scaled(dst, &input[so..so + dst.len()], coef);
+        });
+    });
+}
+
+/// The non-local fused path: each entry's source run is read from its
+/// block resolved through the owner index, once per source block and
+/// output block. Zero heap allocation.
 fn mxv_fused(
     view: &ExecView<'_>,
     row_id: RowId,
@@ -326,35 +395,18 @@ fn mxv_fused(
     base: usize,
     out: &mut [Complex64],
 ) {
-    let geom = &view.geom;
-    if fused.sig_mask() & (out.len() as u64 - 1) == 0 {
-        out.fill(Complex64::ZERO);
-        for &(xor, coef) in fused.row_of(base as u64) {
-            // xor ⊆ sig bits, all ≥ the block width: same in-block offset.
-            let sb = geom.block_of(base ^ (xor as usize));
-            match view.resolve_before(row_id, sb) {
-                Resolved::Data(d) => slices::accumulate_scaled(out, &d, coef),
-                Resolved::Initial => {
-                    if sb == 0 {
-                        out[0] += coef;
-                    }
-                }
-            }
-        }
-        return;
-    }
+    let geom = view.geom;
     let mut cache = SourceCache::new();
-    for (off, out_v) in out.iter_mut().enumerate() {
-        let i = (base + off) as u64;
-        let mut acc = Complex64::ZERO;
-        for &(xor, coef) in fused.row_of(i) {
-            let src = (i ^ xor) as usize;
-            let sb = geom.block_of(src);
-            let so = geom.offset_in_block(src);
-            acc += coef * cache.read(view, row_id, sb, so);
+    mxv_runs(fused, base, out, |dst, src, coef| {
+        let (sb, so) = (geom.block_of(src), geom.offset_in_block(src));
+        match cache.get(view, row_id, sb) {
+            Resolved::Data(d) => slices::accumulate_scaled(dst, &d[so..so + dst.len()], coef),
+            // The initial state's one nonzero amplitude: global index 0,
+            // which starts its run.
+            Resolved::Initial if src == 0 => dst[0] += coef * Complex64::ONE,
+            Resolved::Initial => {}
         }
-        *out_v = acc;
-    }
+    });
 }
 
 /// The scalar path: re-expand the factor product for every output
@@ -573,30 +625,101 @@ mod tests {
         assert_eq!(got, want, "{}", view.rows[row_id.key()].label);
     }
 
+    /// Which run shapes the MxV kernels met, so the bit-exactness test
+    /// can insist that every branch of them ran.
+    #[derive(Debug, Default)]
+    struct MxvShapes {
+        /// Runs of one amplitude inside blocks of several.
+        unit_runs: usize,
+        /// Runs longer than one amplitude and shorter than the block.
+        partial_runs: usize,
+        /// Runs of a whole block of several.
+        whole_block_runs: usize,
+        /// Block-local partitions, run in place.
+        local: usize,
+        /// Block-local groups with a control at or above the block width.
+        local_high_control: usize,
+        /// Partitions spanning several blocks.
+        multi_block: usize,
+    }
+
+    impl MxvShapes {
+        fn record(&mut self, row: &Row, part: &Partition, run: usize, bs: usize) {
+            if bs > 1 {
+                match run {
+                    1 => self.unit_runs += 1,
+                    r if r == bs => self.whole_block_runs += 1,
+                    _ => self.partial_runs += 1,
+                }
+            }
+            if !row.reads_all_blocks(bs) {
+                self.local += 1;
+                if row.dense.iter().any(|f| f.controls >= bs as u64) {
+                    self.local_high_control += 1;
+                }
+            }
+            if part.spec.block_hi > part.spec.block_lo {
+                self.multi_block += 1;
+            }
+        }
+    }
+
     /// Runs every output block of an MxV partition through `mxv_fused`
-    /// and `mxv_scalar`. Returns whether the whole-block shortcut ran.
-    fn check_mxv(view: &ExecView<'_>, row_id: RowId, part: &Partition) -> bool {
+    /// and `mxv_scalar`, then the partition itself through
+    /// `exec_mxv_partition` (in place for a block-local group) from the
+    /// same input, and requires all three `==`. Returns the run length.
+    fn check_mxv(view: &ExecView<'_>, row_id: RowId, part: &Partition) -> usize {
         let row = &view.rows[row_id.key()];
         let fused = row.fused.as_ref().expect("groups of ≤3 gates fuse");
         let bs = view.geom.block_size();
-        for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
-            let (mut got, mut want) = (vec![Complex64::ZERO; bs], vec![Complex64::ZERO; bs]);
+        let blocks = part.spec.block_lo as usize..=part.spec.block_hi as usize;
+        let mut want = Vec::new();
+        for block in blocks.clone() {
+            let (mut got, mut scalar) = (vec![Complex64::ZERO; bs], vec![Complex64::ZERO; bs]);
             mxv_fused(view, row_id, fused, block * bs, &mut got);
-            mxv_scalar(view, row_id, row, block * bs, &mut want);
-            assert_eq!(got, want, "{} block {block}", row.label);
+            mxv_scalar(view, row_id, row, block * bs, &mut scalar);
+            assert_eq!(got, scalar, "{} block {block}", row.label);
+            want.push(scalar);
         }
-        fused.sig_mask() & (bs as u64 - 1) == 0
+        // Poison the row's blocks, so a block the partition does not
+        // rewrite and publish fails the comparison.
+        let nan = Complex64 {
+            re: f64::NAN,
+            im: f64::NAN,
+        };
+        for b in blocks.clone() {
+            let poisoned = Arc::new(vec![nan; bs]);
+            view.owners
+                .publish(b, row_id, poisoned, 0, |r| view.label_of(r));
+        }
+        exec_mxv_partition(*view, part);
+        for (block, want) in blocks.zip(&want) {
+            let (_, data) = view
+                .owners
+                .entries(block)
+                .into_iter()
+                .find(|e| e.0 == row_id)
+                .expect("published");
+            assert_eq!(
+                &*data.expect("held"),
+                want,
+                "{} block {block} executed",
+                row.label
+            );
+        }
+        run_len(fused, bs)
     }
 
     /// Runs [`check_mxv`] on every MxV partition of an updated circuit and
-    /// returns, per partition, whether the whole-block shortcut ran.
+    /// returns, per partition, whether its runs span the whole block.
     fn check_all_mxv(ckt: &Ckt) -> Vec<bool> {
         let view = ckt.exec_view(&ckt.resolve_stats);
+        let bs = view.geom.block_size();
         let mut paths = Vec::new();
         for k in ckt.rows.keys() {
             if matches!(ckt.rows[k].kind, RowKind::MxV) {
                 for &pid in &ckt.rows[k].parts {
-                    paths.push(check_mxv(&view, RowId(k), &ckt.graph[pid]));
+                    paths.push(check_mxv(&view, RowId(k), &ckt.graph[pid]) == bs);
                 }
             }
         }
@@ -605,7 +728,7 @@ mod tests {
 
     /// The scalar MxV path stays available and agrees with the fused
     /// path bit-for-bit. Qubit 0 lies inside the 4-amplitude block, so
-    /// the fused path runs per amplitude.
+    /// the fused path runs one amplitude per run.
     #[test]
     fn scalar_and_fused_mxv_agree_exactly() {
         let mut cfg = SimConfig::with_block_size(4);
@@ -622,8 +745,8 @@ mod tests {
     }
 
     /// When every signature bit sits at or above the block width, the
-    /// fused path takes the whole-block `accumulate_scaled` shortcut —
-    /// and must still agree exactly with the scalar expansion.
+    /// fused path runs the whole block as one run — and must still agree
+    /// exactly with the scalar expansion.
     #[test]
     fn whole_block_fused_path_agrees_exactly() {
         let mut cfg = SimConfig::with_block_size(4);
@@ -648,14 +771,15 @@ mod tests {
     /// Every kernel agrees bit-for-bit with its scalar reference. On
     /// random circuits and geometries (3–8 qubits, blocks of 1–64), each
     /// linear partition runs through both `exec_linear_partition` and
-    /// `linear_scalar`, and each MxV output block through both
-    /// `mxv_fused` and `mxv_scalar`, from the same resolved inputs. Every
-    /// row is retained, so each row's inputs stay readable.
+    /// `linear_scalar`, and each MxV output block through `mxv_fused`,
+    /// `mxv_scalar` and `exec_mxv_partition` (in place for a block-local
+    /// group), from the same resolved inputs. Every row is retained, so
+    /// each row's inputs stay readable.
     #[test]
     fn batched_kernels_match_scalar_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(20260729);
-        let (mut whole_block, mut per_amplitude, mut multi_block) = (0, 0, 0);
         let mut shapes = Shapes::default();
+        let mut mxv_shapes = MxvShapes::default();
         for _ in 0..80 {
             let n = rng.random_range(3..=8u8);
             let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=6u32));
@@ -680,14 +804,9 @@ mod tests {
                             check_linear(&view, RowId(k), &op, part, &mut shapes);
                         }
                         RowKind::MxV => {
-                            if check_mxv(&view, RowId(k), part) {
-                                whole_block += 1;
-                            } else {
-                                per_amplitude += 1;
-                            }
-                            if part.spec.block_hi > part.spec.block_lo {
-                                multi_block += 1;
-                            }
+                            let run = check_mxv(&view, RowId(k), part);
+                            let bs = view.geom.block_size();
+                            mxv_shapes.record(&ckt.rows[k], part, run, bs);
                         }
                     }
                 }
@@ -699,8 +818,11 @@ mod tests {
         assert!(shapes.straddling_swap > 0, "{shapes:?}");
         assert!(shapes.split_controls > 0, "{shapes:?}");
         assert!(shapes.unit_runs > 0, "{shapes:?}");
-        assert!(whole_block > 0, "whole-block fused shortcut never ran");
-        assert!(per_amplitude > 0, "per-amplitude fused path never ran");
-        assert!(multi_block > 0, "no MxV partition spanned several blocks");
+        assert!(mxv_shapes.unit_runs > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.partial_runs > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.whole_block_runs > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.local > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.local_high_control > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.multi_block > 0, "{mxv_shapes:?}");
     }
 }

@@ -52,8 +52,8 @@ use std::sync::Arc;
 pub struct ResolveStats {
     /// Block resolutions performed.
     pub blocks_resolved: AtomicU64,
-    /// Owner probes: binary-search steps plus the candidate check of
-    /// each resolution (one for a final-state read).
+    /// Owner probes: the label comparisons each resolution's search
+    /// made (one for a final-state read or a tail append).
     pub owner_probes: AtomicU64,
 }
 
@@ -106,13 +106,23 @@ struct OwnerList {
 }
 
 impl OwnerList {
-    /// Position of the first entry at or after `label`; one probe when
-    /// every entry is before it (a row appended at the tail).
-    fn search(&self, label: u64, label_of: impl Fn(RowId) -> u64) -> usize {
-        match self.rows.last() {
-            Some(&last) if label_of(last) < label => self.rows.len(),
-            _ => self.rows.partition_point(|&r| label_of(r) < label),
+    /// Position of the first entry at or after `label`, and the probes
+    /// (label comparisons) that took: one when every entry is before it
+    /// (a row appended at the tail) or the list is empty, else one more
+    /// per binary-search step over the rest.
+    fn search(&self, label: u64, label_of: impl Fn(RowId) -> u64) -> (usize, u64) {
+        let Some((&last, rest)) = self.rows.split_last() else {
+            return (0, 1);
+        };
+        if label_of(last) < label {
+            return (self.rows.len(), 1);
         }
+        let mut probes = 1;
+        let pos = rest.partition_point(|&r| {
+            probes += 1;
+            label_of(r) < label
+        });
+        (pos, probes)
     }
 
     /// The buffer of the nearest entry before `pos` (`None`: the initial
@@ -139,13 +149,10 @@ impl OwnerList {
     }
 }
 
-/// Counts one resolution search over a list of `len` entries.
-fn count_search(len: usize, stats: &ResolveStats) {
+/// Counts one resolution that took `probes` owner probes.
+fn count_search(probes: u64, stats: &ResolveStats) {
     stats.blocks_resolved.fetch_add(1, Ordering::Relaxed);
-    stats.owner_probes.fetch_add(
-        (usize::BITS - len.leading_zeros()) as u64 + 1,
-        Ordering::Relaxed,
-    );
+    stats.owner_probes.fetch_add(probes, Ordering::Relaxed);
 }
 
 impl OwnerIndex {
@@ -172,14 +179,12 @@ impl OwnerIndex {
         stats: &ResolveStats,
     ) -> Result<Option<BlockData>, RowId> {
         let list = self.blocks[b].lock();
-        let pos = if limit == u64::MAX {
-            stats.blocks_resolved.fetch_add(1, Ordering::Relaxed);
-            stats.owner_probes.fetch_add(1, Ordering::Relaxed);
-            list.rows.len()
+        let (pos, probes) = if limit == u64::MAX {
+            (list.rows.len(), 1)
         } else {
-            count_search(list.rows.len(), stats);
             list.search(limit, label_of)
         };
+        count_search(probes, stats);
         list.buffer_before(pos)
     }
 
@@ -192,7 +197,7 @@ impl OwnerIndex {
         label_of: impl Fn(RowId) -> u64,
     ) -> Option<RowId> {
         let list = self.blocks[b].lock();
-        list.buffer_before(list.search(limit, label_of)).err()
+        list.buffer_before(list.search(limit, label_of).0).err()
     }
 
     /// Takes `row`'s own buffer of block `b` for rewriting in place, when
@@ -207,7 +212,7 @@ impl OwnerIndex {
         label_of: impl Fn(RowId) -> u64,
     ) -> (Option<BlockData>, usize) {
         let mut list = self.blocks[b].lock();
-        let pos = list.search(label_of(row), label_of);
+        let pos = list.search(label_of(row), label_of).0;
         (list.take_at(pos, row), pos)
     }
 
@@ -227,8 +232,8 @@ impl OwnerIndex {
         takeable: impl Fn(RowId) -> bool,
     ) -> (Input, usize) {
         let mut list = self.blocks[b].lock();
-        let pos = list.search(label_of(row), label_of);
-        count_search(list.rows.len(), stats);
+        let (pos, probes) = list.search(label_of(row), label_of);
+        count_search(probes, stats);
         if pos > 0 && takeable(list.rows[pos - 1]) {
             if let Some(taken) = list.take_unique(pos - 1) {
                 return (Input::Taken(taken), pos);
@@ -255,7 +260,7 @@ impl OwnerIndex {
         let mut list = self.blocks[b].lock();
         let pos = match list.rows.get(hint) {
             Some(&r) if r == row => hint,
-            _ => list.search(label_of(row), &label_of),
+            _ => list.search(label_of(row), &label_of).0,
         };
         if list.rows.get(pos) == Some(&row) {
             list.data[pos] = Some(data);
@@ -274,7 +279,7 @@ impl OwnerIndex {
     /// Removes `row`'s entry of block `b`. Returns whether it had one.
     pub fn remove(&self, b: usize, row: RowId, label_of: impl Fn(RowId) -> u64) -> bool {
         let mut list = self.blocks[b].lock();
-        let pos = list.search(label_of(row), label_of);
+        let pos = list.search(label_of(row), label_of).0;
         let owned = list.rows.get(pos) == Some(&row);
         if owned {
             list.rows.remove(pos);
@@ -395,6 +400,29 @@ mod tests {
         drop((hold, still));
         assert!(index.take_own(0, row(5), label).0.is_none());
         assert!(index.entries(0)[0].1.is_some());
+    }
+
+    /// A resolution counts the comparisons its search made: one at the
+    /// tail or in an empty list, the tail check plus the binary-search
+    /// steps over the rest otherwise.
+    #[test]
+    fn probes_count_the_comparisons_made() {
+        let index = OwnerIndex::new(1);
+        let stats = ResolveStats::default();
+        held(index.resolve_before(0, 5, label, &stats));
+        assert_eq!(stats.snapshot(), (1, 1), "empty list");
+        for i in 1..=8 {
+            index.publish(0, row(i), buf(i as f64), 0, label);
+        }
+        stats.reset();
+        held(index.resolve_before(0, 9, label, &stats));
+        assert_eq!(stats.snapshot(), (1, 1), "after the tail");
+        stats.reset();
+        held(index.resolve_before(0, 4, label, &stats));
+        let (resolved, probes) = stats.snapshot();
+        // The tail check, then a binary search over the other 7.
+        assert_eq!(resolved, 1);
+        assert!((2..=5).contains(&probes), "{probes} probes");
     }
 
     /// A buffer its own task has out is not walked past either: the

@@ -88,6 +88,16 @@ impl Row {
             .iter()
             .flat_map(move |&pid| parts[pid].written_blocks(&self.kind, &geom, n_qubits))
     }
+
+    /// Whether a partition of this row reads blocks it does not write:
+    /// true for an MxV row with a target at or above the block width,
+    /// whose sources lie in other blocks. A *block-local* MxV row (every
+    /// target below the block width; controls anywhere) reads only the
+    /// blocks it writes, as a linear row does.
+    pub(crate) fn reads_all_blocks(&self, block_size: usize) -> bool {
+        matches!(self.kind, RowKind::MxV)
+            && self.dense.iter().any(|f| 1usize << f.target >= block_size)
+    }
 }
 
 /// A node of the task graph: a group of consecutive blocks of one row.

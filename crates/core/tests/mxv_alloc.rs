@@ -86,6 +86,57 @@ fn warm_mxv_reexecution_allocates_nothing() {
     assert!(ckt.snapshot().probability(1 << 2) < 1e-20);
 }
 
+/// A block-local MxV group (every target below the 8-amplitude block's
+/// width) computes each block in the buffer that held its input, from a
+/// per-thread copy of it. Once that copy is sized, re-executing such
+/// groups, between linear rows and beside a non-local group, performs
+/// zero heap allocations too, and the state stays right.
+fn warm_block_local_mxv_reexecution_allocates_nothing() {
+    let mut ckt = engine();
+    // Re-executed outside a run, each MxV row reads its input from the
+    // row before it, so no entry may have been evicted.
+    test_support::retain_every_row(&mut ckt);
+    // Targets 0 and 2 lie inside the block (runs of one amplitude), the
+    // control 5 above it; the second local group runs two amplitudes at
+    // a time; H(4) reads other blocks.
+    let nets: [&[(GateKind, &[u8])]; 5] = [
+        &[(GateKind::X, &[1]), (GateKind::T, &[3])],
+        &[(GateKind::H, &[0]), (GateKind::Ch, &[5, 2])],
+        &[(GateKind::Cx, &[0, 3])],
+        &[(GateKind::U3(0.3, 0.8, 1.1), &[1]), (GateKind::H, &[4])],
+        &[(GateKind::T, &[2])],
+    ];
+    let mut want = qtask_num::vecops::ket_zero(6);
+    for gates in nets {
+        let net = ckt.push_net();
+        for &(kind, qubits) in gates {
+            ckt.insert_gate(kind, net, qubits).unwrap();
+            let (controls, targets) = qubits.split_at(kind.num_controls());
+            let mask = controls.iter().map(|&c| 1u64 << c).sum();
+            qtask_partition::kernels::apply_gate(kind, mask, targets, &mut want);
+        }
+    }
+    ckt.update_state().unwrap();
+    test_support::unpin_snapshot(&mut ckt);
+    let pids = test_support::mxv_partitions(&ckt);
+    assert!(!pids.is_empty());
+    // Warm pass: every entry holds a buffer, the scratch is sized.
+    test_support::reexec_mxv_partitions(&ckt, &pids);
+    let before = CountingAlloc::alloc_calls();
+    test_support::reexec_mxv_partitions(&ckt, &pids);
+    let after = CountingAlloc::alloc_calls();
+    assert_eq!(
+        after - before,
+        0,
+        "warm block-local MxV re-execution must not touch the heap"
+    );
+    assert!(qtask_num::vecops::approx_eq(
+        &test_support::full_state(&mut ckt),
+        &want,
+        1e-12
+    ));
+}
+
 /// Linear-row parity: once the output buffers are materialized,
 /// re-executing linear partitions performs zero heap allocations too — diagonal, cross-block
 /// anti-diagonal, and controlled kinds alike.
@@ -289,10 +340,14 @@ fn run(name: &str, case: impl FnOnce() + UnwindSafe) -> bool {
 }
 
 fn main() {
-    let cases: [(&str, fn()); 6] = [
+    let cases: [(&str, fn()); 7] = [
         (
             "warm_mxv_reexecution_allocates_nothing",
             warm_mxv_reexecution_allocates_nothing,
+        ),
+        (
+            "warm_block_local_mxv_reexecution_allocates_nothing",
+            warm_block_local_mxv_reexecution_allocates_nothing,
         ),
         (
             "warm_linear_reexecution_allocates_nothing",

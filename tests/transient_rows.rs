@@ -1,16 +1,18 @@
 //! Transient rows against every row retained.
 //!
-//! A default engine lets a linear row rewrite its predecessor's buffer
-//! in place and re-materializes the evicted entry when a later read
-//! lands on it. This suite drives it and an engine whose every row is a
-//! retained checkpoint ([`retain_every_row`]) through the same seeded
-//! storm of inserts, removals and multi-op edits — edits landing inside
-//! a chain of linear rows, two tail removals read back by `snapshot()`
-//! with no update in between, and a reader pinning a snapshot across
-//! edits — and after every step requires the two states to be `==`,
-//! both to match the serial [`NaiveSim`] oracle, and both audits to be
-//! empty. A second test runs two audits of one engine at once while both
-//! must re-materialize.
+//! A default engine lets a linear or block-local MxV row rewrite its
+//! predecessor's buffer in place and re-materializes the evicted entry
+//! when a later read lands on it. This suite drives it and an engine
+//! whose every row is a retained checkpoint ([`retain_every_row`])
+//! through the same seeded storm of inserts, removals and multi-op
+//! edits — edits landing inside a chain of linear rows, two tail
+//! removals read back by `snapshot()` with no update in between, and a
+//! reader pinning a snapshot across edits — and after every step
+//! requires the two states to be `==`, both to match the serial
+//! [`NaiveSim`] oracle, and both audits to be empty. A fixed chain does
+//! the same around entries a block-local MxV row evicted, and a last
+//! test runs two audits of one engine at once while both must
+//! re-materialize.
 
 use qtask::core::test_support::retain_every_row;
 use qtask::prelude::*;
@@ -237,6 +239,55 @@ fn transient_rows_match_every_row_retained() {
         "tail captures re-materialized {rematerialized}x"
     );
     assert!(pinned_checks > 5, "pinned readers checked {pinned_checks}x");
+}
+
+/// A block-local MxV row takes its transient predecessor's buffers as a
+/// linear row does. On blocks of 4 amplitudes, H(q0) inside a linear
+/// chain rewrites the buffers of the S(q0) row before it in place and
+/// evicts that row's entries. A gate inserted between the two then reads
+/// those entries while the run is planned, and after the tail back to
+/// H(q0) is removed, `snapshot()` reads the entries H(q0)'s successor
+/// took, whose segment runs the H row again from the inserted row's
+/// entries, which it had taken too.
+#[test]
+fn block_local_mxv_rows_evict_and_rematerialize() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut pair = Pair::new(5, cfg);
+    let chain: [(GateKind, &[u8]); 11] = [
+        (GateKind::H, &[3]),
+        (GateKind::X, &[0]),
+        (GateKind::T, &[1]),
+        (GateKind::Cx, &[2, 0]),
+        (GateKind::S, &[0]),
+        (GateKind::H, &[0]),
+        (GateKind::T, &[0]),
+        (GateKind::X, &[1]),
+        (GateKind::Cz, &[0, 4]),
+        (GateKind::X, &[0]),
+        (GateKind::T, &[0]),
+    ];
+    let (mut nets, mut gates) = (Vec::new(), Vec::new());
+    for (kind, qubits) in chain {
+        let net = pair.both(|ckt| ckt.push_net());
+        gates.push(pair.both(|ckt| ckt.insert_gate(kind, net, qubits).unwrap()));
+        nets.push(net);
+    }
+    pair.update();
+    pair.check("build");
+    let inserted = pair.both(|ckt| ckt.insert_net_after(nets[4]).unwrap());
+    pair.both(|ckt| ckt.insert_gate(GateKind::Y, inserted, &[1]).unwrap());
+    pair.update();
+    pair.check("a gate inserted before the H(q0) row");
+    for &g in gates[6..].iter().rev() {
+        pair.both(|ckt| ckt.remove_gate(g).unwrap());
+    }
+    let held = pair.lean.memory_stats().owned_blocks;
+    pair.check("the tail removed back to the H(q0) row");
+    assert!(
+        pair.lean.memory_stats().owned_blocks > held,
+        "the capture re-materialized nothing"
+    );
 }
 
 /// `audit()` takes `&self`, so two threads may audit one engine at once.
