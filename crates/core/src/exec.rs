@@ -9,34 +9,43 @@
 //! synchronize only on the per-block owner-list locks.
 //!
 //! An MxV partition computes a grain of output blocks of the net's
-//! grouped superposition operator, one block at a time, one *run* at a
-//! time: the offsets below the lowest in-block signature bit share one
-//! fused sparse row ([`crate::fused::FusedOp`], precomputed once per
-//! group change), and each of its entries accumulates one contiguous
-//! source run. A *block-local* group (every target below the block
-//! width) reads only the block it writes; any other group reads its
-//! sources from other blocks through the owner index.
+//! grouped superposition operator ([`crate::fused::FusedOp`], precomputed
+//! once per group change). A *block-local* group (every target below the
+//! block width; `Row::reads_all_blocks` false) reads only the block it
+//! writes, so it acquires that block as a linear row does and computes
+//! its output there in place:
+//!
+//! * a one-factor row applies the factor's 2×2 matrix as a butterfly
+//!   over each amplitude and its partner across the target bit, one
+//!   fused-row lookup per run of amplitudes that share it, skipping
+//!   identity rows (a control unsatisfied);
+//! * a group of several factors computes one *run* at a time from a
+//!   per-thread copy of the block's input: the offsets below the lowest
+//!   in-block signature bit share one fused row, and each of its entries
+//!   accumulates one contiguous source run.
+//!
+//! Any other group reads its sources from other blocks through the owner
+//! index, run by run, into the row's own buffers or fresh ones.
 //!
 //! Linear items run as contiguous slices ([`qtask_num::slices`]); MxV
 //! groups too wide to fuse re-expand their factor product per amplitude.
 //! Each kernel is bit-identical to its scalar reference (checked by this
 //! module's tests).
 //!
-//! Acquiring a linear or block-local MxV block allocates and copies
+//! Acquiring a block for an in-place rewrite allocates and copies
 //! nothing when the predecessor entry is transient: the task takes that
 //! buffer whole ([`OwnerIndex::take_input`]), evicting the entry.
 //! Otherwise (a checkpoint, a row of an earlier run, a pinned buffer, or
 //! the block's last writer as the taker) it copies the input into its
 //! own buffer, taken back with its `Arc` wrapper, or into a fresh one
-//! when the row has none. A block-local MxV block then computes its
-//! output in that buffer from a per-thread copy of the input. Other MxV
-//! outputs, which cannot alias their sources, rewrite the row's own
-//! buffers. So re-executing a partition whose buffers are held touches
-//! the heap not at all.
+//! when the row has none. So re-executing a partition whose buffers are
+//! held touches the heap not at all. A task counts its resolutions in a
+//! [`Tally`] of its own and adds them to the run's [`ResolveStats`] once,
+//! when it ends.
 
 use crate::cow::{BlockData, Resolved};
 use crate::fused::FusedOp;
-use crate::owners::{Input, OwnerIndex, ResolveStats};
+use crate::owners::{Input, OwnerIndex, ResolveStats, Tally};
 use crate::row::{Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
@@ -66,40 +75,65 @@ pub struct ExecView<'a> {
     pub last_writer: &'a [Option<RowId>],
 }
 
-impl<'a> ExecView<'a> {
+impl ExecView<'_> {
     #[inline]
     fn label_of(&self, row: RowId) -> u64 {
         self.rows
             .order_label(row.key())
             .expect("owner index holds only live rows")
     }
+}
 
-    /// Resolves block `b` as seen *before* `row` (i.e. the previous row's
-    /// logical content). Panics when the read lands on an evicted
+/// One task's access to the owner index: the row it writes, and its
+/// resolution counts.
+struct Task<'a> {
+    view: ExecView<'a>,
+    row: RowId,
+    tally: Tally<'a>,
+}
+
+impl<'a> Task<'a> {
+    fn new(view: ExecView<'a>, row: RowId) -> Task<'a> {
+        Task {
+            view,
+            row,
+            tally: view.stats.tally(),
+        }
+    }
+
+    /// Resolves block `b` as seen *before* the row (i.e. the previous
+    /// row's logical content). Panics when the read lands on an evicted
     /// entry: the run re-materializes every such entry before any task
     /// starts.
-    pub fn resolve_before(&self, row: RowId, b: usize) -> Resolved {
-        self.owners
-            .resolve_before(b, self.label_of(row), |r| self.label_of(r), self.stats)
+    fn resolve_before(&self, b: usize) -> Resolved {
+        let view = &self.view;
+        view.owners
+            .resolve_before(
+                b,
+                view.label_of(self.row),
+                |r| view.label_of(r),
+                &self.tally,
+            )
             .unwrap_or_else(|evicted| {
                 panic!("block {b}: resolution reached the evicted entry of {evicted:?}")
             })
             .map_or(Resolved::Initial, Resolved::Data)
     }
 
-    /// Acquires block `b` of `row` for rewriting, holding the previous
+    /// Acquires block `b` for rewriting in place, holding the previous
     /// row's content: the predecessor's buffer when its row is transient
-    /// in this run and `row` is not the block's last writer, else a copy
-    /// in the row's own buffer or a fresh one. Returns it with its
+    /// in this run and this row is not the block's last writer, else a
+    /// copy in the row's own buffer or a fresh one. Returns it with its
     /// owner-list position for [`Self::publish`].
-    fn acquire(&self, row: RowId, b: usize) -> (BlockData, usize) {
-        let may_take = self.run != 0 && self.last_writer[b] != Some(row);
-        let (input, pos) = self.owners.take_input(
+    fn acquire(&self, b: usize) -> (BlockData, usize) {
+        let view = &self.view;
+        let may_take = view.run != 0 && view.last_writer[b] != Some(self.row);
+        let (input, pos) = view.owners.take_input(
             b,
-            row,
-            |r| self.label_of(r),
-            self.stats,
-            |pred| may_take && self.rows[pred.key()].transient == self.run,
+            self.row,
+            |r| view.label_of(r),
+            &self.tally,
+            |pred| may_take && view.rows[pred.key()].transient == view.run,
         );
         let resolved = |before: Option<BlockData>| before.map_or(Resolved::Initial, Resolved::Data);
         let data = match input {
@@ -115,18 +149,30 @@ impl<'a> ExecView<'a> {
                 // Simulated allocation failure lands here: the cold path
                 // that materializes a fresh working buffer.
                 qtask_faults::fault_point!("exec/alloc_block");
-                Arc::new(resolved(before).to_vec(b, self.geom.block_size()))
+                Arc::new(resolved(before).to_vec(b, view.geom.block_size()))
             }
         };
         (data, pos)
     }
 
-    /// Publishes `data` as block `b` of `row` into the owner index at
+    /// Block `b`'s output buffer when the row's sources lie elsewhere:
+    /// the row's own unshared buffer, or a fresh zeroed one.
+    fn take_own(&self, b: usize) -> (BlockData, usize) {
+        let view = &self.view;
+        let (own, pos) = view.owners.take_own(b, self.row, |r| view.label_of(r));
+        let data = own.unwrap_or_else(|| {
+            qtask_faults::fault_point!("exec/alloc_block");
+            Arc::new(vec![Complex64::ZERO; view.geom.block_size()])
+        });
+        (data, pos)
+    }
+
+    /// Publishes `data` as block `b` of the row into the owner index at
     /// `pos` (from the acquisition). All executor-side publications go
     /// through here, so one probe covers every publication
     /// (`exec/publish_row` panics mid-publish; `exec/corrupt_row` poisons
     /// an amplitude with NaN/Inf to exercise the publication norm check).
-    pub fn publish(&self, row: RowId, b: usize, data: BlockData, pos: usize) {
+    fn publish(&self, b: usize, data: BlockData, pos: usize) {
         qtask_faults::fault_point!("exec/publish_row");
         #[cfg(feature = "faults")]
         let mut data = data;
@@ -137,7 +183,9 @@ impl<'a> ExecView<'a> {
                 }
             }
         });
-        self.owners.publish(b, row, data, pos, |r| self.label_of(r));
+        let view = &self.view;
+        view.owners
+            .publish(b, self.row, data, pos, |r| view.label_of(r));
     }
 }
 
@@ -151,13 +199,11 @@ fn unique(data: &mut BlockData) -> &mut [Complex64] {
 /// one intra-partition task.
 pub fn exec_linear_partition(view: ExecView<'_>, part: &Partition, ranks: std::ops::Range<u64>) {
     qtask_faults::fault_point!("exec/linear_task");
-    let row_id = part.row;
-    let RowKind::Linear(op) = view.rows[row_id.key()].kind else {
+    let RowKind::Linear(op) = view.rows[part.row.key()].kind else {
         unreachable!("linear execution on non-linear row");
     };
-    linear_blocks(&view, row_id, &op, ranks);
+    linear_blocks(&Task::new(view, part.row), &op, ranks);
 }
-
 /// The linear kernel: the rank range is walked one low-side block at a
 /// time, and each block's share of the pattern is replayed as runs.
 ///
@@ -177,9 +223,9 @@ pub fn exec_linear_partition(view: ExecView<'_>, part: &Partition, ranks: std::o
 ///
 /// Task ranges are multiples of the power-of-two dispatch grain, which is
 /// at least a block, so they always cover whole groups (asserted).
-fn linear_blocks(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, ranks: std::ops::Range<u64>) {
-    let geom = &view.geom;
-    let pattern = op.pattern(view.n_qubits);
+fn linear_blocks(task: &Task<'_>, op: &LinearOp, ranks: std::ops::Range<u64>) {
+    let geom = &task.view.geom;
+    let pattern = op.pattern(task.view.n_qubits);
     let in_block = geom.block_size() as u64 - 1;
     let free_in = pattern.free_mask & in_block;
     let per_block = 1u64 << free_in.count_ones();
@@ -194,7 +240,7 @@ fn linear_blocks(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, ranks: std::
         let low = pattern.nth_low(first);
         first += per_block;
         let (bl, ol) = (geom.block_of(low as usize), low & in_block);
-        let (mut lo, lo_pos) = view.acquire(row_id, bl);
+        let (mut lo, lo_pos) = task.acquire(bl);
         let buf = unique(&mut lo);
         match *op {
             LinearOp::Diag { target, d0, d1, .. } => {
@@ -215,17 +261,17 @@ fn linear_blocks(view: &ExecView<'_>, row_id: RowId, op: &LinearOp, ranks: std::
                         pair_run(op, &mut a[o..o + run], &mut b[..run]);
                     });
                 } else {
-                    let (mut hi, hi_pos) = view.acquire(row_id, bh);
+                    let (mut hi, hi_pos) = task.acquire(bh);
                     let bufh = unique(&mut hi);
                     for_each_submask(starts, |s| {
                         let (o, p) = ((ol | s) as usize, (oh | s) as usize);
                         pair_run(op, &mut buf[o..o + run], &mut bufh[p..p + run]);
                     });
-                    view.publish(row_id, bh, hi, hi_pos);
+                    task.publish(bh, hi, hi_pos);
                 }
             }
         }
-        view.publish(row_id, bl, lo, lo_pos);
+        task.publish(bl, lo, lo_pos);
     }
 }
 
@@ -275,16 +321,16 @@ impl SourceCache {
         }
     }
 
-    /// Block `sb` resolved before `row_id`, once per block while it fits.
+    /// Block `sb` resolved before the task's row, once per block while it fits.
     #[inline]
-    fn get(&mut self, view: &ExecView<'_>, row_id: RowId, sb: usize) -> &Resolved {
+    fn get(&mut self, task: &Task<'_>, sb: usize) -> &Resolved {
         let filled = self.misses.min(Self::CAP);
         let at = match self.entries[..filled].iter().position(|e| e.0 == sb) {
             Some(at) => at,
             None => {
                 let at = self.misses % Self::CAP;
                 self.misses += 1;
-                self.entries[at] = (sb, view.resolve_before(row_id, sb));
+                self.entries[at] = (sb, task.resolve_before(sb));
                 at
             }
         };
@@ -299,40 +345,98 @@ thread_local! {
 }
 
 /// Executes one MxV partition: computes each output block of its span
-/// of the net's grouped superposition operator.
-///
-/// A fused block-local group ([`Row::reads_all_blocks`] false) reads
-/// only the block it writes, so it acquires that block's input exactly
-/// as a linear row does — taking a transient predecessor's buffer whole
-/// — and computes its output into the same buffer from a per-thread
-/// copy of the input. Any other group reads its sources through the
-/// owner index and writes the row's own buffer, or a fresh one.
+/// of the net's grouped superposition operator, in place for a
+/// block-local group (`Row::reads_all_blocks` false), as butterflies
+/// when it has one factor; otherwise from sources resolved through the
+/// owner index into the row's own buffers, or fresh ones.
 pub fn exec_mxv_partition(view: ExecView<'_>, part: &Partition) {
     qtask_faults::fault_point!("exec/mxv_task");
-    let row_id = part.row;
-    let row = &view.rows[row_id.key()];
+    let task = Task::new(view, part.row);
+    let row = &view.rows[part.row.key()];
     debug_assert!(matches!(row.kind, RowKind::MxV));
     let bs = view.geom.block_size();
     let in_place = row.fused.is_some() && !row.reads_all_blocks(bs);
     for block in part.spec.block_lo as usize..=part.spec.block_hi as usize {
         let base = block * bs;
         let (mut data, pos) = if in_place {
-            view.acquire(row_id, block)
+            task.acquire(block)
         } else {
-            let (own, pos) = view.owners.take_own(block, row_id, |r| view.label_of(r));
-            let data = own.unwrap_or_else(|| {
-                qtask_faults::fault_point!("exec/alloc_block");
-                Arc::new(vec![Complex64::ZERO; bs])
-            });
-            (data, pos)
+            task.take_own(block)
         };
         let out = unique(&mut data);
-        match row.fused {
-            Some(ref fused) if in_place => mxv_local(fused, base, out),
-            Some(ref fused) => mxv_fused(&view, row_id, fused, base, out),
-            None => mxv_scalar(&view, row_id, row, base, out),
+        match (&row.fused, &row.dense[..]) {
+            (Some(fused), [factor]) if in_place => mxv_pairs(fused, factor.target, base, out),
+            (Some(fused), _) if in_place => mxv_local(fused, base, out),
+            (Some(fused), _) => mxv_fused(&task, fused, base, out),
+            (None, _) => mxv_scalar(&task, row, base, out),
         }
-        view.publish(row_id, block, data, pos);
+        task.publish(block, data, pos);
+    }
+}
+
+/// The one-factor block-local path, in place: each amplitude `i` of the
+/// block with the target bit clear pairs with `i | 2^target`. Runs of
+/// `run` low amplitudes sit `2^target` before their partners, and the
+/// amplitudes below the lowest other in-block signature bit share one
+/// matrix ([`pair_matrix`]), looked up once for each such segment.
+fn mxv_pairs(fused: &FusedOp, target: u8, base: usize, out: &mut [Complex64]) {
+    let tbit = 1usize << target;
+    let others = fused.sig_mask() & !(tbit as u64) & (out.len() as u64 - 1);
+    let seg = if others == 0 {
+        out.len()
+    } else {
+        1 << others.trailing_zeros()
+    };
+    let run = seg.min(tbit);
+    let mut m = None;
+    for (k, pair) in out.chunks_exact_mut(2 * tbit).enumerate() {
+        let (los, his) = pair.split_at_mut(tbit);
+        for s in (0..tbit).step_by(run) {
+            let o = 2 * tbit * k + s;
+            if o.is_multiple_of(seg) {
+                m = pair_matrix(fused, base + o, tbit);
+            }
+            if let Some(m) = m {
+                butterfly(&mut los[s..s + run], &mut his[s..s + run], m);
+            }
+        }
+    }
+}
+
+/// The 2×2 matrix `[m00, m01, m10, m11]` of a one-factor row at the
+/// pair of `i` (target bit clear) and `i | tbit`, read from their fused
+/// rows: a term the row drops is a zero. `None` for identity rows.
+fn pair_matrix(fused: &FusedOp, i: usize, tbit: usize) -> Option<[Complex64; 4]> {
+    let (lo, hi) = (fused.row_of(i as u64), fused.row_of((i | tbit) as u64));
+    let identity = [(0, Complex64::ONE)];
+    if lo == identity && hi == identity {
+        return None;
+    }
+    let mut m = [Complex64::ZERO; 4];
+    for &(xor, coef) in lo {
+        m[usize::from(xor != 0)] = coef;
+    }
+    for &(xor, coef) in hi {
+        m[2 + usize::from(xor == 0)] = coef;
+    }
+    Some(m)
+}
+
+/// `(lo[k], hi[k]) ← M · (lo[k], hi[k])`. Each output adds its two terms
+/// as the fused row lists them, the low source's first, so it is
+/// `==` [`mxv_scalar`]; an all-real matrix (H, Ry) takes the real path,
+/// which differs only in the sign of a zero.
+#[inline]
+fn butterfly(lo: &mut [Complex64], hi: &mut [Complex64], m: [Complex64; 4]) {
+    let [m00, m01, m10, m11] = m;
+    if m.iter().all(|c| c.im == 0.0) {
+        slices::mat2_butterfly_slices(lo, hi, m00, m01, m10, m11);
+        return;
+    }
+    for (x, y) in lo.iter_mut().zip(hi) {
+        let (a, b) = (*x, *y);
+        *x = m00 * a + m01 * b;
+        *y = m10 * a + m11 * b;
     }
 }
 
@@ -388,18 +492,12 @@ fn mxv_local(fused: &FusedOp, base: usize, out: &mut [Complex64]) {
 /// The non-local fused path: each entry's source run is read from its
 /// block resolved through the owner index, once per source block and
 /// output block. Zero heap allocation.
-fn mxv_fused(
-    view: &ExecView<'_>,
-    row_id: RowId,
-    fused: &FusedOp,
-    base: usize,
-    out: &mut [Complex64],
-) {
-    let geom = view.geom;
+fn mxv_fused(task: &Task<'_>, fused: &FusedOp, base: usize, out: &mut [Complex64]) {
+    let geom = task.view.geom;
     let mut cache = SourceCache::new();
     mxv_runs(fused, base, out, |dst, src, coef| {
         let (sb, so) = (geom.block_of(src), geom.offset_in_block(src));
-        match cache.get(view, row_id, sb) {
+        match cache.get(task, sb) {
             Resolved::Data(d) => slices::accumulate_scaled(dst, &d[so..so + dst.len()], coef),
             // The initial state's one nonzero amplitude: global index 0,
             // which starts its run.
@@ -412,9 +510,10 @@ fn mxv_fused(
 /// The scalar path: re-expand the factor product for every output
 /// amplitude ("recursive tensor products… stop at zero and identity
 /// patterns"). The path of groups whose signature exceeds
-/// [`FusedOp::MAX_SIG_BITS`], and the reference [`mxv_fused`] must match.
-fn mxv_scalar(view: &ExecView<'_>, row_id: RowId, row: &Row, base: usize, out: &mut [Complex64]) {
-    let geom = &view.geom;
+/// [`FusedOp::MAX_SIG_BITS`], and the reference the fused paths must
+/// match.
+fn mxv_scalar(task: &Task<'_>, row: &Row, base: usize, out: &mut [Complex64]) {
+    let geom = &task.view.geom;
     // Resolved source-block cache (sources cluster into few blocks).
     let mut cache: Vec<(usize, Resolved)> = Vec::with_capacity(4);
     // Scratch contribution lists, reused across output amplitudes.
@@ -450,7 +549,7 @@ fn mxv_scalar(view: &ExecView<'_>, row_id: RowId, row: &Row, base: usize, out: &
             let resolved = match cache.iter().rposition(|(b, _)| *b == sb) {
                 Some(pos) => &cache[pos].1,
                 None => {
-                    let r = view.resolve_before(row_id, sb);
+                    let r = task.resolve_before(sb);
                     cache.push((sb, r));
                     &cache.last().unwrap().1
                 }
@@ -515,6 +614,7 @@ mod tests {
         ranks: std::ops::Range<u64>,
     ) -> BTreeMap<usize, Vec<Complex64>> {
         let geom = &view.geom;
+        let task = Task::new(*view, row_id);
         let mut blocks = BTreeMap::new();
         for low in pattern.iter_lows(ranks) {
             let low = low as usize;
@@ -524,7 +624,7 @@ mod tests {
             for b in [bl, bh] {
                 blocks
                     .entry(b)
-                    .or_insert_with(|| view.resolve_before(row_id, b).to_vec(b, geom.block_size()));
+                    .or_insert_with(|| task.resolve_before(b).to_vec(b, geom.block_size()));
             }
             let (x, y) = (blocks[&bl][ol], blocks[&bh][oh]);
             let (new_x, new_y) = match *op {
@@ -543,6 +643,14 @@ mod tests {
             blocks.get_mut(&bl).unwrap()[ol] = new_x;
         }
         blocks
+    }
+
+    /// Publishes `data` as `row`'s block `b`, in place of the row's own
+    /// buffer, at the position a task's take returns.
+    fn put(view: &ExecView<'_>, row: RowId, b: usize, data: BlockData) {
+        let label = |r| view.label_of(r);
+        let (_, pos) = view.owners.take_own(b, row, label);
+        view.owners.publish(b, row, data, pos, label);
     }
 
     /// Which pattern shapes the block loop met, so the bit-exactness test
@@ -610,9 +718,7 @@ mod tests {
                 re: f64::NAN,
                 im: f64::NAN,
             };
-            let poisoned = Arc::new(vec![nan; view.geom.block_size()]);
-            view.owners
-                .publish(b, row_id, poisoned, 0, |r| view.label_of(r));
+            put(view, row_id, b, Arc::new(vec![nan; view.geom.block_size()]));
         }
         exec_linear_partition(*view, part, ranks);
         let got: BTreeMap<usize, Vec<Complex64>> = (part.spec.block_lo as usize
@@ -641,6 +747,14 @@ mod tests {
         local_high_control: usize,
         /// Partitions spanning several blocks.
         multi_block: usize,
+        /// One-factor partitions run as in-place butterflies, by an
+        /// all-real matrix and by a complex one.
+        pairs_real: usize,
+        pairs_complex: usize,
+        /// Butterflies at target 0: runs of one amplitude.
+        pairs_target_0: usize,
+        /// Butterflies with a control inside the block.
+        pairs_in_block_control: usize,
     }
 
     impl MxvShapes {
@@ -652,7 +766,23 @@ mod tests {
                     _ => self.partial_runs += 1,
                 }
             }
-            if !row.reads_all_blocks(bs) {
+            if row.reads_all_blocks(bs) {
+                // read through the owner index
+            } else if let [f] = row.dense[..] {
+                let m = [
+                    f.mat.at(0, 0),
+                    f.mat.at(0, 1),
+                    f.mat.at(1, 0),
+                    f.mat.at(1, 1),
+                ];
+                if m.iter().all(|c| c.im == 0.0) {
+                    self.pairs_real += 1;
+                } else {
+                    self.pairs_complex += 1;
+                }
+                self.pairs_target_0 += usize::from(f.target == 0 && bs > 1);
+                self.pairs_in_block_control += usize::from(f.controls & (bs as u64 - 1) != 0);
+            } else {
                 self.local += 1;
                 if row.dense.iter().any(|f| f.controls >= bs as u64) {
                     self.local_high_control += 1;
@@ -666,18 +796,20 @@ mod tests {
 
     /// Runs every output block of an MxV partition through `mxv_fused`
     /// and `mxv_scalar`, then the partition itself through
-    /// `exec_mxv_partition` (in place for a block-local group) from the
-    /// same input, and requires all three `==`. Returns the run length.
+    /// `exec_mxv_partition` (in place for a block-local group, as
+    /// butterflies when it has one factor) from the same input, and
+    /// requires all three `==`. Returns the run length.
     fn check_mxv(view: &ExecView<'_>, row_id: RowId, part: &Partition) -> usize {
         let row = &view.rows[row_id.key()];
         let fused = row.fused.as_ref().expect("groups of ≤3 gates fuse");
         let bs = view.geom.block_size();
         let blocks = part.spec.block_lo as usize..=part.spec.block_hi as usize;
+        let task = Task::new(*view, row_id);
         let mut want = Vec::new();
         for block in blocks.clone() {
             let (mut got, mut scalar) = (vec![Complex64::ZERO; bs], vec![Complex64::ZERO; bs]);
-            mxv_fused(view, row_id, fused, block * bs, &mut got);
-            mxv_scalar(view, row_id, row, block * bs, &mut scalar);
+            mxv_fused(&task, fused, block * bs, &mut got);
+            mxv_scalar(&task, row, block * bs, &mut scalar);
             assert_eq!(got, scalar, "{} block {block}", row.label);
             want.push(scalar);
         }
@@ -688,9 +820,7 @@ mod tests {
             im: f64::NAN,
         };
         for b in blocks.clone() {
-            let poisoned = Arc::new(vec![nan; bs]);
-            view.owners
-                .publish(b, row_id, poisoned, 0, |r| view.label_of(r));
+            put(view, row_id, b, Arc::new(vec![nan; bs]));
         }
         exec_mxv_partition(*view, part);
         for (block, want) in blocks.zip(&want) {
@@ -773,14 +903,15 @@ mod tests {
     /// linear partition runs through both `exec_linear_partition` and
     /// `linear_scalar`, and each MxV output block through `mxv_fused`,
     /// `mxv_scalar` and `exec_mxv_partition` (in place for a block-local
-    /// group), from the same resolved inputs. Every row is retained, so
+    /// group, as butterflies when it has one factor), from the same
+    /// resolved inputs. Every row is retained, so
     /// each row's inputs stay readable.
     #[test]
     fn batched_kernels_match_scalar_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(20260729);
         let mut shapes = Shapes::default();
         let mut mxv_shapes = MxvShapes::default();
-        for _ in 0..80 {
+        for _ in 0..240 {
             let n = rng.random_range(3..=8u8);
             let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=6u32));
             cfg.num_threads = 1;
@@ -805,8 +936,7 @@ mod tests {
                         }
                         RowKind::MxV => {
                             let run = check_mxv(&view, RowId(k), part);
-                            let bs = view.geom.block_size();
-                            mxv_shapes.record(&ckt.rows[k], part, run, bs);
+                            mxv_shapes.record(&ckt.rows[k], part, run, view.geom.block_size());
                         }
                     }
                 }
@@ -824,5 +954,9 @@ mod tests {
         assert!(mxv_shapes.local > 0, "{mxv_shapes:?}");
         assert!(mxv_shapes.local_high_control > 0, "{mxv_shapes:?}");
         assert!(mxv_shapes.multi_block > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.pairs_real > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.pairs_complex > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.pairs_target_0 > 0, "{mxv_shapes:?}");
+        assert!(mxv_shapes.pairs_in_block_control > 0, "{mxv_shapes:?}");
     }
 }

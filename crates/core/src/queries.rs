@@ -45,12 +45,13 @@ impl Ckt {
                 .order_label(r.key())
                 .expect("owner index holds only live rows")
         };
+        let tally = stats.tally();
         self.owners
-            .resolve_before(b, u64::MAX, label_of, stats)
+            .resolve_before(b, u64::MAX, label_of, &tally)
             .unwrap_or_else(|_| {
                 self.rematerialize(b, u64::MAX, stats);
                 self.owners
-                    .resolve_before(b, u64::MAX, label_of, stats)
+                    .resolve_before(b, u64::MAX, label_of, &tally)
                     .expect("a re-materialized entry is held")
             })
     }

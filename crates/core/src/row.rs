@@ -93,7 +93,10 @@ impl Row {
     /// true for an MxV row with a target at or above the block width,
     /// whose sources lie in other blocks. A *block-local* MxV row (every
     /// target below the block width; controls anywhere) reads only the
-    /// blocks it writes, as a linear row does.
+    /// blocks it writes, as a linear row does. The rule stops at the
+    /// block, not at the grain: taking the buffers of a row that writes
+    /// every block evicts a whole state, which lengthens later edits'
+    /// re-materializations (DESIGN.md, "Fused MxV operators").
     pub(crate) fn reads_all_blocks(&self, block_size: usize) -> bool {
         matches!(self.kind, RowKind::MxV)
             && self.dense.iter().any(|f| 1usize << f.target >= block_size)

@@ -137,6 +137,58 @@ fn warm_block_local_mxv_reexecution_allocates_nothing() {
     ));
 }
 
+/// A one-factor block-local MxV row rewrites each block in place as 2×2
+/// butterflies over the amplitudes and their partners across the target
+/// bit, with no copy of the input. On blocks of 8 amplitudes: H(1) by a
+/// real matrix, U3(2) by a complex one, CH(5→0) with its control above
+/// the block and CH(1→2) with it inside, between linear rows and beside
+/// H(4), which reads other blocks. Once every entry holds a buffer,
+/// re-executing them performs zero heap allocations, and the state stays
+/// right.
+fn warm_pair_mxv_reexecution_allocates_nothing() {
+    let mut ckt = engine();
+    // Re-executed outside a run, each MxV row reads its input from the
+    // row before it, so no entry may have been evicted.
+    test_support::retain_every_row(&mut ckt);
+    let nets: [&[(GateKind, &[u8])]; 7] = [
+        &[(GateKind::H, &[1]), (GateKind::X, &[5])],
+        &[(GateKind::U3(0.3, 0.8, 1.1), &[2]), (GateKind::T, &[1])],
+        &[(GateKind::Cx, &[3, 0])],
+        &[(GateKind::Ch, &[5, 0])],
+        &[(GateKind::H, &[4])],
+        &[(GateKind::Ch, &[1, 2])],
+        &[(GateKind::T, &[2])],
+    ];
+    let mut want = qtask_num::vecops::ket_zero(6);
+    for gates in nets {
+        let net = ckt.push_net();
+        for &(kind, qubits) in gates {
+            ckt.insert_gate(kind, net, qubits).unwrap();
+            let (controls, targets) = qubits.split_at(kind.num_controls());
+            let mask = controls.iter().map(|&c| 1u64 << c).sum();
+            qtask_partition::kernels::apply_gate(kind, mask, targets, &mut want);
+        }
+    }
+    ckt.update_state().unwrap();
+    test_support::unpin_snapshot(&mut ckt);
+    let pids = test_support::mxv_partitions(&ckt);
+    assert!(!pids.is_empty());
+    test_support::reexec_mxv_partitions(&ckt, &pids);
+    let before = CountingAlloc::alloc_calls();
+    test_support::reexec_mxv_partitions(&ckt, &pids);
+    let after = CountingAlloc::alloc_calls();
+    assert_eq!(
+        after - before,
+        0,
+        "warm one-factor MxV re-execution must not touch the heap"
+    );
+    assert!(qtask_num::vecops::approx_eq(
+        &test_support::full_state(&mut ckt),
+        &want,
+        1e-12
+    ));
+}
+
 /// Linear-row parity: once the output buffers are materialized,
 /// re-executing linear partitions performs zero heap allocations too — diagonal, cross-block
 /// anti-diagonal, and controlled kinds alike.
@@ -340,7 +392,7 @@ fn run(name: &str, case: impl FnOnce() + UnwindSafe) -> bool {
 }
 
 fn main() {
-    let cases: [(&str, fn()); 7] = [
+    let cases: [(&str, fn()); 8] = [
         (
             "warm_mxv_reexecution_allocates_nothing",
             warm_mxv_reexecution_allocates_nothing,
@@ -348,6 +400,10 @@ fn main() {
         (
             "warm_block_local_mxv_reexecution_allocates_nothing",
             warm_block_local_mxv_reexecution_allocates_nothing,
+        ),
+        (
+            "warm_pair_mxv_reexecution_allocates_nothing",
+            warm_pair_mxv_reexecution_allocates_nothing,
         ),
         (
             "warm_linear_reexecution_allocates_nothing",

@@ -185,6 +185,12 @@ impl Gate {
     fn admits(&self) -> bool {
         !self.closing && self.state.is_serving()
     }
+
+    /// Whether the caller holding `ticket` may take the turn now: the
+    /// gate admits, no one holds the turn, and `ticket` is first in line.
+    fn turn_is(&self, ticket: u64) -> bool {
+        self.admits() && self.holder.is_none() && self.line.front() == Some(&ticket)
+    }
 }
 
 /// The engine and its views: what a caller runs its request on.
@@ -301,7 +307,7 @@ impl Shared {
         let ticketed = Instant::now();
         qtask_obs::gauge!("service.mailbox_depth").inc();
         let turn = loop {
-            let turn = gate.admits() && gate.holder.is_none() && gate.line.front() == Some(&ticket);
+            let turn = gate.turn_is(ticket);
             if turn || !gate.admits() || past_deadline() {
                 break turn;
             }
@@ -829,5 +835,41 @@ impl SessionHandle {
     /// Callers in line, waiting for their turn.
     pub(crate) fn callers_in_line(&self) -> usize {
         lock(&self.shared.gate).line.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A serving gate with callers 3, 4 and 5 in line and no holder.
+    fn gate() -> Gate {
+        Gate {
+            line: VecDeque::from([3, 4, 5]),
+            next_ticket: 6,
+            holder: None,
+            sleepers: 0,
+            closing: false,
+            state: SessionState::Active,
+        }
+    }
+
+    /// The turn goes in ticket order: only the front of the line may
+    /// take it, and no one while it is held or the session is closing.
+    #[test]
+    fn only_the_front_of_the_line_takes_a_free_turn() {
+        let free = gate();
+        assert!(free.turn_is(3));
+        assert!(!free.turn_is(4) && !free.turn_is(5) && !free.turn_is(6));
+        let held = Gate {
+            holder: Some(std::thread::current().id()),
+            ..gate()
+        };
+        assert!(!held.turn_is(3), "the turn is held");
+        let closing = Gate {
+            closing: true,
+            ..gate()
+        };
+        assert!(!closing.turn_is(3), "the session is closing");
     }
 }

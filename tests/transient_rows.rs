@@ -326,3 +326,76 @@ fn concurrent_audits_rematerialize_without_tearing() {
         assert!(vecops::approx_eq(&got, &want, 1e-9), "round {round}");
     }
 }
+
+/// The paper's Fig. 16 edit loop, checked amplitude by amplitude. qft@11
+/// loaded level by level on 2 pool threads, with blocks of 64 amplitudes
+/// so its one-factor H rows take both MxV paths: butterflies in place
+/// inside a block (q0–q5) and reads through the owner index (q6–q10).
+/// Batches of 1–3 levels go out
+/// and come back, as in the benchmark's `inc.mixed`. After every update
+/// the full state must match the serial [`NaiveSim`] oracle of the
+/// edited circuit to 1e-10 and the audit must be empty. Probabilities
+/// alone would not do: those of qft|0…0⟩ are uniform whatever its phase
+/// and swap rows compute.
+#[test]
+fn toggle_protocol_matches_oracle_amplitudes() {
+    let mut rng = StdRng::seed_from_u64(0xf167_091e);
+    let qft = qtask::bench_circuits::build("qft", Some(11)).unwrap();
+    let mut cfg = SimConfig::with_block_size(64);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(11, cfg);
+    type Level = Vec<(GateKind, Vec<u8>)>;
+    let levels: Vec<Level> = qft
+        .net_ids()
+        .map(|net| {
+            let gates = qft.net_gates(net);
+            gates
+                .map(|(_, g)| (g.kind(), g.qubits().to_vec()))
+                .collect()
+        })
+        .collect();
+    let nets: Vec<NetId> = levels.iter().map(|_| ckt.push_net()).collect();
+    let mut ids: Vec<Vec<GateId>> = vec![Vec::new(); levels.len()];
+    let mut toggle = |ckt: &mut Ckt, lvl: usize| {
+        if ids[lvl].is_empty() {
+            for (kind, qubits) in &levels[lvl] {
+                ids[lvl].push(ckt.insert_gate(*kind, nets[lvl], qubits).unwrap());
+            }
+        } else {
+            for id in ids[lvl].drain(..) {
+                ckt.remove_gate(id).unwrap();
+            }
+        }
+    };
+    for lvl in 0..levels.len() {
+        toggle(&mut ckt, lvl);
+    }
+    let check = |ckt: &mut Ckt, ctx: &str| {
+        ckt.update_state().unwrap();
+        let got = ckt.snapshot().state();
+        let want = naive_state(ckt.circuit());
+        assert!(
+            vecops::approx_eq(&got, &want, 1e-10),
+            "{ctx}: off the oracle by {}",
+            vecops::max_abs_diff(&got, &want)
+        );
+        assert_eq!(ckt.audit(), vec![], "{ctx}: audit");
+    };
+    check(&mut ckt, "build");
+    for batch in 0..16 {
+        let first = rng.random_range(0..levels.len());
+        let mut batch_levels = vec![first];
+        for _ in 0..rng.random_range(0..3) {
+            let extra = rng.random_range(first..levels.len());
+            if !batch_levels.contains(&extra) {
+                batch_levels.push(extra);
+            }
+        }
+        for back in ["out", "back in"] {
+            for &lvl in &batch_levels {
+                toggle(&mut ckt, lvl);
+            }
+            check(&mut ckt, &format!("batch {batch} {batch_levels:?} {back}"));
+        }
+    }
+}
