@@ -36,7 +36,7 @@ pub struct ServiceConfig {
     /// Per-session cap on live view subscriptions
     /// ([`crate::SessionHandle::subscribe`]); beyond it, subscriptions
     /// are [`crate::ServiceError::Rejected`]. Dropping a subscription
-    /// frees its slot at the session's next publication.
+    /// frees its slot at once.
     pub view_quota: usize,
 }
 

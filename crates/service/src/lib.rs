@@ -61,14 +61,14 @@
 mod config;
 mod error;
 mod manager;
-mod push;
 mod session;
+mod subscription;
 
 pub use config::ServiceConfig;
 pub use error::ServiceError;
 pub use manager::SessionManager;
-pub use push::{RecvError, Subscription, ViewUpdate};
 pub use session::{EditOutcome, SessionHandle, SessionId, SessionReport, SessionState};
+pub use subscription::{RecvError, Subscription, ViewUpdate};
 // Convenience re-exports: subscribing needs the query/value vocabulary.
 pub use qtask_views::{ViewQuery, ViewReport, ViewValue};
 
@@ -601,7 +601,8 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServiceError::Rejected { .. }), "{err}");
         drop(sub);
-        // The writer prunes closed subscriptions at the next touch.
+        // Dropping the subscription unregistered its view.
+        assert_eq!(h.view_report().unwrap().views, 0);
         assert!(h.subscribe(ViewQuery::Norm).is_ok());
         mgr.shutdown();
     }
@@ -658,6 +659,74 @@ mod tests {
         assert_eq!(update.version, h.version());
         assert!((update.value.as_scalar().unwrap() - 1.0).abs() < 1e-10);
         mgr.shutdown();
+    }
+
+    // Client threads take their subscriptions with them.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Subscription>();
+    };
+
+    /// A receive that ends a wait of its own: what it returned, and how
+    /// long it waited.
+    type Receiver = JoinHandle<(Result<ViewUpdate, RecvError>, Duration)>;
+
+    /// Takes `sub`'s primed reading, then waits for a newer one, up to
+    /// 30 s, on a thread of its own. Returns once that thread has had
+    /// time to fall asleep.
+    fn blocked_receiver(sub: Subscription) -> Receiver {
+        assert!(sub.try_recv().is_some(), "primed from the baseline");
+        let receiver = std::thread::spawn(move || {
+            let start = Instant::now();
+            (sub.recv_timeout(Duration::from_secs(30)), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        receiver
+    }
+
+    /// Joins `receiver`, which must have been woken well before its
+    /// timeout, and returns what it received.
+    fn woken(receiver: Receiver) -> Result<ViewUpdate, RecvError> {
+        let (result, waited) = receiver.join().unwrap();
+        assert!(waited < Duration::from_secs(10), "woke after {waited:?}");
+        result
+    }
+
+    #[test]
+    fn a_blocked_receiver_wakes_for_a_commit() {
+        let mgr = SessionManager::new(small_cfg());
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let receiver = blocked_receiver(h.subscribe(ViewQuery::Norm).unwrap());
+        let out = h
+            .edit(|tx| {
+                let net = tx.push_net();
+                tx.insert_gate(GateKind::H, net, &[0])?;
+                Ok(())
+            })
+            .unwrap();
+        let update = woken(receiver).unwrap();
+        assert_eq!(update.version, out.version);
+        assert!((update.value.as_scalar().unwrap() - 1.0).abs() < 1e-10);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn a_blocked_receiver_wakes_closed_when_the_session_closes() {
+        let mgr = SessionManager::new(small_cfg());
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let receiver = blocked_receiver(h.subscribe(ViewQuery::Norm).unwrap());
+        mgr.close(h.id()).unwrap();
+        assert_eq!(woken(receiver), Err(RecvError::Closed));
+    }
+
+    #[test]
+    fn a_blocked_receiver_wakes_closed_when_every_handle_drops() {
+        let mgr = SessionManager::new(small_cfg());
+        let h = mgr.open(2, SimConfig::default()).unwrap();
+        let receiver = blocked_receiver(h.subscribe(ViewQuery::Norm).unwrap());
+        drop(h);
+        drop(mgr);
+        assert_eq!(woken(receiver), Err(RecvError::Closed));
     }
 
     #[test]

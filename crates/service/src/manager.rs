@@ -1,6 +1,5 @@
 //! The session manager: admission, multiplexing, lifecycle.
 
-use crate::push::ViewFanout;
 use crate::session::{touch_service_metrics, Shared, Writer};
 use crate::{lock, ServiceConfig, ServiceError, SessionHandle, SessionId, SessionReport};
 use qtask_core::{BlockGeometry, Ckt, SimConfig};
@@ -107,9 +106,8 @@ impl SessionManager {
         }
         let id = SessionId(inner.next_id);
         inner.next_id += 1;
-        let mut ckt = Ckt::with_executor(num_qubits, sim_config, Arc::clone(&self.executor));
-        let views = ViewFanout::attach(&mut ckt, self.cfg.view_quota);
-        let shared = Arc::new(Shared::new(id, Writer { ckt, views }, &self.cfg));
+        let ckt = Ckt::with_executor(num_qubits, sim_config, Arc::clone(&self.executor));
+        let shared = Arc::new(Shared::new(id, Writer::new(ckt), &self.cfg));
         let handle = SessionHandle { shared };
         inner.sessions.insert(id.0, handle.clone());
         drop(inner);

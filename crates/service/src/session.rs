@@ -18,11 +18,11 @@
 //! [`StateSnapshot`] — reads degrade to staleness, never to torn data
 //! or a wedge.
 
-use crate::push::{Subscription, ViewFanout};
+use crate::subscription::{self, Subscription};
 use crate::{lock, ServiceConfig, ServiceError};
 use qtask_circuit::{Circuit, CircuitError};
 use qtask_core::{Ckt, EditReceipt, EditTxn, StateSnapshot};
-use qtask_views::{ViewQuery, ViewReport};
+use qtask_views::{ViewQuery, ViewRegistry, ViewReport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,10 +195,26 @@ impl Gate {
 
 /// The engine and its views: what a caller runs its request on.
 pub(crate) struct Writer {
-    pub(crate) ckt: Ckt,
-    /// View subscriptions: the registry attached to `ckt` plus the push
-    /// slot of each live subscriber.
-    pub(crate) views: ViewFanout,
+    ckt: Ckt,
+    /// The views subscribed to, attached to `ckt`: every publication
+    /// patches them and wakes their waiting subscribers.
+    views: ViewRegistry,
+}
+
+impl Writer {
+    pub(crate) fn new(mut ckt: Ckt) -> Writer {
+        let views = ViewRegistry::new();
+        views.attach(&mut ckt);
+        Writer { ckt, views }
+    }
+}
+
+impl Drop for Writer {
+    /// The session closed or failed, or its last handle went: waiting
+    /// subscribers wake with [`crate::RecvError::Closed`].
+    fn drop(&mut self) {
+        self.views.close();
+    }
 }
 
 /// One session, shared by every handle clone.
@@ -645,10 +661,6 @@ impl SessionHandle {
                 shared.publish(snap);
             }
             shared.note_edit_ok();
-            // The publish already patched every registered view (the
-            // registry is an engine observer); deliver the fresh
-            // readings before the turn ends.
-            w.views.push_all();
             Ok(EditOutcome {
                 receipt,
                 version: w.ckt.snapshot_version(),
@@ -673,19 +685,21 @@ impl SessionHandle {
     /// Subscribes to `query` as an incrementally maintained view: on its
     /// turn, the caller registers it on the session's
     /// [`qtask_views::ViewRegistry`] and primes it from the latest
-    /// snapshot, and every later publication pushes a
-    /// [`crate::ViewUpdate`] over a capacity-one overwrite-latest
-    /// channel, so a slow subscriber lags (counted) but never blocks the
-    /// session.
+    /// snapshot. Every later publication patches the view in place, and
+    /// the [`Subscription`] returns its value as a [`crate::ViewUpdate`]
+    /// whenever the version is newer than the last one it returned, so
+    /// a slow subscriber lags (counted) but never blocks the session. A
+    /// version is received as the engine publishes it, so it may lead
+    /// [`SessionHandle::snapshot`] until the edit that published it ends.
     ///
     /// Fails with [`ServiceError::Rejected`] when the query is invalid
     /// for the session's register or the per-session
     /// [`ServiceConfig::view_quota`] is exhausted (dropping a
-    /// [`Subscription`] frees its slot at the session's next
-    /// publication).
+    /// [`Subscription`] frees its slot at once).
     pub fn subscribe(&self, query: ViewQuery) -> Result<Subscription, ServiceError> {
+        let (id, quota) = (self.shared.id, self.shared.cfg.view_quota);
         self.ask("session/subscribe", |w| {
-            w.views.subscribe(&w.ckt, self.shared.id, query)
+            subscription::subscribe(&w.views, &w.ckt, quota, id, query)
         })
     }
 
@@ -776,10 +790,6 @@ impl Writer {
                     if let Some(snap) = self.ckt.latest_snapshot() {
                         shared.publish(snap);
                     }
-                    // recover() carried the view registry across and
-                    // full-refreshed every view from the republished
-                    // snapshot; subscribers get the healed values now.
-                    self.views.push_all();
                     shared.set_state(SessionState::Recovered);
                     return true;
                 }

@@ -81,6 +81,16 @@ impl Condvar {
         guard.0 = Some(inner);
     }
 
+    /// [`Condvar::wait`], giving up once `timeout` has passed.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
+        let inner = guard.0.take().expect("guard already waiting");
+        let (inner, _) = self
+            .0
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        guard.0 = Some(inner);
+    }
+
     /// Wakes one waiter.
     pub fn notify_one(&self) -> bool {
         self.0.notify_one();

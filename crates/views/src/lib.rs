@@ -11,15 +11,16 @@
 //! The pieces:
 //!
 //! * [`View`] operators ([`NormView`], [`ProbabilityView`],
-//!   [`ExpectationView`], plus [`MapView`]/[`SumView`] combinators) —
-//!   per-block partials with subtract-old/add-new patching and support
-//!   closure for off-diagonal observables.
+//!   [`ExpectationView`]) — per-block partials with subtract-old/add-new
+//!   patching and support closure for off-diagonal observables.
 //! * The [`ViewRegistry`] — attaches to a [`qtask_core::Ckt`] as a
 //!   [`qtask_core::SnapshotObserver`] and maintains every registered
 //!   view inside the publish path, degrading to a full refresh on
 //!   version gaps, injected faults, or panics (never a stale read).
 //!   Counters surface both through [`ViewReport`] and the global
-//!   `views.*` metrics.
+//!   `views.*` metrics. Each slot holds its view's latest value and the
+//!   version it reflects; a [`ViewHandle`] reads it, or waits for a
+//!   newer one ([`ViewHandle::reading_after`]).
 //! * [`ViewQuery`] — the declarative, validatable wire form a client
 //!   subscribes with; the service layer lowers it via
 //!   [`ViewQuery::build`] and streams [`ViewReading`]s back.
@@ -49,7 +50,7 @@ pub mod query;
 pub mod registry;
 pub mod value;
 
-pub use ops::{ExpectationView, MapView, NormView, ProbabilityView, SumView, View};
+pub use ops::{ExpectationView, NormView, ProbabilityView, View};
 pub use query::{ViewQuery, ViewQueryError};
 pub use registry::{ViewHandle, ViewRegistry};
 pub use value::{PatchError, PatchStats, ViewReading, ViewReport, ViewValue};

@@ -467,94 +467,3 @@ impl View for ExpectationView {
         ViewValue::Scalar(self.total.re)
     }
 }
-
-// ---- combinators --------------------------------------------------------
-
-/// Applies a pure function to an inner view's value; maintenance
-/// delegates unchanged, so the map layer adds zero patch cost.
-pub struct MapView {
-    label: String,
-    inner: Box<dyn View>,
-    f: Arc<dyn Fn(ViewValue) -> ViewValue + Send + Sync>,
-}
-
-impl MapView {
-    pub fn new(
-        label: impl Into<String>,
-        inner: Box<dyn View>,
-        f: impl Fn(ViewValue) -> ViewValue + Send + Sync + 'static,
-    ) -> MapView {
-        MapView {
-            label: label.into(),
-            inner,
-            f: Arc::new(f),
-        }
-    }
-}
-
-impl View for MapView {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn refresh(&mut self, snap: &StateSnapshot) {
-        self.inner.refresh(snap);
-    }
-
-    fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
-        self.inner.patch(snap, delta)
-    }
-
-    fn value(&self) -> ViewValue {
-        (self.f)(self.inner.value())
-    }
-}
-
-/// Sums its parts' values into one scalar (vector parts contribute
-/// their element sum). Each part maintains its own partials; a patch
-/// touches every part's Δ∩B.
-pub struct SumView {
-    label: String,
-    parts: Vec<Box<dyn View>>,
-}
-
-impl SumView {
-    pub fn new(label: impl Into<String>, parts: Vec<Box<dyn View>>) -> SumView {
-        SumView {
-            label: label.into(),
-            parts,
-        }
-    }
-}
-
-impl View for SumView {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn refresh(&mut self, snap: &StateSnapshot) {
-        for p in &mut self.parts {
-            p.refresh(snap);
-        }
-    }
-
-    fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
-        let mut stats = PatchStats::default();
-        for p in &mut self.parts {
-            stats.blocks_scanned += p.patch(snap, delta).blocks_scanned;
-        }
-        stats
-    }
-
-    fn value(&self) -> ViewValue {
-        let total = self
-            .parts
-            .iter()
-            .map(|p| match p.value() {
-                ViewValue::Scalar(s) => s,
-                ViewValue::Vector(v) => v.iter().sum(),
-            })
-            .sum();
-        ViewValue::Scalar(total)
-    }
-}

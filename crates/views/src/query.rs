@@ -3,9 +3,9 @@
 //! A [`ViewQuery`] is what a client sends over the service boundary when
 //! subscribing; [`ViewQuery::build`] validates it against the engine's
 //! qubit count and lowers it to the concrete operator. Keeping the
-//! closed-world enum (rather than shipping `Box<dyn View>` through the
-//! channel) is what lets the service layer enforce quotas and reject
-//! malformed subscriptions before touching the session's writer.
+//! closed-world enum (rather than taking a client's `Box<dyn View>`) is
+//! what lets the service layer enforce quotas and reject a malformed
+//! subscription before it registers anything on the session's engine.
 
 use crate::ops::{ExpectationView, NormView, ProbabilityView, View};
 

@@ -14,11 +14,12 @@
 
 use crate::ops::View;
 use crate::value::{PatchError, PatchStats, ViewReading, ViewReport};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use qtask_core::{BlockDelta, Ckt, SnapshotObserver, StateSnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Interns every `views.*` metric the registry records, so expositions
 /// cover them from the first snapshot (same idiom as the engine's
@@ -39,8 +40,31 @@ struct Slot {
     last_version: u64,
 }
 
+/// The registered views and their waiting readers, under one lock.
+struct State {
+    slots: Vec<Slot>,
+    /// Readers asleep in [`ViewHandle::reading_after`]; while there are
+    /// none, a publication notifies no one.
+    sleepers: usize,
+    /// Set by [`ViewRegistry::close`]: no publication will follow.
+    closed: bool,
+}
+
+impl State {
+    /// View `id`'s reading, if its version is newer than `seen`.
+    fn newer(&self, id: u64, seen: u64) -> Option<ViewReading> {
+        let slot = self.slots.iter().find(|s| s.id == id)?;
+        (slot.last_version > seen).then(|| ViewReading {
+            version: slot.last_version,
+            value: slot.view.value(),
+        })
+    }
+}
+
 struct RegistryInner {
-    slots: Mutex<Vec<Slot>>,
+    state: Mutex<State>,
+    /// Signalled by a publication while a reader sleeps, and by close.
+    published: Condvar,
     next_id: AtomicU64,
     publishes: AtomicU64,
     patches: AtomicU64,
@@ -66,8 +90,8 @@ impl RegistryInner {
         let _span = qtask_obs::span!("views/publish");
         self.publishes.fetch_add(1, Ordering::Relaxed);
         qtask_obs::counter!("views.publishes").inc();
-        let mut slots = self.slots.lock();
-        for slot in slots.iter_mut() {
+        let mut state = self.state.lock();
+        for slot in state.slots.iter_mut() {
             let patched = if delta.full || slot.last_version != delta.prev_version {
                 None
             } else {
@@ -97,6 +121,16 @@ impl RegistryInner {
             }
             slot.last_version = snap.version();
         }
+        if state.sleepers > 0 {
+            self.published.notify_all();
+        }
+    }
+}
+
+impl Drop for RegistryInner {
+    fn drop(&mut self) {
+        let held = self.state.get_mut().slots.len();
+        qtask_obs::gauge!("views.registered").sub(held as i64);
     }
 }
 
@@ -122,7 +156,12 @@ impl ViewRegistry {
         touch_view_metrics();
         ViewRegistry {
             inner: Arc::new(RegistryInner {
-                slots: Mutex::new(Vec::new()),
+                state: Mutex::new(State {
+                    slots: Vec::new(),
+                    sleepers: 0,
+                    closed: false,
+                }),
+                published: Condvar::new(),
                 next_id: AtomicU64::new(1),
                 publishes: AtomicU64::new(0),
                 patches: AtomicU64::new(0),
@@ -133,18 +172,19 @@ impl ViewRegistry {
         }
     }
 
-    /// The registry as an engine observer — what [`ViewRegistry::attach`]
-    /// hands to [`Ckt::attach_observer`]. Public so tests and benches can
-    /// drive the registry with hand-built deltas.
-    pub fn observer(&self) -> Arc<dyn SnapshotObserver> {
-        Arc::clone(&self.inner) as Arc<dyn SnapshotObserver>
-    }
-
     /// Attaches this registry to `ckt`: every subsequent publication
     /// patches the registered views in the publish path. Observers
     /// survive [`Ckt::recover`].
     pub fn attach(&self, ckt: &mut Ckt) {
-        ckt.attach_observer(self.observer());
+        ckt.attach_observer(Arc::clone(&self.inner) as Arc<dyn SnapshotObserver>);
+    }
+
+    /// Marks the registry closed and wakes every reader waiting in
+    /// [`ViewHandle::reading_after`]; later waits return at once. Call
+    /// it when the engine it is attached to goes away.
+    pub fn close(&self) {
+        self.inner.state.lock().closed = true;
+        self.inner.published.notify_all();
     }
 
     /// Registers a view. Its value is `None` until the next publication
@@ -173,18 +213,16 @@ impl ViewRegistry {
         self.push_slot(view, last_version)
     }
 
-    /// Appends a slot and sets the `views.registered` gauge under the
-    /// same lock, so concurrent registrations cannot publish a stale
-    /// count.
+    /// Appends a slot. The `views.registered` gauge sums the slots of
+    /// every live registry.
     fn push_slot(&self, view: Box<dyn View>, last_version: u64) -> ViewHandle {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.inner.slots.lock();
-        slots.push(Slot {
+        self.inner.state.lock().slots.push(Slot {
             id,
             view,
             last_version,
         });
-        qtask_obs::gauge!("views.registered").set(slots.len() as i64);
+        qtask_obs::gauge!("views.registered").inc();
         ViewHandle {
             inner: Arc::clone(&self.inner),
             id,
@@ -193,7 +231,7 @@ impl ViewRegistry {
 
     /// Number of registered views.
     pub fn len(&self) -> usize {
-        self.inner.slots.lock().len()
+        self.inner.state.lock().slots.len()
     }
 
     /// True when no view is registered.
@@ -220,48 +258,57 @@ impl Default for ViewRegistry {
     }
 }
 
-/// A handle to one registered view: reads its current value, or retires
-/// it. Dropping the handle does *not* unregister the view (the service
-/// layer prunes explicitly when a subscription closes).
+/// A handle to one registered view: reads its current value, waits for
+/// a newer one, or retires it. Dropping the handle does *not*
+/// unregister the view.
 pub struct ViewHandle {
     inner: Arc<RegistryInner>,
     id: u64,
 }
 
 impl ViewHandle {
-    /// Registry-unique id of the underlying view slot.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The view's label.
-    pub fn label(&self) -> String {
-        let slots = self.inner.slots.lock();
-        slots
-            .iter()
-            .find(|s| s.id == self.id)
-            .map(|s| s.view.label().to_string())
-            .unwrap_or_default()
-    }
-
     /// The current value stamped with the version it reflects, or `None`
     /// before the first refresh (no publication since registration).
     pub fn reading(&self) -> Option<ViewReading> {
-        let slots = self.inner.slots.lock();
-        let slot = slots.iter().find(|s| s.id == self.id)?;
-        if slot.last_version == 0 {
-            return None;
-        }
-        Some(ViewReading {
-            version: slot.last_version,
-            value: slot.view.value(),
-        })
+        self.inner.state.lock().newer(self.id, 0)
     }
 
-    /// Removes the view from the registry (later publications skip it).
-    pub fn unregister(self) {
-        let mut slots = self.inner.slots.lock();
-        slots.retain(|s| s.id != self.id);
-        qtask_obs::gauge!("views.registered").set(slots.len() as i64);
+    /// The view's reading once its version is newer than `seen`: at once
+    /// if it already is, else at the first publication that makes it so.
+    /// `None` when `until` passes first, or when the registry is closed
+    /// (see [`ViewHandle::is_closed`]) with no newer reading. `until:
+    /// None` waits with no deadline.
+    pub fn reading_after(&self, seen: u64, until: Option<Instant>) -> Option<ViewReading> {
+        let mut state = self.inner.state.lock();
+        loop {
+            if let Some(reading) = state.newer(self.id, seen) {
+                return Some(reading);
+            }
+            let left = until.map_or(Duration::MAX, |t| {
+                t.saturating_duration_since(Instant::now())
+            });
+            if state.closed || left.is_zero() {
+                return None;
+            }
+            state.sleepers += 1;
+            self.inner.published.wait_for(&mut state, left);
+            state.sleepers -= 1;
+        }
+    }
+
+    /// True once the registry is closed: its engine is gone, and no
+    /// newer reading will come.
+    pub fn is_closed(&self) -> bool {
+        self.inner.state.lock().closed
+    }
+
+    /// Removes the view from the registry (later publications skip it,
+    /// and [`ViewHandle::reading`] returns `None`).
+    pub fn unregister(&self) {
+        let mut state = self.inner.state.lock();
+        if let Some(at) = state.slots.iter().position(|s| s.id == self.id) {
+            state.slots.remove(at);
+            qtask_obs::gauge!("views.registered").dec();
+        }
     }
 }

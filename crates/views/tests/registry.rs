@@ -3,10 +3,7 @@
 
 use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
-use qtask_views::{
-    ExpectationView, MapView, NormView, ProbabilityView, SumView, ViewQuery, ViewQueryError,
-    ViewRegistry, ViewValue,
-};
+use qtask_views::{NormView, ProbabilityView, ViewQuery, ViewQueryError, ViewRegistry};
 
 const EPS: f64 = 1e-10;
 
@@ -123,38 +120,6 @@ fn registry_survives_engine_recovery() {
     let reading = norm.reading().expect("maintained after recovery");
     assert!((reading.value.as_scalar().unwrap() - 1.0).abs() < EPS);
     assert_eq!(reading.version, ckt.latest_snapshot().unwrap().version());
-}
-
-#[test]
-fn combinators_compose_and_stay_maintained() {
-    let mut ckt = small_ckt();
-    let registry = ViewRegistry::new();
-    registry.attach(&mut ckt);
-    // 1 - P(q1=1) via Map over a marginal, plus a Sum of two scalars.
-    let flip = registry.register(Box::new(MapView::new(
-        "one_minus_p1",
-        Box::new(ProbabilityView::marginal(vec![1])),
-        |v| match v {
-            ViewValue::Vector(d) => ViewValue::Scalar(1.0 - d[1]),
-            other => other,
-        },
-    )));
-    let sum = registry.register(Box::new(SumView::new(
-        "norm_plus_z0",
-        vec![
-            Box::new(NormView::new()),
-            Box::new(ExpectationView::pauli(0, 1)),
-        ],
-    )));
-
-    drive_one(&mut ckt, GateKind::X, &[1]);
-    assert!((flip.reading().unwrap().value.as_scalar().unwrap() - 0.0).abs() < EPS);
-    // norm = 1, ⟨Z0⟩ = +1 on |0010⟩.
-    assert!((sum.reading().unwrap().value.as_scalar().unwrap() - 2.0).abs() < EPS);
-
-    drive_one(&mut ckt, GateKind::H, &[0]);
-    // ⟨Z0⟩ = 0 after H(0).
-    assert!((sum.reading().unwrap().value.as_scalar().unwrap() - 1.0).abs() < EPS);
 }
 
 #[test]

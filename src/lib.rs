@@ -112,7 +112,7 @@ pub mod prelude {
     };
     pub use qtask_taskflow::{Executor, TaskPanic, Taskflow};
     pub use qtask_views::{
-        ExpectationView, MapView, NormView, ProbabilityView, SumView, View, ViewQuery, ViewReading,
-        ViewRegistry, ViewReport, ViewValue,
+        ExpectationView, NormView, ProbabilityView, View, ViewQuery, ViewReading, ViewRegistry,
+        ViewReport, ViewValue,
     };
 }

@@ -306,3 +306,36 @@ fn registry_is_bounded_and_service_aggregates_are_exact() {
         total(|r| r.timeouts)
     );
 }
+
+/// `views.registered` sums the views of every live registry: one
+/// subscription on each of two sessions counts 2, dropping one leaves 1,
+/// and closing everything returns the gauge to where it started. A
+/// registry dropped with a view still registered takes it off too.
+#[test]
+fn registered_views_gauge_sums_every_registry() {
+    let _serial = serial();
+    let registered = || qtask_obs::snapshot().gauge("views.registered").unwrap_or(0);
+    let base = registered();
+    let mgr = SessionManager::new(
+        ServiceConfig::default()
+            .with_threads(1)
+            .with_default_deadline(Duration::from_secs(30)),
+    );
+    let a = mgr.open(3, qtask::core::SimConfig::default()).unwrap();
+    let b = mgr.open(3, qtask::core::SimConfig::default()).unwrap();
+    let sub_a = a.subscribe(ViewQuery::Norm).unwrap();
+    let sub_b = b.subscribe(ViewQuery::Norm).unwrap();
+    assert_eq!(registered(), base + 2);
+    drop(sub_a);
+    assert_eq!(registered(), base + 1);
+    mgr.shutdown();
+    drop(sub_b);
+    assert_eq!(registered(), base);
+
+    let registry = ViewRegistry::new();
+    let view = registry.register(Box::new(NormView::new()));
+    assert_eq!(registered(), base + 1);
+    drop(view);
+    drop(registry);
+    assert_eq!(registered(), base);
+}
