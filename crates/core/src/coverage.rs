@@ -108,7 +108,7 @@ impl CoverageIndex {
         pos.checked_sub(1).map(|i| list[i])
     }
 
-    /// Debug snapshot of block `b`'s cover list, in order.
+    /// Block `b`'s cover list, in order (replay planning walks it).
     pub(crate) fn covers_of(&self, b: usize) -> &[PartId] {
         &self.blocks[b]
     }

@@ -13,10 +13,11 @@ use crate::spine::Spine;
 use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_partition::{derive_partitions, BlockGeometry, LoweredGate, PartitionSpec};
-use qtask_taskflow::{Executor, RetainedGraph};
+use qtask_taskflow::{DirtyRunStats, Executor, RetainedGraph};
 use qtask_util::LinkedArena;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,8 +63,8 @@ impl NetSim {
 #[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
     /// Partitions executed this update: the successor closure of the
-    /// frontier, new sync barriers included (0 when the frontier was
-    /// empty).
+    /// frontier, new sync barriers included, plus the replays of the
+    /// evicted entries it reads and the passes that order them.
     pub partitions_executed: usize,
     /// Total intra-partition tasks spawned.
     pub tasks_executed: usize,
@@ -236,9 +237,6 @@ pub struct Ckt {
     run_order: Vec<PartId>,
     /// Every row a checkpoint (`test_support::retain_every_row`).
     pub(crate) retain_all: bool,
-    /// Serializes re-materializations, which `&self` audits may run
-    /// concurrently: each takes buffers out while it rewrites them.
-    remat: parking_lot::Mutex<()>,
 }
 
 impl Ckt {
@@ -289,7 +287,6 @@ impl Ckt {
             written_run: vec![0; geom.num_blocks()],
             run_order: Vec::new(),
             retain_all: false,
-            remat: parking_lot::Mutex::new(()),
         }
     }
 
@@ -451,13 +448,15 @@ impl Ckt {
     /// Checks every cross-structure engine invariant and reports the
     /// violations (empty = coherent). Panic-contained, so it is safe to
     /// run on a poisoned engine — that is its purpose: after a contained
-    /// panic, `audit` says *what* tore. It changes no state it reports
-    /// on: it only re-materializes a final entry that a removal left
-    /// evicted, to read it.
+    /// panic, `audit` says *what* tore. It is a pure reader: it takes no
+    /// lock of its own and writes nothing, so audits may run at once.
     ///
     /// Checks: poisoning, owner-index structure, partition graph
     /// coherence, per-block resolvability, amplitude finiteness, norm
-    /// conservation, and snapshot version monotonicity.
+    /// conservation, and snapshot version monotonicity. A final entry
+    /// must be held, unless a removal left it evicted in a block the
+    /// next publication replays ([`Ckt::snap_dirty`]); the norm check is
+    /// then skipped.
     pub fn audit(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         if let Some(reason) = &self.poison {
@@ -484,7 +483,7 @@ impl Ckt {
         let mut norm_meaningful = true;
         for b in 0..self.geom.num_blocks() {
             match catch_unwind(AssertUnwindSafe(|| self.resolve_final_data(b, &stats))) {
-                Ok(slot) => {
+                Ok(Ok(slot)) => {
                     let norm = block_norm(b, &slot);
                     if norm.is_finite() {
                         total += norm;
@@ -493,7 +492,8 @@ impl Ckt {
                         norm_meaningful = false;
                     }
                 }
-                Err(_) => {
+                Ok(Err(_)) if self.snap_dirty.contains(&b) => norm_meaningful = false,
+                _ => {
                     out.push(InvariantViolation::ResolutionFailure { block: b });
                     norm_meaningful = false;
                 }
@@ -913,7 +913,12 @@ impl Ckt {
                     RowKind::MxV => 1,
                     RowKind::Linear(_) => spec.num_tasks(chunk) as u32,
                 };
-                let part = Partition { row: row_id, spec };
+                let pass = Default::default();
+                let part = Partition {
+                    row: row_id,
+                    spec,
+                    pass,
+                };
                 self.graph.insert(part, chunks, Arc::clone(&row.label))
             })
             .collect();
@@ -947,16 +952,9 @@ impl Ckt {
     fn update_state_inner(&mut self) -> Result<UpdateReport, EngineError> {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
-        if self.graph.dirty_len() == 0 {
-            // Nothing to execute, but removals may have changed the resolved
-            // view: republish the snapshot if so, or publish the first one.
-            let snapshot_blocks_resolved = self
-                .republish_if_stale(|| {
-                    qtask_faults::fault_point!("engine/update_publish");
-                })?
-                .unwrap_or(0);
+        if self.graph.dirty_len() == 0 && self.latest.is_some() && self.snap_dirty.is_empty() {
+            // Nothing to execute, and the latest snapshot is current.
             let report = UpdateReport {
-                snapshot_blocks_resolved,
                 norm_error: self.last_norm_error,
                 graph_nodes_patched: self.graph.take_patches(),
                 staged_ops: std::mem::take(&mut self.staged_ops_pending),
@@ -966,20 +964,16 @@ impl Ckt {
             record_update_metrics(&report);
             return Ok(report);
         }
-        // Close the frontier over successor edges: the dirty set the run
-        // executes is successor-closed.
+        // Close the frontier over successor edges, then add the replays
+        // its reads need: the run is the successor closure and its replays.
         let partition_span = qtask_obs::span!("update/partition");
         self.graph.close_dirty();
         qtask_faults::fault_point!("engine/update_build");
         self.resolve_stats.reset();
         let run = self.plan_run();
-        // Detach the previous snapshot spine *before* execution: blocks
-        // this update will rewrite (the blocks dirty partitions write,
-        // plus blocks of removed rows) are dropped from the engine's own
-        // copy, so when no external reader shares the snapshot, the
-        // re-executing tasks can reclaim their buffers and the warm
-        // update stays allocation-free. A reader-held snapshot keeps its
-        // pins and the rewritten blocks fork instead — MVCC isolation.
+        // Detach the previous snapshot spine *before* execution, so that
+        // tasks reclaim the buffers of blocks no reader pins (the warm
+        // update allocates nothing); pinned ones fork — MVCC isolation.
         let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
@@ -993,53 +987,19 @@ impl Ckt {
             }
         }
         drop(fuse_span);
-        // Stage the run. The graph's structure (nodes, edges, chunk fans)
-        // was patched in place by the modifiers that dirtied these
-        // partitions, so no closures are boxed, no edges re-wired,
-        // nothing proportional to the circuit.
         let build_span = qtask_obs::span!("update/build");
-        let chunk = self.geom.grain() as u64;
         // Structural patches accumulated since the previous update — the
         // graph-maintenance cost of the edit window now being absorbed.
         let graph_nodes_patched = self.graph.take_patches();
-        let view = ExecView {
-            rows: &self.rows,
-            owners: &self.owners,
-            stats: &self.resolve_stats,
-            geom: self.geom,
-            n_qubits: self.circuit.num_qubits(),
-            run,
-            last_writer: &self.last_writer,
-        };
-        // This per-run closure dispatches a node's partition on its row
-        // kind. Chunked linear fans receive their chunk index and
-        // recompute the item sub-range (Figure 6's intra-gate operation
-        // parallelism).
-        let invoke = move |part: &Partition, chunk_idx: u32| match view.rows[part.row.key()].kind {
-            RowKind::Sync => unreachable!("sync barriers are never invoked"),
-            RowKind::MxV => exec::exec_mxv_partition(view, part),
-            RowKind::Linear(_) => {
-                let s = part.spec.item_start + chunk_idx as u64 * chunk;
-                exec::exec_linear_partition(view, part, s..(s + chunk).min(part.spec.item_end));
-            }
-        };
         let build_elapsed = t0.elapsed();
         drop(build_span);
         let kernel_span = qtask_obs::span!("update/kernel");
         let t1 = Instant::now();
-        // `run_dirty` survives panicking tasks the same way `try_run`
-        // does: dependents are cancelled, the rest drain, and the first
-        // panic is reported here instead of unwinding a worker.
-        let run_result = self.executor.run_dirty(&mut self.graph, &invoke);
+        let stats = self.execute(run);
         let run_elapsed = t1.elapsed();
         drop(kernel_span);
         let (blocks_resolved, owner_probes) = self.resolve_stats.snapshot();
-        let stats = match run_result {
-            Ok(stats) => stats,
-            // Some partitions ran, some were cancelled: the row state is
-            // torn. Poison; `recover` rebuilds from the circuit.
-            Err(task_panic) => return Err(self.poison_with(task_panic.to_string())),
-        };
+        let stats = stats?;
         qtask_faults::fault_point!("engine/update_publish");
         let snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
         let report = UpdateReport {
@@ -1064,11 +1024,12 @@ impl Ckt {
 
     /// Plans the run of the closed dirty set in row order (serial): adds
     /// the blocks it writes to the snapshot's dirty set, records their
-    /// last writers, stamps every row that writes transient but each
-    /// ⌈√n⌉-th of those n, a checkpoint, and re-materializes each evicted
-    /// entry the run would read. A read after a block's first writer in
-    /// the run reads a writer of the run, since the dirty set is
-    /// successor-closed, so only reads before it are checked.
+    /// last writers, replays each evicted entry the run or the next
+    /// publication would read, and stamps every row that writes
+    /// transient but each ⌈√n⌉-th of those n, a checkpoint. A read after
+    /// a block's first writer in the run reads a writer of the run, since
+    /// the dirty set is successor-closed, so only reads before it are
+    /// checked, and the publication's only for blocks the run leaves.
     fn plan_run(&mut self) -> u64 {
         self.run_seq += 1;
         let run = self.run_seq;
@@ -1089,17 +1050,16 @@ impl Ckt {
             let row = graph[parts[0]].row;
             let kind = &rows[row.key()].kind;
             let limit = label(row);
-            let evicted = |b: usize| self.owners.evicted_before(b, limit, label).is_some();
             // A non-local MxV row reads every block before it, the blocks
             // its run partitions write included.
             let reads_all = rows[row.key()].reads_all_blocks(self.geom.block_size());
             if reads_all {
                 let first = (0..self.geom.num_blocks()).filter(|&b| self.written_run[b] != run);
-                reads.extend(first.filter(|&b| evicted(b)).map(|b| (b, limit)));
+                reads.extend(first.map(|b| (b, limit)));
             }
             for &pid in parts {
                 for b in graph[pid].written_blocks(kind, &self.geom, n) {
-                    if !reads_all && self.written_run[b] != run && evicted(b) {
+                    if !reads_all && self.written_run[b] != run {
                         reads.push((b, limit));
                     }
                     self.written_run[b] = run;
@@ -1108,71 +1068,121 @@ impl Ckt {
                 }
             }
         }
+        let written = &self.written_run;
+        for &b in self.snap_dirty.iter().filter(|&&b| written[b] != run) {
+            reads.push((b, u64::MAX));
+        }
+        self.plan_replay(run, reads);
         let mut i = 0;
-        for parts in order.chunk_by(same_row) {
-            // A sync row owns nothing: its stamp is moot.
-            let row = &mut self.rows[graph[parts[0]].row.key()];
+        for parts in order.chunk_by(|a, b| self.graph[*a].row == self.graph[*b].row) {
+            // A sync row owns nothing: its stamp is moot. The stamp also
+            // clears a replay's from a checkpoint.
+            let row = &mut self.rows[self.graph[parts[0]].row.key()];
             i += usize::from(!matches!(row.kind, RowKind::Sync));
-            if !self.retain_all && i % step != 0 {
-                row.transient = run;
-            }
+            row.transient = run * u64::from(!self.retain_all && i % step != 0);
         }
         self.run_order = order;
-        for (b, limit) in reads {
-            self.rematerialize(b, limit, &self.resolve_stats);
-        }
         run
     }
 
-    /// Makes the read of block `b` before label `limit` land on a held
-    /// entry. When it would land on an evicted one, re-runs that entry's
-    /// segment serially, with no takes: its partition, after the
-    /// partitions that produce its evicted inputs (the entries just
-    /// before its row of the blocks it writes, or of every block for a
-    /// non-local MxV partition), back to the nearest held entries.
-    pub(crate) fn rematerialize(&self, b: usize, limit: u64, stats: &ResolveStats) {
-        let label = |r: RowId| {
-            self.rows
-                .order_label(r.key())
-                .expect("owner index holds only live rows")
-        };
-        let _serial = self.remat.lock();
-        let Some(evicted) = self.owners.evicted_before(b, limit, label) else {
-            return;
-        };
-        let view = self.exec_view(stats);
-        let n = self.num_qubits();
-        let mut segment = vec![self.partition_at(evicted, b)];
-        while let Some(&pid) = segment.last() {
-            let part = &self.graph[pid];
-            let row = &self.rows[part.row.key()];
-            let kind = &row.kind;
-            let limit = label(part.row);
-            let input = |b: usize| {
-                let evicted = self.owners.evicted_before(b, limit, label)?;
-                Some(self.partition_at(evicted, b))
+    /// Adds to run `run` the replay of each evicted entry a read of
+    /// `reads` (block, reader's label) lands on, and of the evicted
+    /// entries it reads in turn. Replay rows are stamped transient, as in
+    /// a full run. `run_dirty` orders only run nodes, so every cover
+    /// between a replay and a run node reading it joins the run as a
+    /// pass, which executes nothing. Replays change no amplitude: they
+    /// stay out of [`Ckt::snap_dirty`]. Returns whether anything replays.
+    fn plan_replay(&mut self, run: u64, mut reads: Vec<(usize, u64)>) -> bool {
+        let (rows, graph, geom, n) = (&self.rows, &self.graph, self.geom, self.num_qubits());
+        let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
+        let mut replay = Vec::new();
+        let mut seen = HashSet::new();
+        while let Some((b, limit)) = reads.pop() {
+            let Some(evicted) = self.owners.evicted_before(b, limit, label) else {
+                continue;
             };
-            let needed = if row.reads_all_blocks(self.geom.block_size()) {
-                (0..self.geom.num_blocks()).find_map(input)
-            } else {
-                part.written_blocks(kind, &self.geom, n).find_map(input)
-            };
-            if let Some(earlier) = needed {
-                segment.push(earlier);
+            let parts = &rows[evicted.key()].parts;
+            let pid = parts[parts.partition_point(|&p| (graph[p].spec.block_hi as usize) < b)];
+            if !seen.insert(pid) {
                 continue;
             }
-            qtask_faults::fault_point!("engine/rematerialize");
-            match kind {
-                RowKind::Sync => unreachable!("a sync barrier owns no block"),
-                RowKind::MxV => exec::exec_mxv_partition(view, part),
-                RowKind::Linear(_) => exec::exec_linear_partition(
-                    view,
-                    part,
-                    part.spec.item_start..part.spec.item_end,
-                ),
+            qtask_faults::fault_point!("engine/replay");
+            let (row, limit) = (&rows[evicted.key()], label(evicted));
+            if row.reads_all_blocks(geom.block_size()) {
+                reads.extend((0..geom.num_blocks()).map(|b| (b, limit)));
+            } else {
+                let inputs = graph[pid].written_blocks(&row.kind, &geom, n);
+                reads.extend(inputs.map(|b| (b, limit)));
             }
-            segment.pop();
+            replay.push(pid);
         }
+        for &pid in &replay {
+            self.graph.mark_dirty(pid);
+            self.graph[pid].pass.store(0, Ordering::Relaxed);
+            if !self.retain_all {
+                self.rows[self.graph[pid].row.key()].transient = run;
+            }
+        }
+        let (rows, graph) = (&self.rows, &self.graph);
+        let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
+        let runs = |p: PartId| graph.is_dirty(p) && graph[p].pass.load(Ordering::Relaxed) != run;
+        let pending = |p: PartId| graph.is_dirty(p) && !runs(p);
+        let kind = |p: PartId| &rows[graph[p].row.key()].kind;
+        let writes = |p: PartId, c| graph[p].written_blocks(kind(p), &geom, n).any(|b| b == c);
+        // A cover reads a block in the run when it runs, or when its row
+        // reads every block and runs anywhere.
+        let reads = |p: PartId| {
+            let row = &rows[graph[p].row.key()];
+            runs(p) || row.reads_all_blocks(geom.block_size()) && row.parts.iter().any(|&q| runs(q))
+        };
+        let mut passes = Vec::new();
+        for &pid in &replay {
+            let at = label(graph[pid].row);
+            for c in graph[pid].written_blocks(kind(pid), &geom, n) {
+                let covers = self.coverage.covers_of(c);
+                let after = &covers[covers.partition_point(|&x| label(graph[x].row) <= at)..];
+                // The next writer of `c`, passing over a pending one.
+                let next = after.iter().position(|&x| writes(x, c) && !pending(x));
+                if let Some(i) = next.filter(|&i| reads(after[i])) {
+                    passes.extend(after[..i].iter().filter(|&&x| !graph.is_dirty(x)));
+                }
+            }
+        }
+        for x in passes {
+            self.graph[x].pass.store(run, Ordering::Relaxed);
+            self.graph.mark_dirty(x);
+        }
+        !replay.is_empty()
+    }
+
+    /// Executes the graph's dirty set, patched in place by the modifiers,
+    /// as run `run`: the one place where partitions execute.
+    fn execute(&mut self, run: u64) -> Result<DirtyRunStats, EngineError> {
+        let chunk = self.geom.grain() as u64;
+        let view = ExecView {
+            rows: &self.rows,
+            owners: &self.owners,
+            stats: &self.resolve_stats,
+            geom: self.geom,
+            n_qubits: self.circuit.num_qubits(),
+            run,
+            last_writer: &self.last_writer,
+        };
+        // Dispatch on the row kind; a linear fan's chunk index gives its
+        // item sub-range (Figure 6's intra-gate operation parallelism).
+        let invoke = move |part: &Partition, chunk_idx: u32| match view.rows[part.row.key()].kind {
+            _ if part.pass.load(Ordering::Relaxed) == run => {}
+            RowKind::Sync => unreachable!("sync barriers are never invoked"),
+            RowKind::MxV => exec::exec_mxv_partition(view, part),
+            RowKind::Linear(_) => {
+                let s = part.spec.item_start + chunk_idx as u64 * chunk;
+                exec::exec_linear_partition(view, part, s..(s + chunk).min(part.spec.item_end));
+            }
+        };
+        // A panicking task cancels its dependents and leaves the rows
+        // torn: poison; `recover` rebuilds from the circuit.
+        let run_result = self.executor.run_dirty(&mut self.graph, &invoke);
+        run_result.map_err(|task_panic| self.poison_with(task_panic.to_string()))
     }
 
     /// A view for execution outside a run: it takes no predecessor's buffer.
@@ -1186,13 +1196,6 @@ impl Ckt {
             run: 0,
             last_writer: &[],
         }
-    }
-
-    /// The partition of `row` whose span holds block `b`.
-    fn partition_at(&self, row: RowId, b: usize) -> PartId {
-        let parts = &self.rows[row.key()].parts;
-        let at = parts.partition_point(|&p| (self.graph[p].spec.block_hi as usize) < b);
-        parts[at]
     }
 
     // ---- snapshot publication -------------------------------------------
@@ -1218,7 +1221,7 @@ impl Ckt {
     /// predecessor still holds its buffer, and reading costs only the
     /// re-resolution of the blocks the removed rows owned. An entry that
     /// handed its buffer on to a removed row (at the second of two tail
-    /// removals, say) is re-materialized first.
+    /// removals, say) is replayed first, in a run of its own.
     ///
     /// Pending *insertions* that have not been simulated yet do not
     /// appear: they take effect at the next [`Ckt::update_state`].
@@ -1236,22 +1239,28 @@ impl Ckt {
         self.contain(Ckt::snapshot_inner)
     }
 
+    /// Publishes when removals made the latest snapshot stale, or none was
+    /// made, replaying evicted final entries first in a run of their own,
+    /// through which a pending frontier passes and stays pending.
     fn snapshot_inner(&mut self) -> Result<StateSnapshot, EngineError> {
-        self.republish_if_stale(|| {})?;
-        Ok(self.latest.clone().expect("snapshot just published"))
-    }
-
-    /// Publishes the next snapshot when removals changed the resolved
-    /// view since the last publication, or when none was ever made,
-    /// running `before` first; returns the blocks resolved, or `None`
-    /// when the latest snapshot is current.
-    fn republish_if_stale(&mut self, before: impl FnOnce()) -> Result<Option<u64>, EngineError> {
-        if self.latest.is_some() && self.snap_dirty.is_empty() {
-            return Ok(None);
+        if self.latest.is_none() || !self.snap_dirty.is_empty() {
+            self.run_seq += 1;
+            let run = self.run_seq;
+            let pending = self.graph.dirty_nodes().to_vec();
+            for &pid in &pending {
+                self.graph[pid].pass.store(run, Ordering::Relaxed);
+            }
+            let reads = self.snap_dirty.iter().map(|&b| (b, u64::MAX)).collect();
+            if self.plan_replay(run, reads) {
+                self.execute(run)?;
+                for pid in pending {
+                    self.graph.mark_dirty(pid);
+                }
+            }
+            let (spine, resolve_all) = self.detach_spine();
+            self.publish_spine(spine, resolve_all)?;
         }
-        before();
-        let (spine, resolve_all) = self.detach_spine();
-        self.publish_spine(spine, resolve_all).map(Some)
+        Ok(self.latest.clone().expect("snapshot just published"))
     }
 
     /// Takes the previous snapshot's block spine for reuse, dropping the
@@ -1291,24 +1300,16 @@ impl Ckt {
         let _snapshot_span = qtask_obs::span!("update/snapshot");
         let stats = ResolveStats::default();
         let resolve_span = qtask_obs::span!("update/resolve");
-        if resolve_all {
-            for b in 0..blocks.len() {
-                let data = self.resolve_final_data(b, &stats);
-                self.block_norms[b] = block_norm(b, &data);
-                blocks.set(b, data);
-            }
-        } else {
-            // Take the dirty set so its iteration doesn't hold `&self`
-            // while the norm cache is written; its capacity is restored
-            // below to keep the warm path allocation-free.
-            let snap_dirty = std::mem::take(&mut self.snap_dirty);
-            for &b in &snap_dirty {
-                let data = self.resolve_final_data(b, &stats);
-                self.block_norms[b] = block_norm(b, &data);
-                blocks.set(b, data);
-            }
-            self.snap_dirty = snap_dirty;
+        // Taken so the norm cache can be written; restored, capacity too.
+        let snap_dirty = std::mem::take(&mut self.snap_dirty);
+        let every = 0..if resolve_all { blocks.len() } else { 0 };
+        for b in every.chain(snap_dirty.iter().copied().filter(|_| !resolve_all)) {
+            let data = self.resolve_final_data(b, &stats);
+            let data = data.expect("a publication's replays hold the final entries");
+            self.block_norms[b] = block_norm(b, &data);
+            blocks.set(b, data);
         }
+        self.snap_dirty = snap_dirty;
         drop(resolve_span);
         // The write set becomes this publication's delta — captured
         // before the dirty set is cleared, skipped (no allocation) when

@@ -103,8 +103,7 @@ impl<'a> Task<'a> {
 
     /// Resolves block `b` as seen *before* the row (i.e. the previous
     /// row's logical content). Panics when the read lands on an evicted
-    /// entry: the run re-materializes every such entry before any task
-    /// starts.
+    /// entry: the run replays every such entry before its reader.
     fn resolve_before(&self, b: usize) -> Resolved {
         let view = &self.view;
         view.owners

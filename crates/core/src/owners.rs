@@ -50,12 +50,14 @@
 //! An entry without a buffer (`None`) has lost it to the block's next
 //! writer — it is *evicted* — or has it out while its own row's task
 //! rewrites it. Resolution never walks past one: no task of the run
-//! reads an evicted entry (its next writer took it), nor an entry that
-//! is out (its readers wait for the task), and a later read
-//! re-materializes it first, where no task runs (`Ckt::rematerialize`)
-//! — which also repairs an entry a panicking task left out, so
-//! [`crate::Ckt::audit`] still resolves every block of a poisoned
-//! engine.
+//! reads an entry that is out (its readers wait for the task), and an
+//! evicted entry that a run or a publication would read is *replayed*
+//! first, inside that run: its partition joins the run, after the
+//! replays of the evicted entries it reads in turn, and its reader is
+//! ordered after it. A final entry is always held, except in a block a
+//! removal changed, which the next publication replays; so
+//! [`crate::Ckt::audit`] reads every final entry without writing one,
+//! and reports an entry a panicking task left out as unresolvable.
 
 use crate::cow::BlockData;
 use crate::row::RowId;
@@ -236,7 +238,7 @@ impl OwnerIndex {
     /// (exclusive; `u64::MAX` = "after every row"): the buffer of the
     /// nearest earlier entry, or `None` when the block bottoms out at the
     /// implicit initial state; `Err` names that entry's row when it has
-    /// no buffer, to be re-materialized first. One lock, one search;
+    /// no buffer, to be replayed first. One lock, one search;
     /// `limit == u64::MAX` (the final-state reader) starts from the
     /// list's end in one probe, since every label is below it. This is
     /// the resolution behind the executor's reads and snapshot capture.

@@ -25,8 +25,9 @@ pub struct MemStats {
     /// Partitions currently alive.
     pub partitions: usize,
     /// Block buffers the rows hold: owner-index entries not evicted.
-    /// After a full simulation, those of the checkpoints, the untaken MxV
-    /// rows and each block's last two writers — not every row's.
+    /// After any run, full or incremental, those of the checkpoints, the
+    /// untaken MxV rows and each block's last two writers — not every
+    /// row's: a replayed segment hands its buffers on as a run does.
     pub owned_blocks: usize,
     /// Bytes of those buffers' amplitudes.
     pub owned_bytes: usize,
@@ -34,26 +35,18 @@ pub struct MemStats {
 
 impl Ckt {
     /// Resolves block `b` of the final state against `stats` counters:
-    /// the last owner of `b` in row order, or `None` for the implicit
-    /// initial state — the last entry of the owner index's list, one
-    /// probe (a reader "after every row"). When that entry is evicted (a
-    /// removal left it last), it is re-materialized first and the block
-    /// resolved again. Used by snapshot capture and [`Ckt::audit`].
-    pub(crate) fn resolve_final_data(&self, b: usize, stats: &ResolveStats) -> Option<BlockData> {
-        let label_of = |r: RowId| {
-            self.rows
-                .order_label(r.key())
-                .expect("owner index holds only live rows")
-        };
-        let tally = stats.tally();
+    /// the last owner of `b` in row order in one probe, or `None` for the
+    /// initial state; `Err` names that entry's row when a removal left it
+    /// evicted, for the next publication to replay. Used by snapshot
+    /// capture and [`Ckt::audit`].
+    pub(crate) fn resolve_final_data(
+        &self,
+        b: usize,
+        stats: &ResolveStats,
+    ) -> Result<Option<BlockData>, RowId> {
+        let label_of = |r: RowId| self.rows.order_label(r.key()).expect("owned rows are live");
         self.owners
-            .resolve_before(b, u64::MAX, label_of, &tally)
-            .unwrap_or_else(|_| {
-                self.rematerialize(b, u64::MAX, stats);
-                self.owners
-                    .resolve_before(b, u64::MAX, label_of, &tally)
-                    .expect("a re-materialized entry is held")
-            })
+            .resolve_before(b, u64::MAX, label_of, &stats.tally())
     }
 
     /// Debug introspection: every partition as

@@ -9,6 +9,7 @@ use qtask_num::Mat2;
 use qtask_partition::{BlockGeometry, LinearOp, PartitionSpec};
 use qtask_taskflow::RetainedGraph;
 use qtask_util::define_key;
+use std::sync::atomic::AtomicU64;
 
 define_key! {
     /// Stable handle to a row (one layer of the COW vector chain).
@@ -66,8 +67,8 @@ pub struct Row {
     pub parts: Vec<PartId>,
     /// Largest partition block span — the row-ordering sort key.
     pub max_part_blocks: u32,
-    /// The last run in which this row was transient, its buffers free
-    /// for the next writer of each block to take (0 = none).
+    /// The run in which this row is transient, its buffers free for the
+    /// next writer of each block to take (0 = none).
     pub transient: u64,
     /// Display label for DOT dumps (e.g. "G8" or "MxV(net3)").
     pub label: std::sync::Arc<str>,
@@ -96,7 +97,7 @@ impl Row {
     /// blocks it writes, as a linear row does. The rule stops at the
     /// block, not at the grain: taking the buffers of a row that writes
     /// every block evicts a whole state, which lengthens later edits'
-    /// re-materializations (DESIGN.md, "Fused MxV operators").
+    /// replays (DESIGN.md, "Fused MxV operators").
     pub(crate) fn reads_all_blocks(&self, block_size: usize) -> bool {
         matches!(self.kind, RowKind::MxV)
             && self.dense.iter().any(|f| 1usize << f.target >= block_size)
@@ -111,6 +112,9 @@ pub struct Partition {
     pub row: RowId,
     /// Block range and item-rank range.
     pub spec: PartitionSpec,
+    /// The run this partition only passes through: it joins it to order
+    /// a replay before its reader, and executes nothing (0 = none).
+    pub(crate) pass: AtomicU64,
 }
 
 impl Partition {

@@ -79,7 +79,7 @@ fn assert_close(got: &[Complex64], want: &[Complex64], ctx: &str) {
 }
 
 /// The deterministic chaos scenario: incremental builds, transactions,
-/// removals, a re-materialization, queries, and snapshots — it crosses
+/// removals, a replay, queries, and snapshots — it crosses
 /// every probe site the engine registers. Fallible end to end so
 /// injected errors surface.
 fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
@@ -109,7 +109,7 @@ fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
 
     // Three linear rows run together: the middle one rewrites the first
     // one's buffers in place, so once it is gone the next update
-    // re-materializes them.
+    // replays them.
     let (middle, _receipt) = ckt.edit(|tx| {
         let d = tx.push_net();
         tx.insert_gate(GateKind::X, d, &[0])?;
@@ -135,8 +135,8 @@ fn run_scenario(ckt: &mut Ckt) -> Result<(), EngineError> {
 const EXPECTED_SITES: &[&str] = &[
     "engine/graph_patch",
     "engine/insert_gate",
-    "engine/rematerialize",
     "engine/remove_gate",
+    "engine/replay",
     "engine/update_build",
     "engine/update_publish",
     "exec/alloc_block",

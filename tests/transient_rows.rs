@@ -1,8 +1,9 @@
 //! Transient rows against every row retained.
 //!
 //! A default engine lets a linear or block-local MxV row rewrite its
-//! predecessor's buffer in place and re-materializes the evicted entry
-//! when a later read lands on it. This suite drives it and an engine
+//! predecessor's buffer in place and replays the evicted entry inside
+//! the run or publication whose read lands on it. This suite drives it
+//! and an engine
 //! whose every row is a retained checkpoint ([`retain_every_row`])
 //! through the same seeded storm of inserts, removals and multi-op
 //! edits — edits landing inside a chain of linear rows, two tail
@@ -10,9 +11,9 @@
 //! reader pinning a snapshot across edits — and after every step
 //! requires the two states to be `==`, both to match the serial
 //! [`NaiveSim`] oracle, and both audits to be empty. A fixed chain does
-//! the same around entries a block-local MxV row evicted, and a last
-//! test runs two audits of one engine at once while both must
-//! re-materialize.
+//! the same around entries a block-local MxV row evicted, a test runs
+//! two audits of one engine at once over evicted final entries, and a
+//! last one toggles qft levels and bounds the bytes held.
 
 use qtask::core::test_support::retain_every_row;
 use qtask::prelude::*;
@@ -83,8 +84,15 @@ impl Pair {
         got
     }
 
+    /// Updates both engines. Their runs execute the same new partitions;
+    /// the lean one's also replays the evicted entries its run reads, so
+    /// it executes no fewer in all.
     fn update(&mut self) {
-        self.both(|ckt| ckt.update_state().unwrap().partitions_executed);
+        let fresh = |r: &UpdateReport| r.partitions_executed - r.graph_nodes_reused;
+        let lean = self.lean.update_state().unwrap();
+        let retained = self.retained.update_state().unwrap();
+        assert_eq!(fresh(&lean), fresh(&retained), "the engines diverged");
+        assert!(lean.partitions_executed >= retained.partitions_executed);
     }
 
     /// The step's checks: `snapshot()` on both engines agrees bit for
@@ -291,11 +299,13 @@ fn block_local_mxv_rows_evict_and_rematerialize() {
 }
 
 /// `audit()` takes `&self`, so two threads may audit one engine at once.
-/// After two tail removals the final entries are evicted, and both
-/// audits re-materialize them: the second waits for the first instead
-/// of reading a buffer it has out, and neither reports a violation.
+/// After two tail removals the final entries are evicted; both audits
+/// only read, skip those blocks (the next publication replays them) and
+/// the norm check, and neither reports a violation. Once `snapshot()`
+/// has replayed them, every final entry is held again and the audit
+/// checks the norm.
 #[test]
-fn concurrent_audits_rematerialize_without_tearing() {
+fn concurrent_audits_read_without_tearing() {
     for round in 0..40 {
         let mut cfg = SimConfig::with_block_size(2);
         cfg.num_threads = 2;
@@ -324,6 +334,11 @@ fn concurrent_audits_rematerialize_without_tearing() {
         let want = naive_state(ckt.circuit());
         let got = ckt.snapshot().state();
         assert!(vecops::approx_eq(&got, &want, 1e-9), "round {round}");
+        assert_eq!(
+            ckt.audit(),
+            vec![],
+            "round {round}: audit after the snapshot"
+        );
     }
 }
 
@@ -398,4 +413,105 @@ fn toggle_protocol_matches_oracle_amplitudes() {
             check(&mut ckt, &format!("batch {batch} {batch_levels:?} {back}"));
         }
     }
+}
+
+/// Held bytes do not climb with edits (ROADMAP 13). qft@11 is loaded
+/// level by level, as the benchmark's `inc.mixed` loads qft@15, and
+/// simulated once; then 100 seeded levels go out and come back, one
+/// update each way. A replayed segment hands its buffers on as a run
+/// does, so after every update the lean engine holds at most 1.5× the
+/// bytes it held after the build, its state is `==` the every-row-
+/// retained twin's and matches the serial [`NaiveSim`] oracle to 1e-10,
+/// and its audit is empty.
+#[test]
+fn toggled_levels_keep_held_bytes_near_the_build() {
+    let mut rng = StdRng::seed_from_u64(0x13_a11d);
+    let qft = qtask::bench_circuits::build("qft", Some(11)).unwrap();
+    let mut cfg = SimConfig::with_block_size(64);
+    cfg.num_threads = 2;
+    let mut pair = Pair::new(11, cfg);
+    type Level = Vec<(GateKind, Vec<u8>)>;
+    let levels: Vec<Level> = qft
+        .net_ids()
+        .map(|net| {
+            let gates = qft.net_gates(net);
+            gates
+                .map(|(_, g)| (g.kind(), g.qubits().to_vec()))
+                .collect()
+        })
+        .collect();
+    let nets: Vec<NetId> = levels
+        .iter()
+        .map(|_| pair.both(|ckt| ckt.push_net()))
+        .collect();
+    let mut ids: Vec<Vec<GateId>> = vec![Vec::new(); levels.len()];
+    let mut toggle = |pair: &mut Pair, lvl: usize| {
+        if ids[lvl].is_empty() {
+            for (kind, qubits) in &levels[lvl] {
+                ids[lvl].push(pair.both(|ckt| ckt.insert_gate(*kind, nets[lvl], qubits).unwrap()));
+            }
+        } else {
+            for id in ids[lvl].drain(..) {
+                pair.both(|ckt| ckt.remove_gate(id).unwrap());
+            }
+        }
+    };
+    for lvl in 0..levels.len() {
+        toggle(&mut pair, lvl);
+    }
+    pair.update();
+    let built = pair.lean.memory_stats().owned_bytes;
+    for round in 0..100 {
+        let lvl = rng.random_range(0..levels.len());
+        for way in ["out", "back in"] {
+            let ctx = format!("round {round}: level {lvl} {way}");
+            toggle(&mut pair, lvl);
+            pair.update();
+            let held = pair.lean.memory_stats().owned_bytes;
+            assert!(
+                2 * held <= 3 * built,
+                "{ctx}: {held} bytes held, {built} after the build"
+            );
+            let lean = pair.lean.latest_snapshot().unwrap().state();
+            let retained = pair.retained.latest_snapshot().unwrap().state();
+            assert_eq!(lean, retained, "{ctx}: transient rows changed the state");
+            let want = naive_state(pair.lean.circuit());
+            assert!(
+                vecops::approx_eq(&lean, &want, 1e-10),
+                "{ctx}: off the oracle by {}",
+                vecops::max_abs_diff(&lean, &want)
+            );
+            assert_eq!(pair.lean.audit(), vec![], "{ctx}: audit");
+        }
+    }
+}
+
+/// Replays are counted where runs are counted. In a chain of nine X
+/// rows on blocks of 4 amplitudes, the fifth row took the fourth's
+/// buffers; removing it re-runs the rows after it, whose first reads land
+/// on the fourth row's evicted entries, so the run replays that row and
+/// `partitions_executed` counts it on top of what the every-row-retained
+/// twin runs.
+#[test]
+fn replayed_partitions_count_as_executed() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut pair = Pair::new(5, cfg);
+    let gates: Vec<GateId> = (0..9u8)
+        .map(|i| {
+            let net = pair.both(|ckt| ckt.push_net());
+            pair.both(|ckt| ckt.insert_gate(GateKind::X, net, &[i % 3]).unwrap())
+        })
+        .collect();
+    pair.update();
+    pair.both(|ckt| ckt.remove_gate(gates[4]).unwrap());
+    let lean = pair.lean.update_state().unwrap();
+    let retained = pair.retained.update_state().unwrap();
+    assert!(
+        lean.partitions_executed > retained.partitions_executed,
+        "{} executed, {} without replays",
+        lean.partitions_executed,
+        retained.partitions_executed
+    );
+    pair.check("after the replay");
 }
