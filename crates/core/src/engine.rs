@@ -1562,8 +1562,8 @@ mod tests {
     /// third row is a checkpoint (⌈√9⌉ = 3), every other row hands its
     /// buffers to the next one, and the last row copies, so it leaves
     /// its predecessor held. Its removal then needs no simulation; the
-    /// next removal re-materializes the evicted entry it uncovers, and an
-    /// insert inside the chain re-materializes what it reads.
+    /// next removal replays the evicted entry it uncovers, and an
+    /// insert inside the chain replays what it reads.
     #[test]
     fn transient_rows_evict_and_rematerialize() {
         let mut cfg = SimConfig::with_block_size(4);
@@ -1602,7 +1602,7 @@ mod tests {
         assert_eq!(owned(&ckt), 3 * blocks, "no simulation");
         ckt.remove_gate(gates[7]).unwrap();
         let snap = ckt.snapshot();
-        assert_eq!(held_rows(&ckt), vec![3, 6, 7], "row 7 re-materialized");
+        assert_eq!(held_rows(&ckt), vec![3, 6, 7], "row 7 replayed");
         assert!(snap.amplitude(1).is_one(1e-12), "seven X gates");
 
         let extra = ckt.insert_net_after(nets[0]).unwrap();

@@ -122,7 +122,7 @@ impl Pair {
 fn transient_rows_match_every_row_retained() {
     let mut rng = StdRng::seed_from_u64(0x7_2a45);
     // Buffers the lean engine held without the retained one holding them
-    // fewer, and captures that had to re-materialize a tail.
+    // fewer, and captures that had to replay a tail.
     let (mut leaner, mut rematerialized, mut pinned_checks) = (0, 0, 0);
     for trial in 0..6 {
         let n = rng.random_range(4..=6u8);
@@ -193,7 +193,7 @@ fn transient_rows_match_every_row_retained() {
                 // Three linear tail nets run together, then the last two
                 // removed and read back with no update in between: the
                 // first one's buffers went to the second, so the capture
-                // re-materializes them.
+                // replays them.
                 7 => {
                     let mut tail = Vec::new();
                     for _ in 0..3 {
