@@ -235,6 +235,11 @@ pub struct Ckt {
     written_run: Vec<u64>,
     /// The run's partitions in row order, kept to reuse the allocation.
     run_order: Vec<PartId>,
+    /// Partitions inserted since the last update; those still live are
+    /// the new ones of its run. The graph's own count cannot tell: a
+    /// snapshot's replay run passes a pending frontier through, after
+    /// which the graph counts those nodes as reused.
+    new_parts: Vec<PartId>,
     /// Every row a checkpoint (`test_support::retain_every_row`).
     pub(crate) retain_all: bool,
 }
@@ -286,6 +291,7 @@ impl Ckt {
             last_writer: vec![None; geom.num_blocks()],
             written_run: vec![0; geom.num_blocks()],
             run_order: Vec::new(),
+            new_parts: Vec::new(),
             retain_all: false,
         }
     }
@@ -913,16 +919,16 @@ impl Ckt {
                     RowKind::MxV => 1,
                     RowKind::Linear(_) => spec.num_tasks(chunk) as u32,
                 };
-                let pass = Default::default();
                 let part = Partition {
                     row: row_id,
                     spec,
-                    pass,
+                    pass: Default::default(),
                 };
                 self.graph.insert(part, chunks, Arc::clone(&row.label))
             })
             .collect();
         self.pending_links.extend_from_slice(&pids);
+        self.new_parts.extend_from_slice(&pids);
         self.rows[row_id.key()].parts = pids;
     }
 
@@ -953,7 +959,9 @@ impl Ckt {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
         if self.graph.dirty_len() == 0 && self.latest.is_some() && self.snap_dirty.is_empty() {
-            // Nothing to execute, and the latest snapshot is current.
+            // Nothing to execute, and the latest snapshot is current. Every
+            // partition inserted since the last update was removed again.
+            self.new_parts.clear();
             let report = UpdateReport {
                 norm_error: self.last_norm_error,
                 graph_nodes_patched: self.graph.take_patches(),
@@ -971,9 +979,13 @@ impl Ckt {
         qtask_faults::fault_point!("engine/update_build");
         self.resolve_stats.reset();
         let run = self.plan_run();
-        // Detach the previous snapshot spine *before* execution, so that
-        // tasks reclaim the buffers of blocks no reader pins (the warm
-        // update allocates nothing); pinned ones fork — MVCC isolation.
+        // Detach the previous snapshot spine *before* execution: blocks
+        // this update will rewrite (the blocks dirty partitions write,
+        // plus blocks of removed rows) are dropped from the engine's own
+        // copy, so when no external reader shares the snapshot, the
+        // re-executing tasks can reclaim their buffers and the warm
+        // update stays allocation-free. A reader-held snapshot keeps its
+        // pins and the rewritten blocks fork instead — MVCC isolation.
         let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
@@ -987,6 +999,10 @@ impl Ckt {
             }
         }
         drop(fuse_span);
+        // Stage the run. The graph's structure (nodes, edges, chunk fans)
+        // was patched in place by the modifiers that dirtied these
+        // partitions, so no closures are boxed, no edges re-wired,
+        // nothing proportional to the circuit.
         let build_span = qtask_obs::span!("update/build");
         // Structural patches accumulated since the previous update — the
         // graph-maintenance cost of the edit window now being absorbed.
@@ -1000,6 +1016,11 @@ impl Ckt {
         drop(kernel_span);
         let (blocks_resolved, owner_probes) = self.resolve_stats.snapshot();
         let stats = stats?;
+        let (graph, new_parts) = (&self.graph, &mut self.new_parts);
+        let new = new_parts
+            .drain(..)
+            .filter(|&p| graph.get(p).is_some())
+            .count();
         qtask_faults::fault_point!("engine/update_publish");
         let snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
         let report = UpdateReport {
@@ -1012,7 +1033,7 @@ impl Ckt {
             owner_probes,
             snapshot_blocks_resolved,
             norm_error: self.last_norm_error,
-            graph_nodes_reused: stats.nodes_reused,
+            graph_nodes_reused: stats.nodes_run - new,
             graph_nodes_patched,
             staged_ops: std::mem::take(&mut self.staged_ops_pending),
         };
@@ -1075,11 +1096,17 @@ impl Ckt {
         self.plan_replay(run, reads);
         let mut i = 0;
         for parts in order.chunk_by(|a, b| self.graph[*a].row == self.graph[*b].row) {
-            // A sync row owns nothing: its stamp is moot. The stamp also
-            // clears a replay's from a checkpoint.
+            // A sync row owns nothing: its stamp is moot. A checkpoint's
+            // stamp of 0 also clears one a replay left.
             let row = &mut self.rows[self.graph[parts[0]].row.key()];
-            i += usize::from(!matches!(row.kind, RowKind::Sync));
-            row.transient = run * u64::from(!self.retain_all && i % step != 0);
+            if !matches!(row.kind, RowKind::Sync) {
+                i += 1;
+            }
+            row.transient = if !self.retain_all && i % step != 0 {
+                run
+            } else {
+                0
+            };
         }
         self.run_order = order;
         run
@@ -1159,6 +1186,8 @@ impl Ckt {
     /// as run `run`: the one place where partitions execute.
     fn execute(&mut self, run: u64) -> Result<DirtyRunStats, EngineError> {
         let chunk = self.geom.grain() as u64;
+        // Built field by field, not from `exec_view`: that borrows the
+        // whole engine, and `run_dirty` borrows the graph mutably.
         let view = ExecView {
             rows: &self.rows,
             owners: &self.owners,
@@ -1168,8 +1197,10 @@ impl Ckt {
             run,
             last_writer: &self.last_writer,
         };
-        // Dispatch on the row kind; a linear fan's chunk index gives its
-        // item sub-range (Figure 6's intra-gate operation parallelism).
+        // This per-run closure dispatches a node's partition on its row
+        // kind; a pass executes nothing. Chunked linear fans receive their
+        // chunk index and recompute the item sub-range (Figure 6's
+        // intra-gate operation parallelism).
         let invoke = move |part: &Partition, chunk_idx: u32| match view.rows[part.row.key()].kind {
             _ if part.pass.load(Ordering::Relaxed) == run => {}
             RowKind::Sync => unreachable!("sync barriers are never invoked"),
@@ -1179,8 +1210,11 @@ impl Ckt {
                 exec::exec_linear_partition(view, part, s..(s + chunk).min(part.spec.item_end));
             }
         };
-        // A panicking task cancels its dependents and leaves the rows
-        // torn: poison; `recover` rebuilds from the circuit.
+        // `run_dirty` survives panicking tasks the same way `try_run`
+        // does: dependents are cancelled, the rest drain, and the first
+        // panic is reported here instead of unwinding a worker. Some
+        // partitions ran, some were cancelled: the row state is torn.
+        // Poison; `recover` rebuilds from the circuit.
         let run_result = self.executor.run_dirty(&mut self.graph, &invoke);
         run_result.map_err(|task_panic| self.poison_with(task_panic.to_string()))
     }
@@ -1300,16 +1334,20 @@ impl Ckt {
         let _snapshot_span = qtask_obs::span!("update/snapshot");
         let stats = ResolveStats::default();
         let resolve_span = qtask_obs::span!("update/resolve");
-        // Taken so the norm cache can be written; restored, capacity too.
-        let snap_dirty = std::mem::take(&mut self.snap_dirty);
-        let every = 0..if resolve_all { blocks.len() } else { 0 };
-        for b in every.chain(snap_dirty.iter().copied().filter(|_| !resolve_all)) {
-            let data = self.resolve_final_data(b, &stats);
-            let data = data.expect("a publication's replays hold the final entries");
-            self.block_norms[b] = block_norm(b, &data);
-            blocks.set(b, data);
+        if resolve_all {
+            for b in 0..blocks.len() {
+                self.publish_block(b, &mut blocks, &stats);
+            }
+        } else {
+            // Take the dirty set so its iteration doesn't hold `&self`
+            // while the norm cache is written; its capacity is restored
+            // below to keep the warm path allocation-free.
+            let snap_dirty = std::mem::take(&mut self.snap_dirty);
+            for &b in &snap_dirty {
+                self.publish_block(b, &mut blocks, &stats);
+            }
+            self.snap_dirty = snap_dirty;
         }
-        self.snap_dirty = snap_dirty;
         drop(resolve_span);
         // The write set becomes this publication's delta — captured
         // before the dirty set is cleared, skipped (no allocation) when
@@ -1371,6 +1409,16 @@ impl Ckt {
             }
         }
         Ok(blocks_resolved)
+    }
+
+    /// Resolves block `b`'s final entry into `blocks` and refreshes its
+    /// norm. The run or `snapshot()` that precedes a publication replays
+    /// every evicted final entry it reads, so the entry is held.
+    fn publish_block(&mut self, b: usize, blocks: &mut Spine, stats: &ResolveStats) {
+        let data = self.resolve_final_data(b, stats);
+        let data = data.expect("a publication's replays hold the final entries");
+        self.block_norms[b] = block_norm(b, &data);
+        blocks.set(b, data);
     }
 
     /// Registers a publication observer (e.g. a view registry). The hook

@@ -515,3 +515,42 @@ fn replayed_partitions_count_as_executed() {
     );
     pair.check("after the replay");
 }
+
+/// A snapshot that replays runs a pending frontier through its run as
+/// passes, and the frontier stays new. Two tail removals from a chain of
+/// X rows leave the final entries of the first survivor evicted, a gate
+/// is inserted, and `snapshot()` replays the survivor before the update
+/// simulates the insert. That update executes the same new partitions
+/// as the every-row-retained twin's, which replayed nothing
+/// (`Pair::update`).
+#[test]
+fn snapshot_replay_leaves_pending_partitions_new() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut pair = Pair::new(5, cfg);
+    let gates: Vec<GateId> = (0..9u8)
+        .map(|i| {
+            let net = pair.both(|ckt| ckt.push_net());
+            pair.both(|ckt| ckt.insert_gate(GateKind::X, net, &[i % 3]).unwrap())
+        })
+        .collect();
+    pair.update();
+    for &g in gates[7..].iter().rev() {
+        pair.both(|ckt| ckt.remove_gate(g).unwrap());
+    }
+    let net = pair.both(|ckt| ckt.push_net());
+    pair.both(|ckt| ckt.insert_gate(GateKind::H, net, &[1]).unwrap());
+    let held = pair.lean.memory_stats().owned_blocks;
+    let lean = pair.lean.snapshot().state();
+    assert_eq!(
+        lean,
+        pair.retained.snapshot().state(),
+        "the snapshots diverged"
+    );
+    assert!(
+        pair.lean.memory_stats().owned_blocks > held,
+        "the snapshot replayed nothing"
+    );
+    pair.update();
+    pair.check("after the update");
+}
