@@ -54,9 +54,6 @@ impl QulacsLike {
         let pattern = match gate {
             LoweredGate::Identity => return,
             LoweredGate::Linear(op) => op.pattern(n),
-            LoweredGate::Dense {
-                controls, target, ..
-            } => kernels::dense_pattern(controls, target, n),
         };
         let top = top_qubit(controls, targets);
         // The serial dense kernel goes item by item when runs are single
@@ -72,8 +69,10 @@ impl QulacsLike {
                     slices::butterfly_slices(lo, hi, a01, a10)
                 }
                 LoweredGate::Linear(LinearOp::Swap { .. }) => lo.swap_with_slice(hi),
-                LoweredGate::Dense { mat, .. } if by_item => apply_pairs(&mat, lo, hi),
-                LoweredGate::Dense { mat, .. } => slices::mat2_butterfly_slices(
+                LoweredGate::Linear(LinearOp::Dense { mat, .. }) if by_item => {
+                    apply_pairs(&mat, lo, hi)
+                }
+                LoweredGate::Linear(LinearOp::Dense { mat, .. }) => slices::mat2_butterfly_slices(
                     lo,
                     hi,
                     mat.at(0, 0),

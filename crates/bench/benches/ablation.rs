@@ -1,13 +1,8 @@
-//! Ablations of qTask's §III-F design choices:
+//! Ablation of qTask's §III-F row-order policy: the paper orders a net's
+//! rows by increasing partition block count ("defer heavy partitions");
+//! compared against plain insertion order.
 //!
-//! * **Row-order policy** — the paper orders a net's non-superposition
-//!   rows by increasing partition block count ("defer heavy partitions");
-//!   compared against plain insertion order.
-//! * **MxV group cap** — how many superposition gates share one
-//!   matrix–vector row (group 1 = gate-at-a-time; larger groups halve
-//!   full-vector passes but square the per-amplitude source terms).
-//!
-//! Block size, the paper's third knob, is swept by `fig19_blocksize`.
+//! Block size, the paper's other knob, is swept by `fig19_blocksize`.
 
 use qtask_bench::*;
 use qtask_core::{RowOrderPolicy, SimConfig};
@@ -50,22 +45,6 @@ fn main() {
                 "{name:<12} {:<22} {full:>12.2} {inc:>12.2}",
                 format!("{policy:?}")
             );
-        }
-    }
-
-    println!("\nMxV group cap (superposition gates per matrix-vector row):");
-    println!(
-        "{:<12} {:>6} {:>12} {:>12}",
-        "circuit", "cap", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "ising", "dnn"] {
-        for cap in [1usize, 2, 3, 4] {
-            let config = SimConfig {
-                mxv_group_max: cap,
-                ..SimConfig::default()
-            };
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!("{name:<12} {cap:>6} {full:>12.2} {inc:>12.2}");
         }
     }
 }

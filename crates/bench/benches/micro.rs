@@ -150,20 +150,20 @@ fn phase_chain(depth: usize) -> Ckt {
 }
 
 /// Appends a trailing net with one H(q0) to `ckt` and simulates once.
-/// Afterwards the net's MxV row is the last row and owns every block, so
-/// toggling a second dense factor in that row is an O(1) modifier whose
-/// update re-executes all its block partitions — and each partition read
-/// resolves blocks *before* the MxV row, through the whole chain.
-fn with_trailing_mxv(mut ckt: Ckt) -> (Ckt, qtask_circuit::NetId) {
+/// Afterwards the H row is the last row and owns every block, so toggling
+/// a second H in that net is an O(1) modifier whose update re-executes
+/// its partitions — and each partition read resolves blocks *before*
+/// them, through the whole chain.
+fn with_trailing_h(mut ckt: Ckt) -> (Ckt, qtask_circuit::NetId) {
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
     ckt.update_state().unwrap();
     (ckt, net)
 }
 
-/// One steady-state toggle: dirty the trailing MxV row twice and
-/// re-simulate. No rows are created or removed, so the measured cost is
-/// block resolution plus a fixed executor floor.
+/// One steady-state toggle: add and remove a second trailing H, and
+/// re-simulate. The toggle patches one row in and out, so the measured
+/// cost is block resolution plus that patch and a fixed executor floor.
 fn toggle_once(ckt: &mut Ckt, net: qtask_circuit::NetId) -> u64 {
     let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let report = ckt.update_state().unwrap();
@@ -181,7 +181,7 @@ fn bench_deep_chain_resolution(c: &mut Criterion) {
     let mut g = c.benchmark_group("deep_chain_resolution");
     g.sample_size(20);
     for depth in [64usize, 256, 512, 1024] {
-        let (mut ckt, net) = with_trailing_mxv(phase_chain(depth));
+        let (mut ckt, net) = with_trailing_h(phase_chain(depth));
         g.bench_function(format!("owner_index_d{depth}"), |b| {
             b.iter(|| black_box(toggle_once(&mut ckt, net)))
         });

@@ -1,7 +1,7 @@
 //! Recovery latency vs circuit depth.
 //!
 //! [`Ckt::recover`] rebuilds every piece of derived sim state
-//! (partitions, rows, owner index, fused caches, snapshot chain) by
+//! (partitions, rows, owner index, snapshot chain) by
 //! fully re-executing the retained circuit, so its cost is the cost of
 //! a from-scratch simulation at the current depth. This bench charts
 //! that cost as the circuit deepens — the price of self-healing a
@@ -9,7 +9,7 @@
 //! root as the checked-in trajectory point.
 //!
 //! Depth here is nets; every net carries four gates on disjoint qubits
-//! (H, Rz, Cx) so each level adds both MxV and linear work.
+//! (H, Rz, Cx) so each level adds both superposition and phase/swap work.
 
 use qtask_bench::{harness_init, median_of, Opts};
 use qtask_core::{Ckt, SimConfig};

@@ -14,7 +14,7 @@ pub struct CircuitStats {
     pub cnots: usize,
     /// Number of nets (circuit depth).
     pub nets: usize,
-    /// Number of gates that create superposition (need the MxV path).
+    /// Number of gates that create superposition (2×2 pair rows).
     pub superposition_gates: usize,
     /// Gate histogram by QASM name.
     pub by_kind: BTreeMap<&'static str, usize>,

@@ -24,17 +24,6 @@ pub struct SimConfig {
     pub num_threads: usize,
     /// Row ordering policy within a net.
     pub row_order: RowOrderPolicy,
-    /// Maximum superposition gates grouped into one matrix–vector row.
-    ///
-    /// The paper groups *all* of a net's superposition gates into one MxV
-    /// row, whose on-the-fly row derivation costs `2^g` source terms per
-    /// output amplitude — exponential in the group size, fine at Figure
-    /// 2's scale but intractable for a rotation layer across 26 qubits.
-    /// We therefore chain several sync+MxV pairs per net once a group
-    /// exceeds this cap (grouping still halves the number of full-vector
-    /// passes relative to gate-at-a-time baselines). The ablation bench
-    /// sweeps this knob.
-    pub mxv_group_max: usize,
     /// Allowed `|norm² − 1|` at publication: beyond it the update fails
     /// with [`crate::EngineError::NormDrift`] and the engine poisons
     /// itself (see `DESIGN.md`, "Numerical health"). The default (1e-6)
@@ -49,7 +38,6 @@ impl Default for SimConfig {
             block_size: 256,
             num_threads: qtask_taskflow::default_threads(),
             row_order: RowOrderPolicy::SortedByBlockCount,
-            mxv_group_max: 2,
             norm_tolerance: 1e-6,
         }
     }
@@ -83,7 +71,6 @@ mod tests {
         assert_eq!(c.block_size, 256);
         assert_eq!(c.row_order, RowOrderPolicy::SortedByBlockCount);
         assert!(c.num_threads >= 1);
-        assert_eq!(c.mxv_group_max, 2);
         assert!(c.norm_tolerance > 0.0);
     }
 }

@@ -9,10 +9,9 @@
 //! materialized, so an untouched 26-qubit block costs nothing.
 //!
 //! Not every owned block keeps its buffer: within a run, a transient
-//! row hands it on to the block's next writer when that writer reads
-//! only the blocks it writes — a linear row, or an MxV row whose every
-//! target lies below the block width — which rewrites it in place, and
-//! the row's entry is *evicted*. Checkpoints (every
+//! row hands it on to the block's next writer, which rewrites it in
+//! place (every row reads only the blocks it writes), and the row's
+//! entry is *evicted*. Checkpoints (every
 //! ⌈√n⌉-th of the n rows run together) and each block's last two writers
 //! keep theirs, so a full simulation holds O(√n) states, not n. An
 //! evicted block is recomputed from the nearest held entry only when
@@ -27,9 +26,9 @@ use std::sync::Arc;
 /// `Arc<Vec<…>>` rather than `Arc<[…]>`: publishing a freshly computed
 /// buffer is then a pointer move instead of a second 4 KiB copy, and a
 /// uniquely held block can be taken — by the next writer of a transient
-/// row's block ([`crate::OwnerIndex::take_input`]), or back by its own
-/// row when its partition re-executes ([`crate::OwnerIndex::take_own`])
-/// — and rewritten in place without allocating.
+/// row's block, or back by its own row when its partition re-executes
+/// (both [`crate::OwnerIndex::take_input`]) — and rewritten in place
+/// without allocating.
 pub type BlockData = Arc<Vec<Complex64>>;
 
 /// The resolution result for one block.

@@ -1,13 +1,11 @@
 //! `dump_graph` (Table II): DOT rendering of the partition task graph.
 //!
 //! The output mirrors the paper's Figures 4/7/8: one node per partition
-//! labelled with its row and block range (`G8[2,3]`), `sync` nodes drawn
-//! as diamonds, MxV partitions as ellipses and multi-task linear
-//! partitions as boxes (they execute as joined chunk fans, like the `G6`
-//! subflow in Figure 12).
+//! labelled with its row and block range (`G8[2,3]`), multi-task
+//! partitions drawn as boxes (they execute as joined chunk fans, like the
+//! `G6` subflow in Figure 12) and the others as ellipses.
 
 use crate::engine::Ckt;
-use crate::row::RowKind;
 use std::io::{self, Write};
 
 impl Ckt {
@@ -19,16 +17,10 @@ impl Ckt {
         let chunk = self.geom.grain() as u64;
         for (pid, part) in self.graph.iter() {
             let row = &self.rows[part.row.key()];
-            let shape = match row.kind {
-                RowKind::Sync => "diamond",
-                RowKind::MxV => "ellipse",
-                RowKind::Linear(_) => {
-                    if part.spec.num_tasks(chunk) > 1 {
-                        "box"
-                    } else {
-                        "ellipse"
-                    }
-                }
+            let shape = if part.spec.num_tasks(chunk) > 1 {
+                "box"
+            } else {
+                "ellipse"
             };
             writeln!(
                 out,

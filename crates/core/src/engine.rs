@@ -5,9 +5,8 @@ use crate::cow::BlockData;
 use crate::delta::{block_norm_sqr, BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
 use crate::exec::{self, ExecView};
-use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
-use crate::row::{DenseFactor, PartId, Partition, Row, RowId, RowKind};
+use crate::row::{PartId, Partition, Row, RowId};
 use crate::snapshot::{QueryReport, SnapInner, StateSnapshot};
 use crate::spine::Spine;
 use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
@@ -21,50 +20,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a live gate maps onto simulation rows.
-pub(crate) enum GateSim {
-    /// The gate changes nothing (identity); it has no row.
-    Identity,
-    /// A non-superposition gate with its own row.
-    LinearRow(RowId),
-    /// A superposition gate folded into the given MxV row (whose sync row
-    /// is the second id).
-    DenseInMxV(RowId, RowId),
-}
-
-/// Per-net simulation bookkeeping.
-#[derive(Default)]
-pub(crate) struct NetSim {
-    /// `(sync, mxv)` row pairs in row order. The paper uses one pair per
-    /// net; we chain several once a group exceeds
-    /// [`SimConfig::mxv_group_max`].
-    pub(crate) mxv_pairs: Vec<(RowId, RowId)>,
-    /// Linear rows of this net, in row order.
-    pub(crate) linear: Vec<RowId>,
-}
-
-impl NetSim {
-    fn first_row(&self) -> Option<RowId> {
-        self.mxv_pairs
-            .first()
-            .map(|(sync, _)| *sync)
-            .or_else(|| self.linear.first().copied())
-    }
-
-    fn last_row(&self) -> Option<RowId> {
-        self.linear
-            .last()
-            .copied()
-            .or_else(|| self.mxv_pairs.last().map(|(_, mxv)| *mxv))
-    }
-}
-
 /// Statistics returned by [`Ckt::update_state`].
 #[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
     /// Partitions executed this update: the successor closure of the
-    /// frontier, new sync barriers included, plus the replays of the
-    /// evicted entries it reads and the passes that order them.
+    /// frontier, plus the replays of the evicted entries it reads and the
+    /// passes that order them.
     pub partitions_executed: usize,
     /// Total intra-partition tasks spawned.
     pub tasks_executed: usize,
@@ -181,8 +142,10 @@ pub struct Ckt {
     pub(crate) config: SimConfig,
     pub(crate) executor: Arc<Executor>,
     pub(crate) rows: LinkedArena<Row>,
-    pub(crate) net_sim: HashMap<NetId, NetSim>,
-    pub(crate) gate_sim: HashMap<GateId, GateSim>,
+    /// Each net's rows, in row order.
+    pub(crate) net_rows: HashMap<NetId, Vec<RowId>>,
+    /// Each live gate's row; `None` for a gate that changes nothing.
+    pub(crate) gate_rows: HashMap<GateId, Option<RowId>>,
     /// Per-block sorted owner lists for O(log) COW resolution.
     pub(crate) owners: OwnerIndex,
     /// Per-block sorted cover lists for O(log) partition linking.
@@ -236,10 +199,11 @@ pub struct Ckt {
     /// The run's partitions in row order, kept to reuse the allocation.
     run_order: Vec<PartId>,
     /// Partitions inserted since the last update; those still live are
-    /// the new ones of its run. The graph's own count cannot tell: a
-    /// snapshot's replay run passes a pending frontier through, after
-    /// which the graph counts those nodes as reused.
+    /// the new ones of its run, even when a snapshot's replay run passed
+    /// them through before it.
     new_parts: Vec<PartId>,
+    /// The partitions the planned run replays ([`Ckt::plan_replay`]).
+    replayed: Vec<PartId>,
     /// Every row a checkpoint (`test_support::retain_every_row`).
     pub(crate) retain_all: bool,
 }
@@ -271,8 +235,8 @@ impl Ckt {
             config,
             executor,
             rows: LinkedArena::new(),
-            net_sim: HashMap::new(),
-            gate_sim: HashMap::new(),
+            net_rows: HashMap::new(),
+            gate_rows: HashMap::new(),
             owners: OwnerIndex::new(geom.num_blocks()),
             coverage: crate::coverage::CoverageIndex::new(geom.num_blocks()),
             pending_links: Vec::new(),
@@ -292,6 +256,7 @@ impl Ckt {
             written_run: vec![0; geom.num_blocks()],
             run_order: Vec::new(),
             new_parts: Vec::new(),
+            replayed: Vec::new(),
             retain_all: false,
         }
     }
@@ -554,9 +519,9 @@ impl Ckt {
         self.rows.len()
     }
 
-    /// Current frontier size: the partitions marked for the next update,
-    /// new sync barriers included. Their successors re-run too, but join
-    /// the frontier only when the update closes it.
+    /// Current frontier size: the partitions marked for the next update.
+    /// Their successors re-run too, but join the frontier only when the
+    /// update closes it.
     pub fn frontier_len(&self) -> usize {
         self.graph.dirty_len()
     }
@@ -568,7 +533,7 @@ impl Ckt {
     /// replays), never the simulation state, so it cannot tear.
     pub fn insert_net_front(&mut self) -> NetId {
         let id = self.circuit.insert_net_front();
-        self.net_sim.insert(id, NetSim::default());
+        self.net_rows.insert(id, Vec::new());
         id
     }
 
@@ -576,7 +541,7 @@ impl Ckt {
     /// [`Ckt::insert_net_front`]).
     pub fn push_net(&mut self) -> NetId {
         let id = self.circuit.push_net();
-        self.net_sim.insert(id, NetSim::default());
+        self.net_rows.insert(id, Vec::new());
         id
     }
 
@@ -584,7 +549,7 @@ impl Ckt {
     pub fn insert_net_after(&mut self, after: NetId) -> Result<NetId, EngineError> {
         self.ensure_healthy()?;
         let id = self.circuit.insert_net_after(after)?;
-        self.net_sim.insert(id, NetSim::default());
+        self.net_rows.insert(id, Vec::new());
         Ok(id)
     }
 
@@ -592,7 +557,7 @@ impl Ckt {
     pub fn insert_net_before(&mut self, before: NetId) -> Result<NetId, EngineError> {
         self.ensure_healthy()?;
         let id = self.circuit.insert_net_before(before)?;
-        self.net_sim.insert(id, NetSim::default());
+        self.net_rows.insert(id, Vec::new());
         Ok(id)
     }
 
@@ -611,7 +576,7 @@ impl Ckt {
             self.remove_gate_inner(gid)?;
         }
         self.circuit.remove_net(net)?;
-        self.net_sim.remove(&net);
+        self.net_rows.remove(&net);
         Ok(())
     }
 
@@ -650,32 +615,12 @@ impl Ckt {
         self.gate_seq += 1;
         let seq = self.gate_seq;
         let gate = *self.circuit.gate(gid).expect("gate just inserted");
-        let lowered = qtask_partition::lower_gate(gate.kind(), gate.control_mask(), gate.targets());
-        match lowered {
-            LoweredGate::Identity => {
-                self.gate_sim.insert(gid, GateSim::Identity);
-            }
-            LoweredGate::Linear(op) => {
-                let row_id = self.create_linear_row(gid, net, op, seq);
-                self.gate_sim.insert(gid, GateSim::LinearRow(row_id));
-            }
-            LoweredGate::Dense {
-                controls,
-                target,
-                mat,
-            } => {
-                let (mxv, sync) = self.add_dense_factor(
-                    net,
-                    DenseFactor {
-                        gate: gid,
-                        controls,
-                        target,
-                        mat,
-                    },
-                );
-                self.gate_sim.insert(gid, GateSim::DenseInMxV(mxv, sync));
-            }
-        }
+        let row =
+            match qtask_partition::lower_gate(gate.kind(), gate.control_mask(), gate.targets()) {
+                LoweredGate::Identity => None,
+                LoweredGate::Linear(op) => Some(self.create_row(net, op, seq)),
+            };
+        self.gate_rows.insert(gid, row);
         Ok(gid)
     }
 
@@ -692,30 +637,10 @@ impl Ckt {
         let net = self.circuit.gate_net(gate).ok_or(CircuitError::StaleGate)?;
         let removed = self.circuit.remove_gate(gate)?;
         qtask_faults::fault_point!("engine/remove_gate");
-        match self.gate_sim.remove(&gate).expect("gate had sim info") {
-            GateSim::Identity => {}
-            GateSim::LinearRow(row_id) => {
-                self.remove_row(row_id);
-                let sim = self.net_sim.get_mut(&net).expect("net is live");
-                sim.linear.retain(|r| *r != row_id);
-            }
-            GateSim::DenseInMxV(mxv, sync) => {
-                let row = self.rows.get_mut(mxv.key()).expect("MxV row is live");
-                row.dense.retain(|f| f.gate != gate);
-                row.fused = None;
-                if row.dense.is_empty() {
-                    // The group lost its last gate: drop this MxV + sync
-                    // pair.
-                    let sim = self.net_sim.get_mut(&net).expect("net is live");
-                    sim.mxv_pairs.retain(|(s, m)| (*s, *m) != (sync, mxv));
-                    self.remove_row(mxv);
-                    self.remove_row(sync);
-                } else {
-                    // The grouped operator changed: re-simulate all its
-                    // partitions.
-                    self.mark_row_dirty(mxv);
-                }
-            }
+        if let Some(row_id) = self.gate_rows.remove(&gate).expect("gate had sim info") {
+            self.remove_row(row_id);
+            let rows = self.net_rows.get_mut(&net).expect("net is live");
+            rows.retain(|r| *r != row_id);
         }
         Ok(removed)
     }
@@ -727,7 +652,7 @@ impl Ckt {
     fn net_anchor(&self, net: NetId) -> Option<RowId> {
         let mut cur = self.circuit.prev_net(net);
         while let Some(n) = cur {
-            if let Some(r) = self.net_sim.get(&n).and_then(|s| s.last_row()) {
+            if let Some(&r) = self.net_rows.get(&n).and_then(|rows| rows.last()) {
                 return Some(r);
             }
             cur = self.circuit.prev_net(n);
@@ -744,181 +669,53 @@ impl Ckt {
         }
     }
 
-    fn new_row(&self, net: NetId, kind: RowKind, gate: Option<GateId>, label: String) -> Row {
-        Row {
-            net,
-            kind,
-            gate,
-            dense: Vec::new(),
-            fused: None,
-            parts: Vec::new(),
-            max_part_blocks: 0,
-            transient: 0,
-            label: std::sync::Arc::from(label),
-        }
-    }
-
-    fn create_linear_row(
-        &mut self,
-        gid: GateId,
-        net: NetId,
-        op: qtask_partition::LinearOp,
-        seq: u64,
-    ) -> RowId {
+    /// Lowers a gate's op into a row of its net, placed per the
+    /// row-order policy: Sorted keeps the net's rows by ascending max
+    /// partition block count.
+    fn create_row(&mut self, net: NetId, op: qtask_partition::LinearOp, seq: u64) -> RowId {
         let specs = derive_partitions(&op.pattern(self.num_qubits()), &self.geom);
         let max_blocks = specs.iter().map(|s| s.num_blocks()).max().unwrap_or(0);
-        let label = format!("G{seq}");
-        let mut row = self.new_row(net, RowKind::Linear(op), Some(gid), label);
-        row.max_part_blocks = max_blocks;
-        // Position within the net per the row-order policy: linear rows go
-        // after the net's sync/MxV rows; Sorted keeps them by ascending
-        // max partition block count.
-        let sim = self.net_sim.get(&net).expect("net is live");
+        let row = Row {
+            net,
+            op,
+            parts: Vec::new(),
+            max_part_blocks: max_blocks,
+            transient: 0,
+            label: Arc::from(format!("G{seq}")),
+        };
+        let net_rows = &self.net_rows[&net];
         let insert_idx = match self.config.row_order {
-            RowOrderPolicy::SortedByBlockCount => sim
-                .linear
+            RowOrderPolicy::SortedByBlockCount => net_rows
                 .iter()
                 .position(|r| self.rows[r.key()].max_part_blocks > max_blocks)
-                .unwrap_or(sim.linear.len()),
-            RowOrderPolicy::Append => sim.linear.len(),
+                .unwrap_or(net_rows.len()),
+            RowOrderPolicy::Append => net_rows.len(),
         };
-        let row_id = if insert_idx < sim.linear.len() {
-            let before = sim.linear[insert_idx];
-            RowId(self.rows.insert_before(before.key(), row))
-        } else {
-            // After the net's current last row, or after the net anchor.
-            let after = sim.last_row().or_else(|| self.net_anchor(net));
-            self.insert_row_after(after, row)
+        let row_id = match net_rows.get(insert_idx) {
+            Some(before) => RowId(self.rows.insert_before(before.key(), row)),
+            None => {
+                // After the net's current last row, or after the net anchor.
+                let after = net_rows.last().copied().or_else(|| self.net_anchor(net));
+                self.insert_row_after(after, row)
+            }
         };
-        self.net_sim
-            .get_mut(&net)
-            .expect("net is live")
-            .linear
-            .insert(insert_idx, row_id);
+        let net_rows = self.net_rows.get_mut(&net).expect("net is live");
+        net_rows.insert(insert_idx, row_id);
         self.create_partitions(row_id, specs);
         row_id
     }
 
-    /// Adds a dense factor to the net's newest MxV row with spare
-    /// capacity, or opens a fresh sync+MxV pair. Returns `(mxv, sync)`.
-    pub(crate) fn add_dense_factor(&mut self, net: NetId, factor: DenseFactor) -> (RowId, RowId) {
-        let sim = self.net_sim.get(&net).expect("net is live");
-        // A factor re-added on the same (controls, target) replaces the
-        // stale entry — in whichever of the net's chained pairs holds it —
-        // instead of stacking a second copy. The circuit layer rejects two
-        // *live* gates sharing a qubit in one net, so a match here can
-        // only be a leftover of the same logical gate being re-registered.
-        // Index iteration with per-step re-lookup keeps the modifier path
-        // clone-free.
-        for idx in (0..sim.mxv_pairs.len()).rev() {
-            let (sync, mxv) = self.net_sim[&net].mxv_pairs[idx];
-            let row = self.rows.get_mut(mxv.key()).expect("MxV row is live");
-            if let Some(existing) = row
-                .dense
-                .iter_mut()
-                .find(|f| f.controls == factor.controls && f.target == factor.target)
-            {
-                *existing = factor;
-                row.fused = None;
-                self.mark_row_dirty(mxv);
-                return (mxv, sync);
-            }
-        }
-        if let Some(&(sync, mxv)) = self.net_sim[&net].mxv_pairs.last() {
-            let row = self.rows.get_mut(mxv.key()).expect("MxV row is live");
-            if row.dense.len() < self.config.mxv_group_max {
-                row.dense.push(factor);
-                row.dense.sort_by_key(|f| f.target);
-                row.fused = None;
-                self.mark_row_dirty(mxv);
-                return (mxv, sync);
-            }
-        }
-        // Open a new sync + MxV pair: after the net's last MxV row, before
-        // its linear rows ("we first group superposition gates…").
-        let net_label = self.circuit.net_position(net).unwrap_or(0) + 1;
-        let group_idx = sim.mxv_pairs.len();
-        let anchor = match sim.mxv_pairs.last() {
-            Some(&(_, last_mxv)) => Some(last_mxv),
-            None => match sim.first_row() {
-                Some(f) => self.rows.prev(f.key()).map(RowId),
-                None => self.net_anchor(net),
-            },
-        };
-        let sync_row_id = self.insert_row_after(
-            anchor,
-            self.new_row(
-                net,
-                RowKind::Sync,
-                None,
-                format!("sync{group_idx}(net{net_label})"),
-            ),
-        );
-        let mut mxv_row = self.new_row(
-            net,
-            RowKind::MxV,
-            None,
-            format!("MxV{group_idx}(net{net_label})"),
-        );
-        // MxV: one partition per grain of blocks (the grain is a whole
-        // number of blocks and divides the state).
-        let span = (self.geom.grain() / self.geom.block_size()) as u32;
-        mxv_row.dense.push(factor);
-        mxv_row.max_part_blocks = span;
-        let mxv_row_id = RowId(self.rows.insert_after(sync_row_id.key(), mxv_row));
-        self.net_sim
-            .get_mut(&net)
-            .expect("net is live")
-            .mxv_pairs
-            .push((sync_row_id, mxv_row_id));
-        // Sync: one full-range partition (a pure barrier, owns no data).
-        let nb = self.geom.num_blocks() as u32;
-        self.create_partitions(
-            sync_row_id,
-            vec![PartitionSpec {
-                block_lo: 0,
-                block_hi: nb - 1,
-                item_start: 0,
-                item_end: 0,
-            }],
-        );
-        let mxv_specs: Vec<PartitionSpec> = (0..nb)
-            .step_by(span as usize)
-            .map(|b| PartitionSpec {
-                block_lo: b,
-                block_hi: b + span - 1,
-                item_start: 0,
-                item_end: 0,
-            })
-            .collect();
-        self.create_partitions(mxv_row_id, mxv_specs);
-        (mxv_row_id, sync_row_id)
-    }
-
-    /// Puts every partition of a row on the frontier.
-    fn mark_row_dirty(&mut self, row_id: RowId) {
-        for &pid in &self.rows[row_id.key()].parts {
-            self.graph.mark_dirty(pid);
-        }
-    }
-
     /// Inserts a row's partitions as retained nodes — new nodes start
     /// dirty, so they are on the frontier — and queues them for
-    /// [`Ckt::link_pending`]. The chunk count fixes each node's execution
-    /// shape: sync rows are pure barriers, MxV partitions one call each
-    /// (a grain of blocks), linear partitions fan out one chunk per grain
-    /// of items.
+    /// [`Ckt::link_pending`]. A partition fans out one chunk per grain of
+    /// items, its node's execution shape.
     fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) {
         let chunk = self.geom.grain() as u64;
         let row = &self.rows[row_id.key()];
         let pids: Vec<PartId> = specs
             .into_iter()
             .map(|spec| {
-                let chunks = match row.kind {
-                    RowKind::Sync => 0,
-                    RowKind::MxV => 1,
-                    RowKind::Linear(_) => spec.num_tasks(chunk) as u32,
-                };
+                let chunks = spec.num_tasks(chunk) as u32;
                 let part = Partition {
                     row: row_id,
                     spec,
@@ -988,17 +785,6 @@ impl Ckt {
         // pins and the rewritten blocks fork instead — MVCC isolation.
         let (spine, resolve_all) = self.detach_spine();
         drop(partition_span);
-        // Refresh the fused MxV operators of dirty rows before the tasks
-        // that read them are spawned (serial: the operators are row state).
-        let fuse_span = qtask_obs::span!("update/fuse");
-        for &pid in self.graph.dirty_nodes() {
-            let rid = self.graph[pid].row;
-            let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
-            if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty() {
-                row.fused = FusedOp::build(&row.dense);
-            }
-        }
-        drop(fuse_span);
         // Stage the run. The graph's structure (nodes, edges, chunk fans)
         // was patched in place by the modifiers that dirtied these
         // partitions, so no closures are boxed, no edges re-wired,
@@ -1016,6 +802,7 @@ impl Ckt {
         drop(kernel_span);
         let (blocks_resolved, owner_probes) = self.resolve_stats.snapshot();
         let stats = stats?;
+        self.evict_replayed(run);
         let (graph, new_parts) = (&self.graph, &mut self.new_parts);
         let new = new_parts
             .drain(..)
@@ -1046,8 +833,8 @@ impl Ckt {
     /// Plans the run of the closed dirty set in row order (serial): adds
     /// the blocks it writes to the snapshot's dirty set, records their
     /// last writers, replays each evicted entry the run or the next
-    /// publication would read, and stamps every row that writes
-    /// transient but each ⌈√n⌉-th of those n, a checkpoint. A read after
+    /// publication would read, and stamps every row transient but each
+    /// ⌈√n⌉-th of the n it runs, a checkpoint. A read after
     /// a block's first writer in the run reads a writer of the run, since
     /// the dirty set is successor-closed, so only reads before it are
     /// checked, and the publication's only for blocks the run leaves.
@@ -1063,24 +850,16 @@ impl Ckt {
         order.sort_unstable_by_key(|&pid| label(graph[pid].row));
         // A row's partitions sit together: they share its label.
         let same_row = |a: &PartId, b: &PartId| graph[*a].row == graph[*b].row;
-        let writes = |pid: PartId| !matches!(rows[graph[pid].row.key()].kind, RowKind::Sync);
-        let n_rows = order.chunk_by(same_row).filter(|p| writes(p[0])).count();
+        let n_rows = order.chunk_by(same_row).count();
         let step = (1..).find(|s| s * s >= n_rows).expect("a square root");
         let mut reads = Vec::new();
         for parts in order.chunk_by(same_row) {
             let row = graph[parts[0]].row;
-            let kind = &rows[row.key()].kind;
+            let op = &rows[row.key()].op;
             let limit = label(row);
-            // A non-local MxV row reads every block before it, the blocks
-            // its run partitions write included.
-            let reads_all = rows[row.key()].reads_all_blocks(self.geom.block_size());
-            if reads_all {
-                let first = (0..self.geom.num_blocks()).filter(|&b| self.written_run[b] != run);
-                reads.extend(first.map(|b| (b, limit)));
-            }
             for &pid in parts {
-                for b in graph[pid].written_blocks(kind, &self.geom, n) {
-                    if !reads_all && self.written_run[b] != run {
+                for b in graph[pid].written_blocks(op, &self.geom, n) {
+                    if self.written_run[b] != run {
                         reads.push((b, limit));
                     }
                     self.written_run[b] = run;
@@ -1094,15 +873,13 @@ impl Ckt {
             reads.push((b, u64::MAX));
         }
         self.plan_replay(run, reads);
-        let mut i = 0;
-        for parts in order.chunk_by(|a, b| self.graph[*a].row == self.graph[*b].row) {
-            // A sync row owns nothing: its stamp is moot. A checkpoint's
-            // stamp of 0 also clears one a replay left.
+        for (i, parts) in order
+            .chunk_by(|a, b| self.graph[*a].row == self.graph[*b].row)
+            .enumerate()
+        {
+            // A checkpoint's stamp of 0 also clears one a replay left.
             let row = &mut self.rows[self.graph[parts[0]].row.key()];
-            if !matches!(row.kind, RowKind::Sync) {
-                i += 1;
-            }
-            row.transient = if !self.retain_all && i % step != 0 {
+            row.transient = if !self.retain_all && (i + 1) % step != 0 {
                 run
             } else {
                 0
@@ -1122,7 +899,8 @@ impl Ckt {
     fn plan_replay(&mut self, run: u64, mut reads: Vec<(usize, u64)>) -> bool {
         let (rows, graph, geom, n) = (&self.rows, &self.graph, self.geom, self.num_qubits());
         let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
-        let mut replay = Vec::new();
+        let mut replay = std::mem::take(&mut self.replayed);
+        replay.clear();
         let mut seen = HashSet::new();
         while let Some((b, limit)) = reads.pop() {
             let Some(evicted) = self.owners.evicted_before(b, limit, label) else {
@@ -1135,12 +913,8 @@ impl Ckt {
             }
             qtask_faults::fault_point!("engine/replay");
             let (row, limit) = (&rows[evicted.key()], label(evicted));
-            if row.reads_all_blocks(geom.block_size()) {
-                reads.extend((0..geom.num_blocks()).map(|b| (b, limit)));
-            } else {
-                let inputs = graph[pid].written_blocks(&row.kind, &geom, n);
-                reads.extend(inputs.map(|b| (b, limit)));
-            }
+            let inputs = graph[pid].written_blocks(&row.op, &geom, n);
+            reads.extend(inputs.map(|b| (b, limit)));
             replay.push(pid);
         }
         for &pid in &replay {
@@ -1154,23 +928,17 @@ impl Ckt {
         let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
         let runs = |p: PartId| graph.is_dirty(p) && graph[p].pass.load(Ordering::Relaxed) != run;
         let pending = |p: PartId| graph.is_dirty(p) && !runs(p);
-        let kind = |p: PartId| &rows[graph[p].row.key()].kind;
-        let writes = |p: PartId, c| graph[p].written_blocks(kind(p), &geom, n).any(|b| b == c);
-        // A cover reads a block in the run when it runs, or when its row
-        // reads every block and runs anywhere.
-        let reads = |p: PartId| {
-            let row = &rows[graph[p].row.key()];
-            runs(p) || row.reads_all_blocks(geom.block_size()) && row.parts.iter().any(|&q| runs(q))
-        };
+        let op = |p: PartId| &rows[graph[p].row.key()].op;
+        let writes = |p: PartId, c| graph[p].written_blocks(op(p), &geom, n).any(|b| b == c);
         let mut passes = Vec::new();
         for &pid in &replay {
             let at = label(graph[pid].row);
-            for c in graph[pid].written_blocks(kind(pid), &geom, n) {
+            for c in graph[pid].written_blocks(op(pid), &geom, n) {
                 let covers = self.coverage.covers_of(c);
                 let after = &covers[covers.partition_point(|&x| label(graph[x].row) <= at)..];
                 // The next writer of `c`, passing over a pending one.
                 let next = after.iter().position(|&x| writes(x, c) && !pending(x));
-                if let Some(i) = next.filter(|&i| reads(after[i])) {
+                if let Some(i) = next.filter(|&i| runs(after[i])) {
                     passes.extend(after[..i].iter().filter(|&&x| !graph.is_dirty(x)));
                 }
             }
@@ -1179,7 +947,27 @@ impl Ckt {
             self.graph[x].pass.store(run, Ordering::Relaxed);
             self.graph.mark_dirty(x);
         }
-        !replay.is_empty()
+        self.replayed = replay;
+        !self.replayed.is_empty()
+    }
+
+    /// Evicts what run `run`'s replays wrote and no node of the run took.
+    /// A replay writes its partition's whole span, but its reader may
+    /// need only some of those blocks; the rest would stay held, stamped
+    /// transient, which a full run never leaves, and edit by edit the
+    /// held bytes would climb. Final entries and the ones before them
+    /// stay, as after a full run.
+    fn evict_replayed(&mut self, run: u64) {
+        let (rows, graph, geom, n) = (&self.rows, &self.graph, self.geom, self.num_qubits());
+        let label = |r: RowId| rows.order_label(r.key()).expect("run rows are live");
+        for &pid in &self.replayed {
+            let row = &rows[graph[pid].row.key()];
+            if row.transient == run {
+                for b in graph[pid].written_blocks(&row.op, &geom, n) {
+                    self.owners.evict_unless_final(b, graph[pid].row, label);
+                }
+            }
+        }
     }
 
     /// Executes the graph's dirty set, patched in place by the modifiers,
@@ -1197,15 +985,12 @@ impl Ckt {
             run,
             last_writer: &self.last_writer,
         };
-        // This per-run closure dispatches a node's partition on its row
-        // kind; a pass executes nothing. Chunked linear fans receive their
-        // chunk index and recompute the item sub-range (Figure 6's
-        // intra-gate operation parallelism).
-        let invoke = move |part: &Partition, chunk_idx: u32| match view.rows[part.row.key()].kind {
-            _ if part.pass.load(Ordering::Relaxed) == run => {}
-            RowKind::Sync => unreachable!("sync barriers are never invoked"),
-            RowKind::MxV => exec::exec_mxv_partition(view, part),
-            RowKind::Linear(_) => {
+        // This per-run closure executes one chunk of a node's partition;
+        // a pass executes nothing. Chunks receive their index and
+        // recompute the item sub-range (Figure 6's intra-gate operation
+        // parallelism).
+        let invoke = move |part: &Partition, chunk_idx: u32| {
+            if part.pass.load(Ordering::Relaxed) != run {
                 let s = part.spec.item_start + chunk_idx as u64 * chunk;
                 exec::exec_linear_partition(view, part, s..(s + chunk).min(part.spec.item_end));
             }
@@ -1287,6 +1072,7 @@ impl Ckt {
             let reads = self.snap_dirty.iter().map(|&b| (b, u64::MAX)).collect();
             if self.plan_replay(run, reads) {
                 self.execute(run)?;
+                self.evict_replayed(run);
                 for pid in pending {
                     self.graph.mark_dirty(pid);
                 }
@@ -1431,8 +1217,8 @@ impl Ckt {
 
     /// Validates the owner index's structure: every list is in row order
     /// and names only live rows; a row with no partition on the frontier
-    /// owns exactly the blocks it writes (its MxV partition spans, or the
-    /// span blocks its linear pattern touches), any other row a subset of
+    /// owns exactly the blocks it writes (the span blocks its pattern
+    /// touches), any other row a subset of
     /// them. An evicted entry, which has no buffer, still counts as owned.
     /// O(rows × blocks); tests only.
     pub fn validate_owner_index(&self) -> Result<(), String> {
@@ -1475,136 +1261,6 @@ fn block_norm(b: usize, slot: &Option<BlockData>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Re-registering a factor on the same (controls, target) must replace
-    /// the stale entry, not stack a second copy into the product.
-    #[test]
-    fn readded_dense_factor_replaces_instead_of_stacking() {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.num_threads = 1;
-        let mut ckt = Ckt::with_config(4, cfg);
-        let net = ckt.push_net();
-        let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-        ckt.update_state().unwrap();
-        let GateSim::DenseInMxV(mxv, _) = ckt.gate_sim[&gid] else {
-            panic!("H gate must fold into an MxV row");
-        };
-        assert!(ckt.rows[mxv.key()].fused.is_some(), "cache built by update");
-        // Re-register the same logical gate with a different matrix,
-        // bypassing the circuit layer's net-conflict check (which is what
-        // keeps two *live* gates off one qubit).
-        let u = GateKind::U3(0.3, 0.8, 1.1).base_matrix().unwrap();
-        let (mxv2, _) = ckt.add_dense_factor(
-            net,
-            crate::row::DenseFactor {
-                gate: gid,
-                controls: 0,
-                target: 1,
-                mat: u,
-            },
-        );
-        assert_eq!(mxv2, mxv);
-        let row = &ckt.rows[mxv.key()];
-        assert_eq!(row.dense.len(), 1, "factor replaced, not stacked");
-        assert!(row.dense[0].mat.approx_eq(&u, 0.0), "newest matrix wins");
-        assert!(row.fused.is_none(), "replacement invalidates the cache");
-        // The simulated state reflects U3 alone, not H·U3.
-        ckt.update_state().unwrap();
-        let mut want = qtask_num::vecops::ket_zero(4);
-        qtask_partition::kernels::apply_dense(0, 1, &u, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(
-            &ckt.latest_snapshot().unwrap().state(),
-            &want,
-            1e-12
-        ));
-    }
-
-    /// The replace scan covers every chained pair of the net, not just
-    /// the newest: a stale factor in an earlier MxV row is found too.
-    #[test]
-    fn readded_factor_replaces_in_earlier_chained_pair() {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.num_threads = 1;
-        cfg.mxv_group_max = 1; // every dense gate opens its own pair
-        let mut ckt = Ckt::with_config(4, cfg);
-        let net = ckt.push_net();
-        let g0 = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-        let g1 = ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
-        let (GateSim::DenseInMxV(m0, _), GateSim::DenseInMxV(m1, _)) =
-            (&ckt.gate_sim[&g0], &ckt.gate_sim[&g1])
-        else {
-            panic!("both H gates must fold into MxV rows");
-        };
-        let (m0, m1) = (*m0, *m1);
-        assert_ne!(m0, m1, "cap 1 chains two pairs");
-        ckt.update_state().unwrap();
-        // Re-register g0's (controls, target) — held by the *earlier*
-        // pair — with a different matrix.
-        let u = GateKind::U3(0.3, 0.8, 1.1).base_matrix().unwrap();
-        let (hit, _) = ckt.add_dense_factor(
-            net,
-            crate::row::DenseFactor {
-                gate: g0,
-                controls: 0,
-                target: 1,
-                mat: u,
-            },
-        );
-        assert_eq!(hit, m0, "replacement lands in the earlier pair");
-        assert_eq!(ckt.rows[m0.key()].dense.len(), 1);
-        assert!(ckt.rows[m0.key()].dense[0].mat.approx_eq(&u, 0.0));
-        assert_eq!(ckt.rows[m1.key()].dense.len(), 1, "later pair untouched");
-        ckt.update_state().unwrap();
-        let h = GateKind::H.base_matrix().unwrap();
-        let mut want = qtask_num::vecops::ket_zero(4);
-        qtask_partition::kernels::apply_dense(0, 1, &u, 4, &mut want);
-        qtask_partition::kernels::apply_dense(0, 3, &h, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(
-            &ckt.latest_snapshot().unwrap().state(),
-            &want,
-            1e-12
-        ));
-    }
-
-    /// Distinct (controls, target) factors still stack into the group up
-    /// to the cap — replacement is keyed, not unconditional.
-    #[test]
-    fn distinct_factors_still_group() {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.num_threads = 1;
-        cfg.mxv_group_max = 2;
-        let mut ckt = Ckt::with_config(4, cfg);
-        let net = ckt.push_net();
-        let g0 = ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-        let g1 = ckt.insert_gate(GateKind::H, net, &[2]).unwrap();
-        let (GateSim::DenseInMxV(m0, _), GateSim::DenseInMxV(m1, _)) =
-            (&ckt.gate_sim[&g0], &ckt.gate_sim[&g1])
-        else {
-            panic!("both H gates must fold into MxV rows");
-        };
-        let (m0, m1) = (*m0, *m1);
-        assert_eq!(m0, m1, "both factors share one row under the cap");
-        assert_eq!(ckt.rows[m0.key()].dense.len(), 2);
-        // A third dense gate overflows the cap into a fresh pair.
-        let g2 = ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
-        let GateSim::DenseInMxV(m2, _) = ckt.gate_sim[&g2] else {
-            panic!("third H gate must fold into an MxV row");
-        };
-        assert_ne!(m2, m0);
-        // Identity matrix check: simulate and compare against the flat
-        // kernels applied gate-at-a-time.
-        ckt.update_state().unwrap();
-        let h = GateKind::H.base_matrix().unwrap();
-        let mut want = qtask_num::vecops::ket_zero(4);
-        for t in [0u8, 2, 3] {
-            qtask_partition::kernels::apply_dense(0, t, &h, 4, &mut want);
-        }
-        assert!(qtask_num::vecops::approx_eq(
-            &ckt.latest_snapshot().unwrap().state(),
-            &want,
-            1e-12
-        ));
-    }
 
     /// A chain of nine linear rows over every block, run together: every
     /// third row is a checkpoint (⌈√9⌉ = 3), every other row hands its
@@ -1660,32 +1316,37 @@ mod tests {
         assert_eq!(ckt.audit(), vec![]);
     }
 
-    /// Dense gate removal invalidates the fused operator; the next update
-    /// rebuilds it for the shrunken group.
+    /// A net's superposition gates are rows of their own: a dense gate
+    /// re-added on the qubit of a removed one replaces it instead of
+    /// stacking on it, and each step re-simulates to the flat kernels
+    /// applied gate at a time.
     #[test]
-    fn dense_removal_invalidates_fused_cache() {
+    fn readded_dense_factor_replaces_instead_of_stacking() {
         let mut cfg = SimConfig::with_block_size(4);
         cfg.num_threads = 1;
         let mut ckt = Ckt::with_config(4, cfg);
         let net = ckt.push_net();
-        let g0 = ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-        let g1 = ckt.insert_gate(GateKind::H, net, &[2]).unwrap();
-        ckt.update_state().unwrap();
-        let GateSim::DenseInMxV(mxv, _) = ckt.gate_sim[&g0] else {
-            panic!("H gate must fold into an MxV row");
+        let gates: Vec<GateId> = [0u8, 2, 3]
+            .iter()
+            .map(|&t| ckt.insert_gate(GateKind::H, net, &[t]).unwrap())
+            .collect();
+        assert_eq!(ckt.num_rows(), 3, "one row per dense gate");
+        let check = |ckt: &mut Ckt, gates: &[(GateKind, u8)]| {
+            ckt.update_state().unwrap();
+            let mut want = qtask_num::vecops::ket_zero(4);
+            for &(kind, t) in gates {
+                qtask_partition::kernels::apply_gate(kind, 0, &[t], &mut want);
+            }
+            let got = ckt.latest_snapshot().unwrap().state();
+            assert!(qtask_num::vecops::approx_eq(&got, &want, 1e-12));
         };
-        assert!(ckt.rows[mxv.key()].fused.is_some());
-        ckt.remove_gate(g1).unwrap();
-        assert!(ckt.rows[mxv.key()].fused.is_none(), "removal invalidates");
-        ckt.update_state().unwrap();
-        assert!(ckt.rows[mxv.key()].fused.is_some(), "update rebuilds");
-        let h = GateKind::H.base_matrix().unwrap();
-        let mut want = qtask_num::vecops::ket_zero(4);
-        qtask_partition::kernels::apply_dense(0, 0, &h, 4, &mut want);
-        assert!(qtask_num::vecops::approx_eq(
-            &ckt.latest_snapshot().unwrap().state(),
-            &want,
-            1e-12
-        ));
+        let (h, u) = (GateKind::H, GateKind::U3(0.3, 0.8, 1.1));
+        check(&mut ckt, &[(h, 0), (h, 2), (h, 3)]);
+        ckt.remove_gate(gates[1]).unwrap();
+        check(&mut ckt, &[(h, 0), (h, 3)]);
+        ckt.remove_gate(gates[0]).unwrap();
+        ckt.insert_gate(u, net, &[0]).unwrap();
+        check(&mut ckt, &[(u, 0), (h, 3)]);
+        assert_eq!(ckt.audit(), vec![]);
     }
 }

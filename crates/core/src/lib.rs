@@ -30,9 +30,10 @@
 //!
 //! * Each gate contributes a **row** — its private logical state vector,
 //!   stored copy-on-write per block ([`cow`]) in the owner index
-//!   ([`owners`]). A net's superposition gates share one matrix–vector
-//!   row preceded by a `sync` row. Rows run together are transient
-//!   between ⌈√n⌉-spaced checkpoints: a linear row rewrites its
+//!   ([`owners`]). A superposition gate's row applies its 2×2 matrix to
+//!   amplitude pairs, as other rows scale or swap them (the paper's
+//!   sync + matrix–vector rows are not built). Rows run together are
+//!   transient between ⌈√n⌉-spaced checkpoints: a row rewrites its
 //!   predecessor's buffer in place, and an evicted block is recomputed
 //!   from the nearest held one only when read again.
 //! * Rows split into **partitions** of consecutive blocks ([`qtask_partition`]);
@@ -57,7 +58,6 @@ pub mod dump;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod fused;
 pub mod owners;
 pub mod pgraph;
 pub mod queries;

@@ -20,8 +20,8 @@
 //! 3. a binary search over the rest, O(log owners-of-block), independent
 //!    of circuit depth.
 //!
-//! Reads "before label `limit`" (snapshot capture, a non-local MxV row's
-//! sources) take steps 2 and 3. A publish inserts at the position its
+//! Reads "before label `limit`" (snapshot capture, run planning) take
+//! steps 2 and 3. A publish inserts at the position its
 //! take returned, with no search of its own.
 //!
 //! # Consistency model
@@ -37,8 +37,8 @@
 //! * **Engine mutation** (`&mut Ckt`): row removal strips the row's
 //!   entries before the row leaves the arena ([`OwnerIndex::remove`]).
 //! * **Task execution** (shared `&Ckt` via [`crate::exec::ExecView`]): a
-//!   task takes its row's buffer of a block ([`OwnerIndex::take_own`]) or
-//!   its transient predecessor's ([`OwnerIndex::take_input`]), rewrites
+//!   task takes its row's buffer of a block or its transient
+//!   predecessor's ([`OwnerIndex::take_input`]), rewrites
 //!   it, and [`publish`](OwnerIndex::publish)es it back, inserting the
 //!   entry on the row's first execution. The partition graph's
 //!   dependency edges order every task that writes a block against every
@@ -275,7 +275,9 @@ impl OwnerIndex {
     /// nothing else shares it; a shared buffer stays published and the
     /// caller writes a fresh one. Returns it with the position for
     /// [`Self::publish`]. Only the row's own task may call this: the
-    /// entry stays out until it publishes.
+    /// entry stays out until it publishes. Tests use it to place a buffer;
+    /// tasks take theirs through [`Self::take_input`].
+    #[cfg(test)]
     pub fn take_own(
         &self,
         b: usize,
@@ -292,7 +294,7 @@ impl OwnerIndex {
     /// search, counted as one resolution: the predecessor entry's buffer,
     /// evicting the entry, when `takeable` says its row may lose it and
     /// nothing else holds it; else the block resolved before `row`, with
-    /// the row's own buffer as for [`Self::take_own`]. Returns the
+    /// the row's own buffer when nothing else shares it. Returns the
     /// position for [`Self::publish`]. Panics when the resolution lands
     /// on an entry without a buffer.
     pub fn take_input(
@@ -343,6 +345,17 @@ impl OwnerIndex {
         }
         list.data[pos] = Some(data);
         list.finger = pos;
+    }
+
+    /// Evicts `row`'s entry of block `b` unless it is the block's final
+    /// entry or the one before it, which a final writer copies from and
+    /// leaves held (removing the final writer then needs no simulation).
+    pub fn evict_unless_final(&self, b: usize, row: RowId, label_of: impl Fn(RowId) -> u64) {
+        let mut list = self.blocks[b].lock();
+        let pos = list.locate(row, label_of).0;
+        if pos + 2 < list.rows.len() && list.rows[pos] == row {
+            list.data[pos] = None;
+        }
     }
 
     /// Removes `row`'s entry of block `b`. Returns whether it had one.

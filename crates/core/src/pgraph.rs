@@ -30,8 +30,7 @@ impl Ckt {
     /// Links every partition created since the last pass: registers each
     /// in the coverage index and adds its edges, the queue taken in row
     /// order. Called once at the end of [`Ckt::from_circuit`], at the end
-    /// of every public modifier (a batch of one row or one sync + MxV
-    /// pair) and inside [`Ckt::edit`] commits, before any removal — whose
+    /// of every public modifier (a batch of one row) and inside [`Ckt::edit`] commits, before any removal — whose
     /// orphan re-scan needs a complete index — and at the end.
     ///
     /// Per (partition, block), registration returns the block's nearest
@@ -44,8 +43,9 @@ impl Ckt {
     /// block at the time it is added, and every pair of nearest covers is
     /// joined. A whole-circuit build appends to every list: no search,
     /// and none of the redundant `pred → succ` edges that replaying it
-    /// gate at a time leaves behind whenever a later-inserted row (a
-    /// net's sync + MxV pair, say) lands between two linked ones.
+    /// gate at a time leaves behind whenever a later-inserted row (one
+    /// sorted in front of its net's wider rows, say) lands between two
+    /// linked ones.
     ///
     /// ## Deviation from the paper: no transitive-edge pruning
     ///

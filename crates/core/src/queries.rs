@@ -25,8 +25,8 @@ pub struct MemStats {
     /// Partitions currently alive.
     pub partitions: usize,
     /// Block buffers the rows hold: owner-index entries not evicted.
-    /// After any run, full or incremental, those of the checkpoints, the
-    /// untaken MxV rows and each block's last two writers — not every
+    /// After any run, full or incremental, those of the checkpoints and
+    /// each block's last two writers — not every
     /// row's: a replayed segment hands its buffers on as a run does.
     pub owned_blocks: usize,
     /// Bytes of those buffers' amplitudes.

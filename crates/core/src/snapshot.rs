@@ -13,9 +13,9 @@
 //!
 //! Snapshots share block buffers with the engine's copy-on-write rows —
 //! no amplitude is copied at capture. Isolation falls out of the COW
-//! discipline: a task rewrites a buffer in place — its own row's
-//! ([`crate::OwnerIndex::take_own`]) or a transient predecessor's
-//! ([`crate::OwnerIndex::take_input`]) — only when *no other holder
+//! discipline: a task rewrites a buffer in place — its own row's or a
+//! transient predecessor's ([`crate::OwnerIndex::take_input`]) — only
+//! when *no other holder
 //! shares it*, so a buffer pinned by a live snapshot is forked, never
 //! mutated, and its entry is never evicted. When nothing external holds
 //! the previous snapshot, the writer steals its spine and keeps the

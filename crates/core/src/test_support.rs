@@ -1,7 +1,7 @@
 //! Hidden hooks for the workspace's own integration tests.
 //!
-//! The allocation-profile test (`tests/mxv_alloc.rs`) must re-run the MxV
-//! and linear execution paths *in isolation* — outside `update_state`,
+//! The allocation-profile test (`tests/mxv_alloc.rs`) must re-run the
+//! partition execution path *in isolation* — outside `update_state`,
 //! whose graph construction legitimately allocates — inside a binary
 //! whose global allocator counts every heap call. The engine internals it
 //! needs are `pub(crate)`, so this module re-exposes exactly the
@@ -13,23 +13,13 @@
 
 use crate::engine::Ckt;
 use crate::exec;
-use crate::row::{PartId, RowKind};
+use crate::row::PartId;
 use qtask_num::Complex64;
 
-/// All partitions of MxV rows, in row order.
-pub fn mxv_partitions(ckt: &Ckt) -> Vec<PartId> {
-    partitions_of_kind(ckt, |kind| matches!(kind, RowKind::MxV))
-}
-
-/// All partitions of linear rows, in row order.
+/// All partitions, in row order.
 pub fn linear_partitions(ckt: &Ckt) -> Vec<PartId> {
-    partitions_of_kind(ckt, |kind| matches!(kind, RowKind::Linear(_)))
-}
-
-fn partitions_of_kind(ckt: &Ckt, want: impl Fn(&RowKind) -> bool) -> Vec<PartId> {
     ckt.rows
         .keys()
-        .filter(|k| want(&ckt.rows[*k].kind))
         .flat_map(|k| ckt.rows[k].parts.clone())
         .collect()
 }
@@ -52,16 +42,7 @@ pub fn full_state(ckt: &mut Ckt) -> Vec<Complex64> {
     ckt.snapshot().state()
 }
 
-/// Re-executes the given MxV partitions once, serially, on the calling
-/// thread — the body an incremental update would run for them.
-pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
-    let view = ckt.exec_view(&ckt.resolve_stats);
-    for &pid in pids {
-        exec::exec_mxv_partition(view, &ckt.graph[pid]);
-    }
-}
-
-/// Re-executes the given linear partitions once, serially, on the
+/// Re-executes the given partitions once, serially, on the
 /// calling thread, each as a single whole-range task (the `n_tasks <= 1`
 /// shape of `update_state`), taking no predecessor's buffer. Idempotent:
 /// tasks re-materialize their blocks from the *previous* row's resolved

@@ -51,8 +51,7 @@ pub struct EditReceipt {
     /// Nets removed.
     pub nets_removed: usize,
     /// Frontier size after commit — the partitions the next
-    /// [`Ckt::update_state`] will start from, new sync barriers
-    /// included.
+    /// [`Ckt::update_state`] will start from.
     pub frontier_len: usize,
 }
 

@@ -38,11 +38,7 @@ fn assert_matches_oracle(ckt: &Ckt, what: &str) {
 /// Builds the paper's Figure 2 circuit on a [`Ckt`], returning the net and
 /// gate handles in Listing 1's naming.
 fn figure2_ckt(block_size: usize) -> (Ckt, Vec<qtask_circuit::NetId>, Vec<qtask_circuit::GateId>) {
-    // The paper groups all of a net's superposition gates into one MxV
-    // row; lift the engineering cap so the figures' structure reproduces.
-    let mut cfg = SimConfig::with_block_size(block_size);
-    cfg.mxv_group_max = usize::MAX;
-    let mut ckt = Ckt::with_config(5, cfg);
+    let mut ckt = Ckt::with_config(5, SimConfig::with_block_size(block_size));
     let net1 = ckt.insert_net_front();
     let net2 = ckt.insert_net_after(net1).unwrap();
     let net3 = ckt.insert_net_after(net2).unwrap();
@@ -87,13 +83,21 @@ fn figure2_full_simulation() {
 #[test]
 fn figure2_partition_structure() {
     let (ckt, _, _) = figure2_ckt(4);
-    // 8 MxV partitions + 1 sync + G6 (1) + G7 (2) + G8 (2) + G9 (2) = 16.
-    assert_eq!(ckt.num_partitions(), 16);
-    // Rows: sync + MxV + 4 CNOT rows.
-    assert_eq!(ckt.num_rows(), 6);
+    // The paper lowers net 1's Hadamards to a sync barrier and one MxV
+    // row; here each is a pair row of its own, sorted by partition width:
+    // H on q2, q1, q0 (G3–G5, four two-block partitions each), H on q3
+    // (G2, two), H on q4 (G1, one over all eight blocks), then the CNOTs.
+    assert_eq!(ckt.num_rows(), 9);
+    assert_eq!(ckt.num_partitions(), 3 * 4 + 2 + 1 + 1 + 2 + 2 + 2);
     let dot = ckt.dump_graph_string();
-    assert!(dot.contains("sync"));
-    assert!(dot.contains("MxV"));
+    assert!(!dot.contains("sync") && !dot.contains("MxV"), "{dot}");
+    for h in ["G3", "G4", "G5"] {
+        for span in ["[0,1]", "[2,3]", "[4,5]", "[6,7]"] {
+            assert!(dot.contains(&format!("{h}{span}")), "{dot}");
+        }
+    }
+    assert!(dot.contains("G2[0,3]") && dot.contains("G2[4,7]"));
+    assert!(dot.contains("G1[0,7]\" shape=box"), "{dot}");
     // G6's single partition spans blocks 4..7 and is a chunk fan (box).
     assert!(dot.contains("G6[4,7]\" shape=box"), "{dot}");
     assert!(dot.contains("G7[4,5]"));
@@ -138,27 +142,58 @@ fn incremental_update_touches_fewer_partitions() {
     assert_matches_oracle(&ckt, "last-net insertion");
 }
 
-/// A dense gate in a new tail net opens a sync + MxV pair. No dirty
-/// partition reaches the new sync barrier, but it is new, so it runs:
-/// `partitions_executed` counts the pair's MxV partitions plus the one
-/// sync — the nodes the update actually runs.
+/// A dense gate in a new tail net is one pair row. No dirty partition
+/// reaches it, but it is new, so it runs: `partitions_executed` counts
+/// exactly its partitions, and `tasks_executed` their chunks.
 #[test]
-fn new_tail_pair_counts_its_sync_barrier() {
+fn new_tail_dense_row_counts_its_partitions() {
     let (mut ckt, _, _) = figure2_ckt(4);
     ckt.update_state().unwrap();
     let before = ckt.debug_partitions().len();
     let tail = ckt.push_net();
     ckt.insert_gate(GateKind::H, tail, &[0]).unwrap();
-    let parts = ckt.debug_partitions();
-    let added = &parts[before..];
-    let syncs = added.iter().filter(|p| p.0.starts_with("sync")).count();
-    let mxvs = added.iter().filter(|p| p.0.starts_with("MxV")).count();
-    assert_eq!((syncs, mxvs + syncs), (1, added.len()), "{added:?}");
-    assert_eq!(ckt.frontier_len(), mxvs + 1);
+    let added = ckt.debug_partitions().split_off(before);
+    assert!(added.iter().all(|p| p.0 == "G10"), "{added:?}");
+    assert_eq!(ckt.frontier_len(), added.len());
     let report = ckt.update_state().unwrap();
-    assert_eq!(report.partitions_executed, mxvs + 1);
-    assert_eq!(report.tasks_executed, mxvs);
+    assert_eq!(report.partitions_executed, added.len());
+    assert_eq!(report.tasks_executed, added.len(), "one grain each");
     assert_matches_oracle(&ckt, "tail H");
+}
+
+/// A dense gate reaches only the partitions whose blocks it writes: a
+/// CCX controlled by q4 and q5 writes the quarter of the blocks where
+/// both are set, so of the H on q3 after it only the partition over those
+/// blocks re-runs.
+#[test]
+fn dense_row_reruns_only_the_cone_of_an_edit() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 1;
+    let mut ckt = Ckt::with_config(6, cfg);
+    let first = ckt.push_net();
+    let last = ckt.push_net();
+    for q in [4, 5] {
+        ckt.insert_gate(GateKind::H, first, &[q]).unwrap();
+    }
+    ckt.insert_gate(GateKind::H, last, &[3]).unwrap();
+    ckt.update_state().unwrap();
+    let h_parts = |ckt: &Ckt| {
+        ckt.debug_partitions()
+            .iter()
+            .filter(|p| p.0 == "G3")
+            .count()
+    };
+    assert_eq!(h_parts(&ckt), 4);
+    let mid = ckt.insert_net_after(first).unwrap();
+    ckt.insert_gate(GateKind::Ccx, mid, &[4, 5, 0]).unwrap();
+    let ccx_parts = ckt.frontier_len();
+    let report = ckt.update_state().unwrap();
+    let h_run = report.partitions_executed - ccx_parts;
+    assert!(
+        h_run < h_parts(&ckt),
+        "{h_run} of the H row's partitions ran"
+    );
+    assert_matches_oracle(&ckt, "CCX before H");
 }
 
 #[test]
@@ -191,17 +226,15 @@ fn identity_gates_create_no_rows() {
     assert!(ckt.latest_snapshot().unwrap().amplitude(0).is_one(1e-12));
 }
 
+/// Each superposition gate is a row of its own, like any other gate.
 #[test]
-fn dense_gates_group_into_one_mxv_row() {
-    let mut cfg = SimConfig::with_block_size(4);
-    cfg.mxv_group_max = usize::MAX;
-    let mut ckt = Ckt::with_config(4, cfg);
+fn dense_gates_are_one_row_each() {
+    let mut ckt = Ckt::with_config(4, SimConfig::with_block_size(4));
     let net = ckt.push_net();
     for q in 0..4 {
         ckt.insert_gate(GateKind::H, net, &[q]).unwrap();
     }
-    // One sync + one MxV row despite four dense gates.
-    assert_eq!(ckt.num_rows(), 2);
+    assert_eq!(ckt.num_rows(), 4);
     ckt.update_state().unwrap();
     assert_matches_oracle(&ckt, "H⊗4 net");
     let amp = 1.0 / 4.0;
@@ -212,36 +245,12 @@ fn dense_gates_group_into_one_mxv_row() {
 }
 
 #[test]
-fn capped_mxv_groups_chain_and_match_oracle() {
-    // With the default cap of 2, a net of 5 Hadamards becomes 3 chained
-    // sync+MxV pairs; results must be identical, and removing gates must
-    // drop exactly the emptied pair.
-    let mut ckt = Ckt::with_config(5, SimConfig::with_block_size(4));
-    assert_eq!(SimConfig::default().mxv_group_max, 2);
-    let net = ckt.push_net();
-    let mut hs = Vec::new();
-    for q in 0..5 {
-        hs.push(ckt.insert_gate(GateKind::H, net, &[q]).unwrap());
-    }
-    assert_eq!(ckt.num_rows(), 6); // 3 × (sync + MxV)
-    ckt.validate_graph().unwrap();
-    ckt.update_state().unwrap();
-    assert_matches_oracle(&ckt, "chained MxV groups");
-    // Remove the 5th H (alone in its pair): rows drop by 2.
-    ckt.remove_gate(hs[4]).unwrap();
-    assert_eq!(ckt.num_rows(), 4);
-    ckt.validate_graph().unwrap();
-    ckt.update_state().unwrap();
-    assert_matches_oracle(&ckt, "chained MxV after removal");
-}
-
-#[test]
-fn removing_last_dense_gate_drops_mxv_and_sync() {
+fn removing_a_dense_gate_drops_its_row() {
     let mut ckt = Ckt::with_config(3, SimConfig::with_block_size(2));
     let net = ckt.push_net();
     let h = ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
     let x = ckt.insert_gate(GateKind::X, net, &[1]).unwrap();
-    assert_eq!(ckt.num_rows(), 3); // sync + MxV + X row
+    assert_eq!(ckt.num_rows(), 2);
     ckt.update_state().unwrap();
     ckt.remove_gate(h).unwrap();
     assert_eq!(ckt.num_rows(), 1);
@@ -265,7 +274,7 @@ fn cow_shares_untouched_blocks() {
     ckt.insert_gate(GateKind::Cx, net2, &[4, 3]).unwrap();
     ckt.update_state().unwrap();
     let stats = ckt.memory_stats();
-    // MxV owns all 8 blocks; the CNOT row owns only blocks 4..7.
+    // The H row owns all 8 blocks; the CNOT row owns only blocks 4..7.
     assert_eq!(stats.owned_blocks, 8 + 4);
     assert_matches_oracle(&ckt, "cow sharing");
 }
@@ -438,8 +447,8 @@ fn level_by_level_protocol() {
 fn insert_into_middle_net_after_update() {
     let (mut ckt, nets, _) = figure2_ckt(4);
     ckt.update_state().unwrap();
-    // Insert a dense gate into net3 (which already has a CNOT): forces
-    // sync+MxV insertion *before* existing linear rows mid-chain.
+    // Insert a dense gate into net3 (which already has a CNOT): its row
+    // lands mid-chain, between existing linear rows.
     ckt.insert_gate(GateKind::Ry(0.9), nets[2], &[0]).unwrap();
     ckt.validate_graph().unwrap();
     ckt.update_state().unwrap();

@@ -1,4 +1,4 @@
-//! Allocation profile of the warm execution paths (MxV and linear).
+//! Allocation profile of the warm execution path and the warm update.
 //!
 //! This test lives in its own binary on purpose: it installs the counting
 //! global allocator and asserts exact counts over code regions, which only
@@ -52,157 +52,25 @@ fn engine() -> Ckt {
     Ckt::with_executor(6, cfg, executor)
 }
 
-/// Once the `FusedOp` cache is warm and the output buffers are
-/// materialized, re-executing MxV partitions — the body of a repeated
-/// incremental update — performs zero heap allocations.
-fn warm_mxv_reexecution_allocates_nothing() {
-    let mut ckt = engine();
-    let net = ckt.push_net();
-    // A two-factor group (the default cap), one gate controlled: the
-    // fused signature spans controls and targets.
-    ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-    ckt.insert_gate(GateKind::Ch, net, &[4, 2]).unwrap();
-    // First update builds the fused cache and materializes the buffers.
-    ckt.update_state().unwrap();
-    test_support::unpin_snapshot(&mut ckt);
-    let pids = test_support::mxv_partitions(&ckt);
-    assert!(!pids.is_empty());
-    // One more warm pass outside the measurement window (owner-index
-    // entries and lazily sized scratch reach steady state).
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let before = CountingAlloc::alloc_calls();
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let after = CountingAlloc::alloc_calls();
-    assert_eq!(
-        after - before,
-        0,
-        "warm fused MxV re-execution must not touch the heap"
-    );
-    // And the state is still right: H(1) · CH(4,2) on |0…0⟩ puts equal
-    // weight on |000000⟩ and |000010⟩.
-    let inv = 1.0 / 2.0f64.sqrt();
-    assert!((ckt.snapshot().amplitude(0).re - inv).abs() < 1e-12);
-    assert!((ckt.snapshot().amplitude(2).re - inv).abs() < 1e-12);
-    assert!(ckt.snapshot().probability(1 << 2) < 1e-20);
-}
-
-/// A block-local MxV group (every target below the 8-amplitude block's
-/// width) computes each block in the buffer that held its input, from a
-/// per-thread copy of it. Once that copy is sized, re-executing such
-/// groups, between linear rows and beside a non-local group, performs
-/// zero heap allocations too, and the state stays right.
-fn warm_block_local_mxv_reexecution_allocates_nothing() {
-    let mut ckt = engine();
-    // Re-executed outside a run, each MxV row reads its input from the
-    // row before it, so no entry may have been evicted.
-    test_support::retain_every_row(&mut ckt);
-    // Targets 0 and 2 lie inside the block (runs of one amplitude), the
-    // control 5 above it; the second local group runs two amplitudes at
-    // a time; H(4) reads other blocks.
-    let nets: [&[(GateKind, &[u8])]; 5] = [
-        &[(GateKind::X, &[1]), (GateKind::T, &[3])],
-        &[(GateKind::H, &[0]), (GateKind::Ch, &[5, 2])],
-        &[(GateKind::Cx, &[0, 3])],
-        &[(GateKind::U3(0.3, 0.8, 1.1), &[1]), (GateKind::H, &[4])],
-        &[(GateKind::T, &[2])],
-    ];
-    let mut want = qtask_num::vecops::ket_zero(6);
-    for gates in nets {
-        let net = ckt.push_net();
-        for &(kind, qubits) in gates {
-            ckt.insert_gate(kind, net, qubits).unwrap();
-            let (controls, targets) = qubits.split_at(kind.num_controls());
-            let mask = controls.iter().map(|&c| 1u64 << c).sum();
-            qtask_partition::kernels::apply_gate(kind, mask, targets, &mut want);
-        }
-    }
-    ckt.update_state().unwrap();
-    test_support::unpin_snapshot(&mut ckt);
-    let pids = test_support::mxv_partitions(&ckt);
-    assert!(!pids.is_empty());
-    // Warm pass: every entry holds a buffer, the scratch is sized.
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let before = CountingAlloc::alloc_calls();
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let after = CountingAlloc::alloc_calls();
-    assert_eq!(
-        after - before,
-        0,
-        "warm block-local MxV re-execution must not touch the heap"
-    );
-    assert!(qtask_num::vecops::approx_eq(
-        &test_support::full_state(&mut ckt),
-        &want,
-        1e-12
-    ));
-}
-
-/// A one-factor block-local MxV row rewrites each block in place as 2×2
-/// butterflies over the amplitudes and their partners across the target
-/// bit, with no copy of the input. On blocks of 8 amplitudes: H(1) by a
-/// real matrix, U3(2) by a complex one, CH(5→0) with its control above
-/// the block and CH(1→2) with it inside, between linear rows and beside
-/// H(4), which reads other blocks. Once every entry holds a buffer,
-/// re-executing them performs zero heap allocations, and the state stays
-/// right.
-fn warm_pair_mxv_reexecution_allocates_nothing() {
-    let mut ckt = engine();
-    // Re-executed outside a run, each MxV row reads its input from the
-    // row before it, so no entry may have been evicted.
-    test_support::retain_every_row(&mut ckt);
-    let nets: [&[(GateKind, &[u8])]; 7] = [
-        &[(GateKind::H, &[1]), (GateKind::X, &[5])],
-        &[(GateKind::U3(0.3, 0.8, 1.1), &[2]), (GateKind::T, &[1])],
-        &[(GateKind::Cx, &[3, 0])],
-        &[(GateKind::Ch, &[5, 0])],
-        &[(GateKind::H, &[4])],
-        &[(GateKind::Ch, &[1, 2])],
-        &[(GateKind::T, &[2])],
-    ];
-    let mut want = qtask_num::vecops::ket_zero(6);
-    for gates in nets {
-        let net = ckt.push_net();
-        for &(kind, qubits) in gates {
-            ckt.insert_gate(kind, net, qubits).unwrap();
-            let (controls, targets) = qubits.split_at(kind.num_controls());
-            let mask = controls.iter().map(|&c| 1u64 << c).sum();
-            qtask_partition::kernels::apply_gate(kind, mask, targets, &mut want);
-        }
-    }
-    ckt.update_state().unwrap();
-    test_support::unpin_snapshot(&mut ckt);
-    let pids = test_support::mxv_partitions(&ckt);
-    assert!(!pids.is_empty());
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let before = CountingAlloc::alloc_calls();
-    test_support::reexec_mxv_partitions(&ckt, &pids);
-    let after = CountingAlloc::alloc_calls();
-    assert_eq!(
-        after - before,
-        0,
-        "warm one-factor MxV re-execution must not touch the heap"
-    );
-    assert!(qtask_num::vecops::approx_eq(
-        &test_support::full_state(&mut ckt),
-        &want,
-        1e-12
-    ));
-}
-
-/// Linear-row parity: once the output buffers are materialized,
-/// re-executing linear partitions performs zero heap allocations too — diagonal, cross-block
-/// anti-diagonal, and controlled kinds alike.
+/// Once the output buffers are materialized, re-executing partitions
+/// performs zero heap allocations: diagonal, cross-block anti-diagonal,
+/// controlled and swap rows, and superposition gates with a target
+/// inside the 8-amplitude block, above it, and under a control.
 fn warm_linear_reexecution_allocates_nothing() {
     let mut ckt = engine();
-    // One gate per net, covering each linear kernel shape: Diag (T),
-    // AntiDiag crossing blocks (X on a high qubit), controlled AntiDiag
-    // (CNOT), and Swap.
-    for (kind, qubits) in [
+    // One gate per net, covering each kernel shape: Diag (T), AntiDiag
+    // crossing blocks (X on a high qubit), controlled AntiDiag (CNOT),
+    // Swap, and dense pairs (H low, Ry high, controlled H).
+    let gates = [
         (GateKind::T, &[1u8][..]),
         (GateKind::X, &[5]),
         (GateKind::Cx, &[2, 4]),
         (GateKind::Swap, &[0, 5]),
-    ] {
+        (GateKind::H, &[1]),
+        (GateKind::Ry(0.7), &[4]),
+        (GateKind::Ch, &[5, 2]),
+    ];
+    for (kind, qubits) in gates {
         let net = ckt.push_net();
         ckt.insert_gate(kind, net, qubits).unwrap();
     }
@@ -219,47 +87,22 @@ fn warm_linear_reexecution_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "warm linear re-execution must not touch the heap"
+        "warm re-execution must not touch the heap"
     );
-    // Linear re-execution is idempotent (blocks re-materialize from the
+    // Re-execution is idempotent (blocks re-materialize from the
     // previous row), so the state still matches the gate-at-a-time
     // oracle.
     let mut want = qtask_num::vecops::ket_zero(6);
-    let t = GateKind::T.base_matrix().unwrap();
-    let x = GateKind::X.base_matrix().unwrap();
-    qtask_partition::kernels::apply_dense(0, 1, &t, 6, &mut want);
-    qtask_partition::kernels::apply_dense(0, 5, &x, 6, &mut want);
-    qtask_partition::kernels::apply_dense(1 << 2, 4, &x, 6, &mut want);
-    qtask_partition::kernels::apply_gate(GateKind::Swap, 0, &[0, 5], &mut want);
+    for (kind, qubits) in gates {
+        let (controls, targets) = qubits.split_at(kind.num_controls());
+        let mask = controls.iter().map(|&c| 1u64 << c).sum();
+        qtask_partition::kernels::apply_gate(kind, mask, targets, &mut want);
+    }
     assert!(qtask_num::vecops::approx_eq(
         &ckt.snapshot().state(),
         &want,
         1e-12
     ));
-}
-
-/// The full `update_state` of a repeated incremental toggle stays cheap
-/// too: the fused cache rebuilds only when the factor group changes.
-fn fused_cache_survives_unrelated_updates() {
-    let mut ckt = engine();
-    let net = ckt.push_net();
-    ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-    let tail = ckt.push_net();
-    ckt.update_state().unwrap();
-    // Toggling a later linear gate must not disturb the MxV row's warm
-    // buffers or require re-resolving more than the dirty partitions.
-    for _ in 0..3 {
-        let gid = ckt.insert_gate(GateKind::Z, tail, &[0]).unwrap();
-        let report = ckt.update_state().unwrap();
-        assert!(report.partitions_executed > 0);
-        ckt.remove_gate(gid).unwrap();
-        // Removing the tail row leaves no dirty successors: the update is
-        // a no-op and queries see through the cleared COW layer.
-        ckt.update_state().unwrap();
-    }
-    let inv = 1.0 / 2.0f64.sqrt();
-    assert!((ckt.snapshot().amplitude(0).re - inv).abs() < 1e-12);
-    assert!((ckt.snapshot().amplitude(1).re - inv).abs() < 1e-12);
 }
 
 /// Retained-graph parity for the whole write path: once scratch, pools,
@@ -296,6 +139,11 @@ fn warm_retained_update_is_allocation_stable() {
         first, second,
         "steady-state toggles must have identical allocation profiles"
     );
+    // The toggles leave H(0) X(3)|0⟩: (|8⟩ + |9⟩)/√2.
+    let inv = 1.0 / 2.0f64.sqrt();
+    let snap = ckt.snapshot();
+    assert!((snap.amplitude(8).re - inv).abs() < 1e-12);
+    assert!((snap.amplitude(9).re - inv).abs() < 1e-12);
 }
 
 /// The end-to-end guarantee behind the two micro-tests above: a whole
@@ -392,26 +240,10 @@ fn run(name: &str, case: impl FnOnce() + UnwindSafe) -> bool {
 }
 
 fn main() {
-    let cases: [(&str, fn()); 8] = [
-        (
-            "warm_mxv_reexecution_allocates_nothing",
-            warm_mxv_reexecution_allocates_nothing,
-        ),
-        (
-            "warm_block_local_mxv_reexecution_allocates_nothing",
-            warm_block_local_mxv_reexecution_allocates_nothing,
-        ),
-        (
-            "warm_pair_mxv_reexecution_allocates_nothing",
-            warm_pair_mxv_reexecution_allocates_nothing,
-        ),
+    let cases: [(&str, fn()); 4] = [
         (
             "warm_linear_reexecution_allocates_nothing",
             warm_linear_reexecution_allocates_nothing,
-        ),
-        (
-            "fused_cache_survives_unrelated_updates",
-            fused_cache_survives_unrelated_updates,
         ),
         (
             "warm_retained_update_is_allocation_stable",

@@ -35,7 +35,7 @@ pub enum GateClass {
         /// Bottom-left matrix entry.
         a10: Complex64,
     },
-    /// Full 2×2 matrix — creates superposition; needs the MxV fallback.
+    /// Full 2×2 matrix — creates superposition; applied to amplitude pairs.
     Dense(Mat2),
     /// SWAP-family permutation on two targets.
     SwapPerm,

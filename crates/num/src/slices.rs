@@ -124,10 +124,8 @@ pub fn mat2_butterfly_slices(
     }
 }
 
-/// Fused accumulate `acc[i] += z * src[i]` (complex axpy) — the MxV
-/// whole-block kernel: when a fused row covers a whole block, each
-/// `(source, coefficient)` entry is one such accumulation over the
-/// source block. Panics if lengths differ.
+/// Fused accumulate `acc[i] += z * src[i]` (complex axpy). Panics if
+/// lengths differ.
 #[inline]
 pub fn accumulate_scaled(acc: &mut [Complex64], src: &[Complex64], z: Complex64) {
     assert_eq!(acc.len(), src.len());

@@ -71,8 +71,8 @@ impl BlockGeometry {
     }
 
     /// Dispatch grain in amplitudes (items for a linear op):
-    /// `max(block_size, min(4096, state_len / 8))`. Linear partitions
-    /// chunk their items by it and MxV partitions span it, so one task
+    /// `max(block_size, min(4096, state_len / 8))`. Partitions chunk
+    /// their items by it, so one task
     /// does 64 KiB of work while a full-width row still splits into at
     /// least 8 tasks. It depends on the geometry alone — never on the
     /// thread count — so graph shape and results are machine-independent.

@@ -41,7 +41,7 @@ pub fn scale_diag_run(
 
 /// Applies a linear op's rank range through the batched path: the range
 /// decomposes into contiguous low-index runs ([`ItemPattern::iter_runs`])
-/// applied as whole-slice scales/butterflies. Falls back to the scalar
+/// applied as whole-slice scales, swaps or butterflies. Falls back to the scalar
 /// item loop when runs degenerate to single items. Result is amplitude-
 /// identical to [`apply_linear_ranks`] (same operations, same order).
 ///
@@ -73,6 +73,19 @@ pub fn apply_linear_runs(
                 debug_assert!(low + len <= high);
                 let (a, b) = state.split_at_mut(high);
                 a[low..low + len].swap_with_slice(&mut b[..len]);
+            }
+            LinearOp::Dense { mat, .. } => {
+                let high = pattern.partner(run.low_start) as usize;
+                debug_assert!(low + len <= high);
+                let (a, b) = state.split_at_mut(high);
+                slices::mat2_butterfly_slices(
+                    &mut a[low..low + len],
+                    &mut b[..len],
+                    mat.at(0, 0),
+                    mat.at(0, 1),
+                    mat.at(1, 0),
+                    mat.at(1, 1),
+                );
             }
         }
     }
@@ -106,20 +119,6 @@ pub fn dense_pattern(controls: u64, target: u8, n_qubits: u8) -> crate::pattern:
     }
 }
 
-/// Applies a dense (superposing) single-target gate by batched butterfly
-/// update.
-pub fn apply_dense(controls: u64, target: u8, mat: &Mat2, n_qubits: u8, state: &mut [Complex64]) {
-    let pattern = dense_pattern(controls, target, n_qubits);
-    apply_dense_runs(
-        controls,
-        target,
-        mat,
-        n_qubits,
-        state,
-        0..pattern.num_items(),
-    );
-}
-
 /// Applies a dense gate's pair ranks through the batched path: whole-run
 /// 2×2 butterflies over the two slices of each run. Amplitude-identical
 /// to [`apply_dense_ranks`].
@@ -132,25 +131,12 @@ pub fn apply_dense_runs(
     ranks: std::ops::Range<u64>,
 ) {
     debug_assert_eq!(state.len(), 1usize << n_qubits);
-    let pattern = dense_pattern(controls, target, n_qubits);
-    if pattern.run_len_log2() == 0 {
-        return apply_dense_ranks(controls, target, mat, n_qubits, state, ranks);
-    }
-    let tbit = 1usize << target;
-    for run in pattern.iter_runs(ranks) {
-        let (low, len) = (run.low_start as usize, run.len as usize);
-        let high = low | tbit;
-        debug_assert!(low + len <= high);
-        let (a, b) = state.split_at_mut(high);
-        slices::mat2_butterfly_slices(
-            &mut a[low..low + len],
-            &mut b[..len],
-            mat.at(0, 0),
-            mat.at(0, 1),
-            mat.at(1, 0),
-            mat.at(1, 1),
-        );
-    }
+    let op = LinearOp::Dense {
+        controls,
+        target,
+        mat: *mat,
+    };
+    apply_linear_runs(&op, n_qubits, state, ranks);
 }
 
 /// Applies a dense gate to the pair ranks in `ranks` only; disjoint rank
@@ -164,14 +150,12 @@ pub fn apply_dense_ranks(
     ranks: std::ops::Range<u64>,
 ) {
     debug_assert_eq!(state.len(), 1usize << n_qubits);
-    let tbit = 1usize << target;
-    let pattern = dense_pattern(controls, target, n_qubits);
-    for low in pattern.iter_lows(ranks) {
-        let (i, j) = (low as usize, low as usize | tbit);
-        let (a0, a1) = mat.apply(state[i], state[j]);
-        state[i] = a0;
-        state[j] = a1;
-    }
+    let op = LinearOp::Dense {
+        controls,
+        target,
+        mat: *mat,
+    };
+    apply_linear_ranks(&op, n_qubits, state, ranks);
 }
 
 /// Applies one gate (any supported kind) to a flat state vector —
@@ -181,11 +165,6 @@ pub fn apply_gate(kind: GateKind, controls_mask: u64, targets: &[u8], state: &mu
     match lower_gate(kind, controls_mask, targets) {
         LoweredGate::Identity => {}
         LoweredGate::Linear(op) => apply_linear(&op, n_qubits, state),
-        LoweredGate::Dense {
-            controls,
-            target,
-            mat,
-        } => apply_dense(controls, target, &mat, n_qubits, state),
     }
 }
 
@@ -288,54 +267,46 @@ mod tests {
             }
             let mut scalar = random_state(n, 7000 + case);
             let mut batched = scalar.clone();
-            let choice = rng.random_range(0..4);
-            if choice == 3 {
-                // Dense gate.
-                let mat = GateKind::U3(0.4, 1.1, -0.6).base_matrix().unwrap();
-                let pattern = dense_pattern(controls, target, n);
-                let total = pattern.num_items();
-                let a = rng.random_range(0..=total);
-                let b = rng.random_range(0..=total);
-                let ranks = a.min(b)..a.max(b);
-                apply_dense_ranks(controls, target, &mat, n, &mut scalar, ranks.clone());
-                apply_dense_runs(controls, target, &mat, n, &mut batched, ranks);
-            } else {
-                let op = match choice {
-                    0 => LinearOp::Diag {
+            let op = match rng.random_range(0..4) {
+                0 => LinearOp::Diag {
+                    controls,
+                    target,
+                    d0: Complex64::exp_i(-0.3),
+                    d1: Complex64::exp_i(0.7),
+                },
+                1 => LinearOp::AntiDiag {
+                    controls,
+                    target,
+                    a01: Complex64::exp_i(0.2),
+                    a10: Complex64::exp_i(-1.1),
+                },
+                2 => LinearOp::Dense {
+                    controls,
+                    target,
+                    mat: GateKind::U3(0.4, 1.1, -0.6).base_matrix().unwrap(),
+                },
+                _ => {
+                    let candidates: Vec<u8> = (0..n)
+                        .filter(|q| *q != target && controls & (1 << q) == 0)
+                        .collect();
+                    let Some(&other) = (!candidates.is_empty())
+                        .then(|| &candidates[rng.random_range(0..candidates.len())])
+                    else {
+                        continue;
+                    };
+                    LinearOp::Swap {
                         controls,
-                        target,
-                        d0: Complex64::exp_i(-0.3),
-                        d1: Complex64::exp_i(0.7),
-                    },
-                    1 => LinearOp::AntiDiag {
-                        controls,
-                        target,
-                        a01: Complex64::exp_i(0.2),
-                        a10: Complex64::exp_i(-1.1),
-                    },
-                    _ => {
-                        let candidates: Vec<u8> = (0..n)
-                            .filter(|q| *q != target && controls & (1 << q) == 0)
-                            .collect();
-                        let Some(&other) = (!candidates.is_empty())
-                            .then(|| &candidates[rng.random_range(0..candidates.len())])
-                        else {
-                            continue;
-                        };
-                        LinearOp::Swap {
-                            controls,
-                            t_lo: target.min(other),
-                            t_hi: target.max(other),
-                        }
+                        t_lo: target.min(other),
+                        t_hi: target.max(other),
                     }
-                };
-                let total = op.pattern(n).num_items();
-                let a = rng.random_range(0..=total);
-                let b = rng.random_range(0..=total);
-                let ranks = a.min(b)..a.max(b);
-                apply_linear_ranks(&op, n, &mut scalar, ranks.clone());
-                apply_linear_runs(&op, n, &mut batched, ranks);
-            }
+                }
+            };
+            let total = op.pattern(n).num_items();
+            let a = rng.random_range(0..=total);
+            let b = rng.random_range(0..=total);
+            let ranks = a.min(b)..a.max(b);
+            apply_linear_ranks(&op, n, &mut scalar, ranks.clone());
+            apply_linear_runs(&op, n, &mut batched, ranks);
             assert!(
                 vecops::approx_eq(&scalar, &batched, 1e-14),
                 "case {case}: max diff {}",

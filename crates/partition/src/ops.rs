@@ -4,8 +4,9 @@ use crate::pattern::ItemPattern;
 use qtask_gates::{GateClass, GateKind};
 use qtask_num::{Complex64, Mat2};
 
-/// A non-superposition ("linear") state-vector operation: applied by
-/// scaling and/or swapping amplitudes, never mixing them.
+/// A state-vector operation on single amplitudes or amplitude pairs:
+/// scaling and swapping (the non-superposition gates), or a 2×2 matrix
+/// over each pair (a superposition gate).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinearOp {
     /// Scale amplitudes: indices with `controls` set are multiplied by
@@ -43,6 +44,16 @@ pub enum LinearOp {
         t_lo: u8,
         /// Higher target qubit index.
         t_hi: u8,
+    },
+    /// Apply `mat` to pairs `(i, i|1<<target)` where `controls` are set
+    /// (H, RY, U3, CH…): a superposition gate, on AntiDiag's pairs.
+    Dense {
+        /// Control bit mask.
+        controls: u64,
+        /// Target qubit.
+        target: u8,
+        /// The 2×2 matrix applied to each pair.
+        mat: Mat2,
     },
 }
 
@@ -90,6 +101,9 @@ impl LinearOp {
             }
             LinearOp::AntiDiag {
                 controls, target, ..
+            }
+            | LinearOp::Dense {
+                controls, target, ..
             } => {
                 let tbit = 1u64 << target;
                 ItemPattern {
@@ -135,6 +149,9 @@ impl LinearOp {
             LinearOp::Swap { .. } => {
                 state.swap(low, high);
             }
+            LinearOp::Dense { mat, .. } => {
+                (state[low], state[high]) = mat.apply(state[low], state[high]);
+            }
         }
     }
 }
@@ -144,17 +161,8 @@ impl LinearOp {
 pub enum LoweredGate {
     /// No state change (identity, `RZ(0)`, …): no row is created.
     Identity,
-    /// A linear (non-superposition) op — the pair-swapping path.
+    /// Any other gate: one op over amplitudes or amplitude pairs.
     Linear(LinearOp),
-    /// A superposing op — falls back to the matrix–vector path.
-    Dense {
-        /// Control bit mask.
-        controls: u64,
-        /// Target qubit.
-        target: u8,
-        /// The 2×2 matrix applied to the target.
-        mat: Mat2,
-    },
 }
 
 /// Lowers a gate kind with concrete operands. `controls_mask` is the OR of
@@ -182,11 +190,11 @@ pub fn lower_gate(kind: GateKind, controls_mask: u64, targets: &[u8]) -> Lowered
                 t_hi: a.max(b),
             })
         }
-        GateClass::Dense(mat) => LoweredGate::Dense {
+        GateClass::Dense(mat) => LoweredGate::Linear(LinearOp::Dense {
             controls: controls_mask,
             target: targets[0],
             mat,
-        },
+        }),
     }
 }
 
@@ -236,7 +244,7 @@ mod tests {
         ));
         assert!(matches!(
             lower_gate(GateKind::Rx(PI / 3.0), 0, &[0]),
-            LoweredGate::Dense { .. }
+            LoweredGate::Linear(LinearOp::Dense { .. })
         ));
     }
 

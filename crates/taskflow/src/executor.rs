@@ -442,9 +442,6 @@ impl Executor {
         for &d in &dirty {
             let node = &mut graph.nodes[d.key()];
             debug_assert!(node.dirty, "stale entry in dirty list");
-            if !node.fresh {
-                stats.nodes_reused += 1;
-            }
             stats.tasks_run += node.chunks as usize;
             let size = if node.chunks > 1 {
                 node.chunks as usize + 2
@@ -506,9 +503,7 @@ impl Executor {
 
         // The run is drained: clear the dirty window and return the pool.
         for &d in &dirty {
-            let node = &mut graph.nodes[d.key()];
-            node.dirty = false;
-            node.fresh = false;
+            graph.nodes[d.key()].dirty = false;
         }
         graph.dirty = dirty;
         graph.dirty.clear();

@@ -33,9 +33,8 @@
 //! `run_dirty` executes and clears it.
 //!
 //! The graph counts structural patches ([`RetainedGraph::take_patches`])
-//! and distinguishes nodes created since the last run from re-executed
-//! veterans ([`DirtyRunStats::nodes_reused`]) so a user can assert
-//! incrementality ("this edit patched O(edit) nodes, not O(graph)").
+//! so a user can assert incrementality ("this edit patched O(edit)
+//! nodes, not O(graph)").
 
 use qtask_util::{define_key, Arena};
 use std::sync::Arc;
@@ -56,8 +55,6 @@ pub(crate) struct RetainedNode<P> {
     pub(crate) preds: Vec<NodeId>,
     /// Included in the next `run_dirty`.
     pub(crate) dirty: bool,
-    /// Created since the last run (not yet a "reused" node).
-    pub(crate) fresh: bool,
     /// Materialization scratch: first/last run-node index of this node in
     /// the current `run_dirty` (only meaningful while `dirty` is set).
     pub(crate) run_entry: u32,
@@ -70,9 +67,6 @@ pub(crate) struct RetainedNode<P> {
 pub struct DirtyRunStats {
     /// Dirty graph nodes executed (barriers included).
     pub nodes_run: usize,
-    /// Executed nodes that predate the current edit window — they were
-    /// *reused* from a previous run rather than freshly inserted.
-    pub nodes_reused: usize,
     /// `invoke` calls performed (chunk fan-outs count each chunk).
     pub tasks_run: usize,
 }
@@ -158,7 +152,6 @@ impl<P> RetainedGraph<P> {
             succs: Vec::new(),
             preds: Vec::new(),
             dirty: false,
-            fresh: true,
             run_entry: 0,
             run_exit: 0,
         }));
@@ -370,13 +363,11 @@ mod tests {
             })
             .unwrap();
         assert_eq!(stats.nodes_run, 3);
-        assert_eq!(stats.nodes_reused, 0);
         assert_eq!(stats.tasks_run, 3);
         assert_eq!(*log.lock().unwrap(), vec![10, 20, 30]);
         assert_eq!(g.dirty_len(), 0);
 
-        // A second run touches only the re-marked subset — and those
-        // nodes now count as reused.
+        // A second run touches only the re-marked subset.
         log.lock().unwrap().clear();
         g.mark_dirty(b);
         g.mark_dirty(c);
@@ -386,7 +377,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(stats.nodes_run, 2);
-        assert_eq!(stats.nodes_reused, 2);
         assert_eq!(*log.lock().unwrap(), vec![20, 30]);
     }
 
@@ -421,7 +411,7 @@ mod tests {
         g.validate().unwrap();
         let stats = run(&mut g);
         assert_eq!(*log.lock().unwrap(), ['d', 'b', 'c']);
-        assert_eq!((stats.nodes_run, stats.nodes_reused), (3, 2));
+        assert_eq!(stats.nodes_run, 3);
         assert!(!g.is_dirty(b));
     }
 

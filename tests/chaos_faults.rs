@@ -41,8 +41,8 @@ fn scenario_config() -> SimConfig {
 /// grain equals the block (the paper's Figure 4 shape).
 const NARROW: u8 = 5;
 
-/// 7 qubits at B=4: the grain is 16 amplitudes, so every MxV partition
-/// spans 4 blocks and `exec/mxv_task` fires once per multi-block span.
+/// 7 qubits at B=4: the grain is 16 items, so a partition of H(q0), a
+/// row of in-block pairs, spans 8 blocks.
 const WIDE: u8 = 7;
 
 fn fresh_engine(n_qubits: u8) -> Ckt {
@@ -142,7 +142,6 @@ const EXPECTED_SITES: &[&str] = &[
     "exec/alloc_block",
     "exec/corrupt_row",
     "exec/linear_task",
-    "exec/mxv_task",
     "exec/publish_row",
     "snapshot/publish",
     "taskflow/task",
@@ -358,20 +357,20 @@ fn seeded_poisoning_recovers_to_oracle() {
     );
 }
 
-/// A fault inside a multi-block MxV partition — after part of its span
-/// (or of its row) is already published — still ends in a typed error,
-/// and recovery is bit-identical to a fresh simulation. With one pool
-/// worker the run executes on two threads, the caller and the worker,
-/// so hit 2 of the per-block probes lands mid-span of the first
+/// A fault inside a multi-block superposition partition — after part of
+/// its span (or of its row) is already published — still ends in a typed
+/// error, and recovery is bit-identical to a fresh simulation. With one
+/// pool worker the run executes on two threads, the caller and the
+/// worker, so hit 2 of the per-block probes lands mid-span of the first
 /// partition or at the start of a second one running beside it, and hit
-/// 2 of `exec/mxv_task` starts a second partition while the first is
+/// 2 of `exec/linear_task` starts a second partition while the first is
 /// publishing its span — either way part of the row is already out.
 #[test]
-fn mxv_fault_mid_span_recovers_bit_identical() {
+fn dense_fault_mid_span_recovers_bit_identical() {
     let _guard = chaos_guard();
     let mut cfg = scenario_config();
     cfg.num_threads = 1;
-    for site in ["exec/mxv_task", "exec/alloc_block", "exec/publish_row"] {
+    for site in ["exec/linear_task", "exec/alloc_block", "exec/publish_row"] {
         let ctx = format!("{site}@2");
         let mut ckt = Ckt::with_config(WIDE, cfg.clone());
         let a = ckt.push_net();
@@ -380,10 +379,10 @@ fn mxv_fault_mid_span_recovers_bit_identical() {
         let spans: Vec<u32> = ckt
             .debug_partitions()
             .iter()
-            .filter(|p| p.0.starts_with("MxV"))
+            .filter(|p| p.0 == "G1")
             .map(|p| p.2 - p.1 + 1)
             .collect();
-        assert_eq!(spans, vec![4; 8], "{ctx}: MxV partitions span a grain");
+        assert_eq!(spans, vec![8; 4], "{ctx}: H(q0) partitions span a grain");
         faults::arm(FaultPlan::at_hit(site, FaultKind::Panic, 2));
         let err = ckt.update_state().unwrap_err();
         let summary = faults::disarm();
@@ -444,7 +443,7 @@ fn caller_thread_task_panic_recovers_bit_identical() {
     assert_recovered_matches_oracles(&mut ckt, "caller-thread task panic");
 }
 
-/// A circuit whose nets mix linear rows with sync + MxV pairs, updated
+/// A circuit whose nets mix superposition and linear rows, updated
 /// once.
 fn linked_engine() -> Ckt {
     let mut ckt = fresh_engine(WIDE);

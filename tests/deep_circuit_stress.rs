@@ -63,8 +63,7 @@ fn run_storm(seed: u64) {
 
     // Phase 1 — grow deep: a net holds at most one gate per qubit, so
     // reaching ~300 rows needs a long chain of nets. Push a fresh net
-    // every other attempt; each linear gate is one row and dense gates
-    // share sync+MxV pairs.
+    // every other attempt; each non-identity gate is one row.
     let mut nets: Vec<NetId> = vec![ckt.push_net()];
     let mut oracle_nets: Vec<NetId> = vec![oracle.push_net()];
     // `live` pairs engine gate ids with the oracle's ids for mirrored
@@ -161,9 +160,9 @@ fn replacement_gate(rng: &mut StdRng, qubits: &[u8]) -> GateKind {
 }
 
 /// Differential storm at grain > block. At 9–10 qubits and B=4 the
-/// dispatch grain is 16–32 blocks, so superposition gates form MxV
-/// partitions of many blocks, linear partitions fan out grain-sized
-/// chunks, and controlled/phase rows span blocks their items never
+/// dispatch grain is 16–32 blocks, so partitions fan out grain-sized
+/// chunks, superposition gates on high qubits pair amplitudes across
+/// blocks, and controlled/phase rows span blocks their items never
 /// touch — which removals must reconnect across. Inserts, removals and
 /// replacements (remove + insert on the same qubits, no update between)
 /// interleave with updates; after every update the engine must agree
@@ -179,7 +178,7 @@ fn run_grain_storm(n: u8, seed: u64) {
     let mut nets: Vec<(NetId, NetId)> = vec![(ckt.push_net(), oracle.push_net())];
     // (engine gate, oracle gate, index into `nets`)
     let mut live: Vec<(GateId, GateId, usize)> = Vec::new();
-    let mut multi_block_mxv = false;
+    let mut cross_block_dense = false;
     let mut sparse_span = false;
     let mut updates = 0;
     for step in 0..360 {
@@ -218,11 +217,12 @@ fn run_grain_storm(n: u8, seed: u64) {
             assert_eq!(ckt.audit(), vec![], "{what}: audit");
             assert_agreement(&ckt, &mut oracle, &what);
             let parts = ckt.debug_partitions();
-            multi_block_mxv |= parts.iter().any(|p| p.0.starts_with("MxV") && p.2 > p.1);
+            let bs = ckt.geometry().block_size();
+            cross_block_dense |= ckt
+                .circuit()
+                .ordered_gates()
+                .any(|(_, g)| g.kind().is_superposition() && 1usize << g.targets()[0] >= bs);
             for (label, owned) in ckt.debug_rows() {
-                if !label.starts_with('G') {
-                    continue; // linear rows are labelled G<seq>
-                }
                 let spanned: usize = parts
                     .iter()
                     .filter(|p| p.0 == label)
@@ -237,7 +237,10 @@ fn run_grain_storm(n: u8, seed: u64) {
     ckt.validate_reachability().unwrap();
     assert_agreement(&ckt, &mut oracle, "final state");
     assert!(updates > 50, "only {updates} updates");
-    assert!(multi_block_mxv, "no MxV partition spanned several blocks");
+    assert!(
+        cross_block_dense,
+        "no superposition row paired across blocks"
+    );
     assert!(sparse_span, "no linear span held a block its items skip");
 }
 

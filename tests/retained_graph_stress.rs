@@ -303,8 +303,8 @@ fn deep_interleaved_storm_stays_edit_bounded() {
 
 /// Two engines on one shared two-worker pool, each edited from its own
 /// thread — the service layer's arrangement. With two callers the
-/// workers stay awake, so a worker can complete a run's first root (an
-/// MxV row's `sync` barrier) while `run_dirty` is still publishing;
+/// workers stay awake, so a worker can complete a run's first root (a
+/// partition of the toggled H row) while `run_dirty` is still publishing;
 /// every update must still run each dirty partition exactly once and
 /// return only when all of them are done, which the oracle sees as the
 /// right amplitudes after every toggle.
@@ -361,8 +361,7 @@ fn two_engines_on_one_shared_executor_match_the_oracle() {
 }
 
 /// Gate kinds of the batch-link circuits: every linear class plus
-/// controlled and uncontrolled superposition gates, so nets mix linear
-/// rows with sync + MxV pairs.
+/// controlled and uncontrolled superposition gates.
 const BATCH_KINDS: [GateKind; 12] = [
     GateKind::X,
     GateKind::Z,
@@ -525,10 +524,10 @@ fn storm_step(rng: &mut StdRng, batch: &mut Ckt, replay: &mut Ckt) {
 
 /// One link pass over a whole circuit builds the same simulation as
 /// linking it gate at a time: on seeded random circuits (3–10 qubits,
-/// blocks of 1–32, MxV cap 1–3) the states are `==`, both graphs
-/// validate (coherence and nearest-cover reachability), and the batch's
-/// edges are a subset of the replay's — strictly fewer on some circuits,
-/// where a net's sync + MxV pair landed between linked rows. A seeded
+/// blocks of 1–32) the states are `==`, both graphs validate (coherence
+/// and nearest-cover reachability), and the batch's edges are a subset
+/// of the replay's — strictly fewer on some circuits, where a row landed
+/// between linked rows of its net. A seeded
 /// edit storm then keeps both engines `==` to each other and ≈ the naive
 /// oracle, with a clean audit after every update.
 #[test]
@@ -539,7 +538,6 @@ fn batch_link_matches_gate_at_a_time_replay() {
         let n = rng.random_range(3..=10u8);
         let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=5u32));
         cfg.num_threads = 2;
-        cfg.mxv_group_max = rng.random_range(1..=3);
         let circuit = random_circuit(&mut rng, n);
         let mut batch = Ckt::from_circuit(&circuit, cfg.clone());
         let mut replay = Ckt::with_config(n, cfg);

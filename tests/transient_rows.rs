@@ -1,7 +1,6 @@
 //! Transient rows against every row retained.
 //!
-//! A default engine lets a linear or block-local MxV row rewrite its
-//! predecessor's buffer in place and replays the evicted entry inside
+//! A default engine lets a row rewrite its predecessor's buffer in place and replays the evicted entry inside
 //! the run or publication whose read lands on it. This suite drives it
 //! and an engine
 //! whose every row is a retained checkpoint ([`retain_every_row`])
@@ -11,7 +10,7 @@
 //! reader pinning a snapshot across edits — and after every step
 //! requires the two states to be `==`, both to match the serial
 //! [`NaiveSim`] oracle, and both audits to be empty. A fixed chain does
-//! the same around entries a block-local MxV row evicted, a test runs
+//! the same around entries a superposition row evicted, a test runs
 //! two audits of one engine at once over evicted final entries, and a
 //! last one toggles qft levels and bounds the bytes held.
 
@@ -128,7 +127,6 @@ fn transient_rows_match_every_row_retained() {
         let n = rng.random_range(4..=6u8);
         let mut cfg = SimConfig::with_block_size(1 << rng.random_range(0..=3u32));
         cfg.num_threads = 2;
-        cfg.mxv_group_max = rng.random_range(1..=3);
         let mut pair = Pair::new(n, cfg);
         // A superposed head, then a chain of one-gate nets.
         let head = pair.both(|ckt| ckt.push_net());
@@ -249,16 +247,16 @@ fn transient_rows_match_every_row_retained() {
     assert!(pinned_checks > 5, "pinned readers checked {pinned_checks}x");
 }
 
-/// A block-local MxV row takes its transient predecessor's buffers as a
-/// linear row does. On blocks of 4 amplitudes, H(q0) inside a linear
-/// chain rewrites the buffers of the S(q0) row before it in place and
+/// A superposition row takes its transient predecessor's buffers as any
+/// row does. On blocks of 4 amplitudes, H(q0) inside a linear chain
+/// rewrites the buffers of the S(q0) row before it in place and
 /// evicts that row's entries. A gate inserted between the two then reads
 /// those entries while the run is planned, and after the tail back to
 /// H(q0) is removed, `snapshot()` reads the entries H(q0)'s successor
 /// took, whose segment runs the H row again from the inserted row's
 /// entries, which it had taken too.
 #[test]
-fn block_local_mxv_rows_evict_and_rematerialize() {
+fn dense_rows_evict_and_rematerialize() {
     let mut cfg = SimConfig::with_block_size(4);
     cfg.num_threads = 2;
     let mut pair = Pair::new(5, cfg);
@@ -344,8 +342,8 @@ fn concurrent_audits_read_without_tearing() {
 
 /// The paper's Fig. 16 edit loop, checked amplitude by amplitude. qft@11
 /// loaded level by level on 2 pool threads, with blocks of 64 amplitudes
-/// so its one-factor H rows take both MxV paths: butterflies in place
-/// inside a block (q0–q5) and reads through the owner index (q6–q10).
+/// so its H rows take both pair shapes: partners inside a block (q0–q5)
+/// and partners in another block (q6–q10).
 /// Batches of 1–3 levels go out
 /// and come back, as in the benchmark's `inc.mixed`. After every update
 /// the full state must match the serial [`NaiveSim`] oracle of the
